@@ -32,6 +32,7 @@ from .sampling import (
     riesz_trig_derivative,
     valiron_tschakaloff_eval,
     wks_eval,
+    wks_eval_grid,
     wks_tail_bound,
 )
 from .boas import (

@@ -23,7 +23,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import __version__
-from .boas import boas_derivative, series_tail_bound, truncation_halfwidth
 from .dht import (
     SeqWindow,
     dht_power,
@@ -41,7 +40,7 @@ from .grouporbit import (
     rotation_instance,
 )
 from .inequalities import favard_constant, lks_check, plancherel_polya_check
-from .sampling import BandlimitedFn, make_reference
+from .sampling import make_reference, wks_eval_grid, wks_tail_bound
 from .seqio import (
     InputFormatError,
     read_samples,
@@ -49,7 +48,6 @@ from .seqio import (
     write_sequence,
     write_table,
 )
-from .sinckernel import sinc_grid
 
 _PI = math.pi
 
@@ -72,7 +70,6 @@ class RunConfig:
     t: float = 0.0
     p: float = math.inf
     tol: float = 1e-3
-    kmax: int = 100_000
     seed: int = 0
     fmt: str = "text"
     xmin: Optional[float] = None
@@ -85,13 +82,11 @@ class RunConfig:
             raise ValueError("--tol must be positive")
         if self.num < 2:
             raise ValueError("--num must be at least 2")
-        if self.kmax < 4:
-            raise ValueError("--kmax must be at least 4")
 
 
 def _echo(cfg: RunConfig, extra: Optional[Dict] = None) -> Dict:
     base = {"version": __version__, "command": cfg.command}
-    for key in ("action", "input", "order", "t", "p", "tol", "kmax", "seed"):
+    for key in ("action", "input", "order", "t", "p", "tol", "seed"):
         value = getattr(cfg, key, None)
         if value is not None:
             base[key] = value
@@ -115,76 +110,18 @@ def _grid(cfg: RunConfig, s) -> np.ndarray:
     return np.linspace(xmin, xmax, cfg.num)
 
 
-def _windowed_reconstructor(s, inner_tol: float):
-    """Vectorized m = 0 cardinal interpolation over sub-windows sized so the
-    per-point tail estimate stays below inner_tol."""
-    freq_gap = _PI - s.sigma * s.h
-    if s.tail_decay <= 0.0 and freq_gap <= 0.0:
-        raise ReconstructionUnsoundError(
-            "bounded-only samples at the critical rate cannot back a "
-            "reconstruction-based derivative")
-    if s.tail_decay > 0.0:
-        half = s.k_max - s.k_min  # decaying certificates: use everything
-    else:
-        denom = 2.0 * math.sin(freq_gap / 2.0)
-        need = (3.0 / _PI) * s.tail_bound / (denom * inner_tol)
-        half = int(min(max(64, math.ceil(need)), s.k_max - s.k_min))
-
-    def eval_many(xs: np.ndarray) -> np.ndarray:
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        u = xs / s.h
-        r0 = np.rint(u).astype(int)
-        lo_room = r0 - s.k_min
-        hi_room = s.k_max - r0
-        w = min(half, int(lo_room.min()), int(hi_room.min()))
-        if w < 2:
-            raise InputFormatError("derivative shifts leave the sampled interval")
-        offs = np.arange(-w, w + 1)
-        idx = (r0[:, None] + offs[None, :]) - s.k_min
-        ker = sinc_grid(u[:, None] - (r0[:, None] + offs[None, :]))
-        return np.sum(s.values[idx] * ker, axis=1)
-
-    return eval_many
-
-
 def cmd_differentiate(cfg: RunConfig) -> int:
+    """Cardinal series of f^(r) at every grid point, with its tail."""
     s = read_samples(cfg.input)
     grid = _grid(cfg, s)
     r = int(cfg.order)
-    rows = []
-    if r == 0:
-        from .sampling import wks_eval, wks_tail_bound
-        for x in grid:
-            val = wks_eval(s, 0, float(x), cfg.tol)
-            rows.append((float(x), float(val), wks_tail_bound(s, 0, float(x))))
-        max_tail = max(row[2] for row in rows)
-        footer = _echo(cfg, {"sigma": s.sigma, "h": s.h, "max_tail": max_tail})
-        write_table(cfg.output, ["x", "value", "tail"], rows, footer)
-        return EXIT_OK
     if r < 0:
         raise InputFormatError("--order must be >= 0")
-    sigma = s.sigma
-    amp = max(sigma ** r, 1.0)
-    inner_tol = 0.3 * cfg.tol / amp
-    f_eval = _windowed_reconstructor(s, inner_tol)
-    sup = float(np.max(np.abs(s.values))) + s.tail_bound
-    f = BandlimitedFn(sigma=sigma, sup_bound=sup, eval=f_eval)
-    # keep the derivative shifts inside the certified central zone
-    reach = min(abs(grid[0] - s.k_min * s.h), abs(s.k_max * s.h - grid[-1])) / 2.0
-    k_cap = max(4, int(reach * sigma / _PI))
-    k_need = truncation_halfwidth("standard", r, sigma, sup, 0.6 * cfg.tol)
-    k_use = min(k_need, k_cap, cfg.kmax)
-    series_tail = series_tail_bound("standard", r, sigma, sup, k_use)
-    reported = series_tail + amp * inner_tol
-    if reported > cfg.tol:
-        raise ToleranceError(
-            f"certified error {reported:.3e} exceeds tol {cfg.tol:.3e} "
-            f"(half-width capped at {k_use})", achievable=reported)
-    for x in grid:
-        val = boas_derivative(f, r, float(x), k_terms=k_use)
-        rows.append((float(x), float(val), reported))
-    footer = _echo(cfg, {"sigma": sigma, "h": s.h, "halfwidth": k_use,
-                         "max_tail": reported})
+    values = wks_eval_grid(s, r, grid, cfg.tol)
+    tails = wks_tail_bound(s, r, grid)
+    rows = list(zip(grid.tolist(), values.tolist(), tails.tolist()))
+    footer = _echo(cfg, {"sigma": s.sigma, "h": s.h, "max_tail": float(tails.max()),
+                         "tail_kind": "certified" if s.tail_decay > 0.0 else "estimate"})
     write_table(cfg.output, ["x", "value", "tail"], rows, footer)
     return EXIT_OK
 
@@ -439,7 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--t", type=float, default=0.0)
         p.add_argument("--p", type=_parse_p, default=math.inf)
         p.add_argument("--tol", type=float, default=1e-3)
-        p.add_argument("--kmax", type=int, default=100_000)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", dest="fmt", choices=("text", "json"),
                        default="text")
@@ -506,6 +442,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_TOLERANCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -4,7 +4,8 @@ A function of exponential type sigma that is bounded on the real line is
 determined by its samples on the lattice k*pi/sigma.  This module implements:
 
 * cardinal-series reconstruction of the function and its derivatives from
-  uniform samples (``wks_eval``), with certified truncation tails;
+  uniform samples (``wks_eval_grid``, scalar ``wks_eval``), with a
+  truncation tail that is certified for decaying samples;
 * the Valiron/Tschakaloff expansion for merely bounded functions, whose
   extra 1/k factor restores convergence (``valiron_tschakaloff_eval``);
 * the finite Riesz interpolation sum for trigonometric polynomial
@@ -30,7 +31,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .errors import QuadratureError, ReconstructionUnsoundError, ToleranceError
-from .sinckernel import sinc_derivative, sinc_derivative_grid, sinc_grid, snap_integer
+from .sinckernel import _snap_grid, sinc_derivative_grid, sinc_grid, snap_integer
 
 _PI = math.pi
 
@@ -215,84 +216,109 @@ def _kernel_decay_const(m: int) -> float:
     return 1.5 * _PI ** max(m - 1, 0) if m >= 1 else 1.5 / _PI
 
 
-def wks_tail_bound(s: UniformSamples, m: int, x: float) -> float:
-    """Certified (decaying samples) or estimated (bounded, oversampled)
-    bound on the truncated part of the reconstruction series at x."""
-    u = x / s.h
+#: terms of the series expansion in the decaying tail bound
+_TAIL_TERMS = 8
+
+
+def wks_tail_bound(s: UniformSamples, m: int, x):
+    """Bound on the part of the m-th derivative cardinal series at x that
+    lies outside the stored window; x may be a scalar or an array.
+
+    The kind of the tail follows the samples' certificate.  With a decay
+    certificate (tail_decay > 0) it is ``certified``: a closed-form bound on
+    the majorant sum.  With a bound only (tail_decay == 0) it is an
+    ``estimate``: Abel summation of one tone against the non-resonant
+    frequency gap, which superpositions of tones can exceed; such samples
+    are refused at the critical rate.
+    """
+    u = np.asarray(x, dtype=float) / s.h
     gap_left = u - s.k_min
     gap_right = s.k_max - u
-    gap = min(gap_left, gap_right)
-    if gap < max(2.0, float(m)):
+    if np.min(np.minimum(gap_left, gap_right)) < max(2.0, float(m)):
         raise ValueError("evaluation point too close to the sample window edge")
-    c_m = _kernel_decay_const(m)
-    scale = c_m / s.h ** m
+    scale = _kernel_decay_const(m) / s.h ** m * s.tail_bound
     if s.tail_decay > 0.0:
-        # sum the explicit majorant tail_bound*(k_edge/|k|)^p / |u - k| over a
-        # horizon, then bound the rest by an integral comparison
+        # majorant sum_{j >= a} (k_edge/j)^p / (j - v) on each side, with a the
+        # first omitted |k| and v = +-u: its first term plus the integral from
+        # a on.  Expanding 1/(t - v) in rho = v/a gives the integral as
+        # (k_edge/a)^p sum_j rho^j/(p + j); after _TAIL_TERMS terms the rest
+        # is at most rho^n/((p + n)(1 - rho)).  For v <= 0 the integral is at
+        # most (k_edge/a)^p / p, the j = 0 term.
         p = s.tail_decay
-        k_edge = max(1, min(abs(s.k_min), abs(s.k_max)))
-        horizon = 10 * max(abs(s.k_min), abs(s.k_max)) + 1000
-        kr = np.arange(s.k_max + 1, horizon + 1, dtype=float)
-        kl = np.arange(s.k_min - 1, -horizon - 1, -1, dtype=float)
-        total = float(np.sum((k_edge / kr) ** p / np.abs(u - kr)))
-        total += float(np.sum((k_edge / np.abs(kl)) ** p / np.abs(u - kl)))
-        # remainder beyond the horizon: |u - k| >= |k|/2 there
-        total += 4.0 * (k_edge / horizon) ** p / p
-        return scale * s.tail_bound * total
-    # bounded-only certificate: usable when strictly oversampled.  Writing
-    # sinc(u-k) = (-1)^k sin(pi u)/(pi(u-k)), the tail is an alternating-phase
-    # sum; Abel summation against the non-resonant frequency gap pi - sigma*h
-    # bounds it by the first 1/(gap) term over 2 sin(gap/2).  This is an
-    # estimate for superpositions, conservative in practice.
-    freq_gap = _PI - s.sigma * s.h
-    if freq_gap <= 0.0:
-        raise ReconstructionUnsoundError(
-            "bounded-only samples at the critical rate: the series tail cannot "
-            "be closed and the sum may reconstruct the wrong function")
-    denom = 2.0 * math.sin(freq_gap / 2.0)
-    return scale * s.tail_bound * (2.0 / _PI) * (1.0 / denom) * (1.0 / gap_left + 1.0 / gap_right)
+        if s.k_min > 0 or s.k_max < 0:
+            tail = np.full_like(u, math.inf)  # the majorant is vacuous at k = 0
+        else:
+            k_edge = max(1, min(-s.k_min, s.k_max))
+            tail = 0.0
+            for a, v in ((s.k_max + 1.0, u), (1.0 - s.k_min, -u)):
+                rho = np.maximum(v / a, 0.0)
+                series = sum(rho ** j / (p + j) for j in range(_TAIL_TERMS))
+                rest = rho ** _TAIL_TERMS / ((p + _TAIL_TERMS) * (1.0 - rho))
+                tail = tail + (k_edge / a) ** p * (1.0 / (a - v) + series + rest)
+    else:
+        # bounded-only certificate: usable when strictly oversampled.
+        # sinc^(m)(u-k) is (-1)^k times a function of u-k decaying like
+        # 1/|u-k|, so the tail is an alternating-phase sum.  For one tone the
+        # partial sums of (-1)^k f(kh) are at most 1/sin(g/2), g = pi - sigma*h,
+        # and Abel summation bounds the tail by that times the first kernel
+        # term.  The constant below is a third to a half of that worst case:
+        # one tone's tail stays under it, superpositions can exceed it.
+        freq_gap = _PI - s.sigma * s.h
+        if freq_gap <= 0.0:
+            raise ReconstructionUnsoundError(
+                "bounded-only samples at the critical rate: the series tail cannot "
+                "be closed and the sum may reconstruct the wrong function")
+        tail = (1.0 / (_PI * math.sin(freq_gap / 2.0))) * (1.0 / gap_left + 1.0 / gap_right)
+    tail = scale * tail
+    return float(tail) if tail.ndim == 0 else tail
 
 
-def wks_eval(s: UniformSamples, m: int, x: float, tol: float) -> float:
-    """Evaluate the m-th derivative of the sampled function at x.
+#: kernel entries per block of the cardinal-series evaluation
+_WKS_BLOCK = 1 << 17
+
+
+def wks_eval_grid(s: UniformSamples, m: int, xs, tol: float) -> np.ndarray:
+    """Evaluate the m-th derivative of the sampled function at every x in xs.
 
         f^(m)(x) ~= h^(-m) * sum_k f(k h) sinc^(m)(x/h - k)
 
-    truncated symmetrically around round(x/h) within the stored window.  The
-    certified tail is required to be <= tol; otherwise a ToleranceError (or,
-    for certificates that can never close, ReconstructionUnsoundError) is
-    raised.  At grid points x = k h the kernel is an exact Kronecker delta and
-    the stored sample is reproduced bit for bit (for m = 0).
+    summed over the whole stored window, so the omitted part is exactly the
+    one :func:`wks_tail_bound` bounds.  That bound is required to be <= tol
+    at every point; otherwise a ToleranceError (or, for certificates that
+    can never close, ReconstructionUnsoundError) is raised.  At grid points
+    x = k h the kernel is an exact Kronecker delta and the stored sample is
+    reproduced bit for bit (for m = 0).
     """
     if m < 0:
         raise ValueError("derivative order must be >= 0")
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
-    if not math.isfinite(x):
+    xs = np.asarray(xs, dtype=float)
+    if not np.all(np.isfinite(xs)):
         raise ValueError("evaluation point must be finite")
     if s.h > _PI / s.sigma * (1.0 + 1e-12):
         raise ReconstructionUnsoundError(
             f"undersampled: h = {s.h} exceeds pi/sigma = {_PI / s.sigma}")
-    tail = wks_tail_bound(s, m, x)
+    tail = float(np.max(wks_tail_bound(s, m, xs)))
     if tail > tol:
         raise ToleranceError(
             f"reconstruction tail {tail:.3e} exceeds tol {tol:.3e}",
             achievable=tail)
-    u = snap_integer(x / s.h)
-    r0 = int(round(u))
-    half = min(r0 - s.k_min, s.k_max - r0)
-    # symmetric truncation around the nearest node minimizes the 1/|k - u| tail
-    idx_c = r0 - s.k_min
-    center = s.values[idx_c] * sinc_derivative(m, u - r0)
-    if half == 0:
-        return center / s.h ** m
-    off = np.arange(1, half + 1)
-    k_hi = r0 + off
-    k_lo = r0 - off
-    ker_hi = sinc_derivative_grid(m, u - k_hi)
-    ker_lo = sinc_derivative_grid(m, u - k_lo)
-    pair = s.values[k_hi - s.k_min] * ker_hi + s.values[k_lo - s.k_min] * ker_lo
-    return (center + float(np.sum(pair))) / s.h ** m
+    u = _snap_grid(xs.reshape(-1) / s.h)
+    ks = np.arange(s.k_min, s.k_max + 1, dtype=float)
+    out = np.empty_like(u)
+    rows = max(1, _WKS_BLOCK // ks.size)
+    for i in range(0, u.size, rows):
+        ker = sinc_derivative_grid(m, u[i:i + rows, None] - ks[None, :])
+        # row sums, not a matrix product, so a point's value does not depend
+        # on which other points share its block
+        out[i:i + rows] = np.sum(ker * s.values, axis=1)
+    return out.reshape(xs.shape) / s.h ** m
+
+
+def wks_eval(s: UniformSamples, m: int, x: float, tol: float) -> float:
+    """Scalar form of :func:`wks_eval_grid`."""
+    return float(wks_eval_grid(s, m, np.array([float(x)]), tol)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -48,29 +49,45 @@ def _load_sidecar(csv_path, required: Tuple[str, ...]) -> Dict:
     return meta
 
 
+_ROW = np.dtype([("index", np.int64), ("value", np.float64)])
+
+
 def _read_two_column_csv(csv_path, index_name: str) -> Tuple[np.ndarray, np.ndarray]:
     path = Path(csv_path)
     if not path.exists():
         raise InputFormatError(f"input file {path} does not exist")
-    idx: List[int] = []
-    val: List[float] = []
     with open(path, newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:2]] != [index_name, "value"]:
+        header = fh.readline()
+        while header.startswith("#"):
+            header = fh.readline()
+        if [c.strip() for c in header.split(",")[:2]] != [index_name, "value"]:
             raise InputFormatError(
-                f"{path}: expected header '{index_name},value', got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                idx.append(int(row[0]))
-                val.append(float(row[1]))
-            except (ValueError, IndexError) as exc:
-                raise InputFormatError(f"{path}:{lineno}: bad row {row!r}") from exc
-    if not idx:
+                f"{path}: expected header '{index_name},value', got {header.strip()!r}")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "no data", checked below
+                table = np.loadtxt(fh, delimiter=",", comments="#", dtype=_ROW,
+                                   usecols=(0, 1), ndmin=1)
+        except ValueError as exc:
+            raise InputFormatError(f"{_bad_row_at(path)}: bad row ({exc})") from exc
+    if table.size == 0:
         raise InputFormatError(f"{path}: no data rows")
-    return np.asarray(idx, dtype=int), np.asarray(val, dtype=float)
+    return table["index"].astype(int), table["value"]
+
+
+def _bad_row_at(path: Path) -> str:
+    """'file:line' of the first data row that is not 'integer,float'."""
+    with open(path) as fh:
+        rows = [(n, line) for n, line in enumerate(fh, start=1)
+                if line.strip() and not line.startswith("#")]
+    for lineno, line in rows[1:]:
+        cells = line.split("#")[0].split(",")
+        try:
+            int(cells[0])
+            float(cells[1])
+        except (ValueError, IndexError):
+            return f"{path}:{lineno}"
+    return str(path)
 
 
 def read_samples(csv_path) -> UniformSamples:

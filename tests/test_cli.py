@@ -126,6 +126,75 @@ class TestDifferentiate:
         assert outs[0] == outs[1]
 
 
+def read_rows(path):
+    with open(path) as fh:
+        next(fh)
+        return np.array([[float(c) for c in line.split(",")]
+                         for line in fh if not line.startswith("#")])
+
+
+class TestOrders:
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+    def test_matches_closed_form(self, order, sin_samples_file, tmp_path):
+        out = tmp_path / "d.csv"
+        code = main(["differentiate", "--input", str(sin_samples_file),
+                     "--output", str(out), "--order", str(order),
+                     "--tol", "1e-2", "--num", "21"])
+        assert code == 0
+        rows = read_rows(out)
+        want = np.sin(rows[:, 0] + order * PI / 2)
+        assert np.all(np.abs(rows[:, 1] - want) <= rows[:, 2])
+        footer = read_footer(out)
+        assert float(footer["max_tail"]) == rows[:, 2].max() <= 1e-2
+        assert "halfwidth" not in footer and "kmax" not in footer
+
+    def test_tail_kind_estimate(self, sin_samples_file, tmp_path):
+        # bounded-only samples, oversampled: the tail is an estimate
+        out = tmp_path / "r.csv"
+        assert main(["reconstruct", "--input", str(sin_samples_file),
+                     "--output", str(out), "--num", "5"]) == 0
+        assert read_footer(out)["tail_kind"] == "estimate"
+
+    def test_tail_kind_certified(self, tmp_path):
+        # decaying samples at the critical rate: the tail is certified
+        f = make_reference("fejer", 1.0)
+        path = tmp_path / "fejer.csv"
+        write_samples(path, UniformSamples.from_function(f, PI, -2000, 2000))
+        out = tmp_path / "d.csv"
+        assert main(["differentiate", "--input", str(path), "--output", str(out),
+                     "--order", "1", "--num", "5"]) == 0
+        assert read_footer(out)["tail_kind"] == "certified"
+        rows = read_rows(out)
+        assert np.all(np.abs(rows[:, 1] - f.deriv_eval(rows[:, 0])) <= rows[:, 2])
+
+
+class TestFailures:
+    def test_internal_error_exit_2(self, monkeypatch, capsys):
+        def boom(cfg):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("bandlimit.cli.cmd_verify", boom)
+        assert main(["verify", "--suite", "favard"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal:") and "boom" in err
+
+    def test_bad_row_mid_file_exit_2(self, sin_samples_file, tmp_path, capsys):
+        lines = sin_samples_file.read_text().splitlines(keepends=True)
+        lines[500] = "-7501,not-a-number\n"
+        sin_samples_file.write_text("".join(lines))
+        code = main(["reconstruct", "--input", str(sin_samples_file),
+                     "--output", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert f"{sin_samples_file}:501" in capsys.readouterr().err
+
+    def test_non_integer_index_exit_2(self, sin_samples_file, tmp_path):
+        text = sin_samples_file.read_text().replace("\n-7990,", "\n-7990.0,", 1)
+        sin_samples_file.write_text(text)
+        code = main(["reconstruct", "--input", str(sin_samples_file),
+                     "--output", str(tmp_path / "o.csv")])
+        assert code == 2
+
+
 class TestDht:
     def test_orbit_integer_exact(self, basis_sequence_file, tmp_path):
         out = tmp_path / "o.csv"

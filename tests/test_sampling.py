@@ -16,9 +16,11 @@ from bandlimit.sampling import (
     valiron_tschakaloff_eval,
     vt_tail_bound,
     wks_eval,
+    wks_eval_grid,
     wks_tail_bound,
 )
 from bandlimit.boas import boas_derivative
+from bandlimit.sinckernel import sinc_derivative_grid
 
 PI = math.pi
 
@@ -146,6 +148,90 @@ class TestWks:
         small = UniformSamples.from_function(f, PI / 2, -500, 500)
         big = UniformSamples.from_function(f, PI / 2, -5000, 5000)
         assert wks_tail_bound(big, 0, 0.2) < wks_tail_bound(small, 0, 0.2)
+
+
+def fejer_derivative(x, sigma, m):
+    """Closed-form m-th derivative of sinc^2(sigma x/(2 pi)) by Leibniz."""
+    c = sigma / (2 * PI)
+    u = c * np.asarray(x, dtype=float)
+    return c ** m * sum(math.comb(m, j) * sinc_derivative_grid(j, u)
+                        * sinc_derivative_grid(m - j, u) for j in range(m + 1))
+
+
+def horizon_tail(s, m, x):
+    """The explicit-sum decaying tail: the majorant summed out to ten times
+    the window, then twice the integral beyond.  Reference for the closed
+    form in wks_tail_bound."""
+    u = x / s.h
+    p = s.tail_decay
+    k_edge = max(1, min(-s.k_min, s.k_max))
+    horizon = 10 * max(-s.k_min, s.k_max) + 1000
+    kr = np.arange(s.k_max + 1, horizon + 1, dtype=float)
+    kl = np.arange(1 - s.k_min, horizon + 1, dtype=float)
+    total = np.sum((k_edge / kr) ** p / (kr - u)) + np.sum((k_edge / kl) ** p / (kl + u))
+    total += 4.0 * (k_edge / horizon) ** p / p
+    return 1.5 / PI * s.tail_bound * total
+
+
+class TestTailHonesty:
+    """The reported tail bounds the true error of the full-window sum."""
+
+    def test_fejer_far_from_center(self):
+        # x = 300 sits at u = 95.5 in k in [-200, 200]: the long side's
+        # in-window samples must be summed, not dropped
+        f = make_reference("fejer", 1.0)
+        s = UniformSamples.from_function(f, PI, -200, 200)
+        err = abs(wks_eval(s, 0, 300.0, tol=1e-5) - float(f(300.0)))
+        assert err <= wks_tail_bound(s, 0, 300.0)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_fejer_critical_rate(self, m):
+        K = 200
+        f = make_reference("fejer", 1.0)
+        s = UniformSamples.from_function(f, PI, -K, K)
+        xs = np.linspace(-0.8 * K * s.h, 0.8 * K * s.h, 101)
+        err = np.abs(wks_eval_grid(s, m, xs, tol=1.0) - fejer_derivative(xs, 1.0, m))
+        assert np.all(err <= wks_tail_bound(s, m, xs))
+
+    @pytest.mark.parametrize("rate", [2.0, 1.5, 1.1])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_oversampled_tones(self, rate, m):
+        K = 400
+        h = PI / rate
+        ks = np.arange(-K, K + 1)
+        xs = np.linspace(-0.8 * K * h, 0.8 * K * h, 101)
+        for phase in np.linspace(0.0, 2 * PI, 13, endpoint=False):
+            s = UniformSamples(sigma=1.0, h=h, k_min=-K, k_max=K,
+                               values=np.sin(ks * h + phase), tail_bound=1.0)
+            err = np.abs(wks_eval_grid(s, m, xs, tol=10.0) - np.sin(xs + phase + m * PI / 2))
+            assert np.all(err <= wks_tail_bound(s, m, xs)), phase
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("K", [200, 5000])
+    def test_closed_form_decaying_tail(self, p, K):
+        s = UniformSamples(sigma=1.0, h=PI, k_min=-K, k_max=K,
+                           values=np.zeros(2 * K + 1), tail_bound=1e-3, tail_decay=p)
+        us = np.linspace(-0.8 * K, 0.8 * K, 5)
+        got = wks_tail_bound(s, 0, us * s.h)
+        # brute-force majorant out to |k| = 10^7, in blocks
+        brute = np.zeros_like(us)
+        for lo in range(K + 1, 10 ** 7 + 1, 1 << 18):
+            k = np.arange(lo, min(lo + (1 << 18), 10 ** 7 + 1), dtype=float)
+            w = (K / k) ** p
+            brute += np.sum(w / (k - us[:, None]) + w / (k + us[:, None]), axis=1)
+        brute *= 1.5 / PI * s.tail_bound
+        assert np.all(got >= brute)
+        old = np.array([horizon_tail(s, 0, u * s.h) for u in us])
+        assert np.all(got <= 1.25 * old)
+
+    def test_grid_matches_scalar(self):
+        f, s = fejer_samples(sigma=2.0, K=600)
+        xs = np.array([-3.1, 0.0, 0.77, 5 * s.h])
+        for m in (0, 1, 4):
+            grid = wks_eval_grid(s, m, xs, tol=1.0)
+            assert list(grid) == [wks_eval(s, m, float(x), tol=1.0) for x in xs]
+            assert np.array_equal(wks_tail_bound(s, m, xs),
+                                  [wks_tail_bound(s, m, float(x)) for x in xs])
 
 
 class TestValironTschakaloff:

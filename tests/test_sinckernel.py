@@ -111,6 +111,51 @@ class TestSincDerivative:
                 assert lhs2 == pytest.approx(rhs2, abs=1e-9)
 
 
+def mp_sinc_derivative(m, x):
+    """sinc^(m)(x) from the termwise-differentiated Taylor series at 40
+    digits; for |x| <= 8 the alternating terms cost at most 11 of them."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        x = mp.mpf(x)
+        total = mp.mpf(0)
+        j = (m + 1) // 2
+        while True:
+            term = ((-1) ** j * mp.pi ** (2 * j) * x ** (2 * j - m)
+                    / ((2 * j + 1) * mp.factorial(2 * j - m)))
+            total += term
+            if 2 * j - m > 40 and abs(term) < mp.mpf(10) ** -45:
+                return float(total)
+            j += 1
+
+
+class TestHighOrderKernel:
+    """Every order m <= 20 within 1e-10 pi^m/(m+1) of a 40-digit reference,
+    through both the scalar and the grid path."""
+
+    @given(st.integers(min_value=0, max_value=20),
+           st.floats(min_value=-8.0, max_value=8.0, allow_nan=False))
+    @settings(max_examples=300, deadline=None)
+    def test_against_mpmath(self, m, x):
+        want = mp_sinc_derivative(m, x)
+        scale = 1e-10 * PI ** m / (m + 1)
+        assert abs(sinc_derivative(m, x) - want) <= scale
+        assert abs(sinc_derivative_grid(m, np.array([x]))[0] - want) <= scale
+
+    def test_switch_radii(self):
+        # both sides of the series and quadrature switches, where the closed
+        # form used to cancel (sinc^(16)(0.2) came out as 0.0)
+        for m in range(4, 21):
+            xs = np.array([0.0499, 0.05, 0.2, 0.15 * m - 1e-9, 0.15 * m, 0.15 * m + 0.1])
+            xs = np.concatenate([xs, -xs])
+            grid = sinc_derivative_grid(m, xs)
+            for x, g in zip(xs, grid):
+                want = mp_sinc_derivative(m, float(x))
+                assert abs(g - want) <= 1e-10 * PI ** m / (m + 1), (m, x)
+                assert sinc_derivative(m, float(x)) == g
+        assert sinc_derivative(16, 0.2) == pytest.approx(4.388e6, rel=1e-3)
+
+
 class TestBoasCoefficient:
     def test_examples(self):
         assert boas_coefficient("odd", 1, 1) == pytest.approx(4.0 / PI, rel=1e-15)
