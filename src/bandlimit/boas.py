@@ -37,6 +37,7 @@ import numpy as np
 from .errors import ToleranceError
 from .sampling import BandlimitedFn
 from .sinckernel import (
+    MAX_HALFWIDTH,
     _sharp_floor,
     boas_coefficient,
     boas_coefficient_grid,
@@ -46,8 +47,6 @@ from .sinckernel import (
 
 _PI = math.pi
 _E = math.e
-
-MAX_HALFWIDTH = 2_000_000
 
 
 def truncation_halfwidth(variant: str, r: int, sigma: float, sup_bound: float,

@@ -41,7 +41,13 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .grouporbit import GroupInstance
-from .sinckernel import boas_coefficient_grid, coefficient_tail_bound, sinc, snap_integer
+from .sinckernel import (
+    boas_coefficient_grid,
+    coefficient_tail_bound,
+    sinc,
+    sinc_grid,
+    snap_integer,
+)
 
 _PI = math.pi
 
@@ -250,6 +256,26 @@ def _shift_series_halfwidth(t: float, a_norm: float, tol: float) -> int:
     return max(64, int(math.ceil(math.sqrt(c / (_PI * tol)))))
 
 
+def _shift_terms(a: SeqWindow, t: float, tol: float, expand: Optional[int]):
+    """What both trajectory formulas consume, on the window grown by
+    ``expand`` (default from tol): its first index, a zero-padded onto it,
+    H a, and the shifted-sample convolution
+
+        sum_{k!=0} w(k) a_(.+k),  w(k) = (-1)^k sinc(t-k)/k = sin(pi t)/(pi k (t-k)).
+    """
+    if expand is None:
+        expand = _default_expand(a, tol)
+    ha = hilbert_apply(a, expand)
+    out_n0 = a.n0 - expand
+    out_len = len(a) + 2 * expand
+    k_lo = a.n0 - (out_n0 + out_len - 1)
+    ks = np.arange(k_lo, a.n_last - out_n0 + 1)
+    kern = np.where(ks == 0, 0.0,
+                    math.sin(_PI * t) / (_PI * np.where(ks == 0, 1.0, ks) * (t - ks)))
+    shifted = _convolve_window(a, kern, k_lo, out_n0, out_len)
+    return out_n0, a.on_range(out_n0, out_len), ha, shifted
+
+
 def dht_orbit_reconstruct(a: SeqWindow, t: float, tol: float = 1e-6,
                           expand: Optional[int] = None,
                           k_terms: Optional[int] = None) -> SeqWindow:
@@ -265,20 +291,7 @@ def dht_orbit_reconstruct(a: SeqWindow, t: float, tol: float = 1e-6,
     t = snap_integer(float(t))
     if abs(t - round(t)) < INTEGER_EPS:
         return integer_orbit(round(t), a)
-    if expand is None:
-        expand = _default_expand(a, tol)
-    L = len(a)
-    out_n0 = a.n0 - expand
-    out_len = L + 2 * expand
-    ha = hilbert_apply(a, expand)
-    apad = a.on_range(out_n0, out_len)
-    # shifted-sample convolution: w(k) = (-1)^k sinc(t-k)/k = sin(pi t)/(pi k (t-k))
-    k_lo = a.n0 - (out_n0 + out_len - 1)
-    k_hi = a.n_last - out_n0
-    ks = np.arange(k_lo, k_hi + 1)
-    kern = np.where(ks == 0, 0.0,
-                    math.sin(_PI * t) / (_PI * np.where(ks == 0, 1.0, ks) * (t - ks)))
-    shifted = _convolve_window(a, kern, k_lo, out_n0, out_len)
+    out_n0, apad, ha, shifted = _shift_terms(a, t, tol, expand)
     # scalar coefficient sum_{k!=0} sinc(t-k)/k: the +/-k pair collapses to
     # (-1)^k (sin pi t / pi) * 2/(t^2 - k^2), an alternating series whose
     # symmetric partial sums converge at O(K^-2)
@@ -302,20 +315,8 @@ def dht_vt(a: SeqWindow, t: float, tol: float = 1e-6,
     t = snap_integer(float(t))
     if abs(t - round(t)) < INTEGER_EPS:
         return integer_orbit(round(t), a)
-    if expand is None:
-        expand = _default_expand(a, tol)
-    L = len(a)
-    out_n0 = a.n0 - expand
-    out_len = L + 2 * expand
-    ha = hilbert_apply(a, expand)
-    apad = a.on_range(out_n0, out_len)
-    k_lo = a.n0 - (out_n0 + out_len - 1)
-    k_hi = a.n_last - out_n0
-    ks = np.arange(k_lo, k_hi + 1)
-    kern = np.where(ks == 0, 0.0,
-                    t * math.sin(_PI * t) / (_PI * np.where(ks == 0, 1.0, ks) * (t - ks)))
-    shifted = _convolve_window(a, kern, k_lo, out_n0, out_len)
-    vals = sinc(t) * apad + t * sinc(t) * ha.values + shifted
+    out_n0, apad, ha, shifted = _shift_terms(a, t, tol, expand)
+    vals = sinc(t) * apad + t * sinc(t) * ha.values + t * shifted
     tail = a.tail_l2 * (1.0 + abs(t) * (1.0 + _PI)) + abs(t) * ha.tail_l2
     return SeqWindow(n0=out_n0, values=vals, tail_l2=tail)
 
@@ -388,7 +389,9 @@ def dht_power(a: SeqWindow, r: int, tol: float = 1e-6,
 
 
 def _default_expand(a: SeqWindow, tol: float) -> int:
-    # 1/(m-n+t) kernels put O(1/sqrt(N)) l2 mass beyond N extra slots
+    """Window growth per side when the caller gives none: a heuristic
+    estimate, not a certificate.  1/(m-n+t) kernels put O(1/sqrt(N)) l2 mass
+    beyond N extra slots; nothing proves this size meets tol."""
     grow = int(math.ceil(max(a.norm(), 1.0) / max(tol, 1e-12)))
     return min(max(grow, len(a)), MAX_EXPAND)
 
@@ -426,7 +429,7 @@ def pairing_check(a: SeqWindow, b: SeqWindow, t: float, gamma: float = 0.5,
     direct = _pairing(float(t), a, b)
     u = snap_integer(float(t) / gamma)
     ks = np.arange(-k_terms, k_terms + 1)
-    kern = np.asarray([sinc(float(u - k)) for k in ks])
+    kern = sinc_grid(u - ks)
     live = np.nonzero(kern)[0]
     sampled = 0.0
     for i in live:

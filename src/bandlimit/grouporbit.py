@@ -33,16 +33,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 import numpy as np
 
 from .errors import ToleranceError
-from .sinckernel import boas_coefficient, coefficient_tail_bound, sinc, snap_integer
+from .sinckernel import (
+    MAX_HALFWIDTH,
+    boas_coefficient,
+    boas_coefficient_grid,
+    coefficient_tail_bound,
+    sinc,
+    sinc_grid,
+    snap_integer,
+)
 
 _PI = math.pi
-
-MAX_HALFWIDTH = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -128,55 +134,45 @@ def rotation_instance(sigmas) -> GroupInstance:
 # series engine
 # ---------------------------------------------------------------------------
 
-class _SampleCache:
-    """Lazy per-shell cache of orbit samples e^((base_k * pi/sigma) D) f.
-
-    Shells are fetched on demand and reused across the K/2 and K partial sums
-    (and across operations sharing the same trajectory).
-    """
-
-    def __init__(self, fetch: Callable[[float], Any]):
-        self._fetch = fetch
-        self._store: Dict[float, Any] = {}
-
-    def at(self, t: float):
-        got = self._store.get(t)
-        if got is None:
-            got = self._fetch(t)
-            self._store[t] = got
-        return got
-
-
-def _extrapolated_sum(head, pair_term: Callable[[int], Any], K: int):
-    """head + Richardson-extrapolated symmetric series.
-
-    pair_term(k) must return the combined k and -k (or k and 1-k) contribution.
-    Accumulation runs outward from the center; the K/2 snapshot feeds the
-    2 S_K - S_{K/2} combination.
-    """
+def _shells(K: int) -> np.ndarray:
+    """Shell indices 1..K, with K raised to an even number >= 2 so that the
+    Richardson snapshot falls after shell K/2."""
     K = max(2, int(K))
-    if K % 2:
-        K += 1
-    half = K // 2
-    acc = None
-    snap = None
-    for k in range(1, K + 1):
-        term = pair_term(k)
+    return np.arange(1, K + K % 2 + 1)
+
+
+def _orbit_series(head, fetch: Callable[[Any], Any], times: np.ndarray,
+                  weights: np.ndarray):
+    """head + Richardson-extrapolated orbit series.
+
+    Row k - 1 of ``times`` and ``weights`` is shell k: the two points it pairs
+    (lattice indices k and -k, or k - 1/2 and 1/2 - k, scaled to orbit times
+    or passed as is to :attr:`OrbitSamples.at`) and their weights.  Each
+    point is fetched once, outward from the center, and w * fetch(point)
+    accumulated; the partial sum S_(K/2) after the first half of the shells
+    feeds the 2 S_K - S_(K/2) combination.  Vectors need only + and
+    multiplication by a float, so arrays and sequence windows share this
+    loop.
+    """
+    half = times.size // 2
+    acc = snap = None
+    pairs = zip(times.ravel().tolist(), weights.ravel().tolist())
+    for j, (s, w) in enumerate(pairs, 1):
+        term = w * fetch(s)
         acc = term if acc is None else acc + term
-        if k == half:
+        if j == half:
             snap = acc
-    full = head + acc
-    half_sum = head + snap
-    return 2.0 * full - half_sum
+    return 2.0 * (head + acc) - (head + snap)
 
 
 def _resolve_k(tol: float, t_scale: float, norm_f: float, sigma: float,
                k_terms: Optional[int]) -> int:
-    """Half-width for the orbit series.
+    """Half-width for the orbit series: a heuristic estimate, not a
+    certificate.
 
-    The extrapolated residue scales like c2 / K^2 with
-    c2 ~ sigma * ||f|| * (1 + |u|)^2; K is sized so that model falls below
-    tol, floored at 64 shells.
+    The extrapolated residue is modelled as c2 / K^2 with
+    c2 ~ 8 sigma ||f|| (1 + |u|)^2; K is sized so that model falls below
+    tol, floored at 64 shells.  Nothing proves the model bounds the error.
     """
     if k_terms is not None:
         if k_terms < 2:
@@ -203,42 +199,29 @@ def orbit_reconstruct(b: BernsteinVector, t: float, tol: float = 1e-6,
     the matching sample) and at t = 0.
     """
     inst, v, sigma = b.instance, b.v, b.sigma
-    u = snap_integer(sigma * float(t) / _PI)
-    step = _PI / sigma
+    t = float(t)
+    u = snap_integer(sigma * t / _PI)
     K = _resolve_k(tol, t, inst.norm(v), sigma, k_terms)
-    K = max(K, 2 * (abs(int(round(u))) + 2))  # keep the node shell in both partial sums
-    cache = _SampleCache(lambda s: inst.orbit(s, v))
-    dv = inst.generator(v)
-    head = _as_vec(v) + (float(t) * sinc(u)) * _as_vec(dv)
-
-    def pair(k: int):
-        sp = cache.at(k * step)
-        sm = cache.at(-k * step)
-        w_hi = float(t) * sinc(u - k) / (k * step)
-        w_lo = float(t) * sinc(u + k) / (-k * step)
-        return w_hi * (_as_vec(sp) - _as_vec(v)) + w_lo * (_as_vec(sm) - _as_vec(v))
-
-    return _extrapolated_sum(_as_vec(head), pair, K)
+    ks = _shells(max(K, 2 * (abs(int(round(u))) + 2)))  # node shell in both partial sums
+    lattice = np.column_stack((ks, -ks))
+    times = lattice * (_PI / sigma)
+    weights = t * sinc_grid(u - lattice) / times
+    head = v + (t * sinc(u)) * inst.generator(v)
+    return _orbit_series(head, lambda s: inst.orbit(s, v) - v, times, weights)
 
 
 def orbit_vt(b: BernsteinVector, t: float, tol: float = 1e-6,
              k_terms: Optional[int] = None):
     """Trajectory value by the bounded-vector expansion (extra 1/k decay)."""
     inst, v, sigma = b.instance, b.v, b.sigma
-    u = snap_integer(sigma * float(t) / _PI)
-    step = _PI / sigma
+    t = float(t)
+    u = snap_integer(sigma * t / _PI)
     K = _resolve_k(tol, t, inst.norm(v), sigma, k_terms)
-    K = max(K, 2 * (abs(int(round(u))) + 2))
-    cache = _SampleCache(lambda s: inst.orbit(s, v))
-    dv = inst.generator(v)
-    head = sinc(u) * (_as_vec(v) + float(t) * _as_vec(dv))
-
-    def pair(k: int):
-        sp = cache.at(k * step)
-        sm = cache.at(-k * step)
-        return (u / k) * (sinc(u - k) * _as_vec(sp) - sinc(u + k) * _as_vec(sm))
-
-    return _extrapolated_sum(head, pair, K)
+    ks = _shells(max(K, 2 * (abs(int(round(u))) + 2)))
+    lattice = np.column_stack((ks, -ks))
+    weights = (u / lattice) * sinc_grid(u - lattice)
+    head = sinc(u) * (v + t * inst.generator(v))
+    return _orbit_series(head, lambda s: inst.orbit(s, v), lattice * (_PI / sigma), weights)
 
 
 @dataclass(frozen=True)
@@ -261,11 +244,10 @@ class OrbitSamples:
     def from_bernstein(cls, b: BernsteinVector, t: float) -> "OrbitSamples":
         inst, v, sigma = b.instance, b.v, b.sigma
         step = _PI / sigma
-        cache = _SampleCache(lambda s: inst.orbit(s, v))
         return cls(sigma=sigma, t=float(t),
                    f_t=inst.orbit(t, v),
                    df_t=inst.orbit(t, inst.generator(v)),
-                   at=lambda k: cache.at(k * step + float(t)))
+                   at=lambda k: inst.orbit(k * step + float(t), v))
 
 
 def recover_initial(samples: OrbitSamples, tol: float = 1e-6,
@@ -274,21 +256,14 @@ def recover_initial(samples: OrbitSamples, tol: float = 1e-6,
     """Rebuild the initial vector f from trajectory samples around time t."""
     sigma, t = samples.sigma, samples.t
     u = snap_integer(sigma * t / _PI)
-    step = _PI / sigma
-    f_t = _as_vec(samples.f_t)
-    nf = norm(samples.f_t) if norm is not None else float(np.linalg.norm(f_t))
+    f_t = samples.f_t
+    nf = norm(f_t) if norm is not None else float(np.linalg.norm(f_t))
     K = _resolve_k(tol, t, nf, sigma, k_terms)
-    K = max(K, 2 * (abs(int(round(u))) + 2))
-    head = f_t - (t * sinc(u)) * _as_vec(samples.df_t)
-
-    def pair(k: int):
-        sp = _as_vec(samples.at(k))
-        sm = _as_vec(samples.at(-k))
-        w_hi = -t * sinc(u + k) / (k * step)
-        w_lo = -t * sinc(u - k) / (-k * step)
-        return w_hi * (sp - f_t) + w_lo * (sm - f_t)
-
-    return _extrapolated_sum(head, pair, K)
+    ks = _shells(max(K, 2 * (abs(int(round(u))) + 2)))
+    lattice = np.column_stack((ks, -ks))
+    weights = -t * sinc_grid(u + lattice) / (lattice * (_PI / sigma))
+    head = f_t - (t * sinc(u)) * samples.df_t
+    return _orbit_series(head, lambda k: samples.at(k) - f_t, lattice, weights)
 
 
 def group_boas(b: BernsteinVector, r: int, tol: float = 1e-6,
@@ -299,14 +274,13 @@ def group_boas(b: BernsteinVector, r: int, tol: float = 1e-6,
         raise ValueError("power r must be >= 1")
     inst, v, sigma = b.instance, b.v, b.sigma
     scale = (sigma / _PI) ** r
-    cache = _SampleCache(lambda s: inst.orbit(s, v))
-    m_half = (r + 1) // 2
+    m = (r + 1) // 2
     parity = "odd" if r % 2 else "even"
     if k_terms is None:
         # plain truncation leaves at most tail(K) = c/K; the extrapolated
         # combination squares the decay, so size K by c/K^2 <= tol with the
         # rigorous coefficient-tail constant c = K * tail(K)
-        c = scale * max(inst.norm(v), 1e-30) * 2.0 * coefficient_tail_bound(parity, m_half, 2)
+        c = scale * max(inst.norm(v), 1e-30) * 2.0 * coefficient_tail_bound(parity, m, 2)
         K = max(64, int(math.ceil(math.sqrt(4.0 * c / tol))))
         if K > MAX_HALFWIDTH:
             raise ToleranceError(
@@ -314,32 +288,19 @@ def group_boas(b: BernsteinVector, r: int, tol: float = 1e-6,
                 achievable=c / MAX_HALFWIDTH ** 2)
     else:
         K = int(k_terms)
-    if r % 2 == 1:
-        m = (r + 1) // 2
-        step = _PI / sigma
-
-        def pair(k: int):
-            a = boas_coefficient("odd", m, k)
-            sign = (-1.0) ** (k + 1)
-            sp = cache.at((k - 0.5) * step)
-            sm = cache.at(-(k - 0.5) * step)
-            # index 1-k carries the same weight with opposite sign
-            return (sign * a) * (_as_vec(sp) - _as_vec(sm))
-
-        head = 0.0 * _as_vec(v)
-        return scale * _extrapolated_sum(head, pair, K)
-    m = r // 2
-    step = _PI / sigma
-
-    def pair(k: int):
-        bc = boas_coefficient("even", m, k)
-        sign = (-1.0) ** (k + 1)
-        sp = cache.at(k * step)
-        sm = cache.at(-k * step)
-        return (sign * bc) * (_as_vec(sp) + _as_vec(sm))
-
-    head = -boas_coefficient("even", m, 0) * _as_vec(v)
-    return scale * _extrapolated_sum(head, pair, K)
+    ks = _shells(K)
+    w = np.where(ks % 2, 1.0, -1.0) * boas_coefficient_grid(parity, m, ks)
+    if r % 2:
+        # index 1-k carries the same weight with opposite sign
+        lattice = np.column_stack((ks - 0.5, 0.5 - ks))
+        weights = np.column_stack((w, -w))
+        head = 0.0 * v
+    else:
+        lattice = np.column_stack((ks, -ks))
+        weights = np.column_stack((w, w))
+        head = -boas_coefficient("even", m, 0) * v
+    series = _orbit_series(head, lambda s: inst.orbit(s, v), lattice * (_PI / sigma), weights)
+    return scale * series
 
 
 @dataclass(frozen=True)
@@ -368,11 +329,11 @@ def exponential_type(instance: GroupInstance, v, k_max: int = 60) -> TypeEstimat
     base = norm(v)
     if base == 0.0:
         raise ValueError("zero vector has no growth rate")
-    w = _as_vec(v) / base
+    w = v / base
     log_acc = 0.0
     seq: List[float] = []
     for k in range(1, k_max + 1):
-        w = _as_vec(instance.generator(w))
+        w = instance.generator(w)
         step_norm = norm(w)
         if step_norm == 0.0:
             seq.extend([0.0] * (k_max - len(seq)))
@@ -382,10 +343,3 @@ def exponential_type(instance: GroupInstance, v, k_max: int = 60) -> TypeEstimat
         seq.append(math.exp(log_acc / k))
     return TypeEstimate(estimate=seq[-1], sequence=seq)
 
-
-def _as_vec(v):
-    if isinstance(v, np.ndarray):
-        return v
-    if hasattr(v, "__mul__") and hasattr(v, "__add__") and not np.isscalar(v):
-        return v
-    return np.asarray(v, dtype=float)

@@ -23,7 +23,6 @@ otherwise reconstruction is refused as unsound.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
@@ -242,8 +241,10 @@ def wks_tail_bound(s: UniformSamples, m: int, x):
         # first omitted |k| and v = +-u: its first term plus the integral from
         # a on.  Expanding 1/(t - v) in rho = v/a gives the integral as
         # (k_edge/a)^p sum_j rho^j/(p + j); after _TAIL_TERMS terms the rest
-        # is at most rho^n/((p + n)(1 - rho)).  For v <= 0 the integral is at
-        # most (k_edge/a)^p / p, the j = 0 term.
+        # is at most rho^n/((p + n)(1 - rho)).  For p > 1, 1/(t - v) <=
+        # 1/(a - v) on [a, inf) also bounds the integral by
+        # (k_edge/a)^p a/((p-1)(a - v)), the smaller of the two only on the
+        # far side (v <= 0) of a lopsided window.
         p = s.tail_decay
         if s.k_min > 0 or s.k_max < 0:
             tail = np.full_like(u, math.inf)  # the majorant is vacuous at k = 0
@@ -253,8 +254,10 @@ def wks_tail_bound(s: UniformSamples, m: int, x):
             for a, v in ((s.k_max + 1.0, u), (1.0 - s.k_min, -u)):
                 rho = np.maximum(v / a, 0.0)
                 series = sum(rho ** j / (p + j) for j in range(_TAIL_TERMS))
-                rest = rho ** _TAIL_TERMS / ((p + _TAIL_TERMS) * (1.0 - rho))
-                tail = tail + (k_edge / a) ** p * (1.0 / (a - v) + series + rest)
+                integral = series + rho ** _TAIL_TERMS / ((p + _TAIL_TERMS) * (1.0 - rho))
+                if p > 1.0:
+                    integral = np.minimum(integral, a / ((p - 1.0) * (a - v)))
+                tail = tail + (k_edge / a) ** p * (1.0 / (a - v) + integral)
     else:
         # bounded-only certificate: usable when strictly oversampled.
         # sinc^(m)(u-k) is (-1)^k times a function of u-k decaying like
@@ -325,18 +328,8 @@ def wks_eval(s: UniformSamples, m: int, x: float, tol: float) -> float:
 # Valiron / Tschakaloff
 # ---------------------------------------------------------------------------
 
-def _sinc_complex(z: complex) -> complex:
-    if z == 0:
-        return 1.0 + 0.0j
-    if z.imag == 0.0 and z.real == round(z.real):
-        return 0.0 + 0.0j
-    if abs(z) < 0.05:
-        # same Taylor switch as the real kernel
-        total = 0.0 + 0.0j
-        for j in range(12):
-            total += (-1.0) ** j * (_PI * z) ** (2 * j) / math.factorial(2 * j + 1)
-        return total
-    return cmath.sin(_PI * z) / (_PI * z)
+#: lattice indices per block of the Valiron-Tschakaloff sum
+_VT_BLOCK = 1 << 15
 
 
 def valiron_tschakaloff_eval(s: UniformSamples, f0: float, df0: float,
@@ -347,8 +340,8 @@ def valiron_tschakaloff_eval(s: UniformSamples, f0: float, df0: float,
                + sum_{k != 0} f(k pi/s) (s z / (k pi)) sinc(sz/pi - k)
 
     The extra 1/k makes the series absolutely convergent for merely bounded
-    samples; the full stored window is consumed.  Interpolation at lattice
-    points inside the window is exact.
+    samples; the symmetric part of the stored window, |k| <= min(-k_min,
+    k_max), is consumed.  Interpolation at lattice points inside it is exact.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -358,17 +351,14 @@ def valiron_tschakaloff_eval(s: UniformSamples, f0: float, df0: float,
     u = z / s.h
     if u.imag == 0.0:
         u = complex(snap_integer(u.real), 0.0)
-    head = (z * df0 + f0) * _sinc_complex(u)
+    head = (z * df0 + f0) * complex(sinc_grid(u))
     half = min(-s.k_min, s.k_max)
-    if half < 1:
-        return head
     total = 0.0 + 0.0j
-    # sigma z / (k pi) written as u/k so lattice interpolation is bit-exact
-    for k in range(1, half + 1):
-        a_hi = s.values[k - s.k_min]
-        a_lo = s.values[-k - s.k_min]
-        total += a_hi * (u / k) * _sinc_complex(u - k)
-        total += a_lo * (u / -k) * _sinc_complex(u + k)
+    for lo in range(-half, half + 1, _VT_BLOCK):
+        k = np.arange(lo, min(lo + _VT_BLOCK, half + 1))
+        k = k[k != 0]
+        # sigma z / (k pi) written as u/k so lattice interpolation is bit-exact
+        total += complex(np.sum(s.values[k - s.k_min] * (u / k) * sinc_grid(u - k)))
     return head + total
 
 
@@ -453,16 +443,20 @@ class QuadratureSpec:
 
 
 def fejer_regularize(f: Callable[[np.ndarray], np.ndarray], sigma: float,
+                     sup_bound: float,
                      quad: QuadratureSpec = QuadratureSpec()) -> BandlimitedFn:
     """Smooth a bounded continuous f onto exponential type sigma:
 
         R(f)(x) = int h(t) f(x + t/sigma) dt,  h = smoothing_kernel.
 
-    The output is entire of type sigma with sup bound sup|f| (unit kernel
-    mass), and ||f - R(f)||_inf <= C * w(f, 1/sigma) where w is the modulus of
-    continuity and C = KERNEL_MOMENT_CONST.  The integral is evaluated by
-    composite midpoint on [-T, T]; a Richardson probe at x = 0 estimates the
-    quadrature error and raises QuadratureError when it exceeds tol.
+    ``sup_bound`` is the caller's bound on |f| over the real line.  The
+    output is entire of type sigma; its sup bound is sup_bound times the mass
+    of the nonnegative quadrature weights (at least 1), which bounds the
+    computed sum at every x.  ||f - R(f)||_inf <= C * w(f, 1/sigma) where w
+    is the modulus of continuity and C = KERNEL_MOMENT_CONST.  The integral
+    is evaluated by composite midpoint on [-T, T]; a Richardson probe at
+    x = 0 estimates the quadrature error and raises QuadratureError when it
+    exceeds tol.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
@@ -494,8 +488,8 @@ def fejer_regularize(f: Callable[[np.ndarray], np.ndarray], sigma: float,
         raise QuadratureError(
             f"estimated quadrature error {est:.3e} exceeds tol {quad.tol:.3e}")
 
-    sup = float(np.max(np.abs(np.asarray(f(np.linspace(-3.0 / sigma, 3.0 / sigma, 64))))))
-    return BandlimitedFn(sigma=float(sigma), sup_bound=max(sup, 1.0), eval=reval)
+    return BandlimitedFn(sigma=float(sigma),
+                         sup_bound=sup_bound * max(1.0, float(np.sum(weights))), eval=reval)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,9 @@ _QUAD_MIN_ORDER = 4
 _QUAD_SLOPE = 0.15
 _QUAD_NODES = 48
 
+#: largest series half-width the shifted-sample and orbit engines size
+MAX_HALFWIDTH = 2_000_000
+
 _E = math.e
 _PI = math.pi
 
@@ -90,14 +93,7 @@ def sinc(x: float) -> float:
     first (lattice coordinates are typically produced as (k h)/h, which can be
     off by one rounding), so sample nodes behave exactly like Kronecker nodes.
     """
-    x = snap_integer(_require_finite(x))
-    if x == 0.0:
-        return 1.0
-    if x == round(x):
-        return 0.0
-    if abs(x) < _SERIES_RADIUS:
-        return _series_value(0, x)
-    return math.sin(_PI * x) / (_PI * x)
+    return float(sinc_grid(_require_finite(x)))
 
 
 def _snap_grid(x: np.ndarray) -> np.ndarray:
@@ -107,27 +103,24 @@ def _snap_grid(x: np.ndarray) -> np.ndarray:
 
 
 def sinc_grid(x) -> np.ndarray:
-    """Vectorized normalized sinc with exact integer zeros (ulp-snapped)."""
-    x = _snap_grid(np.asarray(x, dtype=float))
+    """Vectorized normalized sinc with exact zeros at the nonzero integers.
+
+    Real arguments are ulp-snapped onto nearby integers first; complex
+    arguments are taken as given.
+    """
+    x = np.asarray(x)
+    if not np.iscomplexobj(x):
+        x = _snap_grid(x.astype(float, copy=False))
     safe = np.where(x == 0.0, 1.0, x)
     out = np.sin(_PI * safe) / (_PI * safe)
     out = np.where(x == 0.0, 1.0, out)
-    return np.where((x == np.round(x)) & (x != 0.0), 0.0, out)
+    return np.where((x == np.round(x.real)) & (x != 0.0), 0.0, out)
 
 
 def _series_coeff(m: int, j: int) -> float:
     # d^m/dx^m of (-1)^j (pi x)^(2j)/(2j+1)! evaluated coefficientwise
     return ((-1.0) ** j * _PI ** (2 * j) / math.factorial(2 * j + 1)
             * math.factorial(2 * j) / math.factorial(2 * j - m))
-
-
-def _series_value(m: int, x: float) -> float:
-    j0 = (m + 1) // 2
-    total = 0.0
-    for i in range(_SERIES_TERMS):
-        j = j0 + i
-        total += _series_coeff(m, j) * x ** (2 * j - m)
-    return total
 
 
 def _series_grid(m: int, x: np.ndarray) -> np.ndarray:
@@ -137,18 +130,6 @@ def _series_grid(m: int, x: np.ndarray) -> np.ndarray:
         j = j0 + i
         total += _series_coeff(m, j) * x ** (2 * j - m)
     return total
-
-
-def _closed_value(m: int, x: float) -> float:
-    s1 = sum((-1.0) ** v * (_PI * x) ** (2 * v) / math.factorial(2 * v)
-             for v in range(m // 2 + 1))
-    if m >= 1:
-        s2 = sum((-1.0) ** v * (_PI * x) ** (2 * v + 1) / math.factorial(2 * v + 1)
-                 for v in range((m - 1) // 2 + 1))
-    else:
-        s2 = 0.0
-    lead = (-1.0) ** m * math.factorial(m) / (_PI * x ** (m + 1))
-    return lead * (math.sin(_PI * x) * s1 - math.cos(_PI * x) * s2)
 
 
 def _closed_grid(m: int, x: np.ndarray) -> np.ndarray:
@@ -167,8 +148,7 @@ def sinc_derivative_series(m: int, x: float) -> float:
     """Power-series branch of sinc^(m); spectrally accurate for small |x|."""
     if m < 0:
         raise ValueError("derivative order must be >= 0")
-    x = _require_finite(x)
-    return _series_value(m, x)
+    return float(_series_grid(m, np.array([_require_finite(x)]))[0])
 
 
 def sinc_derivative_closed(m: int, x: float) -> float:
@@ -187,7 +167,7 @@ def sinc_derivative_closed(m: int, x: float) -> float:
         raise ValueError("closed form undefined at x = 0; use the series branch")
     loss = (_PI * abs(x)) ** (-m) if _PI * abs(x) < 1.0 else 1.0
     if loss <= _CANCEL_GUARD:
-        return _closed_value(m, x)
+        return float(_closed_grid(m, np.array([x]))[0])
     import mpmath as mp
 
     digits_lost = m * math.log10(1.0 / (_PI * abs(x)))
@@ -203,23 +183,9 @@ def sinc_derivative_closed(m: int, x: float) -> float:
 
 
 def sinc_derivative(m: int, x: float) -> float:
-    """m-th derivative of the normalized sinc at a real point.
-
-    Dispatches to the power series for |x| < 0.05 and to the closed form
-    otherwise; orders m >= 4 share the vectorized path, which adds a
-    quadrature branch where the closed form cancels.
-    sinc_derivative(0, x) == sinc(x).
-    """
-    if m < 0:
-        raise ValueError("derivative order must be >= 0")
-    x = _require_finite(x)
-    if m == 0:
-        return sinc(x)
-    if m >= _QUAD_MIN_ORDER:
-        return float(sinc_derivative_grid(m, np.array([x]))[0])
-    if abs(x) < _SERIES_RADIUS:
-        return _series_value(m, x)
-    return _closed_value(m, x)
+    """m-th derivative of the normalized sinc at a real point: the scalar form
+    of :func:`sinc_derivative_grid`.  sinc_derivative(0, x) == sinc(x)."""
+    return float(sinc_derivative_grid(m, np.array([_require_finite(x)]))[0])
 
 
 def sinc_derivative_grid(m: int, x) -> np.ndarray:
@@ -441,16 +407,13 @@ def zero_sum_residual(m: int, x: float, halfwidth: int) -> float:
     return abs(total)
 
 
-def snap_integer(u: float, ulps: float = 8.0) -> float:
+def snap_integer(u: float) -> float:
     """Collapse u onto the nearest integer when it differs only by rounding.
 
     Lattice coordinates are often produced as (k*h)/h; snapping restores the
     exact Kronecker behavior of the kernel at sample nodes.
     """
-    r = round(u)
-    if u != r and abs(u - r) <= ulps * 2.220446049250313e-16 * max(1.0, abs(u)):
-        return float(r)
-    return float(u)
+    return float(_snap_grid(np.float64(u)))
 
 
 def _check_parity(parity: str) -> None:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -219,6 +220,39 @@ class TestEquivalenceSuite:
         inst = rotation_instance([2.0])
         b = BernsteinVector(inst, unit_vector(), 1.0)  # declared below true rate
         assert not b.validate(depth=4)
+
+
+def counting_instance(sigma):
+    """A rotation group that records every orbit time it is asked for."""
+    times = []
+    inst = rotation_instance([sigma])
+
+    def orbit(t, v):
+        times.append(float(t))
+        return inst.orbit(t, v)
+
+    return dataclasses.replace(inst, orbit=orbit), times
+
+
+class TestOrbitFetches:
+    @pytest.mark.parametrize("k_terms", [64, 63])
+    def test_each_entry_point_fetches_2k_distinct_times(self, k_terms):
+        K = 64  # an odd half-width is raised to the next even one
+        inst, times = counting_instance(2.0)
+        b = BernsteinVector(inst, unit_vector(), 2.0)
+        samples = OrbitSamples.from_bernstein(b, 0.7)
+        calls = {
+            "orbit_reconstruct": lambda: orbit_reconstruct(b, 0.7, k_terms=k_terms),
+            "orbit_vt": lambda: orbit_vt(b, 0.7, k_terms=k_terms),
+            "recover_initial": lambda: recover_initial(samples, k_terms=k_terms),
+            "group_boas r=1": lambda: group_boas(b, 1, k_terms=k_terms),
+            "group_boas r=2": lambda: group_boas(b, 2, k_terms=k_terms),
+        }
+        for name, call in calls.items():
+            times.clear()
+            call()
+            assert len(times) == 2 * K, name
+            assert len(set(times)) == 2 * K, name
 
 
 class TestDhtThroughGenericEngine:

@@ -23,6 +23,7 @@ from bandlimit.boas import boas_derivative
 from bandlimit.sinckernel import sinc_derivative_grid
 
 PI = math.pi
+EPS = 2.220446049250313e-16
 
 
 def fejer_samples(sigma=2.0, K=4000):
@@ -173,6 +174,18 @@ def horizon_tail(s, m, x):
     return 1.5 / PI * s.tail_bound * total
 
 
+def majorant_sum(s, us, horizon=10 ** 7):
+    """The decaying-tail majorant summed out to |k| = horizon, in blocks."""
+    p = s.tail_decay
+    k_edge = max(1, min(-s.k_min, s.k_max))
+    total = np.zeros_like(us)
+    for first, v in ((s.k_max + 1, us), (1 - s.k_min, -us)):
+        for lo in range(first, horizon + 1, 1 << 18):
+            k = np.arange(lo, min(lo + (1 << 18), horizon + 1), dtype=float)
+            total += np.sum((k_edge / k) ** p / (k - v[:, None]), axis=1)
+    return 1.5 / PI * s.tail_bound * total
+
+
 class TestTailHonesty:
     """The reported tail bounds the true error of the full-window sum."""
 
@@ -213,14 +226,18 @@ class TestTailHonesty:
                            values=np.zeros(2 * K + 1), tail_bound=1e-3, tail_decay=p)
         us = np.linspace(-0.8 * K, 0.8 * K, 5)
         got = wks_tail_bound(s, 0, us * s.h)
-        # brute-force majorant out to |k| = 10^7, in blocks
-        brute = np.zeros_like(us)
-        for lo in range(K + 1, 10 ** 7 + 1, 1 << 18):
-            k = np.arange(lo, min(lo + (1 << 18), 10 ** 7 + 1), dtype=float)
-            w = (K / k) ** p
-            brute += np.sum(w / (k - us[:, None]) + w / (k + us[:, None]), axis=1)
-        brute *= 1.5 / PI * s.tail_bound
-        assert np.all(got >= brute)
+        assert np.all(got >= majorant_sum(s, us))
+        old = np.array([horizon_tail(s, 0, u * s.h) for u in us])
+        assert np.all(got <= 1.25 * old)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_closed_form_lopsided_tail(self, p):
+        # k in [-1000, 20]: seen from u <= -500 the right edge is the far side
+        s = UniformSamples(sigma=1.0, h=PI, k_min=-1000, k_max=20,
+                           values=np.zeros(1021), tail_bound=1e-3, tail_decay=p)
+        us = np.array([-898.0, -500.0])
+        got = wks_tail_bound(s, 0, us * s.h)
+        assert np.all(got >= majorant_sum(s, us))
         old = np.array([horizon_tail(s, 0, u * s.h) for u in us])
         assert np.all(got <= 1.25 * old)
 
@@ -232,6 +249,30 @@ class TestTailHonesty:
             assert list(grid) == [wks_eval(s, m, float(x), tol=1.0) for x in xs]
             assert np.array_equal(wks_tail_bound(s, m, xs),
                                   [wks_tail_bound(s, m, float(x)) for x in xs])
+
+
+def vt_reference(s, f0, df0, z):
+    """Valiron-Tschakaloff summed term by term with a scalar complex sinc."""
+    def sinc_c(w):
+        if w == 0:
+            return 1.0 + 0.0j
+        if w.imag == 0.0 and w.real == round(w.real):
+            return 0.0j
+        if abs(w) < 0.05:
+            return sum((-1.0) ** j * (PI * w) ** (2 * j) / math.factorial(2 * j + 1)
+                       for j in range(12))
+        return cmath.sin(PI * w) / (PI * w)
+
+    z = complex(z)
+    u = z / s.h
+    r = round(u.real)
+    if u.imag == 0.0 and abs(u.real - r) <= 8 * EPS * max(1.0, abs(u.real)):
+        u = complex(r, 0.0)
+    total = (z * df0 + f0) * sinc_c(u)
+    for k in range(1, min(-s.k_min, s.k_max) + 1):
+        total += s.values[k - s.k_min] * (u / k) * sinc_c(u - k)
+        total += s.values[-k - s.k_min] * (u / -k) * sinc_c(u + k)
+    return total
 
 
 class TestValironTschakaloff:
@@ -262,6 +303,20 @@ class TestValironTschakaloff:
             got = valiron_tschakaloff_eval(s, f0=1.0, df0=0.0, z=z)
             assert got.real == pytest.approx(1.0, abs=1e-3)
         assert vt_tail_bound(s, 3.0) < 1e-3
+
+    def test_matches_term_by_term_reference(self):
+        K = 20000
+        ks = np.arange(-K, K + 1)
+        phase = 0.9
+        s = UniformSamples(sigma=1.0, h=PI, k_min=-K, k_max=K,
+                           values=np.sin(ks * PI + phase), tail_bound=1.0)
+        f0, df0 = math.sin(phase), math.cos(phase)
+        for z in (0.37, -2.2, 1e-3, 0.3 + 0.4j, 1.1 - 0.2j, -0.02 + 0.01j):
+            got = valiron_tschakaloff_eval(s, f0, df0, z)
+            assert abs(got - vt_reference(s, f0, df0, z)) <= 1e-13, z
+        for k in (0, 3, -4, 17):
+            z = k * s.h
+            assert valiron_tschakaloff_eval(s, f0, df0, z) == vt_reference(s, f0, df0, z)
 
     def test_complex_argument(self):
         s = self.make_sin_samples(K=20000)
@@ -315,7 +370,7 @@ class TestFejerRegularize:
     def test_constant_preserved(self):
         spec = QuadratureSpec(tol=1e-4, nodes=4096)
         r = fejer_regularize(lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                             sigma=4.0, quad=spec)
+                             sigma=4.0, sup_bound=1.0, quad=spec)
         for x in (-1.0, 0.0, 2.5):
             assert float(r(x)) == pytest.approx(1.0, abs=1e-4)
 
@@ -324,7 +379,8 @@ class TestFejerRegularize:
         errs = {}
         for sigma in (8.0, 16.0, 32.0):
             r = fejer_regularize(lambda x: np.sin(np.asarray(x, dtype=float)),
-                                 sigma=sigma, quad=QuadratureSpec(tol=1e-6, nodes=8192))
+                                 sigma=sigma, sup_bound=1.0,
+                                 quad=QuadratureSpec(tol=1e-6, nodes=8192))
             xs = np.linspace(-2, 2, 41)
             errs[sigma] = float(np.max(np.abs(np.asarray(r(xs)) - target(xs))))
             # modulus bound: ||f - R(f)|| <= C * w(f, 1/sigma) <= C / sigma
@@ -335,11 +391,21 @@ class TestFejerRegularize:
     def test_output_differentiable_by_shifted_series(self):
         sigma = 8.0
         r = fejer_regularize(lambda x: np.sin(np.asarray(x, dtype=float)),
-                             sigma=sigma, quad=QuadratureSpec(tol=1e-6, nodes=8192))
+                             sigma=sigma, sup_bound=1.0,
+                             quad=QuadratureSpec(tol=1e-6, nodes=8192))
         x = 0.3
         got = boas_derivative(r, 1, x, tol=1e-3)
         fd = (float(r(x + 1e-4)) - float(r(x - 1e-4))) / 2e-4
         assert got == pytest.approx(fd, abs=2e-3)
+
+    def test_sup_bound_covers_off_center_peak(self):
+        # a peak of height 5 far from the origin: R(f) reaches about 1.04 there
+        def f(x):
+            return 5.0 * np.exp(-(np.asarray(x, dtype=float) - 40.0) ** 2)
+
+        r = fejer_regularize(f, sigma=1.0, sup_bound=5.0)
+        xs = np.linspace(36.0, 44.0, 161)
+        assert float(np.max(np.abs(r(xs)))) <= r.sup_bound
 
 
 class TestPoisson:

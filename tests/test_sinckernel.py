@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from bandlimit.sinckernel import (
     sinc_derivative_closed,
     sinc_derivative_grid,
     sinc_derivative_series,
+    sinc_grid,
     zero_sum_residual,
 )
 
@@ -48,6 +50,26 @@ class TestSinc:
     @settings(max_examples=200)
     def test_even(self, x):
         assert sinc(-x) == sinc(x)
+
+    def test_scalar_equals_grid(self):
+        xs = np.linspace(-7.3, 7.3, 201)
+        assert [sinc(float(x)) for x in xs] == list(sinc_grid(xs))
+        for m in (1, 2, 3, 6):
+            want = list(sinc_derivative_grid(m, xs))
+            assert [sinc_derivative(m, float(x)) for x in xs] == want, m
+
+    def test_grid_complex_matches_cmath(self):
+        zs = np.array([0.3 + 0.4j, -1.7 + 0.01j, 2.5 - 1.2j, 1e-3 + 1e-3j,
+                       40.25 + 0.5j, 1.0 + 2.0j, 0.02j, -3.5 + 0.0j])
+        got = sinc_grid(zs)
+        for z, g in zip(zs, got):
+            want = cmath.sin(PI * z) / (PI * z)
+            assert abs(g - want) <= 1e-14 * abs(want), z
+
+    def test_grid_complex_lattice(self):
+        got = sinc_grid(np.array([0j, 3 + 0j, -7 + 0j, 2 + 1e-300j]))
+        assert list(got[:3]) == [1.0, 0.0, 0.0]
+        assert got[3] != 0.0
 
 
 class TestSincDerivative:
