@@ -23,13 +23,23 @@ lattice samples e^(kH) a are signed shifts, free of any series evaluation:
              + t sum_{k!=0} ((-1)^k a_(.+k) - a) / k * sinc(t - k)
     bounded: e^(tH)a = sinc(t) a + t sinc(t) Ha
              + sum_{k!=0} (t/k) sinc(t - k) (-1)^k a_(.+k)
-    powers:  H^(2s-1) a = sum_k (-1)^(k+1) a(s,k) e^((k-1/2)H) a
-             H^(2s)   a = sum_k (-1)^(k+1) b(s,k) e^(kH) a
-                        = - sum_k b(s,k) a_(.+k)
 
-and H^r also equals the r-fold composition of the order-1 operator.  All the
-shifted-sequence sums collapse to one-dimensional convolutions, evaluated
-directly (no FFT).
+Powers come from the symbol.  H is the Toeplitz operator with symbol
+-i(pi - theta) on (0, 2 pi), so H^r has the kernel
+
+    c_d = (1/2pi) int_0^(2pi) (-i(pi - theta))^r e^(i d theta) dtheta,
+
+a polynomial in 1/d (c_d = 1/d for r = 1, -2/d^2 with c_0 = -pi^2/3 for
+r = 2), computed exactly for |d| up to the span of the window.  The paper's
+route superposes orbit samples,
+
+    H^(2s-1) a = sum_k (-1)^(k+1) a(s,k) e^((k-1/2)H) a
+    H^(2s)   a = sum_k (-1)^(k+1) b(s,k) e^(kH) a = - sum_k b(s,k) a_(.+k),
+
+and reaches the same kernel only in the limit of the half-integer series;
+it is kept as a test oracle.  H^r also equals the r-fold composition of the
+order-1 operator.  All the shifted-sequence sums collapse to one-dimensional
+convolutions, evaluated directly (no FFT).
 """
 
 from __future__ import annotations
@@ -41,13 +51,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .grouporbit import GroupInstance
-from .sinckernel import (
-    boas_coefficient_grid,
-    coefficient_tail_bound,
-    sinc,
-    sinc_grid,
-    snap_integer,
-)
+from .sinckernel import sinc, sinc_grid, snap_integer
 
 _PI = math.pi
 
@@ -137,6 +141,12 @@ class SeqWindow:
                          tail_l2=abs(float(c)) * self.tail_l2)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, c: float) -> "SeqWindow":
+        if not np.isscalar(c):
+            return NotImplemented
+        return SeqWindow(n0=self.n0, values=self.values / float(c),
+                         tail_l2=self.tail_l2 / abs(float(c)))
 
 
 def _convolve_window(a: SeqWindow, kernel: np.ndarray, k_lo: int,
@@ -322,35 +332,56 @@ def dht_vt(a: SeqWindow, t: float, tol: float = 1e-6,
 
 
 # ---------------------------------------------------------------------------
-# powers of H through orbit samples
+# powers of H through the symbol kernel
 # ---------------------------------------------------------------------------
 
-def _odd_power_kernel(s: int, d_lo: int, d_hi: int, K: int) -> np.ndarray:
-    """G_s(d) = (1/pi) sum_{|k|<=K} a(s,k) / (d + k - 1/2) for d in [d_lo, d_hi].
+def _power_coefficients(r: int) -> np.ndarray:
+    """alpha with c_d = sum_p alpha[p] d^(-p) for d != 0, the kernel of H^r.
 
-    The half-integer-orbit superposition collapsed to a single convolution
-    kernel: a correlation of the coefficient array against the Cauchy kernel
-    1/(. - 1/2).  G_1 converges to 1/d (0 at d = 0) as K grows.
+    With phi = pi - theta the kernel is c_d = (1/2pi) int (-i phi)^r
+    (-1)^d e^(-id phi) dphi = Re[(-i)^r (-1)^d J_r(d)] / (2 pi), where
+    J_q(d) = int_(-pi)^(pi) phi^q e^(-id phi) dphi.  Integration by parts gives
+
+        J_q(d) = (-1)^d pi^q (1 - (-1)^q) / (-id) + (q / (id)) J_(q-1)(d),
+
+    J_0(d) = 0, so (-1)^d J_q is a polynomial in y = i/d with real
+    coefficients beta, and (-i)^r y^p = (-1)^r i^(r+p) d^(-p).
     """
-    ks = np.arange(-K, K + 1)
-    coeffs = boas_coefficient_grid("odd", s, ks)
-    # c[i] = sum_j C[i + j] A[j] with C(p) = 1/(d_lo - K + p - 1/2)
-    base = np.arange(d_lo - K, d_hi + K + 1, dtype=float)
-    cauchy = 1.0 / (base - 0.5)
-    return np.correlate(cauchy, coeffs, mode="valid") / _PI
+    beta = np.zeros(r + 1)
+    for q in range(1, r + 1):
+        beta = np.concatenate(([0.0], -q * beta[:-1]))
+        beta[1] += (1 - (-1) ** q) * _PI ** q
+    re_i = np.array([1.0, 0.0, -1.0, 0.0])[(r + np.arange(r + 1)) % 4]
+    return (-1) ** r * beta * re_i / (2.0 * _PI)
+
+
+def _power_kernel(r: int, span: int) -> np.ndarray:
+    """c_d for d = -span .. span, the kernel (H^r a)_m = sum_n c_(m-n) a_n;
+    c_0 = Re[(-i)^r] pi^r / (r + 1), zero for odd r."""
+    alpha = _power_coefficients(r)
+    ds = np.arange(-span, span + 1, dtype=float)
+    x = 1.0 / np.where(ds == 0.0, 1.0, ds)
+    c = np.zeros_like(x)
+    for coef in alpha[:0:-1]:
+        c = (c + coef) * x
+    c[span] = (-1) ** (r // 2) * _PI ** r / (r + 1) if r % 2 == 0 else 0.0
+    return c
 
 
 def dht_power(a: SeqWindow, r: int, tol: float = 1e-6,
               expand: Optional[int] = None,
-              kernel_halfwidth: Optional[int] = None,
               iterated: bool = False) -> SeqWindow:
-    """H^r a through orbit samples.
+    """H^r a on the window grown by ``expand`` (default from tol).
 
-    Odd r = 2s-1 superposes half-integer orbits, collapsed to one convolution
-    with the kernel G_s; even r = 2s uses the exact signed shifts,
-    (H^(2s) a)_m = -sum_k b(s,k) a_(m+k), a finite convolution with no
-    truncation beyond the window.  ``iterated=True`` instead composes the
-    order-1 operator r times (the two routes agree).
+    One convolution with the exact kernel c_d of H^r (see
+    :func:`_power_kernel`); every |m - n| in play is within the kernel's
+    span, so the output entries carry no truncation.  The tail is pi^r times
+    the input tail plus the Cauchy-Schwarz spill past the output window,
+    ||a|| sqrt(sum_n sum_(m outside) c_(m-n)^2): summed from the kernel up
+    to the span, and beyond it bounded through |c_d| <= sum_p |alpha_p|
+    d^(-p) and sum_(d>N) d^(-s) <= N^(1-s)/(s-1), which for r = 1 is
+    hilbert_apply's 1/N.  ``iterated=True`` instead composes the order-1
+    operator r times.
     """
     if r < 1:
         raise ValueError("power r must be >= 1")
@@ -358,8 +389,7 @@ def dht_power(a: SeqWindow, r: int, tol: float = 1e-6,
         per = expand if expand is not None else _default_expand(a, tol)
         out = a
         for _ in range(r):
-            out = dht_power(out, 1, tol=tol, expand=per,
-                            kernel_halfwidth=kernel_halfwidth)
+            out = dht_power(out, 1, tol=tol, expand=per)
         return out
     if expand is None:
         expand = _default_expand(a, tol)
@@ -367,25 +397,19 @@ def dht_power(a: SeqWindow, r: int, tol: float = 1e-6,
     out_n0 = a.n0 - expand
     out_len = L + 2 * expand
     span = L + expand  # largest |n - m| with both indices in play
-    if r % 2 == 1:
-        s = (r + 1) // 2
-        if kernel_halfwidth is None:
-            # keep the omitted coefficients a full span away from the Cauchy
-            # pole: with K >= 2*span + margin the dropped terms contribute
-            # O(tail(K) * log 3) to the kernel's l1 norm
-            kernel_halfwidth = 2 * span + 20_000
-        G = _odd_power_kernel(s, -span, span, int(kernel_halfwidth))
-        # G is indexed by d = m - n; the convolution helper consumes kernels
-        # indexed by n - m, so flip the (symmetric) index grid
-        vals = _convolve_window(a, G[::-1], -span, out_n0, out_len)
-        tail = a.tail_l2 * _PI ** r + a.norm() * coefficient_tail_bound("odd", s, int(kernel_halfwidth))
-        return SeqWindow(n0=out_n0, values=vals, tail_l2=tail)
-    s = r // 2
-    ks = np.arange(-span, span + 1)
-    kern = -boas_coefficient_grid("even", s, ks)
-    vals = _convolve_window(a, kern, -span, out_n0, out_len)
-    tail = a.tail_l2 * _PI ** r + a.norm() * coefficient_tail_bound("even", s, span)
-    return SeqWindow(n0=out_n0, values=vals, tail_l2=tail)
+    c = _power_kernel(r, span)
+    # the convolution helper consumes kernels indexed by n - m = -d
+    vals = _convolve_window(a, c[::-1], -span, out_n0, out_len)
+    # entry n has its nearest excluded m at |d| = g on each side, with g
+    # running over expand+1 .. span once per side; c_d^2 for d <= span then
+    # counts d - expand times, and the sum beyond span L times
+    d = np.arange(expand + 1, span + 1)
+    inside = float(np.dot(d - expand, c[span + d] ** 2))
+    alpha = np.abs(_power_coefficients(r)[1:])
+    s = np.add.outer(np.arange(1, r + 1), np.arange(1, r + 1))
+    beyond = float(np.sum(np.outer(alpha, alpha) * span ** (1.0 - s) / (s - 1)))
+    spill = a.norm() * math.sqrt(2.0 * (inside + L * beyond))
+    return SeqWindow(n0=out_n0, values=vals, tail_l2=_PI ** r * a.tail_l2 + spill)
 
 
 def _default_expand(a: SeqWindow, tol: float) -> int:

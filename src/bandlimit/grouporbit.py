@@ -257,7 +257,10 @@ def recover_initial(samples: OrbitSamples, tol: float = 1e-6,
     sigma, t = samples.sigma, samples.t
     u = snap_integer(sigma * t / _PI)
     f_t = samples.f_t
-    nf = norm(f_t) if norm is not None else float(np.linalg.norm(f_t))
+    if norm is not None:
+        nf = norm(f_t)
+    else:  # a vector's own norm() (SeqWindow), else Euclidean
+        nf = f_t.norm() if hasattr(f_t, "norm") else float(np.linalg.norm(f_t))
     K = _resolve_k(tol, t, nf, sigma, k_terms)
     ks = _shells(max(K, 2 * (abs(int(round(u))) + 2)))
     lattice = np.column_stack((ks, -ks))

@@ -102,17 +102,29 @@ def read_samples(csv_path) -> UniformSamples:
                           tail_decay=float(meta.get("tail_decay", 0.0)))
 
 
-def write_samples(csv_path, s: UniformSamples, footer: Optional[Dict] = None) -> None:
+_WRITE_BLOCK = 4096
+
+
+def _write_indexed(csv_path, index_name: str, start: int, values: np.ndarray,
+                   footer: Optional[Dict], meta: Dict) -> None:
+    """Header, one 'index,repr(value)' row per entry from ``start`` on, the
+    footer, and the sidecar.  Rows end in CRLF, as csv.writer ends them, and
+    neither an integer nor a float repr needs quoting.  Rows go out one
+    block of _WRITE_BLOCK per write, so no whole-file string is held."""
     path = Path(csv_path)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "value"])
-        for k, v in zip(range(s.k_min, s.k_max + 1), s.values):
-            writer.writerow([k, repr(float(v))])
+        fh.write(f"{index_name},value\r\n")
+        for lo in range(0, values.size, _WRITE_BLOCK):
+            block = values[lo:lo + _WRITE_BLOCK].tolist()
+            fh.write("".join(f"{n},{v!r}\r\n" for n, v in enumerate(block, start + lo)))
         _write_footer(fh, footer)
+    sidecar_path(path).write_text(json.dumps(meta, indent=2) + "\n")
+
+
+def write_samples(csv_path, s: UniformSamples, footer: Optional[Dict] = None) -> None:
     meta = {"sigma": s.sigma, "h": s.h, "k_min": s.k_min, "k_max": s.k_max,
             "tail_bound": s.tail_bound, "tail_decay": s.tail_decay}
-    sidecar_path(path).write_text(json.dumps(meta, indent=2) + "\n")
+    _write_indexed(csv_path, "k", s.k_min, s.values, footer, meta)
 
 
 def read_sequence(csv_path) -> SeqWindow:
@@ -125,15 +137,8 @@ def read_sequence(csv_path) -> SeqWindow:
 
 
 def write_sequence(csv_path, a: SeqWindow, footer: Optional[Dict] = None) -> None:
-    path = Path(csv_path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "value"])
-        for n, v in zip(range(a.n0, a.n0 + len(a)), a.values):
-            writer.writerow([n, repr(float(v))])
-        _write_footer(fh, footer)
     meta = {"n0": a.n0, "len": len(a), "tail_l2": a.tail_l2}
-    sidecar_path(path).write_text(json.dumps(meta, indent=2) + "\n")
+    _write_indexed(csv_path, "n", a.n0, a.values, footer, meta)
 
 
 def write_table(csv_path, header: List[str], rows, footer: Optional[Dict] = None) -> None:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -11,6 +12,7 @@ from bandlimit.seqio import (
     read_footer,
     read_samples,
     read_sequence,
+    sidecar_path,
     write_samples,
     write_sequence,
 )
@@ -38,6 +40,45 @@ def basis_sequence_file(tmp_path):
     path = tmp_path / "e0.csv"
     write_sequence(path, SeqWindow.basis(0))
     return path
+
+
+def csv_writer_reference(path, index_name, start, values, footer):
+    """The per-row csv.writer loop the sequence and sample writers once ran."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([index_name, "value"])
+        for n, v in zip(range(start, start + len(values)), values):
+            writer.writerow([n, repr(float(v))])
+        for key, value in footer.items():
+            fh.write(f"# {key}={value}\n")
+
+
+class TestWriterBytes:
+    # special values, then enough random ones of every magnitude to span
+    # several write blocks
+    _rng = np.random.default_rng(3)
+    VALUES = np.concatenate((
+        [-1.5, 1e-300, -0.0, 0.1 + 0.2, -2.0 / 3.0, 1.2345678901234567e17,
+         -5e-324, 0.0, 123456789.12345678],
+        _rng.standard_normal(10_000) * 10.0 ** _rng.integers(-300, 300, 10_000)))
+    FOOTER = {"version": "x", "tol": 0.001}
+
+    def test_sequence(self, tmp_path):
+        a = SeqWindow(n0=-4, values=self.VALUES, tail_l2=0.5)
+        write_sequence(tmp_path / "new.csv", a, self.FOOTER)
+        csv_writer_reference(tmp_path / "old.csv", "n", -4, self.VALUES, self.FOOTER)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        meta = json.loads(sidecar_path(tmp_path / "new.csv").read_text())
+        assert meta == {"n0": -4, "len": self.VALUES.size, "tail_l2": 0.5}
+
+    def test_samples(self, tmp_path):
+        n = self.VALUES.size
+        s = UniformSamples(sigma=1.0, h=PI, k_min=3, k_max=3 + n - 1, values=self.VALUES,
+                           tail_bound=1.0, tail_decay=2.0)
+        write_samples(tmp_path / "new.csv", s, self.FOOTER)
+        csv_writer_reference(tmp_path / "old.csv", "k", 3, self.VALUES, self.FOOTER)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert read_samples(tmp_path / "new.csv").values.tobytes() == self.VALUES.tobytes()
 
 
 class TestRoundTrip:

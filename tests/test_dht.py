@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bandlimit import dht
 from bandlimit.dht import (
     SeqWindow,
     dht_orbit_reconstruct,
@@ -14,6 +15,7 @@ from bandlimit.dht import (
     integer_orbit,
     pairing_check,
 )
+from bandlimit.sinckernel import boas_coefficient_grid
 
 PI = math.pi
 
@@ -262,6 +264,78 @@ class TestDhtPower:
     def test_rejects_bad_power(self):
         with pytest.raises(ValueError):
             dht_power(SeqWindow.basis(0), 0)
+
+
+def orbit_superposition_kernel(s, span, K):
+    """Kernel of H^(2s-1) at d = -span..span by the paper's route: the
+    half-integer orbits of sum_k (-1)^(k+1) a(s,k) e^((k-1/2)H) superposed
+    to |k| <= K and collapsed to G_s(d) = (1/pi) sum_k a(s,k)/(d + k - 1/2),
+    a correlation of the coefficients against the Cauchy kernel."""
+    coeffs = boas_coefficient_grid("odd", s, np.arange(-K, K + 1))
+    cauchy = 1.0 / (np.arange(-span - K, span + K + 1, dtype=float) - 0.5)
+    return np.correlate(cauchy, coeffs, mode="valid") / PI
+
+
+def wide_power(a, r, half):
+    """H^r a on a.n0 - half .. a.n_last + half from the written-out kernels
+    1/d, -2/d^2 (c_0 = -pi^2/3) and -pi^2/d + 6/d^3."""
+    d = np.arange(-half, half + 1, dtype=float)
+    x = 1.0 / np.where(d == 0, 1.0, d)
+    kern = {1: x, 2: -2.0 * x ** 2, 3: -PI ** 2 * x + 6.0 * x ** 3}[r]
+    kern[half] = -PI ** 2 / 3 if r == 2 else 0.0
+    return SeqWindow(n0=a.n0 - half, values=np.convolve(a.values, kern))
+
+
+class TestPowerKernel:
+    @pytest.mark.parametrize("r", [1, 3, 5])
+    def test_odd_matches_orbit_superposition(self, r):
+        span = 40
+        got = dht._power_kernel(r, span)
+        want = orbit_superposition_kernel((r + 1) // 2, span, 2 * span + 20_000)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(got))
+
+    @pytest.mark.parametrize("r", [2, 4])
+    def test_even_is_the_b_kernel(self, r):
+        span = 60
+        want = -boas_coefficient_grid("even", r // 2, np.arange(-span, span + 1))
+        np.testing.assert_allclose(dht._power_kernel(r, span), want, rtol=1e-15, atol=0)
+
+
+class TestPowerTail:
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_tail_covers_spill(self, r):
+        a = SeqWindow(n0=-16, values=np.random.default_rng(0).standard_normal(33))
+        out = dht_power(a, r, tol=1e-3)
+        wide = wide_power(a, r, 500_000)
+        inside = wide.on_range(out.n0, len(out))
+        outside = math.sqrt(max(float(np.sum(wide.values ** 2) - np.sum(inside ** 2)), 0.0))
+        assert outside > 0.0
+        assert out.tail_l2 >= outside
+
+    @pytest.mark.parametrize("r", [4, 5, 6])
+    def test_tail_covers_spill_high_orders(self, r):
+        a = SeqWindow(n0=-3, values=np.array([0.5, -1.0, 2.0, 0.25, -0.75, 1.5, -0.5]))
+        out = dht_power(a, r, expand=30)
+        wide = dht_power(a, r, expand=200_000)
+        inside = wide.on_range(out.n0, len(out))
+        np.testing.assert_allclose(inside, out.values, rtol=0, atol=1e-12 * np.abs(inside).max())
+        outside = math.sqrt(float(np.sum(wide.values ** 2) - np.sum(inside ** 2)))
+        assert outside <= out.tail_l2 <= 10 * outside
+
+    def test_first_power_is_hilbert_apply(self):
+        a = SeqWindow(n0=-16, values=np.random.default_rng(0).standard_normal(33))
+        for expand in (1, 40, 8192):
+            got = dht_power(a, 1, expand=expand)
+            want = hilbert_apply(a, expand=expand)
+            assert got.n0 == want.n0 and len(got) == len(want)
+            assert np.max(np.abs(got.values - want.values)) <= 1e-15 * a.norm()
+            assert got.tail_l2 <= want.tail_l2
+
+    def test_input_tail_scales_by_pi_power(self):
+        vals = np.array([0.5, -1.0, 0.25])
+        bare = dht_power(SeqWindow(n0=0, values=vals), 3, expand=50)
+        tailed = dht_power(SeqWindow(n0=0, values=vals, tail_l2=0.01), 3, expand=50)
+        assert tailed.tail_l2 == pytest.approx(bare.tail_l2 + PI ** 3 * 0.01, rel=1e-14)
 
 
 class TestPairing:

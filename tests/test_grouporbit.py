@@ -278,3 +278,18 @@ class TestDhtThroughGenericEngine:
         lo, ln = -80, 161
         diff = np.max(np.abs(got.on_range(lo, ln) - want.on_range(lo, ln)))
         assert diff < 1e-3
+
+    def test_exponential_type_on_window(self):
+        a = SeqWindow(n0=-1, values=np.array([1.0, -0.5, 0.25]))
+        est = exponential_type(dht_instance(64), a, k_max=8)
+        assert len(est.sequence) == 8
+        # ||H a|| < pi ||a||, and the windowed iterates stay below it
+        assert 0.0 < est.sequence[0] < est.estimate < PI
+
+    def test_recover_initial_without_norm(self):
+        a = SeqWindow(n0=-1, values=np.array([1.0, -0.5, 0.25]))
+        samples = OrbitSamples.from_bernstein(BernsteinVector(dht_instance(64), a, PI), 0.4)
+        out = recover_initial(samples, tol=1e-2)
+        sized = recover_initial(samples, tol=1e-2, norm=lambda v: v.norm())
+        assert np.array_equal(out.values, sized.values) and out.n0 == sized.n0
+        assert np.max(np.abs(out.on_range(a.n0, len(a)) - a.values)) < 1e-2
