@@ -68,7 +68,6 @@ class RunConfig:
     h: float = 1.0
     order: int = 0
     t: float = 0.0
-    p: float = math.inf
     tol: float = 1e-3
     seed: int = 0
     fmt: str = "text"
@@ -86,7 +85,7 @@ class RunConfig:
 
 def _echo(cfg: RunConfig, extra: Optional[Dict] = None) -> Dict:
     base = {"version": __version__, "command": cfg.command}
-    for key in ("action", "input", "order", "t", "p", "tol", "seed"):
+    for key in ("action", "input", "order", "t", "tol", "seed"):
         value = getattr(cfg, key, None)
         if value is not None:
             base[key] = value
@@ -149,12 +148,6 @@ def cmd_dht(cfg: RunConfig) -> int:
     elif action == "power":
         r = max(int(cfg.order), 1)
         out = dht_power(a, r, tol=cfg.tol, expand=expand)
-        if r == 1:
-            ref = hilbert_apply(a, expand)
-            lo = min(out.n0, ref.n0)
-            ln = max(out.n_last, ref.n_last) - lo + 1
-            extra["selfcheck_vs_apply"] = float(
-                np.linalg.norm(out.on_range(lo, ln) - ref.on_range(lo, ln)))
     else:
         raise InputFormatError(f"unknown dht action {action!r}")
     write_sequence(cfg.output, out, _echo(cfg, extra))
@@ -374,7 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--h", type=float, default=1.0)
         p.add_argument("--order", type=int, default=0)
         p.add_argument("--t", type=float, default=0.0)
-        p.add_argument("--p", type=_parse_p, default=math.inf)
         p.add_argument("--tol", type=float, default=1e-3)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", dest="fmt", choices=("text", "json"),
@@ -402,15 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, needs_io=False)
     p.add_argument("--suite", required=True)
     return parser
-
-
-def _parse_p(text: str) -> float:
-    if text in ("inf", "Inf", "INF", "oo"):
-        return math.inf
-    value = float(text)
-    if value not in (1.0, 2.0):
-        raise argparse.ArgumentTypeError("p must be 1, 2, or inf")
-    return value
 
 
 def main(argv: Optional[List[str]] = None) -> int:

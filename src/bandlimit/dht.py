@@ -38,8 +38,13 @@ route superposes orbit samples,
 
 and reaches the same kernel only in the limit of the half-integer series;
 it is kept as a test oracle.  H^r also equals the r-fold composition of the
-order-1 operator.  All the shifted-sequence sums collapse to one-dimensional
-convolutions, evaluated directly (no FFT).
+order-1 operator, and hilbert_apply is the r = 1 case, with the same
+certified spill bound.
+
+Every operator that sums a kernel evaluates it on the input window grown by
+``expand`` slots per side, through one direct convolution (no FFT), and
+rejects ``expand`` outside [0, HARD_MAX_EXPAND] = [0, 10^7].  Integer times
+are exact signed shifts and grow no window.
 """
 
 from __future__ import annotations
@@ -149,24 +154,22 @@ class SeqWindow:
                          tail_l2=self.tail_l2 / abs(float(c)))
 
 
-def _convolve_window(a: SeqWindow, kernel: np.ndarray, k_lo: int,
-                     out_n0: int, out_len: int) -> np.ndarray:
-    """c_m = sum_k a_(m+k) kernel[k - k_lo] over [out_n0, out_n0 + out_len).
+def _window_convolve(a: SeqWindow, expand: int, kernel):
+    """The grown-window convolution behind every operator of this module.
 
-    Equivalently c_m = sum_n a_n g(n - m) with g(j) = kernel[j - k_lo]; the
-    shifted-sequence sums of this module all take this shape.  Evaluated as a
-    direct correlation through np.convolve (no FFT).
+    Returns the first index of the window grown by ``expand`` per side,
+    c_m = sum_n kernel(m - n) a_n on it, and the kernel values c_d for
+    d = -span .. span, span = len(a) + expand (``kernel`` is called once on
+    that integer grid).  The grid covers every |m - n| of the sum, so the
+    entries carry no truncation.  Evaluated directly through np.convolve
+    (no FFT).
     """
-    full = np.convolve(a.values, kernel[::-1])
-    k_hi = k_lo + kernel.size - 1
-    # full[i] = sum_j a[j] kernel-at(k_hi - i + j); matching k = a.n0 + j - m
-    # gives i = m - a.n0 + k_hi
-    start = out_n0 - a.n0 + k_hi
-    idx = np.arange(start, start + out_len)
-    out = np.zeros(out_len)
-    ok = (idx >= 0) & (idx < full.size)
-    out[ok] = full[idx[ok]]
-    return out
+    if not 0 <= expand <= HARD_MAX_EXPAND:
+        raise ValueError(f"expand must lie in [0, {HARD_MAX_EXPAND}]")
+    L = len(a)
+    span = L + expand
+    c = kernel(np.arange(-span, span + 1))
+    return a.n0 - expand, np.convolve(a.values, c)[L:2 * L + 2 * expand], c
 
 
 # ---------------------------------------------------------------------------
@@ -175,33 +178,10 @@ def _convolve_window(a: SeqWindow, kernel: np.ndarray, k_lo: int,
 
 def hilbert_apply(a: SeqWindow, expand: int = 0) -> SeqWindow:
     """Apply (H a)_m = sum_{n != m} a_n / (m - n) on the window grown by
-    ``expand`` on each side.
-
-    The output tail certificate combines the spill-over of the window entries
-    (Cauchy-Schwarz against sum 1/(m-n)^2 beyond the output range) with pi
-    times the input tail.
+    ``expand`` on each side: :func:`dht_power` with r = 1, whose tail
+    certifies the spill past the output window plus pi times the input tail.
     """
-    if expand < 0:
-        raise ValueError("expand must be >= 0")
-    if expand > HARD_MAX_EXPAND:
-        raise ValueError(f"expand exceeds the hard maximum {HARD_MAX_EXPAND}")
-    L = len(a)
-    out_n0 = a.n0 - expand
-    out_len = L + 2 * expand
-    # kernel g(j) = 1/(-j) for c_m = sum_n a_n g(n - m): m - n = -(n - m)
-    j_lo = a.n0 - (out_n0 + out_len - 1)
-    j_hi = a.n_last - out_n0
-    js = np.arange(j_lo, j_hi + 1)
-    kernel = np.where(js == 0, 0.0, -1.0 / np.where(js == 0, 1.0, js))
-    vals = _convolve_window(a, kernel, j_lo, out_n0, out_len)
-    # spill-over: sum over excluded m of (sum_n a_n/(m-n))^2
-    #   <= ||a||^2 * sum_n [1/(gap_left(n) - 1) + 1/(gap_right(n) - 1)]
-    # by Cauchy-Schwarz and the integral bound sum_{d>=g} d^-2 <= 1/(g-1)
-    gaps_left = np.maximum(expand + np.arange(L), 1)
-    gaps_right = np.maximum(expand + np.arange(L)[::-1], 1)
-    spill = a.norm() * math.sqrt(float(np.sum(1.0 / gaps_left + 1.0 / gaps_right)))
-    tail = spill + _PI * a.tail_l2
-    return SeqWindow(n0=out_n0, values=vals, tail_l2=tail)
+    return dht_power(a, 1, expand=expand)
 
 
 def integer_orbit(N: int, a: SeqWindow) -> SeqWindow:
@@ -223,19 +203,8 @@ def hilbert_group(t: float, a: SeqWindow, expand: int = 0) -> SeqWindow:
         raise ValueError("t must be finite")
     if abs(t - round(t)) < INTEGER_EPS:
         return integer_orbit(round(t), a)
-    if expand < 0:
-        raise ValueError("expand must be >= 0")
-    if expand > HARD_MAX_EXPAND:
-        raise ValueError(f"expand exceeds the hard maximum {HARD_MAX_EXPAND}")
-    L = len(a)
-    out_n0 = a.n0 - expand
-    out_len = L + 2 * expand
-    j_lo = a.n0 - (out_n0 + out_len - 1)
-    j_hi = a.n_last - out_n0
-    js = np.arange(j_lo, j_hi + 1)
-    # m - n + t = t - (n - m)
-    kernel = (math.sin(_PI * t) / _PI) / (t - js)
-    vals = _convolve_window(a, kernel, j_lo, out_n0, out_len)
+    s = math.sin(_PI * t) / _PI
+    out_n0, vals, _ = _window_convolve(a, expand, lambda d: s / (d + t))
     in_hi = math.hypot(a.norm(), a.tail_l2)
     out_norm = float(np.linalg.norm(vals))
     tail = math.sqrt(max(in_hi ** 2 - out_norm ** 2, 0.0))
@@ -276,14 +245,13 @@ def _shift_terms(a: SeqWindow, t: float, tol: float, expand: Optional[int]):
     if expand is None:
         expand = _default_expand(a, tol)
     ha = hilbert_apply(a, expand)
-    out_n0 = a.n0 - expand
-    out_len = len(a) + 2 * expand
-    k_lo = a.n0 - (out_n0 + out_len - 1)
-    ks = np.arange(k_lo, a.n_last - out_n0 + 1)
-    kern = np.where(ks == 0, 0.0,
-                    math.sin(_PI * t) / (_PI * np.where(ks == 0, 1.0, ks) * (t - ks)))
-    shifted = _convolve_window(a, kern, k_lo, out_n0, out_len)
-    return out_n0, a.on_range(out_n0, out_len), ha, shifted
+    s = math.sin(_PI * t)
+
+    def w(d):  # w(k) at k = n - m = -d
+        return np.where(d == 0, 0.0, s / (_PI * -np.where(d == 0, 1, d) * (t + d)))
+
+    out_n0, shifted, _ = _window_convolve(a, expand, w)
+    return out_n0, a.on_range(out_n0, len(shifted)), ha, shifted
 
 
 def dht_orbit_reconstruct(a: SeqWindow, t: float, tol: float = 1e-6,
@@ -379,8 +347,8 @@ def dht_power(a: SeqWindow, r: int, tol: float = 1e-6,
     the input tail plus the Cauchy-Schwarz spill past the output window,
     ||a|| sqrt(sum_n sum_(m outside) c_(m-n)^2): summed from the kernel up
     to the span, and beyond it bounded through |c_d| <= sum_p |alpha_p|
-    d^(-p) and sum_(d>N) d^(-s) <= N^(1-s)/(s-1), which for r = 1 is
-    hilbert_apply's 1/N.  ``iterated=True`` instead composes the order-1
+    d^(-p) and sum_(d>N) d^(-s) <= N^(1-s)/(s-1) (1/N for r = 1, which is
+    :func:`hilbert_apply`).  ``iterated=True`` instead composes the order-1
     operator r times.
     """
     if r < 1:
@@ -393,13 +361,9 @@ def dht_power(a: SeqWindow, r: int, tol: float = 1e-6,
         return out
     if expand is None:
         expand = _default_expand(a, tol)
+    out_n0, vals, c = _window_convolve(a, expand, lambda d: _power_kernel(r, d[-1]))
     L = len(a)
-    out_n0 = a.n0 - expand
-    out_len = L + 2 * expand
-    span = L + expand  # largest |n - m| with both indices in play
-    c = _power_kernel(r, span)
-    # the convolution helper consumes kernels indexed by n - m = -d
-    vals = _convolve_window(a, c[::-1], -span, out_n0, out_len)
+    span = L + expand
     # entry n has its nearest excluded m at |d| = g on each side, with g
     # running over expand+1 .. span once per side; c_d^2 for d <= span then
     # counts d - expand times, and the sum beyond span L times

@@ -261,12 +261,28 @@ class TestDht:
         vals = rng.standard_normal(16)
         path = tmp_path / "a.csv"
         write_sequence(path, SeqWindow(n0=-8, values=vals / np.linalg.norm(vals)))
+        outs = {}
+        for action in ("power", "apply"):
+            out = tmp_path / f"{action}.csv"
+            code = main(["dht", "--action", action, "--order", "1", "--expand", "40",
+                         "--input", str(path), "--output", str(out)])
+            assert code == 0
+            outs[action] = read_sequence(out)
+        power, apply_ = outs["power"], outs["apply"]
+        assert power.n0 == apply_.n0 == -48
+        assert np.array_equal(power.values, apply_.values)
+        assert power.tail_l2 == apply_.tail_l2
+
+    @pytest.mark.parametrize("order", ["1", "2"])
+    def test_power_rejects_negative_expand(self, tmp_path, order):
+        path = tmp_path / "a.csv"
+        vals = np.random.default_rng(0).standard_normal(33)
+        write_sequence(path, SeqWindow(n0=-16, values=vals))
         out = tmp_path / "p.csv"
-        code = main(["dht", "--action", "power", "--order", "1",
+        code = main(["dht", "--action", "power", "--order", order, "--expand", "-5",
                      "--input", str(path), "--output", str(out)])
-        assert code == 0
-        footer = read_footer(out)
-        assert float(footer["selfcheck_vs_apply"]) < 1e-4
+        assert code == 2
+        assert not out.exists()
 
     def test_vt_action(self, basis_sequence_file, tmp_path):
         out = tmp_path / "v.csv"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,11 +97,13 @@ class TestHilbertApply:
             out = hilbert_apply(a, expand=800)
             assert math.hypot(out.norm(), out.tail_l2) < PI * a.norm()
 
-    def test_tail_certificate_covers_spill(self):
+    @pytest.mark.parametrize("expand", [0, 100])
+    def test_tail_certificate_covers_spill(self, expand):
         a = SeqWindow.basis(0)
-        out = hilbert_apply(a, expand=100)
-        # exact spill of H e0 beyond +-100 is 2 * sum_{m>100} 1/m^2 < 0.02
-        true_out = math.sqrt(2 * sum(1.0 / m ** 2 for m in range(101, 200000)))
+        out = hilbert_apply(a, expand=expand)
+        # exact spill of H e0 beyond +-expand is 2 * sum_{m>expand} 1/m^2,
+        # pi^2/3 at expand = 0
+        true_out = math.sqrt(2 * sum(1.0 / m ** 2 for m in range(expand + 1, 200000)))
         assert out.tail_l2 >= true_out
 
 
@@ -264,6 +267,21 @@ class TestDhtPower:
     def test_rejects_bad_power(self):
         with pytest.raises(ValueError):
             dht_power(SeqWindow.basis(0), 0)
+
+    def test_rejects_bad_expand(self):
+        a = SeqWindow(n0=-16, values=np.random.default_rng(0).standard_normal(33))
+        for r in (1, 2):
+            with pytest.raises(ValueError):
+                dht_power(a, r, expand=-5)
+        # the range check comes before the 2 * 10^7-entry kernel is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                dht_power(a, 1, expand=dht.HARD_MAX_EXPAND + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def orbit_superposition_kernel(s, span, K):
