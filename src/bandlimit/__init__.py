@@ -26,9 +26,7 @@ from .sampling import (
     QuadratureSpec,
     UniformSamples,
     fejer_regularize,
-    fejer_transform_pair,
     make_reference,
-    poisson_residual,
     riesz_trig_derivative,
     valiron_tschakaloff_eval,
     wks_eval,

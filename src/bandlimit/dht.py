@@ -154,6 +154,13 @@ class SeqWindow:
                          tail_l2=self.tail_l2 / abs(float(c)))
 
 
+def _check_expand(expand: Optional[int]) -> None:
+    """Reject an explicit ``expand`` outside [0, HARD_MAX_EXPAND]; every
+    operator checks before its integer-time dispatch or any allocation."""
+    if expand is not None and not 0 <= expand <= HARD_MAX_EXPAND:
+        raise ValueError(f"expand must lie in [0, {HARD_MAX_EXPAND}]")
+
+
 def _window_convolve(a: SeqWindow, expand: int, kernel):
     """The grown-window convolution behind every operator of this module.
 
@@ -164,8 +171,7 @@ def _window_convolve(a: SeqWindow, expand: int, kernel):
     entries carry no truncation.  Evaluated directly through np.convolve
     (no FFT).
     """
-    if not 0 <= expand <= HARD_MAX_EXPAND:
-        raise ValueError(f"expand must lie in [0, {HARD_MAX_EXPAND}]")
+    _check_expand(expand)
     L = len(a)
     span = L + expand
     c = kernel(np.arange(-span, span + 1))
@@ -201,6 +207,7 @@ def hilbert_group(t: float, a: SeqWindow, expand: int = 0) -> SeqWindow:
     t = float(t)
     if not math.isfinite(t):
         raise ValueError("t must be finite")
+    _check_expand(expand)
     if abs(t - round(t)) < INTEGER_EPS:
         return integer_orbit(round(t), a)
     s = math.sin(_PI * t) / _PI
@@ -267,6 +274,7 @@ def dht_orbit_reconstruct(a: SeqWindow, t: float, tol: float = 1e-6,
     is the exact signed shift.
     """
     t = snap_integer(float(t))
+    _check_expand(expand)
     if abs(t - round(t)) < INTEGER_EPS:
         return integer_orbit(round(t), a)
     out_n0, apad, ha, shifted = _shift_terms(a, t, tol, expand)
@@ -291,6 +299,7 @@ def dht_vt(a: SeqWindow, t: float, tol: float = 1e-6,
     convolution, and shifts beyond the window vanish.
     """
     t = snap_integer(float(t))
+    _check_expand(expand)
     if abs(t - round(t)) < INTEGER_EPS:
         return integer_orbit(round(t), a)
     out_n0, apad, ha, shifted = _shift_terms(a, t, tol, expand)

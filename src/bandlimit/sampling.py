@@ -4,19 +4,20 @@ A function of exponential type sigma that is bounded on the real line is
 determined by its samples on the lattice k*pi/sigma.  This module implements:
 
 * cardinal-series reconstruction of the function and its derivatives from
-  uniform samples (``wks_eval_grid``, scalar ``wks_eval``), with a
-  truncation tail that is certified for decaying samples;
+  uniform samples (``wks_eval_grid``, scalar ``wks_eval``) with a certified
+  tail: the whole-window series for decaying samples at the critical rate,
+  and the local regularized series (sinc times a Gaussian, 2N+1 samples per
+  point) for oversampled samples;
 * the Valiron/Tschakaloff expansion for merely bounded functions, whose
   extra 1/k factor restores convergence (``valiron_tschakaloff_eval``);
 * the finite Riesz interpolation sum for trigonometric polynomial
   derivatives (``riesz_trig_derivative``);
 * smoothing onto a prescribed exponential type by averaging against a
-  nonnegative type-one kernel (``fejer_regularize``);
-* a periodization residual used as a test oracle (``poisson_residual``).
+  nonnegative type-one kernel (``fejer_regularize``).
 
 The reconstruction grid is always x_k = k*h.  When h < pi/sigma the sampling
-is strictly finer than necessary (oversampled) and the cardinal series
-converges on compact sets even for bounded, non-decaying samples; at the
+is strictly finer than necessary (oversampled): a Gaussian multiplier then
+makes the kernel local, and bounded, non-decaying samples suffice.  At the
 critical rate h = pi/sigma a decay certificate on the samples is required,
 otherwise reconstruction is refused as unsound.
 """
@@ -30,7 +31,15 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .errors import QuadratureError, ReconstructionUnsoundError, ToleranceError
-from .sinckernel import _snap_grid, sinc_derivative_grid, sinc_grid, snap_integer
+from .sinckernel import (
+    MAX_HALFWIDTH,
+    _snap_grid,
+    regularized_sinc_certificate,
+    regularized_sinc_grid,
+    sinc_derivative_grid,
+    sinc_grid,
+    snap_integer,
+)
 
 _PI = math.pi
 
@@ -223,55 +232,43 @@ def wks_tail_bound(s: UniformSamples, m: int, x):
     """Bound on the part of the m-th derivative cardinal series at x that
     lies outside the stored window; x may be a scalar or an array.
 
-    The kind of the tail follows the samples' certificate.  With a decay
-    certificate (tail_decay > 0) it is ``certified``: a closed-form bound on
-    the majorant sum.  With a bound only (tail_decay == 0) it is an
-    ``estimate``: Abel summation of one tone against the non-resonant
-    frequency gap, which superpositions of tones can exceed; such samples
-    are refused at the critical rate.
+    It needs a decay certificate (tail_decay > 0) and is then a closed-form
+    bound on the majorant sum.  Bounded-only samples leave the whole-window
+    tail open and raise ReconstructionUnsoundError; when oversampled they
+    are served by the local kernel of :func:`wks_eval_grid`, whose tail is
+    certified without decay.
     """
     u = np.asarray(x, dtype=float) / s.h
     gap_left = u - s.k_min
     gap_right = s.k_max - u
     if np.min(np.minimum(gap_left, gap_right)) < max(2.0, float(m)):
         raise ValueError("evaluation point too close to the sample window edge")
+    if s.tail_decay <= 0.0:
+        raise ReconstructionUnsoundError(
+            "bounded-only samples: the whole-window series tail cannot be closed "
+            "without a decay certificate, and the sum may reconstruct the wrong function")
     scale = _kernel_decay_const(m) / s.h ** m * s.tail_bound
-    if s.tail_decay > 0.0:
-        # majorant sum_{j >= a} (k_edge/j)^p / (j - v) on each side, with a the
-        # first omitted |k| and v = +-u: its first term plus the integral from
-        # a on.  Expanding 1/(t - v) in rho = v/a gives the integral as
-        # (k_edge/a)^p sum_j rho^j/(p + j); after _TAIL_TERMS terms the rest
-        # is at most rho^n/((p + n)(1 - rho)).  For p > 1, 1/(t - v) <=
-        # 1/(a - v) on [a, inf) also bounds the integral by
-        # (k_edge/a)^p a/((p-1)(a - v)), the smaller of the two only on the
-        # far side (v <= 0) of a lopsided window.
-        p = s.tail_decay
-        if s.k_min > 0 or s.k_max < 0:
-            tail = np.full_like(u, math.inf)  # the majorant is vacuous at k = 0
-        else:
-            k_edge = max(1, min(-s.k_min, s.k_max))
-            tail = 0.0
-            for a, v in ((s.k_max + 1.0, u), (1.0 - s.k_min, -u)):
-                rho = np.maximum(v / a, 0.0)
-                series = sum(rho ** j / (p + j) for j in range(_TAIL_TERMS))
-                integral = series + rho ** _TAIL_TERMS / ((p + _TAIL_TERMS) * (1.0 - rho))
-                if p > 1.0:
-                    integral = np.minimum(integral, a / ((p - 1.0) * (a - v)))
-                tail = tail + (k_edge / a) ** p * (1.0 / (a - v) + integral)
+    # majorant sum_{j >= a} (k_edge/j)^p / (j - v) on each side, with a the
+    # first omitted |k| and v = +-u: its first term plus the integral from
+    # a on.  Expanding 1/(t - v) in rho = v/a gives the integral as
+    # (k_edge/a)^p sum_j rho^j/(p + j); after _TAIL_TERMS terms the rest
+    # is at most rho^n/((p + n)(1 - rho)).  For p > 1, 1/(t - v) <=
+    # 1/(a - v) on [a, inf) also bounds the integral by
+    # (k_edge/a)^p a/((p-1)(a - v)), the smaller of the two only on the
+    # far side (v <= 0) of a lopsided window.
+    p = s.tail_decay
+    if s.k_min > 0 or s.k_max < 0:
+        tail = np.full_like(u, math.inf)  # the majorant is vacuous at k = 0
     else:
-        # bounded-only certificate: usable when strictly oversampled.
-        # sinc^(m)(u-k) is (-1)^k times a function of u-k decaying like
-        # 1/|u-k|, so the tail is an alternating-phase sum.  For one tone the
-        # partial sums of (-1)^k f(kh) are at most 1/sin(g/2), g = pi - sigma*h,
-        # and Abel summation bounds the tail by that times the first kernel
-        # term.  The constant below is a third to a half of that worst case:
-        # one tone's tail stays under it, superpositions can exceed it.
-        freq_gap = _PI - s.sigma * s.h
-        if freq_gap <= 0.0:
-            raise ReconstructionUnsoundError(
-                "bounded-only samples at the critical rate: the series tail cannot "
-                "be closed and the sum may reconstruct the wrong function")
-        tail = (1.0 / (_PI * math.sin(freq_gap / 2.0))) * (1.0 / gap_left + 1.0 / gap_right)
+        k_edge = max(1, min(-s.k_min, s.k_max))
+        tail = 0.0
+        for a, v in ((s.k_max + 1.0, u), (1.0 - s.k_min, -u)):
+            rho = np.maximum(v / a, 0.0)
+            series = sum(rho ** j / (p + j) for j in range(_TAIL_TERMS))
+            integral = series + rho ** _TAIL_TERMS / ((p + _TAIL_TERMS) * (1.0 - rho))
+            if p > 1.0:
+                integral = np.minimum(integral, a / ((p - 1.0) * (a - v)))
+            tail = tail + (k_edge / a) ** p * (1.0 / (a - v) + integral)
     tail = scale * tail
     return float(tail) if tail.ndim == 0 else tail
 
@@ -280,17 +277,27 @@ def wks_tail_bound(s: UniformSamples, m: int, x):
 _WKS_BLOCK = 1 << 17
 
 
-def wks_eval_grid(s: UniformSamples, m: int, xs, tol: float) -> np.ndarray:
-    """Evaluate the m-th derivative of the sampled function at every x in xs.
+def wks_eval_grid(s: UniformSamples, m: int, xs, tol: float, *,
+                  with_tail: bool = False):
+    """Evaluate the m-th derivative of the sampled function at every x in xs,
+    with a certified tail of at most tol at every point.
 
-        f^(m)(x) ~= h^(-m) * sum_k f(k h) sinc^(m)(x/h - k)
+    Oversampled samples (h sigma < pi) go through the regularized series
 
-    summed over the whole stored window, so the omitted part is exactly the
-    one :func:`wks_tail_bound` bounds.  That bound is required to be <= tol
-    at every point; otherwise a ToleranceError (or, for certificates that
-    can never close, ReconstructionUnsoundError) is raised.  At grid points
-    x = k h the kernel is an exact Kronecker delta and the stored sample is
+        f^(m)(x) ~= h^(-m) sum_{|n - n0| <= N} f(n h) d^m/du^m [sinc(u - n)
+                    exp(-alpha (u - n)^2 / N)],  u = x/h, n0 = round(u),
+
+    with alpha = (pi - h sigma)/2 and N the smallest half-width whose
+    :func:`~bandlimit.sinckernel.regularized_sinc_certificate` is <= tol at
+    every point.  A point whose 2N+1 samples are not all stored raises
+    ToleranceError with the tol the window can reach.  Samples at the
+    critical rate h = pi/sigma need a decay certificate; they are summed
+    over the whole stored window, and :func:`wks_tail_bound` bounds the
+    rest.  Either way, at grid points x = k h the stored sample is
     reproduced bit for bit (for m = 0).
+
+    Returns the values, or (values, tails) with ``with_tail``: the tails
+    come from the same N as the values.
     """
     if m < 0:
         raise ValueError("derivative order must be >= 0")
@@ -302,21 +309,77 @@ def wks_eval_grid(s: UniformSamples, m: int, xs, tol: float) -> np.ndarray:
     if s.h > _PI / s.sigma * (1.0 + 1e-12):
         raise ReconstructionUnsoundError(
             f"undersampled: h = {s.h} exceeds pi/sigma = {_PI / s.sigma}")
-    tail = float(np.max(wks_tail_bound(s, m, xs)))
+    u = _snap_grid(xs.reshape(-1) / s.h)
+    if s.h * s.sigma < _PI * (1.0 - 1e-12):
+        out, tails = _regularized_series(s, m, xs, u, tol)
+    else:
+        out, tails = _window_series(s, m, xs, u, tol)
+    out = out.reshape(xs.shape) / s.h ** m
+    return (out, tails.reshape(xs.shape)) if with_tail else out
+
+
+def _window_series(s: UniformSamples, m: int, xs, u, tol: float):
+    """Critical rate: the whole stored window, with wks_tail_bound's tail."""
+    tails = np.asarray(wks_tail_bound(s, m, xs))
+    tail = float(np.max(tails))
     if tail > tol:
         raise ToleranceError(
             f"reconstruction tail {tail:.3e} exceeds tol {tol:.3e}",
             achievable=tail)
-    u = _snap_grid(xs.reshape(-1) / s.h)
     ks = np.arange(s.k_min, s.k_max + 1, dtype=float)
-    out = np.empty_like(u)
-    rows = max(1, _WKS_BLOCK // ks.size)
-    for i in range(0, u.size, rows):
-        ker = sinc_derivative_grid(m, u[i:i + rows, None] - ks[None, :])
-        # row sums, not a matrix product, so a point's value does not depend
-        # on which other points share its block
-        out[i:i + rows] = np.sum(ker * s.values, axis=1)
-    return out.reshape(xs.shape) / s.h ** m
+    return _row_sums(u.size, ks.size, lambda b: np.sum(
+        sinc_derivative_grid(m, u[b, None] - ks) * s.values, axis=1)), tails
+
+
+def _regularized_series(s: UniformSamples, m: int, xs, u, tol: float):
+    """Oversampled: the local kernel on 2N+1 samples per point, N chosen
+    here once for every point, with each point's certificate as its tail."""
+    alpha = (_PI - s.h * s.sigma) / 2.0
+    n0 = np.rint(u)
+    offset = u - n0
+    bound = max(float(np.max(np.abs(s.values))), s.tail_bound)
+    sin_abs = np.abs(np.sin(_PI * offset)) if m == 0 else 1.0
+
+    def cert(ns, u_abs, sin_factor):
+        return regularized_sinc_certificate(m, ns, alpha, bound, u=u_abs,
+                                            sin_factor=sin_factor) / s.h ** m
+
+    # the worst point's certificate for N = 1, 2, ... in growing blocks,
+    # until it meets tol or turns up with the rounding term
+    u_max, sin_max = float(np.max(np.abs(u))), float(np.max(sin_abs))
+    c = cert(np.arange(1, 33), u_max, sin_max)
+    while c.size < MAX_HALFWIDTH and not (np.any(c <= tol) or c[-1] > 2.0 * np.min(c)):
+        c = np.append(c, cert(c.size + np.arange(1, min(c.size, 4096) + 1), u_max, sin_max))
+    hit = np.flatnonzero(c <= tol)
+    N = int(hit[0]) + 1 if hit.size else None
+    # the largest N whose samples every point finds in the window
+    gaps = np.minimum(n0 - s.k_min, s.k_max - n0)
+    room = int(np.min(gaps))
+    if N is None or N > room:
+        best_n = int(np.argmin(c[:room])) + 1 if room >= 1 else 0
+        best = float(c[best_n - 1]) if best_n else math.inf
+        need = (f"needs N = {N} samples on each side, but x = "
+                f"{xs.reshape(-1)[np.argmin(gaps)]} has only {max(room, 0)}"
+                if N is not None else "cannot reach tol at any N")
+        raise ToleranceError(
+            f"regularized series {need}; achievable tol {best:.3e} (N = {best_n})",
+            achievable=best)
+    j = np.arange(-N, N + 1)
+    idx = (n0 - s.k_min).astype(np.intp)
+    return _row_sums(u.size, j.size, lambda b: np.sum(
+        regularized_sinc_grid(m, offset[b, None] - j, N, alpha)
+        * s.values[idx[b, None] + j], axis=1)), cert(N, u, sin_abs)
+
+
+def _row_sums(points: int, width: int, block_sums) -> np.ndarray:
+    """block_sums(slice) for blocks of points of about _WKS_BLOCK kernel
+    entries.  Each row is summed on its own, not by a matrix product, so a
+    point's value does not depend on which other points share its block."""
+    out = np.empty(points)
+    rows = max(1, _WKS_BLOCK // width)
+    for i in range(0, points, rows):
+        out[i:i + rows] = block_sums(slice(i, i + rows))
+    return out
 
 
 def wks_eval(s: UniformSamples, m: int, x: float, tol: float) -> float:
@@ -340,8 +403,8 @@ def valiron_tschakaloff_eval(s: UniformSamples, f0: float, df0: float,
                + sum_{k != 0} f(k pi/s) (s z / (k pi)) sinc(sz/pi - k)
 
     The extra 1/k makes the series absolutely convergent for merely bounded
-    samples; the symmetric part of the stored window, |k| <= min(-k_min,
-    k_max), is consumed.  Interpolation at lattice points inside it is exact.
+    samples; the whole stored window is consumed.  Interpolation at lattice
+    points inside it is exact.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -352,10 +415,9 @@ def valiron_tschakaloff_eval(s: UniformSamples, f0: float, df0: float,
     if u.imag == 0.0:
         u = complex(snap_integer(u.real), 0.0)
     head = (z * df0 + f0) * complex(sinc_grid(u))
-    half = min(-s.k_min, s.k_max)
     total = 0.0 + 0.0j
-    for lo in range(-half, half + 1, _VT_BLOCK):
-        k = np.arange(lo, min(lo + _VT_BLOCK, half + 1))
+    for lo in range(s.k_min, s.k_max + 1, _VT_BLOCK):
+        k = np.arange(lo, min(lo + _VT_BLOCK, s.k_max + 1))
         k = k[k != 0]
         # sigma z / (k pi) written as u/k so lattice interpolation is bit-exact
         total += complex(np.sum(s.values[k - s.k_min] * (u / k) * sinc_grid(u - k)))
@@ -363,17 +425,23 @@ def valiron_tschakaloff_eval(s: UniformSamples, f0: float, df0: float,
 
 
 def vt_tail_bound(s: UniformSamples, z: complex) -> float:
-    """Rigorous truncation bound for :func:`valiron_tschakaloff_eval`."""
+    """Rigorous truncation bound for :func:`valiron_tschakaloff_eval`.
+
+    |term_k| <= M (sigma|z|/(|k| pi)) e^{pi |Im u|} / (pi |u - k|), and
+    |u - k| >= |k|/2 once |k| >= 2|u|, so the terms beyond an edge K sum to
+    at most 2 M sigma |z| e^{pi |Im u|} / (pi^2 K).  The two sides add up to
+    4 M sigma |z| e^{pi |Im u|} / (pi^2 K_h), with K_h the harmonic mean of
+    k_max and -k_min; both must be at least 2|u|.
+    """
     z = complex(z)
     u = z / s.h
-    half = min(-s.k_min, s.k_max)
-    if half < 2 * abs(u):
+    if min(-s.k_min, s.k_max) < 2 * abs(u):
         raise ValueError("window too small relative to |z|")
     m_bound = max(float(np.max(np.abs(s.values))), s.tail_bound)
     grow = math.exp(_PI * abs(u.imag))
-    # |term_k| <= M (sigma|z|/(k pi)) e^{pi |Im u|} / (pi |u - k|), and
-    # |u - k| >= |k|/2 once |k| >= 2|u|
-    return 4.0 * m_bound * s.sigma * abs(z) * grow / (_PI ** 2 * half)
+    # exactly k_max for a symmetric window
+    side = 2 * s.k_max * -s.k_min / (s.k_max - s.k_min)
+    return 4.0 * m_bound * s.sigma * abs(z) * grow / (_PI ** 2 * side)
 
 
 # ---------------------------------------------------------------------------
@@ -490,50 +558,3 @@ def fejer_regularize(f: Callable[[np.ndarray], np.ndarray], sigma: float,
 
     return BandlimitedFn(sigma=float(sigma),
                          sup_bound=sup_bound * max(1.0, float(np.sum(weights))), eval=reval)
-
-
-# ---------------------------------------------------------------------------
-# periodization residual (test oracle)
-# ---------------------------------------------------------------------------
-
-def poisson_residual(f: Callable, fhat: Callable, lam: float, t: float,
-                     K: int) -> float:
-    """| (lam/sqrt(2 pi)) sum_{|k|<=K} f(t + lam k)
-         - sum_{|k|<=K} fhat(2 k pi / lam) e^(i 2 k pi t / lam) |
-
-    for an analytically matched transform pair (convention:
-    fhat(xi) = (2 pi)^(-1/2) int f(x) e^(-i x xi) dx).  Both partial sums
-    converge to the same value for integrable pairs, so the residual tends
-    to 0 as K grows.
-    """
-    if lam <= 0.0:
-        raise ValueError("period lambda must be positive")
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    ks = np.arange(-K, K + 1)
-    lhs = lam / math.sqrt(2 * _PI) * float(np.sum(np.asarray(f(t + lam * ks), dtype=float)))
-    xi = 2 * _PI * ks / lam
-    rhs = np.sum(np.asarray(fhat(xi), dtype=complex) * np.exp(1j * 2 * _PI * ks * t / lam))
-    return abs(lhs - rhs)
-
-
-def fejer_transform_pair(delta: float):
-    """A transform pair with compactly supported spectrum, for Poisson tests:
-
-        f(x)    = (delta / 2 pi) sinc^2(delta x / (2 pi))
-        fhat(w) = (2 pi)^(-1/2) max(0, 1 - |w|/delta)
-
-    f decays like x^-2, fhat is the triangle on [-delta, delta].
-    """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        return (delta / (2 * _PI)) * sinc_grid(delta * x / (2 * _PI)) ** 2
-
-    def fhat(w):
-        w = np.asarray(w, dtype=float)
-        return (1.0 / math.sqrt(2 * _PI)) * np.maximum(0.0, 1.0 - np.abs(w) / delta)
-
-    return f, fhat

@@ -175,6 +175,18 @@ class TestHilbertGroup:
             out = hilbert_group(t, a, expand=600)
             assert common_diff(out, exact, trim=4) < 1e-5
 
+    @pytest.mark.parametrize("t", [1.0, -2.0, 1.3])
+    @pytest.mark.parametrize("op", ["group", "vt", "orbit"])
+    def test_rejects_bad_expand_at_every_time(self, op, t):
+        # the range check comes before the integer-time shift dispatch
+        a = SeqWindow(n0=-1, values=np.array([0.5, -1.0, 2.0]))
+        call = {"group": lambda e: hilbert_group(t, a, e),
+                "vt": lambda e: dht_vt(a, t, expand=e),
+                "orbit": lambda e: dht_orbit_reconstruct(a, t, expand=e)}[op]
+        for bad in (-5, dht.HARD_MAX_EXPAND + 1):
+            with pytest.raises(ValueError):
+                call(bad)
+
 
 class TestDhtOrbitReconstruct:
     def test_matches_closed_form(self):

@@ -3,15 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bandlimit.errors import ReconstructionUnsoundError
+from bandlimit.errors import ReconstructionUnsoundError, ToleranceError
 from bandlimit.sampling import (
     QuadratureSpec,
     UniformSamples,
     fejer_regularize,
-    fejer_transform_pair,
     make_reference,
-    poisson_residual,
     riesz_trig_derivative,
     valiron_tschakaloff_eval,
     vt_tail_bound,
@@ -20,7 +19,13 @@ from bandlimit.sampling import (
     wks_tail_bound,
 )
 from bandlimit.boas import boas_derivative
-from bandlimit.sinckernel import sinc_derivative_grid
+from bandlimit.sinckernel import (
+    _strip_log_bound,
+    regularized_sinc_certificate,
+    sinc_derivative_grid,
+    sinc_grid,
+)
+from mp_reference import ToneSum
 
 PI = math.pi
 EPS = 2.220446049250313e-16
@@ -187,7 +192,7 @@ def majorant_sum(s, us, horizon=10 ** 7):
 
 
 class TestTailHonesty:
-    """The reported tail bounds the true error of the full-window sum."""
+    """The reported tail bounds the true error of the computed sum."""
 
     def test_fejer_far_from_center(self):
         # x = 300 sits at u = 95.5 in k in [-200, 200]: the long side's
@@ -216,8 +221,10 @@ class TestTailHonesty:
         for phase in np.linspace(0.0, 2 * PI, 13, endpoint=False):
             s = UniformSamples(sigma=1.0, h=h, k_min=-K, k_max=K,
                                values=np.sin(ks * h + phase), tail_bound=1.0)
-            err = np.abs(wks_eval_grid(s, m, xs, tol=10.0) - np.sin(xs + phase + m * PI / 2))
-            assert np.all(err <= wks_tail_bound(s, m, xs)), phase
+            for tol in (10.0, 1e-3):
+                got, tails = wks_eval_grid(s, m, xs, tol=tol, with_tail=True)
+                err = np.abs(got - np.sin(xs + phase + m * PI / 2))
+                assert np.all(err <= tails) and np.all(tails <= tol), (phase, tol)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("K", [200, 5000])
@@ -251,6 +258,104 @@ class TestTailHonesty:
                                   [wks_tail_bound(s, m, float(x)) for x in xs])
 
 
+@st.composite
+def tone_sums(draw):
+    """1-5 tones of type at most 1, one of them at full type, with
+    sup |f| <= 1 on the real line."""
+    n = draw(st.integers(1, 5))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    amps = np.array([draw(unit) for _ in range(n)])
+    amps[0] = draw(st.floats(0.1, 1.0))
+    amps /= np.sum(np.abs(amps))
+    freqs = [1.0] + [draw(unit) for _ in range(n - 1)]
+    phases = [draw(st.floats(0.0, 2 * PI)) for _ in range(n)]
+    return ToneSum(amps, freqs, phases)
+
+
+def tone_samples(f, h, n0, half):
+    ks = np.arange(n0 - half, n0 + half + 1)
+    return UniformSamples(sigma=1.0, h=h, k_min=int(ks[0]), k_max=int(ks[-1]),
+                          values=f.samples(ks, h), tail_bound=1.0)
+
+
+class TestRegularizedSeries:
+    """Oversampled samples go through the local kernel sinc times a Gaussian,
+    with a certified tail per point."""
+
+    @given(tone_sums(), st.floats(1.1, 2.0), st.integers(0, 3),
+           st.floats(-40.0, 40.0), st.sampled_from([1e-2, 1e-4, 1e-7]))
+    @settings(max_examples=60, deadline=None)
+    def test_tone_sums_real(self, f, rate, m, x, tol):
+        h = PI / rate
+        s = tone_samples(f, h, int(round(x / h)), 160)
+        got, tail = wks_eval_grid(s, m, np.array([x]), tol, with_tail=True)
+        assert abs(got[0] - f(x, m)) <= tail[0] <= tol
+
+    @given(tone_sums(), st.floats(1.1, 2.0), st.integers(5, 40),
+           st.floats(-40.0, 40.0), st.floats(-2.0, 2.0))
+    @settings(max_examples=40, deadline=None)
+    def test_tone_sums_complex(self, f, rate, N, x, y):
+        # the strip bound Cauchy's estimate rests on, at |Im z| <= 2h
+        h = PI / rate
+        alpha = (PI - h) / 2
+        z = complex(x, y * h)
+        err = abs(f.regularized(z, h, N, alpha) - f(z))
+        assert err <= math.exp(_strip_log_bound(N, alpha, abs(y)))
+
+    def test_edge_point_gives_achievable_tol(self):
+        h = PI / 1.5
+        ks = np.arange(-30, 31)
+        s = UniformSamples(sigma=1.0, h=h, k_min=-30, k_max=30,
+                           values=np.sin(ks * h), tail_bound=1.0)
+        # N = 15 at tol 1e-3, so a point 12 samples from the edge is refused
+        wks_eval_grid(s, 0, np.array([0.0, 15 * h]), 1e-3)
+        with pytest.raises(ToleranceError) as info:
+            wks_eval_grid(s, 0, np.array([0.0, 18.3 * h]), 1e-3)
+        achievable = info.value.achievable
+        assert 1e-3 < achievable < 1e-2
+        assert f"achievable tol {achievable:.3e}" in str(info.value)
+        assert "x = " in str(info.value) and "12" in str(info.value)
+        # the achievable tol is met
+        got, tails = wks_eval_grid(s, 0, np.array([0.0, 18.3 * h]), achievable,
+                                   with_tail=True)
+        assert np.all(tails <= achievable)
+
+    def test_node_reproduction_exact(self):
+        h = PI / 1.3
+        ks = np.arange(-500, 501)
+        s = UniformSamples(sigma=1.0, h=h, k_min=-500, k_max=500,
+                           values=np.sin(ks * h + 0.4), tail_bound=1.0)
+        nodes = np.array([-7, 0, 3, 101, 399])
+        got = wks_eval_grid(s, 0, nodes * h, 1e-6)
+        assert list(got) == list(s.values[nodes + 500])
+
+    def test_smallest_certified_halfwidth(self):
+        # the tail column comes from the same N as the values; one half-width
+        # less would not have met tol
+        h = PI / 2
+        ks = np.arange(-200, 201)
+        s = UniformSamples(sigma=1.0, h=h, k_min=-200, k_max=200,
+                           values=np.cos(ks * h), tail_bound=1.0)
+        xs = np.linspace(-50.0, 50.0, 17)
+        _, tails = wks_eval_grid(s, 1, xs, 1e-5, with_tail=True)
+        alpha = (PI - h) / 2
+        u = xs / h
+        N = next(n for n in range(1, 100)
+                 if np.array_equal(tails, regularized_sinc_certificate(
+                     1, n, alpha, 1.0, u=u) / h))
+        assert np.max(tails) <= 1e-5
+        worst = regularized_sinc_certificate(1, N - 1, alpha, 1.0, u=np.max(np.abs(u))) / h
+        assert worst > 1e-5
+
+    def test_bounded_tail_bound_refused(self):
+        # the whole-window tail needs decay; oversampled samples without it
+        # get their tail from the local kernel
+        s = UniformSamples(sigma=1.0, h=PI / 2, k_min=-100, k_max=100,
+                           values=np.zeros(201), tail_bound=1.0)
+        with pytest.raises(ReconstructionUnsoundError):
+            wks_tail_bound(s, 0, 0.3)
+
+
 def vt_reference(s, f0, df0, z):
     """Valiron-Tschakaloff summed term by term with a scalar complex sinc."""
     def sinc_c(w):
@@ -269,9 +374,12 @@ def vt_reference(s, f0, df0, z):
     if u.imag == 0.0 and abs(u.real - r) <= 8 * EPS * max(1.0, abs(u.real)):
         u = complex(r, 0.0)
     total = (z * df0 + f0) * sinc_c(u)
-    for k in range(1, min(-s.k_min, s.k_max) + 1):
+    half = min(-s.k_min, s.k_max)
+    for k in range(1, half + 1):
         total += s.values[k - s.k_min] * (u / k) * sinc_c(u - k)
         total += s.values[-k - s.k_min] * (u / -k) * sinc_c(u + k)
+    for k in list(range(half + 1, s.k_max + 1)) + list(range(s.k_min, -half)):
+        total += s.values[k - s.k_min] * (u / k) * sinc_c(u - k)
     return total
 
 
@@ -317,6 +425,22 @@ class TestValironTschakaloff:
         for k in (0, 3, -4, 17):
             z = k * s.h
             assert valiron_tschakaloff_eval(s, f0, df0, z) == vt_reference(s, f0, df0, z)
+
+    def test_lopsided_window(self):
+        # k in [-40, 4000]: the 3960 samples past the symmetric part move the
+        # sum by about 1e-3, and each side's tail is bounded on its own
+        ks = np.arange(-40, 4001)
+        phase = 0.9
+        s = UniformSamples(sigma=1.0, h=PI, k_min=-40, k_max=4000,
+                           values=np.sin(ks * PI + phase), tail_bound=1.0)
+        f0, df0 = math.sin(phase), math.cos(phase)
+        for z in (0.37, -2.2, 1.1 - 0.2j):
+            got = valiron_tschakaloff_eval(s, f0, df0, z)
+            assert abs(got - vt_reference(s, f0, df0, z)) <= 1e-13, z
+            bound = vt_tail_bound(s, z)
+            grow = math.exp(abs(complex(z).imag))
+            assert bound == pytest.approx(2 * abs(z) * grow / PI ** 2 * (1 / 4000 + 1 / 40))
+            assert abs(got - cmath.sin(z + phase)) <= bound
 
     def test_complex_argument(self):
         s = self.make_sin_samples(K=20000)
@@ -406,6 +530,40 @@ class TestFejerRegularize:
         r = fejer_regularize(f, sigma=1.0, sup_bound=5.0)
         xs = np.linspace(36.0, 44.0, 161)
         assert float(np.max(np.abs(r(xs)))) <= r.sup_bound
+
+
+def poisson_residual(f, fhat, lam, t, K):
+    """| (lam/sqrt(2 pi)) sum_{|k|<=K} f(t + lam k)
+         - sum_{|k|<=K} fhat(2 k pi / lam) e^(i 2 k pi t / lam) |
+
+    for an analytically matched transform pair (convention:
+    fhat(xi) = (2 pi)^(-1/2) int f(x) e^(-i x xi) dx).  Both partial sums
+    converge to the same value for integrable pairs, so the residual tends
+    to 0 as K grows.
+    """
+    ks = np.arange(-K, K + 1)
+    lhs = lam / math.sqrt(2 * PI) * float(np.sum(np.asarray(f(t + lam * ks), dtype=float)))
+    xi = 2 * PI * ks / lam
+    rhs = np.sum(np.asarray(fhat(xi), dtype=complex) * np.exp(1j * 2 * PI * ks * t / lam))
+    return abs(lhs - rhs)
+
+
+def fejer_transform_pair(delta):
+    """A transform pair with compactly supported spectrum:
+
+        f(x)    = (delta / 2 pi) sinc^2(delta x / (2 pi))
+        fhat(w) = (2 pi)^(-1/2) max(0, 1 - |w|/delta)
+
+    f decays like x^-2, fhat is the triangle on [-delta, delta].
+    """
+    def f(x):
+        return (delta / (2 * PI)) * sinc_grid(delta * np.asarray(x, dtype=float) / (2 * PI)) ** 2
+
+    def fhat(w):
+        w = np.asarray(w, dtype=float)
+        return (1.0 / math.sqrt(2 * PI)) * np.maximum(0.0, 1.0 - np.abs(w) / delta)
+
+    return f, fhat
 
 
 class TestPoisson:

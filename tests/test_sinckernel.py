@@ -14,12 +14,11 @@ from bandlimit.sinckernel import (
     coefficient_tail_bound,
     sinc,
     sinc_derivative,
-    sinc_derivative_closed,
     sinc_derivative_grid,
-    sinc_derivative_series,
     sinc_grid,
     zero_sum_residual,
 )
+from mp_reference import sinc_derivative_closed, sinc_derivative_series
 
 PI = math.pi
 
