@@ -11,15 +11,12 @@ from .errors import (
     TruncationError,
 )
 from .sinckernel import (
-    CoeffTable,
     boas_coefficient,
     boas_coefficient_grid,
-    coefficient_table,
     coefficient_tail_bound,
     sinc,
     sinc_derivative,
     sinc_derivative_grid,
-    zero_sum_residual,
 )
 from .sampling import (
     BandlimitedFn,

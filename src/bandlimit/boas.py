@@ -126,6 +126,36 @@ def _resolve_halfwidth(variant: str, r: int, f: BandlimitedFn, tol: float,
     return K
 
 
+#: shifted samples per block of the row evaluator
+_ROW_BLOCK = 1 << 17
+
+
+def _boas_rows(f: BandlimitedFn, r: int, xs: np.ndarray, K: int) -> np.ndarray:
+    """The standard series of half-width K at every x in xs.
+
+    The weights are built once; f is evaluated on a flat array per block of
+    points, and each point's row of 2K shifted samples is summed on its own,
+    so a value does not depend on which other points share its block.
+    """
+    sigma = f.sigma
+    ks = np.arange(1, K + 1)
+    odd = r % 2 == 1
+    m = (r + 1) // 2
+    w = (-1.0) ** (ks + 1) * boas_coefficient_grid("odd" if odd else "even", m, ks)
+    # odd: the partner index 1-k carries the same weight with opposite sign
+    shifts = _PI * (ks - 0.5) / sigma if odd else _PI * ks / sigma
+    out = np.empty(xs.size)
+    rows = max(1, _ROW_BLOCK // K)
+    for i in range(0, xs.size, rows):
+        x = xs[i:i + rows, None]
+        plus = np.asarray(f((x + shifts).ravel()), dtype=float).reshape(-1, K)
+        minus = np.asarray(f((x - shifts).ravel()), dtype=float).reshape(-1, K)
+        out[i:i + rows] = np.sum(w * (plus - minus if odd else plus + minus), axis=1)
+    if not odd:
+        out -= boas_coefficient("even", m, 0) * np.asarray(f(xs), dtype=float)
+    return (sigma / _PI) ** r * out
+
+
 def boas_derivative(f: BandlimitedFn, r: int, x: float, tol: float = 1e-6,
                     k_terms: Optional[int] = None) -> float:
     """r-th derivative of f at x by the shifted-sample series.
@@ -137,29 +167,8 @@ def boas_derivative(f: BandlimitedFn, r: int, x: float, tol: float = 1e-6,
     """
     if r < 1:
         raise ValueError("derivative order must be >= 1")
-    x = float(x)
     K = _resolve_halfwidth("standard", r, f, tol, k_terms)
-    sigma = f.sigma
-    ks = np.arange(1, K + 1)
-    if r % 2 == 1:
-        m = (r + 1) // 2
-        coeffs = boas_coefficient_grid("odd", m, ks)
-        signs = (-1.0) ** (ks + 1)
-        shifts = _PI * (ks - 0.5) / sigma
-        # partner index 1-k carries the same weight with opposite sign
-        pair = signs * coeffs * (np.asarray(f(x + shifts), dtype=float)
-                                 - np.asarray(f(x - shifts), dtype=float))
-        total = float(np.sum(pair))
-    else:
-        m = r // 2
-        coeffs = boas_coefficient_grid("even", m, ks)
-        signs = (-1.0) ** (ks + 1)
-        shifts = _PI * ks / sigma
-        pair = signs * coeffs * (np.asarray(f(x + shifts), dtype=float)
-                                 + np.asarray(f(x - shifts), dtype=float))
-        center = boas_coefficient("even", m, 0) * float(np.asarray(f(x), dtype=float))
-        total = float(np.sum(pair)) - center
-    return (sigma / _PI) ** r * total
+    return float(_boas_rows(f, r, np.array([float(x)]), K)[0])
 
 
 def boas_derivative_fast(f: BandlimitedFn, r: int, t: float, tol: float = 1e-6,
@@ -218,7 +227,7 @@ def bernstein_ratio(f: BandlimitedFn, m: int, p: float, grid: np.ndarray,
     grid = np.asarray(grid, dtype=float)
     if grid.size < 8 or np.any(~np.isfinite(grid)):
         raise ValueError("degenerate evaluation grid")
-    dvals = np.array([boas_derivative(f, m, float(x), tol) for x in grid])
+    dvals = _boas_rows(f, m, grid, _resolve_halfwidth("standard", m, f, tol, None))
     fvals = np.asarray(f(grid), dtype=float)
     if p == math.inf:
         denom = float(np.max(np.abs(fvals)))

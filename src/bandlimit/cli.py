@@ -255,14 +255,14 @@ def _suite_group(cfg: RunConfig) -> SuiteReport:
     w = v.copy()
     for r in (1, 2, 3):
         w = inst.generator(w)
-        got = group_boas(b, r, k_terms=4096)
+        got = group_boas(b, r, tol=1e-7)
         rep.add(f"boas_power_r{r}", float(np.max(np.abs(got - w))), 1e-6)
     est = exponential_type(inst, v, k_max=60)
     rep.add("exponential_type", abs(est.estimate - cfg.sigma), 1e-9)
     t = 0.7
     exact = inst.orbit(t, v)
     rep.add("orbit_reconstruct",
-            float(np.max(np.abs(orbit_reconstruct(b, t, k_terms=4096) - exact))), 1e-6)
+            float(np.max(np.abs(orbit_reconstruct(b, t, tol=1e-7) - exact))), 1e-6)
     rep.add("orbit_vt",
             float(np.max(np.abs(orbit_vt(b, t, k_terms=4096) - exact))), 1e-6)
     return rep

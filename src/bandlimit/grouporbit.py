@@ -2,29 +2,39 @@
 
 Let e^(tD) be a strongly continuous group of isometries on a normed space and
 let f satisfy the growth certificate ||D^k f|| <= sigma^k ||f|| for all k.
-The whole trajectory t -> e^(tD) f is then recoverable from the countable
-sample set e^((k pi / sigma) D) f:
+The whole trajectory t -> e^(tD) f is then recoverable from orbit samples,
+and the generator powers D^r f come back from the same samples.
 
-    orbit:   e^(tD)f = f + t sinc(u) Df
-             + t sum_{k!=0} (e^((k pi/s)D)f - f) / (k pi/s) * sinc(u - k)
-    initial: f = e^(tD)f - t sinc(u) e^(tD)Df
-             - t sum_{k!=0} (e^((k pi/s + t)D)f - e^(tD)f) / (k pi/s) * sinc(u + k)
-    bounded: e^(tD)f = sinc(u) f + t sinc(u) Df
-             + sum_{k!=0} (s t / (k pi)) sinc(u - k) e^((k pi/s)D)f
+Two lattices serve the entry points.
 
-with u = sigma t / pi, and the generator powers come back through the same
-weights that differentiate scalar bandlimited functions:
+* ``orbit_reconstruct`` and ``group_boas`` use the local orbit engine: the
+  twice-oversampled lattice n h, h = pi/(2 sigma), and the regularized
+  kernel of :mod:`bandlimit.sinckernel`,
 
-    D^(2m-1) f = (s/pi)^(2m-1) sum_k (-1)^(k+1) a(m,k) e^((pi(k-1/2)/s)D) f
-    D^(2m)   f = (s/pi)^(2m)   sum_k (-1)^(k+1) b(m,k) e^((pi k/s)D) f
+      D^r e^(tD) f ~= h^(-r) sum_{|n - n0| <= N} e^(n h D) f
+                      d^r/du^r [sinc(u - n) exp(-(pi/4) (u - n)^2 / N)],
 
-All four series have O(k^-2) terms.  Symmetric partial sums can still carry a
-slowly decaying c/K residue when the orbit phases resonate with the lattice
-(rotation blocks at exact type do), so the engine evaluates the partial sum
-at half-widths K/2 and K and returns the Richardson combination
-2 S_K - S_{K/2}, which cancels the c/K term and leaves O(K^-2) accuracy.
+  u = t/h, n0 = round(u) (t = 0 for group_boas).  Every unit functional of
+  the trajectory is entire of type sigma and bounded by ||f|| on the real
+  line, so the scalar certificate of the regularized series, with sample
+  bound ||f||, bounds the error in norm; N is the smallest half-width it
+  certifies, and only the samples whose weight is nonzero are fetched.
 
-The coefficients and sample points never depend on the group: any object
+* ``orbit_vt`` and ``recover_initial`` are the paper's formulas on the
+  critical lattice k pi / sigma:
+
+      bounded: e^(tD)f = sinc(u) f + t sinc(u) Df
+               + sum_{k!=0} (s t / (k pi)) sinc(u - k) e^((k pi/s)D)f
+      initial: f = e^(tD)f - t sinc(u) e^(tD)Df
+               - t sum_{k!=0} (e^((k pi/s + t)D)f - e^(tD)f) / (k pi/s) * sinc(u + k)
+
+  with u = sigma t / pi.  Their terms are O(k^-2), and symmetric partial
+  sums can still carry a slowly decaying c/K residue when the orbit phases
+  resonate with the lattice (rotation blocks at exact type do), so they
+  return the Richardson combination 2 S_K - S_(K/2) of the partial sums at
+  half-widths K/2 and K, sized by an estimate (``_resolve_k``).
+
+The weights and sample points never depend on the group: any object
 implementing the :class:`GroupInstance` triple (orbit, generator, norm) plugs
 in, finite-dimensional rotations and the discrete Hilbert transform alike.
 """
@@ -40,9 +50,9 @@ import numpy as np
 from .errors import ToleranceError
 from .sinckernel import (
     MAX_HALFWIDTH,
-    boas_coefficient,
-    boas_coefficient_grid,
-    coefficient_tail_bound,
+    regularized_halfwidth,
+    regularized_sinc_certificate,
+    regularized_sinc_grid,
     sinc,
     sinc_grid,
     snap_integer,
@@ -56,9 +66,11 @@ class GroupInstance:
     """A one-parameter isometry group presented through callables.
 
     orbit(t, v) applies e^(tD); generator(v) applies D; norm(v) is the space
-    norm.  sigma_bound is the smallest certified growth rate valid for every
-    admissible vector.  Implementations must be safe for concurrent orbit
-    evaluations; everything here treats them as pure.
+    norm.  Every e^(tD) must be an isometry, ||e^(tD) v|| = ||v||: the
+    certificates of the local orbit engine bound every orbit sample by
+    ||f||.  sigma_bound is the smallest certified growth rate valid for
+    every admissible vector.  Implementations must be safe for concurrent
+    orbit evaluations; everything here treats them as pure.
     """
 
     orbit: Callable[[float, Any], Any]
@@ -131,7 +143,7 @@ def rotation_instance(sigmas) -> GroupInstance:
 
 
 # ---------------------------------------------------------------------------
-# series engine
+# critical-lattice series engine (orbit_vt, recover_initial)
 # ---------------------------------------------------------------------------
 
 def _shells(K: int) -> np.ndarray:
@@ -146,8 +158,8 @@ def _orbit_series(head, fetch: Callable[[Any], Any], times: np.ndarray,
     """head + Richardson-extrapolated orbit series.
 
     Row k - 1 of ``times`` and ``weights`` is shell k: the two points it pairs
-    (lattice indices k and -k, or k - 1/2 and 1/2 - k, scaled to orbit times
-    or passed as is to :attr:`OrbitSamples.at`) and their weights.  Each
+    (lattice indices k and -k, scaled to orbit times or passed as is to
+    :attr:`OrbitSamples.at`) and their weights.  Each
     point is fetched once, outward from the center, and w * fetch(point)
     accumulated; the partial sum S_(K/2) after the first half of the shells
     feeds the 2 S_K - S_(K/2) combination.  Vectors need only + and
@@ -191,23 +203,71 @@ def _resolve_k(tol: float, t_scale: float, norm_f: float, sigma: float,
     return K
 
 
+# ---------------------------------------------------------------------------
+# local orbit engine (orbit_reconstruct, group_boas)
+# ---------------------------------------------------------------------------
+
+#: the local engine samples at h = pi/(2 sigma), twice the critical rate,
+#: so the regularized kernel's alpha = (pi - h sigma)/2 is pi/4
+_ALPHA = _PI / 4.0
+
+
+def _local_orbit(b: BernsteinVector, r: int, t: float, tol: float,
+                 k_terms: Optional[int]):
+    """D^r e^(tD) f from the orbit samples at n h, |n - n0| <= N, with
+    h = pi/(2 sigma); returns the vector and its certificate.
+
+    N is ``k_terms`` when given (tol is then ignored), else the smallest
+    half-width whose certificate is <= tol.  The weights are
+    ``regularized_sinc_grid(r, u - n, N, pi/4) / h^r``; a sample whose
+    weight is exactly 0.0 (at a pinned N the Gaussian underflows beyond
+    |u - n| of about sqrt(745 N / alpha)) is not fetched.  Sample n is
+    fetched at t - (u - n) h, so the node n = u of a lattice time t is
+    fetched at t itself and reproduced exactly for r = 0.
+
+    The certificate covers the truncated series and the arithmetic of the
+    sum.  It takes each fetched orbit vector as exact: the group's own
+    rounding, and the rounding of each sample time, are outside it.
+    """
+    inst, v = b.instance, b.v
+    h = _PI / (2.0 * b.sigma)
+    u = snap_integer(t / h)
+    offset = u - round(u)
+    norm_f = inst.norm(v)  # bounds every sample: the group is isometric
+
+    def cert(ns):
+        return regularized_sinc_certificate(
+            r, ns, _ALPHA, norm_f, u=abs(u),
+            sin_factor=abs(math.sin(_PI * offset)) if r == 0 else 1.0) / h ** r
+
+    if k_terms is not None:
+        if k_terms < 1:
+            raise ValueError("k_terms must be >= 1")
+        N = int(k_terms)
+    else:
+        if tol <= 0.0:
+            raise ValueError("tolerance must be positive")
+        N = regularized_halfwidth(cert, tol)
+    d = offset - np.arange(-N, N + 1)
+    w = regularized_sinc_grid(r, d, N, _ALPHA) / h ** r
+    keep = np.flatnonzero(w)
+    acc = 0.0 * v
+    for s, wn in zip((t - d[keep] * h).tolist(), w[keep].tolist()):
+        acc = acc + wn * inst.orbit(s, v)
+    return acc, float(cert(N))
+
+
 def orbit_reconstruct(b: BernsteinVector, t: float, tol: float = 1e-6,
                       k_terms: Optional[int] = None):
-    """Reconstruct e^(tD) f from lattice samples of the trajectory.
+    """Reconstruct e^(tD) f from twice-oversampled orbit samples with the
+    local orbit engine (module docstring): an error of at most tol in norm,
+    or 2 k_terms + 1 samples when ``k_terms`` pins the half-width.
 
-    Exact at the lattice t = m pi / sigma (all kernel weights vanish except
-    the matching sample) and at t = 0.
+    Exact at every t = m pi / (2 sigma), where one sample is fetched.
+    Raises ToleranceError, with the achievable tol, below the rounding
+    floor.
     """
-    inst, v, sigma = b.instance, b.v, b.sigma
-    t = float(t)
-    u = snap_integer(sigma * t / _PI)
-    K = _resolve_k(tol, t, inst.norm(v), sigma, k_terms)
-    ks = _shells(max(K, 2 * (abs(int(round(u))) + 2)))  # node shell in both partial sums
-    lattice = np.column_stack((ks, -ks))
-    times = lattice * (_PI / sigma)
-    weights = t * sinc_grid(u - lattice) / times
-    head = v + (t * sinc(u)) * inst.generator(v)
-    return _orbit_series(head, lambda s: inst.orbit(s, v) - v, times, weights)
+    return _local_orbit(b, 0, float(t), tol, k_terms)[0]
 
 
 def orbit_vt(b: BernsteinVector, t: float, tol: float = 1e-6,
@@ -271,39 +331,14 @@ def recover_initial(samples: OrbitSamples, tol: float = 1e-6,
 
 def group_boas(b: BernsteinVector, r: int, tol: float = 1e-6,
                k_terms: Optional[int] = None):
-    """Apply D^r through shifted orbit samples; ||result|| <= sigma^r ||f||
-    up to the truncation tolerance."""
+    """Apply D^r through twice-oversampled orbit samples with the local orbit
+    engine (module docstring): an error of at most tol in norm, or
+    2 k_terms + 1 samples when ``k_terms`` pins the half-width.
+    ||result|| <= sigma^r ||f|| up to that error.  Raises ToleranceError,
+    with the achievable tol, below the rounding floor."""
     if r < 1:
         raise ValueError("power r must be >= 1")
-    inst, v, sigma = b.instance, b.v, b.sigma
-    scale = (sigma / _PI) ** r
-    m = (r + 1) // 2
-    parity = "odd" if r % 2 else "even"
-    if k_terms is None:
-        # plain truncation leaves at most tail(K) = c/K; the extrapolated
-        # combination squares the decay, so size K by c/K^2 <= tol with the
-        # rigorous coefficient-tail constant c = K * tail(K)
-        c = scale * max(inst.norm(v), 1e-30) * 2.0 * coefficient_tail_bound(parity, m, 2)
-        K = max(64, int(math.ceil(math.sqrt(4.0 * c / tol))))
-        if K > MAX_HALFWIDTH:
-            raise ToleranceError(
-                f"tol {tol:.3e} needs half-width {K} > {MAX_HALFWIDTH}",
-                achievable=c / MAX_HALFWIDTH ** 2)
-    else:
-        K = int(k_terms)
-    ks = _shells(K)
-    w = np.where(ks % 2, 1.0, -1.0) * boas_coefficient_grid(parity, m, ks)
-    if r % 2:
-        # index 1-k carries the same weight with opposite sign
-        lattice = np.column_stack((ks - 0.5, 0.5 - ks))
-        weights = np.column_stack((w, -w))
-        head = 0.0 * v
-    else:
-        lattice = np.column_stack((ks, -ks))
-        weights = np.column_stack((w, w))
-        head = -boas_coefficient("even", m, 0) * v
-    series = _orbit_series(head, lambda s: inst.orbit(s, v), lattice * (_PI / sigma), weights)
-    return scale * series
+    return _local_orbit(b, int(r), 0.0, tol, k_terms)[0]
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import QuadratureError, ReconstructionUnsoundError, ToleranceError
 from .sinckernel import (
-    MAX_HALFWIDTH,
     _snap_grid,
+    regularized_halfwidth,
     regularized_sinc_certificate,
     regularized_sinc_grid,
     sinc_derivative_grid,
@@ -234,9 +234,13 @@ def wks_tail_bound(s: UniformSamples, m: int, x):
 
     It needs a decay certificate (tail_decay > 0) and is then a closed-form
     bound on the majorant sum.  Bounded-only samples leave the whole-window
-    tail open and raise ReconstructionUnsoundError; when oversampled they
-    are served by the local kernel of :func:`wks_eval_grid`, whose tail is
-    certified without decay.
+    tail open and raise ReconstructionUnsoundError.
+
+    The tail belongs to the whole-window sum, which :func:`wks_eval_grid`
+    computes only at the critical rate h = pi/sigma.  Oversampled samples,
+    with or without decay, are summed by the local kernel on 2N+1 samples
+    per point; take their tail from ``wks_eval_grid(..., with_tail=True)``,
+    not from here.
     """
     u = np.asarray(x, dtype=float) / s.h
     gap_left = u - s.k_min
@@ -344,26 +348,16 @@ def _regularized_series(s: UniformSamples, m: int, xs, u, tol: float):
         return regularized_sinc_certificate(m, ns, alpha, bound, u=u_abs,
                                             sin_factor=sin_factor) / s.h ** m
 
-    # the worst point's certificate for N = 1, 2, ... in growing blocks,
-    # until it meets tol or turns up with the rounding term
+    # the worst point's certificate; every point needs its 2N+1 samples
+    # in the window
     u_max, sin_max = float(np.max(np.abs(u))), float(np.max(sin_abs))
-    c = cert(np.arange(1, 33), u_max, sin_max)
-    while c.size < MAX_HALFWIDTH and not (np.any(c <= tol) or c[-1] > 2.0 * np.min(c)):
-        c = np.append(c, cert(c.size + np.arange(1, min(c.size, 4096) + 1), u_max, sin_max))
-    hit = np.flatnonzero(c <= tol)
-    N = int(hit[0]) + 1 if hit.size else None
-    # the largest N whose samples every point finds in the window
     gaps = np.minimum(n0 - s.k_min, s.k_max - n0)
     room = int(np.min(gaps))
-    if N is None or N > room:
-        best_n = int(np.argmin(c[:room])) + 1 if room >= 1 else 0
-        best = float(c[best_n - 1]) if best_n else math.inf
-        need = (f"needs N = {N} samples on each side, but x = "
-                f"{xs.reshape(-1)[np.argmin(gaps)]} has only {max(room, 0)}"
-                if N is not None else "cannot reach tol at any N")
-        raise ToleranceError(
-            f"regularized series {need}; achievable tol {best:.3e} (N = {best_n})",
-            achievable=best)
+    try:
+        N = regularized_halfwidth(lambda ns: cert(ns, u_max, sin_max), tol, room)
+    except ToleranceError as exc:
+        raise ToleranceError(f"{exc} at x = {xs.reshape(-1)[np.argmin(gaps)]}",
+                             achievable=exc.achievable) from None
     j = np.arange(-N, N + 1)
     idx = (n0 - s.k_min).astype(np.intp)
     return _row_sums(u.size, j.size, lambda b: np.sum(

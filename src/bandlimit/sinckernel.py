@@ -36,24 +36,23 @@ b(m, k) = (-1)^(k+1) sinc^(2m)(-k).  Their absolute sums are exactly
 which is what makes the differentiation operators bounded with norm sigma^r.
 
 For oversampled data the regularized kernel sinc(x) exp(-alpha x^2/N) is
-local: ``regularized_sinc_grid`` gives its derivatives and
+local: ``regularized_sinc_grid`` gives its derivatives,
 ``regularized_sinc_certificate`` the certified error of the series built on
-it, which reads 2N+1 samples per point.
+it, which reads 2N+1 samples per point, and ``regularized_halfwidth`` the
+smallest N that certificate allows, for sampled data and orbits alike.
 
-All functions here are pure; coefficient tables are immutable and safe to
-share across threads.
+All functions here are pure and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Literal
+from typing import Literal
 
 import numpy as np
 
-from .errors import TruncationError
+from .errors import ToleranceError
 
 Parity = Literal["odd", "even"]
 
@@ -66,9 +65,10 @@ _SERIES_TERMS = 12
 #: _QUAD_SLOPE*m is taken from
 #:     sinc^(m)(x) = int_0^1 (pi t)^m cos(pi t x + m pi/2) dt
 #: by Gauss-Legendre on [0, 1].  The closed form is within 1e-12 pi^m/(m+1)
-#: beyond about m/8 for every m <= 20; the nodes integrate
+#: beyond about m/8 for every m <= 20 (for m = 2, 3 it cancels by two and
+#: three digits just past the series radius); the nodes integrate
 #: t^m cos(pi t x) for |x| <= 3 to full precision.
-_QUAD_MIN_ORDER = 4
+_QUAD_MIN_ORDER = 2
 _QUAD_SLOPE = 0.15
 _QUAD_NODES = 48
 
@@ -154,7 +154,7 @@ def sinc_derivative(m: int, x: float) -> float:
 def sinc_derivative_grid(m: int, x) -> np.ndarray:
     """Vectorized sinc^(m) over an array of real points.
 
-    Power series for |x| < 0.05, closed form elsewhere; for m >= 4 the
+    Power series for |x| < 0.05, closed form elsewhere; for m >= 2 the
     Gauss-Legendre branch covers |x| < 0.15 m, where the closed form would
     cancel.  Every branch is within 1e-10 pi^m/(m+1) for m <= 20.
     """
@@ -210,10 +210,11 @@ _CRAMER = 1.0865
 
 #: error of a computed weight of order 0, 1, 2 and >= 3 relative to its
 #: magnitude bound: a few ulps for sinc itself; sinc^(m) was measured within
-#: 2.0e-15, 4.4e-14 and 1.6e-12 times pi^m/(m+1) of a 50-digit reference for
-#: m = 1, 2 and 3 (worst at the series switch, |x| = 0.05) and within
-#: 5.5e-14 times it for 4 <= m <= 20; the budget is five times that
-_WEIGHT_ERR = (8 * _UNIT, 1e-14, 2.2e-13, 8e-12)
+#: 2.0e-15 and 1.3e-15 times pi^m/(m+1) of a 50-digit reference for m = 1
+#: and 2, and within 5.8e-14 times it for 3 <= m <= 20 (2.3e-15 for m = 3;
+#: the largest at m = 19, |x| near 2.9), on the series and quadrature
+#: switches, |x| <= 8 and |x| up to 200; the budget is five times that
+_WEIGHT_ERR = (8 * _UNIT, 1e-14, 6.5e-15, 2.9e-13)
 
 
 def regularized_sinc_grid(m: int, x, N: int, alpha: float) -> np.ndarray:
@@ -314,6 +315,32 @@ def regularized_sinc_certificate(m: int, N, alpha: float, sample_bound: float,
                 * (_WEIGHT_ERR[min(m, 3)] + (2.0 * n + 4.0) * _UNIT))
     move = 17.0 * _UNIT * np.maximum(1.0, np.abs(u)) * (_PI - 2.0 * alpha) ** (m + 1)
     return np.where(eps0 < 1.0, sup * (trunc + move) + rounding, math.inf)
+
+
+def regularized_halfwidth(cert, tol: float, room: int = MAX_HALFWIDTH) -> int:
+    """Smallest half-width N <= room whose certificate cert(N) is <= tol.
+
+    ``cert`` maps an array of half-widths to the caller's certificates (its
+    worst point's :func:`regularized_sinc_certificate`, in its own units).
+    N = 1, 2, ... are tried in growing blocks until one meets tol or the
+    certificate turns up with its rounding term.  When no N <= room meets
+    tol, ToleranceError carries the least certificate at N <= room as
+    ``achievable``.
+    """
+    c = cert(np.arange(1, 33))
+    while c.size < MAX_HALFWIDTH and not (np.any(c <= tol) or c[-1] > 2.0 * np.min(c)):
+        c = np.append(c, cert(c.size + np.arange(1, min(c.size, 4096) + 1)))
+    hit = np.flatnonzero(c <= tol)
+    N = int(hit[0]) + 1 if hit.size else None
+    if N is None or N > room:
+        best_n = int(np.argmin(c[:room])) + 1 if room >= 1 else 0
+        best = float(c[best_n - 1]) if best_n else math.inf
+        need = (f"needs N = {N} samples on each side, but has only {max(room, 0)}"
+                if N is not None else "cannot reach tol at any N")
+        raise ToleranceError(
+            f"regularized series {need}; achievable tol {best:.3e} (N = {best_n})",
+            achievable=best)
+    return N
 
 
 # ---------------------------------------------------------------------------
@@ -417,75 +444,6 @@ def coefficient_halfwidth(parity: Parity, m: int, tol: float) -> int:
     while coefficient_tail_bound(parity, m, K) > tol:
         K += 1
     return K
-
-
-@dataclass(frozen=True)
-class CoeffTable:
-    """Truncated coefficient family with a certified tail bound.
-
-    ``values`` maps every |k| <= halfwidth (k = 0 included only for even
-    parity) to its coefficient, bit-identical to :func:`boas_coefficient`.
-    ``tail`` bounds the absolute sum of all omitted coefficients, so
-
-        sum(|values|) <= pi^(2m-1 or 2m) <= sum(|values|) + tail.
-    """
-
-    parity: Parity
-    m: int
-    halfwidth: int
-    values: Dict[int, float] = field(repr=False)
-    tail: float = 0.0
-
-    def abs_sum(self) -> float:
-        return float(sum(abs(v) for v in self.values.values()))
-
-    def full_sum_target(self) -> float:
-        exponent = 2 * self.m - 1 if self.parity == "odd" else 2 * self.m
-        return _PI ** exponent
-
-
-def coefficient_table(parity: Parity, m: int, tol: float,
-                      max_halfwidth: int = 1_000_000) -> CoeffTable:
-    """Build the smallest table whose analytic tail bound is <= tol.
-
-    Raises :class:`TruncationError` carrying the achievable tail when the
-    required half-width would exceed ``max_halfwidth``.
-    """
-    _check_parity(parity)
-    if m < 1:
-        raise ValueError("half-order m must be >= 1")
-    K = coefficient_halfwidth(parity, m, tol)
-    if K > max_halfwidth:
-        achievable = coefficient_tail_bound(parity, m, max_halfwidth)
-        raise TruncationError(
-            f"tail {achievable:.3e} at half-width {max_halfwidth} exceeds tol {tol:.3e}",
-            achievable=achievable,
-        )
-    ks = np.arange(-K, K + 1)
-    coeffs = boas_coefficient_grid(parity, m, ks)
-    values = {int(k): float(c) for k, c in zip(ks, coeffs)}
-    return CoeffTable(parity=parity, m=m, halfwidth=K, values=values,
-                      tail=coefficient_tail_bound(parity, m, K))
-
-
-def zero_sum_residual(m: int, x: float, halfwidth: int) -> float:
-    """|sum_{|k| <= halfwidth} sinc^(m)(x - k)|.
-
-    The full lattice sum of any derivative of the kernel vanishes; the
-    symmetric partial sums here tend to 0.  Terms are accumulated as
-    left/right pairs around k = 0 so that odd symmetry cancels exactly in
-    floating point (e.g. m = 1 at x = 0 returns 0.0 for every half-width).
-    """
-    if m < 1:
-        raise ValueError("derivative order must be >= 1")
-    K = int(halfwidth)
-    if K < 1:
-        raise ValueError("halfwidth must be >= 1")
-    x = _require_finite(x)
-    ks = np.arange(1, K + 1)
-    pair = sinc_derivative_grid(m, x - ks) + sinc_derivative_grid(m, x + ks)
-    total = sinc_derivative(m, x) + float(np.sum(pair))
-    return abs(total)
 
 
 def snap_integer(u: float) -> float:

@@ -3,11 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bandlimit.dht import SeqWindow, dht_instance, hilbert_group
+from bandlimit.errors import ToleranceError
 from bandlimit.grouporbit import (
     BernsteinVector,
     OrbitSamples,
+    _local_orbit,
+    _orbit_series,
+    _shells,
     exponential_type,
     group_boas,
     orbit_reconstruct,
@@ -15,8 +20,67 @@ from bandlimit.grouporbit import (
     recover_initial,
     rotation_instance,
 )
+from bandlimit.sinckernel import (
+    boas_coefficient,
+    boas_coefficient_grid,
+    coefficient_tail_bound,
+    regularized_sinc_grid,
+    sinc,
+    sinc_grid,
+    snap_integer,
+)
 
 PI = math.pi
+
+
+# ---------------------------------------------------------------------------
+# the paper's critical-lattice series for the trajectory and for D^r f, as
+# orbit_reconstruct and group_boas summed them before the local orbit
+# engine: Richardson over the half-widths K/2 and K; a test oracle
+# ---------------------------------------------------------------------------
+
+def paper_orbit_reconstruct(b, t, K):
+    """e^(tD)f = f + t sinc(u) Df
+    + t sum_{k!=0} (e^((k pi/s)D)f - f) / (k pi/s) * sinc(u - k)."""
+    inst, v, sigma = b.instance, b.v, b.sigma
+    u = snap_integer(sigma * t / PI)
+    ks = _shells(max(K, 2 * (abs(int(round(u))) + 2)))
+    lattice = np.column_stack((ks, -ks))
+    times = lattice * (PI / sigma)
+    weights = t * sinc_grid(u - lattice) / times
+    head = v + (t * sinc(u)) * inst.generator(v)
+    return _orbit_series(head, lambda s: inst.orbit(s, v) - v, times, weights)
+
+
+def paper_group_boas(b, r, K):
+    """D^(2m-1) f = (s/pi)^(2m-1) sum_k (-1)^(k+1) a(m,k) e^((pi(k-1/2)/s)D) f,
+    D^(2m) f = (s/pi)^(2m) sum_k (-1)^(k+1) b(m,k) e^((pi k/s)D) f."""
+    inst, v, sigma = b.instance, b.v, b.sigma
+    m = (r + 1) // 2
+    ks = _shells(K)
+    w = np.where(ks % 2, 1.0, -1.0) * boas_coefficient_grid("odd" if r % 2 else "even", m, ks)
+    if r % 2:
+        lattice = np.column_stack((ks - 0.5, 0.5 - ks))
+        weights = np.column_stack((w, -w))
+        head = 0.0 * v
+    else:
+        lattice = np.column_stack((ks, -ks))
+        weights = np.column_stack((w, w))
+        head = -boas_coefficient("even", m, 0) * v
+    series = _orbit_series(head, lambda s: inst.orbit(s, v), lattice * (PI / sigma), weights)
+    return (sigma / PI) ** r * series
+
+
+def paper_orbit_budget(sigma, t, K):
+    # the residue model the paper's series was sized by, ||f|| = 1
+    u = abs(t) * sigma / PI
+    return 8.0 * sigma * (1.0 + u) ** 2 / K ** 2
+
+
+def paper_group_boas_budget(sigma, r, K):
+    c = (sigma / PI) ** r * 2.0 * coefficient_tail_bound("odd" if r % 2 else "even",
+                                                         (r + 1) // 2, 2)
+    return 4.0 * c / K ** 2
 
 
 def unit_vector():
@@ -234,25 +298,148 @@ def counting_instance(sigma):
     return dataclasses.replace(inst, orbit=orbit), times
 
 
+def local_weight_count(sigma, r, t, N):
+    """Nonzero weights of the local orbit engine at half-width N."""
+    u = snap_integer(t / (PI / (2.0 * sigma)))
+    d = (u - round(u)) - np.arange(-N, N + 1)
+    return int(np.count_nonzero(regularized_sinc_grid(r, d, N, PI / 4)))
+
+
 class TestOrbitFetches:
     @pytest.mark.parametrize("k_terms", [64, 63])
     def test_each_entry_point_fetches_2k_distinct_times(self, k_terms):
+        # the critical-lattice entry points; orbit_reconstruct and group_boas
+        # read the local engine, see the next test
         K = 64  # an odd half-width is raised to the next even one
         inst, times = counting_instance(2.0)
         b = BernsteinVector(inst, unit_vector(), 2.0)
         samples = OrbitSamples.from_bernstein(b, 0.7)
         calls = {
-            "orbit_reconstruct": lambda: orbit_reconstruct(b, 0.7, k_terms=k_terms),
             "orbit_vt": lambda: orbit_vt(b, 0.7, k_terms=k_terms),
             "recover_initial": lambda: recover_initial(samples, k_terms=k_terms),
-            "group_boas r=1": lambda: group_boas(b, 1, k_terms=k_terms),
-            "group_boas r=2": lambda: group_boas(b, 2, k_terms=k_terms),
         }
         for name, call in calls.items():
             times.clear()
             call()
             assert len(times) == 2 * K, name
             assert len(set(times)) == 2 * K, name
+
+    @pytest.mark.parametrize("N", [63, 64, 4096])
+    def test_local_engine_fetches_each_nonzero_weight_once(self, N):
+        inst, times = counting_instance(2.0)
+        b = BernsteinVector(inst, unit_vector(), 2.0)
+        calls = {
+            (0, 0.7): lambda: orbit_reconstruct(b, 0.7, k_terms=N),
+            (1, 0.0): lambda: group_boas(b, 1, k_terms=N),
+            (2, 0.0): lambda: group_boas(b, 2, k_terms=N),
+            (3, 0.0): lambda: group_boas(b, 3, k_terms=N),
+        }
+        for (r, t), call in calls.items():
+            times.clear()
+            call()
+            want = local_weight_count(2.0, r, t, N)
+            assert len(times) == len(set(times)) == want, (r, N)
+            # odd orders weigh the center 0; past |d| ~ sqrt(745 N / alpha)
+            # the Gaussian underflows to 0
+            assert want <= 2 * N + 1 - r % 2
+            if N == 4096:
+                assert want < 4000
+
+    def test_tolerance_driven_fetches(self):
+        inst, times = counting_instance(2.5)
+        b = BernsteinVector(inst, unit_vector(), 2.5)
+        for r in (1, 2, 3):
+            times.clear()
+            group_boas(b, r, tol=1e-6)
+            assert 20 < len(times) == len(set(times)) < 120, r
+
+
+class TestLocalOrbitEngine:
+    @given(blocks=st.integers(min_value=1, max_value=8),
+           sigma=st.floats(min_value=0.25, max_value=2.0),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           t=st.floats(min_value=-3.0, max_value=3.0),
+           r=st.integers(min_value=0, max_value=3),
+           tol=st.sampled_from([1e-3, 1e-6, 1e-9]))
+    @settings(max_examples=150, deadline=None)
+    def test_error_within_certificate(self, blocks, sigma, seed, t, r, tol):
+        # rotation blocks at rates up to the certified sigma, unit vector
+        rng = np.random.default_rng(seed)
+        rates = sigma * rng.uniform(0.01, 1.0, blocks)
+        rates[0] = sigma
+        inst = rotation_instance(rates)
+        v = rng.standard_normal(2 * blocks)
+        v /= np.linalg.norm(v)
+        want = inst.orbit(t, v)
+        for _ in range(r):
+            want = inst.generator(want)
+        got, cert = _local_orbit(BernsteinVector(inst, v, sigma), r, t, tol, None)
+        assert cert <= tol
+        assert float(np.linalg.norm(got - want)) <= cert
+
+    @pytest.mark.parametrize("sigma", [1.0, 2.0, 2.5])
+    def test_lattice_nodes_exact_with_one_fetch(self, sigma):
+        inst, times = counting_instance(sigma)
+        v = unit_vector()
+        b = BernsteinVector(inst, v, sigma)
+        for k in (-3, 0, 1, 4, 17):
+            t = k * PI / sigma
+            for kw in ({"tol": 1e-9}, {"k_terms": 4096}):
+                times.clear()
+                got = orbit_reconstruct(b, t, **kw)
+                assert times == [t], (k, kw)
+                assert np.array_equal(got, inst.orbit(t, v)), (k, kw)
+
+    def test_rounding_floor_raises_achievable(self):
+        inst = rotation_instance([2.5])
+        b = BernsteinVector(inst, unit_vector(), 2.5)
+        with pytest.raises(ToleranceError) as info:
+            group_boas(b, 3, tol=1e-14)
+        achievable = info.value.achievable
+        assert 1e-14 < achievable < 1e-8
+        assert f"achievable tol {achievable:.3e}" in str(info.value)
+        got = group_boas(b, 3, tol=achievable)
+        want = inst.generator(inst.generator(inst.generator(b.v)))
+        assert np.linalg.norm(got - want) <= achievable
+        with pytest.raises(ToleranceError):
+            orbit_reconstruct(b, 0.7, tol=1e-16)
+
+    def test_rejects_bad_sizes(self):
+        b = BernsteinVector(rotation_instance([1.0]), unit_vector(), 1.0)
+        with pytest.raises(ValueError):
+            orbit_reconstruct(b, 0.7, k_terms=0)
+        with pytest.raises(ValueError):
+            group_boas(b, 2, tol=0.0)
+
+
+class TestPaperSeriesOracle:
+    """The local engine against the paper's critical-lattice series."""
+
+    @pytest.mark.parametrize("rates", [[1.0], [2.5], list(np.linspace(0.5, 2.5, 8))])
+    def test_orbit_reconstruct(self, rates):
+        inst = rotation_instance(rates)
+        v = np.ones(2 * len(rates)) / math.sqrt(2 * len(rates))
+        sigma = max(rates)
+        b = BernsteinVector(inst, v, sigma)
+        for t in (0.3, 0.7, 1.9):
+            want = paper_orbit_reconstruct(b, t, 4096)
+            budget = paper_orbit_budget(sigma, t, 4096)
+            for kw in ({"tol": 1e-9}, {"k_terms": 4096}):
+                got = orbit_reconstruct(b, t, **kw)
+                assert np.linalg.norm(got - want) <= budget + 1e-9, (t, kw)
+
+    @pytest.mark.parametrize("rates", [[1.0], [2.5], list(np.linspace(0.5, 2.5, 8))])
+    def test_group_boas(self, rates):
+        inst = rotation_instance(rates)
+        v = np.ones(2 * len(rates)) / math.sqrt(2 * len(rates))
+        sigma = max(rates)
+        b = BernsteinVector(inst, v, sigma)
+        for r in (1, 2, 3):
+            want = paper_group_boas(b, r, 4096)
+            budget = paper_group_boas_budget(sigma, r, 4096)
+            for kw in ({"tol": 1e-8}, {"k_terms": 4096}):
+                got = group_boas(b, r, **kw)
+                assert np.linalg.norm(got - want) <= budget + 1e-8, (r, kw)
 
 
 class TestDhtThroughGenericEngine:

@@ -1,5 +1,7 @@
 import cmath
 import math
+from dataclasses import dataclass, field
+from typing import Dict
 
 import numpy as np
 import pytest
@@ -7,18 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from bandlimit.errors import TruncationError
 from bandlimit.sinckernel import (
-    CoeffTable,
+    _WEIGHT_ERR,
     boas_coefficient,
     boas_coefficient_grid,
-    coefficient_table,
+    coefficient_halfwidth,
     coefficient_tail_bound,
     sinc,
     sinc_derivative,
     sinc_derivative_grid,
     sinc_grid,
-    zero_sum_residual,
 )
-from mp_reference import sinc_derivative_closed, sinc_derivative_series
+from mp_reference import sinc_derivative_closed, sinc_derivative_mp, sinc_derivative_series
 
 PI = math.pi
 
@@ -132,33 +133,15 @@ class TestSincDerivative:
                 assert lhs2 == pytest.approx(rhs2, abs=1e-9)
 
 
-def mp_sinc_derivative(m, x):
-    """sinc^(m)(x) from the termwise-differentiated Taylor series at 40
-    digits; for |x| <= 8 the alternating terms cost at most 11 of them."""
-    import mpmath as mp
-
-    with mp.workdps(40):
-        x = mp.mpf(x)
-        total = mp.mpf(0)
-        j = (m + 1) // 2
-        while True:
-            term = ((-1) ** j * mp.pi ** (2 * j) * x ** (2 * j - m)
-                    / ((2 * j + 1) * mp.factorial(2 * j - m)))
-            total += term
-            if 2 * j - m > 40 and abs(term) < mp.mpf(10) ** -45:
-                return float(total)
-            j += 1
-
-
 class TestHighOrderKernel:
-    """Every order m <= 20 within 1e-10 pi^m/(m+1) of a 40-digit reference,
+    """Every order m <= 20 within 1e-10 pi^m/(m+1) of a 50-digit reference,
     through both the scalar and the grid path."""
 
     @given(st.integers(min_value=0, max_value=20),
            st.floats(min_value=-8.0, max_value=8.0, allow_nan=False))
     @settings(max_examples=300, deadline=None)
     def test_against_mpmath(self, m, x):
-        want = mp_sinc_derivative(m, x)
+        want = sinc_derivative_mp(m, x)
         scale = 1e-10 * PI ** m / (m + 1)
         assert abs(sinc_derivative(m, x) - want) <= scale
         assert abs(sinc_derivative_grid(m, np.array([x]))[0] - want) <= scale
@@ -166,15 +149,27 @@ class TestHighOrderKernel:
     def test_switch_radii(self):
         # both sides of the series and quadrature switches, where the closed
         # form used to cancel (sinc^(16)(0.2) came out as 0.0)
-        for m in range(4, 21):
+        for m in range(2, 21):
             xs = np.array([0.0499, 0.05, 0.2, 0.15 * m - 1e-9, 0.15 * m, 0.15 * m + 0.1])
             xs = np.concatenate([xs, -xs])
             grid = sinc_derivative_grid(m, xs)
             for x, g in zip(xs, grid):
-                want = mp_sinc_derivative(m, float(x))
+                want = sinc_derivative_mp(m, float(x))
                 assert abs(g - want) <= 1e-10 * PI ** m / (m + 1), (m, x)
                 assert sinc_derivative(m, float(x)) == g
         assert sinc_derivative(16, 0.2) == pytest.approx(4.388e6, rel=1e-3)
+
+    def test_low_orders_past_the_series_radius(self):
+        # just above |x| = 0.05 the closed form cancels; sinc^(2) and
+        # sinc^(3) lost two and three digits there before quadrature
+        # covered them
+        xs = np.concatenate([np.linspace(0.0501, 0.6, 300), np.linspace(-3.0, 3.0, 241)])
+        for m in range(1, 9):
+            want = np.array([sinc_derivative_mp(m, x) for x in xs])
+            err = float(np.max(np.abs(sinc_derivative_grid(m, xs) - want))) / (PI ** m / (m + 1))
+            assert err <= 1e-14, (m, err)
+            # the budget the regularized certificate charges per weight
+            assert err <= _WEIGHT_ERR[min(m, 3)], (m, err)
 
 
 class TestBoasCoefficient:
@@ -221,6 +216,67 @@ class TestBoasCoefficient:
                     assert total <= target * (1.0 + 1e-12)
                     prev = total
                 assert prev >= target - coefficient_tail_bound(parity, m, 10000)
+
+
+# ---------------------------------------------------------------------------
+# truncated coefficient tables and zero-sum residuals: the absolute-sum and
+# partition-of-unity identities of the kernel, checked at finite half-width
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CoeffTable:
+    """Truncated coefficient family with a certified tail bound.
+
+    ``values`` maps every |k| <= halfwidth (k = 0 included only for even
+    parity) to its coefficient, bit-identical to :func:`boas_coefficient`.
+    ``tail`` bounds the absolute sum of all omitted coefficients, so
+
+        sum(|values|) <= pi^(2m-1 or 2m) <= sum(|values|) + tail.
+    """
+
+    parity: str
+    m: int
+    halfwidth: int
+    values: Dict[int, float] = field(repr=False)
+    tail: float = 0.0
+
+    def abs_sum(self) -> float:
+        return float(sum(abs(v) for v in self.values.values()))
+
+
+def coefficient_table(parity: str, m: int, tol: float,
+                      max_halfwidth: int = 1_000_000) -> CoeffTable:
+    """Build the smallest table whose analytic tail bound is <= tol.
+
+    Raises :class:`TruncationError` carrying the achievable tail when the
+    required half-width would exceed ``max_halfwidth``.
+    """
+    K = coefficient_halfwidth(parity, m, tol)
+    if K > max_halfwidth:
+        achievable = coefficient_tail_bound(parity, m, max_halfwidth)
+        raise TruncationError(
+            f"tail {achievable:.3e} at half-width {max_halfwidth} exceeds tol {tol:.3e}",
+            achievable=achievable,
+        )
+    ks = np.arange(-K, K + 1)
+    coeffs = boas_coefficient_grid(parity, m, ks)
+    values = {int(k): float(c) for k, c in zip(ks, coeffs)}
+    return CoeffTable(parity=parity, m=m, halfwidth=K, values=values,
+                      tail=coefficient_tail_bound(parity, m, K))
+
+
+def zero_sum_residual(m: int, x: float, halfwidth: int) -> float:
+    """|sum_{|k| <= halfwidth} sinc^(m)(x - k)|.
+
+    The full lattice sum of any derivative of the kernel vanishes; the
+    symmetric partial sums here tend to 0.  Terms are accumulated as
+    left/right pairs around k = 0 so that odd symmetry cancels exactly in
+    floating point (e.g. m = 1 at x = 0 returns 0.0 for every half-width).
+    """
+    ks = np.arange(1, halfwidth + 1)
+    pair = sinc_derivative_grid(m, x - ks) + sinc_derivative_grid(m, x + ks)
+    total = sinc_derivative(m, x) + float(np.sum(pair))
+    return abs(total)
 
 
 class TestCoefficientTable:
