@@ -8,7 +8,6 @@ from .errors import (
     QuadratureError,
     ReconstructionUnsoundError,
     ToleranceError,
-    TruncationError,
 )
 from .sinckernel import (
     boas_coefficient,

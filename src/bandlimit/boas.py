@@ -25,6 +25,12 @@ for even orders) so that the alternating cancellations behind the formulas
 hold exactly for partial sums; a constant input is annihilated by every
 even-order partial sum up to its alternating tail, and by every odd-order
 partial sum exactly.
+
+Every variant and parity is one table on the same engine: shifts s_k and
+weights w_k for k = 1..K, the pairing f(x + s_k) - f(x - s_k) for odd orders
+and f(x + s_k) + f(x - s_k) for even ones, a prefactor, and a multiple of
+f(x) or f'(x).  One row sum evaluates any table at an array of points, and
+K is the smallest half-width whose :func:`series_tail_bound` meets tol.
 """
 
 from __future__ import annotations
@@ -35,13 +41,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import ToleranceError
-from .sampling import BandlimitedFn
+from .sampling import BandlimitedFn, _row_sums
 from .sinckernel import (
     MAX_HALFWIDTH,
     _sharp_floor,
     boas_coefficient,
     boas_coefficient_grid,
-    coefficient_halfwidth,
     coefficient_tail_bound,
 )
 
@@ -51,46 +56,34 @@ _E = math.e
 
 def truncation_halfwidth(variant: str, r: int, sigma: float, sup_bound: float,
                          tol: float) -> int:
-    """Smallest series half-width K whose rigorous tail bound is <= tol.
+    """Smallest series half-width K <= MAX_HALFWIDTH whose
+    :func:`series_tail_bound` is <= tol.
 
     variant is "standard" (k^-2 weights) or "fast" (k^-3 weights).  The bound
-    multiplies the coefficient-tail majorant by the formula prefactor and the
-    sup bound of f; it is monotone in K, so the inversion is explicit.
+    is nonincreasing in K, so K is found by bisection.  Raises ToleranceError,
+    with the bound at MAX_HALFWIDTH as ``achievable``, when no K qualifies.
     """
-    if r < 1:
-        raise ValueError("derivative order must be >= 1")
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
-    M = max(sup_bound, 0.0)
-    if M == 0.0:
-        return 1
-    if variant == "standard":
-        m = (r + 1) // 2
-        parity = "odd" if r % 2 else "even"
-        scale = (sigma / _PI) ** r * M
-        return coefficient_halfwidth(parity, m, tol / scale)
-    if variant != "fast":
-        raise ValueError(f"variant must be 'standard' or 'fast', got {variant!r}")
-    if r % 2 == 0:
-        # sum_{|k|>K} |a(m,k)/(k-1/2)| <= (2m-1) pi^(2m-3) / (K-1/2)^2
-        m = r // 2
-        pref = 2 * m * sigma ** (2 * m) / _PI ** (2 * m) * M
-        c = (2 * m - 1) * _PI ** (2 * m - 3)
-        K = max(1, int(math.ceil(math.sqrt(pref * c / tol) + 0.5)))
-        return max(K, _sharp_floor("odd", m))
-    # odd fast: sum_{|k|>K} |b(m,k)/k| <= 2m pi^(2m-2) / K^2
-    m = (r - 1) // 2
-    if m < 1:
-        raise ValueError("fast variant needs order >= 2")
-    pref = (2 * m + 1) * sigma ** (2 * m + 1) / _PI ** (2 * m + 1) * M
-    c = 2 * m * _PI ** (2 * m - 2)
-    K = max(1, int(math.ceil(math.sqrt(pref * c / tol))))
-    return max(K, _sharp_floor("even", m))
+    best = series_tail_bound(variant, r, sigma, sup_bound, MAX_HALFWIDTH)
+    if not best <= tol:
+        raise ToleranceError(
+            f"tol {tol:.3e} needs half-width > {MAX_HALFWIDTH}", achievable=best)
+    lo, hi = 0, MAX_HALFWIDTH  # the tail meets tol at hi, not at lo (0: none)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if series_tail_bound(variant, r, sigma, sup_bound, mid) <= tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def series_tail_bound(variant: str, r: int, sigma: float, sup_bound: float,
                       halfwidth: int) -> float:
     """Certified bound on the omitted part of the derivative series."""
+    if r < 1:
+        raise ValueError("derivative order must be >= 1")
     K = int(halfwidth)
     if variant == "standard":
         m = (r + 1) // 2
@@ -98,62 +91,75 @@ def series_tail_bound(variant: str, r: int, sigma: float, sup_bound: float,
         return (sigma / _PI) ** r * sup_bound * coefficient_tail_bound(parity, m, K)
     if variant != "fast":
         raise ValueError(f"variant must be 'standard' or 'fast', got {variant!r}")
-    if r % 2 == 0:
-        m = r // 2
-        pref = 2 * m * sigma ** (2 * m) / _PI ** (2 * m) * sup_bound
-        c = (2 * m - 1) * _PI ** (2 * m - 3) if K >= _sharp_floor("odd", m) \
-            else math.factorial(2 * m - 1) * _E * _PI ** (2 * m - 3)
-        return pref * c / (K - 0.5) ** 2
-    m = (r - 1) // 2
-    pref = (2 * m + 1) * sigma ** (2 * m + 1) / _PI ** (2 * m + 1) * sup_bound
-    c = 2 * m * _PI ** (2 * m - 2) if K >= _sharp_floor("even", m) \
-        else math.factorial(2 * m) * _E * _PI ** (2 * m - 2)
-    return pref * c / K ** 2
+    if r < 2:
+        raise ValueError("fast variant needs order >= 2")
+    # sum_{|k|>K} |a(m,k)/(k-1/2)| (r = 2m) or |b(m,k)/k| (r = 2m+1) is at
+    # most (r-1) pi^(r-3)/d^2, d = K-1/2 resp. K, from the family's sharp
+    # floor on; below it (r-1)! e replaces r-1
+    sharp = K >= _sharp_floor("odd" if r % 2 == 0 else "even", r // 2)
+    c = (r - 1) * _PI ** (r - 3) if sharp else math.factorial(r - 1) * _E * _PI ** (r - 3)
+    d = K - 0.5 if r % 2 == 0 else K
+    return r * sigma ** r / _PI ** r * sup_bound * c / d ** 2
 
 
-def _resolve_halfwidth(variant: str, r: int, f: BandlimitedFn, tol: float,
-                       k_terms: Optional[int]) -> int:
+def _table(variant: str, r: int, sigma: float, K: int):
+    """The shifts and weights of one formula at half-width K, its prefactor,
+    and its local term (c, deriv, inside) or None: c f(x), or c f'(x) when
+    deriv, added before the prefactor when inside and after it otherwise.
+    Odd orders pair f(x + s_k) - f(x - s_k), even orders f(x + s_k) + f(x - s_k).
+
+    Half-integer shifts carry the a(m, k) family, integer shifts b(m, k); the
+    fast weights divide by the shift index.  The partner of k (1 - k or -k)
+    carries the weight of k, with the sign of the pairing.
+    """
+    half = (r % 2 == 1) == (variant == "standard")
+    m = (r + 1) // 2 if variant == "standard" else r // 2
+    ks = np.arange(1, K + 1)
+    j = ks - 0.5 if half else ks
+    coeffs = boas_coefficient_grid("odd" if half else "even", m, ks)
+    signs = (-1.0) ** (ks + 1)
+    shifts = _PI * j / sigma
+    if variant == "standard":
+        local = None if half else (-boas_coefficient("even", m, 0), False, True)
+        return shifts, signs * coeffs, (sigma / _PI) ** r, local
+    if half:
+        local = ((-1.0) ** m * sigma ** r, False, False)
+    else:
+        b0 = boas_coefficient("even", m, 0)
+        local = (-r * sigma ** (r - 1) / _PI ** (r - 1) * b0, True, False)
+    return shifts, signs * (coeffs / j), r * sigma ** r / _PI ** r, local
+
+
+def _shifted_series(f: BandlimitedFn, variant: str, r: int, xs: np.ndarray,
+                    tol: float, k_terms: Optional[int]) -> np.ndarray:
+    """One formula at every x in xs, at half-width ``k_terms`` or the
+    smallest K whose tail meets tol.
+
+    f is evaluated on a flat array per block of points, and each point's row
+    of 2K shifted samples is summed on its own, so a value does not depend on
+    which other points share its block.
+    """
     if k_terms is not None:
         if k_terms < 1:
             raise ValueError("k_terms must be >= 1")
-        return int(k_terms)
-    K = truncation_halfwidth(variant, r, f.sigma, f.sup_bound, tol)
-    if K > MAX_HALFWIDTH:
-        tail = series_tail_bound(variant, r, f.sigma, f.sup_bound, MAX_HALFWIDTH)
-        raise ToleranceError(
-            f"tol {tol:.3e} needs half-width {K} > {MAX_HALFWIDTH}",
-            achievable=tail)
-    return K
-
-
-#: shifted samples per block of the row evaluator
-_ROW_BLOCK = 1 << 17
-
-
-def _boas_rows(f: BandlimitedFn, r: int, xs: np.ndarray, K: int) -> np.ndarray:
-    """The standard series of half-width K at every x in xs.
-
-    The weights are built once; f is evaluated on a flat array per block of
-    points, and each point's row of 2K shifted samples is summed on its own,
-    so a value does not depend on which other points share its block.
-    """
-    sigma = f.sigma
-    ks = np.arange(1, K + 1)
+        K = int(k_terms)
+    else:
+        K = truncation_halfwidth(variant, r, f.sigma, f.sup_bound, tol)
+    shifts, w, scale, local = _table(variant, r, f.sigma, K)
     odd = r % 2 == 1
-    m = (r + 1) // 2
-    w = (-1.0) ** (ks + 1) * boas_coefficient_grid("odd" if odd else "even", m, ks)
-    # odd: the partner index 1-k carries the same weight with opposite sign
-    shifts = _PI * (ks - 0.5) / sigma if odd else _PI * ks / sigma
-    out = np.empty(xs.size)
-    rows = max(1, _ROW_BLOCK // K)
-    for i in range(0, xs.size, rows):
-        x = xs[i:i + rows, None]
+
+    def rows(b):
+        x = xs[b, None]
         plus = np.asarray(f((x + shifts).ravel()), dtype=float).reshape(-1, K)
         minus = np.asarray(f((x - shifts).ravel()), dtype=float).reshape(-1, K)
-        out[i:i + rows] = np.sum(w * (plus - minus if odd else plus + minus), axis=1)
-    if not odd:
-        out -= boas_coefficient("even", m, 0) * np.asarray(f(xs), dtype=float)
-    return (sigma / _PI) ** r * out
+        return np.sum(w * (plus - minus if odd else plus + minus), axis=1)
+
+    out = _row_sums(xs.size, K, rows)
+    if local is None:
+        return scale * out
+    c, deriv, inside = local
+    term = c * np.asarray((f.deriv_eval if deriv else f)(xs), dtype=float)
+    return scale * (out + term) if inside else scale * out + term
 
 
 def boas_derivative(f: BandlimitedFn, r: int, x: float, tol: float = 1e-6,
@@ -167,8 +173,7 @@ def boas_derivative(f: BandlimitedFn, r: int, x: float, tol: float = 1e-6,
     """
     if r < 1:
         raise ValueError("derivative order must be >= 1")
-    K = _resolve_halfwidth("standard", r, f, tol, k_terms)
-    return float(_boas_rows(f, r, np.array([float(x)]), K)[0])
+    return float(_shifted_series(f, "standard", r, np.array([float(x)]), tol, k_terms)[0])
 
 
 def boas_derivative_fast(f: BandlimitedFn, r: int, t: float, tol: float = 1e-6,
@@ -183,35 +188,9 @@ def boas_derivative_fast(f: BandlimitedFn, r: int, t: float, tol: float = 1e-6,
     """
     if r < 2:
         raise ValueError("fast variant needs order >= 2")
-    t = float(t)
-    K = _resolve_halfwidth("fast", r, f, tol, k_terms)
-    sigma = f.sigma
-    ks = np.arange(1, K + 1)
-    if r % 2 == 0:
-        m = r // 2
-        coeffs = boas_coefficient_grid("odd", m, ks) / (ks - 0.5)
-        signs = (-1.0) ** (ks + 1)
-        shifts = _PI * (ks - 0.5) / sigma
-        # weight at 1-k equals the weight at k with the same sign: both the
-        # coefficient and the divisor flip parity together
-        pair = signs * coeffs * (np.asarray(f(t + shifts), dtype=float)
-                                 + np.asarray(f(t - shifts), dtype=float))
-        series = 2 * m * sigma ** (2 * m) / _PI ** (2 * m) * float(np.sum(pair))
-        const = (-1.0) ** m * sigma ** (2 * m) * float(np.asarray(f(t), dtype=float))
-        return const + series
-    m = (r - 1) // 2
-    if f.deriv_eval is None:
+    if r % 2 == 1 and f.deriv_eval is None:
         raise ValueError("odd-order fast formula consumes f'(t): deriv_eval required")
-    coeffs = boas_coefficient_grid("even", m, ks) / ks
-    signs = (-1.0) ** (ks + 1)
-    shifts = _PI * ks / sigma
-    pair = signs * coeffs * (np.asarray(f(t + shifts), dtype=float)
-                             - np.asarray(f(t - shifts), dtype=float))
-    series = (2 * m + 1) * sigma ** (2 * m + 1) / _PI ** (2 * m + 1) * float(np.sum(pair))
-    b0 = boas_coefficient("even", m, 0)
-    dterm = -(2 * m + 1) * sigma ** (2 * m) / _PI ** (2 * m) * b0 \
-        * float(np.asarray(f.deriv_eval(t), dtype=float))
-    return dterm + series
+    return float(_shifted_series(f, "fast", r, np.array([float(t)]), tol, k_terms)[0])
 
 
 def bernstein_ratio(f: BandlimitedFn, m: int, p: float, grid: np.ndarray,
@@ -227,7 +206,7 @@ def bernstein_ratio(f: BandlimitedFn, m: int, p: float, grid: np.ndarray,
     grid = np.asarray(grid, dtype=float)
     if grid.size < 8 or np.any(~np.isfinite(grid)):
         raise ValueError("degenerate evaluation grid")
-    dvals = _boas_rows(f, m, grid, _resolve_halfwidth("standard", m, f, tol, None))
+    dvals = _shifted_series(f, "standard", m, grid, tol, None)
     fvals = np.asarray(f(grid), dtype=float)
     if p == math.inf:
         denom = float(np.max(np.abs(fvals)))

@@ -24,6 +24,15 @@ lattice samples e^(kH) a are signed shifts, free of any series evaluation:
     bounded: e^(tH)a = sinc(t) a + t sinc(t) Ha
              + sum_{k!=0} (t/k) sinc(t - k) (-1)^k a_(.+k)
 
+The two agree term for term: the scalar series of the orbit formula is
+
+    sum_{k!=0} sinc(t - k)/k = (1 - sinc t)/t,
+
+because sinc(t - k) = (-1)^k sin(pi t)/(pi (t - k)), 1/(k (t - k)) =
+(1/k + 1/(t - k))/t, the symmetric sum of (-1)^k/k vanishes, and
+sum_k (-1)^k/(t - k) = pi/sin(pi t) (the Mittag-Leffler series), so
+a - t ((1 - sinc t)/t) a = sinc(t) a.
+
 Powers come from the symbol.  H is the Toeplitz operator with symbol
 -i(pi - theta) on (0, 2 pi), so H^r has the kernel
 
@@ -234,59 +243,13 @@ def dht_instance(expand: int = 256) -> GroupInstance:
 # orbit sampling specialized to the transform (sigma = pi, u = t)
 # ---------------------------------------------------------------------------
 
-def _shift_series_halfwidth(t: float, a_norm: float, tol: float) -> int:
-    # alternating paired tail ~ |t| sin(pi t) ||a|| / (pi K^2)
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
-    c = max(abs(t), 1.0) * max(a_norm, 1e-30)
-    return max(64, int(math.ceil(math.sqrt(c / (_PI * tol)))))
-
-
-def _shift_terms(a: SeqWindow, t: float, tol: float, expand: Optional[int]):
-    """What both trajectory formulas consume, on the window grown by
-    ``expand`` (default from tol): its first index, a zero-padded onto it,
-    H a, and the shifted-sample convolution
-
-        sum_{k!=0} w(k) a_(.+k),  w(k) = (-1)^k sinc(t-k)/k = sin(pi t)/(pi k (t-k)).
-    """
-    if expand is None:
-        expand = _default_expand(a, tol)
-    ha = hilbert_apply(a, expand)
-    s = math.sin(_PI * t)
-
-    def w(d):  # w(k) at k = n - m = -d
-        return np.where(d == 0, 0.0, s / (_PI * -np.where(d == 0, 1, d) * (t + d)))
-
-    out_n0, shifted, _ = _window_convolve(a, expand, w)
-    return out_n0, a.on_range(out_n0, len(shifted)), ha, shifted
-
-
 def dht_orbit_reconstruct(a: SeqWindow, t: float, tol: float = 1e-6,
-                          expand: Optional[int] = None,
-                          k_terms: Optional[int] = None) -> SeqWindow:
-    """Trajectory value from signed-shift samples:
-
-        e^(tH)a = a + t sinc(t) Ha + t sum_{k!=0} ((-1)^k a_(.+k) - a)/k sinc(t-k)
-
-    The shifted part is a finite convolution (shifts vanish once they leave
-    the window); the scalar sum multiplying a is truncated symmetrically, with
-    alternating pairs giving an O(K^-2) remainder.  At integer t the formula
-    is the exact signed shift.
+                          expand: Optional[int] = None) -> SeqWindow:
+    """Trajectory value by the orbit formula of the module docstring.  Its
+    scalar series sum_{k!=0} sinc(t-k)/k = (1 - sinc t)/t turns the a terms
+    into sinc(t) a, so the formula is term for term :func:`dht_vt`.
     """
-    t = snap_integer(float(t))
-    _check_expand(expand)
-    if abs(t - round(t)) < INTEGER_EPS:
-        return integer_orbit(round(t), a)
-    out_n0, apad, ha, shifted = _shift_terms(a, t, tol, expand)
-    # scalar coefficient sum_{k!=0} sinc(t-k)/k: the +/-k pair collapses to
-    # (-1)^k (sin pi t / pi) * 2/(t^2 - k^2), an alternating series whose
-    # symmetric partial sums converge at O(K^-2)
-    K = k_terms if k_terms is not None else _shift_series_halfwidth(t, a.norm(), tol)
-    kk = np.arange(1, K + 1, dtype=float)
-    q = float(np.sum((-1.0) ** kk * (math.sin(_PI * t) / _PI) * 2.0 / (t * t - kk * kk)))
-    vals = apad + t * sinc(t) * ha.values + t * shifted - t * q * apad
-    tail = a.tail_l2 * (2.0 + abs(t) * (1.0 + _PI)) + abs(t) * ha.tail_l2
-    return SeqWindow(n0=out_n0, values=vals, tail_l2=tail)
+    return dht_vt(a, t, tol, expand)
 
 
 def dht_vt(a: SeqWindow, t: float, tol: float = 1e-6,
@@ -296,13 +259,24 @@ def dht_vt(a: SeqWindow, t: float, tol: float = 1e-6,
         e^(tH)a = sinc(t) a + t sinc(t) Ha + sum_{k!=0} (t/k) sinc(t-k) (-1)^k a_(.+k)
 
     Entirely finite for a windowed sequence: the only series is the shifted
-    convolution, and shifts beyond the window vanish.
+    convolution, with weights w(k) = (-1)^k sinc(t-k)/k = sin(pi t)/(pi k (t-k))
+    at k = n - m, on the window grown by ``expand`` (default from tol), and
+    shifts beyond the window vanish.
     """
     t = snap_integer(float(t))
     _check_expand(expand)
     if abs(t - round(t)) < INTEGER_EPS:
         return integer_orbit(round(t), a)
-    out_n0, apad, ha, shifted = _shift_terms(a, t, tol, expand)
+    if expand is None:
+        expand = _default_expand(a, tol)
+    ha = hilbert_apply(a, expand)
+    s = math.sin(_PI * t)
+
+    def w(d):  # w(k) at k = -d
+        return np.where(d == 0, 0.0, s / (_PI * -np.where(d == 0, 1, d) * (t + d)))
+
+    out_n0, shifted, _ = _window_convolve(a, expand, w)
+    apad = a.on_range(out_n0, len(shifted))
     vals = sinc(t) * apad + t * sinc(t) * ha.values + t * shifted
     tail = a.tail_l2 * (1.0 + abs(t) * (1.0 + _PI)) + abs(t) * ha.tail_l2
     return SeqWindow(n0=out_n0, values=vals, tail_l2=tail)

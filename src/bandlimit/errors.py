@@ -12,13 +12,6 @@ class ToleranceError(ArithmeticError):
         self.achievable = achievable
 
 
-class TruncationError(ToleranceError):
-    """A coefficient table cannot be truncated tightly enough.
-
-    ``achievable`` is the tail bound at the maximum permitted half-width.
-    """
-
-
 class ReconstructionUnsoundError(ArithmeticError):
     """Sample certificate too weak to close the reconstruction tail.
 

@@ -427,25 +427,6 @@ def coefficient_tail_bound(parity: Parity, m: int, halfwidth: int) -> float:
     return coarse
 
 
-def coefficient_halfwidth(parity: Parity, m: int, tol: float) -> int:
-    """Smallest half-width whose tail bound is <= tol (at least 1)."""
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
-    _check_parity(parity)
-    if m < 1:
-        raise ValueError("half-order m must be >= 1")
-    if parity == "odd":
-        guess = 2.0 * (2 * m - 1) * _PI ** (2 * m - 3) / tol + 0.5
-    else:
-        guess = 4.0 * m * _PI ** (2 * m - 2) / tol
-    K = max(1, int(math.ceil(guess)))
-    while K > 1 and coefficient_tail_bound(parity, m, K - 1) <= tol:
-        K -= 1
-    while coefficient_tail_bound(parity, m, K) > tol:
-        K += 1
-    return K
-
-
 def snap_integer(u: float) -> float:
     """Collapse u onto the nearest integer when it differs only by rounding.
 

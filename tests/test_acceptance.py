@@ -265,14 +265,14 @@ def test_c12_dht_formula_cross_checks():
     worst = 0.0
     for t in (0.3, 0.5, 1.7):
         want = hilbert_group(t, a, expand=10_000)
-        got_o = dht_orbit_reconstruct(a, t, expand=10_000, k_terms=10_000)
+        got_o = dht_orbit_reconstruct(a, t, expand=10_000)
         got_v = dht_vt(a, t, expand=10_000)
         lo = want.n0
         ln = len(want)
         worst = max(worst,
                     float(np.linalg.norm(got_o.on_range(lo, ln) - want.values)),
                     float(np.linalg.norm(got_v.on_range(lo, ln) - want.values)))
-    report("12a orbit formulas vs closed form", worst, 1e-4, "window 1e4, K=1e4")
+    report("12a orbit formulas vs closed form", worst, 1e-4, "window 1e4")
 
     vals = rng.standard_normal(513)
     vals -= vals.mean()

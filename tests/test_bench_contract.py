@@ -5,10 +5,14 @@ keyword: ``orbit_reconstruct(b, t, k_terms=K)``, ``group_boas(b, r,
 k_terms=K)``, ``group_boas(b, r, tol=1e-6)`` and the rest.  This test builds
 every workload at reduced size from the checked-in ``bench/`` sources, so a
 renamed function or keyword fails here first, and runs the group-orbit
-requests of ``oracle-series`` against their oracles.  It only reads
+requests of ``oracle-series`` against their oracles, and checks that every
+work counter of ``bench/tracing.py`` hooks a function that exists, since a
+hook on a renamed function reads 0 without an error.  It only reads
 ``bench/``.
 """
 
+import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -17,14 +21,17 @@ import pytest
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-@pytest.fixture(scope="module")
-def workloads():
+def _bench_module(name):
     sys.path.insert(0, str(BENCH))
     try:
-        import workloads
-        yield workloads
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(BENCH))
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _bench_module("workloads")
 
 
 def test_every_workload_builds_its_requests(workloads, tmp_path):
@@ -44,3 +51,15 @@ def test_group_orbit_requests_meet_their_oracles(workloads, tmp_path):
         if not err <= req.tol:
             missed.append(f"{req.label}: {err:.3e} > {req.tol:.3e}")
     assert not missed, missed
+
+
+def test_every_hook_names_a_public_library_function():
+    tracing = _bench_module("tracing")
+    for qual in tracing.HOOKS:
+        layer, name = qual.split(".")
+        assert layer in tracing.LAYERS, qual
+        mod = importlib.import_module(f"bandlimit.{layer}")
+        fn = getattr(mod, name, None)
+        # Tracer.install wraps exactly these: public functions defined there
+        assert (inspect.isfunction(fn) and not name.startswith("_")
+                and fn.__module__ == mod.__name__), qual

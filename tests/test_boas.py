@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from bandlimit.boas import (
 )
 from bandlimit.errors import ToleranceError
 from bandlimit.sampling import BandlimitedFn, make_reference
+from bandlimit.sinckernel import MAX_HALFWIDTH, boas_coefficient, boas_coefficient_grid
 
 PI = math.pi
 
@@ -21,6 +23,33 @@ def closed_derivative(kind, sigma, r, x):
     cycle_sin = [math.sin, math.cos, lambda t: -math.sin(t), lambda t: -math.cos(t)]
     base = cycle_sin[r % 4] if kind == "sin" else cycle_sin[(r + 1) % 4]
     return sigma ** r * base(sigma * x)
+
+
+def fast_reference(f, r, t, K):
+    """The fast formulas written out by hand, one branch per parity: the
+    reference the table-driven engine must reproduce bit for bit."""
+    sigma = f.sigma
+    ks = np.arange(1, K + 1)
+    signs = (-1.0) ** (ks + 1)
+    if r % 2 == 0:
+        m = r // 2
+        coeffs = boas_coefficient_grid("odd", m, ks) / (ks - 0.5)
+        shifts = PI * (ks - 0.5) / sigma
+        pair = signs * coeffs * (np.asarray(f(t + shifts), dtype=float)
+                                 + np.asarray(f(t - shifts), dtype=float))
+        series = 2 * m * sigma ** (2 * m) / PI ** (2 * m) * float(np.sum(pair))
+        const = (-1.0) ** m * sigma ** (2 * m) * float(np.asarray(f(t), dtype=float))
+        return const + series
+    m = (r - 1) // 2
+    coeffs = boas_coefficient_grid("even", m, ks) / ks
+    shifts = PI * ks / sigma
+    pair = signs * coeffs * (np.asarray(f(t + shifts), dtype=float)
+                             - np.asarray(f(t - shifts), dtype=float))
+    series = (2 * m + 1) * sigma ** (2 * m + 1) / PI ** (2 * m + 1) * float(np.sum(pair))
+    b0 = boas_coefficient("even", m, 0)
+    dterm = -(2 * m + 1) * sigma ** (2 * m) / PI ** (2 * m) * b0 \
+        * float(np.asarray(f.deriv_eval(t), dtype=float))
+    return dterm + series
 
 
 class TestBoasDerivative:
@@ -153,6 +182,42 @@ class TestFastVariants:
             tails = [series_tail_bound(variant, 2, 1.0, 1.0, K)
                      for K in (10, 100, 1000)]
             assert tails[0] > tails[1] > tails[2]
+
+
+    def test_bit_identical_to_hand_written_formulas(self):
+        for kind, sigma in itertools.product(("sin", "cos", "sinc", "fejer"), (1.0, 2.5)):
+            f = make_reference(kind, sigma)
+            for r in (2, 3, 4, 5):
+                K = truncation_halfwidth("fast", r, sigma, f.sup_bound, 1e-5)
+                for t in (0.0, 0.37, -2.9):
+                    want = fast_reference(f, r, t, K)
+                    assert boas_derivative_fast(f, r, t, tol=1e-5) == want
+                    assert boas_derivative_fast(f, r, t, k_terms=K) == want
+
+
+class TestTruncationHalfwidth:
+    def test_matches_scan_for_smallest_halfwidth(self):
+        for variant, r, sigma, sup, tol in itertools.product(
+                ("standard", "fast"), (1, 2, 3, 4, 5), (0.5, 1.0), (0.0, 0.3, 1.0),
+                (1e-1, 1e-2, 1e-3)):
+            if variant == "fast" and r == 1:
+                continue
+            scan = next(K for K in itertools.count(1)
+                        if series_tail_bound(variant, r, sigma, sup, K) <= tol)
+            assert truncation_halfwidth(variant, r, sigma, sup, tol) == scan
+
+    def test_beyond_max_halfwidth_raises_with_achievable_tail(self):
+        for variant, r in (("standard", 1), ("standard", 4), ("fast", 2), ("fast", 3)):
+            with pytest.raises(ToleranceError) as info:
+                truncation_halfwidth(variant, r, 1.0, 1.0, 1e-15)
+            assert info.value.achievable == series_tail_bound(variant, r, 1.0, 1.0,
+                                                              MAX_HALFWIDTH)
+
+    def test_rejects_bad_arguments(self):
+        for args in (("standard", 0, 1.0, 1.0, 1e-3), ("fast", 1, 1.0, 1.0, 1e-3),
+                     ("slow", 2, 1.0, 1.0, 1e-3), ("standard", 2, 1.0, 1.0, 0.0)):
+            with pytest.raises(ValueError):
+                truncation_halfwidth(*args)
 
 
 class TestBernsteinRatio:

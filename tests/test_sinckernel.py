@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bandlimit.errors import TruncationError
+from bandlimit.boas import truncation_halfwidth
+from bandlimit.errors import ToleranceError
 from bandlimit.sinckernel import (
     _WEIGHT_ERR,
     boas_coefficient,
     boas_coefficient_grid,
-    coefficient_halfwidth,
     coefficient_tail_bound,
     sinc,
     sinc_derivative,
@@ -223,6 +223,13 @@ class TestBoasCoefficient:
 # partition-of-unity identities of the kernel, checked at finite half-width
 # ---------------------------------------------------------------------------
 
+class TruncationError(ToleranceError):
+    """A coefficient table cannot be truncated tightly enough.
+
+    ``achievable`` is the tail bound at the maximum permitted half-width.
+    """
+
+
 @dataclass(frozen=True)
 class CoeffTable:
     """Truncated coefficient family with a certified tail bound.
@@ -251,8 +258,14 @@ def coefficient_table(parity: str, m: int, tol: float,
     Raises :class:`TruncationError` carrying the achievable tail when the
     required half-width would exceed ``max_halfwidth``.
     """
-    K = coefficient_halfwidth(parity, m, tol)
-    if K > max_halfwidth:
+    # at sigma = pi and sup bound 1 the standard series' tail is the
+    # coefficient tail itself
+    order = 2 * m - 1 if parity == "odd" else 2 * m
+    try:
+        K = truncation_halfwidth("standard", order, PI, 1.0, tol)
+    except ToleranceError:
+        K = None
+    if K is None or K > max_halfwidth:
         achievable = coefficient_tail_bound(parity, m, max_halfwidth)
         raise TruncationError(
             f"tail {achievable:.3e} at half-width {max_halfwidth} exceeds tol {tol:.3e}",
