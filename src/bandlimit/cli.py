@@ -33,10 +33,12 @@ from .dht import (
 from .errors import ReconstructionUnsoundError, ToleranceError
 from .grouporbit import (
     BernsteinVector,
+    OrbitSamples,
     exponential_type,
     group_boas,
     orbit_reconstruct,
     orbit_vt,
+    recover_initial,
     rotation_instance,
 )
 from .inequalities import favard_constant, lks_check, plancherel_polya_check
@@ -264,7 +266,10 @@ def _suite_group(cfg: RunConfig) -> SuiteReport:
     rep.add("orbit_reconstruct",
             float(np.max(np.abs(orbit_reconstruct(b, t, tol=1e-7) - exact))), 1e-6)
     rep.add("orbit_vt",
-            float(np.max(np.abs(orbit_vt(b, t, k_terms=4096) - exact))), 1e-6)
+            float(np.max(np.abs(orbit_vt(b, t, tol=1e-7) - exact))), 1e-6)
+    samples = OrbitSamples.from_bernstein(b, t)
+    rep.add("recover_initial",
+            float(np.max(np.abs(recover_initial(samples, tol=1e-7) - v))), 1e-6)
     return rep
 
 

@@ -5,34 +5,23 @@ let f satisfy the growth certificate ||D^k f|| <= sigma^k ||f|| for all k.
 The whole trajectory t -> e^(tD) f is then recoverable from orbit samples,
 and the generator powers D^r f come back from the same samples.
 
-Two lattices serve the entry points.
+Every entry point runs one local orbit engine on the twice-oversampled
+lattice n h, h = pi/(2 sigma), with the regularized kernel of
+:mod:`bandlimit.sinckernel`,
 
-* ``orbit_reconstruct`` and ``group_boas`` use the local orbit engine: the
-  twice-oversampled lattice n h, h = pi/(2 sigma), and the regularized
-  kernel of :mod:`bandlimit.sinckernel`,
+    D^r e^(tD) f ~= h^(-r) sum_{|n - n0| <= N} e^(n h D) f
+                    d^r/du^r [sinc(u - n) exp(-(pi/4) (u - n)^2 / N)],
 
-      D^r e^(tD) f ~= h^(-r) sum_{|n - n0| <= N} e^(n h D) f
-                      d^r/du^r [sinc(u - n) exp(-(pi/4) (u - n)^2 / N)],
-
-  u = t/h, n0 = round(u) (t = 0 for group_boas).  Every unit functional of
-  the trajectory is entire of type sigma and bounded by ||f|| on the real
-  line, so the scalar certificate of the regularized series, with sample
-  bound ||f||, bounds the error in norm; N is the smallest half-width it
-  certifies, and only the samples whose weight is nonzero are fetched.
-
-* ``orbit_vt`` and ``recover_initial`` are the paper's formulas on the
-  critical lattice k pi / sigma:
-
-      bounded: e^(tD)f = sinc(u) f + t sinc(u) Df
-               + sum_{k!=0} (s t / (k pi)) sinc(u - k) e^((k pi/s)D)f
-      initial: f = e^(tD)f - t sinc(u) e^(tD)Df
-               - t sum_{k!=0} (e^((k pi/s + t)D)f - e^(tD)f) / (k pi/s) * sinc(u + k)
-
-  with u = sigma t / pi.  Their terms are O(k^-2), and symmetric partial
-  sums can still carry a slowly decaying c/K residue when the orbit phases
-  resonate with the lattice (rotation blocks at exact type do), so they
-  return the Richardson combination 2 S_K - S_(K/2) of the partial sums at
-  half-widths K/2 and K, sized by an estimate (``_resolve_k``).
+u = t/h, n0 = round(u).  ``orbit_reconstruct`` and ``orbit_vt`` take r = 0,
+``group_boas`` t = 0, and ``recover_initial`` reads the trajectory from a
+base time t back to time 0 (u = -t/h, sample n at ``OrbitSamples.at(n/2)``).
+Every unit functional of the trajectory is entire of type sigma and bounded
+by ||f|| on the real line, so the scalar certificate of the regularized
+series, with sample bound ||f||, bounds the error in norm; N is the
+smallest half-width it certifies.  Once the weights are built, the
+smallest |w| are dropped while their running sum stays at or below
+2^-53 sum |w|; only the kept samples are fetched, and the dropped |w| times
+||f|| joins the certificate.
 
 The weights and sample points never depend on the group: any object
 implementing the :class:`GroupInstance` triple (orbit, generator, norm) plugs
@@ -47,14 +36,12 @@ from typing import Any, Callable, List, Optional
 
 import numpy as np
 
-from .errors import ToleranceError
 from .sinckernel import (
-    MAX_HALFWIDTH,
+    _UNIT,
+    _weight_bound,
     regularized_halfwidth,
     regularized_sinc_certificate,
     regularized_sinc_grid,
-    sinc,
-    sinc_grid,
     snap_integer,
 )
 
@@ -143,68 +130,7 @@ def rotation_instance(sigmas) -> GroupInstance:
 
 
 # ---------------------------------------------------------------------------
-# critical-lattice series engine (orbit_vt, recover_initial)
-# ---------------------------------------------------------------------------
-
-def _shells(K: int) -> np.ndarray:
-    """Shell indices 1..K, with K raised to an even number >= 2 so that the
-    Richardson snapshot falls after shell K/2."""
-    K = max(2, int(K))
-    return np.arange(1, K + K % 2 + 1)
-
-
-def _orbit_series(head, fetch: Callable[[Any], Any], times: np.ndarray,
-                  weights: np.ndarray):
-    """head + Richardson-extrapolated orbit series.
-
-    Row k - 1 of ``times`` and ``weights`` is shell k: the two points it pairs
-    (lattice indices k and -k, scaled to orbit times or passed as is to
-    :attr:`OrbitSamples.at`) and their weights.  Each
-    point is fetched once, outward from the center, and w * fetch(point)
-    accumulated; the partial sum S_(K/2) after the first half of the shells
-    feeds the 2 S_K - S_(K/2) combination.  Vectors need only + and
-    multiplication by a float, so arrays and sequence windows share this
-    loop.
-    """
-    half = times.size // 2
-    acc = snap = None
-    pairs = zip(times.ravel().tolist(), weights.ravel().tolist())
-    for j, (s, w) in enumerate(pairs, 1):
-        term = w * fetch(s)
-        acc = term if acc is None else acc + term
-        if j == half:
-            snap = acc
-    return 2.0 * (head + acc) - (head + snap)
-
-
-def _resolve_k(tol: float, t_scale: float, norm_f: float, sigma: float,
-               k_terms: Optional[int]) -> int:
-    """Half-width for the orbit series: a heuristic estimate, not a
-    certificate.
-
-    The extrapolated residue is modelled as c2 / K^2 with
-    c2 ~ 8 sigma ||f|| (1 + |u|)^2; K is sized so that model falls below
-    tol, floored at 64 shells.  Nothing proves the model bounds the error.
-    """
-    if k_terms is not None:
-        if k_terms < 2:
-            raise ValueError("k_terms must be >= 2")
-        return int(k_terms)
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
-    u = abs(t_scale) * sigma / _PI
-    c2 = 8.0 * sigma * max(norm_f, 1e-30) * (1.0 + u) ** 2
-    K = int(math.ceil(math.sqrt(c2 / tol))) + 2 * int(math.ceil(u))
-    K = max(64, K)
-    if K > MAX_HALFWIDTH:
-        raise ToleranceError(
-            f"tol {tol:.3e} needs half-width {K} > {MAX_HALFWIDTH}",
-            achievable=c2 / MAX_HALFWIDTH ** 2)
-    return K
-
-
-# ---------------------------------------------------------------------------
-# local orbit engine (orbit_reconstruct, group_boas)
+# local orbit engine (every entry point)
 # ---------------------------------------------------------------------------
 
 #: the local engine samples at h = pi/(2 sigma), twice the critical rate,
@@ -212,32 +138,40 @@ def _resolve_k(tol: float, t_scale: float, norm_f: float, sigma: float,
 _ALPHA = _PI / 4.0
 
 
-def _local_orbit(b: BernsteinVector, r: int, t: float, tol: float,
-                 k_terms: Optional[int]):
-    """D^r e^(tD) f from the orbit samples at n h, |n - n0| <= N, with
-    h = pi/(2 sigma); returns the vector and its certificate.
+def _kept(w: np.ndarray):
+    """Indices of the weights the sum keeps, in index order, and the sum of
+    the dropped |w|: the smallest |w| (exact zeros first) are dropped while
+    their running sum stays at or below 2^-53 sum |w|."""
+    a = np.abs(w)
+    order = np.argsort(a, kind="stable")
+    run = np.cumsum(a[order])
+    cut = int(np.searchsorted(run, _UNIT * run[-1], side="right"))
+    return np.sort(order[cut:]), float(run[cut - 1]) if cut else 0.0
 
-    N is ``k_terms`` when given (tol is then ignored), else the smallest
-    half-width whose certificate is <= tol.  The weights are
-    ``regularized_sinc_grid(r, u - n, N, pi/4) / h^r``; a sample whose
-    weight is exactly 0.0 (at a pinned N the Gaussian underflows beyond
-    |u - n| of about sqrt(745 N / alpha)) is not fetched.  Sample n is
-    fetched at t - (u - n) h, so the node n = u of a lattice time t is
-    fetched at t itself and reproduced exactly for r = 0.
 
-    The certificate covers the truncated series and the arithmetic of the
-    sum.  It takes each fetched orbit vector as exact: the group's own
+def _local_orbit(fetch: Callable[[int, float], Any], zero, bound: float, r: int,
+                 u: float, h: float, tol: float, k_terms: Optional[int]):
+    """h^-r sum_n fetch(n, u - n) d^r/du^r [sinc(u - n) exp(-alpha (u - n)^2/N)]
+    over |n - round(u)| <= N, alpha = pi/4; returns the vector and its
+    certificate.
+
+    ``fetch(n, d)`` returns the sample at lattice index n, d = u - n its
+    offset from the evaluation point; ``bound`` bounds every sample's norm
+    and ``zero`` starts the sum.  N is ``k_terms`` when given (tol is then
+    ignored), else the smallest half-width whose certificate, with room for
+    the dropped weights, is <= tol.  Only the samples the fetch rule of
+    :func:`_kept` keeps are fetched, each once, and summed in index order;
+    the certificate is the regularized series' plus the dropped |w| times
+    ``bound``.  It takes each fetched vector as exact: the group's own
     rounding, and the rounding of each sample time, are outside it.
     """
-    inst, v = b.instance, b.v
-    h = _PI / (2.0 * b.sigma)
-    u = snap_integer(t / h)
-    offset = u - round(u)
-    norm_f = inst.norm(v)  # bounds every sample: the group is isometric
+    u = snap_integer(u)
+    n0 = round(u)
+    offset = u - n0
 
     def cert(ns):
         return regularized_sinc_certificate(
-            r, ns, _ALPHA, norm_f, u=abs(u),
+            r, ns, _ALPHA, bound, u=abs(u),
             sin_factor=abs(math.sin(_PI * offset)) if r == 0 else 1.0) / h ** r
 
     if k_terms is not None:
@@ -247,98 +181,112 @@ def _local_orbit(b: BernsteinVector, r: int, t: float, tol: float,
     else:
         if tol <= 0.0:
             raise ValueError("tolerance must be positive")
-        N = regularized_halfwidth(cert, tol)
-    d = offset - np.arange(-N, N + 1)
+        # the dropped |w| sum to at most 2^-53 (2N+1) (1 + weight error) W_r,
+        # below 2^-52 (2N+1) W_r
+        N = regularized_halfwidth(lambda ns: cert(ns) + 2.0 * _UNIT * (2 * ns + 1)
+                                  * _weight_bound(r, ns, _ALPHA) * bound / h ** r, tol)
+    j = np.arange(-N, N + 1)
+    d = offset - j
     w = regularized_sinc_grid(r, d, N, _ALPHA) / h ** r
-    keep = np.flatnonzero(w)
-    acc = 0.0 * v
-    for s, wn in zip((t - d[keep] * h).tolist(), w[keep].tolist()):
-        acc = acc + wn * inst.orbit(s, v)
-    return acc, float(cert(N))
+    keep, dropped = _kept(w)
+    acc = zero
+    for n, dn, wn in zip((n0 + j[keep]).tolist(), d[keep].tolist(), w[keep].tolist()):
+        acc = acc + wn * fetch(n, dn)
+    return acc, float(cert(N)) + dropped * bound
+
+
+def _trajectory(b: BernsteinVector, r: int, t: float, tol: float,
+                k_terms: Optional[int]):
+    """D^r e^(tD) f by the local orbit engine: sample n is fetched at
+    t - (u - n) h, u = t/h, so the node n = u of a lattice time t is fetched
+    at t itself."""
+    inst, v = b.instance, b.v
+    h = _PI / (2.0 * b.sigma)
+    # every sample's norm is ||f||: the group is isometric
+    return _local_orbit(lambda n, d: inst.orbit(t - d * h, v), 0.0 * v, inst.norm(v),
+                        r, t / h, h, tol, k_terms)
 
 
 def orbit_reconstruct(b: BernsteinVector, t: float, tol: float = 1e-6,
                       k_terms: Optional[int] = None):
     """Reconstruct e^(tD) f from twice-oversampled orbit samples with the
     local orbit engine (module docstring): an error of at most tol in norm,
-    or 2 k_terms + 1 samples when ``k_terms`` pins the half-width.
+    or half-width ``k_terms`` when it is pinned.
 
     Exact at every t = m pi / (2 sigma), where one sample is fetched.
     Raises ToleranceError, with the achievable tol, below the rounding
     floor.
     """
-    return _local_orbit(b, 0, float(t), tol, k_terms)[0]
+    return _trajectory(b, 0, float(t), tol, k_terms)[0]
 
 
 def orbit_vt(b: BernsteinVector, t: float, tol: float = 1e-6,
              k_terms: Optional[int] = None):
-    """Trajectory value by the bounded-vector expansion (extra 1/k decay)."""
-    inst, v, sigma = b.instance, b.v, b.sigma
-    t = float(t)
-    u = snap_integer(sigma * t / _PI)
-    K = _resolve_k(tol, t, inst.norm(v), sigma, k_terms)
-    ks = _shells(max(K, 2 * (abs(int(round(u))) + 2)))
-    lattice = np.column_stack((ks, -ks))
-    weights = (u / lattice) * sinc_grid(u - lattice)
-    head = sinc(u) * (v + t * inst.generator(v))
-    return _orbit_series(head, lambda s: inst.orbit(s, v), lattice * (_PI / sigma), weights)
+    """Trajectory value e^(tD) f, the quantity of the paper's bounded-vector
+    expansion; served by the local orbit engine exactly as
+    :func:`orbit_reconstruct`."""
+    return _trajectory(b, 0, float(t), tol, k_terms)[0]
 
 
 @dataclass(frozen=True)
 class OrbitSamples:
     """Trajectory data around time t, as supplied by a caller.
 
-    f_t is e^(tD) f, df_t is e^(tD) D f, and at(k) fetches
-    e^((k pi/sigma + t) D) f.  Nothing here references f itself: for t off
-    the lattice, initial-value recovery genuinely rebuilds f from shifted
-    trajectory data only.
+    f_t is e^(tD) f and at(k) fetches e^((k pi/sigma + t) D) f.  The local
+    orbit engine reads the twice-oversampled lattice, so k is a multiple of
+    1/2: at(k) must accept half-integers.  Nothing here references f
+    itself: for t off the lattice, initial-value recovery genuinely rebuilds
+    f from shifted trajectory data only.
     """
 
     sigma: float
     t: float
     f_t: Any
-    df_t: Any
-    at: Callable[[int], Any]
+    at: Callable[[float], Any]
 
     @classmethod
     def from_bernstein(cls, b: BernsteinVector, t: float) -> "OrbitSamples":
         inst, v, sigma = b.instance, b.v, b.sigma
         step = _PI / sigma
-        return cls(sigma=sigma, t=float(t),
-                   f_t=inst.orbit(t, v),
-                   df_t=inst.orbit(t, inst.generator(v)),
+        return cls(sigma=sigma, t=float(t), f_t=inst.orbit(t, v),
                    at=lambda k: inst.orbit(k * step + float(t), v))
 
 
-def recover_initial(samples: OrbitSamples, tol: float = 1e-6,
-                    k_terms: Optional[int] = None,
-                    norm: Optional[Callable[[Any], float]] = None):
-    """Rebuild the initial vector f from trajectory samples around time t."""
-    sigma, t = samples.sigma, samples.t
-    u = snap_integer(sigma * t / _PI)
+def _initial(samples: OrbitSamples, tol: float, k_terms: Optional[int],
+             norm: Optional[Callable[[Any], float]]):
+    """f by the local orbit engine from base time t to time 0, u = -t/h:
+    sample n is at(n/2), bounded by ||f_t||."""
     f_t = samples.f_t
     if norm is not None:
         nf = norm(f_t)
     else:  # a vector's own norm() (SeqWindow), else Euclidean
         nf = f_t.norm() if hasattr(f_t, "norm") else float(np.linalg.norm(f_t))
-    K = _resolve_k(tol, t, nf, sigma, k_terms)
-    ks = _shells(max(K, 2 * (abs(int(round(u))) + 2)))
-    lattice = np.column_stack((ks, -ks))
-    weights = -t * sinc_grid(u + lattice) / (lattice * (_PI / sigma))
-    head = f_t - (t * sinc(u)) * samples.df_t
-    return _orbit_series(head, lambda k: samples.at(k) - f_t, lattice, weights)
+    h = _PI / (2.0 * samples.sigma)
+    return _local_orbit(lambda n, d: samples.at(n / 2), 0.0 * f_t, nf,
+                        0, -samples.t / h, h, tol, k_terms)
+
+
+def recover_initial(samples: OrbitSamples, tol: float = 1e-6,
+                    k_terms: Optional[int] = None,
+                    norm: Optional[Callable[[Any], float]] = None):
+    """Rebuild the initial vector f from trajectory samples around time t
+    with the local orbit engine: an error of at most tol in norm, or
+    half-width ``k_terms`` when it is pinned.  ``norm`` measures f_t, which
+    bounds every sample.  Raises ToleranceError, with the achievable tol,
+    below the rounding floor."""
+    return _initial(samples, tol, k_terms, norm)[0]
 
 
 def group_boas(b: BernsteinVector, r: int, tol: float = 1e-6,
                k_terms: Optional[int] = None):
     """Apply D^r through twice-oversampled orbit samples with the local orbit
     engine (module docstring): an error of at most tol in norm, or
-    2 k_terms + 1 samples when ``k_terms`` pins the half-width.
+    half-width ``k_terms`` when it is pinned.
     ||result|| <= sigma^r ||f|| up to that error.  Raises ToleranceError,
     with the achievable tol, below the rounding floor."""
     if r < 1:
         raise ValueError("power r must be >= 1")
-    return _local_orbit(b, int(r), 0.0, tol, k_terms)[0]
+    return _trajectory(b, int(r), 0.0, tol, k_terms)[0]
 
 
 @dataclass(frozen=True)

@@ -225,12 +225,19 @@ def regularized_sinc_grid(m: int, x, N: int, alpha: float) -> np.ndarray:
     (-sqrt(c))^j H_j(sqrt(c) x) exp(-c x^2), c = alpha/N, with the
     physicists' Hermite polynomials from H_(j+1) = 2y H_j - 2j H_(j-1).  For
     m = 0 the weights are exactly 1 at x = 0 and 0 at the other integers.
+    Where exp(-c x^2) underflows to 0.0 the weight is 0.0 and the sinc and
+    Hermite factors are not evaluated.
     """
     if m < 0:
         raise ValueError("derivative order must be >= 0")
     x = np.asarray(x, dtype=float)
     c = alpha / N
     gauss = np.exp(-c * x * x)
+    live = gauss != 0.0
+    if not live.all():
+        out = np.zeros_like(x)
+        out[live] = regularized_sinc_grid(m, x[live], N, alpha)
+        return out
     total = sinc_derivative_grid(m, x)
     y = math.sqrt(c) * x
     h_prev, h_j = np.ones_like(x), 2.0 * y

@@ -5,7 +5,8 @@ keyword: ``orbit_reconstruct(b, t, k_terms=K)``, ``group_boas(b, r,
 k_terms=K)``, ``group_boas(b, r, tol=1e-6)`` and the rest.  This test builds
 every workload at reduced size from the checked-in ``bench/`` sources, so a
 renamed function or keyword fails here first, and runs the group-orbit
-requests of ``oracle-series`` against their oracles, and checks that every
+requests of ``oracle-series`` against their oracles (at full size, also
+against a cap on their orbit fetches), and checks that every
 work counter of ``bench/tracing.py`` hooks a function that exists, since a
 hook on a renamed function reads 0 without an error.  It only reads
 ``bench/``.
@@ -51,6 +52,28 @@ def test_group_orbit_requests_meet_their_oracles(workloads, tmp_path):
         if not err <= req.tol:
             missed.append(f"{req.label}: {err:.3e} > {req.tol:.3e}")
     assert not missed, missed
+
+
+def test_full_size_group_requests_fetch_under_1000_orbit_samples(workloads, tmp_path):
+    # the K=4096 group requests of the full-size benchmark keep only the
+    # orbit samples whose weight can move the sum
+    wl = workloads.WORKLOADS["oracle-series"](0, tmp_path)
+    calls = {"orbit": 0}
+
+    def counting(fn, kind):
+        def wrapped(*args):
+            calls[kind] = calls.get(kind, 0) + 1
+            return fn(*args)
+        return wrapped
+
+    requests = [req for req in wl.requests(counting)
+                if req.layer == "grouporbit" and "K=4096" in req.label]
+    assert len(requests) == 36
+    for req in requests:
+        calls["orbit"] = 0
+        err, _ = req.check(req.run())
+        assert calls["orbit"] <= 1000, (req.label, calls["orbit"])
+        assert err <= req.tol, (req.label, err, req.tol)
 
 
 def test_every_hook_names_a_public_library_function():

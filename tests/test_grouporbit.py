@@ -10,9 +10,8 @@ from bandlimit.errors import ToleranceError
 from bandlimit.grouporbit import (
     BernsteinVector,
     OrbitSamples,
-    _local_orbit,
-    _orbit_series,
-    _shells,
+    _initial,
+    _trajectory,
     exponential_type,
     group_boas,
     orbit_reconstruct,
@@ -34,22 +33,77 @@ PI = math.pi
 
 
 # ---------------------------------------------------------------------------
-# the paper's critical-lattice series for the trajectory and for D^r f, as
-# orbit_reconstruct and group_boas summed them before the local orbit
-# engine: Richardson over the half-widths K/2 and K; a test oracle
+# the paper's critical-lattice series for the trajectory, the initial value
+# and D^r f, as the library summed them before the local orbit engine:
+# Richardson over the half-widths K/2 and K; a test oracle
 # ---------------------------------------------------------------------------
+
+def _shells(K):
+    """Shell indices 1..K, with K raised to an even number >= 2 so that the
+    Richardson snapshot falls after shell K/2."""
+    K = max(2, int(K))
+    return np.arange(1, K + K % 2 + 1)
+
+
+def _orbit_series(head, fetch, times, weights):
+    """head + Richardson-extrapolated orbit series.
+
+    Row k - 1 of ``times`` and ``weights`` is shell k: the two points it
+    pairs (lattice indices k and -k, as orbit times or as arguments of
+    ``fetch``) and their weights.  Each point is fetched once, outward from
+    the center, and w * fetch(point) accumulated; the partial sum S_(K/2)
+    after the first half of the shells feeds 2 S_K - S_(K/2).
+    """
+    half = times.size // 2
+    acc = snap = None
+    pairs = zip(times.ravel().tolist(), weights.ravel().tolist())
+    for j, (s, w) in enumerate(pairs, 1):
+        term = w * fetch(s)
+        acc = term if acc is None else acc + term
+        if j == half:
+            snap = acc
+    return 2.0 * (head + acc) - (head + snap)
+
+
+def _critical_lattice(u, K):
+    ks = _shells(max(K, 2 * (abs(int(round(u))) + 2)))
+    return np.column_stack((ks, -ks))
+
 
 def paper_orbit_reconstruct(b, t, K):
     """e^(tD)f = f + t sinc(u) Df
     + t sum_{k!=0} (e^((k pi/s)D)f - f) / (k pi/s) * sinc(u - k)."""
     inst, v, sigma = b.instance, b.v, b.sigma
     u = snap_integer(sigma * t / PI)
-    ks = _shells(max(K, 2 * (abs(int(round(u))) + 2)))
-    lattice = np.column_stack((ks, -ks))
+    lattice = _critical_lattice(u, K)
     times = lattice * (PI / sigma)
     weights = t * sinc_grid(u - lattice) / times
     head = v + (t * sinc(u)) * inst.generator(v)
     return _orbit_series(head, lambda s: inst.orbit(s, v) - v, times, weights)
+
+
+def paper_orbit_vt(b, t, K):
+    """Bounded-vector expansion: e^(tD)f = sinc(u) (f + t Df)
+    + sum_{k!=0} (u/k) sinc(u - k) e^((k pi/s)D)f."""
+    inst, v, sigma = b.instance, b.v, b.sigma
+    u = snap_integer(sigma * t / PI)
+    lattice = _critical_lattice(u, K)
+    weights = (u / lattice) * sinc_grid(u - lattice)
+    head = sinc(u) * (v + t * inst.generator(v))
+    return _orbit_series(head, lambda s: inst.orbit(s, v), lattice * (PI / sigma), weights)
+
+
+def paper_recover_initial(b, t, K):
+    """f = e^(tD)f - t sinc(u) e^(tD)Df
+    - t sum_{k!=0} (e^((k pi/s + t)D)f - e^(tD)f) / (k pi/s) * sinc(u + k)."""
+    inst, v, sigma = b.instance, b.v, b.sigma
+    u = snap_integer(sigma * t / PI)
+    f_t = inst.orbit(t, v)
+    lattice = _critical_lattice(u, K)
+    weights = -t * sinc_grid(u + lattice) / (lattice * (PI / sigma))
+    head = f_t - (t * sinc(u)) * inst.orbit(t, inst.generator(v))
+    return _orbit_series(head, lambda k: inst.orbit(k * (PI / sigma) + t, v) - f_t,
+                         lattice, weights)
 
 
 def paper_group_boas(b, r, K):
@@ -160,13 +214,6 @@ class TestOrbitReconstruct:
         rhs = (orbit_reconstruct(BernsteinVector(inst, v1, 1.0), t, k_terms=512)
                + 3 * orbit_reconstruct(BernsteinVector(inst, v2, 1.0), t, k_terms=512))
         assert np.allclose(lhs, rhs, atol=1e-10)
-
-    def test_convergence_order(self):
-        # halving tol should grow the half-width by at most a factor 4
-        from bandlimit.grouporbit import _resolve_k
-        k1 = _resolve_k(1e-5, 0.7, 1.0, 1.0, None)
-        k2 = _resolve_k(5e-6, 0.7, 1.0, 1.0, None)
-        assert k1 <= k2 <= 4 * k1
 
 
 class TestRecoverInitial:
@@ -298,52 +345,55 @@ def counting_instance(sigma):
     return dataclasses.replace(inst, orbit=orbit), times
 
 
-def local_weight_count(sigma, r, t, N):
-    """Nonzero weights of the local orbit engine at half-width N."""
-    u = snap_integer(t / (PI / (2.0 * sigma)))
+def kept_support(r, u, N, h):
+    """Samples the local orbit engine keeps at half-width N: the smallest
+    |w| go while their running sum stays at or below 2^-53 sum |w|."""
+    u = snap_integer(u)
     d = (u - round(u)) - np.arange(-N, N + 1)
-    return int(np.count_nonzero(regularized_sinc_grid(r, d, N, PI / 4)))
+    w = np.abs(regularized_sinc_grid(r, d, N, PI / 4) / h ** r)
+    run = np.cumsum(np.sort(w))
+    return w.size - int(np.count_nonzero(run <= 2.0 ** -53 * run[-1]))
 
 
 class TestOrbitFetches:
-    @pytest.mark.parametrize("k_terms", [64, 63])
-    def test_each_entry_point_fetches_2k_distinct_times(self, k_terms):
-        # the critical-lattice entry points; orbit_reconstruct and group_boas
-        # read the local engine, see the next test
-        K = 64  # an odd half-width is raised to the next even one
-        inst, times = counting_instance(2.0)
-        b = BernsteinVector(inst, unit_vector(), 2.0)
-        samples = OrbitSamples.from_bernstein(b, 0.7)
-        calls = {
-            "orbit_vt": lambda: orbit_vt(b, 0.7, k_terms=k_terms),
-            "recover_initial": lambda: recover_initial(samples, k_terms=k_terms),
-        }
-        for name, call in calls.items():
+    SIGMA, T = 2.0, 0.7
+
+    def check_fetches(self, calls, times, N):
+        """Each call fetches its kept support, every time once."""
+        h = PI / (2.0 * self.SIGMA)
+        for (name, r, u), call in calls.items():
             times.clear()
             call()
-            assert len(times) == 2 * K, name
-            assert len(set(times)) == 2 * K, name
+            want = kept_support(r, u / h, N, h)
+            assert len(times) == len(set(times)) == want, (name, r, N)
+            # at most the 2N+1 window; odd orders weigh the center 0
+            assert want <= 2 * N + 1 - r % 2
+            if N == 4096:
+                assert want < 1000, (name, r)
+
+    @pytest.mark.parametrize("k_terms", [64, 63, 4096])
+    def test_each_entry_point_fetches_2k_distinct_times(self, k_terms):
+        # the former critical-lattice entry points now read the local engine
+        # window of 2K+1 samples; orbit_reconstruct and group_boas are the
+        # next test
+        inst, times = counting_instance(self.SIGMA)
+        b = BernsteinVector(inst, unit_vector(), self.SIGMA)
+        samples = OrbitSamples.from_bernstein(b, self.T)
+        self.check_fetches({
+            ("orbit_vt", 0, self.T): lambda: orbit_vt(b, self.T, k_terms=k_terms),
+            ("recover_initial", 0, -self.T):
+                lambda: recover_initial(samples, k_terms=k_terms),
+        }, times, k_terms)
 
     @pytest.mark.parametrize("N", [63, 64, 4096])
     def test_local_engine_fetches_each_nonzero_weight_once(self, N):
-        inst, times = counting_instance(2.0)
-        b = BernsteinVector(inst, unit_vector(), 2.0)
-        calls = {
-            (0, 0.7): lambda: orbit_reconstruct(b, 0.7, k_terms=N),
-            (1, 0.0): lambda: group_boas(b, 1, k_terms=N),
-            (2, 0.0): lambda: group_boas(b, 2, k_terms=N),
-            (3, 0.0): lambda: group_boas(b, 3, k_terms=N),
-        }
-        for (r, t), call in calls.items():
-            times.clear()
-            call()
-            want = local_weight_count(2.0, r, t, N)
-            assert len(times) == len(set(times)) == want, (r, N)
-            # odd orders weigh the center 0; past |d| ~ sqrt(745 N / alpha)
-            # the Gaussian underflows to 0
-            assert want <= 2 * N + 1 - r % 2
-            if N == 4096:
-                assert want < 4000
+        inst, times = counting_instance(self.SIGMA)
+        b = BernsteinVector(inst, unit_vector(), self.SIGMA)
+        self.check_fetches({
+            ("orbit_reconstruct", 0, self.T): lambda: orbit_reconstruct(b, self.T, k_terms=N),
+            **{("group_boas", r, 0.0): lambda r=r: group_boas(b, r, k_terms=N)
+               for r in (1, 2, 3)},
+        }, times, N)
 
     def test_tolerance_driven_fetches(self):
         inst, times = counting_instance(2.5)
@@ -359,22 +409,30 @@ class TestLocalOrbitEngine:
            sigma=st.floats(min_value=0.25, max_value=2.0),
            seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
            t=st.floats(min_value=-3.0, max_value=3.0),
-           r=st.integers(min_value=0, max_value=3),
-           tol=st.sampled_from([1e-3, 1e-6, 1e-9]))
-    @settings(max_examples=150, deadline=None)
-    def test_error_within_certificate(self, blocks, sigma, seed, t, r, tol):
-        # rotation blocks at rates up to the certified sigma, unit vector
+           case=st.sampled_from([0, 1, 2, 3, "recover_initial"]),
+           tol=st.sampled_from([1e-3, 1e-6, 1e-9]),
+           k_terms=st.sampled_from([None, 64, 512, 4096]))
+    @settings(max_examples=200, deadline=None)
+    def test_error_within_certificate(self, blocks, sigma, seed, t, case, tol, k_terms):
+        # rotation blocks at rates up to the certified sigma, unit vector;
+        # the certificate includes the dropped weights
         rng = np.random.default_rng(seed)
         rates = sigma * rng.uniform(0.01, 1.0, blocks)
         rates[0] = sigma
         inst = rotation_instance(rates)
         v = rng.standard_normal(2 * blocks)
         v /= np.linalg.norm(v)
-        want = inst.orbit(t, v)
-        for _ in range(r):
-            want = inst.generator(want)
-        got, cert = _local_orbit(BernsteinVector(inst, v, sigma), r, t, tol, None)
-        assert cert <= tol
+        b = BernsteinVector(inst, v, sigma)
+        if case == "recover_initial":
+            want = v
+            got, cert = _initial(OrbitSamples.from_bernstein(b, t), tol, k_terms, None)
+        else:
+            want = inst.orbit(t, v)
+            for _ in range(case):
+                want = inst.generator(want)
+            got, cert = _trajectory(b, case, t, tol, k_terms)
+        if k_terms is None:
+            assert cert <= tol
         assert float(np.linalg.norm(got - want)) <= cert
 
     @pytest.mark.parametrize("sigma", [1.0, 2.0, 2.5])
@@ -384,11 +442,12 @@ class TestLocalOrbitEngine:
         b = BernsteinVector(inst, v, sigma)
         for k in (-3, 0, 1, 4, 17):
             t = k * PI / sigma
-            for kw in ({"tol": 1e-9}, {"k_terms": 4096}):
-                times.clear()
-                got = orbit_reconstruct(b, t, **kw)
-                assert times == [t], (k, kw)
-                assert np.array_equal(got, inst.orbit(t, v)), (k, kw)
+            for call in (orbit_reconstruct, orbit_vt):
+                for kw in ({"tol": 1e-9}, {"k_terms": 4096}):
+                    times.clear()
+                    got = call(b, t, **kw)
+                    assert times == [t], (k, kw)
+                    assert np.array_equal(got, inst.orbit(t, v)), (k, kw)
 
     def test_rounding_floor_raises_achievable(self):
         inst = rotation_instance([2.5])
@@ -426,6 +485,33 @@ class TestPaperSeriesOracle:
             budget = paper_orbit_budget(sigma, t, 4096)
             for kw in ({"tol": 1e-9}, {"k_terms": 4096}):
                 got = orbit_reconstruct(b, t, **kw)
+                assert np.linalg.norm(got - want) <= budget + 1e-9, (t, kw)
+
+    @pytest.mark.parametrize("rates", [[1.0], [2.5], list(np.linspace(0.5, 2.5, 8))])
+    def test_orbit_vt(self, rates):
+        inst = rotation_instance(rates)
+        v = np.ones(2 * len(rates)) / math.sqrt(2 * len(rates))
+        sigma = max(rates)
+        b = BernsteinVector(inst, v, sigma)
+        for t in (0.3, 0.7, 1.9):
+            want = paper_orbit_vt(b, t, 4096)
+            budget = paper_orbit_budget(sigma, t, 4096)
+            for kw in ({"tol": 1e-9}, {"k_terms": 4096}):
+                got = orbit_vt(b, t, **kw)
+                assert np.linalg.norm(got - want) <= budget + 1e-9, (t, kw)
+
+    @pytest.mark.parametrize("rates", [[1.0], [2.5], list(np.linspace(0.5, 2.5, 8))])
+    def test_recover_initial(self, rates):
+        inst = rotation_instance(rates)
+        v = np.ones(2 * len(rates)) / math.sqrt(2 * len(rates))
+        sigma = max(rates)
+        b = BernsteinVector(inst, v, sigma)
+        for t in (0.3, 0.7, 1.9):
+            want = paper_recover_initial(b, t, 4096)
+            budget = paper_orbit_budget(sigma, t, 4096)
+            samples = OrbitSamples.from_bernstein(b, t)
+            for kw in ({"tol": 1e-9}, {"k_terms": 4096}):
+                got = recover_initial(samples, **kw)
                 assert np.linalg.norm(got - want) <= budget + 1e-9, (t, kw)
 
     @pytest.mark.parametrize("rates", [[1.0], [2.5], list(np.linspace(0.5, 2.5, 8))])

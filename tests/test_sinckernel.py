@@ -14,6 +14,7 @@ from bandlimit.sinckernel import (
     boas_coefficient,
     boas_coefficient_grid,
     coefficient_tail_bound,
+    regularized_sinc_grid,
     sinc,
     sinc_derivative,
     sinc_derivative_grid,
@@ -170,6 +171,37 @@ class TestHighOrderKernel:
             assert err <= 1e-14, (m, err)
             # the budget the regularized certificate charges per weight
             assert err <= _WEIGHT_ERR[min(m, 3)], (m, err)
+
+
+def full_regularized_sinc_grid(m, x, N, alpha):
+    """The Leibniz sum of regularized_sinc_grid evaluated at every offset,
+    underflowed Gaussian or not: the reference for its skipped entries."""
+    c = alpha / N
+    total = sinc_derivative_grid(m, x)
+    y = math.sqrt(c) * x
+    h_prev, h_j = np.ones_like(x), 2.0 * y
+    for j in range(1, m + 1):
+        total = total + math.comb(m, j) * (-math.sqrt(c)) ** j * h_j * sinc_derivative_grid(m - j, x)
+        h_prev, h_j = h_j, 2.0 * y * h_j - 2.0 * j * h_prev
+    return total * np.exp(-c * x * x)
+
+
+class TestRegularizedKernel:
+    @pytest.mark.parametrize("N", [64, 4096])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_underflow_skip_bit_identical(self, m, N):
+        # the Gaussian underflows beyond |x| of about sqrt(745 N / alpha):
+        # 246 at N = 64, 1 972 at N = 4 096
+        span = max(2 * N, 512)
+        for offset in (0.0, 0.37, -0.5):
+            x = offset - np.arange(-span, span + 1)
+            got = regularized_sinc_grid(m, x, N, PI / 4)
+            want = full_regularized_sinc_grid(m, x, N, PI / 4)
+            live = np.exp(-(PI / 4) / N * x * x) != 0.0
+            assert 0 < np.count_nonzero(live) < x.size
+            assert np.array_equal(got[live].view(np.uint64), want[live].view(np.uint64))
+            # the full sum gives +-0.0 there; the skip writes +0.0
+            assert np.all(want[~live] == 0.0) and np.all(got[~live].view(np.uint64) == 0)
 
 
 class TestBoasCoefficient:
