@@ -29,8 +29,9 @@ partial sum exactly.
 Every variant and parity is one table on the same engine: shifts s_k and
 weights w_k for k = 1..K, the pairing f(x + s_k) - f(x - s_k) for odd orders
 and f(x + s_k) + f(x - s_k) for even ones, a prefactor, and a multiple of
-f(x) or f'(x).  One row sum evaluates any table at an array of points, and
-K is the smallest half-width whose :func:`series_tail_bound` meets tol.
+f(x) or f'(x).  One row sum evaluates any table at an array of points, in
+blocks of 2^15 shifts so that memory does not grow with K, and K is the
+smallest half-width whose :func:`series_tail_bound` meets tol.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ToleranceError
-from .sampling import BandlimitedFn, _row_sums
+from .sampling import _VT_BLOCK, BandlimitedFn, _row_sums
 from .sinckernel import (
     MAX_HALFWIDTH,
     _sharp_floor,
@@ -102,8 +103,8 @@ def series_tail_bound(variant: str, r: int, sigma: float, sup_bound: float,
     return r * sigma ** r / _PI ** r * sup_bound * c / d ** 2
 
 
-def _table(variant: str, r: int, sigma: float, K: int):
-    """The shifts and weights of one formula at half-width K, its prefactor,
+def _table(variant: str, r: int, sigma: float, k0: int, k1: int):
+    """The shifts and weights of one formula for k0 <= k < k1, its prefactor,
     and its local term (c, deriv, inside) or None: c f(x), or c f'(x) when
     deriv, added before the prefactor when inside and after it otherwise.
     Odd orders pair f(x + s_k) - f(x - s_k), even orders f(x + s_k) + f(x - s_k).
@@ -114,10 +115,11 @@ def _table(variant: str, r: int, sigma: float, K: int):
     """
     half = (r % 2 == 1) == (variant == "standard")
     m = (r + 1) // 2 if variant == "standard" else r // 2
-    ks = np.arange(1, K + 1)
+    ks = np.arange(k0, k1)
     j = ks - 0.5 if half else ks
     coeffs = boas_coefficient_grid("odd" if half else "even", m, ks)
-    signs = (-1.0) ** (ks + 1)
+    signs = np.ones(ks.size)
+    signs[k0 % 2::2] = -1.0  # (-1)^(k+1), -1 at the even k
     shifts = _PI * j / sigma
     if variant == "standard":
         local = None if half else (-boas_coefficient("even", m, 0), False, True)
@@ -135,9 +137,9 @@ def _shifted_series(f: BandlimitedFn, variant: str, r: int, xs: np.ndarray,
     """One formula at every x in xs, at half-width ``k_terms`` or the
     smallest K whose tail meets tol.
 
-    f is evaluated on a flat array per block of points, and each point's row
-    of 2K shifted samples is summed on its own, so a value does not depend on
-    which other points share its block.
+    f is evaluated on a flat array per block of _VT_BLOCK shifts and of
+    points; each point's partial rows are summed on their own, so a value
+    does not depend on its block's other points, and added in block order.
     """
     if k_terms is not None:
         if k_terms < 1:
@@ -145,16 +147,18 @@ def _shifted_series(f: BandlimitedFn, variant: str, r: int, xs: np.ndarray,
         K = int(k_terms)
     else:
         K = truncation_halfwidth(variant, r, f.sigma, f.sup_bound, tol)
-    shifts, w, scale, local = _table(variant, r, f.sigma, K)
     odd = r % 2 == 1
 
-    def rows(b):
+    def rows(b, shifts, w):
         x = xs[b, None]
-        plus = np.asarray(f((x + shifts).ravel()), dtype=float).reshape(-1, K)
-        minus = np.asarray(f((x - shifts).ravel()), dtype=float).reshape(-1, K)
+        plus = np.asarray(f((x + shifts).ravel()), dtype=float).reshape(-1, shifts.size)
+        minus = np.asarray(f((x - shifts).ravel()), dtype=float).reshape(-1, shifts.size)
         return np.sum(w * (plus - minus if odd else plus + minus), axis=1)
 
-    out = _row_sums(xs.size, K, rows)
+    for k0 in range(1, K + 1, _VT_BLOCK):
+        shifts, w, scale, local = _table(variant, r, f.sigma, k0, min(k0 + _VT_BLOCK, K + 1))
+        part = _row_sums(xs.size, shifts.size, lambda b: rows(b, shifts, w))
+        out = part if k0 == 1 else out + part  # not 0.0 + part: -0.0 stays
     if local is None:
         return scale * out
     c, deriv, inside = local

@@ -385,7 +385,7 @@ def wks_eval(s: UniformSamples, m: int, x: float, tol: float) -> float:
 # Valiron / Tschakaloff
 # ---------------------------------------------------------------------------
 
-#: lattice indices per block of the Valiron-Tschakaloff sum
+#: indices per block of a long 1-D sum: Valiron-Tschakaloff, Boas shifts
 _VT_BLOCK = 1 << 15
 
 

@@ -97,25 +97,35 @@ def sinc(x: float) -> float:
     return float(sinc_grid(_require_finite(x)))
 
 
-def _snap_grid(x: np.ndarray) -> np.ndarray:
+def _snap_mask(x: np.ndarray):
+    # round(x), and where x is within 8 ulps of it (ulps of max(1, |x|)) or infinite
     r = np.round(x)
-    near = np.abs(x - r) <= 8.0 * 2.220446049250313e-16 * np.maximum(1.0, np.abs(x))
+    return r, (np.abs(x - r) <= 16.0 * _UNIT * np.maximum(1.0, np.abs(x))) | np.isinf(x)
+
+
+def _snap_grid(x: np.ndarray) -> np.ndarray:
+    r, near = _snap_mask(x)
     return np.where(near, r, x)
 
 
 def sinc_grid(x) -> np.ndarray:
     """Vectorized normalized sinc with exact zeros at the nonzero integers.
 
-    Real arguments are ulp-snapped onto nearby integers first; complex
-    arguments are taken as given.
+    Real arguments within a few ulps of an integer, or infinite, count as
+    that integer (:func:`_snap_mask`); complex arguments are taken as given.
     """
     x = np.asarray(x)
-    if not np.iscomplexobj(x):
-        x = _snap_grid(x.astype(float, copy=False))
-    safe = np.where(x == 0.0, 1.0, x)
-    out = np.sin(_PI * safe) / (_PI * safe)
-    out = np.where(x == 0.0, 1.0, out)
-    return np.where((x == np.round(x.real)) & (x != 0.0), 0.0, out)
+    if np.iscomplexobj(x):
+        r = np.round(x.real)
+        near = x == r
+    else:
+        x = x.astype(float, copy=False)
+        r, near = _snap_mask(x)
+    with np.errstate(invalid="ignore"):  # 0/0 at 0 and sin(inf), set below
+        out = np.sin(_PI * x, out=np.empty_like(x))
+        out /= _PI * x
+    out[near] = r[near] == 0.0  # 1 at 0, 0 at the other integers and at +-inf
+    return out
 
 
 def _series_coeff(m: int, j: int) -> float:
@@ -134,15 +144,20 @@ def _series_grid(m: int, x: np.ndarray) -> np.ndarray:
 
 
 def _closed_grid(m: int, x: np.ndarray) -> np.ndarray:
+    # both sums by Horner's rule in (pi x)^2, x^(m+1) by a running product
     px = _PI * x
-    s1 = np.zeros_like(x)
-    for v in range(m // 2 + 1):
-        s1 += (-1.0) ** v * px ** (2 * v) / math.factorial(2 * v)
-    s2 = np.zeros_like(x)
-    for v in range((m - 1) // 2 + 1):
-        s2 += (-1.0) ** v * px ** (2 * v + 1) / math.factorial(2 * v + 1)
-    lead = (-1.0) ** m * math.factorial(m) / (_PI * x ** (m + 1))
-    return lead * (np.sin(px) * s1 - np.cos(px) * s2)
+    s1, s2, xm = np.zeros_like(x), np.zeros_like(x), np.ones_like(x)
+    for k in range(m, -1, -1):  # (-1)^(k//2) (pi x)^k/k!: even k to s1, odd k to s2/(pi x)
+        s = s2 if k % 2 else s1
+        if k < m - 1:
+            s *= px * px
+        s += (-1.0) ** (k // 2) / math.factorial(k)
+        xm *= x
+    s1 *= np.sin(px)
+    s2 *= px
+    s2 *= np.cos(px)
+    s1 -= s2
+    return np.divide((-1.0) ** m * math.factorial(m), np.multiply(xm, _PI, out=xm), out=xm) * s1
 
 
 def sinc_derivative(m: int, x: float) -> float:
@@ -164,17 +179,11 @@ def sinc_derivative_grid(m: int, x) -> np.ndarray:
     if m == 0:
         return sinc_grid(x)
     out = np.empty_like(x)
-    ax = np.abs(x)
-    small = ax < _SERIES_RADIUS
-    if small.any():
-        out[small] = _series_grid(m, x[small])
-    quad_radius = _QUAD_SLOPE * m if m >= _QUAD_MIN_ORDER else 0.0
-    mid = ~small & (ax < quad_radius)
-    if mid.any():
-        out[mid] = _quad_grid(m, x[mid])
-    big = ~(small | mid)
-    if big.any():
-        out[big] = _closed_grid(m, x[big])
+    small = np.abs(x) < _SERIES_RADIUS
+    mid = ~small & (np.abs(x) < (_QUAD_SLOPE * m if m >= _QUAD_MIN_ORDER else 0.0))
+    for part, branch in ((small, _series_grid), (mid, _quad_grid), (~(small | mid), _closed_grid)):
+        if part.any():
+            out[part] = branch(m, x[part])
     return out
 
 

@@ -6,7 +6,8 @@ k_terms=K)``, ``group_boas(b, r, tol=1e-6)`` and the rest.  This test builds
 every workload at reduced size from the checked-in ``bench/`` sources, so a
 renamed function or keyword fails here first, and runs the group-orbit
 requests of ``oracle-series`` against their oracles (at full size, also
-against a cap on their orbit fetches), and checks that every
+against a cap on their orbit fetches), runs its full-size Boas requests
+against their oracles and a cap on their peak memory, and checks that every
 work counter of ``bench/tracing.py`` hooks a function that exists, since a
 hook on a renamed function reads 0 without an error.  It only reads
 ``bench/``.
@@ -15,6 +16,7 @@ hook on a renamed function reads 0 without an error.  It only reads
 import importlib
 import inspect
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -74,6 +76,26 @@ def test_full_size_group_requests_fetch_under_1000_orbit_samples(workloads, tmp_
         err, _ = req.check(req.run())
         assert calls["orbit"] <= 1000, (req.label, calls["orbit"])
         assert err <= req.tol, (req.label, err, req.tol)
+
+
+def test_full_size_boas_requests_peak_under_4_mib(workloads, tmp_path):
+    # at tol=1e-6 the standard series needs up to K = 810 570 shifts; walked
+    # in blocks of shifts, no request holds a K-long table (whole tables
+    # peaked at up to 56 MiB)
+    wl = workloads.WORKLOADS["oracle-series"](0, tmp_path)
+    requests = [req for req in wl.requests()
+                if req.kind in ("boas_derivative", "boas_derivative_fast")]
+    assert len(requests) == 14
+    for req in requests:
+        tracemalloc.start()
+        try:
+            result = req.run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err, _ = req.check(result)
+        assert err <= req.tol, (req.label, err, req.tol)
+        assert peak <= 4 << 20, (req.label, peak / 2 ** 20)
 
 
 def test_every_hook_names_a_public_library_function():

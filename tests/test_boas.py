@@ -1,11 +1,14 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bandlimit.boas import (
+    _shifted_series,
+    _table,
     bernstein_ratio,
     boas_derivative,
     boas_derivative_fast,
@@ -13,7 +16,7 @@ from bandlimit.boas import (
     truncation_halfwidth,
 )
 from bandlimit.errors import ToleranceError
-from bandlimit.sampling import BandlimitedFn, make_reference
+from bandlimit.sampling import _VT_BLOCK, BandlimitedFn, _row_sums, make_reference
 from bandlimit.sinckernel import MAX_HALFWIDTH, boas_coefficient, boas_coefficient_grid
 
 PI = math.pi
@@ -50,6 +53,115 @@ def fast_reference(f, r, t, K):
     dterm = -(2 * m + 1) * sigma ** (2 * m) / PI ** (2 * m) * b0 \
         * float(np.asarray(f.deriv_eval(t), dtype=float))
     return dterm + series
+
+
+def whole_row_reference(f, variant, r, xs, K):
+    """The shifted-sample engine before its walk over blocks of shifts: the
+    table of all K shifts and weights built at once, f called on every
+    x +- s_k of a block of points, and each point's whole row summed on its
+    own.  The reference the blocked engine must reproduce bit for bit up to
+    one block of shifts.  Returns the values and prefactor * sum |w_k|."""
+    sigma = f.sigma
+    half = (r % 2 == 1) == (variant == "standard")
+    m = (r + 1) // 2 if variant == "standard" else r // 2
+    ks = np.arange(1, K + 1)
+    j = ks - 0.5 if half else ks
+    coeffs = boas_coefficient_grid("odd" if half else "even", m, ks)
+    signs = (-1.0) ** (ks + 1)
+    shifts = PI * j / sigma
+    if variant == "standard":
+        w, scale = signs * coeffs, (sigma / PI) ** r
+        local = None if half else (-boas_coefficient("even", m, 0), False, True)
+    else:
+        w, scale = signs * (coeffs / j), r * sigma ** r / PI ** r
+        if half:
+            local = ((-1.0) ** m * sigma ** r, False, False)
+        else:
+            b0 = boas_coefficient("even", m, 0)
+            local = (-r * sigma ** (r - 1) / PI ** (r - 1) * b0, True, False)
+    odd = r % 2 == 1
+
+    def rows(b):
+        x = xs[b, None]
+        plus = np.asarray(f((x + shifts).ravel()), dtype=float).reshape(-1, K)
+        minus = np.asarray(f((x - shifts).ravel()), dtype=float).reshape(-1, K)
+        return np.sum(w * (plus - minus if odd else plus + minus), axis=1)
+
+    out = _row_sums(xs.size, K, rows)
+    if local is None:
+        return scale * out, scale * np.sum(np.abs(w))
+    c, deriv, inside = local
+    term = c * np.asarray((f.deriv_eval if deriv else f)(xs), dtype=float)
+    value = scale * (out + term) if inside else scale * out + term
+    return value, scale * np.sum(np.abs(w))
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+class TestBlockedEngine:
+    """The engine walks k = 1..K in blocks of _VT_BLOCK shifts."""
+
+    XS = np.array([0.0, 0.3, -2.9, 0.37, 5.5])
+
+    def test_bit_identical_to_whole_rows_up_to_one_block(self):
+        for kind, sigma in (("sin", 1.0), ("fejer", 2.5), ("const", 1.0)):
+            f = make_reference(kind, sigma)
+            for r, K in itertools.product((1, 2, 3, 4), (1, _VT_BLOCK)):
+                want, _ = whole_row_reference(f, "standard", r, self.XS, K)
+                got = _shifted_series(f, "standard", r, self.XS, 1.0, K)
+                assert np.array_equal(bits(got), bits(want)), (kind, r, K)
+                assert bits(boas_derivative(f, r, 0.3, k_terms=K)) == bits(want[1])
+        for kind, sigma in (("sin", 1.0), ("sinc", 2.5), ("fejer", 1.0)):
+            f = make_reference(kind, sigma)
+            for r in (2, 3, 4, 5):
+                K = truncation_halfwidth("fast", r, sigma, f.sup_bound, 1e-5)
+                assert K <= _VT_BLOCK
+                want, _ = whole_row_reference(f, "fast", r, self.XS, K)
+                got = _shifted_series(f, "fast", r, self.XS, 1e-5, None)
+                assert np.array_equal(bits(got), bits(want)), (kind, r, K)
+
+    def test_block_sums_within_the_summation_bound(self):
+        # two orders of summation of 2K products of at most |w_k| sup|f|
+        # differ by at most 4 K u prefactor sum|w_k| sup|f|
+        f = make_reference("fejer", 1.0)
+        xs = np.array([0.3, -1.7])
+        for K, r in itertools.product((_VT_BLOCK + 1, 200_000, 810_570), (1, 2, 3, 4)):
+            want, weight = whole_row_reference(f, "standard", r, xs, K)
+            got = _shifted_series(f, "standard", r, xs, 1.0, K)
+            bound = 4 * K * 2.0 ** -53 * weight * f.sup_bound
+            assert np.all(np.abs(got - want) <= bound), (K, r, got - want, bound)
+
+    def test_block_entries_are_those_of_the_full_table(self):
+        K = 3 * 1000
+        for variant, r in itertools.chain(zip(itertools.repeat("standard"), (1, 2, 3, 4)),
+                                          zip(itertools.repeat("fast"), (2, 3, 4, 5))):
+            full = _table(variant, r, 1.3, 1, K + 1)
+            for k0, k1 in ((1, 1000), (1000, 2001), (1001, 2000), (2999, K + 1)):
+                block = _table(variant, r, 1.3, k0, k1)
+                for a, b in zip(block[:2], full[:2]):
+                    assert np.array_equal(bits(a), bits(b[k0 - 1:k1 - 1])), (variant, r, k0)
+                assert block[2:] == full[2:]
+            # the weights are the coefficients times exactly (-1)^(k+1)
+            ks = np.arange(1, K + 1)
+            half = (r % 2 == 1) == (variant == "standard")
+            m = (r + 1) // 2 if variant == "standard" else r // 2
+            coeffs = boas_coefficient_grid("odd" if half else "even", m, ks)
+            if variant == "fast":
+                coeffs = coeffs / (ks - 0.5 if half else ks)
+            assert np.array_equal(full[1], np.where(ks % 2 == 1, coeffs, -coeffs))
+
+    def test_memory_does_not_grow_with_the_halfwidth(self):
+        # K = 810 570 shifts: the whole table and its samples took 55.7 MiB
+        f = make_reference("fejer", 1.0)
+        tracemalloc.start()
+        try:
+            boas_derivative(f, 4, 0.3, tol=1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20, peak / 2 ** 20
 
 
 class TestBoasDerivative:
