@@ -10,8 +10,6 @@ from .errors import (
     ToleranceError,
 )
 from .sinckernel import (
-    boas_coefficient,
-    boas_coefficient_grid,
     coefficient_tail_bound,
     sinc,
     sinc_derivative,
@@ -58,7 +56,6 @@ from .grouporbit import (
 from .dht import (
     SeqWindow,
     dht_instance,
-    dht_orbit_reconstruct,
     dht_power,
     dht_vt,
     hilbert_apply,

@@ -236,14 +236,15 @@ def _suite_bernstein(cfg: RunConfig) -> SuiteReport:
     sigma = cfg.sigma
     grid = np.linspace(-6.0 / sigma, 6.0 / sigma, 301)
     from .boas import bernstein_ratio
+    # derivatives to 1e-4 sigma^m: a tenth of the bound's slack at any sigma
     for kind in ("sin", "cos"):
         f = make_reference(kind, sigma)
         for m in (1, 2):
-            ratio = bernstein_ratio(f, m, math.inf, grid, tol=1e-4)
+            ratio = bernstein_ratio(f, m, math.inf, grid, tol=1e-4 * sigma ** m)
             rep.add(f"{kind}_m{m}_pinf", ratio, sigma ** m * (1.0 + 1e-3))
     f = make_reference("fejer", sigma)
     wide = np.linspace(-40.0 / sigma, 40.0 / sigma, 1201)
-    ratio = bernstein_ratio(f, 1, 2.0, wide, tol=1e-4)
+    ratio = bernstein_ratio(f, 1, 2.0, wide, tol=1e-4 * sigma)
     rep.add("fejer_m1_p2", ratio, sigma * (1.0 + 1e-3))
     return rep
 

@@ -17,21 +17,12 @@ the limit value is exact and the generic kernel has lost precision anyway.
 
 Because every vector satisfies ||H^k a|| <= pi^k ||a||, the whole space is
 eligible for orbit sampling at unit spacing (sigma = pi, so u = t), and the
-lattice samples e^(kH) a are signed shifts, free of any series evaluation:
+lattice samples e^(kH) a are signed shifts, free of any series evaluation.
+The orbit formula's scalar series sum_{k!=0} sinc(t - k)/k = (1 - sinc t)/t
+(Mittag-Leffler) folds its a terms into sinc(t) a, leaving the finite
+bounded-vector expansion of ``dht_vt``:
 
-    orbit:   e^(tH)a = a + t sinc(t) Ha
-             + t sum_{k!=0} ((-1)^k a_(.+k) - a) / k * sinc(t - k)
-    bounded: e^(tH)a = sinc(t) a + t sinc(t) Ha
-             + sum_{k!=0} (t/k) sinc(t - k) (-1)^k a_(.+k)
-
-The two agree term for term: the scalar series of the orbit formula is
-
-    sum_{k!=0} sinc(t - k)/k = (1 - sinc t)/t,
-
-because sinc(t - k) = (-1)^k sin(pi t)/(pi (t - k)), 1/(k (t - k)) =
-(1/k + 1/(t - k))/t, the symmetric sum of (-1)^k/k vanishes, and
-sum_k (-1)^k/(t - k) = pi/sin(pi t) (the Mittag-Leffler series), so
-a - t ((1 - sinc t)/t) a = sinc(t) a.
+    e^(tH)a = sinc(t) a + t sinc(t) Ha + sum_{k!=0} (t/k) sinc(t - k) (-1)^k a_(.+k)
 
 Powers come from the symbol.  H is the Toeplitz operator with symbol
 -i(pi - theta) on (0, 2 pi), so H^r has the kernel
@@ -242,15 +233,6 @@ def dht_instance(expand: int = 256) -> GroupInstance:
 # ---------------------------------------------------------------------------
 # orbit sampling specialized to the transform (sigma = pi, u = t)
 # ---------------------------------------------------------------------------
-
-def dht_orbit_reconstruct(a: SeqWindow, t: float, tol: float = 1e-6,
-                          expand: Optional[int] = None) -> SeqWindow:
-    """Trajectory value by the orbit formula of the module docstring.  Its
-    scalar series sum_{k!=0} sinc(t-k)/k = (1 - sinc t)/t turns the a terms
-    into sinc(t) a, so the formula is term for term :func:`dht_vt`.
-    """
-    return dht_vt(a, t, tol, expand)
-
 
 def dht_vt(a: SeqWindow, t: float, tol: float = 1e-6,
            expand: Optional[int] = None) -> SeqWindow:

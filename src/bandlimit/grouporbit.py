@@ -5,9 +5,9 @@ let f satisfy the growth certificate ||D^k f|| <= sigma^k ||f|| for all k.
 The whole trajectory t -> e^(tD) f is then recoverable from orbit samples,
 and the generator powers D^r f come back from the same samples.
 
-Every entry point runs one local orbit engine on the twice-oversampled
-lattice n h, h = pi/(2 sigma), with the regularized kernel of
-:mod:`bandlimit.sinckernel`,
+Every entry point runs the local engine of
+:func:`bandlimit.sinckernel._local_series` on the twice-oversampled
+lattice n h, h = pi/(2 sigma),
 
     D^r e^(tD) f ~= h^(-r) sum_{|n - n0| <= N} e^(n h D) f
                     d^r/du^r [sinc(u - n) exp(-(pi/4) (u - n)^2 / N)],
@@ -18,10 +18,9 @@ base time t back to time 0 (u = -t/h, sample n at ``OrbitSamples.at(n/2)``).
 Every unit functional of the trajectory is entire of type sigma and bounded
 by ||f|| on the real line, so the scalar certificate of the regularized
 series, with sample bound ||f||, bounds the error in norm; N is the
-smallest half-width it certifies.  Once the weights are built, the
-smallest |w| are dropped while their running sum stays at or below
-2^-53 sum |w|; only the kept samples are fetched, and the dropped |w| times
-||f|| joins the certificate.
+smallest half-width it certifies.  The engine's fetch rule sets the
+smallest weights to 0.0 and charges them to the certificate; only the
+samples with a nonzero weight are fetched.
 
 The weights and sample points never depend on the group: any object
 implementing the :class:`GroupInstance` triple (orbit, generator, norm) plugs
@@ -36,14 +35,7 @@ from typing import Any, Callable, List, Optional
 
 import numpy as np
 
-from .sinckernel import (
-    _UNIT,
-    _weight_bound,
-    regularized_halfwidth,
-    regularized_sinc_certificate,
-    regularized_sinc_grid,
-    snap_integer,
-)
+from .sinckernel import _local_series
 
 _PI = math.pi
 
@@ -138,61 +130,30 @@ def rotation_instance(sigmas) -> GroupInstance:
 _ALPHA = _PI / 4.0
 
 
-def _kept(w: np.ndarray):
-    """Indices of the weights the sum keeps, in index order, and the sum of
-    the dropped |w|: the smallest |w| (exact zeros first) are dropped while
-    their running sum stays at or below 2^-53 sum |w|."""
-    a = np.abs(w)
-    order = np.argsort(a, kind="stable")
-    run = np.cumsum(a[order])
-    cut = int(np.searchsorted(run, _UNIT * run[-1], side="right"))
-    return np.sort(order[cut:]), float(run[cut - 1]) if cut else 0.0
-
-
-def _local_orbit(fetch: Callable[[int, float], Any], zero, bound: float, r: int,
-                 u: float, h: float, tol: float, k_terms: Optional[int]):
-    """h^-r sum_n fetch(n, u - n) d^r/du^r [sinc(u - n) exp(-alpha (u - n)^2/N)]
-    over |n - round(u)| <= N, alpha = pi/4; returns the vector and its
+def _orbit_sum(fetch: Callable[[int, float], Any], zero, bound: float, r: int,
+               u: float, h: float, tol: float, k_terms: Optional[int]):
+    """h^-r sum_n w_n fetch(n, u - n) by the local engine
+    (:func:`~bandlimit.sinckernel._local_series`, alpha = pi/4), and its
     certificate.
 
     ``fetch(n, d)`` returns the sample at lattice index n, d = u - n its
     offset from the evaluation point; ``bound`` bounds every sample's norm
     and ``zero`` starts the sum.  N is ``k_terms`` when given (tol is then
-    ignored), else the smallest half-width whose certificate, with room for
-    the dropped weights, is <= tol.  Only the samples the fetch rule of
-    :func:`_kept` keeps are fetched, each once, and summed in index order;
-    the certificate is the regularized series' plus the dropped |w| times
-    ``bound``.  It takes each fetched vector as exact: the group's own
-    rounding, and the rounding of each sample time, are outside it.
+    ignored), else the smallest half-width the certificate allows.  Only
+    the samples with a nonzero weight are fetched, each once, and summed in
+    index order.  The certificate takes each fetched vector as exact: the
+    group's own rounding, and the rounding of each sample time, are outside
+    it.
     """
-    u = snap_integer(u)
-    n0 = round(u)
-    offset = u - n0
-
-    def cert(ns):
-        return regularized_sinc_certificate(
-            r, ns, _ALPHA, bound, u=abs(u),
-            sin_factor=abs(math.sin(_PI * offset)) if r == 0 else 1.0) / h ** r
-
-    if k_terms is not None:
-        if k_terms < 1:
-            raise ValueError("k_terms must be >= 1")
-        N = int(k_terms)
-    else:
-        if tol <= 0.0:
-            raise ValueError("tolerance must be positive")
-        # the dropped |w| sum to at most 2^-53 (2N+1) (1 + weight error) W_r,
-        # below 2^-52 (2N+1) W_r
-        N = regularized_halfwidth(lambda ns: cert(ns) + 2.0 * _UNIT * (2 * ns + 1)
-                                  * _weight_bound(r, ns, _ALPHA) * bound / h ** r, tol)
-    j = np.arange(-N, N + 1)
-    d = offset - j
-    w = regularized_sinc_grid(r, d, N, _ALPHA) / h ** r
-    keep, dropped = _kept(w)
+    N, rows = _local_series(r, u, _ALPHA, bound, h, tol, k_terms)
+    n0, d, w, cert = rows(slice(None))
+    w = w[0] / h ** r
+    keep = np.flatnonzero(w)
     acc = zero
-    for n, dn, wn in zip((n0 + j[keep]).tolist(), d[keep].tolist(), w[keep].tolist()):
+    for n, dn, wn in zip((int(n0[0]) - N + keep).tolist(), d[0, keep].tolist(),
+                         w[keep].tolist()):
         acc = acc + wn * fetch(n, dn)
-    return acc, float(cert(N)) + dropped * bound
+    return acc, float(cert[0])
 
 
 def _trajectory(b: BernsteinVector, r: int, t: float, tol: float,
@@ -203,8 +164,8 @@ def _trajectory(b: BernsteinVector, r: int, t: float, tol: float,
     inst, v = b.instance, b.v
     h = _PI / (2.0 * b.sigma)
     # every sample's norm is ||f||: the group is isometric
-    return _local_orbit(lambda n, d: inst.orbit(t - d * h, v), 0.0 * v, inst.norm(v),
-                        r, t / h, h, tol, k_terms)
+    return _orbit_sum(lambda n, d: inst.orbit(t - d * h, v), 0.0 * v, inst.norm(v),
+                      r, t / h, h, tol, k_terms)
 
 
 def orbit_reconstruct(b: BernsteinVector, t: float, tol: float = 1e-6,
@@ -262,8 +223,8 @@ def _initial(samples: OrbitSamples, tol: float, k_terms: Optional[int],
     else:  # a vector's own norm() (SeqWindow), else Euclidean
         nf = f_t.norm() if hasattr(f_t, "norm") else float(np.linalg.norm(f_t))
     h = _PI / (2.0 * samples.sigma)
-    return _local_orbit(lambda n, d: samples.at(n / 2), 0.0 * f_t, nf,
-                        0, -samples.t / h, h, tol, k_terms)
+    return _orbit_sum(lambda n, d: samples.at(n / 2), 0.0 * f_t, nf,
+                      0, -samples.t / h, h, tol, k_terms)
 
 
 def recover_initial(samples: OrbitSamples, tol: float = 1e-6,

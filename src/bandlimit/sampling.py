@@ -32,10 +32,8 @@ import numpy as np
 
 from .errors import QuadratureError, ReconstructionUnsoundError, ToleranceError
 from .sinckernel import (
+    _local_series,
     _snap_grid,
-    regularized_halfwidth,
-    regularized_sinc_certificate,
-    regularized_sinc_grid,
     sinc_derivative_grid,
     sinc_grid,
     snap_integer,
@@ -291,10 +289,11 @@ def wks_eval_grid(s: UniformSamples, m: int, xs, tol: float, *,
         f^(m)(x) ~= h^(-m) sum_{|n - n0| <= N} f(n h) d^m/du^m [sinc(u - n)
                     exp(-alpha (u - n)^2 / N)],  u = x/h, n0 = round(u),
 
-    with alpha = (pi - h sigma)/2 and N the smallest half-width whose
-    :func:`~bandlimit.sinckernel.regularized_sinc_certificate` is <= tol at
-    every point.  A point whose 2N+1 samples are not all stored raises
-    ToleranceError with the tol the window can reach.  Samples at the
+    with alpha = (pi - h sigma)/2, summed by the local engine of
+    :func:`~bandlimit.sinckernel._local_series`: N is the smallest
+    half-width whose certificate is <= tol at every point.  A point whose
+    2N+1 samples are not all stored raises ToleranceError with the tol the
+    window can reach.  Samples at the
     critical rate h = pi/sigma need a decay certificate; they are summed
     over the whole stored window, and :func:`wks_tail_bound` bounds the
     rest.  Either way, at grid points x = k h the stored sample is
@@ -336,33 +335,28 @@ def _window_series(s: UniformSamples, m: int, xs, u, tol: float):
 
 
 def _regularized_series(s: UniformSamples, m: int, xs, u, tol: float):
-    """Oversampled: the local kernel on 2N+1 samples per point, N chosen
-    here once for every point, with each point's certificate as its tail."""
+    """Oversampled: the local engine of
+    :func:`~bandlimit.sinckernel._local_series` on 2N+1 samples per point,
+    N chosen once for every point, with each point's certificate as its
+    tail; the rows are built for blocks of points."""
     alpha = (_PI - s.h * s.sigma) / 2.0
-    n0 = np.rint(u)
-    offset = u - n0
     bound = max(float(np.max(np.abs(s.values))), s.tail_bound)
-    sin_abs = np.abs(np.sin(_PI * offset)) if m == 0 else 1.0
-
-    def cert(ns, u_abs, sin_factor):
-        return regularized_sinc_certificate(m, ns, alpha, bound, u=u_abs,
-                                            sin_factor=sin_factor) / s.h ** m
-
-    # the worst point's certificate; every point needs its 2N+1 samples
-    # in the window
-    u_max, sin_max = float(np.max(np.abs(u))), float(np.max(sin_abs))
+    n0 = np.rint(u)
+    # every point needs its 2N+1 samples in the window
     gaps = np.minimum(n0 - s.k_min, s.k_max - n0)
-    room = int(np.min(gaps))
     try:
-        N = regularized_halfwidth(lambda ns: cert(ns, u_max, sin_max), tol, room)
+        N, rows = _local_series(m, u, alpha, bound, s.h, tol, room=int(np.min(gaps)))
     except ToleranceError as exc:
         raise ToleranceError(f"{exc} at x = {xs.reshape(-1)[np.argmin(gaps)]}",
                              achievable=exc.achievable) from None
-    j = np.arange(-N, N + 1)
-    idx = (n0 - s.k_min).astype(np.intp)
-    return _row_sums(u.size, j.size, lambda b: np.sum(
-        regularized_sinc_grid(m, offset[b, None] - j, N, alpha)
-        * s.values[idx[b, None] + j], axis=1)), cert(N, u, sin_abs)
+    tails = np.empty(u.size)
+
+    def block(b):
+        n0_b, _, w, tails[b] = rows(b)
+        idx = (n0_b - s.k_min).astype(np.intp)[:, None] + np.arange(-N, N + 1)
+        return np.sum(w * s.values[idx], axis=1)
+
+    return _row_sums(u.size, 2 * N + 1, block), tails
 
 
 def _row_sums(points: int, width: int, block_sums) -> np.ndarray:
@@ -385,7 +379,7 @@ def wks_eval(s: UniformSamples, m: int, x: float, tol: float) -> float:
 # Valiron / Tschakaloff
 # ---------------------------------------------------------------------------
 
-#: indices per block of a long 1-D sum: Valiron-Tschakaloff, Boas shifts
+#: lattice indices per block of the Valiron-Tschakaloff sum
 _VT_BLOCK = 1 << 15
 
 

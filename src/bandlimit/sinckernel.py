@@ -1,5 +1,5 @@
-"""Normalized sinc kernel, its derivatives of all orders, and the associated
-interpolation coefficient families.
+"""Normalized sinc kernel, its derivatives of all orders, the regularized
+kernel and the one local engine built on it.
 
 Conventions:
     sinc(x) = sin(pi x) / (pi x),  sinc(0) = 1
@@ -18,28 +18,20 @@ continuously extended by sinc^(m)(0) = 0 for odd m and
 catastrophically, so evaluation switches to the termwise-differentiated power
 series of sinc (see ``_SERIES_RADIUS``).
 
-Two weight families drive the higher-order differentiation formulas:
-
-    odd order 2m-1:
-        a(m, k) = (2m-1)! / (pi (k-1/2)^(2m))
-                  * sum_{j=0..m-1} (-1)^j (pi (k-1/2))^(2j) / (2j)!
-    even order 2m (k != 0):
-        b(m, k) = (2m)! / (pi k^(2m+1))
-                  * sum_{j=0..m-1} (-1)^j (pi k)^(2j+1) / (2j+1)!
-        b(m, 0) = (-1)^(m+1) pi^(2m) / (2m+1)
-
-equivalently a(m, k) = (-1)^(k+1) sinc^(2m-1)(1/2 - k) and
-b(m, k) = (-1)^(k+1) sinc^(2m)(-k).  Their absolute sums are exactly
-
-    sum_k |a(m, k)| = pi^(2m-1),      sum_k |b(m, k)| = pi^(2m),
-
-which is what makes the differentiation operators bounded with norm sigma^r.
-
 For oversampled data the regularized kernel sinc(x) exp(-alpha x^2/N) is
 local: ``regularized_sinc_grid`` gives its derivatives,
 ``regularized_sinc_certificate`` the certified error of the series built on
 it, which reads 2N+1 samples per point, and ``regularized_halfwidth`` the
-smallest N that certificate allows, for sampled data and orbits alike.
+smallest N that certificate allows.  ``_local_series`` is the one routine
+that sums that series, for sampled data, orbits and the derivatives of
+:mod:`bandlimit.boas` alike.
+
+The paper's Boas formulas weigh translates of f by the families
+
+    a(m, k) = (-1)^(k+1) sinc^(2m-1)(1/2 - k),  b(m, k) = (-1)^(k+1) sinc^(2m)(-k),
+
+with sum_k |a(m, k)| = pi^(2m-1) and sum_k |b(m, k)| = pi^(2m);
+``coefficient_tail_bound`` bounds their tails.
 
 All functions here are pure and safe to share across threads.
 """
@@ -48,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Literal
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -72,7 +64,8 @@ _QUAD_MIN_ORDER = 2
 _QUAD_SLOPE = 0.15
 _QUAD_NODES = 48
 
-#: largest series half-width the shifted-sample and orbit engines size
+#: largest half-width the local engine sizes, and truncation_halfwidth
+#: for the paper's series
 MAX_HALFWIDTH = 2_000_000
 
 _E = math.e
@@ -359,42 +352,97 @@ def regularized_halfwidth(cert, tol: float, room: int = MAX_HALFWIDTH) -> int:
     return N
 
 
-# ---------------------------------------------------------------------------
-# coefficient families
-# ---------------------------------------------------------------------------
+def _drop_small(w: np.ndarray) -> np.ndarray:
+    """Set to 0.0, in each row of w, the smallest |w| (exact zeros first)
+    while their running sum stays at or below 2^-53 sum |w|; returns each
+    row's sum of the dropped |w|.  When every row's smallest nonzero |w|
+    exceeds twice that (a margin for the order of summation), only zeros
+    drop and nothing is sorted."""
+    a = np.abs(w)
+    if np.all(np.min(np.where(a > 0.0, a, np.inf), axis=1) > 2.0 * _UNIT * np.sum(a, axis=1)):
+        w[a == 0.0] = 0.0
+        return np.zeros(len(w))
+    order = np.argsort(a, axis=1, kind="stable")
+    run = np.cumsum(np.take_along_axis(a, order, axis=1), axis=1)
+    drop = run <= _UNIT * run[:, -1:]
+    w[np.nonzero(drop)[0], order[drop]] = 0.0
+    return np.max(run * drop, axis=1)  # run grows: its last dropped entry
 
-def boas_coefficient(parity: Parity, m: int, k: int) -> float:
-    """Weight attached to shift index k in the order-(2m-1) or order-2m formula.
 
-    parity="odd" returns a(m, k); parity="even" returns b(m, k) including the
-    central value b(m, 0) = (-1)^(m+1) pi^(2m)/(2m+1).  Delegates to the
-    vectorized evaluator so scalar and grid values are bit-identical.
+def _local_series(r: int, u, alpha: float, bound: float, h: float, tol: float,
+                  k_terms: Optional[int] = None, room: int = MAX_HALFWIDTH,
+                  origin: Optional[float] = None):
+    """The regularized series of order r at lattice coordinates u, the one
+    local engine of sampled data, orbits and the Boas formulas:
+
+        f^(r)(u h) ~= h^-r sum_{|n - n0| <= N} w_n f(n h),
+        w_n = d^r/du^r [sinc(u - n) exp(-alpha (u - n)^2 / N)],  n0 = round(u),
+
+    for samples f(n h) bounded by ``bound``, f of type (pi - 2 alpha)/h.
+    N is ``k_terms`` when given, else the smallest half-width <= ``room``
+    whose certificate at the worst point, with room for the dropped
+    weights, is <= tol (h^-r units).  In each row the fetch rule of
+    :func:`_drop_small` sets the smallest weights to 0.0; callers fetch a
+    sample only where its weight is nonzero.
+
+    Returns N, sized once on all the points, and ``rows(b)``, which builds
+    for the points u[b] (b a slice) n0, the offsets d = u - n and weights
+    w (one row of 2N+1 per point, in sample units: no h^-r) and each
+    point's certificate in h^-r units: the
+    :func:`regularized_sinc_certificate` plus the dropped |w| times
+    ``bound``.  A caller bounds its memory by building the rows in blocks.
+    Stored samples are exact; with ``origin`` they are f(x + n h),
+    |x| <= |origin|, at points rounded twice (n h, then the sum), so each
+    moves by at most 2^-52 (|origin| + (|n0| + N + 1) h) and its value by
+    that times the Bernstein bound (pi - 2 alpha) bound / h (``bound`` then
+    bounds |f| on the line); certificate and N search count that times
+    sum |w|.
     """
-    return float(boas_coefficient_grid(parity, m, np.array([int(k)]))[0])
+    u = _snap_grid(np.asarray(u, dtype=float).reshape(-1))
+    n0 = np.rint(u)
+    offset = u - n0
+    sin_abs = np.abs(np.sin(_PI * offset)) if r == 0 else np.ones(u.size)
+    scale = h ** r
+    # sample error per unit sum |w| and per step of reach (0.0: exact samples)
+    slope = 0.0 if origin is None else 2.0 * _UNIT * (_PI - 2.0 * alpha) * bound / scale
+    reach = (0.0 if origin is None else abs(origin) / h) + np.abs(n0) + 1.0
+
+    def cert(ns, u_abs, sin_factor):
+        return regularized_sinc_certificate(r, ns, alpha, bound, u=u_abs,
+                                            sin_factor=sin_factor) / scale
+
+    if k_terms is not None:
+        if k_terms < 1:
+            raise ValueError("k_terms must be >= 1")
+        N = int(k_terms)
+    else:
+        if tol <= 0.0:
+            raise ValueError("tolerance must be positive")
+        u_max, sin_max = float(np.max(np.abs(u))), float(np.max(sin_abs))
+        reach_max = float(np.max(reach))
+
+        def sized(ns):
+            # sum |w| is at most (2N+1) W_r (1 + weight error), and the
+            # dropped |w| at most 2^-53 times that, below 2^-52 (2N+1) W_r
+            wsum = (2 * ns + 1) * _weight_bound(r, ns, alpha)
+            return (cert(ns, u_max, sin_max) + 2.0 * _UNIT * wsum * bound / scale
+                    + slope * (reach_max + ns) * wsum * (1.0 + _WEIGHT_ERR[min(r, 3)]))
+
+        N = regularized_halfwidth(sized, tol, room)
+
+    def rows(b: slice):
+        d = offset[b, None] - np.arange(-N, N + 1)
+        w = regularized_sinc_grid(r, d, N, alpha)
+        dropped = _drop_small(w)
+        moved = 0.0 if origin is None else slope * (reach[b] + N) * np.sum(np.abs(w), axis=1)
+        return n0[b], d, w, cert(N, np.abs(u[b]), sin_abs[b]) + dropped * bound / scale + moved
+
+    return N, rows
 
 
-def boas_coefficient_grid(parity: Parity, m: int, ks) -> np.ndarray:
-    """Vectorized :func:`boas_coefficient` over an integer array."""
-    _check_parity(parity)
-    if m < 1:
-        raise ValueError("half-order m must be >= 1")
-    ks = np.asarray(ks)
-    if parity == "odd":
-        y = ks - 0.5
-        s = np.zeros_like(y, dtype=float)
-        for j in range(m):
-            s += (-1.0) ** j * (_PI * y) ** (2 * j) / math.factorial(2 * j)
-        return math.factorial(2 * m - 1) / (_PI * y ** (2 * m)) * s
-    out = np.empty(ks.shape, dtype=float)
-    zero = ks == 0
-    out[zero] = (-1.0) ** (m + 1) * _PI ** (2 * m) / (2 * m + 1)
-    kn = ks[~zero].astype(float)
-    s = np.zeros_like(kn)
-    for j in range(m):
-        s += (-1.0) ** j * (_PI * kn) ** (2 * j + 1) / math.factorial(2 * j + 1)
-    out[~zero] = math.factorial(2 * m) / (_PI * kn ** (2 * m + 1)) * s
-    return out
-
+# ---------------------------------------------------------------------------
+# tails of the coefficient families of the paper's shifted-sample series
+# ---------------------------------------------------------------------------
 
 def _sharp_floor(parity: Parity, m: int) -> int:
     # the inner alternating sums have increasing term magnitudes once the
@@ -426,7 +474,8 @@ def coefficient_tail_bound(parity: Parity, m: int, halfwidth: int) -> float:
     Below the validity floor a crude e-factorial majorant
     ((2m-1)! e resp. (2m)! e in place of the sharp constant) takes over.
     """
-    _check_parity(parity)
+    if parity not in ("odd", "even"):
+        raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
     if m < 1:
         raise ValueError("half-order m must be >= 1")
     K = int(halfwidth)
@@ -450,8 +499,3 @@ def snap_integer(u: float) -> float:
     exact Kronecker behavior of the kernel at sample nodes.
     """
     return float(_snap_grid(np.float64(u)))
-
-
-def _check_parity(parity: str) -> None:
-    if parity not in ("odd", "even"):
-        raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")

@@ -7,10 +7,10 @@ every workload at reduced size from the checked-in ``bench/`` sources, so a
 renamed function or keyword fails here first, and runs the group-orbit
 requests of ``oracle-series`` against their oracles (at full size, also
 against a cap on their orbit fetches), runs its full-size Boas requests
-against their oracles and a cap on their peak memory, and checks that every
-work counter of ``bench/tracing.py`` hooks a function that exists, since a
-hook on a renamed function reads 0 without an error.  It only reads
-``bench/``.
+against their oracles and caps on their peak memory and on the points at
+which they evaluate f, and checks that every work counter of
+``bench/tracing.py`` hooks a function that exists, since a hook on a
+renamed function reads 0 without an error.  It only reads ``bench/``.
 """
 
 import importlib
@@ -19,6 +19,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -96,6 +97,31 @@ def test_full_size_boas_requests_peak_under_4_mib(workloads, tmp_path):
         err, _ = req.check(result)
         assert err <= req.tol, (req.label, err, req.tol)
         assert peak <= 4 << 20, (req.label, peak / 2 ** 20)
+
+
+def test_full_size_boas_requests_evaluate_f_at_most_128_times(workloads, tmp_path):
+    # the local engine reads f at the translates with a nonzero weight, about
+    # 50 at tol=1e-6; the paper's series read 2K of them, K up to 810 570
+    wl = workloads.WORKLOADS["oracle-series"](0, tmp_path)
+    points = {"n": 0}
+
+    def counting(fn, kind):
+        if kind not in ("f", "df"):
+            return fn
+
+        def wrapped(x):
+            points["n"] += np.asarray(x).size
+            return fn(x)
+        return wrapped
+
+    requests = [req for req in wl.requests(counting)
+                if req.kind in ("boas_derivative", "boas_derivative_fast")]
+    assert len(requests) == 14
+    for req in requests:
+        points["n"] = 0
+        err, _ = req.check(req.run())
+        assert points["n"] <= 128, (req.label, points["n"])
+        assert err <= req.tol, (req.label, err, req.tol)
 
 
 def test_every_hook_names_a_public_library_function():

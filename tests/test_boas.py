@@ -1,14 +1,15 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bandlimit.boas import (
-    _shifted_series,
-    _table,
+    _derivatives,
     bernstein_ratio,
     boas_derivative,
     boas_derivative_fast,
@@ -16,8 +17,18 @@ from bandlimit.boas import (
     truncation_halfwidth,
 )
 from bandlimit.errors import ToleranceError
-from bandlimit.sampling import _VT_BLOCK, BandlimitedFn, _row_sums, make_reference
-from bandlimit.sinckernel import MAX_HALFWIDTH, boas_coefficient, boas_coefficient_grid
+from bandlimit.sampling import BandlimitedFn, _row_sums, make_reference
+from bandlimit.sinckernel import MAX_HALFWIDTH
+from mp_reference import ToneSum
+from paper_boas import (
+    BLOCK,
+    boas_coefficient,
+    boas_coefficient_grid,
+    paper_boas_derivative,
+    paper_boas_derivative_fast,
+    shifted_series,
+    table,
+)
 
 PI = math.pi
 
@@ -30,7 +41,7 @@ def closed_derivative(kind, sigma, r, x):
 
 def fast_reference(f, r, t, K):
     """The fast formulas written out by hand, one branch per parity: the
-    reference the table-driven engine must reproduce bit for bit."""
+    reference the table-driven oracle must reproduce bit for bit."""
     sigma = f.sigma
     ks = np.arange(1, K + 1)
     signs = (-1.0) ** (ks + 1)
@@ -56,10 +67,10 @@ def fast_reference(f, r, t, K):
 
 
 def whole_row_reference(f, variant, r, xs, K):
-    """The shifted-sample engine before its walk over blocks of shifts: the
+    """The shifted-sample series before its walk over blocks of shifts: the
     table of all K shifts and weights built at once, f called on every
     x +- s_k of a block of points, and each point's whole row summed on its
-    own.  The reference the blocked engine must reproduce bit for bit up to
+    own.  The reference the blocked oracle must reproduce bit for bit up to
     one block of shifts.  Returns the values and prefactor * sum |w_k|."""
     sigma = f.sigma
     half = (r % 2 == 1) == (variant == "standard")
@@ -101,25 +112,25 @@ def bits(a):
 
 
 class TestBlockedEngine:
-    """The engine walks k = 1..K in blocks of _VT_BLOCK shifts."""
+    """The paper-series oracle walks k = 1..K in blocks of BLOCK shifts."""
 
     XS = np.array([0.0, 0.3, -2.9, 0.37, 5.5])
 
     def test_bit_identical_to_whole_rows_up_to_one_block(self):
         for kind, sigma in (("sin", 1.0), ("fejer", 2.5), ("const", 1.0)):
             f = make_reference(kind, sigma)
-            for r, K in itertools.product((1, 2, 3, 4), (1, _VT_BLOCK)):
+            for r, K in itertools.product((1, 2, 3, 4), (1, BLOCK)):
                 want, _ = whole_row_reference(f, "standard", r, self.XS, K)
-                got = _shifted_series(f, "standard", r, self.XS, 1.0, K)
+                got = shifted_series(f, "standard", r, self.XS, 1.0, K)
                 assert np.array_equal(bits(got), bits(want)), (kind, r, K)
-                assert bits(boas_derivative(f, r, 0.3, k_terms=K)) == bits(want[1])
+                assert bits(paper_boas_derivative(f, r, 0.3, k_terms=K)) == bits(want[1])
         for kind, sigma in (("sin", 1.0), ("sinc", 2.5), ("fejer", 1.0)):
             f = make_reference(kind, sigma)
             for r in (2, 3, 4, 5):
                 K = truncation_halfwidth("fast", r, sigma, f.sup_bound, 1e-5)
-                assert K <= _VT_BLOCK
+                assert K <= BLOCK
                 want, _ = whole_row_reference(f, "fast", r, self.XS, K)
-                got = _shifted_series(f, "fast", r, self.XS, 1e-5, None)
+                got = shifted_series(f, "fast", r, self.XS, 1e-5, None)
                 assert np.array_equal(bits(got), bits(want)), (kind, r, K)
 
     def test_block_sums_within_the_summation_bound(self):
@@ -127,9 +138,9 @@ class TestBlockedEngine:
         # differ by at most 4 K u prefactor sum|w_k| sup|f|
         f = make_reference("fejer", 1.0)
         xs = np.array([0.3, -1.7])
-        for K, r in itertools.product((_VT_BLOCK + 1, 200_000, 810_570), (1, 2, 3, 4)):
+        for K, r in itertools.product((BLOCK + 1, 200_000, 810_570), (1, 2, 3, 4)):
             want, weight = whole_row_reference(f, "standard", r, xs, K)
-            got = _shifted_series(f, "standard", r, xs, 1.0, K)
+            got = shifted_series(f, "standard", r, xs, 1.0, K)
             bound = 4 * K * 2.0 ** -53 * weight * f.sup_bound
             assert np.all(np.abs(got - want) <= bound), (K, r, got - want, bound)
 
@@ -137,9 +148,9 @@ class TestBlockedEngine:
         K = 3 * 1000
         for variant, r in itertools.chain(zip(itertools.repeat("standard"), (1, 2, 3, 4)),
                                           zip(itertools.repeat("fast"), (2, 3, 4, 5))):
-            full = _table(variant, r, 1.3, 1, K + 1)
+            full = table(variant, r, 1.3, 1, K + 1)
             for k0, k1 in ((1, 1000), (1000, 2001), (1001, 2000), (2999, K + 1)):
-                block = _table(variant, r, 1.3, k0, k1)
+                block = table(variant, r, 1.3, k0, k1)
                 for a, b in zip(block[:2], full[:2]):
                     assert np.array_equal(bits(a), bits(b[k0 - 1:k1 - 1])), (variant, r, k0)
                 assert block[2:] == full[2:]
@@ -153,15 +164,17 @@ class TestBlockedEngine:
             assert np.array_equal(full[1], np.where(ks % 2 == 1, coeffs, -coeffs))
 
     def test_memory_does_not_grow_with_the_halfwidth(self):
-        # K = 810 570 shifts: the whole table and its samples took 55.7 MiB
+        # K = 810 570 shifts: the whole table and its samples took 55.7 MiB;
+        # the local engine reads about 50 translates
         f = make_reference("fejer", 1.0)
-        tracemalloc.start()
-        try:
-            boas_derivative(f, 4, 0.3, tol=1e-6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 << 20, peak / 2 ** 20
+        for derivative in (paper_boas_derivative, boas_derivative):
+            tracemalloc.start()
+            try:
+                derivative(f, 4, 0.3, tol=1e-6)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 << 20, (derivative.__name__, peak / 2 ** 20)
 
 
 class TestBoasDerivative:
@@ -254,7 +267,142 @@ class TestBoasDerivative:
         assert got == pytest.approx(math.cos(x), abs=1e-3)
 
 
+def mp_derivative(kind, sigma, r, x):
+    """f^(r)(x) of the sin or Fejer reference at 30 digits."""
+    with mp.workdps(30):
+        if kind == "sin":
+            return float(sigma ** r * mp.sin(sigma * mp.mpf(x) + r * mp.pi / 2))
+        return float(mp.diff(lambda t: mp.sinc(sigma * t / 2) ** 2, mp.mpf(x), r))
+
+
+@st.composite
+def tone_functions(draw):
+    """1-5 tones of type at most sigma, one of them at full type, as a
+    BandlimitedFn with sup_bound = sum |a_i| and its 30-digit ToneSum."""
+    n = draw(st.integers(1, 5))
+    sigma = draw(st.floats(0.25, 3.0))
+    amps = [draw(st.floats(0.1, 2.0))] + [draw(st.floats(-2.0, 2.0)) for _ in range(n - 1)]
+    freqs = [sigma] + [draw(st.floats(-sigma, sigma)) for _ in range(n - 1)]
+    phases = [draw(st.floats(0.0, 2 * PI)) for _ in range(n)]
+    a, w, p = (np.array(v)[:, None] for v in (amps, freqs, phases))
+
+    def f(x):
+        return np.sum(a * np.sin(w * np.asarray(x, dtype=float) + p), axis=0)
+
+    fn = BandlimitedFn(sigma=sigma, sup_bound=float(np.sum(np.abs(amps))), eval=f)
+    return fn, ToneSum(amps, freqs, phases)
+
+
+class TestLocalEngine:
+    """boas_derivative runs the local engine at time 0 on the translation
+    group: f at x + n h, h = pi/(2 sigma), for the nonzero weights."""
+
+    XS = (0.3, -2.9, 7.4)
+
+    @pytest.mark.parametrize("kind", ["sin", "fejer"])
+    def test_meets_1e10_for_orders_up_to_3(self, kind):
+        f = make_reference(kind, 1.0)
+        for r, x in itertools.product((1, 2, 3), self.XS):
+            got, cert = _derivatives(f, r, [x], 1e-10, None)
+            err = abs(got[0] - mp_derivative(kind, 1.0, r, x))
+            assert err <= cert[0] <= 1e-10, (r, x, err, cert[0])
+
+    def test_order_4_stops_at_the_rounding_floor(self):
+        f = make_reference("fejer", 1.0)
+        with pytest.raises(ToleranceError) as info:
+            boas_derivative(f, 4, 0.3, tol=1e-10)
+        achievable = info.value.achievable
+        assert 1e-10 < achievable < 1.5e-10
+        assert f"achievable tol {achievable:.3e}" in str(info.value)
+        got = boas_derivative(f, 4, 0.3, tol=achievable)
+        assert abs(got - mp_derivative("fejer", 1.0, 4, 0.3)) <= achievable
+
+    @given(tone_functions(), st.integers(1, 4),
+           st.one_of(st.floats(-40.0, 40.0), st.sampled_from([-3.7e4, 2.1e6, 1e9])),
+           st.sampled_from([1e-6, 1e-8]))
+    @settings(max_examples=80, deadline=None)
+    def test_tone_sums_error_within_certificate(self, tones, r, x, tol):
+        fn, exact = tones
+        try:
+            got, cert = _derivatives(fn, r, [x], tol, None)
+        except ToleranceError as exc:  # below the rounding floor: take the floor
+            assert exc.achievable > tol
+            tol = exc.achievable
+            got, cert = _derivatives(fn, r, [x], tol, None)
+        assert abs(got[0] - exact(x, r)) <= cert[0] <= tol
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_far_points_count_the_rounding_of_the_sample_points(self, r):
+        # x + n h is rounded to ulp(x): at x = 1e9 that moves each sample by
+        # about 1e-7, so tol 1e-10 is out of reach and must say so
+        f = make_reference("sin", 1.0)
+        for x, tol in itertools.product((1e3, 1e6, 1e9), (1e-6, 1e-10)):
+            try:
+                got, cert = _derivatives(f, r, [x], tol, None)
+            except ToleranceError as exc:
+                assert exc.achievable > tol
+                continue
+            assert abs(got[0] - mp_derivative("sin", 1.0, r, x)) <= cert[0] <= tol, (x, tol)
+        with pytest.raises(ToleranceError):
+            boas_derivative(f, r, 1e9, tol=1e-10)
+
+    @pytest.mark.parametrize("kind", ["sin", "fejer"])
+    def test_paper_series_agree_within_2tol(self, kind):
+        f = make_reference(kind, 1.0)
+        for r, x in itertools.product((1, 2, 3, 4), self.XS[:2]):
+            want = paper_boas_derivative(f, r, x, tol=1e-6)
+            assert abs(boas_derivative(f, r, x, tol=1e-6) - want) <= 2e-6, (r, x)
+            if r >= 2:
+                want = paper_boas_derivative_fast(f, r, x, tol=1e-6)
+                assert abs(boas_derivative_fast(f, r, x, tol=1e-6) - want) <= 2e-6, (r, x)
+
+    def test_reads_each_translate_once(self):
+        seen = []
+        sin = make_reference("sin", 2.0)
+        f = BandlimitedFn(sigma=2.0, sup_bound=1.0,
+                          eval=lambda x: seen.extend(np.asarray(x).tolist()) or sin(x))
+        for r in (1, 2, 3, 4):
+            seen.clear()
+            boas_derivative(f, r, 0.3, tol=1e-6)
+            assert 20 < len(seen) == len(set(seen)) <= 64, (r, len(seen))
+
+    def test_type_zero_is_constant(self):
+        f = BandlimitedFn(sigma=0.0, sup_bound=2.0,
+                          eval=lambda x: np.full_like(np.asarray(x, dtype=float), -1.5))
+        grid = np.linspace(-5.0, 5.0, 11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r in (1, 2, 5):
+                assert boas_derivative(f, r, 0.3) == 0.0
+                assert boas_derivative(f, r, 0.3, k_terms=8) == 0.0
+            assert bernstein_ratio(f, 1, math.inf, grid) == 0.0
+            assert bernstein_ratio(f, 2, 2.0, grid) == 0.0
+        for kw in ({"k_terms": 0}, {"tol": 0.0}, {"tol": -1.0}):
+            with pytest.raises(ValueError):
+                boas_derivative(f, 1, 0.3, **kw)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_rejects_a_point_that_is_not_finite(self, x):
+        with pytest.raises(ValueError):
+            boas_derivative(make_reference("sin", 1.0), 1, x)
+
+    def test_tiny_type_is_bounded_by_bernstein(self):
+        # h = pi/(2 sigma) is 1.6e160: h^2 would overflow
+        f = BandlimitedFn(sigma=1e-160, sup_bound=1e10,
+                          eval=lambda x: 1e10 * np.cos(1e-160 * np.asarray(x)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert boas_derivative(f, 2, 0.3) == 0.0
+            assert abs(boas_derivative(f, 1, 0.3, tol=1e-140)) <= 1e-140
+        with pytest.raises(ToleranceError) as info:
+            boas_derivative(f, 2, 0.3, tol=1e-320)
+        assert info.value.achievable == 1e-160 ** 2 * 1e10
+
+
 class TestFastVariants:
+    """boas_derivative_fast is the local engine; the paper's fast series is
+    the oracle of :mod:`paper_boas`."""
+
     def test_even_constant_term_exercised(self):
         sigma = 1.0
         f = make_reference("cos", sigma)
@@ -266,21 +414,27 @@ class TestFastVariants:
         # points distinguish that from the bare constant
         f = make_reference("sin", 1.0)
         for t in (0.0, 0.31, -2.2):
-            fast = boas_derivative_fast(f, 2, t, tol=1e-4)
-            std = boas_derivative(f, 2, t, tol=1e-4)
+            fast = paper_boas_derivative_fast(f, 2, t, tol=1e-4)
+            std = paper_boas_derivative(f, 2, t, tol=1e-4)
             assert fast == pytest.approx(std, abs=2e-3)
+            assert boas_derivative_fast(f, 2, t, tol=1e-4) == pytest.approx(std, abs=2e-4)
 
     def test_odd_matches_standard(self):
         f = make_reference("sinc", 2.0)
-        fast = boas_derivative_fast(f, 3, 0.0, tol=1e-4)
-        std = boas_derivative(f, 3, 0.0, tol=1e-4)
+        fast = paper_boas_derivative_fast(f, 3, 0.0, tol=1e-4)
+        std = paper_boas_derivative(f, 3, 0.0, tol=1e-4)
         assert fast == pytest.approx(std, abs=2e-3)
+        assert boas_derivative_fast(f, 3, 0.0, tol=1e-4) == pytest.approx(std, abs=2e-4)
 
-    def test_odd_requires_derivative_handle(self):
+    def test_odd_needs_no_derivative_handle(self):
+        # the paper's odd fast formula consumes f'(t); the local engine
+        # reads f alone
         f = BandlimitedFn(sigma=1.0, sup_bound=1.0,
                           eval=lambda x: np.sin(np.asarray(x, dtype=float)))
         with pytest.raises(ValueError):
-            boas_derivative_fast(f, 3, 0.0, tol=1e-3)
+            paper_boas_derivative_fast(f, 3, 0.0, tol=1e-3)
+        assert boas_derivative_fast(f, 3, 0.4, tol=1e-6) == pytest.approx(-math.cos(0.4),
+                                                                        abs=1e-6)
 
     def test_fast_needs_fewer_terms(self):
         for tol in (1e-3, 1e-6):
@@ -303,8 +457,8 @@ class TestFastVariants:
                 K = truncation_halfwidth("fast", r, sigma, f.sup_bound, 1e-5)
                 for t in (0.0, 0.37, -2.9):
                     want = fast_reference(f, r, t, K)
-                    assert boas_derivative_fast(f, r, t, tol=1e-5) == want
-                    assert boas_derivative_fast(f, r, t, k_terms=K) == want
+                    assert paper_boas_derivative_fast(f, r, t, tol=1e-5) == want
+                    assert paper_boas_derivative_fast(f, r, t, k_terms=K) == want
 
 
 class TestTruncationHalfwidth:

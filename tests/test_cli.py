@@ -329,5 +329,11 @@ class TestVerify:
         assert code == 0
         assert "SKIPPED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("sigma", ["0.01", "1.0", "100"])
+    def test_bernstein_passes_at_every_scale(self, sigma, capsys):
+        # the derivatives are asked for relative to sigma^m, the bound's scale
+        assert main(["verify", "--suite", "bernstein", "--sigma", sigma]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     def test_unknown_suite_exit_2(self):
         assert main(["verify", "--suite", "nope"]) == 2

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from bandlimit import dht
 from bandlimit.dht import (
     SeqWindow,
-    dht_orbit_reconstruct,
     dht_power,
     dht_vt,
     hilbert_apply,
@@ -16,7 +15,8 @@ from bandlimit.dht import (
     integer_orbit,
     pairing_check,
 )
-from bandlimit.sinckernel import boas_coefficient_grid
+from bandlimit.grouporbit import BernsteinVector, orbit_reconstruct
+from paper_boas import boas_coefficient_grid
 
 PI = math.pi
 
@@ -182,33 +182,37 @@ class TestHilbertGroup:
         a = SeqWindow(n0=-1, values=np.array([0.5, -1.0, 2.0]))
         call = {"group": lambda e: hilbert_group(t, a, e),
                 "vt": lambda e: dht_vt(a, t, expand=e),
-                "orbit": lambda e: dht_orbit_reconstruct(a, t, expand=e)}[op]
+                "orbit": lambda e: orbit_reconstruct(BernsteinVector(dht.dht_instance(e), a, PI),
+                                                     t)}[op]
         for bad in (-5, dht.HARD_MAX_EXPAND + 1):
             with pytest.raises(ValueError):
                 call(bad)
 
 
 class TestDhtOrbitReconstruct:
+    """The transform's orbit formula, which is term for term the
+    bounded-vector expansion (module docstring), through :func:`dht_vt`."""
+
     def test_matches_closed_form(self):
         # sum_{k!=0} sinc(t-k)/k = (1 - sinc t)/t closes the scalar series, so
         # the formula meets the closed form to rounding
         rng = np.random.default_rng(3)
         a = random_window(rng, length=80)
         for t in (0.3, 0.5, 1.7):
-            got = dht_orbit_reconstruct(a, t, expand=600)
+            got = dht_vt(a, t, expand=600)
             want = hilbert_group(t, a, expand=600)
             assert common_diff(got, want) < 1e-12
 
     def test_integer_tautology(self):
         rng = np.random.default_rng(4)
         a = random_window(rng)
-        out = dht_orbit_reconstruct(a, 2.0, expand=10)
+        out = dht_vt(a, 2.0, expand=10)
         assert out.n0 == a.n0 - 2
         assert np.array_equal(out.values, a.values)
 
     def test_basis_half_time_entries(self):
         a = SeqWindow.basis(0)
-        out = dht_orbit_reconstruct(a, 0.5, expand=400)
+        out = dht_vt(a, 0.5, expand=400)
         for m in (-2, 0, 3):
             assert out.entry(m) == pytest.approx(1.0 / (PI * (m + 0.5)), abs=1e-6)
 

@@ -20,14 +20,13 @@ from bandlimit.grouporbit import (
     rotation_instance,
 )
 from bandlimit.sinckernel import (
-    boas_coefficient,
-    boas_coefficient_grid,
     coefficient_tail_bound,
     regularized_sinc_grid,
     sinc,
     sinc_grid,
     snap_integer,
 )
+from paper_boas import boas_coefficient, boas_coefficient_grid
 
 PI = math.pi
 

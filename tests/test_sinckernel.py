@@ -16,8 +16,6 @@ from bandlimit.sinckernel import (
     _SERIES_RADIUS,
     _WEIGHT_ERR,
     _closed_grid,
-    boas_coefficient,
-    boas_coefficient_grid,
     coefficient_tail_bound,
     regularized_sinc_grid,
     sinc,
@@ -26,6 +24,7 @@ from bandlimit.sinckernel import (
     sinc_grid,
 )
 from mp_reference import sinc_derivative_closed, sinc_derivative_mp, sinc_derivative_series
+from paper_boas import boas_coefficient, boas_coefficient_grid
 
 PI = math.pi
 
