@@ -20,6 +20,12 @@ is strictly finer than necessary (oversampled): a Gaussian multiplier then
 makes the kernel local, and bounded, non-decaying samples suffice.  At the
 critical rate h = pi/sigma a decay certificate on the samples is required,
 otherwise reconstruction is refused as unsound.
+
+The two whole-window sums, critical-rate reconstruction and
+Valiron/Tschakaloff, are taken by the lattice kernel
+:func:`~bandlimit.sinckernel._lattice_series`: it shares one sine per point,
+sin(pi (u - k)) = (-1)^(n0 - k) sin(pi (u - n0)), n0 = round(u), and
+evaluates sinc^(m) only on the 2m+3 entries nearest to u.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import numpy as np
 
 from .errors import QuadratureError, ReconstructionUnsoundError, ToleranceError
 from .sinckernel import (
+    _lattice_series,
     _local_series,
     _snap_grid,
     sinc_derivative_grid,
@@ -295,8 +302,11 @@ def wks_eval_grid(s: UniformSamples, m: int, xs, tol: float, *,
     2N+1 samples are not all stored raises ToleranceError with the tol the
     window can reach.  Samples at the
     critical rate h = pi/sigma need a decay certificate; they are summed
-    over the whole stored window, and :func:`wks_tail_bound` bounds the
-    rest.  Either way, at grid points x = k h the stored sample is
+    over the whole stored window by the lattice kernel of
+    :func:`~bandlimit.sinckernel._lattice_series` (one sine and cosine per
+    point, sinc^(m) on the 2m+3 nearest entries, alternating moments of
+    1/(u - k) on the rest), and :func:`wks_tail_bound` bounds the rest of
+    the lattice.  Either way, at grid points x = k h the stored sample is
     reproduced bit for bit (for m = 0).
 
     Returns the values, or (values, tails) with ``with_tail``: the tails
@@ -322,16 +332,17 @@ def wks_eval_grid(s: UniformSamples, m: int, xs, tol: float, *,
 
 
 def _window_series(s: UniformSamples, m: int, xs, u, tol: float):
-    """Critical rate: the whole stored window, with wks_tail_bound's tail."""
+    """Critical rate: sum_k f_k sinc^(m)(u - k) over the whole stored window
+    by :func:`~bandlimit.sinckernel._lattice_series`, each point's row on
+    its own in blocks of 2^16 far-band entries, with wks_tail_bound's
+    tail."""
     tails = np.asarray(wks_tail_bound(s, m, xs))
     tail = float(np.max(tails))
     if tail > tol:
         raise ToleranceError(
             f"reconstruction tail {tail:.3e} exceeds tol {tol:.3e}",
             achievable=tail)
-    ks = np.arange(s.k_min, s.k_max + 1, dtype=float)
-    return _row_sums(u.size, ks.size, lambda b: np.sum(
-        sinc_derivative_grid(m, u[b, None] - ks) * s.values, axis=1)), tails
+    return _lattice_series(m, u, s.values, s.k_min), tails
 
 
 def _regularized_series(s: UniformSamples, m: int, xs, u, tol: float):
@@ -379,20 +390,24 @@ def wks_eval(s: UniformSamples, m: int, x: float, tol: float) -> float:
 # Valiron / Tschakaloff
 # ---------------------------------------------------------------------------
 
-#: lattice indices per block of the Valiron-Tschakaloff sum
-_VT_BLOCK = 1 << 15
-
-
 def valiron_tschakaloff_eval(s: UniformSamples, f0: float, df0: float,
                              z: complex) -> complex:
     """Bounded-function sampling expansion at a complex point.
 
-        f(z) = z f'(0) sinc(sz/pi) + f(0) sinc(sz/pi)
-               + sum_{k != 0} f(k pi/s) (s z / (k pi)) sinc(sz/pi - k)
+        f(z) = z f'(0) sinc(u) + f(0) sinc(u) + sum_{k != 0} f_k (u/k) sinc(u - k),
 
-    The extra 1/k makes the series absolutely convergent for merely bounded
-    samples; the whole stored window is consumed.  Interpolation at lattice
-    points inside it is exact.
+    u = sigma z/pi, f_k = f(k pi/sigma).  The extra 1/k makes the series
+    absolutely convergent for merely bounded samples; the whole stored
+    window is consumed.  Since sin(pi (u - k)) = (-1)^k sin(pi u), the
+    partial fractions u/(k (u - k)) = 1/(u - k) + 1/k give
+
+        (u/k) sinc(u - k) = sinc(u - k) + (-1)^k sin(pi u)/(pi k),
+
+    so the sum is the cardinal sum of the f_k, k != 0, by
+    :func:`~bandlimit.sinckernel._lattice_series`, plus sin(pi u)/pi times
+    the constant sum_{k != 0} (-1)^k f_k/k.  sin(pi u) is taken as
+    (-1)^n0 sin(pi (u - n0)), n0 = round(Re u), so at lattice points inside
+    the window the sample is reproduced bit for bit.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -400,16 +415,21 @@ def valiron_tschakaloff_eval(s: UniformSamples, f0: float, df0: float,
     if abs(s.h - _PI / s.sigma) > 1e-9 * s.h:
         raise ValueError("samples must be taken at the critical lattice k pi/sigma")
     u = z / s.h
-    if u.imag == 0.0:
-        u = complex(snap_integer(u.real), 0.0)
-    head = (z * df0 + f0) * complex(sinc_grid(u))
-    total = 0.0 + 0.0j
-    for lo in range(s.k_min, s.k_max + 1, _VT_BLOCK):
-        k = np.arange(lo, min(lo + _VT_BLOCK, s.k_max + 1))
-        k = k[k != 0]
-        # sigma z / (k pi) written as u/k so lattice interpolation is bit-exact
-        total += complex(np.sum(s.values[k - s.k_min] * (u / k) * sinc_grid(u - k)))
-    return head + total
+    u = np.array([snap_integer(u.real) if u.imag == 0.0 else u])
+    head = (z * df0 + f0) * complex(sinc_grid(u)[0])
+    has_zero = s.k_min <= 0 <= s.k_max
+    alt = np.arange(s.k_min, s.k_max + 1, dtype=float)
+    if has_zero:
+        alt[-s.k_min] = math.inf
+    np.divide(s.values, alt, out=alt)
+    alt[(s.k_min + 1) % 2::2] *= -1.0  # (-1)^k f_k/k, 0 at k = 0
+    alt = float(np.sum(alt))
+    n0 = float(np.rint(u.real[0]))
+    sin_u = (1.0 - 2.0 * (n0 % 2)) * complex(np.sin(_PI * (u[0] - n0)))
+    c = s.values.copy()
+    if has_zero:
+        c[-s.k_min] = 0.0
+    return head + complex(_lattice_series(0, u, c, s.k_min)[0]) + sin_u / _PI * alt
 
 
 def vt_tail_bound(s: UniformSamples, z: complex) -> float:

@@ -18,6 +18,11 @@ continuously extended by sinc^(m)(0) = 0 for odd m and
 catastrophically, so evaluation switches to the termwise-differentiated power
 series of sinc (see ``_SERIES_RADIUS``).
 
+On the integer lattice every entry of sum_k c_k sinc^(m)(u - k) shares one
+sine, sin(pi (u - k)) = (-1)^(n0 - k) sin(pi (u - n0)); ``_lattice_series``
+sums the whole-window series that way, with sinc^(m) itself only on the
+2m+3 entries nearest to u.
+
 For oversampled data the regularized kernel sinc(x) exp(-alpha x^2/N) is
 local: ``regularized_sinc_grid`` gives its derivatives,
 ``regularized_sinc_certificate`` the certified error of the series built on
@@ -67,6 +72,12 @@ _QUAD_NODES = 48
 #: largest half-width the local engine sizes, and truncation_halfwidth
 #: for the paper's series
 MAX_HALFWIDTH = 2_000_000
+
+#: half-widths up to which the N search with sample-point rounding (the Boas
+#: path) charges that rounding with the computed sum |w| of each candidate
+#: row; at alpha = pi/4 the truncation bound at N = 128 is below 1e-38 for
+#: every order r <= 8
+_SIZED_ROWS = 128
 
 _E = math.e
 _PI = math.pi
@@ -201,6 +212,85 @@ def _quad_grid(m: int, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# cardinal sums on the integer lattice
+# ---------------------------------------------------------------------------
+
+#: far-band entries per block of the lattice sum: a block is a chunk of at
+#: most this many lattice indices times as many points as fit (512 KiB per
+#: temporary)
+_LATTICE_BLOCK = 1 << 16
+
+
+def _lattice_series(m: int, u, c, k_min: int) -> np.ndarray:
+    """sum_k c[k - k_min] sinc^(m)(u - k) over the lattice indices
+    k_min <= k < k_min + len(c), for each point of the 1-D array u (real,
+    or complex for m = 0).
+
+    With n0 = round(Re u) and r = u - n0, every entry shares one sine:
+    sin(pi (u - k)) = (-1)^(n0 - k) sin(pi r), and likewise the cosine.
+    The near band |k - n0| <= m + 1 (2m + 3 entries per point, clipped to
+    the window) goes through :func:`sinc_derivative_grid` as it is.  In the
+    far band the closed form of sinc^(m) reduces to
+
+        (-1)^(m + n0) m!/pi sum_{j=0..m} (-1)^(j//2) pi^j/j! T_j M_(m+1-j),
+        T_j = sin(pi r) (j even), -cos(pi r) (j odd),
+
+    with the alternating moments M_p = sum_k (-1)^k c_k (u - k)^-p: one
+    division per entry and one multiply per further power, and no trig.
+    There |u - k| >= m + 3/2, so each entry's terms fall with p and do not
+    cancel.  At m = 0 a real lattice point gives its coefficient bit for
+    bit: sin(pi r) = 0 makes the far band exactly 0, and the node sits in
+    the near band, so nothing is divided by 0.
+
+    The far band is summed in blocks of at most _LATTICE_BLOCK entries,
+    each row on its own and the chunks of lattice indices at fixed places,
+    so a point's value does not depend on the other points of the call.
+    """
+    u = np.asarray(u)
+    c = np.asarray(c, dtype=float)
+    n0 = np.rint(u.real)
+    r = u - n0
+    band = n0[:, None] + np.arange(-m - 1, m + 2)
+    inside = (band >= k_min) & (band < k_min + c.size)
+    col = np.where(inside, band - k_min, 0).astype(np.intp)
+    x = u[:, None] - band
+    kern = sinc_grid(x) if np.iscomplexobj(x) else sinc_derivative_grid(m, x)
+    near = np.sum(np.where(inside, c[col], 0.0) * kern, axis=1)
+    pts, slots = np.nonzero(inside)
+    cols = col[pts, slots]  # window columns of the near entries
+    moments = np.zeros((m + 1, u.size), dtype=r.dtype)
+    for lo in range(0, c.size, _LATTICE_BLOCK):
+        a = c[lo:lo + _LATTICE_BLOCK].copy()
+        a[(k_min + lo + 1) % 2::2] *= -1.0  # (-1)^k c_k
+        ks = np.arange(k_min + lo, k_min + lo + a.size, dtype=float)
+        rows = max(1, _LATTICE_BLOCK // a.size)
+        d_rows = np.empty((min(rows, u.size), a.size), dtype=r.dtype)
+        t_rows = np.empty_like(d_rows)
+        for i in range(0, u.size, rows):
+            n = min(rows, u.size - i)
+            d, t = d_rows[:n], t_rows[:n]
+            np.subtract(u[i:i + n, None], ks, out=d)
+            hit = (pts >= i) & (pts < i + n) & (cols >= lo) & (cols < lo + a.size)
+            at = pts[hit] - i, cols[hit] - lo
+            d[at] = 1.0  # the near band, zeroed below
+            np.divide(a, d, out=t)
+            t[at] = 0.0
+            moments[0, i:i + n] += np.sum(t, axis=1)
+            if m:
+                np.divide(1.0, d, out=d)
+            for p in range(1, m + 1):
+                t *= d
+                moments[p, i:i + n] += np.sum(t, axis=1)
+    sin_r, cos_r = np.sin(_PI * r), np.cos(_PI * r)
+    far = np.zeros_like(moments[0])
+    for j in range(m + 1):
+        trig = sin_r if j % 2 == 0 else -cos_r
+        far += (-1.0) ** (j // 2) * _PI ** j / math.factorial(j) * trig * moments[m - j]
+    far *= (1.0 - 2.0 * ((n0 + m) % 2)) * math.factorial(m) / _PI
+    return near + far
+
+
+# ---------------------------------------------------------------------------
 # regularized cardinal kernel: sinc times a Gaussian
 # ---------------------------------------------------------------------------
 
@@ -212,16 +302,18 @@ _CRAMER = 1.0865
 
 #: error of a computed weight of order 0, 1, 2 and >= 3 relative to its
 #: magnitude bound: a few ulps for sinc itself; sinc^(m) was measured within
-#: 2.0e-15 and 1.3e-15 times pi^m/(m+1) of a 50-digit reference for m = 1
-#: and 2, and within 5.8e-14 times it for 3 <= m <= 20 (2.3e-15 for m = 3;
-#: the largest at m = 19, |x| near 2.9), on the series and quadrature
-#: switches, |x| <= 8 and |x| up to 200; the budget is five times that
+#: 2.0e-15 and 1.35e-15 times pi^m/(m+1) of a 50-digit reference for m = 1
+#: and 2 (for m = 2 on the quadrature branch, x near 0.055), and within
+#: 5.8e-14 times it for 3 <= m <= 20 (2.3e-15 for m = 3; the largest at
+#: m = 19, |x| near 2.9), on the series and quadrature switches, |x| <= 8
+#: and |x| up to 200; the budget is about five times that (4.8 for m = 2)
 _WEIGHT_ERR = (8 * _UNIT, 1e-14, 6.5e-15, 2.9e-13)
 
 
-def regularized_sinc_grid(m: int, x, N: int, alpha: float) -> np.ndarray:
+def regularized_sinc_grid(m: int, x, N, alpha: float) -> np.ndarray:
     """m-th derivative of the regularized kernel sinc(x) exp(-alpha x^2/N)
-    at an array of real offsets x.
+    at an array of real offsets x; N is an integer, or an array that
+    broadcasts against x and gives each weight its own half-width.
 
     Leibniz over sinc^(m-j) and the Gaussian's derivatives
     (-sqrt(c))^j H_j(sqrt(c) x) exp(-c x^2), c = alpha/N, with the
@@ -233,18 +325,20 @@ def regularized_sinc_grid(m: int, x, N: int, alpha: float) -> np.ndarray:
     if m < 0:
         raise ValueError("derivative order must be >= 0")
     x = np.asarray(x, dtype=float)
-    c = alpha / N
+    x = np.broadcast_to(x, np.broadcast_shapes(x.shape, np.shape(N)))
+    c = alpha / np.asarray(N, dtype=float)
     gauss = np.exp(-c * x * x)
     live = gauss != 0.0
     if not live.all():
         out = np.zeros_like(x)
-        out[live] = regularized_sinc_grid(m, x[live], N, alpha)
+        n_live = N if np.ndim(N) == 0 else np.broadcast_to(N, x.shape)[live]
+        out[live] = regularized_sinc_grid(m, x[live], n_live, alpha)
         return out
     total = sinc_derivative_grid(m, x)
-    y = math.sqrt(c) * x
+    y = np.sqrt(c) * x
     h_prev, h_j = np.ones_like(x), 2.0 * y
     for j in range(1, m + 1):
-        coeff = math.comb(m, j) * (-math.sqrt(c)) ** j
+        coeff = math.comb(m, j) * (-np.sqrt(c)) ** j
         total = total + coeff * h_j * sinc_derivative_grid(m - j, x)
         h_prev, h_j = h_j, 2.0 * y * h_j - 2.0 * j * h_prev
     return total * gauss
@@ -426,7 +520,20 @@ def _local_series(r: int, u, alpha: float, bound: float, h: float, tol: float,
             # dropped |w| at most 2^-53 times that, below 2^-52 (2N+1) W_r
             wsum = (2 * ns + 1) * _weight_bound(r, ns, alpha)
             return (cert(ns, u_max, sin_max) + 2.0 * _UNIT * wsum * bound / scale
-                    + slope * (reach_max + ns) * wsum * (1.0 + _WEIGHT_ERR[min(r, 3)]))
+                    + (0.0 if origin is None else slope * (reach_max + ns) * abs_sums(ns, wsum)))
+
+        def abs_sums(ns, wsum):
+            # the computed sum |w| of the worst row at each N <= _SIZED_ROWS;
+            # past it, where no reachable tol needs N, the bound, so that the
+            # search of an unreachable tol still ends
+            out = wsum * (1.0 + _WEIGHT_ERR[min(r, 3)])
+            few = ns[ns <= _SIZED_ROWS]
+            if few.size:
+                n = np.arange(-few[-1], few[-1] + 1)
+                w = regularized_sinc_grid(r, offset[:, None, None] - n, few[:, None], alpha)
+                w[:, np.abs(n) > few[:, None]] = 0.0
+                out[:few.size] = np.max(np.sum(np.abs(w), axis=2), axis=0)
+            return out
 
         N = regularized_halfwidth(sized, tol, room)
 

@@ -346,6 +346,17 @@ class TestLocalEngine:
         with pytest.raises(ToleranceError):
             boas_derivative(f, r, 1e9, tol=1e-10)
 
+    def test_far_point_sized_by_the_computed_weight_sum(self):
+        # the N search charges the rounding of x + n h with the computed
+        # sum |w| of the row; (2N+1) W_r in its place, 10-90 times larger,
+        # refused tol 1e-6 at x = 1e9 with achievable 1.2e-5
+        f = make_reference("sin", 1.0)
+        got, cert = _derivatives(f, 1, [1e9], 1e-6, None)
+        with mp.workdps(30):
+            want = float(mp.cos(mp.mpf(1e9)))
+        assert abs(got[0] - want) <= cert[0] <= 1e-6
+        assert boas_derivative(f, 1, 1e9) == got[0]
+
     @pytest.mark.parametrize("kind", ["sin", "fejer"])
     def test_paper_series_agree_within_2tol(self, kind):
         f = make_reference(kind, 1.0)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from bandlimit.sampling import (
     wks_eval_grid,
     wks_tail_bound,
 )
+from bandlimit import sampling, sinckernel
 from bandlimit.boas import boas_derivative
 from bandlimit.sinckernel import (
     _strip_log_bound,
@@ -202,9 +204,9 @@ class TestTailHonesty:
         err = abs(wks_eval(s, 0, 300.0, tol=1e-5) - float(f(300.0)))
         assert err <= wks_tail_bound(s, 0, 300.0)
 
-    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
     def test_fejer_critical_rate(self, m):
-        K = 200
+        K = 20_000
         f = make_reference("fejer", 1.0)
         s = UniformSamples.from_function(f, PI, -K, K)
         xs = np.linspace(-0.8 * K * s.h, 0.8 * K * s.h, 101)
@@ -276,6 +278,53 @@ def tone_samples(f, h, n0, half):
     ks = np.arange(n0 - half, n0 + half + 1)
     return UniformSamples(sigma=1.0, h=h, k_min=int(ks[0]), k_max=int(ks[-1]),
                           values=f.samples(ks, h), tail_bound=1.0)
+
+
+class TestCriticalRateCost:
+    """The critical-rate sum evaluates sinc^(m) only on each point's near
+    band, 2m+3 entries, however long the window: the far band needs one
+    sine and one cosine per point and no kernel entry."""
+
+    @staticmethod
+    def kernel_entries(monkeypatch):
+        # every module that binds the kernels, as bench/tracing.py wraps them
+        seen = {"sinc_grid": 0, "sinc_derivative_grid": 0}
+        for name in seen:
+            fn = getattr(sinckernel, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                seen[_name] += np.size(args[-1])
+                return _fn(*args)
+
+            for mod in (sinckernel, sampling):
+                monkeypatch.setattr(mod, name, counted)
+        return seen
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+    def test_near_band_only(self, monkeypatch, m):
+        K = 20_000
+        f = make_reference("fejer", 1.0)
+        s = UniformSamples.from_function(f, PI, -K, K)
+        nodes = np.arange(-K + max(2, m), K - max(2, m) + 1, 397) * s.h
+        xs = np.concatenate([nodes, np.linspace(-0.8 * K * s.h, 0.8 * K * s.h, 101)])
+        seen = self.kernel_entries(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = wks_eval_grid(s, m, xs, tol=1.0)
+        assert max(seen.values()) <= (2 * m + 3) * xs.size, seen
+        if m == 0:
+            assert np.array_equal(got[:nodes.size], s.values[np.rint(nodes / s.h).astype(int) + K])
+
+    def test_valiron_tschakaloff_near_band_only(self, monkeypatch):
+        K = 100_000
+        ks = np.arange(-K, K + 1)
+        s = UniformSamples(sigma=1.0, h=PI, k_min=-K, k_max=K,
+                           values=np.sin(ks * PI + 0.9), tail_bound=1.0)
+        seen = self.kernel_entries(monkeypatch)
+        for z in (0.37, 0.3 + 0.4j, 5 * PI):
+            valiron_tschakaloff_eval(s, math.sin(0.9), math.cos(0.9), z)
+        # the head's sinc(u) and the 3-entry near band, per call
+        assert max(seen.values()) <= 3 * (1 + 3), seen
 
 
 class TestRegularizedSeries:

@@ -4,6 +4,7 @@ import tracemalloc
 from dataclasses import dataclass, field
 from typing import Dict
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from bandlimit.sinckernel import (
     _SERIES_RADIUS,
     _WEIGHT_ERR,
     _closed_grid,
+    _lattice_series,
     coefficient_tail_bound,
     regularized_sinc_grid,
     sinc,
@@ -27,6 +29,7 @@ from mp_reference import sinc_derivative_closed, sinc_derivative_mp, sinc_deriva
 from paper_boas import boas_coefficient, boas_coefficient_grid
 
 PI = math.pi
+EPS = 2.0 ** -52
 
 
 class TestSinc:
@@ -295,6 +298,112 @@ class TestRegularizedKernel:
             assert np.array_equal(got[live].view(np.uint64), want[live].view(np.uint64))
             # the full sum gives +-0.0 there; the skip writes +0.0
             assert np.all(want[~live] == 0.0) and np.all(got[~live].view(np.uint64) == 0)
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_half_width_per_row_bit_identical(self, m):
+        # an array N gives each row its own half-width, as one call per N does
+        ns = np.arange(1, 41)
+        x = 0.37 - np.arange(-300, 301)
+        got = regularized_sinc_grid(m, x, ns[:, None], PI / 4)
+        for n, row in zip(ns, got):
+            want = regularized_sinc_grid(m, x, int(n), PI / 4)
+            assert np.array_equal(row.view(np.uint64), want.view(np.uint64)), n
+
+
+def termwise_window_sum(m, u, c, k_min):
+    """sum_k c_k sinc^(m)(u - k) entry by entry over the whole window: one
+    sine per entry, at pi (u - k), so each entry carries the rounding of an
+    argument up to pi |u - k|."""
+    ks = np.arange(k_min, k_min + len(c), dtype=float)
+    return np.sum(sinc_derivative_grid(m, np.asarray(u, dtype=float)[:, None] - ks) * c, axis=1)
+
+
+def termwise_slack(m, u, c, k_min):
+    """4 ulps of sum_k |c_k| (|K(x)| + |x K'(x)|), K = sinc^(m), x = u - k:
+    the second part is the termwise sum's own rounding of its arguments,
+    which 1e-9 from a node is up to 4e3 ulps of sum_k |c_k K(x)| (see
+    TestLatticeSeries.test_within_ulps_of_mpmath)."""
+    x = np.asarray(u, dtype=float)[:, None] - np.arange(k_min, k_min + len(c), dtype=float)
+    return 4 * EPS * np.sum(np.abs(c) * (np.abs(sinc_derivative_grid(m, x))
+                                         + np.abs(x * sinc_derivative_grid(m + 1, x))), axis=1)
+
+
+def closed_sinc_derivative_mp(m, x):
+    """sinc^(m)(x) from the closed form at the working precision; x != 0."""
+    x = mp.mpf(x)
+    px = mp.pi * x
+    s1 = mp.fsum((-1) ** v * px ** (2 * v) / mp.factorial(2 * v) for v in range(m // 2 + 1))
+    s2 = mp.fsum((-1) ** v * px ** (2 * v + 1) / mp.factorial(2 * v + 1)
+                 for v in range((m - 1) // 2 + 1))
+    lead = (-1) ** m * mp.factorial(m) / (mp.pi * x ** (m + 1))
+    return lead * (mp.sin(px) * s1 - mp.cos(px) * s2)
+
+
+class TestLatticeSeries:
+    """_lattice_series sums c_k sinc^(m)(u - k) with one sine per point."""
+
+    WINDOWS = ((-60, 60), (-12, 300))
+
+    @staticmethod
+    def points(k_min, k_max, m):
+        nodes = np.arange(k_min, k_max + 1, 7, dtype=float)
+        gap = max(2, m)  # the nearest wks_tail_bound allows; clips the near band for m >= 2
+        inner = nodes[(nodes >= k_min + gap) & (nodes <= k_max - gap)]
+        edges = [k_min + gap, k_max - gap, k_min + gap + 0.3, k_max - gap - 0.3]
+        return nodes, np.concatenate([nodes, inner + 1e-9, inner - 1e-9, inner + 0.5, edges])
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+    def test_matches_termwise_oracle(self, m):
+        rng = np.random.default_rng(11)
+        for k_min, k_max in self.WINDOWS:
+            ks = np.arange(k_min, k_max + 1, dtype=float)
+            for c in (rng.standard_normal(ks.size), 1.0 / (1.0 + ks * ks)):
+                nodes, u = self.points(k_min, k_max, m)
+                got = _lattice_series(m, u, c, k_min)
+                assert np.all(np.abs(got - termwise_window_sum(m, u, c, k_min))
+                              <= termwise_slack(m, u, c, k_min))
+                if m == 0:
+                    assert np.array_equal(got[:nodes.size], c[(nodes - k_min).astype(int)])
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+    def test_within_ulps_of_mpmath(self, m):
+        # the far band reduces to |r| <= 1/2 before its one sine: within 8
+        # ulps of sum_k |c_k sinc^(m)(u - k)|
+        k_min, k_max = -12, 80
+        ks = np.arange(k_min, k_max + 1, dtype=float)
+        c = 1.0 / (1.0 + ks * ks)
+        u = np.array([16.5, 59.999999999, 40.000000001, 30.25, k_max - max(2, m) - 0.3])
+        got = _lattice_series(m, u, c, k_min)
+        mag = np.sum(np.abs(c * sinc_derivative_grid(m, u[:, None] - ks)), axis=1)
+        with mp.workdps(80):
+            want = [float(mp.fsum(mp.mpf(ci) * closed_sinc_derivative_mp(m, mp.mpf(ui) - int(k))
+                                  for ci, k in zip(c, ks))) for ui in u]
+        assert np.all(np.abs(got - want) <= 8 * EPS * mag), np.abs(got - want) / (EPS * mag)
+
+    def test_complex_points_match_termwise(self):
+        # complex u at m = 0, as the Valiron-Tschakaloff sum uses it
+        ks = np.arange(-40, 41, dtype=float)
+        c = np.cos(0.3 * ks)
+        u = np.array([0.3 + 0.4j, -7.5 - 0.2j, 12.0 + 1e-3j, 3.0 + 0.0j])
+        got = _lattice_series(0, u, c, -40)
+        want = np.sum(sinc_grid(u[:, None] - ks) * c, axis=1)
+        assert np.all(np.abs(got - want) <= 1e-14)
+
+    def test_long_window_in_chunks(self):
+        # a window longer than one block is summed chunk by chunk
+        ks = np.arange(-100_000, 100_001, dtype=float)
+        c = 1.0 / (1.0 + ks * ks)
+        u = np.array([0.3, -41.5, 12.0])
+        got = _lattice_series(1, u, c, -100_000)
+        want = np.concatenate([termwise_window_sum(1, u[i:i + 1], c, -100_000) for i in range(3)])
+        assert np.all(np.abs(got - want) <= 1e-15)
+
+    def test_points_outside_the_window(self):
+        # no near band inside the window: every entry is far
+        c = np.ones(11)
+        u = np.array([-30.5, 25.0, 40.2])
+        assert np.all(np.abs(_lattice_series(2, u, c, -5) - termwise_window_sum(2, u, c, -5))
+                      <= termwise_slack(2, u, c, -5))
 
 
 class TestBoasCoefficient:
