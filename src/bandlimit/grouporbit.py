@@ -18,9 +18,12 @@ base time t back to time 0 (u = -t/h, sample n at ``OrbitSamples.at(n/2)``).
 Every unit functional of the trajectory is entire of type sigma and bounded
 by ||f|| on the real line, so the scalar certificate of the regularized
 series, with sample bound ||f||, bounds the error in norm; N is the
-smallest half-width it certifies.  The engine's fetch rule sets the
-smallest weights to 0.0 and charges them to the certificate; only the
-samples with a nonzero weight are fetched.
+smallest half-width it certifies.  The engine builds a pinned N's
+weights on a band around n0 only, and its fetch rule sets the smallest
+weights to 0.0; both are charged to the certificate.  Only the samples
+with a nonzero weight are fetched, in index order, and array samples are
+summed by one index-order accumulation per block, bit-identical to adding
+them one by one (:func:`_weighted_sum`).
 
 The weights and sample points never depend on the group: any object
 implementing the :class:`GroupInstance` triple (orbit, generator, norm) plugs
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Iterator, List, Optional
 
 import numpy as np
 
@@ -140,20 +143,67 @@ def _orbit_sum(fetch: Callable[[int, float], Any], zero, bound: float, r: int,
     offset from the evaluation point; ``bound`` bounds every sample's norm
     and ``zero`` starts the sum.  N is ``k_terms`` when given (tol is then
     ignored), else the smallest half-width the certificate allows.  Only
-    the samples with a nonzero weight are fetched, each once, and summed in
-    index order.  The certificate takes each fetched vector as exact: the
-    group's own rounding, and the rounding of each sample time, are outside
-    it.
+    the samples with a nonzero weight are fetched, each once and in index
+    order, and summed by :func:`_weighted_sum`.  The certificate takes each
+    fetched vector as exact: the group's own rounding, and the rounding of
+    each sample time, are outside it.
     """
     N, rows = _local_series(r, u, _ALPHA, bound, h, tol, k_terms)
-    n0, d, w, cert = rows(slice(None))
+    n_lo, d, w, cert = rows(slice(None))
     w = w[0] / h ** r
     keep = np.flatnonzero(w)
-    acc = zero
-    for n, dn, wn in zip((int(n0[0]) - N + keep).tolist(), d[0, keep].tolist(),
-                         w[keep].tolist()):
-        acc = acc + wn * fetch(n, dn)
-    return acc, float(cert[0])
+    samples = map(fetch, (int(n_lo[0]) + keep).tolist(), d[0, keep].tolist())
+    return _weighted_sum(zero, w[keep], samples), float(cert[0])
+
+
+#: vector entries per block of stacked array samples in _weighted_sum
+_GATHER_ENTRIES = 1 << 16
+
+#: sample types whose product with a float weight, and whose sums, come out
+#: the same stacked as one by one
+_STACKED = (np.dtype(np.float64), np.dtype(np.complex128))
+
+
+def _weighted_sum(zero, w: np.ndarray, samples: Iterator[Any]):
+    """zero + w[0] x_0 + w[1] x_1 + ..., added left to right, each sample
+    x_i drawn from the iterator, and copied or used, before the next.
+
+    When zero is a float64 or complex128 array, each sample of its shape
+    and type is copied on arrival into a block of about _GATHER_ENTRIES
+    entries behind the running sum; the block is scaled by one multiply
+    and summed in place by one np.add.accumulate along the stack, which
+    adds row by row, the additions of the loop in its order, so the sum is
+    bit-identical to it.  Other vectors (SeqWindow), and every sample from
+    the first that does not fit the block, are added one by one.
+    """
+    ws = w.tolist()
+    acc, i = zero, 0
+    if isinstance(zero, np.ndarray) and zero.dtype in _STACKED and ws:
+        shape, dtype = zero.shape, zero.dtype
+        buf = np.empty((min(max(1, _GATHER_ENTRIES // max(zero.size, 1)), len(ws)) + 1,)
+                       + shape, dtype)
+        buf[0] = zero
+        odd = None
+        while odd is None and i < len(ws):
+            k = 0  # samples stacked behind the running sum buf[0]
+            for row, x in zip(buf[1:len(ws) - i + 1], samples):
+                if not (isinstance(x, np.ndarray) and x.dtype is dtype and x.shape == shape):
+                    odd = x
+                    break
+                row[...] = x
+                k += 1
+            blk = buf[:k + 1]
+            blk[1:] *= w[i:i + k].reshape((k,) + (1,) * len(shape))
+            np.add.accumulate(blk, axis=0, out=blk)
+            buf[0] = blk[k]
+            i += k
+        if odd is None:
+            return buf[0].copy()
+        acc = buf[0] + ws[i] * odd
+        i += 1
+    for wn, x in zip(ws[i:], samples):
+        acc = acc + wn * x
+    return acc
 
 
 def _trajectory(b: BernsteinVector, r: int, t: float, tol: float,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,10 +72,9 @@ class SandwichReport:
     passed: bool
 
 
-def _lattice_norm_bracket(f: BandlimitedFn, h: float, p: float, x: float,
-                          window: int) -> Tuple[float, float]:
-    ks = np.arange(-window, window + 1)
-    vals = np.abs(np.asarray(f(x - ks * h), dtype=float))
+def _lattice_norm_bracket(vals: np.ndarray, f: BandlimitedFn, h: float, p: float,
+                          x: float, window: int) -> Tuple[float, float]:
+    # vals = |f(x - k h)| for |k| <= window
     if p == math.inf:
         lo = float(np.max(vals))
         return lo, max(lo, 0.0)  # sup over the window; tail never raises p=inf below sup_bound
@@ -100,6 +99,56 @@ def _lattice_norm_bracket(f: BandlimitedFn, h: float, p: float, x: float,
     return lo, hi
 
 
+def plancherel_polya_checks(f: BandlimitedFn, h: float, ps: Sequence[float],
+                            shifts: Optional[Sequence[float]] = None,
+                            window: int = 100_000,
+                            norm_values: Optional[Sequence[float]] = None
+                            ) -> List[SandwichReport]:
+    """:func:`plancherel_polya_check` for each p of ``ps`` (``norm_values``,
+    when given, the ||f||_p in the same order), one report per p.  f is
+    evaluated once per shift on the 2 window + 1 lattice points and every p
+    reads those values, so each report is the one-p check's, bit for bit.
+    """
+    if h <= 0.0:
+        raise ValueError("step h must be positive")
+    if shifts is None:
+        shifts = [j * h / 64.0 for j in range(64)]
+    if norm_values is None:
+        norm_values = [None] * len(ps)
+    elif len(norm_values) != len(ps):
+        raise ValueError(f"{len(norm_values)} norm values for {len(ps)} exponents")
+    norms = []
+    for p, given in zip(ps, norm_values):
+        if given is not None:
+            norms.append(float(given))
+        elif f.lp_norms is not None and p in f.lp_norms:
+            norms.append(float(f.lp_norms[p]))
+        else:
+            norms.append(_lp_norm_quadrature(f, p))
+    ks = np.arange(-window, window + 1)
+    mids = [[] for _ in ps]
+    for x in shifts:
+        x = float(x)
+        vals = np.abs(np.asarray(f(x - ks * h), dtype=float))
+        for per_p, p in zip(mids, ps):
+            per_p.append(_lattice_norm_bracket(vals, f, h, p, x, window))
+    reports = []
+    for p, norm, per_p in zip(ps, norms, mids):
+        middle_lo = max(m[0] for m in per_p)
+        middle_hi = max(m[1] for m in per_p)
+        upper = (1.0 + h * f.sigma) * norm
+        slack_lower = middle_hi - norm
+        slack_upper = upper - middle_hi
+        passed = bool(slack_lower >= -1e-12 * max(1.0, norm)
+                      and slack_upper >= -1e-12 * max(1.0, norm)
+                      and math.isfinite(middle_hi))
+        reports.append(SandwichReport(p=p, h=h, sigma=f.sigma, lower=norm,
+                                      middle_lo=middle_lo, middle_hi=middle_hi,
+                                      upper=upper, slack_lower=slack_lower,
+                                      slack_upper=slack_upper, passed=passed))
+    return reports
+
+
 def plancherel_polya_check(f: BandlimitedFn, h: float, p: float,
                            shifts: Optional[Sequence[float]] = None,
                            window: int = 100_000,
@@ -111,29 +160,8 @@ def plancherel_polya_check(f: BandlimitedFn, h: float, p: float,
     ||f||_p comes from the reference metadata when available, else from
     quadrature over the decay envelope.
     """
-    if h <= 0.0:
-        raise ValueError("step h must be positive")
-    if shifts is None:
-        shifts = [j * h / 64.0 for j in range(64)]
-    if norm_value is not None:
-        norm = float(norm_value)
-    elif f.lp_norms is not None and p in f.lp_norms:
-        norm = float(f.lp_norms[p])
-    else:
-        norm = _lp_norm_quadrature(f, p)
-    mids = [_lattice_norm_bracket(f, h, p, float(x), window) for x in shifts]
-    middle_lo = max(m[0] for m in mids)
-    middle_hi = max(m[1] for m in mids)
-    upper = (1.0 + h * f.sigma) * norm
-    slack_lower = middle_hi - norm
-    slack_upper = upper - middle_hi
-    passed = bool(slack_lower >= -1e-12 * max(1.0, norm)
-                  and slack_upper >= -1e-12 * max(1.0, norm)
-                  and math.isfinite(middle_hi))
-    return SandwichReport(p=p, h=h, sigma=f.sigma, lower=norm,
-                          middle_lo=middle_lo, middle_hi=middle_hi,
-                          upper=upper, slack_lower=slack_lower,
-                          slack_upper=slack_upper, passed=passed)
+    return plancherel_polya_checks(f, h, [p], shifts, window,
+                                   None if norm_value is None else [norm_value])[0]
 
 
 def _lp_norm_quadrature(f: BandlimitedFn, p: float, half_width: float = 400.0,

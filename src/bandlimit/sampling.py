@@ -363,8 +363,8 @@ def _regularized_series(s: UniformSamples, m: int, xs, u, tol: float):
     tails = np.empty(u.size)
 
     def block(b):
-        n0_b, _, w, tails[b] = rows(b)
-        idx = (n0_b - s.k_min).astype(np.intp)[:, None] + np.arange(-N, N + 1)
+        n_lo, _, w, tails[b] = rows(b)
+        idx = (n_lo - s.k_min).astype(np.intp)[:, None] + np.arange(w.shape[1])
         return np.sum(w * s.values[idx], axis=1)
 
     return _row_sums(u.size, 2 * N + 1, block), tails

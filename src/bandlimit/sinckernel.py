@@ -29,7 +29,8 @@ local: ``regularized_sinc_grid`` gives its derivatives,
 it, which reads 2N+1 samples per point, and ``regularized_halfwidth`` the
 smallest N that certificate allows.  ``_local_series`` is the one routine
 that sums that series, for sampled data, orbits and the derivatives of
-:mod:`bandlimit.boas` alike.
+:mod:`bandlimit.boas` alike; at a large pinned N it builds each row only on
+the band whose left-out weights ``_band_tail`` bounds.
 
 The paper's Boas formulas weigh translates of f by the families
 
@@ -344,15 +345,64 @@ def regularized_sinc_grid(m: int, x, N, alpha: float) -> np.ndarray:
     return total * gauss
 
 
-def _weight_bound(m: int, N, alpha: float):
-    # sup |d^m (sinc G)|: |sinc^(k)| <= pi^k/(k+1), and by Cramer
-    # sup |G^(j)| <= _CRAMER sqrt(2^j j!) (alpha/N)^(j/2) for j >= 1
-    c = alpha / np.asarray(N, dtype=float)
-    total = _PI ** m / (m + 1)
+def _hermite_terms(m: int, c):
+    # the Leibniz terms j >= 1 of sup |d^m (sinc G)|, G = exp(-c x^2):
+    # |sinc^(k)| <= pi^k/(k+1), and by Cramer
+    # |G^(j)(x)| <= _CRAMER sqrt(2^j j!) c^(j/2) exp(-c x^2/2)
     for j in range(1, m + 1):
-        total = total + (math.comb(m, j) * _PI ** (m - j) / (m - j + 1) * _CRAMER
-                         * math.sqrt(2.0 ** j * math.factorial(j)) * c ** (j / 2))
+        yield (math.comb(m, j) * _PI ** (m - j) / (m - j + 1) * _CRAMER
+               * math.sqrt(2.0 ** j * math.factorial(j)) * c ** (j / 2))
+
+
+def _weight_bound(m: int, N, alpha: float):
+    # sup |d^m (sinc G)|: pi^m/(m+1) for j = 0, then the Hermite terms
+    total = _PI ** m / (m + 1)
+    for term in _hermite_terms(m, alpha / np.asarray(N, dtype=float)):
+        total = total + term
     return total
+
+
+#: half-widths up to which a row of the local engine keeps every offset,
+#: and so its bits: a band saves little on rows that short, and the rows of
+#: sampled data and of the Boas derivatives, sized by a tol, are among them
+_FULL_ROWS = 128
+
+#: the part of the fetch rule's 2^-53 sum |w| that the offsets left out of a
+#: row's band may weigh, for rows with sum |w| >= 1/2
+_BAND_SHARE = 2.0 ** -10
+
+
+def _band_tail(r: int, N: int, alpha: float, D: int) -> float:
+    """Bound on sum |w_n| over the offsets D < |n - n0| <= N of a row of
+    order r, for every point (|u - n0| <= 1/2).
+
+    There |x| = |u - n| >= z = D + 1/2, and by Leibniz, |sinc^(k)| <=
+    pi^k/(k+1) and Cramer's inequality on the Gaussian's Hermite factors,
+    |w(x)| <= A exp(-c x^2) + B exp(-c x^2/2), c = alpha/N, A = pi^r/(r+1)
+    and B the Hermite terms of :func:`_weight_bound`.  That bound falls in
+    |x|, so each side weighs at most its value at z plus its integral past
+    z, with int_z^inf exp(-a x^2) dx <= exp(-a z^2)/(2 a z).
+    """
+    c = alpha / N
+    z = D + 0.5
+    lead = _PI ** r / (r + 1) * math.exp(-c * z * z) * (1.0 + 1.0 / (2.0 * c * z))
+    herm = sum(_hermite_terms(r, c)) * math.exp(-0.5 * c * z * z) * (1.0 + 1.0 / (c * z))
+    return 2.0 * (lead + herm)
+
+
+def _band_halfwidth(r: int, N: int, alpha: float) -> int:
+    """Smallest band half-width D <= N whose :func:`_band_tail` is at most
+    _BAND_SHARE 2^-53 / 2, by bisection (the tail falls with D; D = N
+    leaves nothing out)."""
+    target = _BAND_SHARE * _UNIT * 0.5
+    lo, hi = 0, N
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _band_tail(r, N, alpha, mid) <= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _strip_log_bound(N, alpha: float, rho):
@@ -480,11 +530,26 @@ def _local_series(r: int, u, alpha: float, bound: float, h: float, tol: float,
     sample only where its weight is nonzero.
 
     Returns N, sized once on all the points, and ``rows(b)``, which builds
-    for the points u[b] (b a slice) n0, the offsets d = u - n and weights
-    w (one row of 2N+1 per point, in sample units: no h^-r) and each
-    point's certificate in h^-r units: the
-    :func:`regularized_sinc_certificate` plus the dropped |w| times
-    ``bound``.  A caller bounds its memory by building the rows in blocks.
+    for the points u[b] (b a slice) the lattice index n0 - D of each row's
+    first column, the offsets d = u - n and weights w (one row per point
+    over |n - n0| <= D, in sample units: no h^-r) and each point's
+    certificate in h^-r units: the :func:`regularized_sinc_certificate`
+    plus the dropped |w|, and the band tail, times ``bound``.  A caller
+    bounds its memory by building the rows in blocks.
+
+    The band half-width D is N up to _FULL_ROWS.  Past it D is the
+    smallest half-width whose :func:`_band_tail`, a bound on the |w| of the
+    offsets left out, is at most 2^-64: 2^-10 of the fetch rule's
+    2^-53 sum |w| for any row with sum |w| >= 1/2.  Every row past
+    _FULL_ROWS has that sum: at r = 0 the weight at n0 alone is at least
+    sinc(1/2) exp(-alpha/(4N)) > 0.63 (alpha < pi/2), and for r >= 1 the
+    computed sums are at least pi^r/2 (held by a test over offsets, alpha
+    and r <= 8).  So the band costs O(D) per row, the fetch rule sees the same
+    weights up to that margin, and the tail is charged to the certificate.
+    At alpha = pi/4 and N = 4096, D is 495 for r = 0 and 673-690 for
+    r = 1..3, where the Gaussian factor leaves about 3 940 offsets live;
+    an N sized by a tol sits where D = N.
+
     Stored samples are exact; with ``origin`` they are f(x + n h),
     |x| <= |origin|, at points rounded twice (n h, then the sum), so each
     moves by at most 2^-52 (|origin| + (|n0| + N + 1) h) and its value by
@@ -516,8 +581,9 @@ def _local_series(r: int, u, alpha: float, bound: float, h: float, tol: float,
         reach_max = float(np.max(reach))
 
         def sized(ns):
-            # sum |w| is at most (2N+1) W_r (1 + weight error), and the
-            # dropped |w| at most 2^-53 times that, below 2^-52 (2N+1) W_r
+            # sum |w| is at most (2N+1) W_r (1 + weight error), the dropped
+            # |w| at most 2^-53 times that and a band's tail at most 2^-64:
+            # below 2^-52 (2N+1) W_r, as W_r >= 1
             wsum = (2 * ns + 1) * _weight_bound(r, ns, alpha)
             return (cert(ns, u_max, sin_max) + 2.0 * _UNIT * wsum * bound / scale
                     + (0.0 if origin is None else slope * (reach_max + ns) * abs_sums(ns, wsum)))
@@ -537,12 +603,16 @@ def _local_series(r: int, u, alpha: float, bound: float, h: float, tol: float,
 
         N = regularized_halfwidth(sized, tol, room)
 
+    D = N if N <= _FULL_ROWS else _band_halfwidth(r, N, alpha)
+    tail = 0.0 if D == N else _band_tail(r, N, alpha, D)
+
     def rows(b: slice):
-        d = offset[b, None] - np.arange(-N, N + 1)
+        d = offset[b, None] - np.arange(-D, D + 1)
         w = regularized_sinc_grid(r, d, N, alpha)
-        dropped = _drop_small(w)
+        dropped = _drop_small(w) + tail
         moved = 0.0 if origin is None else slope * (reach[b] + N) * np.sum(np.abs(w), axis=1)
-        return n0[b], d, w, cert(N, np.abs(u[b]), sin_abs[b]) + dropped * bound / scale + moved
+        return (n0[b] - D, d, w,
+                cert(N, np.abs(u[b]), sin_abs[b]) + dropped * bound / scale + moved)
 
     return N, rows
 

@@ -337,3 +337,50 @@ class TestVerify:
 
     def test_unknown_suite_exit_2(self):
         assert main(["verify", "--suite", "nope"]) == 2
+
+
+class TestParserReuse:
+    """One parser serves every main() call of a process."""
+
+    def commands(self, samples, sequence, out):
+        return [
+            ["reconstruct", "--input", str(samples), "--output", str(out / "r.csv"),
+             "--sigma", "1.0", "--h", str(PI / 1.5), "--num", "11"],
+            ["differentiate", "--input", str(samples), "--output", str(out / "d.csv"),
+             "--sigma", "1.0", "--h", str(PI / 1.5), "--order", "1", "--num", "11"],
+            ["dht", "--action", "orbit", "--t", "0.5", "--expand", "64",
+             "--input", str(sequence), "--output", str(out / "o.csv")],
+            ["verify", "--suite", "favard", "--format", "json"],
+            ["verify", "--suite", "lks"],
+            ["dht", "--action", "nope", "--input", "x", "--output", "y"],  # usage error
+            ["reconstruct", "--input", str(out / "missing.csv"),
+             "--output", str(out / "m.csv")],  # input error
+            ["--version"],
+        ]
+
+    def run_all(self, argvs, out, capsys):
+        seen = []
+        for argv in argvs:
+            for p in out.glob("*.csv"):
+                p.unlink()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            files = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+            seen.append((code, capsys.readouterr(), files))
+        return seen
+
+    def test_outputs_match_a_fresh_parser(self, monkeypatch, sin_samples_file,
+                                          basis_sequence_file, tmp_path, capsys):
+        from bandlimit import cli
+        out = tmp_path / "out"
+        out.mkdir()
+        argvs = self.commands(sin_samples_file, basis_sequence_file, out)
+        cached = self.run_all(argvs + argvs, out, capsys)
+        assert cli._build_parser() is cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = self.run_all(argvs, out, capsys)
+        assert cached == fresh + fresh
+        codes = [c for c, _, _ in fresh]
+        assert codes == [0, 0, 0, 0, 0, ("exit", 2), 2, ("exit", 0)]

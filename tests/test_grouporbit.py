@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bandlimit.grouporbit as grouporbit
 from bandlimit.dht import SeqWindow, dht_instance, hilbert_group
 from bandlimit.errors import ToleranceError
 from bandlimit.grouporbit import (
@@ -401,6 +402,123 @@ class TestOrbitFetches:
             times.clear()
             group_boas(b, r, tol=1e-6)
             assert 20 < len(times) == len(set(times)) < 120, r
+
+
+def loop_sum(zero, w, samples):
+    """The sum of the local orbit engine as a loop: one sample at a time,
+    added in index order; the oracle of the gathered sum."""
+    acc = zero
+    for wn, x in zip(w.tolist(), samples):
+        acc = acc + wn * x
+    return acc
+
+
+def entry_points(b, kw):
+    samples = OrbitSamples.from_bernstein(b, 0.7)
+    return {
+        "orbit_reconstruct": lambda: orbit_reconstruct(b, 0.7, **kw),
+        "orbit_vt": lambda: orbit_vt(b, -1.9, **kw),
+        "recover_initial": lambda: recover_initial(samples, **kw),
+        **{f"group_boas r={r}": lambda r=r: group_boas(b, r, **kw) for r in (1, 2, 3)},
+    }
+
+
+class Counted(np.ndarray):
+    """An array that counts the ufunc calls made on it."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        Counted.calls += 1
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, Counted) else x for x in inputs)
+        if out is not None:
+            kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, Counted) else o
+                                  for o in out)
+        res = getattr(ufunc, method)(*inputs, **kwargs)
+        return res.view(Counted) if isinstance(res, np.ndarray) else res
+
+
+class TestGatheredSum:
+    """Array samples are summed by one index-order accumulation per block,
+    bit-identical to adding them one by one."""
+
+    @pytest.mark.parametrize("kw", [{"k_terms": 64}, {"k_terms": 4096}, {"tol": 1e-6}])
+    @pytest.mark.parametrize("rates", [[2.5], list(np.linspace(0.5, 2.5, 8))])
+    def test_bit_identical_to_the_loop(self, monkeypatch, rates, kw):
+        inst = rotation_instance(rates)
+        v = np.random.default_rng(len(rates)).standard_normal(2 * len(rates))
+        b = BernsteinVector(inst, v / np.linalg.norm(v), max(rates))
+        got = {name: call() for name, call in entry_points(b, kw).items()}
+        monkeypatch.setattr(grouporbit, "_weighted_sum", loop_sum)
+        for name, call in entry_points(b, kw).items():
+            want = call()
+            assert got[name].tobytes() == want.tobytes(), name
+
+    def test_blocks_bit_identical_to_the_loop(self, monkeypatch):
+        # blocks of 4 samples on the 8-block group: about 200 blocks
+        b = BernsteinVector(rotation_instance(np.linspace(0.5, 2.5, 8)), np.full(16, 0.25), 2.5)
+        monkeypatch.setattr(grouporbit, "_GATHER_ENTRIES", 64)
+        got = {name: call() for name, call in entry_points(b, {"k_terms": 4096}).items()}
+        monkeypatch.setattr(grouporbit, "_weighted_sum", loop_sum)
+        for name, call in entry_points(b, {"k_terms": 4096}).items():
+            assert got[name].tobytes() == call().tobytes(), name
+
+    def test_seq_window_samples_take_the_loop(self, monkeypatch):
+        a = SeqWindow(n0=-2, values=np.array([0.5, -1.0, 2.0, 0.25, -0.75]))
+        b = BernsteinVector(dht_instance(expand=64), a, PI)
+        got = {name: call() for name, call in entry_points(b, {"k_terms": 48}).items()}
+        monkeypatch.setattr(grouporbit, "_weighted_sum", loop_sum)
+        for name, call in entry_points(b, {"k_terms": 48}).items():
+            want = call()
+            assert isinstance(got[name], SeqWindow) and got[name].n0 == want.n0, name
+            assert got[name].values.tobytes() == want.values.tobytes(), name
+
+    def test_group_refilling_one_buffer(self, monkeypatch):
+        # each sample is used or copied before the next is fetched, so an
+        # orbit that returns one buffer, refilled per call, sums as the loop
+        base = rotation_instance(np.linspace(0.5, 2.5, 8))
+        out = np.empty(16)
+
+        def orbit(t, v):
+            out[:] = base.orbit(t, v)
+            return out
+
+        shared = BernsteinVector(dataclasses.replace(base, orbit=orbit), np.full(16, 0.25), 2.5)
+        fresh = dataclasses.replace(shared, instance=base)
+        monkeypatch.setattr(grouporbit, "_GATHER_ENTRIES", 64)
+        for kw in ({"k_terms": 4096}, {"tol": 1e-6}):
+            got = {name: np.copy(call()) for name, call in entry_points(shared, kw).items()}
+            with monkeypatch.context() as m:
+                m.setattr(grouporbit, "_weighted_sum", loop_sum)
+                for name, call in entry_points(fresh, kw).items():
+                    assert got[name].tobytes() == call().tobytes(), name
+
+    def test_samples_that_do_not_fit_the_block_take_the_loop(self, monkeypatch):
+        # a complex sample, or one of another shape, ends the stacking; from
+        # there on every sample is added one by one
+        monkeypatch.setattr(grouporbit, "_GATHER_ENTRIES", 12)
+        rng = np.random.default_rng(5)
+        w = rng.standard_normal(9)
+        xs = [rng.standard_normal(3) for _ in range(9)]
+        for odd in (xs[6] + 1j, np.float32(2.5), xs[6].reshape(3, 1)[0]):
+            mixed = xs[:6] + [odd] + xs[7:]
+            got = grouporbit._weighted_sum(np.zeros(3), w, iter(mixed))
+            want = loop_sum(np.zeros(3), w, mixed)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert grouporbit._weighted_sum(np.zeros(3), w[:0], iter([])).tobytes() == bytes(24)
+
+    @pytest.mark.parametrize("r", [0, 3])
+    def test_constant_array_operations_per_sum(self, r):
+        # the samples are Counted arrays; the loop made two ufunc calls on
+        # them per kept sample (about 800 kept at N = 4096)
+        base = rotation_instance(np.linspace(0.5, 2.5, 8))
+        inst = dataclasses.replace(base, orbit=lambda t, v: base.orbit(t, v).view(Counted))
+        b = BernsteinVector(inst, np.full(16, 0.25), 2.5)
+        Counted.calls = 0
+        got, _ = grouporbit._trajectory(b, r, 0.7, 1e-6, 4096)
+        assert Counted.calls <= 4, Counted.calls
+        want, _ = grouporbit._trajectory(dataclasses.replace(b, instance=base), r, 0.7, 1e-6, 4096)
+        assert np.asarray(got).tobytes() == want.tobytes()
 
 
 class TestLocalOrbitEngine:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from bandlimit.inequalities import (
     lks_check,
     lks_constant,
     plancherel_polya_check,
+    plancherel_polya_checks,
 )
 from bandlimit.sampling import UniformSamples, make_reference
 
@@ -79,6 +81,36 @@ class TestPlancherelPolya:
         rep = plancherel_polya_check(f, PI / sigma, 2.0, window=50_000,
                                      norm_value=None)
         assert rep.lower == pytest.approx(math.sqrt(4 * PI / (3 * sigma)), rel=1e-10)
+
+
+class TestSandwichForEveryP:
+    @pytest.mark.parametrize("kind, ps", [("fejer", (1.0, 2.0, math.inf)),
+                                          ("sinc", (2.0, math.inf))])
+    def test_one_evaluation_per_shift_same_reports(self, kind, ps):
+        f = make_reference(kind, 2.0)
+        calls = []
+
+        def counted(x):
+            calls.append(np.size(x))
+            return f.eval(x)
+
+        g = dataclasses.replace(f, eval=counted)
+        shifts = [j * 0.4 / 16 for j in range(16)]
+        got = plancherel_polya_checks(g, 0.4, ps, shifts=shifts, window=2_000)
+        assert calls == [4_001] * len(shifts)
+        for p, rep in zip(ps, got):
+            assert rep == plancherel_polya_check(f, 0.4, p, shifts=shifts, window=2_000)
+
+    def test_given_norms(self):
+        f = make_reference("fejer", 2.0)
+        got = plancherel_polya_checks(f, 0.5, (1.0, 2.0), window=2_000, norm_values=(3.0, None))
+        assert got[0].lower == 3.0 and got[1].lower == f.lp_norms[2.0]
+
+    @pytest.mark.parametrize("norms", [(3.0,), (3.0, None, 1.0)])
+    def test_norms_must_pair_with_exponents(self, norms):
+        f = make_reference("fejer", 2.0)
+        with pytest.raises(ValueError, match="norm values"):
+            plancherel_polya_checks(f, 0.5, (1.0, 2.0), window=2_000, norm_values=norms)
 
 
 class TestEmbedding:

@@ -11,14 +11,20 @@ from hypothesis import given, settings, strategies as st
 
 from bandlimit.boas import truncation_halfwidth
 from bandlimit.errors import ToleranceError
+import bandlimit.sinckernel as sinckernel
 from bandlimit.sinckernel import (
     _QUAD_MIN_ORDER,
     _QUAD_SLOPE,
     _SERIES_RADIUS,
     _WEIGHT_ERR,
+    _band_tail,
     _closed_grid,
+    _drop_small,
     _lattice_series,
+    _local_series,
+    _snap_grid,
     coefficient_tail_bound,
+    regularized_sinc_certificate,
     regularized_sinc_grid,
     sinc,
     sinc_derivative,
@@ -308,6 +314,97 @@ class TestRegularizedKernel:
         for n, row in zip(ns, got):
             want = regularized_sinc_grid(m, x, int(n), PI / 4)
             assert np.array_equal(row.view(np.uint64), want.view(np.uint64)), n
+
+
+def full_rows(r, u, alpha, bound, h, N):
+    """The rows of the local engine with every offset |n - n0| <= N, as
+    they were built before the band: first index, offsets, weights after
+    the fetch rule, certificate."""
+    u = _snap_grid(np.asarray(u, dtype=float))
+    n0 = np.rint(u)
+    offset = u - n0
+    sin_abs = np.abs(np.sin(PI * offset)) if r == 0 else np.ones(u.size)
+    d = offset[:, None] - np.arange(-N, N + 1)
+    w = regularized_sinc_grid(r, d, N, alpha)
+    dropped = _drop_small(w)
+    cert = regularized_sinc_certificate(r, N, alpha, bound, u=np.abs(u),
+                                        sin_factor=sin_abs) / h ** r
+    return n0 - N, d, w, cert + dropped * bound / h ** r + 0.0
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestRowBand:
+    """Past N = 128 a row of the local engine keeps the offsets
+    |n - n0| <= D only, and its certificate charges a bound on the rest."""
+
+    OFFSETS = [0.0, 0.17, -0.41, 0.5]
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_row_at_4096_evaluates_at_most_1500_entries_per_order(self, monkeypatch, r):
+        # counted as TestCriticalRateCost counts: every kernel call's size;
+        # the full row has 8 193 offsets, about 3 940 of them live
+        seen = {"sinc_grid": 0, "sinc_derivative_grid": 0}
+        for name in seen:
+            def counted(*args, _fn=getattr(sinckernel, name), _name=name):
+                seen[_name] += np.size(args[-1])
+                return _fn(*args)
+            monkeypatch.setattr(sinckernel, name, counted)
+        for u in (0.3, 17.0):
+            for key in seen:
+                seen[key] = 0
+            _, rows = _local_series(r, [u], PI / 4, 1.0, 1.0, 1e-6, k_terms=4096)
+            _, d, w, _ = rows(slice(None))
+            assert w.shape[1] <= 1500
+            # one call per derivative order of the Leibniz sum
+            assert max(seen.values()) <= 1500 * (r + 1), seen
+
+    @pytest.mark.parametrize("N", [512, 4096, 10_000])
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_charged_tail_bounds_the_omitted_weights(self, r, N):
+        alpha, h, bound = PI / 4, 0.7, 1.3
+        u = np.array(self.OFFSETS) + 40.0
+        n_lo, d, w, cert = _local_series(r, u, alpha, bound, h, 1e-6, k_terms=N)[1](slice(None))
+        D = w.shape[1] // 2
+        assert D < N and np.array_equal(n_lo, np.rint(u) - D)
+        tail = _band_tail(r, N, alpha, D)
+        start, full_d, full_w, full_cert = full_rows(r, u, alpha, bound, h, N)
+        raw = regularized_sinc_grid(r, full_d, N, alpha)
+        outside = np.abs(np.arange(-N, N + 1)) > D
+        omitted = np.sum(np.abs(raw[:, outside]), axis=1)
+        assert np.all(omitted <= tail), (omitted, tail)
+        # below 2^-10 of the fetch rule's 2^-53 sum |w|
+        assert np.all(tail <= 2.0 ** -63 * np.sum(np.abs(raw), axis=1))
+        # the band's weights are the full row's, and so are the kept ones
+        assert same_bits(d, full_d[:, ~outside])
+        assert same_bits(w, full_w[:, ~outside]) and not np.any(full_w[:, outside])
+        # the certificate charges the tail on top of the full row's terms
+        sin_abs = np.abs(np.sin(PI * (u - np.rint(u)))) if r == 0 else 1.0
+        reg = regularized_sinc_certificate(r, N, alpha, bound, u=np.abs(u), sin_factor=sin_abs)
+        assert np.all(cert >= reg / h ** r + tail * bound / h ** r)
+        assert np.all(cert >= full_cert)
+
+    @pytest.mark.parametrize("N", [129, 4096])
+    @pytest.mark.parametrize("alpha", [0.02, PI / 4, 1.3])
+    def test_banded_rows_weigh_at_least_half(self, alpha, N):
+        # the band's tail, at most 2^-64, is 2^-10 of the fetch rule's
+        # 2^-53 sum |w| only where sum |w| >= 1/2; every row past N = 128
+        # weighs at least pi^r/2
+        offsets = np.linspace(-0.5, 0.5, 41)[:, None]
+        for r in range(9):
+            w = regularized_sinc_grid(r, offsets - np.arange(-N, N + 1), N, alpha)
+            assert np.min(np.sum(np.abs(w), axis=1)) >= PI ** r / 2, r
+
+    @pytest.mark.parametrize("N", [1, 5, 64, 128])
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_rows_up_to_128_keep_every_offset_bit_for_bit(self, r, N):
+        u = np.array(self.OFFSETS + [3.0, -7.25])
+        got = _local_series(r, u, PI / 4, 1.0, 0.5, 1e-6, k_terms=N)[1](slice(None))
+        for a, b in zip(got, full_rows(r, u, PI / 4, 1.0, 0.5, N)):
+            assert same_bits(a, b)
 
 
 def termwise_window_sum(m, u, c, k_min):
