@@ -20,9 +20,14 @@ eligible for orbit sampling at unit spacing (sigma = pi, so u = t), and the
 lattice samples e^(kH) a are signed shifts, free of any series evaluation.
 The orbit formula's scalar series sum_{k!=0} sinc(t - k)/k = (1 - sinc t)/t
 (Mittag-Leffler) folds its a terms into sinc(t) a, leaving the finite
-bounded-vector expansion of ``dht_vt``:
+bounded-vector expansion
 
-    e^(tH)a = sinc(t) a + t sinc(t) Ha + sum_{k!=0} (t/k) sinc(t - k) (-1)^k a_(.+k)
+    e^(tH)a = sinc(t) a + t sinc(t) Ha + sum_{k!=0} (t/k) sinc(t - k) (-1)^k a_(.+k),
+
+which meets the closed form to rounding.  It is kept as a test oracle;
+``dht_vt`` returns ``hilbert_group``, whose tail is the norm the output
+window misses by isometry, sqrt(||a||^2 - ||out||^2), plus the input tail,
+which moves the entries inside the window as well.
 
 Powers come from the symbol.  H is the Toeplitz operator with symbol
 -i(pi - theta) on (0, 2 pi), so H^r has the kernel
@@ -37,9 +42,9 @@ route superposes orbit samples,
     H^(2s)   a = sum_k (-1)^(k+1) b(s,k) e^(kH) a = - sum_k b(s,k) a_(.+k),
 
 and reaches the same kernel only in the limit of the half-integer series;
-it is kept as a test oracle.  H^r also equals the r-fold composition of the
-order-1 operator, and hilbert_apply is the r = 1 case, with the same
-certified spill bound.
+it is kept as a test oracle, as is the r-fold composition of the order-1
+operator.  hilbert_apply is the r = 1 case, with the same certified spill
+bound.
 
 Every operator that sums a kernel evaluates it on the input window grown by
 ``expand`` slots per side, through one direct convolution (no FFT), and
@@ -55,8 +60,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .grouporbit import GroupInstance
-from .sinckernel import sinc, sinc_grid, snap_integer
+from .grouporbit import GroupInstance, _orbit_sum
 
 _PI = math.pi
 
@@ -200,9 +204,10 @@ def integer_orbit(N: int, a: SeqWindow) -> SeqWindow:
 def hilbert_group(t: float, a: SeqWindow, expand: int = 0) -> SeqWindow:
     """Closed-form orbit e^(tH) a with integer-branch dispatch.
 
-    Off the integers the kernel is sin(pi t)/pi * 1/(m - n + t); the output
-    tail uses the isometry: whatever norm is missing from the computed window
-    must sit outside it.
+    Off the integers the kernel is sin(pi t)/pi * 1/(m - n + t).  The output
+    tail is the norm that the isometry puts outside the computed window,
+    plus the input tail, which e^(tH) carries at its own norm into every
+    entry (triangle inequality).
     """
     t = float(t)
     if not math.isfinite(t):
@@ -212,10 +217,17 @@ def hilbert_group(t: float, a: SeqWindow, expand: int = 0) -> SeqWindow:
         return integer_orbit(round(t), a)
     s = math.sin(_PI * t) / _PI
     out_n0, vals, _ = _window_convolve(a, expand, lambda d: s / (d + t))
-    in_hi = math.hypot(a.norm(), a.tail_l2)
-    out_norm = float(np.linalg.norm(vals))
-    tail = math.sqrt(max(in_hi ** 2 - out_norm ** 2, 0.0))
-    return SeqWindow(n0=out_n0, values=vals, tail_l2=tail)
+    spill = math.sqrt(max(a.norm() ** 2 - float(np.linalg.norm(vals)) ** 2, 0.0))
+    return SeqWindow(n0=out_n0, values=vals, tail_l2=spill + a.tail_l2)
+
+
+def dht_vt(a: SeqWindow, t: float, tol: float = 1e-6,
+           expand: Optional[int] = None) -> SeqWindow:
+    """Trajectory value e^(tH) a, the quantity of the bounded-vector
+    expansion (module docstring), served by :func:`hilbert_group` on the
+    window grown by ``expand`` (default from tol), as ``orbit_vt`` is
+    served by ``orbit_reconstruct``."""
+    return hilbert_group(t, a, _default_expand(a, tol) if expand is None else expand)
 
 
 def dht_instance(expand: int = 256) -> GroupInstance:
@@ -228,40 +240,6 @@ def dht_instance(expand: int = 256) -> GroupInstance:
         sigma_bound=_PI,
         dim=None,
     )
-
-
-# ---------------------------------------------------------------------------
-# orbit sampling specialized to the transform (sigma = pi, u = t)
-# ---------------------------------------------------------------------------
-
-def dht_vt(a: SeqWindow, t: float, tol: float = 1e-6,
-           expand: Optional[int] = None) -> SeqWindow:
-    """Trajectory value by the bounded-vector expansion:
-
-        e^(tH)a = sinc(t) a + t sinc(t) Ha + sum_{k!=0} (t/k) sinc(t-k) (-1)^k a_(.+k)
-
-    Entirely finite for a windowed sequence: the only series is the shifted
-    convolution, with weights w(k) = (-1)^k sinc(t-k)/k = sin(pi t)/(pi k (t-k))
-    at k = n - m, on the window grown by ``expand`` (default from tol), and
-    shifts beyond the window vanish.
-    """
-    t = snap_integer(float(t))
-    _check_expand(expand)
-    if abs(t - round(t)) < INTEGER_EPS:
-        return integer_orbit(round(t), a)
-    if expand is None:
-        expand = _default_expand(a, tol)
-    ha = hilbert_apply(a, expand)
-    s = math.sin(_PI * t)
-
-    def w(d):  # w(k) at k = -d
-        return np.where(d == 0, 0.0, s / (_PI * -np.where(d == 0, 1, d) * (t + d)))
-
-    out_n0, shifted, _ = _window_convolve(a, expand, w)
-    apad = a.on_range(out_n0, len(shifted))
-    vals = sinc(t) * apad + t * sinc(t) * ha.values + t * shifted
-    tail = a.tail_l2 * (1.0 + abs(t) * (1.0 + _PI)) + abs(t) * ha.tail_l2
-    return SeqWindow(n0=out_n0, values=vals, tail_l2=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +280,7 @@ def _power_kernel(r: int, span: int) -> np.ndarray:
 
 
 def dht_power(a: SeqWindow, r: int, tol: float = 1e-6,
-              expand: Optional[int] = None,
-              iterated: bool = False) -> SeqWindow:
+              expand: Optional[int] = None) -> SeqWindow:
     """H^r a on the window grown by ``expand`` (default from tol).
 
     One convolution with the exact kernel c_d of H^r (see
@@ -313,17 +290,10 @@ def dht_power(a: SeqWindow, r: int, tol: float = 1e-6,
     ||a|| sqrt(sum_n sum_(m outside) c_(m-n)^2): summed from the kernel up
     to the span, and beyond it bounded through |c_d| <= sum_p |alpha_p|
     d^(-p) and sum_(d>N) d^(-s) <= N^(1-s)/(s-1) (1/N for r = 1, which is
-    :func:`hilbert_apply`).  ``iterated=True`` instead composes the order-1
-    operator r times.
+    :func:`hilbert_apply`).
     """
     if r < 1:
         raise ValueError("power r must be >= 1")
-    if iterated:
-        per = expand if expand is not None else _default_expand(a, tol)
-        out = a
-        for _ in range(r):
-            out = dht_power(out, 1, tol=tol, expand=per)
-        return out
     if expand is None:
         expand = _default_expand(a, tol)
     out_n0, vals, c = _window_convolve(a, expand, lambda d: _power_kernel(r, d[-1]))
@@ -366,25 +336,17 @@ def _pairing(s: float, a: SeqWindow, b: SeqWindow) -> float:
                  * np.sum(b.values[:, None] * a.values[None, :] / denom))
 
 
-def pairing_check(a: SeqWindow, b: SeqWindow, t: float, gamma: float = 0.5,
-                  k_terms: int = 4000) -> Tuple[float, float]:
-    """Scalar trajectory sampling at sub-unit spacing: returns the pairing
-    <e^(tH) a, b> computed directly and through
+def pairing_check(a: SeqWindow, b: SeqWindow, t: float, tol: float = 1e-6,
+                  k_terms: Optional[int] = None) -> Tuple[float, float]:
+    """<e^(tH) a, b> computed directly, and sampled from p(s) = <e^(sH) a, b>
+    at s = n/2 by the local orbit engine (:mod:`bandlimit.grouporbit`).
 
-        sum_k <e^((gamma k) H) a, b> sinc(t/gamma - k),  0 < gamma < 1.
-
-    The pairing function of t is bounded of exponential type pi, so spacing
-    gamma < 1 oversamples it and the cardinal series converges on compacts.
-    Real t only; windows are consumed as given.
+    p is entire of type pi and bounded by ||a|| ||b|| on the real line, so
+    h = 1/2 is the twice-oversampled lattice, and the engine's certificate
+    with that bound meets tol, or N is ``k_terms`` when it is pinned.  Real
+    t only; windows are consumed as given.
     """
-    if not (0.0 < gamma < 1.0):
-        raise ValueError("gamma must lie in (0, 1)")
-    direct = _pairing(float(t), a, b)
-    u = snap_integer(float(t) / gamma)
-    ks = np.arange(-k_terms, k_terms + 1)
-    kern = sinc_grid(u - ks)
-    live = np.nonzero(kern)[0]
-    sampled = 0.0
-    for i in live:
-        sampled += _pairing(gamma * float(ks[i]), a, b) * float(kern[i])
-    return direct, sampled
+    t = float(t)
+    sampled, _ = _orbit_sum(lambda n, d: _pairing(n / 2, a, b), 0.0, a.norm() * b.norm(),
+                            0, 2.0 * t, 0.5, tol, k_terms)
+    return _pairing(t, a, b), sampled

@@ -125,11 +125,11 @@ def plancherel_polya_checks(f: BandlimitedFn, h: float, ps: Sequence[float],
             norms.append(float(f.lp_norms[p]))
         else:
             norms.append(_lp_norm_quadrature(f, p))
-    ks = np.arange(-window, window + 1)
+    kh = np.arange(-window, window + 1) * h
     mids = [[] for _ in ps]
     for x in shifts:
         x = float(x)
-        vals = np.abs(np.asarray(f(x - ks * h), dtype=float))
+        vals = np.abs(np.asarray(f(x - kh), dtype=float))
         for per_p, p in zip(mids, ps):
             per_p.append(_lattice_norm_bracket(vals, f, h, p, x, window))
     reports = []

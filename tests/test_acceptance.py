@@ -13,7 +13,6 @@ from bandlimit.boas import boas_derivative, boas_derivative_fast, truncation_hal
 from bandlimit.dht import (
     SeqWindow,
     dht_power,
-    dht_vt,
     hilbert_apply,
     hilbert_group,
 )
@@ -31,6 +30,7 @@ from bandlimit.grouporbit import (
 from bandlimit.inequalities import favard_constant, lks_check, plancherel_polya_check
 from bandlimit.sampling import UniformSamples, make_reference, valiron_tschakaloff_eval, wks_eval
 from paper_boas import boas_coefficient_grid
+from paper_dht import composed_power, vt_expansion
 
 PI = math.pi
 
@@ -264,7 +264,7 @@ def test_c12_dht_formula_cross_checks():
     worst = 0.0
     for t in (0.3, 0.5, 1.7):
         want = hilbert_group(t, a, expand=10_000)
-        got = dht_vt(a, t, expand=10_000)
+        got = vt_expansion(a, t, expand=10_000)
         worst = max(worst, float(np.linalg.norm(got.on_range(want.n0, len(want)) - want.values)))
     report("12a orbit formulas vs closed form", worst, 1e-4, "window 1e4")
 
@@ -281,10 +281,10 @@ def test_c12_dht_formula_cross_checks():
     report("12b operator powers vs direct", max(err1, err2), 1e-4)
 
     direct = dht_power(b, 2, expand=2048)
-    iterated = dht_power(b, 2, expand=2048, iterated=True)
+    composed = composed_power(b, 2, expand=2048)
     centre = np.arange(-1024, 1025)
     diff = float(np.max(np.abs(direct.on_range(-1024, centre.size)
-                               - iterated.on_range(-1024, centre.size))))
+                               - composed.on_range(-1024, centre.size))))
     report("12c iterated power formula", diff, 2e-4)
 
 

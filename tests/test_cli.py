@@ -304,6 +304,21 @@ class TestDht:
         seq = read_sequence(out)
         assert seq.entry(0) == pytest.approx(2.0 / PI, abs=1e-8)
 
+    def test_vt_writes_the_orbit(self, tmp_path):
+        # dht_vt is hilbert_group: the same window, values and tail
+        path = tmp_path / "a.csv"
+        vals = np.random.default_rng(3).standard_normal(21)
+        write_sequence(path, SeqWindow(n0=-10, values=vals, tail_l2=0.05))
+        outs = {}
+        for action in ("orbit", "vt"):
+            out = tmp_path / f"{action}.csv"
+            assert main(["dht", "--action", action, "--t", "0.37", "--expand", "30",
+                         "--input", str(path), "--output", str(out)]) == 0
+            outs[action] = read_sequence(out)
+        assert outs["vt"].n0 == outs["orbit"].n0
+        assert np.array_equal(outs["vt"].values, outs["orbit"].values)
+        assert outs["vt"].tail_l2 == outs["orbit"].tail_l2
+
     def test_bad_csv_exit_2(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("wrong,header\n1,2\n")

@@ -15,8 +15,9 @@ from bandlimit.dht import (
     integer_orbit,
     pairing_check,
 )
-from bandlimit.grouporbit import BernsteinVector, orbit_reconstruct
+from bandlimit.grouporbit import BernsteinVector, _orbit_sum, orbit_reconstruct
 from paper_boas import boas_coefficient_grid
+from paper_dht import composed_power, vt_expansion
 
 PI = math.pi
 
@@ -148,6 +149,26 @@ class TestHilbertGroup:
             assert hi >= a.norm() * (1 - 1e-9)
             assert a.norm() - lo < 1e-3
 
+    def test_tail_covers_input_tail(self):
+        # the input tail moves the entries inside the output window too, so
+        # the isometry's missing norm alone does not bound the error
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            vals = rng.standard_normal(11)
+            tail = rng.standard_normal(6)
+            tail *= rng.uniform(0.1, 2.0) / np.linalg.norm(tail)
+            left = bool(rng.integers(2))
+            full = SeqWindow(n0=-11 if left else -5,
+                             values=np.concatenate((tail, vals) if left else (vals, tail)))
+            a = SeqWindow(n0=-5, values=vals, tail_l2=float(np.linalg.norm(tail)))
+            t = float(rng.uniform(0.1, 0.9))
+            out = hilbert_group(t, a, int(rng.integers(20)))
+            wide = hilbert_group(t, full, 2000)
+            # the mass of e^(tH) full outside the wide window, by isometry
+            beyond = max(full.norm() ** 2 - wide.norm() ** 2, 0.0)
+            inside = np.linalg.norm(wide.values - out.on_range(wide.n0, len(wide)))
+            assert math.sqrt(inside ** 2 + beyond) <= out.tail_l2
+
     def test_group_law_with_integer_leg(self):
         rng = np.random.default_rng(9)
         a = random_window(rng, length=32)
@@ -191,7 +212,8 @@ class TestHilbertGroup:
 
 class TestDhtOrbitReconstruct:
     """The transform's orbit formula, which is term for term the
-    bounded-vector expansion (module docstring), through :func:`dht_vt`."""
+    bounded-vector expansion (module docstring), through the test oracle
+    :func:`paper_dht.vt_expansion`."""
 
     def test_matches_closed_form(self):
         # sum_{k!=0} sinc(t-k)/k = (1 - sinc t)/t closes the scalar series, so
@@ -199,8 +221,9 @@ class TestDhtOrbitReconstruct:
         rng = np.random.default_rng(3)
         a = random_window(rng, length=80)
         for t in (0.3, 0.5, 1.7):
-            got = dht_vt(a, t, expand=600)
+            got = vt_expansion(a, t, expand=600)
             want = hilbert_group(t, a, expand=600)
+            assert got.n0 == want.n0 and len(got) == len(want)
             assert common_diff(got, want) < 1e-12
 
     def test_integer_tautology(self):
@@ -212,19 +235,25 @@ class TestDhtOrbitReconstruct:
 
     def test_basis_half_time_entries(self):
         a = SeqWindow.basis(0)
-        out = dht_vt(a, 0.5, expand=400)
+        out = vt_expansion(a, 0.5, expand=400)
         for m in (-2, 0, 3):
             assert out.entry(m) == pytest.approx(1.0 / (PI * (m + 0.5)), abs=1e-6)
 
 
 class TestDhtVt:
     def test_matches_closed_form(self):
+        # dht_vt is hilbert_group, bit for bit, integer times included
         rng = np.random.default_rng(6)
-        a = random_window(rng, length=80)
-        for t in (0.3, 0.5, 1.7):
-            got = dht_vt(a, t, expand=600)
-            want = hilbert_group(t, a, expand=600)
-            assert common_diff(got, want) < 1e-8
+        a = SeqWindow(n0=-40, values=random_window(rng, length=80).values, tail_l2=0.01)
+        for t in (0.3, 0.5, 1.7, -2.0, 3.0, 1.0 + 1e-10, -0.25):
+            for expand in (0, 600):
+                got = dht_vt(a, t, expand=expand)
+                want = hilbert_group(t, a, expand)
+                assert got.n0 == want.n0 and got.tail_l2 == want.tail_l2
+                assert np.array_equal(got.values, want.values)
+            got = dht_vt(a, t, tol=1e-2)
+            want = hilbert_group(t, a, dht._default_expand(a, 1e-2))
+            assert got.n0 == want.n0 and np.array_equal(got.values, want.values)
 
     def test_integer_shift(self):
         rng = np.random.default_rng(8)
@@ -271,8 +300,8 @@ class TestDhtPower:
         rng = np.random.default_rng(16)
         a = random_window(rng, length=48)
         direct = dht_power(a, 2, expand=600)
-        iterated = dht_power(a, 2, expand=600, iterated=True)
-        assert common_diff(direct, iterated, trim=4) < 2e-4
+        composed = composed_power(a, 2, expand=600)
+        assert common_diff(direct, composed, trim=4) < 2e-4
 
     def test_power_growth_bound(self):
         rng = np.random.default_rng(18)
@@ -375,22 +404,47 @@ class TestPowerTail:
 
 
 class TestPairing:
+    @staticmethod
+    def engine(a, b, t, tol=1e-6, k_terms=None):
+        """The local orbit engine on p(s) = <e^(sH) a, b> at s = n/2."""
+        return _orbit_sum(lambda n, d: dht._pairing(n / 2, a, b), 0.0, a.norm() * b.norm(),
+                          0, 2.0 * t, 0.5, tol, k_terms)
+
     def test_two_routes_agree(self):
         rng = np.random.default_rng(20)
-        a = random_window(rng, length=24)
-        b = random_window(rng, length=24)
-        direct, sampled = pairing_check(a, b, 0.7, gamma=0.5, k_terms=4000)
-        assert direct == pytest.approx(sampled, abs=1e-3)
+        for _ in range(40):
+            a = random_window(rng, length=int(rng.integers(4, 33)), center=False)
+            b = random_window(rng, length=int(rng.integers(4, 33)), center=False)
+            b = SeqWindow(n0=b.n0 + int(rng.integers(-8, 9)),
+                          values=b.values * rng.uniform(0.2, 5))
+            t = float(rng.uniform(-3.0, 3.0))
+            for tol in (1e-4, 1e-6, 1e-9):
+                direct, sampled = pairing_check(a, b, t, tol=tol)
+                value, cert = self.engine(a, b, t, tol)
+                assert sampled == value
+                assert abs(sampled - direct) <= cert <= tol
 
     def test_exact_at_sample_times(self):
         rng = np.random.default_rng(22)
         a = random_window(rng, length=16)
         b = random_window(rng, length=16)
-        # t = gamma * N makes the expansion collapse onto a single sample
-        direct, sampled = pairing_check(a, b, 1.5, gamma=0.5, k_terms=64)
-        assert direct == pytest.approx(sampled, abs=1e-13)
+        # t = n/2 makes the expansion collapse onto a single sample
+        for t in (1.5, -2.0, 0.5, 3.0):
+            direct, sampled = pairing_check(a, b, t)
+            assert sampled == direct
 
-    def test_rejects_bad_gamma(self):
-        a = SeqWindow.basis(0)
-        with pytest.raises(ValueError):
-            pairing_check(a, a, 0.3, gamma=1.5)
+    def test_k_terms_pins_half_width(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        a = random_window(rng, length=12)
+        b = random_window(rng, length=12)
+        seen = []
+        pairing = dht._pairing
+        monkeypatch.setattr(dht, "_pairing", lambda s, a, b: seen.append(s) or pairing(s, a, b))
+        for n in (4, 9):
+            seen.clear()
+            # tol is ignored when N is pinned
+            direct, sampled = pairing_check(a, b, 0.3, tol=1e-300, k_terms=n)
+            assert seen == [(1 + j) / 2 for j in range(-n, n + 1)] + [0.3]
+            value, cert = self.engine(a, b, 0.3, k_terms=n)
+            assert sampled == value
+            assert abs(sampled - direct) <= cert
