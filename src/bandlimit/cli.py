@@ -5,7 +5,8 @@
     bandlimit dht --action orbit --t 0.5 --input seq.csv --output out.csv
     bandlimit verify --suite favard [--format json]
 
-Exit codes: 0 success, 1 verification failure, 2 malformed input,
+Each command takes only the flags it reads, spelled out in full.  Exit
+codes: 0 success, 1 verification failure, 2 malformed input,
 3 tolerance unachievable.  Identical configuration and inputs produce
 byte-identical outputs: summation orders are fixed, and randomized suites
 draw from an explicit --seed.
@@ -62,6 +63,10 @@ EXIT_TOLERANCE = 3
 
 @dataclass
 class RunConfig:
+    """A parsed command line; the defaults of every flag live here (a
+    command leaves the fields it takes no flag for at their defaults, which
+    its footer still echoes)."""
+
     command: str
     input: Optional[str] = None
     output: Optional[str] = None
@@ -80,7 +85,7 @@ class RunConfig:
     expand: Optional[int] = None
 
     def __post_init__(self):
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise ValueError("--tol must be positive")
         if self.num < 2:
             raise ValueError("--num must be at least 2")
@@ -133,25 +138,23 @@ def cmd_differentiate(cfg: RunConfig) -> int:
 
 def cmd_dht(cfg: RunConfig) -> int:
     a = read_sequence(cfg.input)
-    action = cfg.action or "apply"
-    expand = cfg.expand if cfg.expand is not None else min(4 * len(a), 4096)
     extra: Dict = {"n0": a.n0, "len": len(a)}
-    if action == "apply":
-        out = hilbert_apply(a, expand)
+    if cfg.action == "apply":
+        out = hilbert_apply(a, cfg.expand)
         extra["schur_ratio"] = out.norm() / (_PI * a.norm()) if a.norm() else 0.0
-    elif action == "orbit":
-        out = hilbert_group(cfg.t, a, expand)
+    elif cfg.action == "orbit":
+        out = hilbert_group(cfg.t, a, cfg.expand)
         lo, hi = out.norm_bracket()
         extra["isometry_residual"] = max(abs(lo - a.norm()) - out.tail_l2, 0.0)
         extra["norm_bracket_lo"] = lo
         extra["norm_bracket_hi"] = hi
-    elif action == "vt":
-        out = dht_vt(a, cfg.t, tol=cfg.tol, expand=expand)
-    elif action == "power":
-        r = max(int(cfg.order), 1)
-        out = dht_power(a, r, tol=cfg.tol, expand=expand)
+    elif cfg.action == "vt":
+        out = dht_vt(a, cfg.t, cfg.expand)
+    elif cfg.action == "power":
+        extra["order"] = r = cfg.order or 1
+        out = dht_power(a, r, cfg.expand)
     else:
-        raise InputFormatError(f"unknown dht action {action!r}")
+        raise InputFormatError(f"unknown dht action {cfg.action!r}")
     write_sequence(cfg.output, out, _echo(cfg, extra))
     return EXIT_OK
 
@@ -360,48 +363,34 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # built once per process: parse_args leaves the parser as it was
+    # built once per process: parse_args leaves the parser as it was.  No
+    # abbreviations: a prefix such as --h would otherwise stand for --help.
     parser = argparse.ArgumentParser(
         prog="bandlimit",
         description="sampling, differentiation, and orbit tools for "
-                    "bandlimited signals")
+                    "bandlimited signals", allow_abbrev=False)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_io=True):
-        if needs_io:
-            p.add_argument("--input", required=True)
-            p.add_argument("--output", required=True)
-        p.add_argument("--sigma", type=float, default=1.0)
-        p.add_argument("--h", type=float, default=1.0)
-        p.add_argument("--order", type=int, default=0)
-        p.add_argument("--t", type=float, default=0.0)
-        p.add_argument("--tol", type=float, default=1e-3)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", dest="fmt", choices=("text", "json"),
-                       default="text")
-
-    p = sub.add_parser("differentiate", help="derivative of a sampled signal")
-    common(p)
-    p.add_argument("--xmin", type=float)
-    p.add_argument("--xmax", type=float)
-    p.add_argument("--num", type=int, default=101)
-
-    p = sub.add_parser("reconstruct", help="cardinal-series reconstruction")
-    common(p)
-    p.add_argument("--xmin", type=float)
-    p.add_argument("--xmax", type=float)
-    p.add_argument("--num", type=int, default=101)
-
-    p = sub.add_parser("dht", help="discrete Hilbert transform operations")
-    common(p)
-    p.add_argument("--action", choices=("apply", "orbit", "power", "vt"),
-                   default="apply")
-    p.add_argument("--expand", type=int)
-
-    p = sub.add_parser("verify", help="run a named verification suite")
-    common(p, needs_io=False)
-    p.add_argument("--suite", required=True)
+    # a flag left out parses to None and takes its RunConfig default
+    flags = dict.fromkeys(("input", "output", "suite"), {"required": True})
+    flags.update(dict.fromkeys(("t", "tol", "xmin", "xmax", "sigma", "h"), {"type": float}))
+    flags.update(dict.fromkeys(("order", "num", "expand", "seed"), {"type": int}))
+    flags["action"] = {"choices": ("apply", "orbit", "power", "vt"), "default": "apply"}
+    flags["format"] = {"dest": "fmt", "choices": ("text", "json")}
+    grid = ("tol", "xmin", "xmax", "num")
+    commands = {
+        "differentiate": ("derivative of a sampled signal",
+                          ("input", "output", "order") + grid),
+        "reconstruct": ("cardinal-series reconstruction", ("input", "output") + grid),
+        "dht": ("discrete Hilbert transform operations",
+                ("input", "output", "action", "t", "order", "tol", "expand")),
+        "verify": ("run a named verification suite",
+                   ("suite", "sigma", "h", "seed", "format")),
+    }
+    for name, (help_, names) in commands.items():
+        p = sub.add_parser(name, help=help_, allow_abbrev=False)
+        for flag in names:
+            p.add_argument(f"--{flag}", **flags[flag])
     return parser
 
 
@@ -415,10 +404,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        if cfg.command == "differentiate":
-            return cmd_differentiate(cfg)
-        if cfg.command == "reconstruct":
-            cfg.order = 0
+        if cfg.command in ("differentiate", "reconstruct"):
             return cmd_differentiate(cfg)
         if cfg.command == "dht":
             return cmd_dht(cfg)

@@ -48,8 +48,10 @@ bound.
 
 Every operator that sums a kernel evaluates it on the input window grown by
 ``expand`` slots per side, through one direct convolution (no FFT), and
-rejects ``expand`` outside [0, HARD_MAX_EXPAND] = [0, 10^7].  Integer times
-are exact signed shifts and grow no window.
+rejects ``expand`` outside [0, HARD_MAX_EXPAND] = [0, 10^7].  Left out,
+``expand`` is min(4 len(a), 4096) for every operator: a size, not a
+certificate; each output's ``tail_l2`` says what the window misses.  Integer
+times are exact signed shifts and grow no window.
 """
 
 from __future__ import annotations
@@ -67,9 +69,6 @@ _PI = math.pi
 #: |t - round(t)| below this dispatches to the exact integer branch
 INTEGER_EPS = 1e-9
 
-#: tolerance-derived default window growth is capped here; explicit expands
-#: may exceed it up to the hard sanity limit
-MAX_EXPAND = 100_000
 HARD_MAX_EXPAND = 10_000_000
 
 
@@ -165,18 +164,20 @@ def _check_expand(expand: Optional[int]) -> None:
         raise ValueError(f"expand must lie in [0, {HARD_MAX_EXPAND}]")
 
 
-def _window_convolve(a: SeqWindow, expand: int, kernel):
+def _window_convolve(a: SeqWindow, expand: Optional[int], kernel):
     """The grown-window convolution behind every operator of this module.
 
-    Returns the first index of the window grown by ``expand`` per side,
-    c_m = sum_n kernel(m - n) a_n on it, and the kernel values c_d for
-    d = -span .. span, span = len(a) + expand (``kernel`` is called once on
-    that integer grid).  The grid covers every |m - n| of the sum, so the
-    entries carry no truncation.  Evaluated directly through np.convolve
-    (no FFT).
+    Returns the first index of the window grown by ``expand`` per side
+    (None: min(4 len(a), 4096)), c_m = sum_n kernel(m - n) a_n on it, and
+    the kernel values c_d for d = -span .. span, span = len(a) + expand
+    (``kernel`` is called once on that integer grid).  The grid covers every
+    |m - n| of the sum, so the entries carry no truncation.  Evaluated
+    directly through np.convolve (no FFT).
     """
     _check_expand(expand)
     L = len(a)
+    if expand is None:
+        expand = min(4 * L, 4096)
     span = L + expand
     c = kernel(np.arange(-span, span + 1))
     return a.n0 - expand, np.convolve(a.values, c)[L:2 * L + 2 * expand], c
@@ -186,7 +187,7 @@ def _window_convolve(a: SeqWindow, expand: int, kernel):
 # the operator and its group
 # ---------------------------------------------------------------------------
 
-def hilbert_apply(a: SeqWindow, expand: int = 0) -> SeqWindow:
+def hilbert_apply(a: SeqWindow, expand: Optional[int] = None) -> SeqWindow:
     """Apply (H a)_m = sum_{n != m} a_n / (m - n) on the window grown by
     ``expand`` on each side: :func:`dht_power` with r = 1, whose tail
     certifies the spill past the output window plus pi times the input tail.
@@ -201,7 +202,7 @@ def integer_orbit(N: int, a: SeqWindow) -> SeqWindow:
                      tail_l2=a.tail_l2)
 
 
-def hilbert_group(t: float, a: SeqWindow, expand: int = 0) -> SeqWindow:
+def hilbert_group(t: float, a: SeqWindow, expand: Optional[int] = None) -> SeqWindow:
     """Closed-form orbit e^(tH) a with integer-branch dispatch.
 
     Off the integers the kernel is sin(pi t)/pi * 1/(m - n + t).  The output
@@ -221,18 +222,21 @@ def hilbert_group(t: float, a: SeqWindow, expand: int = 0) -> SeqWindow:
     return SeqWindow(n0=out_n0, values=vals, tail_l2=spill + a.tail_l2)
 
 
-def dht_vt(a: SeqWindow, t: float, tol: float = 1e-6,
-           expand: Optional[int] = None) -> SeqWindow:
+def dht_vt(a: SeqWindow, t: float, expand: Optional[int] = None) -> SeqWindow:
     """Trajectory value e^(tH) a, the quantity of the bounded-vector
     expansion (module docstring), served by :func:`hilbert_group` on the
-    window grown by ``expand`` (default from tol), as ``orbit_vt`` is
-    served by ``orbit_reconstruct``."""
-    return hilbert_group(t, a, _default_expand(a, tol) if expand is None else expand)
+    window grown by ``expand``, as ``orbit_vt`` is served by
+    ``orbit_reconstruct``."""
+    return hilbert_group(t, a, expand)
 
 
 def dht_instance(expand: int = 256) -> GroupInstance:
     """Package the transform as a generic group instance (orbit/generator/norm)
-    so the abstract orbit-sampling engine can drive it directly."""
+    so the abstract orbit-sampling engine can drive it directly.
+
+    The fixed ``expand`` is not the length rule of the operators: the engine
+    applies the orbit and the generator to their own outputs, and a growth
+    proportional to the input length would compound with every step."""
     return GroupInstance(
         orbit=lambda t, a: hilbert_group(t, a, expand),
         generator=lambda a: hilbert_apply(a, expand),
@@ -279,9 +283,8 @@ def _power_kernel(r: int, span: int) -> np.ndarray:
     return c
 
 
-def dht_power(a: SeqWindow, r: int, tol: float = 1e-6,
-              expand: Optional[int] = None) -> SeqWindow:
-    """H^r a on the window grown by ``expand`` (default from tol).
+def dht_power(a: SeqWindow, r: int, expand: Optional[int] = None) -> SeqWindow:
+    """H^r a on the window grown by ``expand``.
 
     One convolution with the exact kernel c_d of H^r (see
     :func:`_power_kernel`); every |m - n| in play is within the kernel's
@@ -294,10 +297,9 @@ def dht_power(a: SeqWindow, r: int, tol: float = 1e-6,
     """
     if r < 1:
         raise ValueError("power r must be >= 1")
-    if expand is None:
-        expand = _default_expand(a, tol)
     out_n0, vals, c = _window_convolve(a, expand, lambda d: _power_kernel(r, d[-1]))
     L = len(a)
+    expand = a.n0 - out_n0
     span = L + expand
     # entry n has its nearest excluded m at |d| = g on each side, with g
     # running over expand+1 .. span once per side; c_d^2 for d <= span then
@@ -311,29 +313,10 @@ def dht_power(a: SeqWindow, r: int, tol: float = 1e-6,
     return SeqWindow(n0=out_n0, values=vals, tail_l2=_PI ** r * a.tail_l2 + spill)
 
 
-def _default_expand(a: SeqWindow, tol: float) -> int:
-    """Window growth per side when the caller gives none: a heuristic
-    estimate, not a certificate.  1/(m-n+t) kernels put O(1/sqrt(N)) l2 mass
-    beyond N extra slots; nothing proves this size meets tol."""
-    grow = int(math.ceil(max(a.norm(), 1.0) / max(tol, 1e-12)))
-    return min(max(grow, len(a)), MAX_EXPAND)
-
-
 def _pairing(s: float, a: SeqWindow, b: SeqWindow) -> float:
-    """<e^(sH) a, b> from the windows, without materializing the orbit."""
-    if abs(s - round(s)) < INTEGER_EPS:
-        shifted = integer_orbit(round(s), a)
-        lo = max(shifted.n0, b.n0)
-        hi = min(shifted.n_last, b.n_last)
-        if lo > hi:
-            return 0.0
-        return float(np.dot(shifted.on_range(lo, hi - lo + 1),
-                            b.on_range(lo, hi - lo + 1)))
-    ms = np.arange(b.n0, b.n_last + 1)
-    ns = np.arange(a.n0, a.n_last + 1)
-    denom = ms[:, None] - ns[None, :] + s
-    return float(math.sin(_PI * s) / _PI
-                 * np.sum(b.values[:, None] * a.values[None, :] / denom))
+    """<e^(sH) a, b>: the orbit on the smallest window that covers b."""
+    grow = max(a.n0 - b.n0, b.n_last - a.n_last, 0)
+    return float(np.dot(hilbert_group(s, a, grow).on_range(b.n0, len(b)), b.values))
 
 
 def pairing_check(a: SeqWindow, b: SeqWindow, t: float, tol: float = 1e-6,

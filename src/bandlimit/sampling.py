@@ -314,7 +314,7 @@ def wks_eval_grid(s: UniformSamples, m: int, xs, tol: float, *,
     """
     if m < 0:
         raise ValueError("derivative order must be >= 0")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     xs = np.asarray(xs, dtype=float)
     if not np.all(np.isfinite(xs)):

@@ -575,7 +575,7 @@ def _local_series(r: int, u, alpha: float, bound: float, h: float, tol: float,
             raise ValueError("k_terms must be >= 1")
         N = int(k_terms)
     else:
-        if tol <= 0.0:
+        if not tol > 0.0:
             raise ValueError("tolerance must be positive")
         u_max, sin_max = float(np.max(np.abs(u))), float(np.max(sin_abs))
         reach_max = float(np.max(reach))

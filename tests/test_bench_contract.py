@@ -8,7 +8,9 @@ renamed function or keyword fails here first, and runs the group-orbit
 requests of ``oracle-series`` against their oracles (at full size, also
 against a cap on their orbit fetches), runs its full-size Boas requests
 against their oracles and caps on their peak memory and on the points at
-which they evaluate f, and checks that every work counter of
+which they evaluate f, runs every command line of ``cli-sampled``,
+``dht-window`` and the ``verify`` requests through the CLI parser against
+their oracles, and checks that every work counter of
 ``bench/tracing.py`` hooks a function that exists, since a hook on a
 renamed function reads 0 without an error.  It only reads ``bench/``.
 """
@@ -121,6 +123,21 @@ def test_full_size_boas_requests_evaluate_f_at_most_128_times(workloads, tmp_pat
         points["n"] = 0
         err, _ = req.check(req.run())
         assert points["n"] <= 128, (req.label, points["n"])
+        assert err <= req.tol, (req.label, err, req.tol)
+
+
+@pytest.mark.parametrize("name", ["cli-sampled", "dht-window", "oracle-series"])
+def test_cli_requests_exit_0_and_meet_their_oracles(workloads, tmp_path, name):
+    # every command line the benchmark sends goes through the parser: a flag
+    # that a command stops declaring, or a default that moves, fails here
+    wl = workloads.WORKLOADS[name](0, tmp_path, small=True)
+    requests = [req for req in wl.requests() if req.kind in (
+        "reconstruct", "differentiate", "verify") or req.kind.startswith("dht ")]
+    assert len(requests) == {"cli-sampled": 5, "dht-window": 8, "oracle-series": 6}[name]
+    for req in requests:
+        result = req.run()
+        assert result[0] == 0, (req.label, result[2])
+        err, _ = req.check(result)
         assert err <= req.tol, (req.label, err, req.tol)
 
 

@@ -149,6 +149,23 @@ class TestDifferentiate:
         assert code == 2
         assert "sigma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["reconstruct", "differentiate"])
+    @pytest.mark.parametrize("critical", [False, True])
+    def test_nan_tolerance_exit_2(self, command, critical, sin_samples_file, tmp_path,
+                                  capsys):
+        # NaN fails every comparison, so tol <= 0 let it through: at the
+        # critical rate the command wrote its table and echoed tol=nan
+        path = sin_samples_file
+        if critical:
+            path = tmp_path / "fejer.csv"
+            write_samples(path, UniformSamples.from_function(make_reference("fejer", 1.0),
+                                                             PI, -2000, 2000))
+        out = tmp_path / "n.csv"
+        assert main([command, "--input", str(path), "--output", str(out),
+                     "--tol", "nan", "--num", "5"]) == 2
+        assert "--tol" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unachievable_tolerance_exit_3(self, sin_samples_file, tmp_path):
         out = tmp_path / "x.csv"
         code = main(["differentiate", "--input", str(sin_samples_file),
@@ -276,6 +293,32 @@ class TestDht:
         assert np.array_equal(power.values, apply_.values)
         assert power.tail_l2 == apply_.tail_l2
 
+    def test_power_applies_the_order_it_echoes(self, tmp_path):
+        path = tmp_path / "a.csv"
+        write_sequence(path, SeqWindow(n0=-3, values=np.array([0.5, -1.0, 2.0, 0.25])))
+        runs = {}
+        for order in (None, "0", "1", "2"):
+            out = tmp_path / f"p{order}.csv"
+            argv = ["dht", "--action", "power", "--expand", "20",
+                    "--input", str(path), "--output", str(out)]
+            assert main(argv + (["--order", order] if order else [])) == 0
+            runs[order] = (read_footer(out)["order"], read_sequence(out).values)
+        # no order and order 0 both mean H: the footer says 1
+        for order in (None, "0", "1"):
+            assert runs[order][0] == "1"
+            assert np.array_equal(runs[order][1], runs["1"][1])
+        assert runs["2"][0] == "2" and not np.array_equal(runs["2"][1], runs["1"][1])
+
+    @pytest.mark.parametrize("order", ["-1", "-3"])
+    def test_power_rejects_negative_order(self, tmp_path, order):
+        path = tmp_path / "a.csv"
+        write_sequence(path, SeqWindow(n0=0, values=np.array([1.0, 2.0])))
+        out = tmp_path / "p.csv"
+        code = main(["dht", "--action", "power", "--order", order,
+                     "--input", str(path), "--output", str(out)])
+        assert code == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("order", ["1", "2"])
     def test_power_rejects_negative_expand(self, tmp_path, order):
         path = tmp_path / "a.csv"
@@ -360,9 +403,9 @@ class TestParserReuse:
     def commands(self, samples, sequence, out):
         return [
             ["reconstruct", "--input", str(samples), "--output", str(out / "r.csv"),
-             "--sigma", "1.0", "--h", str(PI / 1.5), "--num", "11"],
+             "--num", "11"],
             ["differentiate", "--input", str(samples), "--output", str(out / "d.csv"),
-             "--sigma", "1.0", "--h", str(PI / 1.5), "--order", "1", "--num", "11"],
+             "--order", "1", "--num", "11"],
             ["dht", "--action", "orbit", "--t", "0.5", "--expand", "64",
              "--input", str(sequence), "--output", str(out / "o.csv")],
             ["verify", "--suite", "favard", "--format", "json"],
@@ -399,3 +442,45 @@ class TestParserReuse:
         assert cached == fresh + fresh
         codes = [c for c, _, _ in fresh]
         assert codes == [0, 0, 0, 0, 0, ("exit", 2), 2, ("exit", 0)]
+
+
+class TestFlags:
+    """Each command declares exactly the flags it reads."""
+
+    FLAGS = {
+        "differentiate": ["--input", "--output", "--order", "--tol", "--xmin", "--xmax",
+                          "--num"],
+        "reconstruct": ["--input", "--output", "--tol", "--xmin", "--xmax", "--num"],
+        "dht": ["--input", "--output", "--action", "--t", "--order", "--tol", "--expand"],
+        "verify": ["--suite", "--sigma", "--h", "--seed", "--format"],
+    }
+    EVERY = sorted({flag for flags in FLAGS.values() for flag in flags})
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_help_lists_the_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = [word.strip("[],") for word in capsys.readouterr().out.split()]
+        listed = [w for w in dict.fromkeys(listed) if w.startswith("--") and w != "--help"]
+        assert listed == self.FLAGS[command]
+        assert sum(len(flags) for flags in self.FLAGS.values()) == 25
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_undeclared_flags_and_prefixes_exit_2(self, command, tmp_path, capsys):
+        # a full argv of the command, then one flag it does not read or a
+        # prefix of one it does: argparse must refuse both, never take the
+        # prefix for --help or for the flag
+        base = {"verify": ["--suite", "lks"]}.get(
+            command, ["--input", str(tmp_path / "x.csv"), "--output", str(tmp_path / "y.csv")])
+        prefixes = {"--in": "x", "--out": "y", "--act": "orbit", "--ord": "1", "--su": "lks",
+                    "--sig": "1.0", "--fo": "json", "--exp": "4", "--nu": "5"}
+        extras = [[flag, "1"] for flag in self.EVERY if flag not in self.FLAGS[command]]
+        extras += [[p, v] for p, v in prefixes.items()
+                   if any(f.startswith(p) for f in self.FLAGS[command])]
+        assert extras
+        for extra in extras:
+            with pytest.raises(SystemExit) as exc:
+                main([command] + base + extra)
+            assert exc.value.code == 2, extra
+            assert "unrecognized arguments" in capsys.readouterr().err

@@ -210,6 +210,20 @@ class TestHilbertGroup:
                 call(bad)
 
 
+class TestDefaultExpand:
+    @pytest.mark.parametrize("length", [1, 33, 1100])
+    def test_every_operator_takes_four_lengths_capped(self, length):
+        # one rule for every operator: min(4 len(a), 4096) slots per side
+        a = random_window(np.random.default_rng(length), length=length, center=False)
+        grow = min(4 * length, 4096)
+        for op in (lambda e: hilbert_apply(a, e), lambda e: hilbert_group(0.37, a, e),
+                   lambda e: dht_vt(a, -1.6, e), lambda e: dht_power(a, 2, e)):
+            got = op(None)
+            want = op(grow)
+            assert got.n0 == want.n0 == a.n0 - grow and got.tail_l2 == want.tail_l2
+            assert np.array_equal(got.values, want.values)
+
+
 class TestDhtOrbitReconstruct:
     """The transform's orbit formula, which is term for term the
     bounded-vector expansion (module docstring), through the test oracle
@@ -251,8 +265,8 @@ class TestDhtVt:
                 want = hilbert_group(t, a, expand)
                 assert got.n0 == want.n0 and got.tail_l2 == want.tail_l2
                 assert np.array_equal(got.values, want.values)
-            got = dht_vt(a, t, tol=1e-2)
-            want = hilbert_group(t, a, dht._default_expand(a, 1e-2))
+            got = dht_vt(a, t)
+            want = hilbert_group(t, a, min(4 * len(a), 4096))
             assert got.n0 == want.n0 and np.array_equal(got.values, want.values)
 
     def test_integer_shift(self):
@@ -370,7 +384,7 @@ class TestPowerTail:
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_tail_covers_spill(self, r):
         a = SeqWindow(n0=-16, values=np.random.default_rng(0).standard_normal(33))
-        out = dht_power(a, r, tol=1e-3)
+        out = dht_power(a, r)
         wide = wide_power(a, r, 500_000)
         inside = wide.on_range(out.n0, len(out))
         outside = math.sqrt(max(float(np.sum(wide.values ** 2) - np.sum(inside ** 2)), 0.0))
@@ -432,6 +446,25 @@ class TestPairing:
         for t in (1.5, -2.0, 0.5, 3.0):
             direct, sampled = pairing_check(a, b, t)
             assert sampled == direct
+
+    def test_pairing_holds_no_matrix(self):
+        # one orbit on the window that covers b, not the len(b) x len(a)
+        # matrix of 1/(m - n + s) (61 MiB for these windows)
+        rng = np.random.default_rng(26)
+        a = random_window(rng, length=2001, center=False)
+        b = SeqWindow(n0=a.n0 + 300, values=rng.standard_normal(2001))
+        s = 0.37
+        tracemalloc.start()
+        try:
+            got = dht._pairing(s, a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        ns = np.arange(a.n0, a.n_last + 1)
+        rows = [np.dot(a.values, 1.0 / (m - ns + s)) for m in range(b.n0, b.n_last + 1)]
+        want = math.sin(PI * s) / PI * float(np.dot(rows, b.values))
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_k_terms_pins_half_width(self, monkeypatch):
         rng = np.random.default_rng(24)

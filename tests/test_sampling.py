@@ -369,6 +369,17 @@ class TestRegularizedSeries:
                                    with_tail=True)
         assert np.all(tails <= achievable)
 
+    @pytest.mark.parametrize("rate", [1.5, 1.0])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_rejects_a_tol_that_is_not_positive(self, rate, tol):
+        # NaN fails every comparison: the oversampled path found no N for it
+        # and the critical-rate path returned values as if it were met
+        s = UniformSamples.from_function(make_reference("fejer", 1.0), PI / rate, -400, 400)
+        with pytest.raises(ValueError):
+            wks_eval_grid(s, 0, np.array([0.0, 1.3]), tol)
+        with pytest.raises(ValueError):
+            sinckernel._local_series(0, [0.3], PI / 4, 1.0, 1.0, tol)
+
     def test_node_reproduction_exact(self):
         h = PI / 1.3
         ks = np.arange(-500, 501)
