@@ -5,7 +5,6 @@ instance."""
 __version__ = "0.1.0"
 
 from .errors import (
-    QuadratureError,
     ReconstructionUnsoundError,
     ToleranceError,
 )
@@ -17,9 +16,7 @@ from .sinckernel import (
 )
 from .sampling import (
     BandlimitedFn,
-    QuadratureSpec,
     UniformSamples,
-    fejer_regularize,
     make_reference,
     riesz_trig_derivative,
     valiron_tschakaloff_eval,
@@ -57,7 +54,6 @@ from .dht import (
     SeqWindow,
     dht_instance,
     dht_power,
-    dht_vt,
     hilbert_apply,
     hilbert_group,
     integer_orbit,

@@ -28,7 +28,6 @@ from . import __version__
 from .dht import (
     SeqWindow,
     dht_power,
-    dht_vt,
     hilbert_apply,
     hilbert_group,
 )
@@ -87,6 +86,9 @@ class RunConfig:
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValueError("--tol must be positive")
+        for name in ("sigma", "h"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"--{name} must be positive and finite")
         if self.num < 2:
             raise ValueError("--num must be at least 2")
 
@@ -149,7 +151,7 @@ def cmd_dht(cfg: RunConfig) -> int:
         extra["norm_bracket_lo"] = lo
         extra["norm_bracket_hi"] = hi
     elif cfg.action == "vt":
-        out = dht_vt(a, cfg.t, cfg.expand)
+        out = hilbert_group(cfg.t, a, cfg.expand)
     elif cfg.action == "power":
         extra["order"] = r = cfg.order or 1
         out = dht_power(a, r, cfg.expand)

@@ -25,9 +25,9 @@ bounded-vector expansion
     e^(tH)a = sinc(t) a + t sinc(t) Ha + sum_{k!=0} (t/k) sinc(t - k) (-1)^k a_(.+k),
 
 which meets the closed form to rounding.  It is kept as a test oracle;
-``dht_vt`` returns ``hilbert_group``, whose tail is the norm the output
-window misses by isometry, sqrt(||a||^2 - ||out||^2), plus the input tail,
-which moves the entries inside the window as well.
+the trajectory value is ``hilbert_group``, whose tail is the norm the
+output window misses by isometry, sqrt(||a||^2 - ||out||^2), plus the
+input tail, which moves the entries inside the window as well.
 
 Powers come from the symbol.  H is the Toeplitz operator with symbol
 -i(pi - theta) on (0, 2 pi), so H^r has the kernel
@@ -90,7 +90,7 @@ class SeqWindow:
             raise ValueError("values must be a nonempty 1-d array")
         if not np.all(np.isfinite(vals)):
             raise ValueError("entries must be finite")
-        if self.tail_l2 < 0.0:
+        if not self.tail_l2 >= 0.0:
             raise ValueError("tail_l2 must be >= 0")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "n0", int(self.n0))
@@ -220,14 +220,6 @@ def hilbert_group(t: float, a: SeqWindow, expand: Optional[int] = None) -> SeqWi
     out_n0, vals, _ = _window_convolve(a, expand, lambda d: s / (d + t))
     spill = math.sqrt(max(a.norm() ** 2 - float(np.linalg.norm(vals)) ** 2, 0.0))
     return SeqWindow(n0=out_n0, values=vals, tail_l2=spill + a.tail_l2)
-
-
-def dht_vt(a: SeqWindow, t: float, expand: Optional[int] = None) -> SeqWindow:
-    """Trajectory value e^(tH) a, the quantity of the bounded-vector
-    expansion (module docstring), served by :func:`hilbert_group` on the
-    window grown by ``expand``, as ``orbit_vt`` is served by
-    ``orbit_reconstruct``."""
-    return hilbert_group(t, a, expand)
 
 
 def dht_instance(expand: int = 256) -> GroupInstance:

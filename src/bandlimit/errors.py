@@ -20,7 +20,3 @@ class ReconstructionUnsoundError(ArithmeticError):
     bound for the cardinal series, and the series may converge to the wrong
     function (all-zero samples of a nonzero bounded signal, for instance).
     """
-
-
-class QuadratureError(ArithmeticError):
-    """Numerical integration could not certify the requested accuracy."""

@@ -27,7 +27,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import QuadratureError
 from .sampling import BandlimitedFn, UniformSamples
 
 _PI = math.pi
@@ -108,6 +107,8 @@ def plancherel_polya_checks(f: BandlimitedFn, h: float, ps: Sequence[float],
     when given, the ||f||_p in the same order), one report per p.  f is
     evaluated once per shift on the 2 window + 1 lattice points and every p
     reads those values, so each report is the one-p check's, bit for bit.
+    A p with neither a given norm nor an ``f.lp_norms`` entry raises
+    ValueError before f is evaluated.
     """
     if h <= 0.0:
         raise ValueError("step h must be positive")
@@ -124,7 +125,7 @@ def plancherel_polya_checks(f: BandlimitedFn, h: float, ps: Sequence[float],
         elif f.lp_norms is not None and p in f.lp_norms:
             norms.append(float(f.lp_norms[p]))
         else:
-            norms.append(_lp_norm_quadrature(f, p))
+            raise ValueError(f"no ||f||_p for p = {p}: pass it in norm_values")
     kh = np.arange(-window, window + 1) * h
     mids = [[] for _ in ps]
     for x in shifts:
@@ -157,28 +158,11 @@ def plancherel_polya_check(f: BandlimitedFn, h: float, p: float,
 
     The sup over x is taken on a shift grid covering one period [0, h) (the
     middle expression is h-periodic in x); 64 equispaced shifts by default.
-    ||f||_p comes from the reference metadata when available, else from
-    quadrature over the decay envelope.
+    ||f||_p is ``norm_value`` when given, else the entry of ``f.lp_norms``;
+    with neither, ValueError.
     """
     return plancherel_polya_checks(f, h, [p], shifts, window,
                                    None if norm_value is None else [norm_value])[0]
-
-
-def _lp_norm_quadrature(f: BandlimitedFn, p: float, half_width: float = 400.0,
-                        nodes: int = 400_001) -> float:
-    if p == math.inf:
-        xs = np.linspace(-half_width, half_width, min(nodes, 200_001))
-        return float(np.max(np.abs(np.asarray(f(xs), dtype=float))))
-    if f.envelope is None:
-        raise QuadratureError("finite-p norm needs a decay envelope")
-    c, d = f.envelope
-    if d * p <= 1.0:
-        raise QuadratureError("envelope decay too weak for a finite L^p norm")
-    xs = np.linspace(-half_width, half_width, nodes)
-    vals = np.abs(np.asarray(f(xs), dtype=float)) ** p
-    body = float(np.trapezoid(vals, xs))
-    tail = 2.0 * c ** p / ((d * p - 1.0) * half_width ** (d * p - 1.0))
-    return (body + tail) ** (1.0 / p)
 
 
 def embedding_constant(p: float, q: float, h: float, sigma: float) -> float:

@@ -11,9 +11,7 @@ determined by its samples on the lattice k*pi/sigma.  This module implements:
 * the Valiron/Tschakaloff expansion for merely bounded functions, whose
   extra 1/k factor restores convergence (``valiron_tschakaloff_eval``);
 * the finite Riesz interpolation sum for trigonometric polynomial
-  derivatives (``riesz_trig_derivative``);
-* smoothing onto a prescribed exponential type by averaging against a
-  nonnegative type-one kernel (``fejer_regularize``).
+  derivatives (``riesz_trig_derivative``).
 
 The reconstruction grid is always x_k = k*h.  When h < pi/sigma the sampling
 is strictly finer than necessary (oversampled): a Gaussian multiplier then
@@ -36,7 +34,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import QuadratureError, ReconstructionUnsoundError, ToleranceError
+from .errors import ReconstructionUnsoundError, ToleranceError
 from .sinckernel import (
     _lattice_series,
     _local_series,
@@ -78,7 +76,7 @@ class BandlimitedFn:
     def __post_init__(self):
         if not (self.sigma >= 0.0 and math.isfinite(self.sigma)):
             raise ValueError("sigma must be finite and >= 0")
-        if self.sup_bound < 0.0:
+        if not self.sup_bound >= 0.0:
             raise ValueError("sup_bound must be >= 0")
 
     def __call__(self, x):
@@ -97,8 +95,7 @@ def make_reference(kind: str, sigma: float, phase: float = 0.0) -> BandlimitedFn
         "const" -> 1 identically; true type 0, certified at the given sigma
 
     The returned objects carry exact derivative handles, decay envelopes, and
-    the L^p norms that exist, so tests can cross-check quadrature against
-    closed forms.
+    the L^p norms that exist: the norms a sampled-norm check compares with.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
@@ -177,9 +174,9 @@ class UniformSamples:
     tail_decay: float = 0.0
 
     def __post_init__(self):
-        if self.h <= 0.0:
+        if not self.h > 0.0:
             raise ValueError("step h must be positive")
-        if self.sigma <= 0.0:
+        if not self.sigma > 0.0:
             raise ValueError("sigma must be positive")
         if self.k_max < self.k_min:
             raise ValueError("empty sample window")
@@ -188,7 +185,7 @@ class UniformSamples:
             raise ValueError("values length does not match the index window")
         if not np.all(np.isfinite(vals)):
             raise ValueError("sample values must be finite")
-        if self.tail_bound < 0.0 or self.tail_decay < 0.0:
+        if not (self.tail_bound >= 0.0 and self.tail_decay >= 0.0):
             raise ValueError("tail certificate must be nonnegative")
         object.__setattr__(self, "values", vals)
 
@@ -477,92 +474,3 @@ def riesz_trig_derivative(P: Callable[[float], float], N: int, x: float) -> floa
         sign = (-1.0) ** (k + 1)
         total += sign * w * (float(P(x + xk)) - float(P(x + xk_partner)))
     return total / (4.0 * N)
-
-
-# ---------------------------------------------------------------------------
-# regularization onto a prescribed type
-# ---------------------------------------------------------------------------
-
-#: normalization making the smoothing kernel a probability density:
-#: integral of (sin(t/4)/t)^4 dt = pi/96
-KERNEL_NORM = 96.0 / _PI
-
-#: first absolute moment integral of the kernel, int |t| h(t) dt = 12 ln2 / pi;
-#: the approximation constant is C = 1 + that
-KERNEL_MOMENT_CONST = 1.0 + 12.0 * math.log(2.0) / _PI
-
-
-def smoothing_kernel(t) -> np.ndarray:
-    """a (sin(t/4)/t)^4 with a = 96/pi: even, nonnegative, entire of
-    exponential type 1, unit integral, finite first moment."""
-    t = np.asarray(t, dtype=float)
-    return KERNEL_NORM * (sinc_grid(t / (4 * _PI)) / 4.0) ** 4
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Composite-midpoint parameters for :func:`fejer_regularize`.
-
-    half_width None derives the window from tol so the kernel tail
-    64/(pi T^3) stays below tol/2.
-    """
-
-    tol: float = 1e-3
-    half_width: Optional[float] = None
-    nodes: int = 4096
-
-    def resolved_half_width(self) -> float:
-        if self.half_width is not None:
-            return float(self.half_width)
-        # kernel tail: a * int_{|t|>T} t^-4 dt = 64/(pi T^3) <= tol/2
-        return (128.0 / (_PI * self.tol)) ** (1.0 / 3.0)
-
-
-def fejer_regularize(f: Callable[[np.ndarray], np.ndarray], sigma: float,
-                     sup_bound: float,
-                     quad: QuadratureSpec = QuadratureSpec()) -> BandlimitedFn:
-    """Smooth a bounded continuous f onto exponential type sigma:
-
-        R(f)(x) = int h(t) f(x + t/sigma) dt,  h = smoothing_kernel.
-
-    ``sup_bound`` is the caller's bound on |f| over the real line.  The
-    output is entire of type sigma; its sup bound is sup_bound times the mass
-    of the nonnegative quadrature weights (at least 1), which bounds the
-    computed sum at every x.  ||f - R(f)||_inf <= C * w(f, 1/sigma) where w
-    is the modulus of continuity and C = KERNEL_MOMENT_CONST.  The integral
-    is evaluated by composite midpoint on [-T, T]; a Richardson probe at
-    x = 0 estimates the quadrature error and raises QuadratureError when it
-    exceeds tol.
-    """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    T = quad.resolved_half_width()
-    n = int(quad.nodes)
-    if n < 16:
-        raise ValueError("need at least 16 quadrature nodes")
-    step = 2.0 * T / n
-    nodes = -T + (np.arange(n) + 0.5) * step
-    weights = smoothing_kernel(nodes) * step
-
-    def reval(x, _nodes=nodes, _w=weights, _s=sigma):
-        x = np.asarray(x, dtype=float)
-        shifted = x[..., None] + _nodes / _s
-        vals = np.asarray(f(shifted.reshape(-1)), dtype=float).reshape(shifted.shape)
-        return vals @ _w
-
-    # error probe: halve the step at a few points (midpoint error ~ step^2),
-    # and account for the kernel mass beyond the window
-    probe = np.array([0.0, 0.37 / sigma, -1.0 / sigma])
-    fine_nodes = -T + (np.arange(2 * n) + 0.5) * (step / 2.0)
-    fine_w = smoothing_kernel(fine_nodes) * (step / 2.0)
-    coarse = np.asarray(reval(probe))
-    shifted = probe[:, None] + fine_nodes / sigma
-    fine = np.asarray(f(shifted.reshape(-1)), dtype=float).reshape(shifted.shape) @ fine_w
-    kernel_tail = 64.0 / (_PI * T ** 3)
-    est = float(np.max(np.abs(fine - coarse))) * (4.0 / 3.0) + kernel_tail
-    if est > quad.tol:
-        raise QuadratureError(
-            f"estimated quadrature error {est:.3e} exceeds tol {quad.tol:.3e}")
-
-    return BandlimitedFn(sigma=float(sigma),
-                         sup_bound=sup_bound * max(1.0, float(np.sum(weights))), eval=reval)

@@ -248,6 +248,27 @@ class TestFailures:
         assert code == 2
         assert f"{sin_samples_file}:501" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, field", [
+        ("reconstruct", "sigma"), ("reconstruct", "h"), ("reconstruct", "tail_bound"),
+        ("reconstruct", "tail_decay"), ("dht", "tail_l2")])
+    def test_nan_certificate_exit_2(self, command, field, tmp_path):
+        # NaN fails every comparison, so only a check written not x >= 0
+        # refuses it; read as a certificate it would be echoed as certified
+        path = tmp_path / "in.csv"
+        if command == "dht":
+            write_sequence(path, SeqWindow.basis(0))
+        else:
+            write_samples(path, UniformSamples.from_function(make_reference("fejer", 1.0),
+                                                             PI, -2000, 2000))
+        sidecar = path.with_suffix(".json")
+        meta = json.loads(sidecar.read_text())
+        meta[field] = math.nan
+        sidecar.write_text(json.dumps(meta))
+        out = tmp_path / "o.csv"
+        grid = ["--num", "5"] if command == "reconstruct" else []
+        assert main([command, "--input", str(path), "--output", str(out)] + grid) == 2
+        assert not out.exists()
+
     def test_non_integer_index_exit_2(self, sin_samples_file, tmp_path):
         text = sin_samples_file.read_text().replace("\n-7990,", "\n-7990.0,", 1)
         sin_samples_file.write_text(text)
@@ -348,7 +369,7 @@ class TestDht:
         assert seq.entry(0) == pytest.approx(2.0 / PI, abs=1e-8)
 
     def test_vt_writes_the_orbit(self, tmp_path):
-        # dht_vt is hilbert_group: the same window, values and tail
+        # the vt action is hilbert_group: the same window, values and tail
         path = tmp_path / "a.csv"
         vals = np.random.default_rng(3).standard_normal(21)
         write_sequence(path, SeqWindow(n0=-10, values=vals, tail_l2=0.05))
@@ -386,6 +407,18 @@ class TestVerify:
         code = main(["verify", "--suite", "pp", "--sigma", "1.0", "--h", "4.0"])
         assert code == 0
         assert "SKIPPED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("suite, flag, value", [
+        ("pp", "--sigma", "-1"), ("pp", "--sigma", "0"), ("bernstein", "--sigma", "0"),
+        ("lks", "--sigma", "inf"), ("lks", "--sigma", "nan"), ("pp", "--h", "nan"),
+        ("pp", "--h", "0"), ("pp", "--h", "inf")])
+    def test_sigma_and_h_must_be_positive_and_finite(self, suite, flag, value, capsys):
+        # checked once, before any suite runs: no suite reads a bad value
+        # as a skip, a pass with slack=nan or a failed check
+        assert main(["verify", "--suite", suite, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert f"{flag} must be positive and finite" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("sigma", ["0.01", "1.0", "100"])
     def test_bernstein_passes_at_every_scale(self, sigma, capsys):

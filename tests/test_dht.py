@@ -9,13 +9,12 @@ from bandlimit import dht
 from bandlimit.dht import (
     SeqWindow,
     dht_power,
-    dht_vt,
     hilbert_apply,
     hilbert_group,
     integer_orbit,
     pairing_check,
 )
-from bandlimit.grouporbit import BernsteinVector, _orbit_sum, orbit_reconstruct
+from bandlimit.grouporbit import BernsteinVector, _orbit_sum, orbit_reconstruct, orbit_vt
 from paper_boas import boas_coefficient_grid
 from paper_dht import composed_power, vt_expansion
 
@@ -64,8 +63,9 @@ class TestSeqWindow:
     def test_validation(self):
         with pytest.raises(ValueError):
             SeqWindow(n0=0, values=np.array([math.nan]))
-        with pytest.raises(ValueError):
-            SeqWindow(n0=0, values=np.array([1.0]), tail_l2=-1.0)
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                SeqWindow(n0=0, values=np.array([1.0]), tail_l2=bad)
 
 
 class TestHilbertApply:
@@ -202,7 +202,7 @@ class TestHilbertGroup:
         # the range check comes before the integer-time shift dispatch
         a = SeqWindow(n0=-1, values=np.array([0.5, -1.0, 2.0]))
         call = {"group": lambda e: hilbert_group(t, a, e),
-                "vt": lambda e: dht_vt(a, t, expand=e),
+                "vt": lambda e: orbit_vt(BernsteinVector(dht.dht_instance(e), a, PI), t),
                 "orbit": lambda e: orbit_reconstruct(BernsteinVector(dht.dht_instance(e), a, PI),
                                                      t)}[op]
         for bad in (-5, dht.HARD_MAX_EXPAND + 1):
@@ -217,7 +217,7 @@ class TestDefaultExpand:
         a = random_window(np.random.default_rng(length), length=length, center=False)
         grow = min(4 * length, 4096)
         for op in (lambda e: hilbert_apply(a, e), lambda e: hilbert_group(0.37, a, e),
-                   lambda e: dht_vt(a, -1.6, e), lambda e: dht_power(a, 2, e)):
+                   lambda e: hilbert_group(-1.6, a, e), lambda e: dht_power(a, 2, e)):
             got = op(None)
             want = op(grow)
             assert got.n0 == want.n0 == a.n0 - grow and got.tail_l2 == want.tail_l2
@@ -243,7 +243,7 @@ class TestDhtOrbitReconstruct:
     def test_integer_tautology(self):
         rng = np.random.default_rng(4)
         a = random_window(rng)
-        out = dht_vt(a, 2.0, expand=10)
+        out = hilbert_group(2.0, a, expand=10)
         assert out.n0 == a.n0 - 2
         assert np.array_equal(out.values, a.values)
 
@@ -255,24 +255,29 @@ class TestDhtOrbitReconstruct:
 
 
 class TestDhtVt:
+    """The trajectory value e^(tH) a of ``bandlimit dht --action vt``,
+    which :func:`hilbert_group` serves."""
+
     def test_matches_closed_form(self):
-        # dht_vt is hilbert_group, bit for bit, integer times included
+        # default window min(4 len, 4096) per side, integer times included;
+        # off the integers every entry is sin(pi t)/pi sum_n a_n/(m - n + t)
         rng = np.random.default_rng(6)
         a = SeqWindow(n0=-40, values=random_window(rng, length=80).values, tail_l2=0.01)
         for t in (0.3, 0.5, 1.7, -2.0, 3.0, 1.0 + 1e-10, -0.25):
-            for expand in (0, 600):
-                got = dht_vt(a, t, expand=expand)
-                want = hilbert_group(t, a, expand)
-                assert got.n0 == want.n0 and got.tail_l2 == want.tail_l2
-                assert np.array_equal(got.values, want.values)
-            got = dht_vt(a, t)
+            got = hilbert_group(t, a)
             want = hilbert_group(t, a, min(4 * len(a), 4096))
-            assert got.n0 == want.n0 and np.array_equal(got.values, want.values)
+            assert got.n0 == want.n0 and got.tail_l2 == want.tail_l2
+            assert np.array_equal(got.values, want.values)
+            if abs(t - round(t)) > 1e-9:
+                m = np.arange(got.n0, got.n_last + 1)[:, None]
+                n = np.arange(a.n0, a.n_last + 1)
+                direct = math.sin(PI * t) / PI * (a.values / (m - n + t)).sum(axis=1)
+                assert np.max(np.abs(got.values - direct)) < 1e-12
 
     def test_integer_shift(self):
         rng = np.random.default_rng(8)
         a = random_window(rng)
-        out = dht_vt(a, -1.0, expand=5)
+        out = hilbert_group(-1.0, a, expand=5)
         assert out.n0 == a.n0 + 1
         assert np.array_equal(out.values, -a.values)
 
@@ -281,8 +286,8 @@ class TestDhtVt:
         a = random_window(rng, length=20)
         b = random_window(rng, length=20)
         t = 0.6
-        lhs = dht_vt(a + 2.0 * b, t, expand=300)
-        rhs = dht_vt(a, t, expand=300) + 2.0 * dht_vt(b, t, expand=300)
+        lhs = hilbert_group(t, a + 2.0 * b, expand=300)
+        rhs = hilbert_group(t, a, expand=300) + 2.0 * hilbert_group(t, b, expand=300)
         assert common_diff(lhs, rhs) < 1e-12
 
 

@@ -75,12 +75,20 @@ class TestPlancherelPolya:
             gaps.append(rep.middle_hi - rep.lower)
         assert gaps[2] <= gaps[0] + 1e-9
 
-    def test_quadrature_agrees_with_closed_norms(self):
-        sigma = 2.0
-        f = make_reference("fejer", sigma)
-        rep = plancherel_polya_check(f, PI / sigma, 2.0, window=50_000,
-                                     norm_value=None)
-        assert rep.lower == pytest.approx(math.sqrt(4 * PI / (3 * sigma)), rel=1e-10)
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_missing_norm_is_refused_before_any_evaluation(self, p):
+        # with neither norm_value nor an lp_norms entry there is no ||f||_p
+        # to compare with: no estimate stands in for it, and f is not called
+        calls = []
+
+        def counted(x):
+            calls.append(np.size(x))
+            return make_reference("fejer", 2.0).eval(x)
+
+        f = dataclasses.replace(make_reference("fejer", 2.0), eval=counted, lp_norms=None)
+        with pytest.raises(ValueError, match=f"p = {p}"):
+            plancherel_polya_check(f, PI / 2.0, p, window=2_000)
+        assert calls == []
 
 
 class TestSandwichForEveryP:

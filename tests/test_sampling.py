@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from bandlimit.errors import ReconstructionUnsoundError, ToleranceError
 from bandlimit.sampling import (
-    QuadratureSpec,
+    BandlimitedFn,
     UniformSamples,
-    fejer_regularize,
     make_reference,
     riesz_trig_derivative,
     valiron_tschakaloff_eval,
@@ -20,7 +19,6 @@ from bandlimit.sampling import (
     wks_tail_bound,
 )
 from bandlimit import sampling, sinckernel
-from bandlimit.boas import boas_derivative
 from bandlimit.sinckernel import (
     _strip_log_bound,
     regularized_sinc_certificate,
@@ -39,6 +37,11 @@ def fejer_samples(sigma=2.0, K=4000):
 
 
 class TestReferences:
+    @pytest.mark.parametrize("sup_bound", [-1.0, math.nan])
+    def test_rejects_a_sup_bound_that_is_not_nonnegative(self, sup_bound):
+        with pytest.raises(ValueError, match="sup_bound"):
+            BandlimitedFn(sigma=1.0, sup_bound=sup_bound, eval=np.sin)
+
     def test_sin_certificate(self):
         f = make_reference("sin", 1.0)
         assert f.sigma == 1.0 and f.sup_bound == 1.0
@@ -548,48 +551,6 @@ class TestRiesz:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             riesz_trig_derivative(math.sin, 0, 0.0)
-
-
-class TestFejerRegularize:
-    def test_constant_preserved(self):
-        spec = QuadratureSpec(tol=1e-4, nodes=4096)
-        r = fejer_regularize(lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                             sigma=4.0, sup_bound=1.0, quad=spec)
-        for x in (-1.0, 0.0, 2.5):
-            assert float(r(x)) == pytest.approx(1.0, abs=1e-4)
-
-    def test_sup_error_scales_with_sigma(self):
-        target = np.sin
-        errs = {}
-        for sigma in (8.0, 16.0, 32.0):
-            r = fejer_regularize(lambda x: np.sin(np.asarray(x, dtype=float)),
-                                 sigma=sigma, sup_bound=1.0,
-                                 quad=QuadratureSpec(tol=1e-6, nodes=8192))
-            xs = np.linspace(-2, 2, 41)
-            errs[sigma] = float(np.max(np.abs(np.asarray(r(xs)) - target(xs))))
-            # modulus bound: ||f - R(f)|| <= C * w(f, 1/sigma) <= C / sigma
-            assert errs[sigma] <= (1.0 + 12 * math.log(2) / PI) / sigma
-        assert errs[16.0] <= 0.6 * errs[8.0]
-        assert errs[32.0] <= 0.6 * errs[16.0]
-
-    def test_output_differentiable_by_shifted_series(self):
-        sigma = 8.0
-        r = fejer_regularize(lambda x: np.sin(np.asarray(x, dtype=float)),
-                             sigma=sigma, sup_bound=1.0,
-                             quad=QuadratureSpec(tol=1e-6, nodes=8192))
-        x = 0.3
-        got = boas_derivative(r, 1, x, tol=1e-3)
-        fd = (float(r(x + 1e-4)) - float(r(x - 1e-4))) / 2e-4
-        assert got == pytest.approx(fd, abs=2e-3)
-
-    def test_sup_bound_covers_off_center_peak(self):
-        # a peak of height 5 far from the origin: R(f) reaches about 1.04 there
-        def f(x):
-            return 5.0 * np.exp(-(np.asarray(x, dtype=float) - 40.0) ** 2)
-
-        r = fejer_regularize(f, sigma=1.0, sup_bound=5.0)
-        xs = np.linspace(36.0, 44.0, 161)
-        assert float(np.max(np.abs(r(xs)))) <= r.sup_bound
 
 
 def poisson_residual(f, fhat, lam, t, K):
