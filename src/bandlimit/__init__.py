@@ -31,7 +31,6 @@ from .boas import (
     truncation_halfwidth,
 )
 from .inequalities import (
-    FavardConstant,
     discrete_norm,
     embedding_constant,
     favard_constant,

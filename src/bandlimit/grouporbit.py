@@ -159,6 +159,11 @@ def _orbit_sum(fetch: Callable[[int, float], Any], zero, bound: float, r: int,
 #: vector entries per block of stacked array samples in _weighted_sum
 _GATHER_ENTRIES = 1 << 16
 
+#: largest vector that _weighted_sum stacks: np.add.accumulate along the
+#: stack runs one inner loop per entry, and above about 128 entries that
+#: costs more than adding the samples one by one
+_STACKED_MAX_SIZE = 128
+
 #: sample types whose product with a float weight, and whose sums, come out
 #: the same stacked as one by one
 _STACKED = (np.dtype(np.float64), np.dtype(np.complex128))
@@ -168,17 +173,19 @@ def _weighted_sum(zero, w: np.ndarray, samples: Iterator[Any]):
     """zero + w[0] x_0 + w[1] x_1 + ..., added left to right, each sample
     x_i drawn from the iterator, and copied or used, before the next.
 
-    When zero is a float64 or complex128 array, each sample of its shape
-    and type is copied on arrival into a block of about _GATHER_ENTRIES
-    entries behind the running sum; the block is scaled by one multiply
-    and summed in place by one np.add.accumulate along the stack, which
-    adds row by row, the additions of the loop in its order, so the sum is
-    bit-identical to it.  Other vectors (SeqWindow), and every sample from
-    the first that does not fit the block, are added one by one.
+    When zero is a float64 or complex128 array of at most _STACKED_MAX_SIZE
+    entries, each sample of its shape and type is copied on arrival into a
+    block of about _GATHER_ENTRIES entries behind the running sum; the block
+    is scaled by one multiply and summed in place by one np.add.accumulate
+    along the stack, which adds row by row, the additions of the loop in its
+    order, so the sum is bit-identical to it.  Other vectors (larger arrays,
+    SeqWindow), and every sample from the first that does not fit the block,
+    are added one by one.
     """
     ws = w.tolist()
     acc, i = zero, 0
-    if isinstance(zero, np.ndarray) and zero.dtype in _STACKED and ws:
+    if (isinstance(zero, np.ndarray) and zero.dtype in _STACKED
+            and zero.size <= _STACKED_MAX_SIZE and ws):
         shape, dtype = zero.shape, zero.dtype
         buf = np.empty((min(max(1, _GATHER_ENTRIES // max(zero.size, 1)), len(ws)) + 1,)
                        + shape, dtype)

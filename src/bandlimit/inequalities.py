@@ -12,15 +12,17 @@ upper half alone is the sampled-norm bound; together they give the embedding
 
 Favard constants
 
-    K_j = (4/pi) sum_{r>=0} (-1)^(r(j+1)) / (2r+1)^(j+1)
+    K_j = (4/pi) sum_{r>=0} (-1)^(r(j+1)) / (2r+1)^(j+1) = A_j (pi/2)^j / j!,
 
-are the sharp constants in || D^k f ||^n <= C_{k,n} || D^n f ||^k || f ||^(n-k)
-with C_{k,n} = K_{n-k}^n / K_n^(n-k).  Even-index constants increase inside
-[1, 4/pi); odd-index ones decrease inside (pi/4, pi/2].
+with A_j the Euler zigzag numbers, are the sharp constants in
+|| D^k f ||^n <= C_{k,n} || D^n f ||^k || f ||^(n-k) with
+C_{k,n} = K_{n-k}^n / K_n^(n-k), a rational number.  Even-index constants
+increase inside [1, 4/pi); odd-index ones decrease inside (pi/4, pi/2].
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -28,8 +30,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .sampling import BandlimitedFn, UniformSamples
-
-_PI = math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -180,73 +180,43 @@ def embedding_constant(p: float, q: float, h: float, sigma: float) -> float:
 # Favard constants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FavardConstant:
-    j: int
-    value: float
-    terms_used: int
-    tail: float
+# pi = _PI_NUM / _PI_DEN to 50 digits
+_PI_NUM, _PI_DEN = 31415926535897932384626433832795028841971693993751, 10 ** 49
 
 
-def favard_constant(j: int, tol: float = 1e-12) -> FavardConstant:
-    """K_j = (4/pi) sum_{r>=0} (-1)^(r(j+1)) / (2r+1)^(j+1), summed until the
-    certified remainder falls below tol.
+def _zigzag(n: int) -> List[int]:
+    """Euler zigzag numbers A_0..A_n (sec x + tan x = sum_j A_j x^j / j!:
+    1, 1, 1, 2, 5, 16, 61, ...) by the Seidel-Entringer boustrophedon: each
+    row is the running sum, from 0, of the previous row read backwards, and
+    A_j ends row j."""
+    row, out = [1], [1]
+    for _ in range(n):
+        row = list(itertools.accumulate(reversed(row), initial=0))
+        out.append(row[-1])
+    return out
 
-    Even j gives an alternating series; after 64 direct terms the remainder is
-    Euler-transformed (valid and sign-alternating because 1/(2r+1)^(j+1) is
-    completely monotone), which converges geometrically, with remainder
-    bounded by the last transformed term.  Odd j gives a monotone series whose
-    tail is replaced by the midpoint integral with an explicit f'/24
-    correction bound.
-    """
+
+def favard_constant(j: int) -> float:
+    """K_j = (4/pi) sum_{r>=0} (-1)^(r(j+1)) / (2r+1)^(j+1) = A_j (pi/2)^j / j!,
+    the exact value rounded once from 50-digit pi.  For j >= 64 it is 4/pi
+    rounded: |K_j - 4/pi| <= 2 3^-(j+1) 4/pi < 2^-100."""
     if j < 0:
         raise ValueError("index j must be >= 0")
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
-    s = j + 1
-    pref = 4.0 / _PI
-    if j % 2 == 0:
-        head_terms = 64
-        head = sum((-1.0) ** r / (2.0 * r + 1.0) ** s for r in range(head_terms))
-        # Euler transform of the remainder starting at r = head_terms
-        depth = 64
-        a = np.array([(2.0 * (head_terms + i) + 1.0) ** (-s) for i in range(depth)])
-        total = 0.0
-        used = head_terms
-        bound = math.inf
-        for n in range(depth - 1):
-            term = a[0] / 2.0 ** (n + 1)
-            total += term
-            used += 1
-            bound = a[0] / 2.0 ** (n + 1)  # transformed terms decrease
-            if bound <= tol * _PI / 4.0:
-                break
-            a = a[:-1] - a[1:]  # forward difference, stays positive decreasing
-        sign = (-1.0) ** head_terms
-        value = pref * (head + sign * total)
-        return FavardConstant(j=j, value=value, terms_used=used, tail=pref * bound)
-    # monotone case: sum_{r > R} (2r+1)^(-s) = int_{R+1/2} (2t+1)^(-s) dt + err,
-    # |err| <= |f'(R+1/2)|/24 by the midpoint rule on each unit cell
-    R = 10_000
-    while True:
-        err = s * (2.0 * R + 2.0) ** (-s - 1) / 12.0
-        if pref * err <= tol or R >= 10_000_000:
-            break
-        R *= 4
-    rs = np.arange(0, R + 1, dtype=float)
-    head = float(np.sum((2.0 * rs + 1.0) ** (-s)))
-    tail_int = (2.0 * R + 2.0) ** (1.0 - s) / (2.0 * (s - 1.0))
-    value = pref * (head + tail_int)
-    return FavardConstant(j=j, value=value, terms_used=R + 1, tail=pref * err)
+    if j >= 64:
+        return 4 * _PI_DEN / _PI_NUM
+    return _zigzag(j)[j] * _PI_NUM ** j / (2 ** j * math.factorial(j) * _PI_DEN ** j)
 
 
-def lks_constant(k: int, n: int, tol: float = 1e-12) -> float:
-    """Sharp constant C_{k,n} = K_{n-k}^n / K_n^(n-k)."""
+def lks_constant(k: int, n: int) -> float:
+    """Sharp constant C_{k,n} = K_{n-k}^n / K_n^(n-k) = a_{n-k}^n / a_n^(n-k)
+    with K_j = a_j pi^j, a_j = A_j / (2^j j!).  pi cancels, so C_{k,n} is
+    rational (2, 9/8 and 3 for (k, n) = (1, 2), (1, 3), (2, 3)), rounded once."""
     if not (0 < k < n):
         raise ValueError("need 0 < k < n")
-    knk = favard_constant(n - k, tol).value
-    kn = favard_constant(n, tol).value
-    return knk ** n / kn ** (n - k)
+    m = n - k
+    A = _zigzag(n)
+    # the powers of 2 cancel as well
+    return A[m] ** n * math.factorial(n) ** m / (A[n] ** m * math.factorial(m) ** n)
 
 
 @dataclass(frozen=True)
@@ -259,8 +229,7 @@ class LksReport:
     passed: bool
 
 
-def lks_check(norms: Tuple[float, float, float], k: int, n: int,
-              tol: float = 1e-12) -> LksReport:
+def lks_check(norms: Tuple[float, float, float], k: int, n: int) -> LksReport:
     """Check ||D^k f||^n <= C_{k,n} ||D^n f||^k ||f||^(n-k).
 
     ``norms`` is (||f||, ||D^k f||, ||D^n f||) measured in any norm attached
@@ -271,7 +240,7 @@ def lks_check(norms: Tuple[float, float, float], k: int, n: int,
     n0, nk, nn = (float(v) for v in norms)
     if min(n0, nk, nn) < 0.0:
         raise ValueError("norms must be nonnegative")
-    c = lks_constant(k, n, tol)
+    c = lks_constant(k, n)
     lhs = nk ** n
     rhs = c * nn ** k * n0 ** (n - k)
     return LksReport(k=k, n=n, constant=c, lhs=lhs, rhs=rhs,

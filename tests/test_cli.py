@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -419,6 +420,35 @@ class TestVerify:
         captured = capsys.readouterr()
         assert f"{flag} must be positive and finite" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("suite, flag, value", [
+        ("lks", "--sigma", "1e308"), ("group", "--sigma", "1e-300"),
+        ("bernstein", "--sigma", "1e200"), ("pp", "--sigma", "1e-300"),
+        ("pp", "--h", "1e-300"), ("bernstein", "--sigma", "1e-300"),
+        ("group", "--sigma", "1e300")])
+    def test_extreme_finite_values_are_refused(self, suite, flag, value, capsys):
+        # each once overflowed, divided by zero or underflowed inside its suite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--suite", suite, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert f"{flag} must be positive and finite, in [1e-15, 1e15]" in captured.err
+        assert "internal" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--sigma", "1e-15"), ("--sigma", "1e15"), ("--h", "1e-15"), ("--h", "1e15")])
+    @pytest.mark.parametrize("suite", ["favard", "pp", "lks", "bernstein", "group", "dht-law"])
+    def test_every_suite_runs_at_the_bounds(self, suite, flag, value, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--suite", suite, flag, value]) in (0, 1, 3)
+        assert "error: internal" not in capsys.readouterr().err
+
+    def test_favard_brackets_hold_exactly(self, capsys):
+        assert main(["verify", "--suite", "favard", "--format", "json"]) == 0
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["K0"]["lhs"] == 0.0 and checks["K1"]["lhs"] == 0.0
+        assert all(c["slack"] >= 0.0 and c["pass"] for c in checks.values())
 
     @pytest.mark.parametrize("sigma", ["0.01", "1.0", "100"])
     def test_bernstein_passes_at_every_scale(self, sigma, capsys):

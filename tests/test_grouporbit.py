@@ -507,6 +507,16 @@ class TestGatheredSum:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert grouporbit._weighted_sum(np.zeros(3), w[:0], iter([])).tobytes() == bytes(24)
 
+    @pytest.mark.parametrize("size", [129, 1024, 65536])
+    def test_large_vectors_bit_identical_to_the_loop(self, size):
+        # above 128 entries the samples are added one by one: stacking them
+        # cost about 15x the loop at 65 536 entries
+        rng = np.random.default_rng(size)
+        w = rng.standard_normal(24)
+        xs = [rng.standard_normal(size) for _ in range(24)]
+        got = grouporbit._weighted_sum(np.zeros(size), w, iter(xs))
+        assert got.tobytes() == loop_sum(np.zeros(size), w, xs).tobytes()
+
     @pytest.mark.parametrize("r", [0, 3])
     def test_constant_array_operations_per_sum(self, r):
         # the samples are Counted arrays; the loop made two ufunc calls on

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,33 +149,63 @@ class TestEmbedding:
         assert embedding_constant(1, 2, h, sigma) > 0.0
 
 
+def _favard_series(j: int) -> "mp.mpf":
+    """K_j at 50 digits from its defining series, by Dirichlet L-functions."""
+    with mp.workdps(50):
+        if j % 2 == 0:
+            return 4 / mp.pi * mp.dirichlet(j + 1, [0, 1, 0, -1])
+        return 4 / mp.pi * (1 - mp.mpf(2) ** -(j + 1)) * mp.zeta(j + 1)
+
+
+# Euler zigzag numbers A_0..A_8, OEIS A000111
+ZIGZAG = (1, 1, 1, 2, 5, 16, 61, 272, 1385)
+
+
 class TestFavard:
     def test_first_three(self):
-        assert favard_constant(0).value == pytest.approx(1.0, abs=1e-10)
-        assert favard_constant(1).value == pytest.approx(PI / 2, abs=1e-10)
-        assert favard_constant(2).value == pytest.approx(PI ** 2 / 8, abs=1e-10)
+        assert favard_constant(0) == 1.0
+        assert favard_constant(1) == PI / 2
+        assert favard_constant(2) == pytest.approx(PI ** 2 / 8, abs=1e-15)
 
     def test_higher_closed_forms(self):
-        assert favard_constant(3).value == pytest.approx(PI ** 3 / 24, abs=1e-9)
+        assert favard_constant(3) == pytest.approx(PI ** 3 / 24, abs=1e-15)
 
-    def test_reported_tail_honors_tol(self):
-        for j in (0, 1, 4, 7):
-            out = favard_constant(j, tol=1e-11)
-            assert out.tail <= 1e-11
-            assert out.terms_used >= 1
+    @pytest.mark.parametrize("j", range(81))
+    def test_correctly_rounded_series(self, j):
+        got = favard_constant(j)
+        assert type(got) is float
+        assert got == float(_favard_series(j))
 
     def test_brackets_and_monotonicity(self):
-        evens = [favard_constant(2 * j).value for j in range(11)]
-        odds = [favard_constant(2 * j + 1).value for j in range(11)]
-        assert all(b > a - 1e-13 for a, b in zip(evens, evens[1:]))
-        assert all(1.0 - 1e-12 <= v < 4 / PI for v in evens)
-        assert all(b < a + 1e-13 for a, b in zip(odds, odds[1:]))
-        assert all(PI / 4 < v <= PI / 2 + 1e-12 for v in odds)
+        evens = [favard_constant(2 * j) for j in range(11)]
+        odds = [favard_constant(2 * j + 1) for j in range(11)]
+        assert all(b >= a for a, b in zip(evens, evens[1:]))
+        assert all(1.0 <= v < 4 / PI for v in evens)
+        assert all(b <= a for a, b in zip(odds, odds[1:]))
+        assert all(PI / 4 < v <= PI / 2 for v in odds)
+
+    def test_rejects_negative_index(self):
+        with pytest.raises(ValueError):
+            favard_constant(-1)
 
 
 class TestLks:
     def test_constant_value(self):
-        assert lks_constant(1, 2) == pytest.approx(2.0, abs=1e-10)
+        assert lks_constant(1, 2) == 2.0
+        assert lks_constant(1, 3) == 1.125
+        assert lks_constant(2, 3) == 3.0
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_correctly_rounded_rational(self, n):
+        a = [Fraction(z, 2 ** j * math.factorial(j)) for j, z in enumerate(ZIGZAG)]
+        for k in range(1, n):
+            exact = a[n - k] ** n / a[n] ** (n - k)
+            with mp.workdps(50):
+                series = _favard_series(n - k) ** n / _favard_series(n) ** (n - k)
+                assert abs(series / mp.mpf(exact.numerator) * exact.denominator - 1) < 1e-40
+            got = lks_constant(k, n)
+            assert type(got) is float and got == float(exact), (k, n)
+            assert type(lks_check((1.0, 1.0, 1.0), k, n).constant) is float
 
     def test_sine_scaling(self):
         sigma = 1.7
@@ -194,7 +226,7 @@ class TestLks:
                          float(np.max(np.abs(d1))),
                          float(np.max(np.abs(d2)))), 1, 2)
         assert rep.passed
-        assert rep.constant == pytest.approx(2.0, abs=1e-10)
+        assert rep.constant == 2.0
 
     def test_rejects_bad_indices(self):
         with pytest.raises(ValueError):
