@@ -86,8 +86,8 @@ class RunConfig:
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValueError("--tol must be positive")
-        # every verify suite runs in this range; at 1e300 or 1e-300 the lks,
-        # group, bernstein and pp suites overflow, underflow or divide by zero
+        # the verify suites run in this range (pp skips h sigma outside [1e-2, pi]);
+        # at 1e300 or 1e-300 lks, group, bernstein and pp overflow or underflow
         for name in ("sigma", "h"):
             if not 1e-15 <= getattr(self, name) <= 1e15:
                 raise ValueError(f"--{name} must be positive and finite, in [1e-15, 1e15]")
@@ -211,10 +211,16 @@ def _suite_favard(cfg: RunConfig) -> SuiteReport:
 
 def _suite_pp(cfg: RunConfig) -> SuiteReport:
     rep = SuiteReport("pp")
+    # below h sigma = 1e-2 the Fejer p=1 tail allowance 8/(sigma^2 h W), W = 20 000,
+    # nears its slack 2 pi h; they meet at h sigma = sqrt(4/(pi W)), about 8e-3
     if cfg.h > _PI / cfg.sigma * (1.0 + 1e-12):
-        rep.skipped = True
         rep.note = (f"h={cfg.h} exceeds pi/sigma={_PI / cfg.sigma}: outside the "
-                    "sampled-norm contract, suite skipped")
+                    "sampled-norm contract")
+    elif cfg.h * cfg.sigma < 1e-2:
+        rep.note = f"h*sigma={cfg.h * cfg.sigma} is below 1e-2: too fine for the 20000-step window"
+    if rep.note:
+        rep.skipped = True
+        rep.note += ", suite skipped"
         return rep
     # one evaluation of each reference per shift serves all its p
     combos = [("fejer", (1.0, 2.0, math.inf)), ("sinc", (2.0, math.inf)),
@@ -265,12 +271,12 @@ def _suite_group(cfg: RunConfig) -> SuiteReport:
     rep.add("bernstein_bounds", 0.0 if b.validate(depth=8) else 1.0, 0.0, tol=0.5)
     w = v.copy()
     for r in (1, 2, 3):
-        w = inst.generator(w)
-        got = group_boas(b, r, tol=1e-7)
-        rep.add(f"boas_power_r{r}", float(np.max(np.abs(got - w))), 1e-6)
+        w = inst.generator(w)  # D^r v, of norm sigma^r: tol and bound scale with it
+        got = group_boas(b, r, tol=1e-7 * cfg.sigma ** r)
+        rep.add(f"boas_power_r{r}", float(np.max(np.abs(got - w))), 1e-6 * cfg.sigma ** r)
     est = exponential_type(inst, v, k_max=60)
-    rep.add("exponential_type", abs(est.estimate - cfg.sigma), 1e-9)
-    t = 0.7
+    rep.add("exponential_type", abs(est.estimate - cfg.sigma), 1e-9 * cfg.sigma)
+    t = 0.7 / cfg.sigma  # the same phase sigma t at every sigma
     exact = inst.orbit(t, v)
     rep.add("orbit_reconstruct",
             float(np.max(np.abs(orbit_reconstruct(b, t, tol=1e-7) - exact))), 1e-6)

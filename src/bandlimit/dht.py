@@ -275,6 +275,7 @@ def _power_kernel(r: int, span: int) -> np.ndarray:
     return c
 
 
+@np.errstate(over="ignore", invalid="ignore")  # checked before the return
 def dht_power(a: SeqWindow, r: int, expand: Optional[int] = None) -> SeqWindow:
     """H^r a on the window grown by ``expand``.
 
@@ -285,11 +286,15 @@ def dht_power(a: SeqWindow, r: int, expand: Optional[int] = None) -> SeqWindow:
     ||a|| sqrt(sum_n sum_(m outside) c_(m-n)^2): summed from the kernel up
     to the span, and beyond it bounded through |c_d| <= sum_p |alpha_p|
     d^(-p) and sum_(d>N) d^(-s) <= N^(1-s)/(s-1) (1/N for r = 1, which is
-    :func:`hilbert_apply`).
+    :func:`hilbert_apply`); ValueError if an entry or the tail overflows.
     """
     if r < 1:
         raise ValueError("power r must be >= 1")
-    out_n0, vals, c = _window_convolve(a, expand, lambda d: _power_kernel(r, d[-1]))
+    overflow = ValueError(f"H^r of order r={r} overflows float64 on this window")
+    try:
+        out_n0, vals, c = _window_convolve(a, expand, lambda d: _power_kernel(r, d[-1]))
+    except OverflowError:  # pi^r as a Python float, from r = 621 on
+        raise overflow from None
     L = len(a)
     expand = a.n0 - out_n0
     span = L + expand
@@ -301,8 +306,10 @@ def dht_power(a: SeqWindow, r: int, expand: Optional[int] = None) -> SeqWindow:
     alpha = np.abs(_power_coefficients(r)[1:])
     s = np.add.outer(np.arange(1, r + 1), np.arange(1, r + 1))
     beyond = float(np.sum(np.outer(alpha, alpha) * span ** (1.0 - s) / (s - 1)))
-    spill = a.norm() * math.sqrt(2.0 * (inside + L * beyond))
-    return SeqWindow(n0=out_n0, values=vals, tail_l2=_PI ** r * a.tail_l2 + spill)
+    tail = _PI ** r * a.tail_l2 + a.norm() * math.sqrt(2.0 * (inside + L * beyond))
+    if not (math.isfinite(tail) and np.all(np.isfinite(vals))):
+        raise overflow
+    return SeqWindow(n0=out_n0, values=vals, tail_l2=tail)
 
 
 def _pairing(s: float, a: SeqWindow, b: SeqWindow) -> float:

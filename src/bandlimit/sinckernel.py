@@ -29,8 +29,8 @@ local: ``regularized_sinc_grid`` gives its derivatives,
 it, which reads 2N+1 samples per point, and ``regularized_halfwidth`` the
 smallest N that certificate allows.  ``_local_series`` is the one routine
 that sums that series, for sampled data, orbits and the derivatives of
-:mod:`bandlimit.boas` alike; at a large pinned N it builds each row only on
-the band whose left-out weights ``_band_tail`` bounds.
+:mod:`bandlimit.boas` alike; it builds each row only on the band whose
+left-out weights ``_band_tail`` bounds.
 
 The paper's Boas formulas weigh translates of f by the families
 
@@ -320,21 +320,11 @@ def regularized_sinc_grid(m: int, x, N, alpha: float) -> np.ndarray:
     (-sqrt(c))^j H_j(sqrt(c) x) exp(-c x^2), c = alpha/N, with the
     physicists' Hermite polynomials from H_(j+1) = 2y H_j - 2j H_(j-1).  For
     m = 0 the weights are exactly 1 at x = 0 and 0 at the other integers.
-    Where exp(-c x^2) underflows to 0.0 the weight is 0.0 and the sinc and
-    Hermite factors are not evaluated.
     """
     if m < 0:
         raise ValueError("derivative order must be >= 0")
     x = np.asarray(x, dtype=float)
-    x = np.broadcast_to(x, np.broadcast_shapes(x.shape, np.shape(N)))
     c = alpha / np.asarray(N, dtype=float)
-    gauss = np.exp(-c * x * x)
-    live = gauss != 0.0
-    if not live.all():
-        out = np.zeros_like(x)
-        n_live = N if np.ndim(N) == 0 else np.broadcast_to(N, x.shape)[live]
-        out[live] = regularized_sinc_grid(m, x[live], n_live, alpha)
-        return out
     total = sinc_derivative_grid(m, x)
     y = np.sqrt(c) * x
     h_prev, h_j = np.ones_like(x), 2.0 * y
@@ -342,7 +332,7 @@ def regularized_sinc_grid(m: int, x, N, alpha: float) -> np.ndarray:
         coeff = math.comb(m, j) * (-np.sqrt(c)) ** j
         total = total + coeff * h_j * sinc_derivative_grid(m - j, x)
         h_prev, h_j = h_j, 2.0 * y * h_j - 2.0 * j * h_prev
-    return total * gauss
+    return total * np.exp(-c * x * x)
 
 
 def _hermite_terms(m: int, c):
@@ -361,11 +351,6 @@ def _weight_bound(m: int, N, alpha: float):
         total = total + term
     return total
 
-
-#: half-widths up to which a row of the local engine keeps every offset,
-#: and so its bits: a band saves little on rows that short, and the rows of
-#: sampled data and of the Boas derivatives, sized by a tol, are among them
-_FULL_ROWS = 128
 
 #: the part of the fetch rule's 2^-53 sum |w| that the offsets left out of a
 #: row's band may weigh, for rows with sum |w| >= 1/2
@@ -537,13 +522,14 @@ def _local_series(r: int, u, alpha: float, bound: float, h: float, tol: float,
     plus the dropped |w|, and the band tail, times ``bound``.  A caller
     bounds its memory by building the rows in blocks.
 
-    The band half-width D is N up to _FULL_ROWS.  Past it D is the
-    smallest half-width whose :func:`_band_tail`, a bound on the |w| of the
-    offsets left out, is at most 2^-64: 2^-10 of the fetch rule's
-    2^-53 sum |w| for any row with sum |w| >= 1/2.  Every row past
-    _FULL_ROWS has that sum: at r = 0 the weight at n0 alone is at least
-    sinc(1/2) exp(-alpha/(4N)) > 0.63 (alpha < pi/2), and for r >= 1 the
-    computed sums are at least pi^r/2 (held by a test over offsets, alpha
+    Every row keeps the band |n - n0| <= D, D the smallest half-width
+    whose :func:`_band_tail`, a bound on the |w| of the offsets left out, is
+    at most 2^-64: 2^-10 of the fetch rule's 2^-53 sum |w| for any row with
+    sum |w| >= 1/2.  Every row with D < N has that sum: at r = 0, D < N
+    needs alpha N >= 65 ln 2 (the tail at D = N - 1 is at least
+    2 exp(-alpha N)), so the weight at n0 alone is at least
+    sinc(1/2) exp(-alpha/(4N)) > 0.62 (alpha < pi/2), and for r >= 1 the
+    computed sums are at least pi^r/4 (held by a test over offsets, alpha
     and r <= 8).  So the band costs O(D) per row, the fetch rule sees the same
     weights up to that margin, and the tail is charged to the certificate.
     At alpha = pi/4 and N = 4096, D is 495 for r = 0 and 673-690 for
@@ -603,7 +589,7 @@ def _local_series(r: int, u, alpha: float, bound: float, h: float, tol: float,
 
         N = regularized_halfwidth(sized, tol, room)
 
-    D = N if N <= _FULL_ROWS else _band_halfwidth(r, N, alpha)
+    D = _band_halfwidth(r, N, alpha)
     tail = 0.0 if D == N else _band_tail(r, N, alpha, D)
 
     def rows(b: slice):

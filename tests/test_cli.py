@@ -341,6 +341,22 @@ class TestDht:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("order", ["98", "116", "117", "400", "1000"])
+    def test_power_refuses_orders_that_overflow(self, tmp_path, order, capsys):
+        # on a 5-entry window the tail overflows float64 from r = 98, the
+        # entries from r = 171 and pi^r as a Python float from r = 621
+        path = tmp_path / "a.csv"
+        write_sequence(path, SeqWindow(n0=-2, values=np.array([0.5, -1.0, 2.0, 0.25, 1.0])))
+        out = tmp_path / "p.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["dht", "--action", "power", "--order", order,
+                         "--input", str(path), "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"r={order}" in err and "internal" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("order", ["1", "2"])
     def test_power_rejects_negative_expand(self, tmp_path, order):
         path = tmp_path / "a.csv"
@@ -455,6 +471,24 @@ class TestVerify:
         # the derivatives are asked for relative to sigma^m, the bound's scale
         assert main(["verify", "--suite", "bernstein", "--sigma", sigma]) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sigma", ["1e-15", "1e-3", "100", "1e6", "1e15"])
+    def test_group_passes_at_every_scale(self, sigma, capsys):
+        # D^r v has norm sigma^r: its tol and bound scale by sigma^r, and the
+        # orbit is taken at sigma t = 0.7
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--suite", "group", "--sigma", sigma]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and out.count("[PASS]") == 8
+
+    @pytest.mark.parametrize("sigma, h", [("1e-3", "1.0"), ("1.0", "0.005"), ("1e-15", "1.0")])
+    def test_pp_skips_below_the_window_resolution(self, sigma, h, capsys):
+        # the Fejer p=1 tail allowance over the 20 000-step window exceeds
+        # its slack for h sigma below about 8e-3
+        assert main(["verify", "--suite", "pp", "--sigma", sigma, "--h", h]) == 0
+        out = capsys.readouterr().out
+        assert "SKIPPED" in out and "h*sigma=" in out and "FAIL" not in out
 
     def test_unknown_suite_exit_2(self):
         assert main(["verify", "--suite", "nope"]) == 2

@@ -334,6 +334,15 @@ class TestDhtPower:
         with pytest.raises(ValueError):
             dht_power(SeqWindow.basis(0), 0)
 
+    def test_rejects_orders_that_overflow(self):
+        # on 5 entries the spill overflows from r = 98 on and pi^r from 621;
+        # RuntimeWarnings are errors here, so none may leak either
+        a = SeqWindow(n0=-2, values=np.array([0.5, -1.0, 2.0, 0.25, 1.0]))
+        assert math.isfinite(dht_power(a, 97).tail_l2)
+        for r in (98, 117, 621):
+            with pytest.raises(ValueError, match=f"r={r} overflows"):
+                dht_power(a, r)
+
     def test_rejects_bad_expand(self):
         a = SeqWindow(n0=-16, values=np.random.default_rng(0).standard_normal(33))
         for r in (1, 2):

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import tracemalloc
 from dataclasses import dataclass, field
@@ -13,10 +14,12 @@ from bandlimit.boas import truncation_halfwidth
 from bandlimit.errors import ToleranceError
 import bandlimit.sinckernel as sinckernel
 from bandlimit.sinckernel import (
+    MAX_HALFWIDTH,
     _QUAD_MIN_ORDER,
     _QUAD_SLOPE,
     _SERIES_RADIUS,
     _WEIGHT_ERR,
+    _band_halfwidth,
     _band_tail,
     _closed_grid,
     _drop_small,
@@ -276,8 +279,8 @@ class TestKernelPasses:
 
 
 def full_regularized_sinc_grid(m, x, N, alpha):
-    """The Leibniz sum of regularized_sinc_grid evaluated at every offset,
-    underflowed Gaussian or not: the reference for its skipped entries."""
+    """The Leibniz sum of regularized_sinc_grid written out at every offset,
+    underflowed Gaussian or not."""
     c = alpha / N
     total = sinc_derivative_grid(m, x)
     y = math.sqrt(c) * x
@@ -293,7 +296,7 @@ class TestRegularizedKernel:
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
     def test_underflow_skip_bit_identical(self, m, N):
         # the Gaussian underflows beyond |x| of about sqrt(745 N / alpha):
-        # 246 at N = 64, 1 972 at N = 4 096
+        # 246 at N = 64, 1 972 at N = 4 096; there the weight is +-0.0
         span = max(2 * N, 512)
         for offset in (0.0, 0.37, -0.5):
             x = offset - np.arange(-span, span + 1)
@@ -301,9 +304,8 @@ class TestRegularizedKernel:
             want = full_regularized_sinc_grid(m, x, N, PI / 4)
             live = np.exp(-(PI / 4) / N * x * x) != 0.0
             assert 0 < np.count_nonzero(live) < x.size
-            assert np.array_equal(got[live].view(np.uint64), want[live].view(np.uint64))
-            # the full sum gives +-0.0 there; the skip writes +0.0
-            assert np.all(want[~live] == 0.0) and np.all(got[~live].view(np.uint64) == 0)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.all(got[~live] == 0.0)
 
     @pytest.mark.parametrize("m", [0, 1, 3])
     def test_half_width_per_row_bit_identical(self, m):
@@ -332,16 +334,29 @@ def full_rows(r, u, alpha, bound, h, N):
     return n0 - N, d, w, cert + dropped * bound / h ** r + 0.0
 
 
+@functools.cache
+def first_banded(r, alpha):
+    """The smallest N whose rows of order r are banded, D < N: the first
+    where the tail past D = N - 1 meets the 2^-64 of _band_halfwidth."""
+    N = 1
+    while _band_tail(r, N, alpha, N - 1) > 2.0 ** -64:
+        N += 1
+    assert _band_halfwidth(r, N, alpha) < N and _band_halfwidth(r, N - 1, alpha) == N - 1
+    return N
+
+
 def same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestRowBand:
-    """Past N = 128 a row of the local engine keeps the offsets
-    |n - n0| <= D only, and its certificate charges a bound on the rest."""
+    """A row of the local engine keeps the offsets |n - n0| <= D only,
+    D = _band_halfwidth(r, N, alpha), and its certificate charges a bound on
+    the rest."""
 
     OFFSETS = [0.0, 0.17, -0.41, 0.5]
+    ALPHAS = [0.02, PI / 4, 1.3]
 
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_row_at_4096_evaluates_at_most_1500_entries_per_order(self, monkeypatch, r):
@@ -362,8 +377,8 @@ class TestRowBand:
             # one call per derivative order of the Leibniz sum
             assert max(seen.values()) <= 1500 * (r + 1), seen
 
-    @pytest.mark.parametrize("N", [512, 4096, 10_000])
-    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    @pytest.mark.parametrize("r, N", [(0, 64)] + [(r, N) for N in (128, 512, 4096, 10_000)
+                                                  for r in range(4)])
     def test_charged_tail_bounds_the_omitted_weights(self, r, N):
         alpha, h, bound = PI / 4, 0.7, 1.3
         u = np.array(self.OFFSETS) + 40.0
@@ -387,20 +402,61 @@ class TestRowBand:
         assert np.all(cert >= reg / h ** r + tail * bound / h ** r)
         assert np.all(cert >= full_cert)
 
-    @pytest.mark.parametrize("N", [129, 4096])
-    @pytest.mark.parametrize("alpha", [0.02, PI / 4, 1.3])
+    @pytest.mark.parametrize("N", [pytest.param(None, id="first_banded"), 129, 4096])
+    @pytest.mark.parametrize("alpha", ALPHAS)
     def test_banded_rows_weigh_at_least_half(self, alpha, N):
         # the band's tail, at most 2^-64, is 2^-10 of the fetch rule's
-        # 2^-53 sum |w| only where sum |w| >= 1/2; every row past N = 128
-        # weighs at least pi^r/2
+        # 2^-53 sum |w| only where sum |w| >= 1/2; the rows weigh at least
+        # pi^r/2 past N = 128, and pi^r/4 at the smallest N with D < N (at
+        # alpha = 1.3 and r = 8 that row weighs 0.47 pi^r)
         offsets = np.linspace(-0.5, 0.5, 41)[:, None]
         for r in range(9):
-            w = regularized_sinc_grid(r, offsets - np.arange(-N, N + 1), N, alpha)
-            assert np.min(np.sum(np.abs(w), axis=1)) >= PI ** r / 2, r
+            n, least = (first_banded(r, alpha), PI ** r / 4) if N is None else (N, PI ** r / 2)
+            w = regularized_sinc_grid(r, offsets - np.arange(-n, n + 1), n, alpha)
+            assert np.min(np.sum(np.abs(w), axis=1)) >= least, (r, n)
 
-    @pytest.mark.parametrize("N", [1, 5, 64, 128])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_every_row_stays_inside_the_underflow_radius(self, alpha):
+        # exp(-alpha x^2/N) underflows to 0.0 past alpha x^2/N of about 745;
+        # D <= N, so only the N with N + 1/2 past that radius need D
+        ns = np.arange(1, 4097)
+        for r in range(9):
+            for N in [*ns[alpha * (ns + 0.5) ** 2 / ns >= 745.0], MAX_HALFWIDTH]:
+                D = _band_halfwidth(r, int(N), alpha)
+                assert alpha * (D + 0.5) ** 2 / N < 745.0, (r, N, D)
+            # the rows _local_series builds are that band, with finite weights
+            first = first_banded(r, alpha)
+            for N in (1, 2, first - 1, first, 4096, MAX_HALFWIDTH):
+                # offset 1/2 reaches furthest, |d| = D + 1/2
+                rows = _local_series(r, [0.5], alpha, 1.0, 1.0, 1e-6, k_terms=N)[1]
+                _, d, w, _ = rows(slice(None))
+                assert w.shape[1] == 2 * _band_halfwidth(r, N, alpha) + 1
+                assert np.all(np.isfinite(w)) and np.all(np.exp(-alpha * d * d / N) > 0.0)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_tol_sized_rows_keep_every_offset(self, r, alpha):
+        # an N sized by a tol sits near ln(1/tol)/alpha, where the band tail
+        # at D = N - 1 is still far above 2^-64: D = N
+        sized = 0
+        for tol in 10.0 ** -np.arange(3, 13):
+            for origin in (None, 3.0):
+                try:
+                    N, rows = _local_series(r, [0.37, -0.5, 3.0], alpha, 1.0, 0.5, tol,
+                                            origin=origin)
+                except ToleranceError:
+                    continue  # no N reaches this tol
+                sized += 1
+                assert N < first_banded(r, alpha) and _band_halfwidth(r, N, alpha) == N
+                assert rows(slice(None))[2].shape[1] == 2 * N + 1
+        assert sized >= 5
+
+    @pytest.mark.parametrize("r, N", [(r, N) for r in range(4) for N in (1, 5, 64)
+                                      if (r, N) != (0, 64)])
     def test_rows_up_to_128_keep_every_offset_bit_for_bit(self, r, N):
+        # the rows up to N = 128 with D = N; (0, 64) and N = 128 are banded
+        # and checked in test_charged_tail_bounds_the_omitted_weights
+        assert _band_halfwidth(r, N, PI / 4) == N
         u = np.array(self.OFFSETS + [3.0, -7.25])
         got = _local_series(r, u, PI / 4, 1.0, 0.5, 1e-6, k_terms=N)[1](slice(None))
         for a, b in zip(got, full_rows(r, u, PI / 4, 1.0, 0.5, N)):
