@@ -4,9 +4,9 @@ The paper's Boas formulas write every derivative of f, of exponential type
 sigma, as a weighted sum of translates f(x + s_k) with weights decaying
 like k^-2 (or k^-3 in the fast variants).  Translation e^(sD) f = f(. + s)
 is an isometry group for the sup norm, with generator D = d/dx, so the
-derivative is computed here as ``group_boas`` computes D^r on any group:
-by the local engine of :func:`~bandlimit.sinckernel._local_series` at time
-0, on the twice-oversampled step h = pi/(2 sigma),
+derivative is ``group_boas`` on that group: the local orbit engine
+:func:`~bandlimit.grouporbit._orbit_sum` at time 0, on the
+twice-oversampled step h = pi/(2 sigma),
 
     f^(r)(x) ~= h^-r sum_{|n| <= N} w_n f(x + n h),
     w_n = d^r/du^r [sinc(u - n) exp(-(pi/4) (u - n)^2 / N)] at u = 0.
@@ -15,9 +15,10 @@ The weights do not depend on x.  g(u) = f(x + u h) is entire of type
 pi/2 and bounded by ``f.sup_bound``, so the certificate of the
 regularized series, with the rounding of the points x + n h (which grows
 with |x|), bounds the error; N is the smallest half-width it allows for
-tol at the largest |x| (``k_terms`` pins N instead), and only the
-f(x + n h) with a nonzero weight are evaluated: 2N+1 or fewer, about 50
-at tol 1e-6.  A function of type 0 is constant: its derivatives are 0.
+tol at the largest |x| (``k_terms`` pins N instead).  f is called once, on
+the x + n h with a nonzero weight: about 50 per x at tol 1e-6.  At a
+pinned N this is ``group_boas`` on the vector [x], bit for bit.  A
+function of type 0 is constant: its derivatives are 0.
 
 The paper's shifted-sample series are kept in the tests as an oracle.
 ``truncation_halfwidth`` and ``series_tail_bound`` size them: the smallest
@@ -33,15 +34,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import ToleranceError
-from .sampling import BandlimitedFn, _row_sums
-from .sinckernel import MAX_HALFWIDTH, _local_series, _sharp_floor, coefficient_tail_bound
+from .grouporbit import _orbit_sum
+from .sampling import BandlimitedFn
+from .sinckernel import MAX_HALFWIDTH, _sharp_floor, coefficient_tail_bound
 
 _PI = math.pi
 _E = math.e
-
-#: f is sampled at h = pi/(2 sigma), twice the critical rate, so the
-#: regularized kernel's alpha = (pi - h sigma)/2 is pi/4
-_ALPHA = _PI / 4.0
 
 
 def truncation_halfwidth(variant: str, r: int, sigma: float, sup_bound: float,
@@ -94,8 +92,9 @@ def series_tail_bound(variant: str, r: int, sigma: float, sup_bound: float,
 
 def _derivatives(f: BandlimitedFn, r: int, xs, tol: float,
                  k_terms: Optional[int]):
-    """f^(r) at every x in xs by the local engine, and each point's
-    certificate (module docstring)."""
+    """f^(r) at every x in xs by the local orbit engine, and each point's
+    certificate (module docstring): one call of f on a table of about 50
+    translates per x at tol 1e-6, 2^17 entries at 2 400 points."""
     xs = np.asarray(xs, dtype=float).reshape(-1)
     if not np.all(np.isfinite(xs)):
         raise ValueError("evaluation point must be finite")
@@ -111,14 +110,13 @@ def _derivatives(f: BandlimitedFn, r: int, xs, tol: float,
             raise ToleranceError(f"tol {tol:.3e} is below sigma^r sup|f|", achievable=bern)
         return np.zeros(xs.size), np.full(xs.size, bern)
     h = _PI / (2.0 * f.sigma)
-    origin = float(np.max(np.abs(xs))) if xs.size else 0.0
-    _, d, w, cert = _local_series(r, [0.0], _ALPHA, f.sup_bound, h, tol, k_terms,
-                                  origin=origin)[1](slice(None))
-    live = w[0] != 0.0
-    steps, w = -d[0, live] * h, w[0, live]  # f at x + n h where w_n != 0
-    sums = _row_sums(xs.size, steps.size, lambda b: np.sum(w * np.asarray(
-        f((xs[b, None] + steps).ravel()), dtype=float).reshape(-1, steps.size), axis=1))
-    return sums / h ** r, np.full(xs.size, cert[0])
+
+    def table(ns, ds):  # row n: f(x + n h) for every x, from one call of f
+        return np.asarray(f((ns[:, None] * h + xs).ravel()), dtype=float).reshape(ns.size, xs.size)
+
+    sums, cert = _orbit_sum(table, np.zeros(xs.size), f.sup_bound, r, 0.0, h, tol, k_terms,
+                            origin=float(np.max(np.abs(xs), initial=0.0)))
+    return sums, np.full(xs.size, cert)
 
 
 def boas_derivative(f: BandlimitedFn, r: int, x: float, tol: float = 1e-6,

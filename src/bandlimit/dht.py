@@ -216,9 +216,13 @@ def hilbert_group(t: float, a: SeqWindow, expand: Optional[int] = None) -> SeqWi
     _check_expand(expand)
     if abs(t - round(t)) < INTEGER_EPS:
         return integer_orbit(round(t), a)
+    with np.errstate(over="ignore"):
+        norm = a.norm()
+    if not math.isfinite(norm):
+        raise ValueError("the window norm ||a|| overflows float64")
     s = math.sin(_PI * t) / _PI
     out_n0, vals, _ = _window_convolve(a, expand, lambda d: s / (d + t))
-    spill = math.sqrt(max(a.norm() ** 2 - float(np.linalg.norm(vals)) ** 2, 0.0))
+    spill = math.sqrt(max(norm ** 2 - float(np.linalg.norm(vals)) ** 2, 0.0))
     return SeqWindow(n0=out_n0, values=vals, tail_l2=spill + a.tail_l2)
 
 
@@ -303,9 +307,10 @@ def dht_power(a: SeqWindow, r: int, expand: Optional[int] = None) -> SeqWindow:
     # counts d - expand times, and the sum beyond span L times
     d = np.arange(expand + 1, span + 1)
     inside = float(np.dot(d - expand, c[span + d] ** 2))
-    alpha = np.abs(_power_coefficients(r)[1:])
-    s = np.add.outer(np.arange(1, r + 1), np.arange(1, r + 1))
-    beyond = float(np.sum(np.outer(alpha, alpha) * span ** (1.0 - s) / (s - 1)))
+    # span sum a_p a_q/(p+q-1), a_p = |alpha_p| span^-p: alpha_p alpha_q can overflow
+    p = np.arange(1, r + 1)
+    a_p = np.abs(_power_coefficients(r)[1:]) * float(span) ** -p
+    beyond = span * float(np.sum(np.outer(a_p, a_p) / np.add.outer(p, p - 1)))
     tail = _PI ** r * a.tail_l2 + a.norm() * math.sqrt(2.0 * (inside + L * beyond))
     if not (math.isfinite(tail) and np.all(np.isfinite(vals))):
         raise overflow
@@ -329,6 +334,6 @@ def pairing_check(a: SeqWindow, b: SeqWindow, t: float, tol: float = 1e-6,
     t only; windows are consumed as given.
     """
     t = float(t)
-    sampled, _ = _orbit_sum(lambda n, d: _pairing(n / 2, a, b), 0.0, a.norm() * b.norm(),
-                            0, 2.0 * t, 0.5, tol, k_terms)
+    sampled, _ = _orbit_sum(lambda ns, ds: (_pairing(n / 2, a, b) for n in ns.tolist()), 0.0,
+                            a.norm() * b.norm(), 0, 2.0 * t, 0.5, tol, k_terms)
     return _pairing(t, a, b), sampled

@@ -21,9 +21,10 @@ series, with sample bound ||f||, bounds the error in norm; N is the
 smallest half-width it certifies.  The engine builds a pinned N's
 weights on a band around n0 only, and its fetch rule sets the smallest
 weights to 0.0; both are charged to the certificate.  Only the samples
-with a nonzero weight are fetched, in index order, and array samples are
-summed by one index-order accumulation per block, bit-identical to adding
-them one by one (:func:`_weighted_sum`).
+with a nonzero weight are fetched, in index order by one call, and array
+samples are summed by one index-order accumulation per block,
+bit-identical to adding them one by one (:func:`_weighted_sum`).  The
+Boas derivatives of :mod:`bandlimit.boas` are this engine on translation.
 
 The weights and sample points never depend on the group: any object
 implementing the :class:`GroupInstance` triple (orbit, generator, norm) plugs
@@ -133,27 +134,30 @@ def rotation_instance(sigmas) -> GroupInstance:
 _ALPHA = _PI / 4.0
 
 
-def _orbit_sum(fetch: Callable[[int, float], Any], zero, bound: float, r: int,
-               u: float, h: float, tol: float, k_terms: Optional[int]):
-    """h^-r sum_n w_n fetch(n, u - n) by the local engine
+def _orbit_sum(samples: Callable[[np.ndarray, np.ndarray], Any], zero, bound: float,
+               r: int, u: float, h: float, tol: float, k_terms: Optional[int],
+               origin: Optional[float] = None):
+    """h^-r sum_n w_n x_n by the local engine
     (:func:`~bandlimit.sinckernel._local_series`, alpha = pi/4), and its
     certificate.
 
-    ``fetch(n, d)`` returns the sample at lattice index n, d = u - n its
-    offset from the evaluation point; ``bound`` bounds every sample's norm
-    and ``zero`` starts the sum.  N is ``k_terms`` when given (tol is then
-    ignored), else the smallest half-width the certificate allows.  Only
-    the samples with a nonzero weight are fetched, each once and in index
-    order, and summed by :func:`_weighted_sum`.  The certificate takes each
-    fetched vector as exact: the group's own rounding, and the rounding of
-    each sample time, are outside it.
+    ``samples(ns, ds)`` is called once, with the int lattice indices n of
+    the nonzero weights in index order and their offsets d = u - n, and
+    returns the samples x_n in that order: an iterator whose items are each
+    used or copied before the next is drawn, or an array of one per row.
+    ``bound`` bounds every sample's norm; ``zero`` starts the sum of
+    :func:`_weighted_sum`.  N is ``k_terms`` when given (tol is then
+    ignored), else the smallest half-width the certificate allows.  The
+    certificate takes each sample as exact (``origin``: see
+    :func:`_local_series`); the group's own rounding, and that of each
+    sample time, are outside it.
     """
-    N, rows = _local_series(r, u, _ALPHA, bound, h, tol, k_terms)
+    N, rows = _local_series(r, u, _ALPHA, bound, h, tol, k_terms, origin=origin)
     n_lo, d, w, cert = rows(slice(None))
     w = w[0] / h ** r
     keep = np.flatnonzero(w)
-    samples = map(fetch, (int(n_lo[0]) + keep).tolist(), d[0, keep].tolist())
-    return _weighted_sum(zero, w[keep], samples), float(cert[0])
+    xs = samples(int(n_lo[0]) + keep, d[0, keep])
+    return _weighted_sum(zero, w[keep], iter(xs)), float(cert[0])
 
 
 #: vector entries per block of stacked array samples in _weighted_sum
@@ -221,8 +225,8 @@ def _trajectory(b: BernsteinVector, r: int, t: float, tol: float,
     inst, v = b.instance, b.v
     h = _PI / (2.0 * b.sigma)
     # every sample's norm is ||f||: the group is isometric
-    return _orbit_sum(lambda n, d: inst.orbit(t - d * h, v), 0.0 * v, inst.norm(v),
-                      r, t / h, h, tol, k_terms)
+    return _orbit_sum(lambda ns, ds: (inst.orbit(t - d * h, v) for d in ds.tolist()),
+                      0.0 * v, inst.norm(v), r, t / h, h, tol, k_terms)
 
 
 def orbit_reconstruct(b: BernsteinVector, t: float, tol: float = 1e-6,
@@ -280,7 +284,7 @@ def _initial(samples: OrbitSamples, tol: float, k_terms: Optional[int],
     else:  # a vector's own norm() (SeqWindow), else Euclidean
         nf = f_t.norm() if hasattr(f_t, "norm") else float(np.linalg.norm(f_t))
     h = _PI / (2.0 * samples.sigma)
-    return _orbit_sum(lambda n, d: samples.at(n / 2), 0.0 * f_t, nf,
+    return _orbit_sum(lambda ns, ds: (samples.at(n / 2) for n in ns.tolist()), 0.0 * f_t, nf,
                       0, -samples.t / h, h, tol, k_terms)
 
 

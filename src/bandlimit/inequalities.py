@@ -76,26 +76,17 @@ def _lattice_norm_bracket(vals: np.ndarray, f: BandlimitedFn, h: float, p: float
     # vals = |f(x - k h)| for |k| <= window
     if p == math.inf:
         lo = float(np.max(vals))
-        return lo, max(lo, 0.0)  # sup over the window; tail never raises p=inf below sup_bound
+        return lo, lo  # sup over the window; tail never raises p=inf below sup_bound
     body = float(np.sum(vals ** p))
-    tail = 0.0
-    if f.envelope is not None:
-        c, d = f.envelope
-        if d * p > 1.0:
-            # sum_{|k|>W} |f(x-kh)|^p <= 2 c^p / ((dp-1) h (W h - |x|)^{dp-1}),
-            # integral comparison of the envelope
-            reach = window * h - abs(x)
-            if reach > 0.0:
-                tail = 2.0 * c ** p / ((d * p - 1.0) * h * reach ** (d * p - 1.0))
-            else:
-                tail = math.inf
-        else:
-            tail = math.inf
-    else:
-        tail = math.inf
     lo = (h * body) ** (1.0 / p)
-    hi = (h * (body + tail)) ** (1.0 / p) if math.isfinite(tail) else math.inf
-    return lo, hi
+    reach = window * h - abs(x)
+    if f.envelope is None or f.envelope[1] * p <= 1.0 or reach <= 0.0:
+        return lo, math.inf
+    # sum_{|k|>W} |f(x-kh)|^p <= 2 c^p / ((dp-1) h (W h - |x|)^{dp-1}),
+    # integral comparison of the envelope
+    c, d = f.envelope
+    tail = 2.0 * c ** p / ((d * p - 1.0) * h * reach ** (d * p - 1.0))
+    return lo, (h * (body + tail)) ** (1.0 / p)
 
 
 def plancherel_polya_checks(f: BandlimitedFn, h: float, ps: Sequence[float],

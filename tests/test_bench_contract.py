@@ -8,9 +8,9 @@ renamed function or keyword fails here first, and runs the group-orbit
 requests of ``oracle-series`` against their oracles (at full size, also
 against a cap on their orbit fetches), runs its full-size Boas requests
 against their oracles and caps on their peak memory and on the points at
-which they evaluate f, runs every command line of ``cli-sampled``,
-``dht-window`` and the ``verify`` requests through the CLI parser against
-their oracles, and checks that every work counter of
+which they evaluate f, in one call of f each, runs every command line of
+``cli-sampled``, ``dht-window`` and the ``verify`` requests through the CLI
+parser against their oracles, and checks that every work counter of
 ``bench/tracing.py`` hooks a function that exists, since a hook on a
 renamed function reads 0 without an error.  It only reads ``bench/``.
 """
@@ -103,9 +103,11 @@ def test_full_size_boas_requests_peak_under_4_mib(workloads, tmp_path):
 
 def test_full_size_boas_requests_evaluate_f_at_most_128_times(workloads, tmp_path):
     # the local engine reads f at the translates with a nonzero weight, about
-    # 50 at tol=1e-6; the paper's series read 2K of them, K up to 810 570
+    # 50 at tol=1e-6; the paper's series read 2K of them, K up to 810 570.
+    # It reads them in one call of f: one call per translate cost a third
+    # more time per request
     wl = workloads.WORKLOADS["oracle-series"](0, tmp_path)
-    points = {"n": 0}
+    points = {"n": 0, "f": 0, "df": 0}
 
     def counting(fn, kind):
         if kind not in ("f", "df"):
@@ -113,6 +115,7 @@ def test_full_size_boas_requests_evaluate_f_at_most_128_times(workloads, tmp_pat
 
         def wrapped(x):
             points["n"] += np.asarray(x).size
+            points[kind] += 1
             return fn(x)
         return wrapped
 
@@ -120,9 +123,10 @@ def test_full_size_boas_requests_evaluate_f_at_most_128_times(workloads, tmp_pat
                 if req.kind in ("boas_derivative", "boas_derivative_fast")]
     assert len(requests) == 14
     for req in requests:
-        points["n"] = 0
+        points.update(n=0, f=0, df=0)
         err, _ = req.check(req.run())
         assert points["n"] <= 128, (req.label, points["n"])
+        assert (points["f"], points["df"]) == (1, 0), (req.label, points)
         assert err <= req.tol, (req.label, err, req.tol)
 
 

@@ -17,6 +17,7 @@ from bandlimit.boas import (
     truncation_halfwidth,
 )
 from bandlimit.errors import ToleranceError
+from bandlimit.grouporbit import BernsteinVector, GroupInstance, group_boas
 from bandlimit.sampling import BandlimitedFn, _row_sums, make_reference
 from bandlimit.sinckernel import MAX_HALFWIDTH
 from mp_reference import ToneSum
@@ -366,6 +367,18 @@ class TestLocalEngine:
             if r >= 2:
                 want = paper_boas_derivative_fast(f, r, x, tol=1e-6)
                 assert abs(boas_derivative_fast(f, r, x, tol=1e-6) - want) <= 2e-6, (r, x)
+
+    @pytest.mark.parametrize("kind", ["sin", "fejer"])
+    def test_is_group_boas_on_the_translation_group(self, kind):
+        # e^(sD) f = f(. + s) on the one-point vector v = [x]: the same
+        # samples, weights and index-order sum, so the same bits
+        f = make_reference(kind, 1.0)
+        inst = GroupInstance(orbit=lambda s, v: f(v + s), generator=lambda v: v,
+                             norm=lambda v: f.sup_bound, sigma_bound=f.sigma, dim=1)
+        for r, x, K in itertools.product((1, 2, 3, 4), self.XS, (16, 300)):
+            b = BernsteinVector(inst, np.array([x]), f.sigma)
+            got = group_boas(b, r, k_terms=K)
+            assert bits(got[0]) == bits(boas_derivative(f, r, x, k_terms=K)), (r, x, K)
 
     def test_reads_each_translate_once(self):
         seen = []

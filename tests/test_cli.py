@@ -341,10 +341,35 @@ class TestDht:
         assert code == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("order", ["98", "116", "117", "400", "1000"])
+    def test_orbit_refuses_a_window_whose_norm_overflows(self, tmp_path, capsys):
+        path = tmp_path / "a.csv"
+        write_sequence(path, SeqWindow(n0=0, values=np.array([1e300])))
+        out = tmp_path / "o.csv"
+        code = main(["dht", "--action", "orbit", "--t", "0.3",
+                     "--input", str(path), "--output", str(out)])
+        assert code == 2
+        assert "window norm" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("order", ["98", "116", "117", "170"])
+    def test_power_writes_orders_with_finite_entries(self, tmp_path, order):
+        # on a 5-entry window the entries, and the tail, stay finite up to
+        # r = 170
+        path = tmp_path / "a.csv"
+        write_sequence(path, SeqWindow(n0=-2, values=np.array([0.5, -1.0, 2.0, 0.25, 1.0])))
+        out = tmp_path / "p.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["dht", "--action", "power", "--order", order,
+                         "--input", str(path), "--output", str(out)])
+        assert code == 0
+        got = read_sequence(out)
+        assert math.isfinite(got.tail_l2) and np.all(np.isfinite(got.values))
+
+    @pytest.mark.parametrize("order", ["171", "400", "621", "1000"])
     def test_power_refuses_orders_that_overflow(self, tmp_path, order, capsys):
-        # on a 5-entry window the tail overflows float64 from r = 98, the
-        # entries from r = 171 and pi^r as a Python float from r = 621
+        # on a 5-entry window the entries overflow float64 from r = 171 and
+        # pi^r as a Python float from r = 621
         path = tmp_path / "a.csv"
         write_sequence(path, SeqWindow(n0=-2, values=np.array([0.5, -1.0, 2.0, 0.25, 1.0])))
         out = tmp_path / "p.csv"

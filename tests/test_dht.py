@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -210,6 +211,13 @@ class TestHilbertGroup:
                 call(bad)
 
 
+    def test_refuses_a_window_whose_norm_overflows(self):
+        # ||[1e300]||^2 overflows: the spill would read inf - inf
+        a = SeqWindow(n0=0, values=np.array([1e300]))
+        with pytest.raises(ValueError, match="window norm"):
+            hilbert_group(0.3, a)
+        assert hilbert_group(1.0, a).values.tolist() == [-1e300]
+
 class TestDefaultExpand:
     @pytest.mark.parametrize("length", [1, 33, 1100])
     def test_every_operator_takes_four_lengths_capped(self, length):
@@ -335,13 +343,39 @@ class TestDhtPower:
             dht_power(SeqWindow.basis(0), 0)
 
     def test_rejects_orders_that_overflow(self):
-        # on 5 entries the spill overflows from r = 98 on and pi^r from 621;
+        # on 5 entries the entries stay finite up to r = 170 (1.3e137 at
+        # r = 97), and so does the spill; pi^r overflows from 621.
         # RuntimeWarnings are errors here, so none may leak either
         a = SeqWindow(n0=-2, values=np.array([0.5, -1.0, 2.0, 0.25, 1.0]))
-        assert math.isfinite(dht_power(a, 97).tail_l2)
-        for r in (98, 117, 621):
+        for r in (97, 98, 116, 117, 170):
+            out = dht_power(a, r)
+            assert math.isfinite(out.tail_l2) and np.all(np.isfinite(out.values)), r
+        for r in (171, 400, 621, 1000):
             with pytest.raises(ValueError, match=f"r={r} overflows"):
                 dht_power(a, r)
+
+    def test_spill_at_high_order_matches_mpmath(self):
+        # at r = 98 the coefficients |alpha_p| reach 1.6e154: the spill sum
+        # must not form their products, and must equal the series summed in
+        # 60 digits from the exact kernel
+        a = SeqWindow(n0=-2, values=np.array([0.5, -1.0, 2.0, 0.25, 1.0]))
+        r, expand = 98, 20  # the default expand of a 5-entry window
+        got = dht_power(a, r).tail_l2
+        with mp.workdps(60):
+            beta = [mp.mpf(0)] * (r + 1)
+            for q in range(1, r + 1):
+                beta = [mp.mpf(0)] + [-q * b for b in beta[:-1]]
+                beta[1] += (1 - (-1) ** q) * mp.pi ** q
+            alpha = [beta[p] * [1, 0, -1, 0][(r + p) % 4] / (2 * mp.pi) for p in range(r + 1)]
+            span = len(a) + expand
+            inside = mp.fsum((d - expand) * mp.fsum(alpha[p] * mp.mpf(d) ** -p
+                                                    for p in range(1, r + 1)) ** 2
+                             for d in range(expand + 1, span + 1))
+            beyond = mp.fsum(abs(alpha[p] * alpha[q]) * mp.mpf(span) ** (1 - p - q) / (p + q - 1)
+                             for p in range(1, r + 1) for q in range(1, r + 1))
+            norm = mp.sqrt(mp.fsum(mp.mpf(v) ** 2 for v in a.values.tolist()))
+            want = norm * mp.sqrt(2 * (inside + len(a) * beyond))
+        assert abs(got - want) <= 1e-12 * want
 
     def test_rejects_bad_expand(self):
         a = SeqWindow(n0=-16, values=np.random.default_rng(0).standard_normal(33))
@@ -435,8 +469,8 @@ class TestPairing:
     @staticmethod
     def engine(a, b, t, tol=1e-6, k_terms=None):
         """The local orbit engine on p(s) = <e^(sH) a, b> at s = n/2."""
-        return _orbit_sum(lambda n, d: dht._pairing(n / 2, a, b), 0.0, a.norm() * b.norm(),
-                          0, 2.0 * t, 0.5, tol, k_terms)
+        return _orbit_sum(lambda ns, ds: (dht._pairing(n / 2, a, b) for n in ns.tolist()), 0.0,
+                          a.norm() * b.norm(), 0, 2.0 * t, 0.5, tol, k_terms)
 
     def test_two_routes_agree(self):
         rng = np.random.default_rng(20)
