@@ -5,7 +5,7 @@ sigma, as a weighted sum of translates f(x + s_k) with weights decaying
 like k^-2 (or k^-3 in the fast variants).  Translation e^(sD) f = f(. + s)
 is an isometry group for the sup norm, with generator D = d/dx, so the
 derivative is ``group_boas`` on that group: the local orbit engine
-:func:`~bandlimit.grouporbit._orbit_sum` at time 0, on the
+:func:`~bandlimit.grouporbit._orbit_sum` at time 0, whose lattice is the
 twice-oversampled step h = pi/(2 sigma),
 
     f^(r)(x) ~= h^-r sum_{|n| <= N} w_n f(x + n h),
@@ -16,9 +16,10 @@ pi/2 and bounded by ``f.sup_bound``, so the certificate of the
 regularized series, with the rounding of the points x + n h (which grows
 with |x|), bounds the error; N is the smallest half-width it allows for
 tol at the largest |x| (``k_terms`` pins N instead).  f is called once, on
-the x + n h with a nonzero weight: about 50 per x at tol 1e-6.  At a
-pinned N this is ``group_boas`` on the vector [x], bit for bit.  A
-function of type 0 is constant: its derivatives are 0.
+the x + n h = x - dt with a nonzero weight (dt: the engine's time offsets):
+about 50 per x at tol 1e-6.  At a pinned N this is ``group_boas`` on the
+vector [x], bit for bit.  A function of type 0 is constant: its
+derivatives are 0.
 
 The paper's shifted-sample series are kept in the tests as an oracle.
 ``truncation_halfwidth`` and ``series_tail_bound`` size them: the smallest
@@ -109,12 +110,11 @@ def _derivatives(f: BandlimitedFn, r: int, xs, tol: float,
         if k_terms is None and bern > tol:
             raise ToleranceError(f"tol {tol:.3e} is below sigma^r sup|f|", achievable=bern)
         return np.zeros(xs.size), np.full(xs.size, bern)
-    h = _PI / (2.0 * f.sigma)
 
-    def table(ns, ds):  # row n: f(x + n h) for every x, from one call of f
-        return np.asarray(f((ns[:, None] * h + xs).ravel()), dtype=float).reshape(ns.size, xs.size)
+    def table(ns, dts):  # row n: f(x - dt) = f(x + n h) for every x, from one call of f
+        return np.asarray(f((xs - dts[:, None]).ravel()), dtype=float).reshape(ns.size, xs.size)
 
-    sums, cert = _orbit_sum(table, np.zeros(xs.size), f.sup_bound, r, 0.0, h, tol, k_terms,
+    sums, cert = _orbit_sum(table, np.zeros(xs.size), f.sup_bound, r, 0.0, f.sigma, tol, k_terms,
                             origin=float(np.max(np.abs(xs), initial=0.0)))
     return sums, np.full(xs.size, cert)
 

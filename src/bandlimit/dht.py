@@ -108,7 +108,13 @@ class SeqWindow:
         return 0.0
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+        """||values||_2, rescaled by max |entry| where only sum a_n^2 overflows."""
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(self.values))
+            if math.isinf(norm):
+                big = float(np.max(np.abs(self.values)))
+                norm = big * float(np.linalg.norm(self.values / big))
+        return norm
 
     def norm_bracket(self) -> Tuple[float, float]:
         w = self.norm()
@@ -216,13 +222,16 @@ def hilbert_group(t: float, a: SeqWindow, expand: Optional[int] = None) -> SeqWi
     _check_expand(expand)
     if abs(t - round(t)) < INTEGER_EPS:
         return integer_orbit(round(t), a)
-    with np.errstate(over="ignore"):
-        norm = a.norm()
+    norm = a.norm()
     if not math.isfinite(norm):
         raise ValueError("the window norm ||a|| overflows float64")
     s = math.sin(_PI * t) / _PI
     out_n0, vals, _ = _window_convolve(a, expand, lambda d: s / (d + t))
-    spill = math.sqrt(max(norm ** 2 - float(np.linalg.norm(vals)) ** 2, 0.0))
+    kept = SeqWindow(n0=out_n0, values=vals).norm()
+    try:
+        spill = math.sqrt(max(norm ** 2 - kept ** 2, 0.0))
+    except OverflowError:  # ||a||^2 is past float64: the same, unsquared
+        spill = norm * math.sqrt(max(1.0 - (kept / norm) ** 2, 0.0))
     return SeqWindow(n0=out_n0, values=vals, tail_l2=spill + a.tail_l2)
 
 
@@ -329,11 +338,11 @@ def pairing_check(a: SeqWindow, b: SeqWindow, t: float, tol: float = 1e-6,
     at s = n/2 by the local orbit engine (:mod:`bandlimit.grouporbit`).
 
     p is entire of type pi and bounded by ||a|| ||b|| on the real line, so
-    h = 1/2 is the twice-oversampled lattice, and the engine's certificate
-    with that bound meets tol, or N is ``k_terms`` when it is pinned.  Real
-    t only; windows are consumed as given.
+    the engine's lattice at rate pi is h = 1/2, and its certificate with
+    that bound meets tol, or N is ``k_terms`` when it is pinned.  Real t
+    only; windows are consumed as given.
     """
     t = float(t)
-    sampled, _ = _orbit_sum(lambda ns, ds: (_pairing(n / 2, a, b) for n in ns.tolist()), 0.0,
-                            a.norm() * b.norm(), 0, 2.0 * t, 0.5, tol, k_terms)
+    sampled, _ = _orbit_sum(lambda ns, dts: (_pairing(n / 2, a, b) for n in ns.tolist()), 0.0,
+                            a.norm() * b.norm(), 0, t, _PI, tol, k_terms)
     return _pairing(t, a, b), sampled

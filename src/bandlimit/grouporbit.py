@@ -5,16 +5,15 @@ let f satisfy the growth certificate ||D^k f|| <= sigma^k ||f|| for all k.
 The whole trajectory t -> e^(tD) f is then recoverable from orbit samples,
 and the generator powers D^r f come back from the same samples.
 
-Every entry point runs the local engine of
-:func:`bandlimit.sinckernel._local_series` on the twice-oversampled
-lattice n h, h = pi/(2 sigma),
+Every entry point runs the local engine :func:`_orbit_sum`, which alone
+sets the twice-oversampled lattice n h, h = pi/(2 sigma),
 
     D^r e^(tD) f ~= h^(-r) sum_{|n - n0| <= N} e^(n h D) f
                     d^r/du^r [sinc(u - n) exp(-(pi/4) (u - n)^2 / N)],
 
 u = t/h, n0 = round(u).  ``orbit_reconstruct`` and ``orbit_vt`` take r = 0,
 ``group_boas`` t = 0, and ``recover_initial`` reads the trajectory from a
-base time t back to time 0 (u = -t/h, sample n at ``OrbitSamples.at(n/2)``).
+base time t back to time 0 (sample n at ``OrbitSamples.at(n/2)``).
 Every unit functional of the trajectory is entire of type sigma and bounded
 by ||f|| on the real line, so the scalar certificate of the regularized
 series, with sample bound ||f||, bounds the error in norm; N is the
@@ -39,7 +38,7 @@ from typing import Any, Callable, Iterator, List, Optional
 
 import numpy as np
 
-from .sinckernel import _local_series
+from .sinckernel import _block_rows, _local_series
 
 _PI = math.pi
 
@@ -129,39 +128,34 @@ def rotation_instance(sigmas) -> GroupInstance:
 # local orbit engine (every entry point)
 # ---------------------------------------------------------------------------
 
-#: the local engine samples at h = pi/(2 sigma), twice the critical rate,
-#: so the regularized kernel's alpha = (pi - h sigma)/2 is pi/4
-_ALPHA = _PI / 4.0
-
-
 def _orbit_sum(samples: Callable[[np.ndarray, np.ndarray], Any], zero, bound: float,
-               r: int, u: float, h: float, tol: float, k_terms: Optional[int],
+               r: int, t: float, sigma: float, tol: float, k_terms: Optional[int],
                origin: Optional[float] = None):
-    """h^-r sum_n w_n x_n by the local engine
-    (:func:`~bandlimit.sinckernel._local_series`, alpha = pi/4), and its
-    certificate.
+    """D^r at time t of a trajectory of rate sigma, h^-r sum_n w_n x_n, by
+    the local engine (:func:`~bandlimit.sinckernel._local_series`), and its
+    certificate.  Only here is the lattice set: h = pi/(2 sigma), twice the
+    critical rate, so alpha = (pi - h sigma)/2 = pi/4, and u = t/h.
 
-    ``samples(ns, ds)`` is called once, with the int lattice indices n of
-    the nonzero weights in index order and their offsets d = u - n, and
-    returns the samples x_n in that order: an iterator whose items are each
-    used or copied before the next is drawn, or an array of one per row.
-    ``bound`` bounds every sample's norm; ``zero`` starts the sum of
+    ``samples(ns, dts)`` is called once, with the int lattice indices n of
+    the nonzero weights in index order and their time offsets dts = d h,
+    d = u - n (sample n is the trajectory at t - dt), and returns the
+    samples x_n in that order: an iterator whose items are each used or
+    copied before the next is drawn, or an array of one per row.  ``bound``
+    bounds every sample's norm; ``zero`` starts the sum of
     :func:`_weighted_sum`.  N is ``k_terms`` when given (tol is then
     ignored), else the smallest half-width the certificate allows.  The
     certificate takes each sample as exact (``origin``: see
     :func:`_local_series`); the group's own rounding, and that of each
     sample time, are outside it.
     """
-    N, rows = _local_series(r, u, _ALPHA, bound, h, tol, k_terms, origin=origin)
+    h = _PI / (2.0 * sigma)
+    N, rows = _local_series(r, t / h, _PI / 4.0, bound, h, tol, k_terms, origin=origin)
     n_lo, d, w, cert = rows(slice(None))
     w = w[0] / h ** r
     keep = np.flatnonzero(w)
-    xs = samples(int(n_lo[0]) + keep, d[0, keep])
+    xs = samples(int(n_lo[0]) + keep, d[0, keep] * h)
     return _weighted_sum(zero, w[keep], iter(xs)), float(cert[0])
 
-
-#: vector entries per block of stacked array samples in _weighted_sum
-_GATHER_ENTRIES = 1 << 16
 
 #: largest vector that _weighted_sum stacks: np.add.accumulate along the
 #: stack runs one inner loop per entry, and above about 128 entries that
@@ -179,20 +173,19 @@ def _weighted_sum(zero, w: np.ndarray, samples: Iterator[Any]):
 
     When zero is a float64 or complex128 array of at most _STACKED_MAX_SIZE
     entries, each sample of its shape and type is copied on arrival into a
-    block of about _GATHER_ENTRIES entries behind the running sum; the block
-    is scaled by one multiply and summed in place by one np.add.accumulate
-    along the stack, which adds row by row, the additions of the loop in its
-    order, so the sum is bit-identical to it.  Other vectors (larger arrays,
-    SeqWindow), and every sample from the first that does not fit the block,
-    are added one by one.
+    block (:func:`~bandlimit.sinckernel._block_rows`) behind the running
+    sum; the block is scaled by one multiply and summed in place by one
+    np.add.accumulate along the stack, which adds row by row, the additions
+    of the loop in its order, so the sum is bit-identical to it.  Other
+    vectors (larger arrays, SeqWindow), and every sample from the first that
+    does not fit the block, are added one by one.
     """
     ws = w.tolist()
     acc, i = zero, 0
     if (isinstance(zero, np.ndarray) and zero.dtype in _STACKED
             and zero.size <= _STACKED_MAX_SIZE and ws):
         shape, dtype = zero.shape, zero.dtype
-        buf = np.empty((min(max(1, _GATHER_ENTRIES // max(zero.size, 1)), len(ws)) + 1,)
-                       + shape, dtype)
+        buf = np.empty((min(_block_rows(zero.size), len(ws)) + 1,) + shape, dtype)
         buf[0] = zero
         odd = None
         while odd is None and i < len(ws):
@@ -220,13 +213,11 @@ def _weighted_sum(zero, w: np.ndarray, samples: Iterator[Any]):
 def _trajectory(b: BernsteinVector, r: int, t: float, tol: float,
                 k_terms: Optional[int]):
     """D^r e^(tD) f by the local orbit engine: sample n is fetched at
-    t - (u - n) h, u = t/h, so the node n = u of a lattice time t is fetched
-    at t itself."""
+    t - dt, so the node of a lattice time t is fetched at t itself."""
     inst, v = b.instance, b.v
-    h = _PI / (2.0 * b.sigma)
     # every sample's norm is ||f||: the group is isometric
-    return _orbit_sum(lambda ns, ds: (inst.orbit(t - d * h, v) for d in ds.tolist()),
-                      0.0 * v, inst.norm(v), r, t / h, h, tol, k_terms)
+    return _orbit_sum(lambda ns, dts: (inst.orbit(t - dt, v) for dt in dts.tolist()),
+                      0.0 * v, inst.norm(v), r, t, b.sigma, tol, k_terms)
 
 
 def orbit_reconstruct(b: BernsteinVector, t: float, tol: float = 1e-6,
@@ -276,16 +267,15 @@ class OrbitSamples:
 
 def _initial(samples: OrbitSamples, tol: float, k_terms: Optional[int],
              norm: Optional[Callable[[Any], float]]):
-    """f by the local orbit engine from base time t to time 0, u = -t/h:
-    sample n is at(n/2), bounded by ||f_t||."""
+    """f by the local orbit engine, time 0 read from base time t, so at
+    time -t of the trajectory: sample n is at(n/2), bounded by ||f_t||."""
     f_t = samples.f_t
     if norm is not None:
         nf = norm(f_t)
     else:  # a vector's own norm() (SeqWindow), else Euclidean
         nf = f_t.norm() if hasattr(f_t, "norm") else float(np.linalg.norm(f_t))
-    h = _PI / (2.0 * samples.sigma)
-    return _orbit_sum(lambda ns, ds: (samples.at(n / 2) for n in ns.tolist()), 0.0 * f_t, nf,
-                      0, -samples.t / h, h, tol, k_terms)
+    return _orbit_sum(lambda ns, dts: (samples.at(n / 2) for n in ns.tolist()), 0.0 * f_t, nf,
+                      0, -samples.t, samples.sigma, tol, k_terms)
 
 
 def recover_initial(samples: OrbitSamples, tol: float = 1e-6,

@@ -38,6 +38,7 @@ from .errors import ReconstructionUnsoundError, ToleranceError
 from .sinckernel import (
     _lattice_series,
     _local_series,
+    _row_sums,
     _snap_grid,
     sinc_derivative_grid,
     sinc_grid,
@@ -279,10 +280,6 @@ def wks_tail_bound(s: UniformSamples, m: int, x):
     return float(tail) if tail.ndim == 0 else tail
 
 
-#: kernel entries per block of the cardinal-series evaluation
-_WKS_BLOCK = 1 << 17
-
-
 def wks_eval_grid(s: UniformSamples, m: int, xs, tol: float, *,
                   with_tail: bool = False):
     """Evaluate the m-th derivative of the sampled function at every x in xs,
@@ -331,8 +328,7 @@ def wks_eval_grid(s: UniformSamples, m: int, xs, tol: float, *,
 def _window_series(s: UniformSamples, m: int, xs, u, tol: float):
     """Critical rate: sum_k f_k sinc^(m)(u - k) over the whole stored window
     by :func:`~bandlimit.sinckernel._lattice_series`, each point's row on
-    its own in blocks of 2^16 far-band entries, with wks_tail_bound's
-    tail."""
+    its own, with wks_tail_bound's tail."""
     tails = np.asarray(wks_tail_bound(s, m, xs))
     tail = float(np.max(tails))
     if tail > tol:
@@ -346,7 +342,8 @@ def _regularized_series(s: UniformSamples, m: int, xs, u, tol: float):
     """Oversampled: the local engine of
     :func:`~bandlimit.sinckernel._local_series` on 2N+1 samples per point,
     N chosen once for every point, with each point's certificate as its
-    tail; the rows are built for blocks of points."""
+    tail; the rows are built for blocks of points
+    (:func:`~bandlimit.sinckernel._row_sums`)."""
     alpha = (_PI - s.h * s.sigma) / 2.0
     bound = max(float(np.max(np.abs(s.values))), s.tail_bound)
     n0 = np.rint(u)
@@ -365,17 +362,6 @@ def _regularized_series(s: UniformSamples, m: int, xs, u, tol: float):
         return np.sum(w * s.values[idx], axis=1)
 
     return _row_sums(u.size, 2 * N + 1, block), tails
-
-
-def _row_sums(points: int, width: int, block_sums) -> np.ndarray:
-    """block_sums(slice) for blocks of points of about _WKS_BLOCK kernel
-    entries.  Each row is summed on its own, not by a matrix product, so a
-    point's value does not depend on which other points share its block."""
-    out = np.empty(points)
-    rows = max(1, _WKS_BLOCK // width)
-    for i in range(0, points, rows):
-        out[i:i + rows] = block_sums(slice(i, i + rows))
-    return out
 
 
 def wks_eval(s: UniformSamples, m: int, x: float, tol: float) -> float:

@@ -14,7 +14,6 @@ and the full parameter set, so runs are reproducible byte for byte.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import warnings
@@ -142,11 +141,10 @@ def write_sequence(csv_path, a: SeqWindow, footer: Optional[Dict] = None) -> Non
 
 
 def write_table(csv_path, header: List[str], rows, footer: Optional[Dict] = None) -> None:
+    """Header, a CRLF row of reprs per (x, value, tail) of floats, footer."""
     with open(Path(csv_path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(c)) if isinstance(c, float) else c for c in row])
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join(f"{x!r},{v!r},{t!r}\r\n" for x, v, t in rows))
         _write_footer(fh, footer)
 
 

@@ -216,10 +216,25 @@ def _quad_grid(m: int, x: np.ndarray) -> np.ndarray:
 # cardinal sums on the integer lattice
 # ---------------------------------------------------------------------------
 
-#: far-band entries per block of the lattice sum: a block is a chunk of at
-#: most this many lattice indices times as many points as fit (512 KiB per
-#: temporary)
-_LATTICE_BLOCK = 1 << 16
+#: entries per block of every engine temporary (512 KiB of float64), which
+#: moves no value (rows are summed on their own, in a fixed order); and
+#: lattice indices per far-band piece: a summation order, not a block
+_BLOCK_ENTRIES = 1 << 16
+_LATTICE_PIECE = 1 << 16
+
+
+def _block_rows(width: int) -> int:
+    """Rows of ``width`` entries in one block: at least one."""
+    return max(1, _BLOCK_ENTRIES // max(width, 1))
+
+
+def _row_sums(points: int, width: int, block_sums) -> np.ndarray:
+    """block_sums(slice) per block of rows of ``width``, each summed alone."""
+    out = np.empty(points)
+    rows = _block_rows(width)
+    for i in range(0, points, rows):
+        out[i:i + rows] = block_sums(slice(i, i + rows))
+    return out
 
 
 def _lattice_series(m: int, u, c, k_min: int) -> np.ndarray:
@@ -243,9 +258,10 @@ def _lattice_series(m: int, u, c, k_min: int) -> np.ndarray:
     bit: sin(pi r) = 0 makes the far band exactly 0, and the node sits in
     the near band, so nothing is divided by 0.
 
-    The far band is summed in blocks of at most _LATTICE_BLOCK entries,
-    each row on its own and the chunks of lattice indices at fixed places,
-    so a point's value does not depend on the other points of the call.
+    The far band is summed piece by piece (_LATTICE_PIECE), each piece
+    for a block of points (:func:`_block_rows`) and each row on its own,
+    so a point's value depends neither on the other points of the call nor
+    on the block size.
     """
     u = np.asarray(u)
     c = np.asarray(c, dtype=float)
@@ -260,11 +276,11 @@ def _lattice_series(m: int, u, c, k_min: int) -> np.ndarray:
     pts, slots = np.nonzero(inside)
     cols = col[pts, slots]  # window columns of the near entries
     moments = np.zeros((m + 1, u.size), dtype=r.dtype)
-    for lo in range(0, c.size, _LATTICE_BLOCK):
-        a = c[lo:lo + _LATTICE_BLOCK].copy()
+    for lo in range(0, c.size, _LATTICE_PIECE):
+        a = c[lo:lo + _LATTICE_PIECE].copy()
         a[(k_min + lo + 1) % 2::2] *= -1.0  # (-1)^k c_k
         ks = np.arange(k_min + lo, k_min + lo + a.size, dtype=float)
-        rows = max(1, _LATTICE_BLOCK // a.size)
+        rows = _block_rows(a.size)
         d_rows = np.empty((min(rows, u.size), a.size), dtype=r.dtype)
         t_rows = np.empty_like(d_rows)
         for i in range(0, u.size, rows):

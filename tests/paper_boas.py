@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from bandlimit.boas import truncation_halfwidth
-from bandlimit.sampling import _row_sums
+from bandlimit.sinckernel import _row_sums
 
 PI = math.pi
 

@@ -18,8 +18,8 @@ from bandlimit.boas import (
 )
 from bandlimit.errors import ToleranceError
 from bandlimit.grouporbit import BernsteinVector, GroupInstance, group_boas
-from bandlimit.sampling import BandlimitedFn, _row_sums, make_reference
-from bandlimit.sinckernel import MAX_HALFWIDTH
+from bandlimit.sampling import BandlimitedFn, make_reference
+from bandlimit.sinckernel import MAX_HALFWIDTH, _row_sums
 from mp_reference import ToneSum
 from paper_boas import (
     BLOCK,

@@ -343,13 +343,30 @@ class TestDht:
 
     def test_orbit_refuses_a_window_whose_norm_overflows(self, tmp_path, capsys):
         path = tmp_path / "a.csv"
-        write_sequence(path, SeqWindow(n0=0, values=np.array([1e300])))
+        write_sequence(path, SeqWindow(n0=0, values=np.array([1.5e308, 1.5e308])))
         out = tmp_path / "o.csv"
         code = main(["dht", "--action", "orbit", "--t", "0.3",
                      "--input", str(path), "--output", str(out)])
         assert code == 2
         assert "window norm" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("values, t", [([1e300], "1"), ([3e154, 4e154], "0.3")])
+    def test_orbit_footer_of_a_window_whose_squares_overflow(self, tmp_path, values, t):
+        # ||a|| is finite though its sum of squares is not: finite footers,
+        # and no overflow warning
+        path = tmp_path / "a.csv"
+        write_sequence(path, SeqWindow(n0=0, values=np.array(values)))
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["dht", "--action", "orbit", "--t", t,
+                         "--input", str(path), "--output", str(out)])
+        assert code == 0
+        footer = read_footer(out)
+        for key in ("isometry_residual", "norm_bracket_lo", "norm_bracket_hi"):
+            assert math.isfinite(float(footer[key])), (key, footer[key])
+        assert float(footer["isometry_residual"]) == 0.0
 
     @pytest.mark.parametrize("order", ["98", "116", "117", "170"])
     def test_power_writes_orders_with_finite_entries(self, tmp_path, order):

@@ -212,11 +212,24 @@ class TestHilbertGroup:
 
 
     def test_refuses_a_window_whose_norm_overflows(self):
-        # ||[1e300]||^2 overflows: the spill would read inf - inf
-        a = SeqWindow(n0=0, values=np.array([1e300]))
+        # ||a|| = 1.5e308 sqrt(2) is past float64: the spill would read inf - inf
+        a = SeqWindow(n0=0, values=np.array([1.5e308, 1.5e308]))
         with pytest.raises(ValueError, match="window norm"):
             hilbert_group(0.3, a)
-        assert hilbert_group(1.0, a).values.tolist() == [-1e300]
+        assert hilbert_group(1.0, a).values.tolist() == [-1.5e308, -1.5e308]
+
+    @pytest.mark.parametrize("values, norm", [([1e300], 1e300), ([3e154, 4e154], 5e154),
+                                              ([-1.5e308], 1.5e308)])
+    def test_norms_whose_squares_overflow(self, values, norm):
+        # the sum of squares overflows, the norm does not
+        a = SeqWindow(n0=0, values=np.array(values))
+        assert a.norm() == pytest.approx(norm, rel=1e-15)
+        for t in (0.3, 1.0, -2.7):
+            out = hilbert_group(t, a)
+            lo, hi = out.norm_bracket()
+            assert math.isfinite(out.tail_l2) and math.isfinite(hi)
+            # isometry: the window keeps ||a|| up to its spill
+            assert lo <= norm * (1.0 + 1e-14) and hi >= norm * (1.0 - 1e-14)
 
 class TestDefaultExpand:
     @pytest.mark.parametrize("length", [1, 33, 1100])
@@ -469,8 +482,8 @@ class TestPairing:
     @staticmethod
     def engine(a, b, t, tol=1e-6, k_terms=None):
         """The local orbit engine on p(s) = <e^(sH) a, b> at s = n/2."""
-        return _orbit_sum(lambda ns, ds: (dht._pairing(n / 2, a, b) for n in ns.tolist()), 0.0,
-                          a.norm() * b.norm(), 0, 2.0 * t, 0.5, tol, k_terms)
+        return _orbit_sum(lambda ns, dts: (dht._pairing(n / 2, a, b) for n in ns.tolist()), 0.0,
+                          a.norm() * b.norm(), 0, t, PI, tol, k_terms)
 
     def test_two_routes_agree(self):
         rng = np.random.default_rng(20)

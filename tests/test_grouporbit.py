@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bandlimit.grouporbit as grouporbit
+import bandlimit.sinckernel as sinckernel
 from bandlimit.dht import SeqWindow, dht_instance, hilbert_group
 from bandlimit.errors import ToleranceError
 from bandlimit.grouporbit import (
@@ -457,7 +458,7 @@ class TestGatheredSum:
     def test_blocks_bit_identical_to_the_loop(self, monkeypatch):
         # blocks of 4 samples on the 8-block group: about 200 blocks
         b = BernsteinVector(rotation_instance(np.linspace(0.5, 2.5, 8)), np.full(16, 0.25), 2.5)
-        monkeypatch.setattr(grouporbit, "_GATHER_ENTRIES", 64)
+        monkeypatch.setattr(sinckernel, "_BLOCK_ENTRIES", 64)
         got = {name: call() for name, call in entry_points(b, {"k_terms": 4096}).items()}
         monkeypatch.setattr(grouporbit, "_weighted_sum", loop_sum)
         for name, call in entry_points(b, {"k_terms": 4096}).items():
@@ -485,7 +486,7 @@ class TestGatheredSum:
 
         shared = BernsteinVector(dataclasses.replace(base, orbit=orbit), np.full(16, 0.25), 2.5)
         fresh = dataclasses.replace(shared, instance=base)
-        monkeypatch.setattr(grouporbit, "_GATHER_ENTRIES", 64)
+        monkeypatch.setattr(sinckernel, "_BLOCK_ENTRIES", 64)
         for kw in ({"k_terms": 4096}, {"tol": 1e-6}):
             got = {name: np.copy(call()) for name, call in entry_points(shared, kw).items()}
             with monkeypatch.context() as m:
@@ -496,7 +497,7 @@ class TestGatheredSum:
     def test_samples_that_do_not_fit_the_block_take_the_loop(self, monkeypatch):
         # a complex sample, or one of another shape, ends the stacking; from
         # there on every sample is added one by one
-        monkeypatch.setattr(grouporbit, "_GATHER_ENTRIES", 12)
+        monkeypatch.setattr(sinckernel, "_BLOCK_ENTRIES", 12)
         rng = np.random.default_rng(5)
         w = rng.standard_normal(9)
         xs = [rng.standard_normal(3) for _ in range(9)]

@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from bandlimit.boas import truncation_halfwidth
 from bandlimit.errors import ToleranceError
+from bandlimit.grouporbit import _weighted_sum
+from bandlimit.sampling import UniformSamples, make_reference, wks_eval_grid
 import bandlimit.sinckernel as sinckernel
 from bandlimit.sinckernel import (
     MAX_HALFWIDTH,
@@ -557,6 +559,34 @@ class TestLatticeSeries:
         u = np.array([-30.5, 25.0, 40.2])
         assert np.all(np.abs(_lattice_series(2, u, c, -5) - termwise_window_sum(2, u, c, -5))
                       <= termwise_slack(2, u, c, -5))
+
+
+class TestBlockSize:
+    """_BLOCK_ENTRIES bounds the temporaries and moves no value: every row is
+    summed on its own and every accumulation order is fixed."""
+
+    @staticmethod
+    def results():
+        rng = np.random.default_rng(11)
+        critical = UniformSamples.from_function(make_reference("fejer", 1.0), PI, -2000, 2000)
+        over = UniformSamples.from_function(make_reference("sin", 1.0, phase=0.4), PI / 2,
+                                            -2000, 2000)
+        xs = np.sort(rng.uniform(-2500.0, 2500.0, 300))
+        w = rng.standard_normal(50)
+        samples = [rng.standard_normal(16) for _ in range(50)]
+        return {
+            **{f"critical m={m}": wks_eval_grid(critical, m, xs[::6], 1e-3) for m in (0, 2)},
+            **{f"oversampled m={m}": wks_eval_grid(over, m, xs, 1e-6) for m in (0, 1)},
+            "weighted sum": _weighted_sum(np.zeros(16), w, iter(samples)),
+        }
+
+    @pytest.mark.parametrize("entries", [12, 64])
+    def test_values_ignore_the_block_size(self, monkeypatch, entries):
+        want = self.results()
+        monkeypatch.setattr(sinckernel, "_BLOCK_ENTRIES", entries)
+        got = self.results()
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
 
 
 class TestBoasCoefficient:
