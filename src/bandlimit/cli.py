@@ -43,7 +43,7 @@ from .grouporbit import (
     rotation_instance,
 )
 from .inequalities import favard_constant, lks_check, plancherel_polya_checks
-from .sampling import make_reference, wks_eval_grid
+from .sampling import _is_critical, make_reference, wks_eval_grid
 from .seqio import (
     InputFormatError,
     read_samples,
@@ -211,12 +211,14 @@ def _suite_favard(cfg: RunConfig) -> SuiteReport:
 
 def _suite_pp(cfg: RunConfig) -> SuiteReport:
     rep = SuiteReport("pp")
-    # below h sigma = 1e-2 the Fejer p=1 tail allowance 8/(sigma^2 h W), W = 20 000,
-    # nears its slack 2 pi h; they meet at h sigma = sqrt(4/(pi W)), about 8e-3
-    if cfg.h > _PI / cfg.sigma * (1.0 + 1e-12):
+    try:
+        _is_critical(cfg.h, cfg.sigma)
+    except ReconstructionUnsoundError:
         rep.note = (f"h={cfg.h} exceeds pi/sigma={_PI / cfg.sigma}: outside the "
                     "sampled-norm contract")
-    elif cfg.h * cfg.sigma < 1e-2:
+    # below h sigma = 1e-2 the Fejer p=1 tail allowance 8/(sigma^2 h W), W = 20 000,
+    # nears its slack 2 pi h; they meet at h sigma = sqrt(4/(pi W)), about 8e-3
+    if cfg.h * cfg.sigma < 1e-2:
         rep.note = f"h*sigma={cfg.h * cfg.sigma} is below 1e-2: too fine for the 20000-step window"
     if rep.note:
         rep.skipped = True

@@ -148,6 +148,8 @@ def _orbit_sum(samples: Callable[[np.ndarray, np.ndarray], Any], zero, bound: fl
     :func:`_local_series`); the group's own rounding, and that of each
     sample time, are outside it.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"time t must be finite, got {t}")
     h = _PI / (2.0 * sigma)
     N, rows = _local_series(r, t / h, _PI / 4.0, bound, h, tol, k_terms, origin=origin)
     n_lo, d, w, cert = rows(slice(None))

@@ -13,17 +13,19 @@ determined by its samples on the lattice k*pi/sigma.  This module implements:
 * the finite Riesz interpolation sum for trigonometric polynomial
   derivatives (``riesz_trig_derivative``).
 
-The reconstruction grid is always x_k = k*h.  When h < pi/sigma the sampling
-is strictly finer than necessary (oversampled): a Gaussian multiplier then
-makes the kernel local, and bounded, non-decaying samples suffice.  At the
-critical rate h = pi/sigma a decay certificate on the samples is required,
-otherwise reconstruction is refused as unsound.
+The reconstruction grid is always x_k = k*h, and one rule sets its rate:
+critical when |h sigma - pi| <= 1e-12 pi, oversampled below that, and
+undersampled, refused by every series, above it.  Oversampled, a Gaussian
+multiplier makes the kernel local, and bounded, non-decaying samples
+suffice.  At the critical rate a decay certificate on the samples is
+required, otherwise reconstruction is refused as unsound.
+Valiron/Tschakaloff and its tail take that rate only, and the same points
+u = z/h: those with min(-k_min, k_max) >= 2|u|.
 
 The two whole-window sums, critical-rate reconstruction and
 Valiron/Tschakaloff, are taken by the lattice kernel
-:func:`~bandlimit.sinckernel._lattice_series`: it shares one sine per point,
-sin(pi (u - k)) = (-1)^(n0 - k) sin(pi (u - n0)), n0 = round(u), and
-evaluates sinc^(m) only on the 2m+3 entries nearest to u.
+:func:`~bandlimit.sinckernel._lattice_series` (one sine per point, and
+sinc^(m) only on the 2m+3 entries nearest to u).
 """
 
 from __future__ import annotations
@@ -221,6 +223,15 @@ class UniformSamples:
 # cardinal series
 # ---------------------------------------------------------------------------
 
+def _is_critical(h: float, sigma: float) -> bool:
+    """The one rate rule: critical (True) when |h sigma - pi| <= 1e-12 pi,
+    oversampled (False) below that, undersampled and refused above it."""
+    if h * sigma > _PI * (1.0 + 1e-12):
+        raise ReconstructionUnsoundError(
+            f"undersampled: h = {h} exceeds pi/sigma = {_PI / sigma}")
+    return h * sigma >= _PI * (1.0 - 1e-12)
+
+
 def _kernel_decay_const(m: int) -> float:
     # |sinc^(m)(x)| <= pi^(m-1)/|x| * 1/(1 - m/(pi |x|)); for |x| >= max(1, m)
     # the last factor is at most 1/(1 - 1/pi) < 3/2.
@@ -294,14 +305,11 @@ def wks_eval_grid(s: UniformSamples, m: int, xs, tol: float, *,
     :func:`~bandlimit.sinckernel._local_series`: N is the smallest
     half-width whose certificate is <= tol at every point.  A point whose
     2N+1 samples are not all stored raises ToleranceError with the tol the
-    window can reach.  Samples at the
-    critical rate h = pi/sigma need a decay certificate; they are summed
-    over the whole stored window by the lattice kernel of
-    :func:`~bandlimit.sinckernel._lattice_series` (one sine and cosine per
-    point, sinc^(m) on the 2m+3 nearest entries, alternating moments of
-    1/(u - k) on the rest), and :func:`wks_tail_bound` bounds the rest of
-    the lattice.  Either way, at grid points x = k h the stored sample is
-    reproduced bit for bit (for m = 0).
+    window can reach.  Samples at the critical rate need a decay
+    certificate; they are summed over the whole stored window by
+    :func:`~bandlimit.sinckernel._lattice_series`, and :func:`wks_tail_bound`
+    bounds the rest of the lattice.  Either way, at grid points x = k h the
+    stored sample is reproduced bit for bit (for m = 0).
 
     Returns the values, or (values, tails) with ``with_tail``: the tails
     come from the same N as the values.
@@ -313,14 +321,10 @@ def wks_eval_grid(s: UniformSamples, m: int, xs, tol: float, *,
     xs = np.asarray(xs, dtype=float)
     if not np.all(np.isfinite(xs)):
         raise ValueError("evaluation point must be finite")
-    if s.h > _PI / s.sigma * (1.0 + 1e-12):
-        raise ReconstructionUnsoundError(
-            f"undersampled: h = {s.h} exceeds pi/sigma = {_PI / s.sigma}")
-    u = _snap_grid(xs.reshape(-1) / s.h)
-    if s.h * s.sigma < _PI * (1.0 - 1e-12):
-        out, tails = _regularized_series(s, m, xs, u, tol)
-    else:
-        out, tails = _window_series(s, m, xs, u, tol)
+    series = _window_series if _is_critical(s.h, s.sigma) else _regularized_series
+    if xs.size == 0:
+        return (xs.copy(), xs.copy()) if with_tail else xs.copy()
+    out, tails = series(s, m, xs, _snap_grid(xs.reshape(-1) / s.h), tol)
     out = out.reshape(xs.shape) / s.h ** m
     return (out, tails.reshape(xs.shape)) if with_tail else out
 
@@ -373,6 +377,17 @@ def wks_eval(s: UniformSamples, m: int, x: float, tol: float) -> float:
 # Valiron / Tschakaloff
 # ---------------------------------------------------------------------------
 
+def _vt_point(s: UniformSamples, z: complex) -> complex:
+    """u = z/h, where the Valiron/Tschakaloff sum and its tail both hold."""
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError("evaluation point must be finite")
+    if not _is_critical(s.h, s.sigma):
+        raise ValueError("samples must be taken at the critical lattice k pi/sigma")
+    if min(-s.k_min, s.k_max) < 2 * abs(z / s.h):
+        raise ValueError("window too small relative to |z|")
+    return z / s.h
+
+
 def valiron_tschakaloff_eval(s: UniformSamples, f0: float, df0: float,
                              z: complex) -> complex:
     """Bounded-function sampling expansion at a complex point.
@@ -393,25 +408,18 @@ def valiron_tschakaloff_eval(s: UniformSamples, f0: float, df0: float,
     the window the sample is reproduced bit for bit.
     """
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError("evaluation point must be finite")
-    if abs(s.h - _PI / s.sigma) > 1e-9 * s.h:
-        raise ValueError("samples must be taken at the critical lattice k pi/sigma")
-    u = z / s.h
+    u = _vt_point(s, z)
     u = np.array([snap_integer(u.real) if u.imag == 0.0 else u])
     head = (z * df0 + f0) * complex(sinc_grid(u)[0])
-    has_zero = s.k_min <= 0 <= s.k_max
     alt = np.arange(s.k_min, s.k_max + 1, dtype=float)
-    if has_zero:
-        alt[-s.k_min] = math.inf
+    alt[-s.k_min] = math.inf  # _vt_point keeps k = 0 in the window
     np.divide(s.values, alt, out=alt)
     alt[(s.k_min + 1) % 2::2] *= -1.0  # (-1)^k f_k/k, 0 at k = 0
     alt = float(np.sum(alt))
     n0 = float(np.rint(u.real[0]))
     sin_u = (1.0 - 2.0 * (n0 % 2)) * complex(np.sin(_PI * (u[0] - n0)))
     c = s.values.copy()
-    if has_zero:
-        c[-s.k_min] = 0.0
+    c[-s.k_min] = 0.0
     return head + complex(_lattice_series(0, u, c, s.k_min)[0]) + sin_u / _PI * alt
 
 
@@ -425,9 +433,7 @@ def vt_tail_bound(s: UniformSamples, z: complex) -> float:
     k_max and -k_min; both must be at least 2|u|.
     """
     z = complex(z)
-    u = z / s.h
-    if min(-s.k_min, s.k_max) < 2 * abs(u):
-        raise ValueError("window too small relative to |z|")
+    u = _vt_point(s, z)
     m_bound = max(float(np.max(np.abs(s.values))), s.tail_bound)
     grow = math.exp(_PI * abs(u.imag))
     # exactly k_max for a symmetric window

@@ -273,8 +273,6 @@ def _lattice_series(m: int, u, c, k_min: int) -> np.ndarray:
     x = u[:, None] - band
     kern = sinc_grid(x) if np.iscomplexobj(x) else sinc_derivative_grid(m, x)
     near = np.sum(np.where(inside, c[col], 0.0) * kern, axis=1)
-    pts, slots = np.nonzero(inside)
-    cols = col[pts, slots]  # window columns of the near entries
     moments = np.zeros((m + 1, u.size), dtype=r.dtype)
     for lo in range(0, c.size, _LATTICE_PIECE):
         a = c[lo:lo + _LATTICE_PIECE].copy()
@@ -287,9 +285,10 @@ def _lattice_series(m: int, u, c, k_min: int) -> np.ndarray:
             n = min(rows, u.size - i)
             d, t = d_rows[:n], t_rows[:n]
             np.subtract(u[i:i + n, None], ks, out=d)
-            hit = (pts >= i) & (pts < i + n) & (cols >= lo) & (cols < lo + a.size)
-            at = pts[hit] - i, cols[hit] - lo
-            d[at] = 1.0  # the near band, zeroed below
+            j = col[i:i + n] - lo  # the block's near band, in piece columns
+            at = np.nonzero(inside[i:i + n] & (j >= 0) & (j < a.size))
+            at = at[0], j[at]
+            d[at] = 1.0  # zeroed below
             np.divide(a, d, out=t)
             t[at] = 0.0
             moments[0, i:i + n] += np.sum(t, axis=1)

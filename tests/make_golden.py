@@ -57,6 +57,10 @@ def commands() -> Dict[str, List[str]]:
         out[f"reconstruct {name}"] = ["reconstruct", *src]
         for r in (1, 2, 3):
             out[f"differentiate {name} r={r}"] = ["differentiate", *src, "--order", str(r)]
+    # many critical-rate points: each output spans many blocks of rows
+    many = ["--input", "{in}/fejer.csv", "--num", "1500"]
+    out["reconstruct fejer num=1500"] = ["reconstruct", *many]
+    out["differentiate fejer r=2 num=1500"] = ["differentiate", *many, "--order", "2"]
     seq = ["--input", "{in}/seq.csv", "--expand", "200"]
     for action in ("apply", "orbit", "vt"):
         out[f"dht {action}"] = ["dht", "--action", action, "--t", "0.3", *seq]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import bandlimit.grouporbit as grouporbit
 import bandlimit.sinckernel as sinckernel
-from bandlimit.dht import SeqWindow, dht_instance, hilbert_group
+from bandlimit.dht import SeqWindow, dht_instance, hilbert_group, pairing_check
 from bandlimit.errors import ToleranceError
 from bandlimit.grouporbit import (
     BernsteinVector,
@@ -694,3 +695,28 @@ class TestDhtThroughGenericEngine:
         sized = recover_initial(samples, tol=1e-2, norm=lambda v: v.norm())
         assert np.array_equal(out.values, sized.values) and out.n0 == sized.n0
         assert np.max(np.abs(out.on_range(a.n0, len(a)) - a.values)) < 1e-2
+
+
+class TestNonFiniteTime:
+    """The local orbit engine refuses a time that is not finite, and names
+    it, whichever entry point passes it on."""
+
+    @staticmethod
+    def call(entry, t):
+        b = BernsteinVector(rotation_instance([1.0]), unit_vector(), 1.0)
+        if entry == "recover_initial":
+            return recover_initial(OrbitSamples(sigma=1.0, t=t, f_t=unit_vector(),
+                                                at=lambda k: unit_vector()))
+        if entry == "pairing_check":
+            a = SeqWindow(n0=-1, values=np.array([1.0, 0.5, -0.25]))
+            return pairing_check(a, a, t)
+        return {"orbit_reconstruct": orbit_reconstruct, "orbit_vt": orbit_vt}[entry](b, t)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", ["orbit_reconstruct", "orbit_vt", "recover_initial",
+                                       "pairing_check"])
+    def test_raises_value_error_naming_t(self, entry, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="time t must be finite"):
+                self.call(entry, t)

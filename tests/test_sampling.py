@@ -604,3 +604,71 @@ class TestPoisson:
         r1 = poisson_residual(f, fhat, lam=1.0, t=0.2, K=1000)
         r2 = poisson_residual(f, fhat, lam=1.0, t=0.2, K=2000)
         assert r2 <= r1 + 1e-12
+
+
+class TestSamplingRateRule:
+    """One rule decides the rate of every sample window: critical within
+    1e-12 pi of h sigma = pi, oversampled below, undersampled above."""
+
+    @staticmethod
+    def fejer_at(h):
+        return UniformSamples.from_function(make_reference("fejer", 1.0), h, -2000, 2000)
+
+    def test_undersampled_refused_by_every_series(self):
+        s = self.fejer_at(PI * (1 + 5e-10))
+        for call in (lambda: wks_eval(s, 0, 0.7, 1e-3),
+                     lambda: valiron_tschakaloff_eval(s, 1.0, 0.0, 0.7),
+                     lambda: vt_tail_bound(s, 0.7)):
+            with pytest.raises(ReconstructionUnsoundError, match="undersampled"):
+                call()
+
+    @pytest.mark.parametrize("h", [PI * (1 - 5e-10), PI / 2])
+    def test_oversampled_refused_by_valiron_tschakaloff(self, h):
+        s = self.fejer_at(h)
+        for call in (lambda: valiron_tschakaloff_eval(s, 1.0, 0.0, 0.7),
+                     lambda: vt_tail_bound(s, 0.7)):
+            with pytest.raises(ValueError, match="critical lattice"):
+                call()
+
+    @pytest.mark.parametrize("h", [PI * (1 + 5e-13), PI * (1 - 5e-13)])
+    def test_critical_within_1e12(self, h):
+        s = self.fejer_at(h)
+        want = make_reference("fejer", 1.0)(0.7)
+        assert abs(wks_eval(s, 0, 0.7, 1e-3) - want) <= 1e-3
+        assert abs(valiron_tschakaloff_eval(s, 1.0, 0.0, 0.7) - want) <= vt_tail_bound(s, 0.7)
+
+
+class TestValironTschakaloffPoints:
+    """The sum and its tail accept the same points: those where both sides
+    of the window reach 2|u|."""
+
+    def test_refuses_points_its_tail_cannot_bound(self):
+        s = UniformSamples(sigma=1.0, h=PI, k_min=-100, k_max=100,
+                           values=np.ones(201), tail_bound=1.0)
+        for z in (1e300, 51 * PI, -50.5 * PI, 40.0 * PI + 40.0j * PI):
+            with pytest.raises(ValueError, match="window too small"):
+                valiron_tschakaloff_eval(s, 1.0, 0.0, z)
+            with pytest.raises(ValueError, match="window too small"):
+                vt_tail_bound(s, z)
+        got = valiron_tschakaloff_eval(s, 1.0, 0.0, 50 * PI)
+        assert got == 1.0 and vt_tail_bound(s, 50 * PI) > 0.0
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.inf)])
+    def test_tail_refuses_a_point_that_is_not_finite(self, z):
+        s = UniformSamples(sigma=1.0, h=PI, k_min=-100, k_max=100,
+                           values=np.ones(201), tail_bound=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            vt_tail_bound(s, z)
+
+
+class TestEmptyPoints:
+    """No points, no values: empty values and tails in the shape of xs."""
+
+    @pytest.mark.parametrize("rate", [1.0, 2.0])
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
+    def test_empty_points(self, rate, shape):
+        s = UniformSamples.from_function(make_reference("fejer", 1.0), PI / rate, -200, 200)
+        xs = np.zeros(shape)
+        values, tails = wks_eval_grid(s, 1, xs, 1e-3, with_tail=True)
+        assert values.shape == tails.shape == shape
+        assert wks_eval_grid(s, 0, xs, 1e-3).shape == shape

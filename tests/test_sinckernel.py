@@ -561,6 +561,54 @@ class TestLatticeSeries:
                       <= termwise_slack(2, u, c, -5))
 
 
+class TestNearBandAcrossPieces:
+    """Each block marks its points' near bands in the far-band piece it
+    sums: bands that straddle a piece boundary, or are clipped at a window
+    edge, give every point the value it has alone."""
+
+    K = 70_000  # pieces start at k = -70 000, -4 464 and 61 072
+    REAL = np.array([-4464.0, -4464.3, -4463.5, -4461.2, -4467.9, 61072.0, 61071.6,
+                     61068.4, 61075.1, -70000.0, -70001.2, -69999.6, -69996.7,
+                     70000.0, 69999.4, 70000.8, 69997.3, 0.25])
+    COMPLEX = np.array([-4464.3 + 0.2j, -4463.5 - 0.1j, 61072.0 + 1e-3j,
+                        -69999.6 + 0.2j, 69999.4 - 0.2j])
+
+    @staticmethod
+    def window():
+        return np.random.default_rng(23).standard_normal(2 * TestNearBandAcrossPieces.K + 1)
+
+    @staticmethod
+    def one_by_one(m, u, c, k_min):
+        return np.concatenate([_lattice_series(m, u[i:i + 1], c, k_min) for i in range(u.size)])
+
+    @pytest.mark.parametrize("entries", [None, 1 << 19])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+    def test_many_points_as_one(self, monkeypatch, m, entries):
+        # 1 << 19 entries put 8 points in a block of a whole piece
+        c, k_min = self.window(), -self.K
+        if entries:
+            monkeypatch.setattr(sinckernel, "_BLOCK_ENTRIES", entries)
+        got = _lattice_series(m, self.REAL, c, k_min)
+        assert got.tobytes() == self.one_by_one(m, self.REAL, c, k_min).tobytes()
+        assert np.all(np.abs(got - termwise_window_sum(m, self.REAL, c, k_min))
+                      <= termwise_slack(m, self.REAL, c, k_min))
+        if m == 0:
+            nodes = self.REAL == np.rint(self.REAL)
+            assert np.array_equal(got[nodes], c[(self.REAL[nodes] - k_min).astype(int)])
+
+    @pytest.mark.parametrize("entries", [None, 1 << 19])
+    def test_complex_points_as_one(self, monkeypatch, entries):
+        c, k_min = self.window(), -self.K
+        if entries:
+            monkeypatch.setattr(sinckernel, "_BLOCK_ENTRIES", entries)
+        got = _lattice_series(0, self.COMPLEX, c, k_min)
+        assert got.tobytes() == self.one_by_one(0, self.COMPLEX, c, k_min).tobytes()
+        ks = np.arange(k_min, self.K + 1, dtype=float)
+        want = np.sum(sinc_grid(self.COMPLEX[:, None] - ks) * c, axis=1)
+        # the termwise rounding of the real parts, grown by e^(pi |Im u|) < 2
+        assert np.all(np.abs(got - want) <= 2 * termwise_slack(0, self.COMPLEX.real, c, k_min))
+
+
 class TestBlockSize:
     """_BLOCK_ENTRIES bounds the temporaries and moves no value: every row is
     summed on its own and every accumulation order is fixed."""
