@@ -144,8 +144,8 @@ def cmd_dht(cfg: RunConfig) -> int:
     a = read_sequence(cfg.input)
     extra: Dict = {"n0": a.n0, "len": len(a)}
     if cfg.action == "apply":
-        out = hilbert_apply(a, cfg.expand)
-        extra["schur_ratio"] = out.norm() / (_PI * a.norm()) if a.norm() else 0.0
+        out, norm = hilbert_apply(a, cfg.expand), a.norm()
+        extra["schur_ratio"] = out.norm() / (_PI * norm) if norm else 0.0
     elif cfg.action == "orbit":
         out = hilbert_group(cfg.t, a, cfg.expand)
         lo, hi = out.norm_bracket()

@@ -12,8 +12,9 @@ fully explicit orbit map:
     t = N integer:     (e^(tH) a)_m = (-1)^N a_(m+N)
 
 The integer branch is an exact signed shift; the general formula degenerates
-to a 0 * inf limit there, so dispatch happens on |t - round(t)| < 1e-9 where
-the limit value is exact and the generic kernel has lost precision anyway.
+to a 0 * inf limit there, and the generic kernel has lost precision within
+1e-9 of it.  So the shift e^(NH) a also serves |t - N| < 1e-9, and its tail
+is charged ||e^(tH) a - e^(NH) a|| <= pi |t - N| ||a|| (nothing at t = N).
 
 Because every vector satisfies ||H^k a|| <= pi^k ||a||, the whole space is
 eligible for orbit sampling at unit spacing (sigma = pi, so u = t), and the
@@ -46,12 +47,12 @@ it is kept as a test oracle, as is the r-fold composition of the order-1
 operator.  hilbert_apply is the r = 1 case, with the same certified spill
 bound.
 
-Every operator that sums a kernel evaluates it on the input window grown by
-``expand`` slots per side, through one direct convolution (no FFT), and
-rejects ``expand`` outside [0, HARD_MAX_EXPAND] = [0, 10^7].  Left out,
-``expand`` is min(4 len(a), 4096) for every operator: a size, not a
-certificate; each output's ``tail_l2`` says what the window misses.  Integer
-times are exact signed shifts and grow no window.
+Every operator takes its window by one rule before anything else: the input
+grown by ``expand`` slots per side, refused outside [0, HARD_MAX_EXPAND] =
+[0, 10^7], or by min(4 len(a), 4096) when left out (a size, not a
+certificate; each output's ``tail_l2`` says what the window misses).
+Kernels are summed on it by one direct convolution (no FFT); integer times
+are signed shifts and grow no window.
 """
 
 from __future__ import annotations
@@ -70,6 +71,14 @@ _PI = math.pi
 INTEGER_EPS = 1e-9
 
 HARD_MAX_EXPAND = 10_000_000
+
+
+def _norm(values: np.ndarray) -> float:
+    """||values||_2 at the scale of the largest |entry|: 2^k <= max |entry|
+    < 2^(k+1), so the squares of the entries times 2^-k neither overflow nor
+    underflow, and scaling by a power of two is exact."""
+    k = math.frexp(float(np.max(np.abs(values))))[1] - 1
+    return float(np.linalg.norm(np.ldexp(values, -k))) * 2.0 ** k
 
 
 @dataclass(frozen=True)
@@ -108,13 +117,8 @@ class SeqWindow:
         return 0.0
 
     def norm(self) -> float:
-        """||values||_2, rescaled by max |entry| where only sum a_n^2 overflows."""
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(self.values))
-            if math.isinf(norm):
-                big = float(np.max(np.abs(self.values)))
-                norm = big * float(np.linalg.norm(self.values / big))
-        return norm
+        """||values||_2, finite wherever the norm is (see :func:`_norm`)."""
+        return _norm(self.values)
 
     def norm_bracket(self) -> Tuple[float, float]:
         w = self.norm()
@@ -163,30 +167,23 @@ class SeqWindow:
                          tail_l2=self.tail_l2 / abs(float(c)))
 
 
-def _check_expand(expand: Optional[int]) -> None:
-    """Reject an explicit ``expand`` outside [0, HARD_MAX_EXPAND]; every
-    operator checks before its integer-time dispatch or any allocation."""
-    if expand is not None and not 0 <= expand <= HARD_MAX_EXPAND:
-        raise ValueError(f"expand must lie in [0, {HARD_MAX_EXPAND}]")
-
-
-def _window_convolve(a: SeqWindow, expand: Optional[int], kernel):
-    """The grown-window convolution behind every operator of this module.
-
-    Returns the first index of the window grown by ``expand`` per side
-    (None: min(4 len(a), 4096)), c_m = sum_n kernel(m - n) a_n on it, and
-    the kernel values c_d for d = -span .. span, span = len(a) + expand
-    (``kernel`` is called once on that integer grid).  The grid covers every
-    |m - n| of the sum, so the entries carry no truncation.  Evaluated
-    directly through np.convolve (no FFT).
-    """
-    _check_expand(expand)
-    L = len(a)
+def _grown(a: SeqWindow, expand: Optional[int]) -> int:
+    """Slots per side of the grown window: ``expand``, or min(4 len(a), 4096)
+    when it is None.  Every operator asks once, before its integer-time
+    dispatch or any allocation; ValueError outside [0, HARD_MAX_EXPAND]."""
     if expand is None:
-        expand = min(4 * L, 4096)
-    span = L + expand
-    c = kernel(np.arange(-span, span + 1))
-    return a.n0 - expand, np.convolve(a.values, c)[L:2 * L + 2 * expand], c
+        return min(4 * len(a), 4096)
+    if not 0 <= expand <= HARD_MAX_EXPAND:
+        raise ValueError(f"expand must lie in [0, {HARD_MAX_EXPAND}]")
+    return expand
+
+
+def _window_convolve(a: SeqWindow, expand: int, c: np.ndarray) -> np.ndarray:
+    """c_m = sum_n c_(m-n) a_n on the window grown by ``expand`` per side, from
+    the kernel c_d on d = -span .. span, span = len(a) + expand: every |m - n|
+    of the sum, so no entry is truncated.  One direct np.convolve (no FFT)."""
+    L = len(a)
+    return np.convolve(a.values, c)[L:2 * L + 2 * expand]
 
 
 # ---------------------------------------------------------------------------
@@ -214,25 +211,29 @@ def hilbert_group(t: float, a: SeqWindow, expand: Optional[int] = None) -> SeqWi
     Off the integers the kernel is sin(pi t)/pi * 1/(m - n + t).  The output
     tail is the norm that the isometry puts outside the computed window,
     plus the input tail, which e^(tH) carries at its own norm into every
-    entry (triangle inequality).
+    entry (triangle inequality).  Near an integer, see the module docstring.
     """
     t = float(t)
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    _check_expand(expand)
-    if abs(t - round(t)) < INTEGER_EPS:
-        return integer_orbit(round(t), a)
+    grow = _grown(a, expand)
+    N = round(t)
+    if t == N:
+        return integer_orbit(N, a)
     norm = a.norm()
     if not math.isfinite(norm):
         raise ValueError("the window norm ||a|| overflows float64")
+    if abs(t - N) < INTEGER_EPS:  # the shift, charged pi |t - N| ||a||
+        out = integer_orbit(N, a)
+        return SeqWindow(out.n0, out.values, out.tail_l2 + _PI * abs(t - N) * norm)
     s = math.sin(_PI * t) / _PI
-    out_n0, vals, _ = _window_convolve(a, expand, lambda d: s / (d + t))
-    kept = SeqWindow(n0=out_n0, values=vals).norm()
-    try:
-        spill = math.sqrt(max(norm ** 2 - kept ** 2, 0.0))
-    except OverflowError:  # ||a||^2 is past float64: the same, unsquared
-        spill = norm * math.sqrt(max(1.0 - (kept / norm) ** 2, 0.0))
-    return SeqWindow(n0=out_n0, values=vals, tail_l2=spill + a.tail_l2)
+    span = len(a) + grow
+    vals = _window_convolve(a, grow, s / (np.arange(-span, span + 1) + t))
+    # sqrt(norm^2 - kept^2) at the scale of the norm, as in _norm
+    k = math.frexp(norm)[1] - 1
+    x, y = math.ldexp(norm, -k), math.ldexp(_norm(vals), -k)
+    spill = math.sqrt(max(x * x - y * y, 0.0)) * 2.0 ** k
+    return SeqWindow(n0=a.n0 - grow, values=vals, tail_l2=spill + a.tail_l2)
 
 
 def dht_instance(expand: int = 256) -> GroupInstance:
@@ -303,14 +304,15 @@ def dht_power(a: SeqWindow, r: int, expand: Optional[int] = None) -> SeqWindow:
     """
     if r < 1:
         raise ValueError("power r must be >= 1")
+    expand = _grown(a, expand)
+    L = len(a)
+    span = L + expand
     overflow = ValueError(f"H^r of order r={r} overflows float64 on this window")
     try:
-        out_n0, vals, c = _window_convolve(a, expand, lambda d: _power_kernel(r, d[-1]))
+        c = _power_kernel(r, span)
     except OverflowError:  # pi^r as a Python float, from r = 621 on
         raise overflow from None
-    L = len(a)
-    expand = a.n0 - out_n0
-    span = L + expand
+    vals = _window_convolve(a, expand, c)
     # entry n has its nearest excluded m at |d| = g on each side, with g
     # running over expand+1 .. span once per side; c_d^2 for d <= span then
     # counts d - expand times, and the sum beyond span L times
@@ -323,7 +325,7 @@ def dht_power(a: SeqWindow, r: int, expand: Optional[int] = None) -> SeqWindow:
     tail = _PI ** r * a.tail_l2 + a.norm() * math.sqrt(2.0 * (inside + L * beyond))
     if not (math.isfinite(tail) and np.all(np.isfinite(vals))):
         raise overflow
-    return SeqWindow(n0=out_n0, values=vals, tail_l2=tail)
+    return SeqWindow(n0=a.n0 - expand, values=vals, tail_l2=tail)
 
 
 def _pairing(s: float, a: SeqWindow, b: SeqWindow) -> float:

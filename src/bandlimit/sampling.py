@@ -434,6 +434,8 @@ def vt_tail_bound(s: UniformSamples, z: complex) -> float:
     """
     z = complex(z)
     u = _vt_point(s, z)
+    if z == 0:  # every term carries the factor u; a one-sided window has side 0
+        return 0.0
     m_bound = max(float(np.max(np.abs(s.values))), s.tail_bound)
     grow = math.exp(_PI * abs(u.imag))
     # exactly k_max for a symmetric window

@@ -66,6 +66,11 @@ def commands() -> Dict[str, List[str]]:
         out[f"dht {action}"] = ["dht", "--action", action, "--t", "0.3", *seq]
     for r in (1, 2):
         out[f"dht power r={r}"] = ["dht", "--action", "power", "--order", str(r), *seq]
+    # the window rule's edges: no growth, and the exact integer dispatch
+    bare = ["--input", "{in}/seq.csv"]
+    out["dht apply expand=0"] = ["dht", "--action", "apply", *bare, "--expand", "0"]
+    out["dht orbit expand=0"] = ["dht", "--action", "orbit", "--t", "0.3", *bare, "--expand", "0"]
+    out["dht orbit t=2"] = ["dht", "--action", "orbit", "--t", "2", *bare]
     for suite in SUITES:
         out[f"verify {suite}"] = ["verify", "--suite", suite]
     return out

@@ -351,6 +351,19 @@ class TestDht:
         assert "window norm" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_apply_footer_of_a_window_whose_squares_underflow(self, tmp_path):
+        # ||a|| = 5e-200 though its sum of squares underflows: the Schur
+        # ratio is that of [3, -4]
+        ratios = []
+        for scale in (1e-200, 1.0):
+            path = tmp_path / "a.csv"
+            write_sequence(path, SeqWindow(n0=0, values=np.array([3.0, -4.0]) * scale))
+            out = tmp_path / "p.csv"
+            assert main(["dht", "--action", "apply", "--input", str(path),
+                         "--output", str(out)]) == 0
+            ratios.append(float(read_footer(out)["schur_ratio"]))
+        assert 0.0 < ratios[0] == pytest.approx(ratios[1], rel=1e-12)
+
     @pytest.mark.parametrize("values, t", [([1e300], "1"), ([3e154, 4e154], "0.3")])
     def test_orbit_footer_of_a_window_whose_squares_overflow(self, tmp_path, values, t):
         # ||a|| is finite though its sum of squares is not: finite footers,

@@ -231,6 +231,55 @@ class TestHilbertGroup:
             # isometry: the window keeps ||a|| up to its spill
             assert lo <= norm * (1.0 + 1e-14) and hi >= norm * (1.0 - 1e-14)
 
+    def test_near_integer_time_charges_its_move(self):
+        # the shift misses e^(tH) a by at most pi |t - N| ||a||; against a
+        # 40-digit sum the window is off by 2.5e-9
+        a = SeqWindow(n0=-5, values=np.random.default_rng(0).standard_normal(11))
+        t, expand = 1 + 5e-10, 40
+        out = hilbert_group(t, a, expand)
+        assert out.tail_l2 == pytest.approx(PI * (t - 1) * a.norm(), rel=1e-15)
+        with mp.workdps(40):
+            s = mp.sin(mp.pi * mp.mpf(t)) / mp.pi
+            n0 = out.n0 - expand
+            want = [s * mp.fsum(mp.mpf(float(v)) / (m - n + mp.mpf(t))
+                                for n, v in enumerate(a.values, start=a.n0))
+                    for m in range(n0, out.n_last + expand + 1)]
+            got = out.on_range(n0, len(want))
+            err = float(mp.sqrt(mp.fsum((w - mp.mpf(float(g))) ** 2
+                                        for w, g in zip(want, got))))
+        assert 2e-9 < err <= out.tail_l2
+        assert hilbert_group(1.0, a).tail_l2 == 0.0
+
+
+class TestTinyWindows:
+    """One scaled norm serves both ends of float64: windows whose squares
+    underflow keep their norm, and with it their tails."""
+
+    def test_norm_is_numpy_norm_bit_for_bit(self):
+        # scaling by a power of two is exact: where no square over- or
+        # underflows the bits are those of np.linalg.norm
+        rng = np.random.default_rng(7)
+        for _ in range(600):
+            vals = 10.0 ** rng.uniform(-140, 140) * rng.standard_normal(rng.integers(1, 200))
+            got = np.float64(SeqWindow(n0=0, values=vals).norm())
+            assert got.view(np.uint64) == np.linalg.norm(vals).view(np.uint64), vals
+
+    @pytest.mark.parametrize("values", [[3e-200, -4e-200], [1e-310, 1e-310], [5e-324]])
+    def test_norm(self, values):
+        assert SeqWindow(n0=0, values=np.array(values)).norm() == pytest.approx(
+            math.hypot(*values), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("values", [[3e-200, -4e-200], [1e-310, 1e-310], [5e-324]])
+    def test_tails_scale_with_the_window(self, values):
+        # to rel 1e-12, or to the subnormal step 5e-324 where the tail is
+        # too small for float64 to carry its digits
+        a = SeqWindow(n0=0, values=np.array(values))
+        big = SeqWindow(n0=0, values=1e200 * a.values)
+        for op in (lambda w: dht_power(w, 1), lambda w: hilbert_group(0.3, w)):
+            assert op(a).tail_l2 == pytest.approx(op(big).tail_l2 * 1e-200,
+                                                  rel=1e-12, abs=5e-324)
+
+
 class TestDefaultExpand:
     @pytest.mark.parametrize("length", [1, 33, 1100])
     def test_every_operator_takes_four_lengths_capped(self, length):

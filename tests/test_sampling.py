@@ -653,6 +653,14 @@ class TestValironTschakaloffPoints:
         got = valiron_tschakaloff_eval(s, 1.0, 0.0, 50 * PI)
         assert got == 1.0 and vt_tail_bound(s, 50 * PI) > 0.0
 
+    @pytest.mark.parametrize("k_min, k_max", [(0, 10), (-10, 0)])
+    def test_one_sided_window_at_the_origin(self, k_min, k_max):
+        # every term carries the factor u, so at z = 0 nothing is truncated
+        s = UniformSamples(sigma=1.0, h=PI, k_min=k_min, k_max=k_max,
+                           values=np.ones(11), tail_bound=1.0)
+        assert valiron_tschakaloff_eval(s, 1.0, 0.0, 0.0) == 1.0
+        assert vt_tail_bound(s, 0.0) == 0.0
+
     @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.inf)])
     def test_tail_refuses_a_point_that_is_not_finite(self, z):
         s = UniformSamples(sigma=1.0, h=PI, k_min=-100, k_max=100,
