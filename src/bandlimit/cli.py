@@ -129,10 +129,9 @@ def cmd_differentiate(cfg: RunConfig) -> int:
     if r < 0:
         raise InputFormatError("--order must be >= 0")
     values, tails = wks_eval_grid(s, r, grid, cfg.tol, with_tail=True)
-    rows = list(zip(grid.tolist(), values.tolist(), tails.tolist()))
     footer = _echo(cfg, {"sigma": s.sigma, "h": s.h, "max_tail": float(tails.max()),
                          "tail_kind": "certified"})
-    write_table(cfg.output, ["x", "value", "tail"], rows, footer)
+    write_table(cfg.output, ["x", "value", "tail"], (grid, values, tails), footer)
     return EXIT_OK
 
 

@@ -8,6 +8,14 @@ Function samples:   CSV header  k,value      sidecar {sigma, h, k_min, k_max,
                     tail_bound[, tail_decay]}
 Sequence windows:   CSV header  n,value      sidecar {n0, len, tail_l2}
 
+The contract a file must meet to be read: the header and every row are
+exactly two cells, a row an integer index and a float value; the index
+fields (k_min, k_max, n0, len) are JSON integers or integral floats; every
+other field is a JSON number (not a bool or a string), and sigma and h are
+finite; the index column runs k_min..k_max, or n0..n0 + len - 1, one by one.
+A file that breaks it raises InputFormatError naming the line or the field
+(the CLI exits 2).
+
 Output files append '# key=value' footer comments echoing the library version
 and the full parameter set, so runs are reproducible byte for byte.
 """
@@ -17,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from itertools import chain
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -34,24 +43,49 @@ def sidecar_path(csv_path) -> Path:
     return Path(csv_path).with_suffix(".json")
 
 
-def _load_sidecar(csv_path, required: Tuple[str, ...]) -> Dict:
+_INTEGER, _NUMBER, _FINITE = "an integer", "a number", "a finite number"
+# the sidecar rule: each field's kind, and the fields a sidecar may leave out
+_SAMPLE_FIELDS = {"sigma": _FINITE, "h": _FINITE, "k_min": _INTEGER, "k_max": _INTEGER,
+                  "tail_bound": _NUMBER, "tail_decay": _NUMBER}
+_SEQUENCE_FIELDS = {"n0": _INTEGER, "len": _INTEGER, "tail_l2": _NUMBER}
+_DEFAULTS = {"tail_decay": 0.0}
+
+
+def _load_sidecar(csv_path, fields: Dict[str, str]) -> Dict:
+    """``fields`` as ints (_INTEGER: a JSON integer or an integral float) or
+    floats (a JSON number, finite for _FINITE); a bool or a string is neither."""
     path = sidecar_path(csv_path)
     if not path.exists():
-        raise InputFormatError(f"missing sidecar {path} (fields {', '.join(required)})")
+        required = ", ".join(key for key in fields if key not in _DEFAULTS)
+        raise InputFormatError(f"missing sidecar {path} (fields {required})")
     try:
         meta = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"sidecar {path} is not valid JSON: {exc}") from exc
-    for key in required:
-        if key not in meta:
+    out = {}
+    for key, kind in fields.items():
+        if key not in meta and key not in _DEFAULTS:
             raise InputFormatError(f"sidecar {path} lacks required field '{key}'")
-    return meta
+        value = meta.get(key, _DEFAULTS.get(key))
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if kind == _INTEGER:
+            ok = number and (isinstance(value, int) or value.is_integer())
+        else:
+            ok = number and (kind == _NUMBER or math.isfinite(value))
+        if not ok:
+            raise InputFormatError(
+                f"sidecar {path}: field '{key}' must be {kind}, got {json.dumps(value)}")
+        out[key] = int(value) if kind == _INTEGER else float(value)
+    return out
 
 
 _ROW = np.dtype([("index", np.int64), ("value", np.float64)])
 
 
-def _read_two_column_csv(csv_path, index_name: str) -> Tuple[np.ndarray, np.ndarray]:
+def _read_window(csv_path, name: str, fields: Dict[str, str], span) -> Tuple[np.ndarray, Dict]:
+    """Values and sidecar fields of a file whose header is exactly '<name>,value',
+    whose rows are exactly 'integer,float', and whose index column runs from
+    ``first`` by ones through ``count`` rows, ``(first, count) = span(fields)``."""
     path = Path(csv_path)
     if not path.exists():
         raise InputFormatError(f"input file {path} does not exist")
@@ -59,93 +93,93 @@ def _read_two_column_csv(csv_path, index_name: str) -> Tuple[np.ndarray, np.ndar
         header = fh.readline()
         while header.startswith("#"):
             header = fh.readline()
-        if [c.strip() for c in header.split(",")[:2]] != [index_name, "value"]:
+        if [c.strip() for c in header.split(",")] != [name, "value"]:
             raise InputFormatError(
-                f"{path}: expected header '{index_name},value', got {header.strip()!r}")
+                f"{path}: expected header '{name},value', got {header.strip()!r}")
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # "no data", checked below
-                table = np.loadtxt(fh, delimiter=",", comments="#", dtype=_ROW,
-                                   usecols=(0, 1), ndmin=1)
+                table = np.loadtxt(fh, delimiter=",", comments="#", dtype=_ROW, ndmin=1)
         except ValueError as exc:
-            raise InputFormatError(f"{_bad_row_at(path)}: bad row ({exc})") from exc
+            raise InputFormatError(
+                f"{_bad_row_at(path)}: bad row, expected 'integer,float'") from exc
     if table.size == 0:
         raise InputFormatError(f"{path}: no data rows")
-    return table["index"].astype(int), table["value"]
+    meta = _load_sidecar(path, fields)
+    (first, count), index = span(meta), table["index"]
+    if count != index.size or index[0] != first or not np.array_equal(
+            index, np.arange(first, first + count)):
+        raise InputFormatError(
+            f"{path}: '{name}' column must run {first}..{first + count - 1} contiguously")
+    return table["value"], meta
 
 
 def _bad_row_at(path: Path) -> str:
     """'file:line' of the first data row that is not 'integer,float'."""
     with open(path) as fh:
-        rows = [(n, line) for n, line in enumerate(fh, start=1)
-                if line.strip() and not line.startswith("#")]
-    for lineno, line in rows[1:]:
-        cells = line.split("#")[0].split(",")
+        rows = [(n, text) for n, line in enumerate(fh, start=1)
+                if (text := line.split("#")[0].rstrip("\n"))]
+    for lineno, text in rows[1:]:
         try:
-            int(cells[0])
-            float(cells[1])
-        except (ValueError, IndexError):
+            index, value = text.split(",")
+            int(index), float(value)
+        except ValueError:
             return f"{path}:{lineno}"
     return str(path)
 
 
 def read_samples(csv_path) -> UniformSamples:
-    ks, vals = _read_two_column_csv(csv_path, "k")
-    meta = _load_sidecar(csv_path, ("sigma", "h", "k_min", "k_max", "tail_bound"))
-    k_min, k_max = int(meta["k_min"]), int(meta["k_max"])
-    if ks[0] != k_min or ks[-1] != k_max or not np.array_equal(ks, np.arange(k_min, k_max + 1)):
-        raise InputFormatError(f"{csv_path}: 'k' column must run {k_min}..{k_max} contiguously")
-    return UniformSamples(sigma=float(meta["sigma"]), h=float(meta["h"]),
-                          k_min=k_min, k_max=k_max, values=vals,
-                          tail_bound=float(meta["tail_bound"]),
-                          tail_decay=float(meta.get("tail_decay", 0.0)))
+    values, meta = _read_window(csv_path, "k", _SAMPLE_FIELDS,
+                                lambda m: (m["k_min"], m["k_max"] - m["k_min"] + 1))
+    return UniformSamples(values=values, **meta)
+
+
+def read_sequence(csv_path) -> SeqWindow:
+    values, meta = _read_window(csv_path, "n", _SEQUENCE_FIELDS,
+                                lambda m: (m["n0"], m["len"]))
+    return SeqWindow(n0=meta["n0"], values=values, tail_l2=meta["tail_l2"])
 
 
 _WRITE_BLOCK = 4096
 
 
-def _write_indexed(csv_path, index_name: str, start: int, values: np.ndarray,
-                   footer: Optional[Dict], meta: Dict) -> None:
-    """Header, one 'index,repr(value)' row per entry from ``start`` on, the
-    footer, and the sidecar.  Rows end in CRLF, as csv.writer ends them, and
-    neither an integer nor a float repr needs quoting.  Rows go out one
-    block of _WRITE_BLOCK per write, so no whole-file string is held."""
-    path = Path(csv_path)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"{index_name},value\r\n")
-        for lo in range(0, values.size, _WRITE_BLOCK):
-            block = values[lo:lo + _WRITE_BLOCK].tolist()
-            fh.write("".join(f"{n},{v!r}\r\n" for n, v in enumerate(block, start + lo)))
+def _write_rows(csv_path, header: List[str], row_template: str, columns,
+                footer: Optional[Dict]) -> None:
+    """Header, one ``row_template % cells`` row per entry of the equal-length
+    arrays ``columns``, footer.  A float cell is its repr (``%r`` of a Python
+    float) and needs no quoting; rows end in CRLF, as csv.writer ends them,
+    and go out one block of _WRITE_BLOCK per write, so no whole-file string
+    is held."""
+    with open(Path(csv_path), "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(columns[0]), _WRITE_BLOCK):
+            cells = [c[lo:lo + _WRITE_BLOCK].tolist() for c in columns]
+            # one format call per block: the template once per row, the cells row by row
+            fh.write((row_template * len(cells[0])) % tuple(chain.from_iterable(zip(*cells))))
         _write_footer(fh, footer)
-    sidecar_path(path).write_text(json.dumps(meta, indent=2) + "\n")
+
+
+def _write_window(csv_path, name: str, first: int, values, footer, meta: Dict) -> None:
+    indices = np.arange(first, first + values.size)
+    _write_rows(csv_path, [name, "value"], "%d,%r\r\n", (indices, values), footer)
+    sidecar_path(csv_path).write_text(json.dumps(meta, indent=2) + "\n")
 
 
 def write_samples(csv_path, s: UniformSamples, footer: Optional[Dict] = None) -> None:
     meta = {"sigma": s.sigma, "h": s.h, "k_min": s.k_min, "k_max": s.k_max,
             "tail_bound": s.tail_bound, "tail_decay": s.tail_decay}
-    _write_indexed(csv_path, "k", s.k_min, s.values, footer, meta)
-
-
-def read_sequence(csv_path) -> SeqWindow:
-    ns, vals = _read_two_column_csv(csv_path, "n")
-    meta = _load_sidecar(csv_path, ("n0", "len", "tail_l2"))
-    n0, length = int(meta["n0"]), int(meta["len"])
-    if length != vals.size or ns[0] != n0 or not np.array_equal(ns, np.arange(n0, n0 + length)):
-        raise InputFormatError(f"{csv_path}: 'n' column must run {n0}..{n0 + length - 1}")
-    return SeqWindow(n0=n0, values=vals, tail_l2=float(meta["tail_l2"]))
+    _write_window(csv_path, "k", s.k_min, s.values, footer, meta)
 
 
 def write_sequence(csv_path, a: SeqWindow, footer: Optional[Dict] = None) -> None:
     meta = {"n0": a.n0, "len": len(a), "tail_l2": a.tail_l2}
-    _write_indexed(csv_path, "n", a.n0, a.values, footer, meta)
+    _write_window(csv_path, "n", a.n0, a.values, footer, meta)
 
 
-def write_table(csv_path, header: List[str], rows, footer: Optional[Dict] = None) -> None:
-    """Header, a CRLF row of reprs per (x, value, tail) of floats, footer."""
-    with open(Path(csv_path), "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.write("".join(f"{x!r},{v!r},{t!r}\r\n" for x, v, t in rows))
-        _write_footer(fh, footer)
+def write_table(csv_path, header: List[str], columns, footer: Optional[Dict] = None) -> None:
+    """Header, a CRLF row of float reprs per entry of the three equal-length
+    ``columns`` (x, value, tail), footer."""
+    _write_rows(csv_path, header, "%r,%r,%r\r\n", columns, footer)
 
 
 def _write_footer(fh, footer: Optional[Dict]) -> None:

@@ -1,0 +1,249 @@
+"""The file layer's contract: the row writer's bytes, and the refusals of the
+reader (two cells per header and per row, typed sidecar fields)."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from bandlimit.cli import main
+from bandlimit.dht import SeqWindow
+from bandlimit.sampling import UniformSamples, make_reference
+from bandlimit.seqio import (
+    _write_rows,
+    read_samples,
+    read_sequence,
+    sidecar_path,
+    write_samples,
+    write_sequence,
+    write_table,
+)
+
+PI = math.pi
+
+
+# ---------------------------------------------------------------------------
+# the writer, against the f-string loops it replaced
+# ---------------------------------------------------------------------------
+
+def _footer_reference(fh, footer):
+    if not footer:
+        return
+    for key in footer:
+        value = footer[key]
+        if isinstance(value, float) and not math.isfinite(value):
+            value = repr(value)
+        fh.write(f"# {key}={value}\n")
+
+
+def indexed_reference(path, index_name, start, values, footer):
+    """The sample and sequence row loop as it was written with f-strings."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"{index_name},value\r\n")
+        for lo in range(0, values.size, 4096):
+            block = values[lo:lo + 4096].tolist()
+            fh.write("".join(f"{n},{v!r}\r\n" for n, v in enumerate(block, start + lo)))
+        _footer_reference(fh, footer)
+
+
+def table_reference(path, header, rows, footer):
+    """The table row loop as it was written with f-strings, over row tuples."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join(f"{x!r},{v!r},{t!r}\r\n" for x, v, t in rows))
+        _footer_reference(fh, footer)
+
+
+FINITE_SPECIALS = [-0.0, 5e-324, -5e-324, 1e16, 1e-05, 0.1, 1e300, -1e300, 0.0, 1.0]
+SPECIALS = FINITE_SPECIALS + [math.inf, -math.inf, math.nan]
+SIZES = [0, 1, 4095, 4096, 4097, 20_033]
+FOOTER = {"version": "x", "tol": 0.001, "max_tail": math.inf}
+
+
+def _values(n, specials, seed=0):
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    k = min(n, len(specials))
+    vals[:k] = specials[:k]
+    vals[n - k:] = specials[len(specials) - k:]  # the tail block sees them too
+    return vals
+
+
+class TestWriterBytes:
+    @pytest.mark.parametrize("n", SIZES)
+    def test_samples(self, n, tmp_path):
+        vals = _values(max(n, 1), FINITE_SPECIALS)[:n]
+        if n == 0:
+            # an empty window is no UniformSamples; the row writer takes it
+            _write_rows(tmp_path / "new.csv", ["k", "value"], "%d,%r\r\n",
+                        (np.arange(-3, -3), vals), FOOTER)
+        else:
+            write_samples(tmp_path / "new.csv",
+                          UniformSamples(sigma=1.0, h=PI, k_min=-3, k_max=n - 4, values=vals,
+                                         tail_bound=1.0, tail_decay=2.0), FOOTER)
+            meta = json.loads(sidecar_path(tmp_path / "new.csv").read_text())
+            assert meta == {"sigma": 1.0, "h": PI, "k_min": -3, "k_max": n - 4,
+                            "tail_bound": 1.0, "tail_decay": 2.0}
+        indexed_reference(tmp_path / "old.csv", "k", -3, vals, FOOTER)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("n", SIZES[1:])
+    def test_sequence(self, n, tmp_path):
+        vals = _values(n, FINITE_SPECIALS, seed=1)
+        write_sequence(tmp_path / "new.csv", SeqWindow(n0=7 - n, values=vals, tail_l2=0.5),
+                       FOOTER)
+        indexed_reference(tmp_path / "old.csv", "n", 7 - n, vals, FOOTER)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert read_sequence(tmp_path / "new.csv").values.tobytes() == vals.tobytes()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_non_finite_index_rows(self, n, tmp_path):
+        # the window types refuse inf and nan; the row template does not
+        vals = _values(n, SPECIALS, seed=2)
+        _write_rows(tmp_path / "new.csv", ["n", "value"], "%d,%r\r\n",
+                    (np.arange(5, 5 + n), vals), FOOTER)
+        indexed_reference(tmp_path / "old.csv", "n", 5, vals, FOOTER)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_table(self, n, tmp_path):
+        cols = [_values(n, np.roll(SPECIALS, j), seed=3 + j) for j in range(3)]
+        write_table(tmp_path / "new.csv", ["x", "value", "tail"], cols, FOOTER)
+        rows = list(zip(*(c.tolist() for c in cols)))
+        table_reference(tmp_path / "old.csv", ["x", "value", "tail"], rows, FOOTER)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the reader's refusals
+# ---------------------------------------------------------------------------
+
+def _samples_file(tmp_path, k_min=-2000, k_max=2000, h=PI):
+    path = tmp_path / "s.csv"
+    write_samples(path, UniformSamples.from_function(make_reference("fejer", 1.0),
+                                                     h, k_min, k_max))
+    return path
+
+
+def _sequence_file(tmp_path, n0=0, values=(1.0, -2.0)):
+    path = tmp_path / "q.csv"
+    write_sequence(path, SeqWindow(n0=n0, values=np.array(values)))
+    return path
+
+
+def _patch_sidecar(path, **fields):
+    meta = json.loads(sidecar_path(path).read_text())
+    meta.update(fields)
+    sidecar_path(path).write_text(json.dumps(meta))
+
+
+def _run(path, tmp_path):
+    out = tmp_path / "o.csv"
+    if path.name == "q.csv":
+        argv = ["dht", "--input", str(path), "--output", str(out), "--expand", "4"]
+    else:
+        argv = ["reconstruct", "--input", str(path), "--output", str(out), "--num", "5"]
+    code = main(argv)
+    return code, out
+
+
+class TestSidecarIndices:
+    @pytest.mark.parametrize("k_min", [1.5, True])
+    def test_non_integer_k_min_exit_2(self, k_min, tmp_path, capsys):
+        # int() read 1.5 and true as 1, the file's first index
+        path = _samples_file(tmp_path, k_min=1, k_max=4001, h=1.0)
+        _patch_sidecar(path, k_min=k_min)
+        code, out = _run(path, tmp_path)
+        assert code == 2 and not out.exists()
+        assert "'k_min'" in capsys.readouterr().err
+
+    def test_non_integer_sequence_fields_exit_2(self, tmp_path, capsys):
+        # int() read n0 = 0.9, len = 2.5 as the window 0..1
+        path = _sequence_file(tmp_path)
+        _patch_sidecar(path, n0=0.9, len=2.5)
+        code, out = _run(path, tmp_path)
+        assert code == 2 and not out.exists()
+        assert "'n0'" in capsys.readouterr().err
+
+    def test_integral_floats_stay_accepted(self, tmp_path):
+        path = _samples_file(tmp_path, k_min=3, k_max=4003, h=1.0)
+        _patch_sidecar(path, k_min=3.0, k_max=4003.0)
+        s = read_samples(path)
+        assert (s.k_min, s.k_max) == (3, 4003) and type(s.k_min) is int
+        seq = _sequence_file(tmp_path, n0=-1)
+        _patch_sidecar(seq, n0=-1.0, len=2.0)
+        a = read_sequence(seq)
+        assert (a.n0, len(a)) == (-1, 2) and type(a.n0) is int
+
+
+class TestSidecarNumbers:
+    @pytest.mark.parametrize("field, value", [
+        ("h", True), ("sigma", "0.5"), ("tail_decay", "2"), ("tail_bound", "1"),
+        ("sigma", math.inf), ("h", math.inf), ("sigma", None)])
+    def test_samples_exit_2_naming_the_field(self, field, value, tmp_path, capsys):
+        # the strings and the bool were read by float(); sigma = Infinity exited 3,
+        # "undersampled"
+        path = _samples_file(tmp_path, h=1.0)
+        _patch_sidecar(path, **{field: value})
+        code, out = _run(path, tmp_path)
+        assert code == 2 and not out.exists()
+        assert f"field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", False])
+    def test_sequence_tail_exit_2_naming_the_field(self, value, tmp_path, capsys):
+        path = _sequence_file(tmp_path)
+        _patch_sidecar(path, tail_l2=value)
+        code, out = _run(path, tmp_path)
+        assert code == 2 and not out.exists()
+        assert "field 'tail_l2'" in capsys.readouterr().err
+
+    def test_integer_numbers_stay_accepted(self, tmp_path):
+        path = _samples_file(tmp_path, h=1.0)
+        _patch_sidecar(path, sigma=1, h=1, tail_bound=1, tail_decay=0)
+        s = read_samples(path)
+        assert (s.sigma, s.h, s.tail_bound, s.tail_decay) == (1.0, 1.0, 1.0, 0.0)
+        assert all(type(v) is float for v in (s.sigma, s.h, s.tail_bound, s.tail_decay))
+
+
+class TestTwoCells:
+    @pytest.mark.parametrize("kind", ["samples", "sequence"])
+    def test_header_with_a_third_cell_exit_2(self, kind, tmp_path, capsys):
+        path = _samples_file(tmp_path) if kind == "samples" else _sequence_file(tmp_path)
+        name = "k" if kind == "samples" else "n"
+        text = path.read_text()
+        path.write_text(text.replace(f"{name},value", f"{name},value,x", 1))
+        code, out = _run(path, tmp_path)
+        assert code == 2 and not out.exists()
+        assert "expected header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [",junk", ",0.5", ","])
+    def test_row_with_a_third_cell_exit_2(self, extra, tmp_path, capsys):
+        path = _samples_file(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[10] = lines[10].rstrip("\n") + extra + "\n"
+        path.write_text("".join(lines))
+        code, out = _run(path, tmp_path)
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert f"{path}:11: bad row" in err
+        assert "usecols" not in err
+
+    def test_sequence_row_with_a_third_cell_exit_2(self, tmp_path, capsys):
+        path = _sequence_file(tmp_path, values=(1.0, -2.0, 0.5))
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].rstrip("\n") + ",junk\n"
+        path.write_text("".join(lines))
+        code, out = _run(path, tmp_path)
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert f"{path}:3: bad row" in err and "usecols" not in err
+
+    def test_row_with_one_cell_names_its_line(self, tmp_path, capsys):
+        path = _samples_file(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[10] = lines[10].split(",")[0] + "\n"
+        path.write_text("".join(lines))
+        assert _run(path, tmp_path)[0] == 2
+        err = capsys.readouterr().err
+        assert f"{path}:11: bad row" in err and "usecols" not in err
