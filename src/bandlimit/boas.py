@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ToleranceError
 from .grouporbit import _orbit_sum
 from .sampling import BandlimitedFn
-from .sinckernel import MAX_HALFWIDTH, _sharp_floor, coefficient_tail_bound
+from .sinckernel import MAX_HALFWIDTH, _check_order, _sharp_floor, coefficient_tail_bound
 
 _PI = math.pi
 _E = math.e
@@ -96,6 +96,7 @@ def _derivatives(f: BandlimitedFn, r: int, xs, tol: float,
     """f^(r) at every x in xs by the local orbit engine, and each point's
     certificate (module docstring): one call of f on a table of about 50
     translates per x at tol 1e-6, 2^17 entries at 2 400 points."""
+    r = _check_order(r)
     xs = np.asarray(xs, dtype=float).reshape(-1)
     if not np.all(np.isfinite(xs)):
         raise ValueError("evaluation point must be finite")

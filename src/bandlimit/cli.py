@@ -73,7 +73,7 @@ class RunConfig:
     suite: Optional[str] = None
     sigma: float = 1.0
     h: float = 1.0
-    order: int = 0
+    order: Optional[int] = None  # left out: 0 for differentiate, 1 for dht power
     t: float = 0.0
     tol: float = 1e-3
     seed: int = 0
@@ -99,6 +99,8 @@ def _echo(cfg: RunConfig, extra: Optional[Dict] = None) -> Dict:
     base = {"version": __version__, "command": cfg.command}
     for key in ("action", "input", "order", "t", "tol", "seed"):
         value = getattr(cfg, key, None)
+        if key == "order" and value is None:
+            value = 0  # a left-out --order echoes as 0
         if value is not None:
             base[key] = value
     if extra:
@@ -125,7 +127,7 @@ def cmd_differentiate(cfg: RunConfig) -> int:
     """Cardinal series of f^(r) at every grid point, with its tail."""
     s = read_samples(cfg.input)
     grid = _grid(cfg, s)
-    r = int(cfg.order)
+    r = cfg.order or 0
     if r < 0:
         raise InputFormatError("--order must be >= 0")
     values, tails = wks_eval_grid(s, r, grid, cfg.tol, with_tail=True)
@@ -154,7 +156,8 @@ def cmd_dht(cfg: RunConfig) -> int:
     elif cfg.action == "vt":
         out = hilbert_group(cfg.t, a, cfg.expand)
     elif cfg.action == "power":
-        extra["order"] = r = cfg.order or 1
+        # left out: H itself; an explicit 0 is refused by dht_power
+        extra["order"] = r = 1 if cfg.order is None else cfg.order
         out = dht_power(a, r, cfg.expand)
     else:
         raise InputFormatError(f"unknown dht action {cfg.action!r}")
@@ -422,7 +425,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             return cmd_verify(cfg)
         print(f"error: unknown command {cfg.command!r}", file=sys.stderr)
         return EXIT_INPUT
-    except (InputFormatError, FileNotFoundError) as exc:
+    except (InputFormatError, OSError) as exc:
+        # OSError: a path that is missing, a directory or unreadable; its
+        # message names the path
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ToleranceError, ReconstructionUnsoundError) as exc:

@@ -25,7 +25,9 @@ u = z/h: those with min(-k_min, k_max) >= 2|u|.
 The two whole-window sums, critical-rate reconstruction and
 Valiron/Tschakaloff, are taken by the lattice kernel
 :func:`~bandlimit.sinckernel._lattice_series` (one sine per point, and
-sinc^(m) only on the 2m+3 entries nearest to u).
+sinc^(m) only on the 2m+3 entries nearest to u; the far band of a long
+window at many real points from box expansions).  Derivative orders run
+0..20.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import numpy as np
 
 from .errors import ReconstructionUnsoundError, ToleranceError
 from .sinckernel import (
+    _check_order,
     _lattice_series,
     _local_series,
     _row_sums,
@@ -256,6 +259,7 @@ def wks_tail_bound(s: UniformSamples, m: int, x):
     per point; take their tail from ``wks_eval_grid(..., with_tail=True)``,
     not from here.
     """
+    m = _check_order(m)
     u = np.asarray(x, dtype=float) / s.h
     gap_left = u - s.k_min
     gap_right = s.k_max - u
@@ -308,14 +312,17 @@ def wks_eval_grid(s: UniformSamples, m: int, xs, tol: float, *,
     window can reach.  Samples at the critical rate need a decay
     certificate; they are summed over the whole stored window by
     :func:`~bandlimit.sinckernel._lattice_series`, and :func:`wks_tail_bound`
-    bounds the rest of the lattice.  Either way, at grid points x = k h the
-    stored sample is reproduced bit for bit (for m = 0).
+    bounds the rest of the lattice.  A call whose operation count favours
+    it (many points on a long window) takes the far band of that sum from
+    box expansions, each box's remainder below 2^-53 of its sum |f_k|, so
+    the tail is the same on both paths.  Either way, at grid points x = k h
+    the stored sample is reproduced bit for bit (for m = 0).  m runs
+    0..20; a larger order raises ValueError naming the range.
 
     Returns the values, or (values, tails) with ``with_tail``: the tails
     come from the same N as the values.
     """
-    if m < 0:
-        raise ValueError("derivative order must be >= 0")
+    m = _check_order(m)
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     xs = np.asarray(xs, dtype=float)

@@ -9,10 +9,11 @@ Function samples:   CSV header  k,value      sidecar {sigma, h, k_min, k_max,
 Sequence windows:   CSV header  n,value      sidecar {n0, len, tail_l2}
 
 The contract a file must meet to be read: the header and every row are
-exactly two cells, a row an integer index and a float value; the index
-fields (k_min, k_max, n0, len) are JSON integers or integral floats; every
-other field is a JSON number (not a bool or a string), and sigma and h are
-finite; the index column runs k_min..k_max, or n0..n0 + len - 1, one by one.
+exactly two cells, a row an integer index and a float value; the sidecar is
+a JSON object; the index fields (k_min, k_max, n0, len) are JSON integers or
+integral floats; every other field is a JSON number (not a bool or a
+string), and sigma and h are finite; no field is an integer too large for a
+float; the index column runs k_min..k_max, or n0..n0 + len - 1, one by one.
 A file that breaks it raises InputFormatError naming the line or the field
 (the CLI exits 2).
 
@@ -49,6 +50,7 @@ _SAMPLE_FIELDS = {"sigma": _FINITE, "h": _FINITE, "k_min": _INTEGER, "k_max": _I
                   "tail_bound": _NUMBER, "tail_decay": _NUMBER}
 _SEQUENCE_FIELDS = {"n0": _INTEGER, "len": _INTEGER, "tail_l2": _NUMBER}
 _DEFAULTS = {"tail_decay": 0.0}
+_FLOAT_MAX = int(np.finfo(float).max)
 
 
 def _load_sidecar(csv_path, fields: Dict[str, str]) -> Dict:
@@ -62,12 +64,19 @@ def _load_sidecar(csv_path, fields: Dict[str, str]) -> Dict:
         meta = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"sidecar {path} is not valid JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        got = {list: "an array", str: "a string", bool: "a boolean",
+               type(None): "null"}.get(type(meta), "a number")
+        raise InputFormatError(f"sidecar {path} must hold a JSON object, got {got}")
     out = {}
     for key, kind in fields.items():
         if key not in meta and key not in _DEFAULTS:
             raise InputFormatError(f"sidecar {path} lacks required field '{key}'")
         value = meta.get(key, _DEFAULTS.get(key))
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if number and isinstance(value, int) and abs(value) > _FLOAT_MAX:
+            raise InputFormatError(
+                f"sidecar {path}: field '{key}' is too large for a float")
         if kind == _INTEGER:
             ok = number and (isinstance(value, int) or value.is_integer())
         else:

@@ -21,7 +21,9 @@ series of sinc (see ``_SERIES_RADIUS``).
 On the integer lattice every entry of sum_k c_k sinc^(m)(u - k) shares one
 sine, sin(pi (u - k)) = (-1)^(n0 - k) sin(pi (u - n0)); ``_lattice_series``
 sums the whole-window series that way, with sinc^(m) itself only on the
-2m+3 entries nearest to u.
+2m+3 entries nearest to u, and for long windows at many points takes the
+far band from box expansions (``_box_moments``).  Every engine sums the
+derivative orders 0..MAX_ORDER (``_check_order``).
 
 For oversampled data the regularized kernel sinc(x) exp(-alpha x^2/N) is
 local: ``regularized_sinc_grid`` gives its derivatives,
@@ -237,10 +239,199 @@ def _row_sums(points: int, width: int, block_sums) -> np.ndarray:
     return out
 
 
+#: the largest derivative order any engine sums: _SERIES_TERMS and
+#: _WEIGHT_ERR hold for m <= 20 (and the box terms are derived up to it)
+MAX_ORDER = 20
+
+
+def _check_order(m: int) -> int:
+    """m as an int, or ValueError naming the range 0..MAX_ORDER."""
+    if not 0 <= m <= MAX_ORDER:
+        raise ValueError(f"derivative order must be in 0..{MAX_ORDER}, got {m}")
+    return int(m)
+
+
+#: box far field of _lattice_series: a point sums its own box of B lattice
+#: indices and _BOX_NEAR boxes on each side directly; every other box has
+#: its center at |u - center| >= (2 _BOX_NEAR + 1) R, R = B/2, so its
+#: expansion converges at the ratio R/|u - center| <= _BOX_RATIO
+_BOX_NEAR = 2
+_BOX_RATIO = 1.0 / (2 * _BOX_NEAR + 1)
+
+#: box sizes tried (each more than MAX_ORDER + 1, so a near band never
+#: leaves a point's direct rows), and the cost of one numpy call in
+#: element passes (one multiply over one entry: about 0.7 ns, and a call
+#: about 0.5-3 us, measured on blocks of 2^16 entries)
+_BOX_SIZES = tuple(1 << e for e in range(8, 16))
+_BOX_CALL = 1000
+
+
+@functools.cache
+def _box_terms(m: int) -> int:
+    """Least P with sum_{q >= P} C(m + q, q) rho^q <= 2^-53, rho = _BOX_RATIO.
+    The terms fall by the ratio (m + q + 1) rho/(q + 1) from term q on once
+    it is below 1, and that ratio falls with q, so the tail is at most its
+    first term over 1 minus its ratio."""
+    P = 1
+    while True:
+        ratio = (m + P + 1) * _BOX_RATIO / (P + 1)
+        if ratio < 1.0 and math.comb(m + P, P) * _BOX_RATIO ** P / (1.0 - ratio) <= _UNIT:
+            return P
+        P += 1
+
+
+def _box_vandermonde(B: int, P: int) -> np.ndarray:
+    """((i - (B - 1)/2)/R)^q, i < B, q < P, R = B/2: one box's offsets from
+    its center, in units of R, to the powers its moments take, each power
+    the last times y (|y| < 1, so a power of q carries at most q roundings
+    of itself)."""
+    y = (np.arange(B) - (B - 1) / 2.0) / (B / 2.0)
+    v = np.ones((B, P))
+    np.cumprod(np.broadcast_to(y[:, None], (B, P - 1)), axis=1, out=v[:, 1:])
+    return v
+
+
+def _box_plan(m: int, points: int, length: int):
+    """(B, P) for the box far field of :func:`_lattice_series`, at the B of
+    _BOX_SIZES with the least operation count, when that count is below the
+    direct sum's; else None.
+
+    The counts, in element passes, come from the call's shape alone (not
+    from the block size, so that no value depends on it).  Direct: 3 + 2m
+    passes per point and window entry (a subtraction, a division, a row sum
+    and a multiply and a sum per further power).  Box: 7 + 2m per point and
+    direct-row entry (the row's lattice indices and a gather on top), per
+    point and far box 5 passes and a P-step Horner sum of 2 passes a step
+    for each of the m + 1 orders, per window entry the moments (a matrix
+    product at about P/8 passes) and their set-up, and _BOX_CALL per numpy
+    call of the Horner loops."""
+    P = _box_terms(m)
+    direct = points * length * (3 + 2 * m)
+    best = None
+    for B in _BOX_SIZES:
+        boxes = -(-length // B)
+        if boxes <= 2 * _BOX_NEAR + 1:
+            break
+        cost = (points * ((2 * _BOX_NEAR + 1) * B * (7 + 2 * m)
+                          + boxes * (5 + (m + 1) * (2 * P + 4)))
+                + length * (P / 8 + 3) + _BOX_CALL * (50 + 2 * (m + 1) * P))
+        if best is None or cost < best[0]:
+            best = cost, B
+    if best is None or best[0] >= direct:
+        return None
+    return best[1], P
+
+
+def _add_far_moments(moments, d, a, at, t, m: int) -> None:
+    """moments[p] += each row's sum of a/d^(p+1), p = 0..m, for the offsets
+    d = u - k of a block of rows and the weights a = (-1)^k c_k, leaving
+    out the entries ``at`` (the near band): one division per entry and one
+    multiply per further power.  d is overwritten; t is scratch of d's
+    shape, and may be a itself."""
+    d[at] = 1.0  # zeroed below
+    np.divide(a, d, out=t)
+    t[at] = 0.0
+    moments[0] += np.sum(t, axis=1)
+    if m:
+        np.divide(1.0, d, out=d)
+    for p in range(1, m + 1):
+        t *= d
+        moments[p] += np.sum(t, axis=1)
+
+
+def _direct_moments(m: int, u, c, k_min: int, inside, col, r_dtype) -> np.ndarray:
+    """The far-band moments over the whole window, piece by piece
+    (_LATTICE_PIECE), each piece for a block of points; ``inside`` marks
+    the near-band entries in the window and ``col`` their window columns."""
+    moments = np.zeros((m + 1, u.size), dtype=r_dtype)
+    for lo in range(0, c.size, _LATTICE_PIECE):
+        a = c[lo:lo + _LATTICE_PIECE].copy()
+        a[(k_min + lo + 1) % 2::2] *= -1.0  # (-1)^k c_k
+        ks = np.arange(k_min + lo, k_min + lo + a.size, dtype=float)
+        rows = _block_rows(a.size)
+        d_rows = np.empty((min(rows, u.size), a.size), dtype=r_dtype)
+        t_rows = np.empty_like(d_rows)
+        for i in range(0, u.size, rows):
+            n = min(rows, u.size - i)
+            d = d_rows[:n]
+            np.subtract(u[i:i + n, None], ks, out=d)
+            j = col[i:i + n] - lo  # the block's near band, in piece columns
+            at = np.nonzero(inside[i:i + n] & (j >= 0) & (j < a.size))
+            _add_far_moments(moments[:, i:i + n], d, a, (at[0], j[at]), t_rows[:n], m)
+    return moments
+
+
+def _box_moments(m: int, u, n0, c, k_min: int, B: int, P: int) -> np.ndarray:
+    """The far-band moments of real points by boxes of B lattice indices.
+
+    Box b holds k = k_min + b B + i, i < B, about its center
+    k_min + b B + (B - 1)/2, with R = B/2.  A point whose n0 lies in box j
+    sums boxes j - _BOX_NEAR .. j + _BOX_NEAR entry by entry, as the direct
+    path does (u - k with k an exact integer-valued float, the near band
+    left out).  Every other box is at x = u - center with |R/x| <=
+    _BOX_RATIO, and with nu_q = sum_i (-1)^k c_k ((k - center)/R)^q, q < P,
+
+        sum_i (-1)^k c_k (u - k)^-p = x^-p sum_q C(p - 1 + q, q) nu_q (R/x)^q
+
+    to within sum_i |c_k| |x|^-p 2^-53 (:func:`_box_terms`), summed by
+    Horner's rule.  All the nu come from one matrix product with the
+    Vandermonde matrix every box shares."""
+    near_boxes = 2 * _BOX_NEAR + 1
+    width = near_boxes * B
+    boxes = -(-c.size // B)
+    # the window's (-1)^k c_k between near_boxes boxes of zeros on each side
+    a = np.zeros((boxes + 2 * near_boxes) * B)
+    a[width:width + c.size] = c
+    a[width + (k_min + 1) % 2:width + c.size:2] *= -1.0
+    nu = a[width:width + boxes * B].reshape(boxes, B) @ _box_vandermonde(B, P)
+    coef = np.array([[math.comb(p + q, q) for q in range(P)] for p in range(m + 1)],
+                    dtype=float)[:, :, None] * nu.T  # (m + 1, P, boxes)
+    own = np.clip(np.floor((n0 - k_min) / B), -_BOX_NEAR - 1, boxes + _BOX_NEAR)
+    moments = np.zeros((m + 1, u.size))
+    # direct rows, near_boxes boxes long: box own - _BOX_NEAR is box
+    # own + _BOX_NEAR + 1 of the padded window
+    first = (own + _BOX_NEAR + 1).astype(np.intp)
+    rows_of_a = np.lib.stride_tricks.as_strided(
+        a, shape=(boxes + near_boxes + 1, width), strides=(B * a.itemsize, a.itemsize),
+        writeable=False)
+    span = np.arange(width, dtype=float)
+    reach = np.arange(-m - 1, m + 2)
+    rows = _block_rows(width)
+    d_rows = np.empty((min(rows, u.size), width))
+    for i in range(0, u.size, rows):
+        b = slice(i, i + rows)
+        n = first[b].size
+        k0 = k_min + (first[b] - near_boxes) * float(B)  # each row's first k
+        d = np.add(k0[:, None], span, out=d_rows[:n])
+        np.subtract(u[b, None], d, out=d)
+        pos = (n0[b] - k0)[:, None] + reach  # the near band, in row columns
+        at = np.nonzero((pos >= 0) & (pos < width))
+        a_b = rows_of_a[first[b]]
+        _add_far_moments(moments[:, b], d, a_b, (at[0], pos[at].astype(np.intp)), a_b, m)
+    centers = k_min + B * np.arange(boxes) + (B - 1) / 2.0
+    rows = _block_rows(boxes)
+    for i in range(0, u.size, rows):
+        b = slice(i, i + rows)
+        far = np.abs(np.arange(boxes) - own[b, None]) > _BOX_NEAR
+        inv = np.divide(1.0, u[b, None] - centers, out=np.zeros(far.shape), where=far)
+        t = inv * (B / 2.0)
+        power = inv.copy()
+        for p in range(m + 1):
+            s = np.empty_like(t)
+            s[:] = coef[p, P - 1]
+            for q in range(P - 2, -1, -1):
+                s *= t
+                s += coef[p, q]
+            s *= power
+            moments[p, b] += np.sum(s, axis=1)
+            power *= inv
+    return moments
+
+
 def _lattice_series(m: int, u, c, k_min: int) -> np.ndarray:
     """sum_k c[k - k_min] sinc^(m)(u - k) over the lattice indices
     k_min <= k < k_min + len(c), for each point of the 1-D array u (real,
-    or complex for m = 0).
+    or complex for m = 0); m is at most MAX_ORDER.
 
     With n0 = round(Re u) and r = u - n0, every entry shares one sine:
     sin(pi (u - k)) = (-1)^(n0 - k) sin(pi r), and likewise the cosine.
@@ -258,11 +449,17 @@ def _lattice_series(m: int, u, c, k_min: int) -> np.ndarray:
     bit: sin(pi r) = 0 makes the far band exactly 0, and the node sits in
     the near band, so nothing is divided by 0.
 
-    The far band is summed piece by piece (_LATTICE_PIECE), each piece
-    for a block of points (:func:`_block_rows`) and each row on its own,
-    so a point's value depends neither on the other points of the call nor
-    on the block size.
+    The moments come from one of two paths, chosen by :func:`_box_plan`
+    from the number of points, the window length and m alone: the direct
+    sum over the whole window, piece by piece (_LATTICE_PIECE), or, for
+    real points where its operation count is lower, the box far field of
+    :func:`_box_moments`, which sums about (2 _BOX_NEAR + 1) B entries per
+    point and takes the rest from each box's P moments.  Complex points
+    take the direct path.  On either path each row is summed on its own,
+    so a point's value depends neither on the block size nor, once the path
+    is chosen, on the other points of the call.
     """
+    m = _check_order(m)
     u = np.asarray(u)
     c = np.asarray(c, dtype=float)
     n0 = np.rint(u.real)
@@ -273,30 +470,11 @@ def _lattice_series(m: int, u, c, k_min: int) -> np.ndarray:
     x = u[:, None] - band
     kern = sinc_grid(x) if np.iscomplexobj(x) else sinc_derivative_grid(m, x)
     near = np.sum(np.where(inside, c[col], 0.0) * kern, axis=1)
-    moments = np.zeros((m + 1, u.size), dtype=r.dtype)
-    for lo in range(0, c.size, _LATTICE_PIECE):
-        a = c[lo:lo + _LATTICE_PIECE].copy()
-        a[(k_min + lo + 1) % 2::2] *= -1.0  # (-1)^k c_k
-        ks = np.arange(k_min + lo, k_min + lo + a.size, dtype=float)
-        rows = _block_rows(a.size)
-        d_rows = np.empty((min(rows, u.size), a.size), dtype=r.dtype)
-        t_rows = np.empty_like(d_rows)
-        for i in range(0, u.size, rows):
-            n = min(rows, u.size - i)
-            d, t = d_rows[:n], t_rows[:n]
-            np.subtract(u[i:i + n, None], ks, out=d)
-            j = col[i:i + n] - lo  # the block's near band, in piece columns
-            at = np.nonzero(inside[i:i + n] & (j >= 0) & (j < a.size))
-            at = at[0], j[at]
-            d[at] = 1.0  # zeroed below
-            np.divide(a, d, out=t)
-            t[at] = 0.0
-            moments[0, i:i + n] += np.sum(t, axis=1)
-            if m:
-                np.divide(1.0, d, out=d)
-            for p in range(1, m + 1):
-                t *= d
-                moments[p, i:i + n] += np.sum(t, axis=1)
+    plan = None if np.iscomplexobj(u) else _box_plan(m, u.size, c.size)
+    if plan is None:
+        moments = _direct_moments(m, u, c, k_min, inside, col, r.dtype)
+    else:
+        moments = _box_moments(m, u, n0, c, k_min, *plan)
     sin_r, cos_r = np.sin(_PI * r), np.cos(_PI * r)
     far = np.zeros_like(moments[0])
     for j in range(m + 1):
@@ -558,6 +736,7 @@ def _local_series(r: int, u, alpha: float, bound: float, h: float, tol: float,
     bounds |f| on the line); certificate and N search count that times
     sum |w|.
     """
+    r = _check_order(r)
     u = _snap_grid(np.asarray(u, dtype=float).reshape(-1))
     n0 = np.rint(u)
     offset = u - n0

@@ -155,3 +155,38 @@ def test_every_hook_names_a_public_library_function():
         # Tracer.install wraps exactly these: public functions defined there
         assert (inspect.isfunction(fn) and not name.startswith("_")
                 and fn.__module__ == mod.__name__), qual
+
+
+def test_critical_rate_requests_take_their_pinned_path(workloads, tmp_path, monkeypatch):
+    # the full-size Fejer reconstruct of cli-sampled (40 001 samples, 101
+    # points) takes the box far field of the critical-rate sum, every row
+    # within its certified tail of the oracle; its 2 001-sample differentiate
+    # fejer and the Valiron-Tschakaloff requests of oracle-series (one point
+    # on 200 001 samples) take the direct sum
+    import bandlimit.sinckernel as sinckernel
+
+    taken = []
+    for name in ("_box_moments", "_direct_moments"):
+        def spy(*args, _fn=getattr(sinckernel, name), _name=name):
+            taken.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(sinckernel, name, spy)
+    wl = workloads.WORKLOADS["cli-sampled"](0, tmp_path / "cli")
+    by_label = {req.label: req for req in wl.requests()}
+    for label, path, order in (("reconstruct fejer N=40001", "_box_moments", 0),
+                               ("differentiate fejer N=2001 r=1", "_direct_moments", 1)):
+        req = by_label[label]
+        taken.clear()
+        err, _ = req.check(req.run())
+        assert taken == [path], (label, taken)
+        assert err <= req.tol, (label, err)
+        table = np.loadtxt(req.output, delimiter=",", skiprows=1, comments="#")
+        assert np.all(np.abs(table[:, 1] - wl.fejer(table[:, 0], order)) <= table[:, 2]), label
+    wl = workloads.WORKLOADS["oracle-series"](0, tmp_path / "oracle")
+    requests = [req for req in wl.requests() if req.kind == "valiron_tschakaloff_eval"]
+    assert len(requests) == 2
+    for req in requests:
+        taken.clear()
+        err, _ = req.check(req.run())
+        assert taken == ["_direct_moments"], (req.label, taken)
+        assert err <= req.tol, (req.label, err)

@@ -1,10 +1,13 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from bandlimit.cli import main
 from bandlimit.dht import SeqWindow
@@ -277,6 +280,74 @@ class TestFailures:
                      "--output", str(tmp_path / "o.csv")])
         assert code == 2
 
+    def test_directory_paths_exit_2(self, tmp_path, capsys):
+        # an input, output or sidecar path that is a directory: the message
+        # names it
+        src = tmp_path / "in.csv"
+        write_samples(src, UniformSamples.from_function(make_reference("fejer", 1.0),
+                                                        PI, -200, 200))
+        seq = tmp_path / "seq.csv"
+        write_sequence(seq, SeqWindow.basis(0))
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        lone = tmp_path / "lone.csv"  # a sequence whose sidecar is a directory
+        lone.write_text("n,value\r\n0,1.0\r\n")
+        sidecar_path(lone).mkdir()
+        out = str(tmp_path / "o.csv")
+        for argv, named in (
+                (["reconstruct", "--input", str(folder), "--output", out], folder),
+                (["differentiate", "--input", str(src), "--output", str(folder), "--num", "5"],
+                 folder),
+                (["dht", "--input", str(seq), "--output", str(folder)], folder),
+                (["dht", "--input", str(lone), "--output", out], sidecar_path(lone))):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "internal" not in err and str(named) in err, err
+
+    @pytest.mark.parametrize("text", ["5", "[1, 2]", "\"n0\"", "null", "true"])
+    def test_sidecar_that_is_not_an_object_exit_2(self, basis_sequence_file, tmp_path, text,
+                                                  capsys):
+        sidecar_path(basis_sequence_file).write_text(text)
+        out = tmp_path / "o.csv"
+        assert main(["dht", "--input", str(basis_sequence_file), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "internal" not in err and str(sidecar_path(basis_sequence_file)) in err
+        assert "JSON object" in err and not out.exists()
+
+    @pytest.mark.parametrize("command, field", [
+        ("dht", "tail_l2"), ("reconstruct", "tail_bound"), ("reconstruct", "sigma"),
+        ("reconstruct", "k_min")])
+    def test_sidecar_integer_too_large_for_a_float_exit_2(self, command, field, tmp_path,
+                                                          capsys):
+        path = tmp_path / "in.csv"
+        if command == "dht":
+            write_sequence(path, SeqWindow.basis(0))
+        else:
+            write_samples(path, UniformSamples.from_function(make_reference("fejer", 1.0),
+                                                             PI, -200, 200))
+        sidecar = sidecar_path(path)
+        text = sidecar.read_text()
+        meta = json.loads(text)
+        sidecar.write_text(text.replace(f'"{field}": {json.dumps(meta[field])}',
+                                        f'"{field}": 1' + "0" * 400))
+        out = tmp_path / "o.csv"
+        assert main([command, "--input", str(path), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "internal" not in err and f"'{field}'" in err and not out.exists()
+
+    @pytest.mark.parametrize("order", ["21", "171", "1000"])
+    @pytest.mark.parametrize("rate", ["critical", "oversampled"])
+    def test_derivative_order_above_20_exit_2(self, order, rate, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        kind, h = ("fejer", PI) if rate == "critical" else ("sin", PI / 2)
+        write_samples(path, UniformSamples.from_function(make_reference(kind, 1.0), h,
+                                                         -400, 400))
+        out = tmp_path / "o.csv"
+        assert main(["differentiate", "--input", str(path), "--output", str(out),
+                     "--order", order, "--tol", "1e3", "--num", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "internal" not in err and "0..20" in err and not out.exists()
+
 
 class TestDht:
     def test_orbit_integer_exact(self, basis_sequence_file, tmp_path):
@@ -323,10 +394,15 @@ class TestDht:
             out = tmp_path / f"p{order}.csv"
             argv = ["dht", "--action", "power", "--expand", "20",
                     "--input", str(path), "--output", str(out)]
-            assert main(argv + (["--order", order] if order else [])) == 0
+            code = main(argv + (["--order", order] if order else []))
+            if order == "0":
+                # an explicit 0 is refused, not read as a flag left out
+                assert code == 2 and not out.exists()
+                continue
+            assert code == 0
             runs[order] = (read_footer(out)["order"], read_sequence(out).values)
-        # no order and order 0 both mean H: the footer says 1
-        for order in (None, "0", "1"):
+        # no order means H: the footer says 1
+        for order in (None, "1"):
             assert runs[order][0] == "1"
             assert np.array_equal(runs[order][1], runs["1"][1])
         assert runs["2"][0] == "2" and not np.array_equal(runs["2"][1], runs["1"][1])
@@ -636,3 +712,93 @@ class TestFlags:
                 main([command] + base + extra)
             assert exc.value.code == 2, extra
             assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """Well-formed sample and sequence files, and malformed ones: a bad row,
+    sidecars that are missing, not an object, or hold an integer too large
+    for a float, a directory, and a path that does not exist."""
+    root = tmp_path_factory.mktemp("cli-inputs")
+    write_samples(root / "fejer.csv", UniformSamples.from_function(
+        make_reference("fejer", 1.0), PI, -300, 300))
+    write_samples(root / "sine.csv", UniformSamples.from_function(
+        make_reference("sin", 1.0, phase=0.3), PI / 2, -300, 300))
+    write_sequence(root / "seq.csv", SeqWindow(
+        n0=-8, values=np.random.default_rng(0).standard_normal(17)))
+    paths = {name: root / f"{name}.csv" for name in ("fejer", "sine", "seq")}
+    for name, base in (("bad_row", "seq"), ("not_object", "seq"), ("huge_int", "fejer"),
+                       ("no_sidecar", "sine")):
+        path = root / f"{name}.csv"
+        path.write_text(paths[base].read_text())
+        sidecar = sidecar_path(paths[base]).read_text()
+        paths[name] = path
+        if name == "bad_row":
+            path.write_text(path.read_text().replace("\n-2,", "\n-2,x", 1))
+        elif name == "not_object":
+            sidecar = "5"
+        elif name == "huge_int":
+            sidecar = sidecar.replace('"tail_bound": ', '"tail_bound": 1' + "0" * 400 + ", \"x\": ")
+        if name != "no_sidecar":
+            sidecar_path(path).write_text(sidecar)
+    (root / "folder").mkdir()
+    paths["folder"] = root / "folder"
+    paths["missing"] = root / "missing.csv"
+    return root, paths
+
+
+FLOATS = ["0", "1", "-1", "1e-3", "1e300", "-1e300", "nan", "inf", "-inf"]
+INTS = ["0", "1", "-1", "2", "21", "171", "10000000000000000000000", "nan"]
+
+
+class TestNoInternalError:
+    """Aim 3's contract on any command line: exit 0, 1, 2 or 3, never the
+    'error: internal' safety net; dht power writes no output when it fails."""
+
+    @staticmethod
+    def flags(draw, command, paths):
+        def maybe(flag, values):
+            value = draw(st.one_of(st.none(), st.sampled_from(values)))
+            return [] if value is None else [flag, value]
+
+        good = ["seq"] if command == "dht" else ["fejer", "sine"]
+        name = draw(st.one_of(st.sampled_from(good), st.sampled_from(sorted(paths))))
+        if command == "verify":
+            return (["--suite", draw(st.sampled_from(
+                ["favard", "pp", "lks", "bernstein", "group", "dht-law", "none"]))]
+                + maybe("--sigma", FLOATS) + maybe("--h", FLOATS)
+                + maybe("--seed", INTS) + maybe("--format", ["text", "json"]))
+        argv = ["--input", str(paths[name])]
+        if command == "dht":
+            return (argv + maybe("--action", ["apply", "orbit", "power", "vt"])
+                    + maybe("--t", FLOATS) + maybe("--order", INTS)
+                    + maybe("--tol", FLOATS) + maybe("--expand", ["0", "1", "-1", "4", "100000000000"]))
+        argv += maybe("--tol", FLOATS + ["10", "1e-12"]) + maybe("--xmin", FLOATS + ["-100"])
+        argv += maybe("--xmax", FLOATS + ["100"]) + maybe("--num", ["0", "1", "2", "5", "-1"])
+        return argv + (maybe("--order", INTS) if command == "differentiate" else [])
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_every_failure_has_its_exit_code(self, cli_inputs, data):
+        root, paths = cli_inputs
+        command = data.draw(st.sampled_from(["differentiate", "reconstruct", "dht", "verify"]))
+        argv = [command] + self.flags(data.draw, command, paths)
+        out = data.draw(st.one_of(st.just(root / "out.csv"), st.sampled_from(
+            [paths["folder"], root / "absent" / "out.csv"])))
+        if command != "verify":
+            argv += ["--output", str(out)]
+        for path in (root / "out.csv", root / "out.json"):
+            path.unlink(missing_ok=True)
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: a flag it cannot parse
+                code = exc.code
+        event(f"{command} exit {code}")
+        assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+        assert "internal" not in err.getvalue(), (argv, err.getvalue())
+        if command == "dht" and "power" in argv and code != 0:
+            assert not (root / "out.csv").exists(), argv

@@ -3,6 +3,7 @@ import functools
 import math
 import tracemalloc
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict
 
 import mpmath as mp
@@ -10,10 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bandlimit.boas import truncation_halfwidth
+from bandlimit.boas import boas_derivative, truncation_halfwidth
 from bandlimit.errors import ToleranceError
 from bandlimit.grouporbit import _weighted_sum
-from bandlimit.sampling import UniformSamples, make_reference, wks_eval_grid
+from bandlimit.sampling import UniformSamples, make_reference, wks_eval_grid, wks_tail_bound
 import bandlimit.sinckernel as sinckernel
 from bandlimit.sinckernel import (
     MAX_HALFWIDTH,
@@ -564,7 +565,7 @@ class TestLatticeSeries:
 class TestNearBandAcrossPieces:
     """Each block marks its points' near bands in the far-band piece it
     sums: bands that straddle a piece boundary, or are clipped at a window
-    edge, give every point the value it has alone."""
+    edge, give every point the value it has alone on the same path."""
 
     K = 70_000  # pieces start at k = -70 000, -4 464 and 61 072
     REAL = np.array([-4464.0, -4464.3, -4463.5, -4461.2, -4467.9, 61072.0, 61071.6,
@@ -578,7 +579,11 @@ class TestNearBandAcrossPieces:
         return np.random.default_rng(23).standard_normal(2 * TestNearBandAcrossPieces.K + 1)
 
     @staticmethod
-    def one_by_one(m, u, c, k_min):
+    def one_by_one(monkeypatch, m, u, c, k_min):
+        # each point alone, on the path that the call of all of them took:
+        # the path follows the number of points
+        plan = None if np.iscomplexobj(u) else sinckernel._box_plan(m, u.size, c.size)
+        monkeypatch.setattr(sinckernel, "_box_plan", lambda *shape: plan)
         return np.concatenate([_lattice_series(m, u[i:i + 1], c, k_min) for i in range(u.size)])
 
     @pytest.mark.parametrize("entries", [None, 1 << 19])
@@ -589,7 +594,7 @@ class TestNearBandAcrossPieces:
         if entries:
             monkeypatch.setattr(sinckernel, "_BLOCK_ENTRIES", entries)
         got = _lattice_series(m, self.REAL, c, k_min)
-        assert got.tobytes() == self.one_by_one(m, self.REAL, c, k_min).tobytes()
+        assert got.tobytes() == self.one_by_one(monkeypatch, m, self.REAL, c, k_min).tobytes()
         assert np.all(np.abs(got - termwise_window_sum(m, self.REAL, c, k_min))
                       <= termwise_slack(m, self.REAL, c, k_min))
         if m == 0:
@@ -602,11 +607,168 @@ class TestNearBandAcrossPieces:
         if entries:
             monkeypatch.setattr(sinckernel, "_BLOCK_ENTRIES", entries)
         got = _lattice_series(0, self.COMPLEX, c, k_min)
-        assert got.tobytes() == self.one_by_one(0, self.COMPLEX, c, k_min).tobytes()
+        assert got.tobytes() == self.one_by_one(monkeypatch, 0, self.COMPLEX, c, k_min).tobytes()
         ks = np.arange(k_min, self.K + 1, dtype=float)
         want = np.sum(sinc_grid(self.COMPLEX[:, None] - ks) * c, axis=1)
         # the termwise rounding of the real parts, grown by e^(pi |Im u|) < 2
         assert np.all(np.abs(got - want) <= 2 * termwise_slack(0, self.COMPLEX.real, c, k_min))
+
+
+class TestBoxFarField:
+    """The box path of _lattice_series: a point sums the boxes within
+    _BOX_NEAR of its own entry by entry, and every other box from its P
+    moments, within the ulp bounds of the direct path."""
+
+    @staticmethod
+    def on_boxes(monkeypatch, B):
+        # the box path at box size B, whatever the call's shape
+        monkeypatch.setattr(sinckernel, "_box_plan",
+                            lambda m, points, length: (B, sinckernel._box_terms(m)))
+
+    @staticmethod
+    def points(k_min, k_max, B, m):
+        # both sides of every box edge, the window edges, nodes and points
+        # near them, and points outside the window, near and far
+        edges = k_min + B * np.arange(1, (k_max - k_min) // B + 1, dtype=float)
+        gap = max(2, m)
+        inner = np.arange(k_min + gap, k_max - gap, 37, dtype=float)
+        return np.concatenate([
+            edges, edges - 1, edges - 0.5, edges + 0.5, edges - 0.4999999,
+            [k_min, k_max, k_min + gap, k_max - gap, k_min + gap + 0.3, k_max - gap - 0.3,
+             k_min - 1.5, k_max + 3.0, k_min - 5 * B - 0.25, k_max + 9.5 * B, k_min - 40.0 * B],
+            inner, inner + 1e-9, inner - 1e-9, inner + 0.25])
+
+    @pytest.mark.parametrize("B", [64, 128])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+    def test_matches_termwise_oracle(self, monkeypatch, m, B):
+        rng = np.random.default_rng(5)
+        self.on_boxes(monkeypatch, B)
+        for k_min, k_max in ((-700, 700), (-150, 1900)):  # symmetric and lopsided
+            ks = np.arange(k_min, k_max + 1, dtype=float)
+            u = self.points(k_min, k_max, B, m)
+            for c in (rng.standard_normal(ks.size), 1.0 / (1.0 + ks * ks)):
+                got = _lattice_series(m, u, c, k_min)
+                assert np.all(np.abs(got - termwise_window_sum(m, u, c, k_min))
+                              <= termwise_slack(m, u, c, k_min))
+                if m == 0:
+                    nodes = (u == np.rint(u)) & (u >= k_min) & (u <= k_max)
+                    assert np.array_equal(got[nodes], c[(u[nodes] - k_min).astype(int)])
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+    def test_within_ulps_of_mpmath(self, monkeypatch, m):
+        # the 80-digit closed form, within the 8 ulps of sum_k |c_k
+        # sinc^(m)(u - k)| of the direct path
+        self.on_boxes(monkeypatch, 64)
+        k_min, k_max = -200, 420
+        ks = np.arange(k_min, k_max + 1, dtype=float)
+        c = 1.0 / (1.0 + ks * ks)
+        u = np.array([16.5, 63.999999999, -72.000000001, 0.25, k_max - max(2, m) - 0.3,
+                      k_min + 2.5, 3 * 64 + k_min - 0.5])
+        got = _lattice_series(m, u, c, k_min)
+        mag = np.sum(np.abs(c * sinc_derivative_grid(m, u[:, None] - ks)), axis=1)
+        with mp.workdps(80):
+            want = [float(mp.fsum(mp.mpf(ci) * closed_sinc_derivative_mp(m, mp.mpf(ui) - int(k))
+                                  for ci, k in zip(c, ks))) for ui in u]
+        assert np.all(np.abs(got - want) <= 8 * EPS * mag), np.abs(got - want) / (EPS * mag)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+    def test_across_pieces_many_points_as_one(self, monkeypatch, m):
+        # the windows and points of TestNearBandAcrossPieces: a box path
+        # sums no piece, and each point's value is the one it has alone
+        self.on_boxes(monkeypatch, 256)
+        c, k_min = TestNearBandAcrossPieces.window(), -TestNearBandAcrossPieces.K
+        u = TestNearBandAcrossPieces.REAL
+        got = _lattice_series(m, u, c, k_min)
+        alone = np.concatenate([_lattice_series(m, u[i:i + 1], c, k_min) for i in range(u.size)])
+        assert got.tobytes() == alone.tobytes()
+        assert np.all(np.abs(got - termwise_window_sum(m, u, c, k_min))
+                      <= termwise_slack(m, u, c, k_min))
+
+    @pytest.mark.parametrize("entries", [12, 64])
+    def test_values_ignore_the_block_size(self, monkeypatch, entries):
+        self.on_boxes(monkeypatch, 64)
+        k_min, c = -700, np.random.default_rng(8).standard_normal(1401)
+        u = self.points(-700, 700, 64, 2)
+        want = [_lattice_series(m, u, c, k_min) for m in (0, 2)]
+        monkeypatch.setattr(sinckernel, "_BLOCK_ENTRIES", entries)
+        for m, w in zip((0, 2), want):
+            assert _lattice_series(m, u, c, k_min).tobytes() == w.tobytes()
+
+    def test_complex_points_take_the_direct_path(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sinckernel, "_box_moments", lambda *args: calls.append(args))
+        c = np.random.default_rng(2).standard_normal(40_001)
+        u = np.linspace(-900.0, 900.0, 200) + 0.3j
+        _lattice_series(0, u, c, -20_000)
+        assert calls == []
+
+    def test_the_operation_count_picks_the_path(self):
+        plan = sinckernel._box_plan
+        # 101 points on a 40 001-sample window: boxes; on a 2 001-sample
+        # window, and one point on 200 001 samples: the direct sum
+        assert plan(0, 101, 40_001) is not None
+        assert plan(1, 101, 2_001) is None and plan(0, 1500, 2_001) is None
+        assert plan(0, 1, 200_001) is None
+        # each box size leaves a near band inside a point's direct rows
+        assert min(sinckernel._BOX_SIZES) > sinckernel.MAX_ORDER + 1
+        for m in range(sinckernel.MAX_ORDER + 1):
+            B, P = plan(m, 10_000, 40_001)
+            assert P == sinckernel._box_terms(m)
+
+    @pytest.mark.parametrize("m", range(0, 21))
+    def test_box_terms_leave_at_most_2_to_the_minus_53(self, m):
+        # sum_{q >= P} C(m + q, q) rho^q, exactly: (1 - rho)^-(m+1) minus
+        # the first P terms
+        rho = Fraction(1, 2 * sinckernel._BOX_NEAR + 1)
+        P = sinckernel._box_terms(m)
+        head = sum(math.comb(m + q, q) * rho ** q for q in range(P))
+        assert (1 - rho) ** -(m + 1) - head <= Fraction(1, 2 ** 53)
+        assert sinckernel._BOX_RATIO == float(rho)
+
+    @pytest.mark.parametrize("m", [0, 4, 20])
+    def test_expansion_of_a_box_at_the_nearest_far_center(self, m):
+        # one box of B = 16 indices at |x| = 5R, in exact arithmetic: the
+        # truncated expansion of sum_i a_i (x - y_i)^-p, p = 1..m+1, is
+        # within 2^-53 sum|a_i| |x|^-p of it
+        B, P = 16, sinckernel._box_terms(m)
+        R = mp.mpf(B) / 2
+        a = np.random.default_rng(m).standard_normal(B)
+        with mp.workdps(60):
+            y = [mp.mpf(i) - mp.mpf(B - 1) / 2 for i in range(B)]
+            for x in (5 * R, -5 * R, 5 * R + mp.mpf(1) / 3):
+                nu = [mp.fsum(mp.mpf(ai) * (yi / R) ** q for ai, yi in zip(a, y))
+                      for q in range(P)]
+                for p in range(1, m + 2):
+                    exact = mp.fsum(mp.mpf(ai) / (x - yi) ** p for ai, yi in zip(a, y))
+                    series = mp.fsum(math.comb(p - 1 + q, q) * nu[q] * (R / x) ** q
+                                     for q in range(P)) / x ** p
+                    assert abs(series - exact) <= 2.0 ** -53 * np.sum(np.abs(a)) / abs(x) ** p
+
+
+class TestDerivativeOrderRange:
+    """Every engine sums derivative orders 0..20 and refuses the others by
+    one rule, with a ValueError that names the range."""
+
+    def test_engines_refuse_order_21(self):
+        s = UniformSamples.from_function(make_reference("fejer", 1.0), PI, -2000, 2000)
+        over = UniformSamples.from_function(make_reference("sin", 1.0), PI / 2, -2000, 2000)
+        sin = make_reference("sin", 1.0)
+        calls = [lambda: _lattice_series(21, np.array([0.3]), np.ones(5), -2),
+                 lambda: _local_series(21, [0.3], PI / 4, 1.0, 0.5, 1e-3),
+                 lambda: wks_eval_grid(s, 21, [1.0], 1e-3),
+                 lambda: wks_eval_grid(over, 171, [1.0], 1e-3),
+                 lambda: wks_tail_bound(s, 1000, 1.0),
+                 lambda: boas_derivative(sin, 170, 0.7),
+                 lambda: boas_derivative(sin, 21, 0.7, k_terms=8)]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"0\.\.20"):
+                call()
+
+    def test_order_20_is_summed(self):
+        s = UniformSamples.from_function(make_reference("fejer", 1.0), PI, -2000, 2000)
+        assert np.all(np.isfinite(wks_eval_grid(s, 20, [1.0, 2.5], 10.0)))
+        assert np.all(np.isfinite(_lattice_series(20, np.linspace(-900, 900, 300),
+                                                  np.ones(40_001), -20_000)))
 
 
 class TestBlockSize:
