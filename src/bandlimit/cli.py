@@ -73,7 +73,7 @@ class RunConfig:
     suite: Optional[str] = None
     sigma: float = 1.0
     h: float = 1.0
-    order: Optional[int] = None  # left out: 0 for differentiate, 1 for dht power
+    order: Optional[int] = None
     t: float = 0.0
     tol: float = 1e-3
     seed: int = 0
@@ -84,6 +84,10 @@ class RunConfig:
     expand: Optional[int] = None
 
     def __post_init__(self):
+        if self.order is None:
+            # left out: H itself for dht power, else 0; an explicit dht
+            # power order 0 is refused by dht_power
+            self.order = 1 if self.action == "power" else 0
         if not self.tol > 0.0:
             raise ValueError("--tol must be positive")
         # the verify suites run in this range (pp skips h sigma outside [1e-2, pi]);
@@ -99,8 +103,6 @@ def _echo(cfg: RunConfig, extra: Optional[Dict] = None) -> Dict:
     base = {"version": __version__, "command": cfg.command}
     for key in ("action", "input", "order", "t", "tol", "seed"):
         value = getattr(cfg, key, None)
-        if key == "order" and value is None:
-            value = 0  # a left-out --order echoes as 0
         if value is not None:
             base[key] = value
     if extra:
@@ -127,7 +129,7 @@ def cmd_differentiate(cfg: RunConfig) -> int:
     """Cardinal series of f^(r) at every grid point, with its tail."""
     s = read_samples(cfg.input)
     grid = _grid(cfg, s)
-    r = cfg.order or 0
+    r = int(cfg.order)
     if r < 0:
         raise InputFormatError("--order must be >= 0")
     values, tails = wks_eval_grid(s, r, grid, cfg.tol, with_tail=True)
@@ -156,9 +158,7 @@ def cmd_dht(cfg: RunConfig) -> int:
     elif cfg.action == "vt":
         out = hilbert_group(cfg.t, a, cfg.expand)
     elif cfg.action == "power":
-        # left out: H itself; an explicit 0 is refused by dht_power
-        extra["order"] = r = 1 if cfg.order is None else cfg.order
-        out = dht_power(a, r, cfg.expand)
+        out = dht_power(a, cfg.order, cfg.expand)
     else:
         raise InputFormatError(f"unknown dht action {cfg.action!r}")
     write_sequence(cfg.output, out, _echo(cfg, extra))

@@ -258,11 +258,11 @@ def _check_order(m: int) -> int:
 _BOX_NEAR = 2
 _BOX_RATIO = 1.0 / (2 * _BOX_NEAR + 1)
 
-#: box sizes tried (each more than MAX_ORDER + 1, so a near band never
+#: lattice indices per box (more than MAX_ORDER + 1, so a near band never
 #: leaves a point's direct rows), and the cost of one numpy call in
 #: element passes (one multiply over one entry: about 0.7 ns, and a call
 #: about 0.5-3 us, measured on blocks of 2^16 entries)
-_BOX_SIZES = tuple(1 << e for e in range(8, 16))
+_BOX_SIZE = 256
 _BOX_CALL = 1000
 
 
@@ -280,46 +280,26 @@ def _box_terms(m: int) -> int:
         P += 1
 
 
-def _box_vandermonde(B: int, P: int) -> np.ndarray:
-    """((i - (B - 1)/2)/R)^q, i < B, q < P, R = B/2: one box's offsets from
-    its center, in units of R, to the powers its moments take, each power
-    the last times y (|y| < 1, so a power of q carries at most q roundings
-    of itself)."""
-    y = (np.arange(B) - (B - 1) / 2.0) / (B / 2.0)
-    v = np.ones((B, P))
-    np.cumprod(np.broadcast_to(y[:, None], (B, P - 1)), axis=1, out=v[:, 1:])
-    return v
+def _box_path(m: int, points: int, length: int) -> bool:
+    """Whether the box far field of :func:`_lattice_series` takes fewer
+    element passes than the direct sum, for boxes of _BOX_SIZE indices.
 
-
-def _box_plan(m: int, points: int, length: int):
-    """(B, P) for the box far field of :func:`_lattice_series`, at the B of
-    _BOX_SIZES with the least operation count, when that count is below the
-    direct sum's; else None.
-
-    The counts, in element passes, come from the call's shape alone (not
-    from the block size, so that no value depends on it).  Direct: 3 + 2m
-    passes per point and window entry (a subtraction, a division, a row sum
-    and a multiply and a sum per further power).  Box: 7 + 2m per point and
-    direct-row entry (the row's lattice indices and a gather on top), per
-    point and far box 5 passes and a P-step Horner sum of 2 passes a step
-    for each of the m + 1 orders, per window entry the moments (a matrix
-    product at about P/8 passes) and their set-up, and _BOX_CALL per numpy
-    call of the Horner loops."""
-    P = _box_terms(m)
-    direct = points * length * (3 + 2 * m)
-    best = None
-    for B in _BOX_SIZES:
-        boxes = -(-length // B)
-        if boxes <= 2 * _BOX_NEAR + 1:
-            break
-        cost = (points * ((2 * _BOX_NEAR + 1) * B * (7 + 2 * m)
-                          + boxes * (5 + (m + 1) * (2 * P + 4)))
-                + length * (P / 8 + 3) + _BOX_CALL * (50 + 2 * (m + 1) * P))
-        if best is None or cost < best[0]:
-            best = cost, B
-    if best is None or best[0] >= direct:
-        return None
-    return best[1], P
+    The counts come from the call's shape alone (not from the block size,
+    so that no value depends on it).  Direct: 3 + 2m passes per point and
+    window entry (a subtraction, a division, a row sum and a multiply and a
+    sum per further power).  Box: 7 + 2m per point and direct-row entry
+    (the row's lattice indices and a gather on top), per point and far box
+    5 passes and a P-step Horner sum of 2 passes a step for each of the
+    m + 1 orders, per window entry 2P + 3 for the moments and their set-up,
+    and _BOX_CALL per numpy call."""
+    B, P = _BOX_SIZE, _box_terms(m)
+    boxes = -(-length // B)
+    if boxes <= 2 * _BOX_NEAR + 1:
+        return False
+    box = (points * ((2 * _BOX_NEAR + 1) * B * (7 + 2 * m)
+                     + boxes * (5 + (m + 1) * (2 * P + 4)))
+           + length * (2 * P + 3) + _BOX_CALL * (50 + (2 * m + 4) * P))
+    return box < points * length * (3 + 2 * m)
 
 
 def _add_far_moments(moments, d, a, at, t, m: int) -> None:
@@ -361,8 +341,9 @@ def _direct_moments(m: int, u, c, k_min: int, inside, col, r_dtype) -> np.ndarra
     return moments
 
 
-def _box_moments(m: int, u, n0, c, k_min: int, B: int, P: int) -> np.ndarray:
-    """The far-band moments of real points by boxes of B lattice indices.
+def _box_moments(m: int, u, n0, c, k_min: int) -> np.ndarray:
+    """The far-band moments of real points by boxes of B = _BOX_SIZE lattice
+    indices.
 
     Box b holds k = k_min + b B + i, i < B, about its center
     k_min + b B + (B - 1)/2, with R = B/2.  A point whose n0 lies in box j
@@ -374,8 +355,11 @@ def _box_moments(m: int, u, n0, c, k_min: int, B: int, P: int) -> np.ndarray:
         sum_i (-1)^k c_k (u - k)^-p = x^-p sum_q C(p - 1 + q, q) nu_q (R/x)^q
 
     to within sum_i |c_k| |x|^-p 2^-53 (:func:`_box_terms`), summed by
-    Horner's rule.  All the nu come from one matrix product with the
-    Vandermonde matrix every box shares."""
+    Horner's rule.  Each nu_q is a row sum of the boxes' entries times
+    y^q, y = (k - center)/R, the powers taken by running products: a fixed
+    summation order, which a matrix product (its order set by the BLAS
+    build) would not give."""
+    B, P = _BOX_SIZE, _box_terms(m)
     near_boxes = 2 * _BOX_NEAR + 1
     width = near_boxes * B
     boxes = -(-c.size // B)
@@ -383,9 +367,14 @@ def _box_moments(m: int, u, n0, c, k_min: int, B: int, P: int) -> np.ndarray:
     a = np.zeros((boxes + 2 * near_boxes) * B)
     a[width:width + c.size] = c
     a[width + (k_min + 1) % 2:width + c.size:2] *= -1.0
-    nu = a[width:width + boxes * B].reshape(boxes, B) @ _box_vandermonde(B, P)
+    terms = a[width:width + boxes * B].reshape(boxes, B).copy()
+    y = (np.arange(B) - (B - 1) / 2.0) / (B / 2.0)
+    nu = np.empty((P, boxes))
+    for q in range(P):
+        nu[q] = np.sum(terms, axis=1)
+        terms *= y
     coef = np.array([[math.comb(p + q, q) for q in range(P)] for p in range(m + 1)],
-                    dtype=float)[:, :, None] * nu.T  # (m + 1, P, boxes)
+                    dtype=float)[:, :, None] * nu  # (m + 1, P, boxes)
     own = np.clip(np.floor((n0 - k_min) / B), -_BOX_NEAR - 1, boxes + _BOX_NEAR)
     moments = np.zeros((m + 1, u.size))
     # direct rows, near_boxes boxes long: box own - _BOX_NEAR is box
@@ -449,11 +438,11 @@ def _lattice_series(m: int, u, c, k_min: int) -> np.ndarray:
     bit: sin(pi r) = 0 makes the far band exactly 0, and the node sits in
     the near band, so nothing is divided by 0.
 
-    The moments come from one of two paths, chosen by :func:`_box_plan`
+    The moments come from one of two paths, chosen by :func:`_box_path`
     from the number of points, the window length and m alone: the direct
     sum over the whole window, piece by piece (_LATTICE_PIECE), or, for
     real points where its operation count is lower, the box far field of
-    :func:`_box_moments`, which sums about (2 _BOX_NEAR + 1) B entries per
+    :func:`_box_moments`, which sums (2 _BOX_NEAR + 1) _BOX_SIZE entries per
     point and takes the rest from each box's P moments.  Complex points
     take the direct path.  On either path each row is summed on its own,
     so a point's value depends neither on the block size nor, once the path
@@ -470,11 +459,10 @@ def _lattice_series(m: int, u, c, k_min: int) -> np.ndarray:
     x = u[:, None] - band
     kern = sinc_grid(x) if np.iscomplexobj(x) else sinc_derivative_grid(m, x)
     near = np.sum(np.where(inside, c[col], 0.0) * kern, axis=1)
-    plan = None if np.iscomplexobj(u) else _box_plan(m, u.size, c.size)
-    if plan is None:
-        moments = _direct_moments(m, u, c, k_min, inside, col, r.dtype)
+    if not np.iscomplexobj(u) and _box_path(m, u.size, c.size):
+        moments = _box_moments(m, u, n0, c, k_min)
     else:
-        moments = _box_moments(m, u, n0, c, k_min, *plan)
+        moments = _direct_moments(m, u, c, k_min, inside, col, r.dtype)
     sin_r, cos_r = np.sin(_PI * r), np.cos(_PI * r)
     far = np.zeros_like(moments[0])
     for j in range(m + 1):

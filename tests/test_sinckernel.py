@@ -565,7 +565,7 @@ class TestLatticeSeries:
 class TestNearBandAcrossPieces:
     """Each block marks its points' near bands in the far-band piece it
     sums: bands that straddle a piece boundary, or are clipped at a window
-    edge, give every point the value it has alone on the same path."""
+    edge, give every point the value it has alone."""
 
     K = 70_000  # pieces start at k = -70 000, -4 464 and 61 072
     REAL = np.array([-4464.0, -4464.3, -4463.5, -4461.2, -4467.9, 61072.0, 61071.6,
@@ -579,22 +579,20 @@ class TestNearBandAcrossPieces:
         return np.random.default_rng(23).standard_normal(2 * TestNearBandAcrossPieces.K + 1)
 
     @staticmethod
-    def one_by_one(monkeypatch, m, u, c, k_min):
-        # each point alone, on the path that the call of all of them took:
-        # the path follows the number of points
-        plan = None if np.iscomplexobj(u) else sinckernel._box_plan(m, u.size, c.size)
-        monkeypatch.setattr(sinckernel, "_box_plan", lambda *shape: plan)
+    def one_by_one(m, u, c, k_min):
         return np.concatenate([_lattice_series(m, u[i:i + 1], c, k_min) for i in range(u.size)])
 
     @pytest.mark.parametrize("entries", [None, 1 << 19])
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
     def test_many_points_as_one(self, monkeypatch, m, entries):
-        # 1 << 19 entries put 8 points in a block of a whole piece
+        # 1 << 19 entries put 8 points in a block of a whole piece; the
+        # direct path, which sums the pieces, for the call and each point
         c, k_min = self.window(), -self.K
+        monkeypatch.setattr(sinckernel, "_box_path", lambda *shape: False)
         if entries:
             monkeypatch.setattr(sinckernel, "_BLOCK_ENTRIES", entries)
         got = _lattice_series(m, self.REAL, c, k_min)
-        assert got.tobytes() == self.one_by_one(monkeypatch, m, self.REAL, c, k_min).tobytes()
+        assert got.tobytes() == self.one_by_one(m, self.REAL, c, k_min).tobytes()
         assert np.all(np.abs(got - termwise_window_sum(m, self.REAL, c, k_min))
                       <= termwise_slack(m, self.REAL, c, k_min))
         if m == 0:
@@ -607,7 +605,7 @@ class TestNearBandAcrossPieces:
         if entries:
             monkeypatch.setattr(sinckernel, "_BLOCK_ENTRIES", entries)
         got = _lattice_series(0, self.COMPLEX, c, k_min)
-        assert got.tobytes() == self.one_by_one(monkeypatch, 0, self.COMPLEX, c, k_min).tobytes()
+        assert got.tobytes() == self.one_by_one(0, self.COMPLEX, c, k_min).tobytes()
         ks = np.arange(k_min, self.K + 1, dtype=float)
         want = np.sum(sinc_grid(self.COMPLEX[:, None] - ks) * c, axis=1)
         # the termwise rounding of the real parts, grown by e^(pi |Im u|) < 2
@@ -622,8 +620,8 @@ class TestBoxFarField:
     @staticmethod
     def on_boxes(monkeypatch, B):
         # the box path at box size B, whatever the call's shape
-        monkeypatch.setattr(sinckernel, "_box_plan",
-                            lambda m, points, length: (B, sinckernel._box_terms(m)))
+        monkeypatch.setattr(sinckernel, "_BOX_SIZE", B)
+        monkeypatch.setattr(sinckernel, "_box_path", lambda *shape: True)
 
     @staticmethod
     def points(k_min, k_max, B, m):
@@ -703,17 +701,17 @@ class TestBoxFarField:
         assert calls == []
 
     def test_the_operation_count_picks_the_path(self):
-        plan = sinckernel._box_plan
+        boxes = sinckernel._box_path
         # 101 points on a 40 001-sample window: boxes; on a 2 001-sample
         # window, and one point on 200 001 samples: the direct sum
-        assert plan(0, 101, 40_001) is not None
-        assert plan(1, 101, 2_001) is None and plan(0, 1500, 2_001) is None
-        assert plan(0, 1, 200_001) is None
-        # each box size leaves a near band inside a point's direct rows
-        assert min(sinckernel._BOX_SIZES) > sinckernel.MAX_ORDER + 1
-        for m in range(sinckernel.MAX_ORDER + 1):
-            B, P = plan(m, 10_000, 40_001)
-            assert P == sinckernel._box_terms(m)
+        assert boxes(0, 101, 40_001)
+        assert not boxes(1, 101, 2_001) and not boxes(0, 1500, 2_001)
+        assert not boxes(0, 1, 200_001)
+        # a window of at most five boxes has no far box
+        assert not boxes(0, 10_000, 5 * sinckernel._BOX_SIZE)
+        # the box size leaves a near band inside a point's direct rows
+        assert sinckernel._BOX_SIZE > sinckernel.MAX_ORDER + 1
+        assert all(boxes(m, 10_000, 40_001) for m in range(sinckernel.MAX_ORDER + 1))
 
     @pytest.mark.parametrize("m", range(0, 21))
     def test_box_terms_leave_at_most_2_to_the_minus_53(self, m):
