@@ -152,9 +152,14 @@ def bernstein_ratio(f: BandlimitedFn, m: int, p: float, grid: np.ndarray,
     """
     if m < 1:
         raise ValueError("derivative order must be >= 1")
+    if p not in (1, 2, math.inf):
+        raise ValueError("p must be 1, 2, or inf")
     grid = np.asarray(grid, dtype=float)
     if grid.size < 8 or np.any(~np.isfinite(grid)):
         raise ValueError("degenerate evaluation grid")
+    dx = np.diff(grid)
+    if p != math.inf and np.any(dx <= 0.0):
+        raise ValueError("grid must be strictly increasing")
     dvals = _derivatives(f, m, grid, tol, None)[0]
     fvals = np.asarray(f(grid), dtype=float)
     if p == math.inf:
@@ -162,11 +167,6 @@ def bernstein_ratio(f: BandlimitedFn, m: int, p: float, grid: np.ndarray,
         if denom == 0.0:
             raise ValueError("f vanishes on the grid")
         return float(np.max(np.abs(dvals))) / denom
-    if p not in (1, 2, 1.0, 2.0):
-        raise ValueError("p must be 1, 2, or inf")
-    dx = np.diff(grid)
-    if np.any(dx <= 0.0):
-        raise ValueError("grid must be strictly increasing")
     num = float(np.sum(np.abs(dvals[:-1]) ** p * dx)) ** (1.0 / p)
     den = float(np.sum(np.abs(fvals[:-1]) ** p * dx)) ** (1.0 / p)
     if den == 0.0:

@@ -7,16 +7,16 @@ Conventions:
 so that sinc(k) = delta_{k0} on the integers.  Every formula in this library
 uses the normalized kernel; the unnormalized sin(x)/x never appears.
 
-Derivatives have the closed form, for x != 0,
+Derivatives have the closed form, for x != 0 and w = 1/(pi x),
 
-    sinc^(m)(x) = ((-1)^m m! / (pi x^(m+1)))
-                  * ( sin(pi x) * sum_{v=0..floor(m/2)}   (-1)^v (pi x)^(2v) /(2v)!
-                    - cos(pi x) * sum_{v=0..floor((m-1)/2)}(-1)^v (pi x)^(2v+1)/(2v+1)! )
+    sinc^(m)(x) = (-1)^m m! pi^m
+                  * ( sin(pi x) * sum_{v=0..floor(m/2)}    (-1)^v w^(m+1-2v)/(2v)!
+                    - cos(pi x) * sum_{v=0..floor((m-1)/2)} (-1)^v w^(m-2v)  /(2v+1)! ),
 
-continuously extended by sinc^(m)(0) = 0 for odd m and
-(-1)^(m/2) pi^m / (m+1) for even m.  Near the origin the closed form cancels
-catastrophically, so evaluation switches to the termwise-differentiated power
-series of sinc (see ``_SERIES_RADIUS``).
+the classical form with both sums divided by (pi x)^(m+1).  Near the origin
+it cancels catastrophically, so for |x| < 0.15 m evaluation switches to
+Gauss-Legendre quadrature of sinc^(m)(x) = int_0^1 (pi t)^m cos(pi t x +
+m pi/2) dt (see ``_QUAD_SLOPE``).
 
 On the integer lattice every entry of sum_k c_k sinc^(m)(u - k) shares one
 sine, sin(pi (u - k)) = (-1)^(n0 - k) sin(pi (u - n0)); ``_lattice_series``
@@ -56,19 +56,12 @@ from .errors import ToleranceError
 
 Parity = Literal["odd", "even"]
 
-#: series/closed-form switch radius; 12 series terms keep the truncation
-#: remainder below 1e-16 for every order m <= 20 inside this radius.
-_SERIES_RADIUS = 0.05
-_SERIES_TERMS = 12
-
-#: from order _QUAD_MIN_ORDER on, sinc^(m) between the series radius and
-#: _QUAD_SLOPE*m is taken from
+#: sinc^(m) for m >= 1 and |x| < _QUAD_SLOPE*m is taken from
 #:     sinc^(m)(x) = int_0^1 (pi t)^m cos(pi t x + m pi/2) dt
-#: by Gauss-Legendre on [0, 1].  The closed form is within 1e-12 pi^m/(m+1)
-#: beyond about m/8 for every m <= 20 (for m = 2, 3 it cancels by two and
-#: three digits just past the series radius); the nodes integrate
-#: t^m cos(pi t x) for |x| <= 3 to full precision.
-_QUAD_MIN_ORDER = 2
+#: by Gauss-Legendre on [0, 1], and from the closed form elsewhere.  The
+#: closed form is within 1e-12 pi^m/(m+1) beyond about m/8 for every m <= 20
+#: and cancels below it; the nodes integrate t^m cos(pi t x) for |x| <= 3 to
+#: full precision.
 _QUAD_SLOPE = 0.15
 _QUAD_NODES = 48
 
@@ -107,7 +100,8 @@ def sinc(x: float) -> float:
 def _snap_mask(x: np.ndarray):
     # round(x), and where x is within 8 ulps of it (ulps of max(1, |x|)) or infinite
     r = np.round(x)
-    return r, (np.abs(x - r) <= 16.0 * _UNIT * np.maximum(1.0, np.abs(x))) | np.isinf(x)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return r, (np.abs(x - r) <= 16.0 * _UNIT * np.maximum(1.0, np.abs(x))) | np.isinf(x)
 
 
 def _snap_grid(x: np.ndarray) -> np.ndarray:
@@ -128,43 +122,38 @@ def sinc_grid(x) -> np.ndarray:
     else:
         x = x.astype(float, copy=False)
         r, near = _snap_mask(x)
-    with np.errstate(invalid="ignore"):  # 0/0 at 0 and sin(inf), set below
+    with np.errstate(invalid="ignore", over="ignore"):  # 0/0 at 0, sin(inf): set below
         out = np.sin(_PI * x, out=np.empty_like(x))
         out /= _PI * x
     out[near] = r[near] == 0.0  # 1 at 0, 0 at the other integers and at +-inf
     return out
 
 
-def _series_coeff(m: int, j: int) -> float:
-    # d^m/dx^m of (-1)^j (pi x)^(2j)/(2j+1)! evaluated coefficientwise
-    return ((-1.0) ** j * _PI ** (2 * j) / math.factorial(2 * j + 1)
-            * math.factorial(2 * j) / math.factorial(2 * j - m))
-
-
-def _series_grid(m: int, x: np.ndarray) -> np.ndarray:
-    j0 = (m + 1) // 2
-    total = np.zeros_like(x)
-    for i in range(_SERIES_TERMS):
-        j = j0 + i
-        total += _series_coeff(m, j) * x ** (2 * j - m)
-    return total
-
-
 def _closed_grid(m: int, x: np.ndarray) -> np.ndarray:
-    # both sums by Horner's rule in (pi x)^2, x^(m+1) by a running product
-    px = _PI * x
-    s1, s2, xm = np.zeros_like(x), np.zeros_like(x), np.ones_like(x)
-    for k in range(m, -1, -1):  # (-1)^(k//2) (pi x)^k/k!: even k to s1, odd k to s2/(pi x)
+    # both sums by Horner's rule in w^2, w = 1/(pi x), so no power of x is
+    # formed; where pi x overflows (|x| > 5.7e307 or infinite) w = 0 and the
+    # trig argument is set to 0, which gives the limit 0
+    with np.errstate(over="ignore"):
+        px = _PI * x
+    w = 1.0 / px
+    px[np.isinf(px)] = 0.0
+    w2 = w * w
+    s1, s2 = np.zeros_like(x), np.zeros_like(x)
+    for k in range(m + 1):  # (-1)^(k//2) w^(m+1-k)/k!: even k to s1, odd k to s2
         s = s2 if k % 2 else s1
-        if k < m - 1:
-            s *= px * px
+        if k > 1:
+            s *= w2
         s += (-1.0) ** (k // 2) / math.factorial(k)
-        xm *= x
+    if m % 2:  # the sum whose last k is m - 1 starts at w^2
+        s1 *= w
+    else:
+        s2 *= w
     s1 *= np.sin(px)
-    s2 *= px
     s2 *= np.cos(px)
     s1 -= s2
-    return np.divide((-1.0) ** m * math.factorial(m), np.multiply(xm, _PI, out=xm), out=xm) * s1
+    s1 *= w
+    s1 *= (-1.0) ** m * math.factorial(m) * _PI ** m
+    return s1
 
 
 def sinc_derivative(m: int, x: float) -> float:
@@ -176,9 +165,11 @@ def sinc_derivative(m: int, x: float) -> float:
 def sinc_derivative_grid(m: int, x) -> np.ndarray:
     """Vectorized sinc^(m) over an array of real points.
 
-    Power series for |x| < 0.05, closed form elsewhere; for m >= 2 the
-    Gauss-Legendre branch covers |x| < 0.15 m, where the closed form would
-    cancel.  Every branch is within 1e-10 pi^m/(m+1) for m <= 20.
+    sinc_grid at m = 0.  For m >= 1, two rules: Gauss-Legendre quadrature
+    for |x| < 0.15 m, where the closed form would cancel, and the closed
+    form in powers of 1/(pi x) elsewhere, which forms no power of x and so
+    is finite at every finite x.  Both are within 1e-10 pi^m/(m+1) for
+    m <= 20.  Every order is 0.0, its limit, at +-inf.
     """
     if m < 0:
         raise ValueError("derivative order must be >= 0")
@@ -186,9 +177,8 @@ def sinc_derivative_grid(m: int, x) -> np.ndarray:
     if m == 0:
         return sinc_grid(x)
     out = np.empty_like(x)
-    small = np.abs(x) < _SERIES_RADIUS
-    mid = ~small & (np.abs(x) < (_QUAD_SLOPE * m if m >= _QUAD_MIN_ORDER else 0.0))
-    for part, branch in ((small, _series_grid), (mid, _quad_grid), (~(small | mid), _closed_grid)):
+    near = np.abs(x) < _QUAD_SLOPE * m
+    for part, branch in ((near, _quad_grid), (~near, _closed_grid)):
         if part.any():
             out[part] = branch(m, x[part])
     return out
@@ -239,8 +229,8 @@ def _row_sums(points: int, width: int, block_sums) -> np.ndarray:
     return out
 
 
-#: the largest derivative order any engine sums: _SERIES_TERMS and
-#: _WEIGHT_ERR hold for m <= 20 (and the box terms are derived up to it)
+#: the largest derivative order any engine sums: _WEIGHT_ERR and the
+#: quadrature switch hold for m <= 20 (and the box terms are derived up to it)
 MAX_ORDER = 20
 
 
@@ -484,11 +474,12 @@ _CRAMER = 1.0865
 
 #: error of a computed weight of order 0, 1, 2 and >= 3 relative to its
 #: magnitude bound: a few ulps for sinc itself; sinc^(m) was measured within
-#: 2.0e-15 and 1.35e-15 times pi^m/(m+1) of a 50-digit reference for m = 1
-#: and 2 (for m = 2 on the quadrature branch, x near 0.055), and within
-#: 5.8e-14 times it for 3 <= m <= 20 (2.3e-15 for m = 3; the largest at
-#: m = 19, |x| near 2.9), on the series and quadrature switches, |x| <= 8
-#: and |x| up to 200; the budget is about five times that (4.8 for m = 2)
+#: 8.9e-16 and 1.22e-15 times pi^m/(m+1) of a 50-digit reference for m = 1
+#: and 2 (m = 1 at the switch x = 0.15, m = 2 on the quadrature branch, x
+#: near 0.075), and within 3.2e-14 times it for 3 <= m <= 20 (2.3e-15 for
+#: m = 3; the largest at m = 20, |x| near 3.04), within 0.25 of the switch,
+#: on |x| <= 8 and, against a 60-digit closed form, on 8 <= |x| <= 200; the
+#: budget is at least five times that (11, 5.4 and 9 times)
 _WEIGHT_ERR = (8 * _UNIT, 1e-14, 6.5e-15, 2.9e-13)
 
 

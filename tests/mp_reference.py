@@ -11,7 +11,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from bandlimit.sinckernel import _closed_grid, _series_grid
+from bandlimit.sinckernel import _closed_grid, _quad_grid
 
 PI = math.pi
 
@@ -20,11 +20,11 @@ PI = math.pi
 CANCEL_GUARD = 1e3
 
 
-def sinc_derivative_series(m, x):
-    """Power-series branch of sinc^(m); spectrally accurate for small |x|."""
+def sinc_derivative_quad(m, x):
+    """Quadrature branch of sinc^(m); spectrally accurate for small |x|."""
     if m < 0:
         raise ValueError("derivative order must be >= 0")
-    return float(_series_grid(m, np.array([float(x)]))[0])
+    return float(_quad_grid(m, np.array([float(x)]))[0])
 
 
 def sinc_derivative_closed(m, x):
@@ -40,7 +40,7 @@ def sinc_derivative_closed(m, x):
         raise ValueError("derivative order must be >= 0")
     x = float(x)
     if x == 0.0:
-        raise ValueError("closed form undefined at x = 0; use the series branch")
+        raise ValueError("closed form undefined at x = 0; use the quadrature branch")
     loss = (PI * abs(x)) ** (-m) if PI * abs(x) < 1.0 else 1.0
     if loss <= CANCEL_GUARD:
         return float(_closed_grid(m, np.array([x]))[0])

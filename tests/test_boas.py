@@ -535,3 +535,16 @@ class TestBernsteinRatio:
         f = make_reference("sin", 1.0)
         with pytest.raises(ValueError):
             bernstein_ratio(f, 1, math.inf, np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("p, grid", [(3.0, np.linspace(-40, 40, 1201)),
+                                         (2.0, np.linspace(40, -40, 1201)),
+                                         (1.0, np.r_[np.linspace(-40, 0, 601), 0.0, 1.0])])
+    def test_refuses_before_it_calls_f(self, p, grid):
+        # p and the grid's order are checked before the Boas table is built
+        ref = make_reference("fejer", 1.0)
+        calls = []
+        f = BandlimitedFn(sigma=ref.sigma, sup_bound=ref.sup_bound,
+                          eval=lambda x: calls.append(1) or ref(x))
+        with pytest.raises(ValueError):
+            bernstein_ratio(f, 1, p, grid, tol=1e-4)
+        assert calls == []

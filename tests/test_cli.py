@@ -348,6 +348,16 @@ class TestFailures:
         err = capsys.readouterr().err
         assert "internal" not in err and "0..20" in err and not out.exists()
 
+    @pytest.mark.parametrize("order", ["-1", "21"])
+    def test_derivative_order_refusals_name_one_range(self, order, sin_samples_file,
+                                                      tmp_path, capsys):
+        # one rule for both ends: the kernel's order check, exit 2
+        out = tmp_path / "o.csv"
+        assert main(["differentiate", "--input", str(sin_samples_file), "--output", str(out),
+                     "--order", order, "--num", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "0..20" in err and f"got {order}" in err and not out.exists()
+
 
 class TestDht:
     def test_orbit_integer_exact(self, basis_sequence_file, tmp_path):
