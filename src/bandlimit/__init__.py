@@ -28,7 +28,6 @@ from .boas import (
     bernstein_ratio,
     boas_derivative,
     boas_derivative_fast,
-    truncation_halfwidth,
 )
 from .inequalities import (
     discrete_norm,

@@ -21,10 +21,13 @@ about 50 per x at tol 1e-6.  At a pinned N this is ``group_boas`` on the
 vector [x], bit for bit.  A function of type 0 is constant: its
 derivatives are 0.
 
-The paper's shifted-sample series are kept in the tests as an oracle.
-``truncation_halfwidth`` and ``series_tail_bound`` size them: the smallest
-K whose certified tail meets tol, 202 643 (r = 1) to 810 570 (r = 4)
-shifts at tol 1e-6.
+This is the one Boas path: ``boas_derivative_fast`` is ``boas_derivative``
+under the name of the paper's fast (k^-3) variants.  The paper's
+shifted-sample series are kept in the tests as an oracle
+(``tests/paper_boas.py``).  ``truncation_halfwidth`` and
+``series_tail_bound``, outside the package exports, size them: the
+smallest K whose certified tail meets tol, 202 643 (r = 1) to 810 570
+(r = 4) shifts at tol 1e-6.
 """
 
 from __future__ import annotations
@@ -42,6 +45,10 @@ from .sinckernel import MAX_HALFWIDTH, _check_order, _sharp_floor, coefficient_t
 _PI = math.pi
 _E = math.e
 
+
+# The sizing of the paper's shifted-sample series (tests/paper_boas.py),
+# which the library does not sum: kept while bench/tracing.py hooks
+# boas.truncation_halfwidth (ROADMAP item 8).
 
 def truncation_halfwidth(variant: str, r: int, sigma: float, sup_bound: float,
                          tol: float) -> int:
@@ -124,22 +131,15 @@ def boas_derivative(f: BandlimitedFn, r: int, x: float, tol: float = 1e-6,
                     k_terms: Optional[int] = None) -> float:
     """r-th derivative of f at x by the local engine (module docstring): an
     error of at most tol, or half-width N = ``k_terms`` when it is pinned.
-    Raises ToleranceError, with the achievable tol, below the rounding
-    floor.
+    ``boas_derivative_fast`` is this function.  Raises ToleranceError, with
+    the achievable tol, below the rounding floor.
     """
     if r < 1:
         raise ValueError("derivative order must be >= 1")
     return float(_derivatives(f, r, [x], tol, k_terms)[0][0])
 
 
-def boas_derivative_fast(f: BandlimitedFn, r: int, t: float, tol: float = 1e-6,
-                         k_terms: Optional[int] = None) -> float:
-    """r-th derivative (r >= 2): the same local engine as
-    :func:`boas_derivative`.  The paper's fast series, whose k^-3 weights
-    trade a term in f(t) or f'(t) for fewer shifts, is a test oracle."""
-    if r < 2:
-        raise ValueError("fast variant needs order >= 2")
-    return boas_derivative(f, r, t, tol, k_terms)
+boas_derivative_fast = boas_derivative
 
 
 def bernstein_ratio(f: BandlimitedFn, m: int, p: float, grid: np.ndarray,

@@ -38,7 +38,6 @@ from .grouporbit import (
     exponential_type,
     group_boas,
     orbit_reconstruct,
-    orbit_vt,
     recover_initial,
     rotation_instance,
 )
@@ -146,14 +145,13 @@ def cmd_dht(cfg: RunConfig) -> int:
     if cfg.action == "apply":
         out, norm = hilbert_apply(a, cfg.expand), a.norm()
         extra["schur_ratio"] = out.norm() / (_PI * norm) if norm else 0.0
-    elif cfg.action == "orbit":
+    elif cfg.action in ("orbit", "vt"):  # vt: the same trajectory, a bare footer
         out = hilbert_group(cfg.t, a, cfg.expand)
-        lo, hi = out.norm_bracket()
-        extra["isometry_residual"] = max(abs(lo - a.norm()) - out.tail_l2, 0.0)
-        extra["norm_bracket_lo"] = lo
-        extra["norm_bracket_hi"] = hi
-    elif cfg.action == "vt":
-        out = hilbert_group(cfg.t, a, cfg.expand)
+        if cfg.action == "orbit":
+            lo, hi = out.norm_bracket()
+            extra["isometry_residual"] = max(abs(lo - a.norm()) - out.tail_l2, 0.0)
+            extra["norm_bracket_lo"] = lo
+            extra["norm_bracket_hi"] = hi
     elif cfg.action == "power":
         out = dht_power(a, cfg.order, cfg.expand)
     else:
@@ -281,8 +279,6 @@ def _suite_group(cfg: RunConfig) -> SuiteReport:
     exact = inst.orbit(t, v)
     rep.add("orbit_reconstruct",
             float(np.max(np.abs(orbit_reconstruct(b, t, tol=1e-7) - exact))), 1e-6)
-    rep.add("orbit_vt",
-            float(np.max(np.abs(orbit_vt(b, t, tol=1e-7) - exact))), 1e-6)
     samples = OrbitSamples.from_bernstein(b, t)
     rep.add("recover_initial",
             float(np.max(np.abs(recover_initial(samples, tol=1e-7) - v))), 1e-6)

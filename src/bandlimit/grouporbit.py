@@ -11,9 +11,10 @@ sets the twice-oversampled lattice n h, h = pi/(2 sigma),
     D^r e^(tD) f ~= h^(-r) sum_{|n - n0| <= N} e^(n h D) f
                     d^r/du^r [sinc(u - n) exp(-(pi/4) (u - n)^2 / N)],
 
-u = t/h, n0 = round(u).  ``orbit_reconstruct`` and ``orbit_vt`` take r = 0,
-``group_boas`` t = 0, and ``recover_initial`` reads the trajectory from a
-base time t back to time 0 (sample n at ``OrbitSamples.at(n/2)``).
+u = t/h, n0 = round(u).  ``orbit_reconstruct`` takes r = 0 (``orbit_vt``,
+the paper's bounded-vector expansion, is the same function), ``group_boas``
+t = 0, and ``recover_initial`` reads the trajectory from a base time t back
+to time 0 (sample n at ``OrbitSamples.at(n/2)``).
 Every unit functional of the trajectory is entire of type sigma and bounded
 by ||f|| on the real line, so the scalar certificate of the regularized
 series, with sample bound ||f||, bounds the error in norm; N is the
@@ -50,9 +51,12 @@ class GroupInstance:
     orbit(t, v) applies e^(tD); generator(v) applies D; norm(v) is the space
     norm.  Every e^(tD) must be an isometry, ||e^(tD) v|| = ||v||: the
     certificates of the local orbit engine bound every orbit sample by
-    ||f||.  sigma_bound is the smallest certified growth rate valid for
-    every admissible vector.  Implementations must be safe for concurrent
-    orbit evaluations; everything here treats them as pure.
+    ||f||.  sigma_bound, the smallest certified growth rate valid for every
+    admissible vector, and dim, the vector length (None when it varies),
+    describe the group to its callers: the engine never reads either, and
+    takes the rate from each :class:`BernsteinVector`.  Implementations
+    must be safe for concurrent orbit evaluations; everything here treats
+    them as pure.
     """
 
     orbit: Callable[[float, Any], Any]
@@ -226,7 +230,8 @@ def orbit_reconstruct(b: BernsteinVector, t: float, tol: float = 1e-6,
                       k_terms: Optional[int] = None):
     """Reconstruct e^(tD) f from twice-oversampled orbit samples with the
     local orbit engine (module docstring): an error of at most tol in norm,
-    or half-width ``k_terms`` when it is pinned.
+    or half-width ``k_terms`` when it is pinned.  ``orbit_vt`` is this
+    function under the name of the paper's bounded-vector expansion.
 
     Exact at every t = m pi / (2 sigma), where one sample is fetched.
     Raises ToleranceError, with the achievable tol, below the rounding
@@ -235,12 +240,7 @@ def orbit_reconstruct(b: BernsteinVector, t: float, tol: float = 1e-6,
     return _trajectory(b, 0, float(t), tol, k_terms)[0]
 
 
-def orbit_vt(b: BernsteinVector, t: float, tol: float = 1e-6,
-             k_terms: Optional[int] = None):
-    """Trajectory value e^(tD) f, the quantity of the paper's bounded-vector
-    expansion; served by the local orbit engine exactly as
-    :func:`orbit_reconstruct`."""
-    return _trajectory(b, 0, float(t), tol, k_terms)[0]
+orbit_vt = orbit_reconstruct
 
 
 @dataclass(frozen=True)

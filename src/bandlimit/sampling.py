@@ -39,6 +39,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .errors import ReconstructionUnsoundError, ToleranceError
+from .grouporbit import _weighted_sum
 from .sinckernel import (
     _check_order,
     _lattice_series,
@@ -460,18 +461,19 @@ def riesz_trig_derivative(P: Callable[[float], float], N: int, x: float) -> floa
         P'(x) = (1/4N) sum_{k=1}^{2N} (-1)^(k+1) P(x + x_k) / sin^2(x_k / 2),
         x_k = (2k - 1) pi / (2N).
 
-    The sum is exact (no truncation).  Terms k and 2N+1-k share the same
-    weight with opposite signs, so they are paired explicitly; a constant P is
-    annihilated exactly in floating point.
+    The sum is exact (no truncation).  Nodes k and 2N+1-k carry opposite
+    weights w_k and -w_k; :func:`~bandlimit.grouporbit._weighted_sum` adds
+    them in the order x_1, x_2N, x_2, x_(2N-1), ..., so each pair cancels
+    before the next and a constant P is annihilated exactly in floating
+    point.
     """
     if N < 1:
         raise ValueError("polynomial order N must be >= 1")
     x = float(x)
-    total = 0.0
-    for k in range(1, N + 1):
-        xk = (2 * k - 1) * _PI / (2 * N)
-        xk_partner = 2 * _PI - xk  # node for index 2N+1-k
-        w = 1.0 / math.sin(xk / 2.0) ** 2
-        sign = (-1.0) ** (k + 1)
-        total += sign * w * (float(P(x + xk)) - float(P(x + xk_partner)))
+    k = np.arange(1, N + 1)
+    xk = (2 * k - 1) * _PI / (2 * N)
+    w = (-1.0) ** (k + 1) / np.sin(xk / 2.0) ** 2
+    nodes = np.column_stack((xk, 2 * _PI - xk)).ravel()  # 2 * pi - x_k is x_(2N+1-k)
+    weights = np.column_stack((w, -w)).ravel()
+    total = _weighted_sum(0.0, weights, (float(P(x + s)) for s in nodes.tolist()))
     return total / (4.0 * N)

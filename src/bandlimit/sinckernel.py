@@ -169,10 +169,10 @@ def sinc_derivative_grid(m: int, x) -> np.ndarray:
     for |x| < 0.15 m, where the closed form would cancel, and the closed
     form in powers of 1/(pi x) elsewhere, which forms no power of x and so
     is finite at every finite x.  Both are within 1e-10 pi^m/(m+1) for
-    m <= 20.  Every order is 0.0, its limit, at +-inf.
+    m <= 20; other orders raise ValueError (:func:`_check_order`).  Every
+    order is 0.0, its limit, at +-inf.
     """
-    if m < 0:
-        raise ValueError("derivative order must be >= 0")
+    m = _check_order(m)
     x = np.asarray(x, dtype=float)
     if m == 0:
         return sinc_grid(x)
@@ -493,8 +493,7 @@ def regularized_sinc_grid(m: int, x, N, alpha: float) -> np.ndarray:
     physicists' Hermite polynomials from H_(j+1) = 2y H_j - 2j H_(j-1).  For
     m = 0 the weights are exactly 1 at x = 0 and 0 at the other integers.
     """
-    if m < 0:
-        raise ValueError("derivative order must be >= 0")
+    m = _check_order(m)
     x = np.asarray(x, dtype=float)
     c = alpha / np.asarray(N, dtype=float)
     total = sinc_derivative_grid(m, x)
@@ -603,6 +602,7 @@ def regularized_sinc_certificate(m: int, N, alpha: float, sample_bound: float,
     N may be an array (with u and sin_factor scalars), or u and sin_factor
     arrays (with N an integer).
     """
+    m = _check_order(m)
     if alpha <= 0.0:
         raise ValueError("alpha must be positive: the samples must be oversampled")
     n = np.asarray(N, dtype=float)

@@ -427,6 +427,14 @@ class TestFastVariants:
     """boas_derivative_fast is the local engine; the paper's fast series is
     the oracle of :mod:`paper_boas`."""
 
+    def test_is_boas_derivative(self):
+        assert boas_derivative_fast is boas_derivative
+
+    def test_first_order_is_the_derivative(self):
+        f = make_reference("sin", 1.0)
+        assert boas_derivative_fast(f, 1, 0.4, tol=1e-6) == pytest.approx(math.cos(0.4),
+                                                                        abs=1e-6)
+
     def test_even_constant_term_exercised(self):
         sigma = 1.0
         f = make_reference("cos", sigma)

@@ -527,19 +527,27 @@ class TestDht:
         assert seq.entry(0) == pytest.approx(2.0 / PI, abs=1e-8)
 
     def test_vt_writes_the_orbit(self, tmp_path):
-        # the vt action is hilbert_group: the same window, values and tail
+        # the vt action is hilbert_group, as orbit is: the same value rows and
+        # sidecar bytes, and a footer that lacks only orbit's isometry keys
         path = tmp_path / "a.csv"
         vals = np.random.default_rng(3).standard_normal(21)
         write_sequence(path, SeqWindow(n0=-10, values=vals, tail_l2=0.05))
-        outs = {}
-        for action in ("orbit", "vt"):
-            out = tmp_path / f"{action}.csv"
-            assert main(["dht", "--action", action, "--t", "0.37", "--expand", "30",
-                         "--input", str(path), "--output", str(out)]) == 0
-            outs[action] = read_sequence(out)
-        assert outs["vt"].n0 == outs["orbit"].n0
-        assert np.array_equal(outs["vt"].values, outs["orbit"].values)
-        assert outs["vt"].tail_l2 == outs["orbit"].tail_l2
+        orbit_only = {"isometry_residual", "norm_bracket_lo", "norm_bracket_hi"}
+        for t in ("0.3", "0.37"):
+            rows, sidecars, footers = {}, {}, {}
+            for action in ("orbit", "vt"):
+                out = tmp_path / f"{action}.csv"
+                assert main(["dht", "--action", action, "--t", t, "--expand", "30",
+                             "--input", str(path), "--output", str(out)]) == 0
+                rows[action] = [ln for ln in out.read_bytes().splitlines(keepends=True)
+                                if not ln.startswith(b"# ")]
+                sidecars[action] = out.with_suffix(".json").read_bytes()
+                footers[action] = read_footer(out)
+            assert rows["vt"] == rows["orbit"], t
+            assert sidecars["vt"] == sidecars["orbit"], t
+            assert set(footers["orbit"]) - set(footers["vt"]) == orbit_only, t
+            want = {k: v for k, v in footers["orbit"].items() if k not in orbit_only}
+            assert footers["vt"] == {**want, "action": "vt"}, t
 
     def test_bad_csv_exit_2(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -621,7 +629,7 @@ class TestVerify:
             warnings.simplefilter("error")
             assert main(["verify", "--suite", "group", "--sigma", sigma]) == 0
         out = capsys.readouterr().out
-        assert "FAIL" not in out and out.count("[PASS]") == 8
+        assert "FAIL" not in out and out.count("[PASS]") == 7
 
     @pytest.mark.parametrize("sigma, h", [("1e-3", "1.0"), ("1.0", "0.005"), ("1e-15", "1.0")])
     def test_pp_skips_below_the_window_resolution(self, sigma, h, capsys):

@@ -249,6 +249,9 @@ class TestRecoverInitial:
 
 
 class TestOrbitVt:
+    def test_is_orbit_reconstruct(self):
+        assert orbit_vt is orbit_reconstruct
+
     def test_oracle(self):
         inst = rotation_instance([1.0])
         b = BernsteinVector(inst, unit_vector(), 1.0)

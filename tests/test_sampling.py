@@ -536,17 +536,21 @@ class TestValironTschakaloff:
 
 class TestRiesz:
     def test_sine_extremal(self):
-        for N in (1, 2, 5, 16):
+        for N in range(1, 65):
             got = riesz_trig_derivative(lambda x, N=N: math.sin(N * x), N, 0.0)
-            assert got == pytest.approx(N, abs=1e-10)
+            assert abs(got - N) <= 1e-14 * N, N
 
     def test_constant_annihilated_exactly(self):
-        for N in (1, 3, 8):
-            assert riesz_trig_derivative(lambda x: 4.25, N, 0.9) == 0.0
+        # the pairs x_k, x_(2N+1-k) carry w_k, -w_k and cancel one by one
+        for N in range(1, 65):
+            assert riesz_trig_derivative(lambda x: 4.25, N, 0.9) == 0.0, N
+            assert riesz_trig_derivative(lambda x: -1.7e3, N, -2.1) == 0.0, N
 
     def test_cosine_oracle(self):
-        got = riesz_trig_derivative(lambda x: math.cos(2 * x), 3, 0.7)
-        assert got == pytest.approx(-2 * math.sin(1.4), abs=1e-10)
+        want = -2 * math.sin(1.4)
+        for N in range(2, 65):
+            got = riesz_trig_derivative(lambda x: math.cos(2 * x), N, 0.7)
+            assert abs(got - want) <= 1e-14 * N, N
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):

@@ -762,6 +762,21 @@ class TestDerivativeOrderRange:
             with pytest.raises(ValueError, match=r"0\.\.20"):
                 call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: sinc_derivative(21, 0.3),
+        lambda: sinc_derivative_grid(21, np.array([0.3])),
+        lambda: sinc_derivative_grid(-1, np.array([0.3])),
+        lambda: regularized_sinc_grid(40, [0.3], 8, 0.7),
+        lambda: regularized_sinc_grid(-1, [0.3], 8, 0.7),
+        lambda: regularized_sinc_certificate(21, 8, 0.7, 1.0, 0.3),
+        lambda: regularized_sinc_certificate(-1, 8, 0.7, 1.0, 0.3)],
+        ids=["sinc_derivative-21", "sinc_derivative_grid-21", "sinc_derivative_grid--1",
+             "regularized_sinc_grid-40", "regularized_sinc_grid--1",
+             "regularized_sinc_certificate-21", "regularized_sinc_certificate--1"])
+    def test_kernels_refuse_orders_outside_0_to_20(self, call):
+        with pytest.raises(ValueError, match=r"0\.\.20"):
+            call()
+
     def test_order_20_is_summed(self):
         s = UniformSamples.from_function(make_reference("fejer", 1.0), PI, -2000, 2000)
         assert np.all(np.isfinite(wks_eval_grid(s, 20, [1.0, 2.5], 10.0)))
