@@ -22,9 +22,9 @@ smallest half-width it certifies.  The engine builds a pinned N's
 weights on a band around n0 only, and its fetch rule sets the smallest
 weights to 0.0; both are charged to the certificate.  Only the samples
 with a nonzero weight are fetched, in index order by one call, and array
-samples are summed by one index-order accumulation per block,
-bit-identical to adding them one by one (:func:`_weighted_sum`).  The
-Boas derivatives of :mod:`bandlimit.boas` are this engine on translation.
+samples are summed by one index-order accumulation, bit-identical to
+adding them one by one (:func:`_weighted_sum`).  The Boas derivatives of
+:mod:`bandlimit.boas` are this engine on translation.
 
 The weights and sample points never depend on the group: any object
 implementing the :class:`GroupInstance` triple (orbit, generator, norm) plugs
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, List, Optional
+from typing import Any, Callable, Iterable, List, Optional
 
 import numpy as np
 
@@ -144,7 +144,8 @@ def _orbit_sum(samples: Callable[[np.ndarray, np.ndarray], Any], zero, bound: fl
     the nonzero weights in index order and their time offsets dts = d h,
     d = u - n (sample n is the trajectory at t - dt), and returns the
     samples x_n in that order: an iterator whose items are each used or
-    copied before the next is drawn, or an array of one per row.  ``bound``
+    copied before the next is drawn, or an array of one per row, summed
+    as the stack it is (:func:`_weighted_sum`).  ``bound``
     bounds every sample's norm; ``zero`` starts the sum of
     :func:`_weighted_sum`.  N is ``k_terms`` when given (tol is then
     ignored), else the smallest half-width the certificate allows.  The
@@ -160,7 +161,7 @@ def _orbit_sum(samples: Callable[[np.ndarray, np.ndarray], Any], zero, bound: fl
     w = w[0] / h ** r
     keep = np.flatnonzero(w)
     xs = samples(int(n_lo[0]) + keep, d[0, keep] * h)
-    return _weighted_sum(zero, w[keep], iter(xs)), float(cert[0])
+    return _weighted_sum(zero, w[keep], xs), float(cert[0])
 
 
 #: largest vector that _weighted_sum stacks: np.add.accumulate along the
@@ -173,16 +174,18 @@ _STACKED_MAX_SIZE = 128
 _STACKED = (np.dtype(np.float64), np.dtype(np.complex128))
 
 
-def _weighted_sum(zero, w: np.ndarray, samples: Iterator[Any]):
-    """zero + w[0] x_0 + w[1] x_1 + ..., added left to right, each sample
-    x_i drawn from the iterator, and copied or used, before the next.
+def _weighted_sum(zero, w: np.ndarray, samples: Iterable[Any]):
+    """zero + w[0] x_0 + w[1] x_1 + ..., added left to right; ``samples``
+    is an array of the x_i, a row each, or an iterable whose items are each
+    used or copied before the next is drawn.
 
     When zero is a float64 or complex128 array of at most _STACKED_MAX_SIZE
-    entries, each sample of its shape and type is copied on arrival into a
-    block (:func:`~bandlimit.sinckernel._block_rows`) behind the running
-    sum; the block is scaled by one multiply and summed in place by one
-    np.add.accumulate along the stack, which adds row by row, the additions
-    of the loop in its order, so the sum is bit-identical to it.  Other
+    entries, the samples are stacked behind it, scaled by one multiply and
+    summed in place by one np.add.accumulate along the stack, which adds
+    row by row, the additions of the loop in its order, so the sum is
+    bit-identical to it.  An array of zero's type and row shape is that
+    stack as it is; other samples of zero's shape and type are copied on
+    arrival into a block (:func:`~bandlimit.sinckernel._block_rows`).  Other
     vectors (larger arrays, SeqWindow), and every sample from the first that
     does not fit the block, are added one by one.
     """
@@ -191,6 +194,11 @@ def _weighted_sum(zero, w: np.ndarray, samples: Iterator[Any]):
     if (isinstance(zero, np.ndarray) and zero.dtype in _STACKED
             and zero.size <= _STACKED_MAX_SIZE and ws):
         shape, dtype = zero.shape, zero.dtype
+        if (isinstance(samples, np.ndarray) and samples.dtype is dtype
+                and samples.shape == (len(ws),) + shape):
+            stack = np.concatenate((zero[None], samples * w.reshape((-1,) + (1,) * len(shape))))
+            return np.add.accumulate(stack, axis=0, out=stack)[-1].copy()
+        samples = iter(samples)
         buf = np.empty((min(_block_rows(zero.size), len(ws)) + 1,) + shape, dtype)
         buf[0] = zero
         odd = None

@@ -69,12 +69,6 @@ _QUAD_NODES = 48
 #: for the paper's series
 MAX_HALFWIDTH = 2_000_000
 
-#: half-widths up to which the N search with sample-point rounding (the Boas
-#: path) charges that rounding with the computed sum |w| of each candidate
-#: row; at alpha = pi/4 the truncation bound at N = 128 is below 1e-38 for
-#: every order r <= 8
-_SIZED_ROWS = 128
-
 _E = math.e
 _PI = math.pi
 
@@ -284,8 +278,6 @@ def _box_path(m: int, points: int, length: int) -> bool:
     and _BOX_CALL per numpy call."""
     B, P = _BOX_SIZE, _box_terms(m)
     boxes = -(-length // B)
-    if boxes <= 2 * _BOX_NEAR + 1:
-        return False
     box = (points * ((2 * _BOX_NEAR + 1) * B * (7 + 2 * m)
                      + boxes * (5 + (m + 1) * (2 * P + 4)))
            + length * (2 * P + 3) + _BOX_CALL * (50 + (2 * m + 4) * P))
@@ -309,38 +301,40 @@ def _add_far_moments(moments, d, a, at, t, m: int) -> None:
         moments[p] += np.sum(t, axis=1)
 
 
-def _direct_moments(m: int, u, c, k_min: int, inside, col, r_dtype) -> np.ndarray:
+def _direct_moments(m: int, u, c, k_min: int, band) -> np.ndarray:
     """The far-band moments over the whole window, piece by piece
-    (_LATTICE_PIECE), each piece for a block of points; ``inside`` marks
-    the near-band entries in the window and ``col`` their window columns."""
-    moments = np.zeros((m + 1, u.size), dtype=r_dtype)
+    (_LATTICE_PIECE), each piece for a block of points, leaving out each
+    point's near band (``band``, as lattice indices)."""
+    moments = np.zeros((m + 1, u.size), dtype=np.result_type(u, 1.0))  # the type of u - n0
     for lo in range(0, c.size, _LATTICE_PIECE):
         a = c[lo:lo + _LATTICE_PIECE].copy()
         a[(k_min + lo + 1) % 2::2] *= -1.0  # (-1)^k c_k
         ks = np.arange(k_min + lo, k_min + lo + a.size, dtype=float)
         rows = _block_rows(a.size)
-        d_rows = np.empty((min(rows, u.size), a.size), dtype=r_dtype)
+        d_rows = np.empty((min(rows, u.size), a.size), dtype=moments.dtype)
         t_rows = np.empty_like(d_rows)
         for i in range(0, u.size, rows):
             n = min(rows, u.size - i)
             d = d_rows[:n]
             np.subtract(u[i:i + n, None], ks, out=d)
-            j = col[i:i + n] - lo  # the block's near band, in piece columns
-            at = np.nonzero(inside[i:i + n] & (j >= 0) & (j < a.size))
-            _add_far_moments(moments[:, i:i + n], d, a, (at[0], j[at]), t_rows[:n], m)
+            j = band[i:i + n] - ks[0]  # the block's near band, in piece columns
+            at = np.nonzero((j >= 0) & (j < a.size))
+            _add_far_moments(moments[:, i:i + n], d, a, (at[0], j[at].astype(np.intp)),
+                             t_rows[:n], m)
     return moments
 
 
-def _box_moments(m: int, u, n0, c, k_min: int) -> np.ndarray:
+def _box_moments(m: int, u, c, k_min: int, band) -> np.ndarray:
     """The far-band moments of real points by boxes of B = _BOX_SIZE lattice
     indices.
 
     Box b holds k = k_min + b B + i, i < B, about its center
     k_min + b B + (B - 1)/2, with R = B/2.  A point whose n0 lies in box j
     sums boxes j - _BOX_NEAR .. j + _BOX_NEAR entry by entry, as the direct
-    path does (u - k with k an exact integer-valued float, the near band
-    left out).  Every other box is at x = u - center with |R/x| <=
-    _BOX_RATIO, and with nu_q = sum_i (-1)^k c_k ((k - center)/R)^q, q < P,
+    path does (u - k with k an exact integer-valued float, leaving out the
+    near band ``band``, n0 - m - 1 .. n0 + m + 1).  Every other box is at
+    x = u - center with |R/x| <= _BOX_RATIO, and with
+    nu_q = sum_i (-1)^k c_k ((k - center)/R)^q, q < P,
 
         sum_i (-1)^k c_k (u - k)^-p = x^-p sum_q C(p - 1 + q, q) nu_q (R/x)^q
 
@@ -365,7 +359,7 @@ def _box_moments(m: int, u, n0, c, k_min: int) -> np.ndarray:
         terms *= y
     coef = np.array([[math.comb(p + q, q) for q in range(P)] for p in range(m + 1)],
                     dtype=float)[:, :, None] * nu  # (m + 1, P, boxes)
-    own = np.clip(np.floor((n0 - k_min) / B), -_BOX_NEAR - 1, boxes + _BOX_NEAR)
+    own = np.clip(np.floor((band[:, m + 1] - k_min) / B), -_BOX_NEAR - 1, boxes + _BOX_NEAR)
     moments = np.zeros((m + 1, u.size))
     # direct rows, near_boxes boxes long: box own - _BOX_NEAR is box
     # own + _BOX_NEAR + 1 of the padded window
@@ -374,7 +368,6 @@ def _box_moments(m: int, u, n0, c, k_min: int) -> np.ndarray:
         a, shape=(boxes + near_boxes + 1, width), strides=(B * a.itemsize, a.itemsize),
         writeable=False)
     span = np.arange(width, dtype=float)
-    reach = np.arange(-m - 1, m + 2)
     rows = _block_rows(width)
     d_rows = np.empty((min(rows, u.size), width))
     for i in range(0, u.size, rows):
@@ -383,7 +376,7 @@ def _box_moments(m: int, u, n0, c, k_min: int) -> np.ndarray:
         k0 = k_min + (first[b] - near_boxes) * float(B)  # each row's first k
         d = np.add(k0[:, None], span, out=d_rows[:n])
         np.subtract(u[b, None], d, out=d)
-        pos = (n0[b] - k0)[:, None] + reach  # the near band, in row columns
+        pos = band[b] - k0[:, None]  # the near band, in row columns
         at = np.nonzero((pos >= 0) & (pos < width))
         a_b = rows_of_a[first[b]]
         _add_far_moments(moments[:, b], d, a_b, (at[0], pos[at].astype(np.intp)), a_b, m)
@@ -443,16 +436,16 @@ def _lattice_series(m: int, u, c, k_min: int) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     n0 = np.rint(u.real)
     r = u - n0
-    band = n0[:, None] + np.arange(-m - 1, m + 2)
+    band = n0[:, None] + np.arange(-m - 1, m + 2)  # the near band, as lattice indices
     inside = (band >= k_min) & (band < k_min + c.size)
     col = np.where(inside, band - k_min, 0).astype(np.intp)
     x = u[:, None] - band
     kern = sinc_grid(x) if np.iscomplexobj(x) else sinc_derivative_grid(m, x)
     near = np.sum(np.where(inside, c[col], 0.0) * kern, axis=1)
     if not np.iscomplexobj(u) and _box_path(m, u.size, c.size):
-        moments = _box_moments(m, u, n0, c, k_min)
+        moments = _box_moments(m, u, c, k_min, band)
     else:
-        moments = _direct_moments(m, u, c, k_min, inside, col, r.dtype)
+        moments = _direct_moments(m, u, c, k_min, band)
     sin_r, cos_r = np.sin(_PI * r), np.cos(_PI * r)
     far = np.zeros_like(moments[0])
     for j in range(m + 1):
@@ -632,13 +625,17 @@ def regularized_halfwidth(cert, tol: float, room: int = MAX_HALFWIDTH) -> int:
 
     ``cert`` maps an array of half-widths to the caller's certificates (its
     worst point's :func:`regularized_sinc_certificate`, in its own units).
-    N = 1, 2, ... are tried in growing blocks until one meets tol or the
-    certificate turns up with its rounding term.  When no N <= room meets
-    tol, ToleranceError carries the least certificate at N <= room as
+    N = 1..32 are tried, then blocks as long as all N before them (at most
+    4 096), until an N meets tol or the least certificate tried is finite
+    and lies before the block just appended: the certificate turns up
+    there (README "Choosing N").  When no N <= room meets tol,
+    ToleranceError carries the least certificate at N <= room as
     ``achievable``.
     """
-    c = cert(np.arange(1, 33))
-    while c.size < MAX_HALFWIDTH and not (np.any(c <= tol) or c[-1] > 2.0 * np.min(c)):
+    c, last = cert(np.arange(1, 33)), 0  # last: where the block just appended starts
+    while c.size < MAX_HALFWIDTH and not (
+            np.any(c <= tol) or (np.isfinite(np.min(c)) and np.argmin(c) < last)):
+        last = c.size
         c = np.append(c, cert(c.size + np.arange(1, min(c.size, 4096) + 1)))
     hit = np.flatnonzero(c <= tol)
     N = int(hit[0]) + 1 if hit.size else None
@@ -712,8 +709,8 @@ def _local_series(r: int, u, alpha: float, bound: float, h: float, tol: float,
     |x| <= |origin|, at points rounded twice (n h, then the sum), so each
     moves by at most 2^-52 (|origin| + (|n0| + N + 1) h) and its value by
     that times the Bernstein bound (pi - 2 alpha) bound / h (``bound`` then
-    bounds |f| on the line); certificate and N search count that times
-    sum |w|.
+    bounds |f| on the line); the certificate counts that times each row's
+    sum |w|, the N search times the worst row's computed sum |w| at each N.
     """
     r = _check_order(r)
     u = _snap_grid(np.asarray(u, dtype=float).reshape(-1))
@@ -744,20 +741,14 @@ def _local_series(r: int, u, alpha: float, bound: float, h: float, tol: float,
             # |w| at most 2^-53 times that and a band's tail at most 2^-64:
             # below 2^-52 (2N+1) W_r, as W_r >= 1
             wsum = (2 * ns + 1) * _weight_bound(r, ns, alpha)
-            return (cert(ns, u_max, sin_max) + 2.0 * _UNIT * wsum * bound / scale
-                    + (0.0 if origin is None else slope * (reach_max + ns) * abs_sums(ns, wsum)))
-
-        def abs_sums(ns, wsum):
-            # the computed sum |w| of the worst row at each N <= _SIZED_ROWS;
-            # past it, where no reachable tol needs N, the bound, so that the
-            # search of an unreachable tol still ends
-            out = wsum * (1.0 + _WEIGHT_ERR[min(r, 3)])
-            few = ns[ns <= _SIZED_ROWS]
-            if few.size:
-                n = np.arange(-few[-1], few[-1] + 1)
-                w = regularized_sinc_grid(r, offset[:, None, None] - n, few[:, None], alpha)
-                w[:, np.abs(n) > few[:, None]] = 0.0
-                out[:few.size] = np.max(np.sum(np.abs(w), axis=2), axis=0)
+            out = cert(ns, u_max, sin_max) + 2.0 * _UNIT * wsum * bound / scale
+            if origin is not None:  # the moved samples, by the computed sum |w|
+                n = np.arange(-ns[-1], ns[-1] + 1)
+                def worst(b):  # the largest sum |w| over the points, at each N of ns[b]
+                    w = regularized_sinc_grid(r, offset[:, None, None] - n, ns[b, None], alpha)
+                    w[:, np.abs(n) > ns[b, None]] = 0.0
+                    return np.max(np.sum(np.abs(w), axis=2), axis=0)
+                out += slope * (reach_max + ns) * _row_sums(ns.size, n.size, worst)
             return out
 
         N = regularized_halfwidth(sized, tol, room)

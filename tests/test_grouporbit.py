@@ -723,3 +723,60 @@ class TestNonFiniteTime:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="time t must be finite"):
                 self.call(entry, t)
+
+
+class NoIter(np.ndarray):
+    """An array of samples that must not be iterated."""
+
+    def __iter__(self):
+        raise AssertionError("an array of samples was iterated")
+
+
+class TestStackedSamples:
+    """An array of samples, one per row, is summed as the stack it is: no
+    Python step per sample, and the sum of the loop bit for bit."""
+
+    @pytest.mark.parametrize("kw", [{"k_terms": 64}, {"k_terms": 4096}, {"tol": 1e-6}])
+    @pytest.mark.parametrize("r", [0, 3])
+    def test_array_samples_are_never_iterated(self, monkeypatch, r, kw):
+        inst = rotation_instance(np.linspace(0.5, 2.5, 8))
+        v = np.full(16, 0.25)
+
+        def stacked(ns, dts):
+            return np.array([inst.orbit(0.7 - dt, v) for dt in dts.tolist()]).view(NoIter)
+
+        def listed(ns, dts):
+            return [inst.orbit(0.7 - dt, v) for dt in dts.tolist()]
+
+        for entries in (sinckernel._BLOCK_ENTRIES, 64):
+            monkeypatch.setattr(sinckernel, "_BLOCK_ENTRIES", entries)
+            got = grouporbit._orbit_sum(stacked, 0.0 * v, 1.0, r, 0.7, 2.5, kw.get("tol"),
+                                        kw.get("k_terms"))
+            with monkeypatch.context() as m:
+                m.setattr(grouporbit, "_weighted_sum", loop_sum)
+                want = grouporbit._orbit_sum(listed, 0.0 * v, 1.0, r, 0.7, 2.5, kw.get("tol"),
+                                             kw.get("k_terms"))
+            assert got[1] == want[1]
+            assert type(got[0]) is np.ndarray and got[0].tobytes() == want[0].tobytes()
+
+    def test_other_arrays_take_the_row_by_row_path(self):
+        # a stack of another type, of another row shape or too wide for the
+        # stack is read row by row, as before
+        rng = np.random.default_rng(11)
+        w = rng.standard_normal(9)
+        for zero, xs in ((np.zeros(3), rng.standard_normal((9, 3)).astype(np.float32)),
+                         (np.zeros(3), rng.standard_normal((9, 3, 1))),
+                         (np.zeros(3), rng.standard_normal((12, 3))),
+                         (np.zeros(200), rng.standard_normal((9, 200)))):
+            got = grouporbit._weighted_sum(zero, w, xs)
+            want = loop_sum(zero, w, list(xs))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_boas_table_is_summed_as_one_stack(self, monkeypatch):
+        from bandlimit.boas import boas_derivative
+        from bandlimit.sampling import make_reference
+
+        f = make_reference("sin", 1.0, 0.3)
+        got = [boas_derivative(f, r, x) for r in (1, 2, 5) for x in (0.7, 1e3)]
+        monkeypatch.setattr(grouporbit, "_weighted_sum", loop_sum)
+        assert got == [boas_derivative(f, r, x) for r in (1, 2, 5) for x in (0.7, 1e3)]

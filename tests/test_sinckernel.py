@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from bandlimit.boas import boas_derivative, truncation_halfwidth
 from bandlimit.errors import ToleranceError
-from bandlimit.grouporbit import _weighted_sum
+from bandlimit.grouporbit import (BernsteinVector, _weighted_sum, group_boas, orbit_reconstruct,
+                                  rotation_instance)
 from bandlimit.sampling import (UniformSamples, _kernel_decay_const, make_reference, wks_eval_grid,
                                 wks_tail_bound)
 import bandlimit.sinckernel as sinckernel
@@ -983,3 +984,148 @@ class TestZeroSum:
         big = zero_sum_residual(2, 0.3, 20_000)
         small = zero_sum_residual(2, 0.3, 500)
         assert big <= small + 1e-12
+
+
+def search_blocks(n_max):
+    """The blocks of half-widths regularized_halfwidth tries, 1..32 first
+    and then blocks as long as all N before them (at most 4 096), up to
+    n_max."""
+    lo, hi = 1, 32
+    while lo <= n_max:
+        yield np.arange(lo, hi + 1)
+        lo, hi = hi + 1, hi + min(hi, 4096)
+
+
+class Curve:
+    """A certificate handed to regularized_halfwidth, memoized by block so
+    that the search and the scan read the same values, with the largest N
+    the search asked for."""
+
+    def __init__(self, cert, room, n_max):
+        self.cert, self.room, self.n_max = cert, room, n_max
+        self.memo, self.asked = {}, 0
+        self.scan = np.concatenate([self(ns) for ns in search_blocks(n_max)])
+        self.asked = 0
+
+    def __call__(self, ns):
+        self.asked = max(self.asked, int(ns[-1]))
+        key = (int(ns[0]), ns.size)
+        if key not in self.memo:
+            self.memo[key] = self.cert(ns)
+        return self.memo[key]
+
+    def expected(self, tol):
+        """What the search must return, from the scan of every N <= n_max:
+        the first N that meets tol, or the error of the least certificate."""
+        hit = np.flatnonzero(self.scan <= tol)
+        N = int(hit[0]) + 1 if hit.size else None
+        if N is not None and N <= self.room:
+            return N
+        best_n = int(np.argmin(self.scan[:self.room])) + 1
+        best = float(self.scan[best_n - 1])
+        need = (f"needs N = {N} samples on each side, but has only {self.room}"
+                if N is not None else "cannot reach tol at any N")
+        return f"regularized series {need}; achievable tol {best:.3e} (N = {best_n})", best
+
+
+def captured_curves(monkeypatch, calls, n_max):
+    """The (cert, room) of every N search the calls make, as Curves."""
+    seen = []
+    with monkeypatch.context() as m:
+        m.setattr(sinckernel, "regularized_halfwidth",
+                  lambda cert, tol, room=MAX_HALFWIDTH: seen.append((cert, room)) or 1)
+        for call in calls:
+            call()
+    return [Curve(cert, room, n_max) for cert, room in seen]
+
+
+class TestHalfwidthSearch:
+    """regularized_halfwidth stops at the first N whose certificate meets
+    tol, or once the least certificate tried is finite and the block just
+    appended lies wholly past it; it returns the N, or the achievable tol,
+    that a scan of every N gives."""
+
+    TOLS = 10.0 ** -np.arange(3, 17)
+
+    @staticmethod
+    def search(curve, tol):
+        try:
+            return sinckernel.regularized_halfwidth(curve, tol, curve.room)
+        except ToleranceError as exc:
+            return str(exc), exc.achievable
+
+    def check(self, curves, n_max_asked):
+        for curve in curves:
+            for tol in self.TOLS:
+                assert self.search(curve, tol) == curve.expected(tol), tol
+                assert curve.asked <= n_max_asked
+
+    def test_sampled_data_and_orbits_match_the_scan(self, monkeypatch):
+        # sampled data at alpha = 0.02, pi/4 and 1.3 (h sigma = pi - 2 alpha),
+        # on a wide window and on one whose edge limits N to 40, and rows
+        # at u = 1e9 (at alpha = 0.02 and r = 0 the certificate rises from
+        # its first finite N, 47, and falls back below it at N = 69 on its
+        # way to its least value at N = 181); orbits at sigma = 1 and 2.5
+        calls = []
+        for alpha in (0.02, PI / 4, 1.3):
+            f = make_reference("sinc", 1.0)
+            s = UniformSamples.from_function(f, PI - 2.0 * alpha, -6000, 6000)
+            for m in (0, 1, 3):
+                for xs in ([0.3, 17.2], [(5960.4 - 0.5) * s.h]):
+                    calls.append(lambda s=s, m=m, xs=xs: wks_eval_grid(s, m, np.array(xs), 1e-3))
+            for r in (0, 1, 8, 20):
+                calls.append(lambda r=r, alpha=alpha: _local_series(r, [1e9 + 0.3], alpha, 1.0,
+                                                                    1.0, 1e-3))
+        for sigma in (1.0, 2.5):
+            inst = rotation_instance([0.5 * sigma, sigma])
+            b = BernsteinVector(inst, np.array([0.6, 0.0, 0.0, 0.8]), sigma)
+            calls.append(lambda b=b: orbit_reconstruct(b, 0.7))
+            calls += [lambda b=b, r=r: group_boas(b, r) for r in (1, 3, 8)]
+        curves = captured_curves(monkeypatch, calls, 8192)
+        assert len(curves) == len(calls)
+        assert {c.room for c in curves} >= {40, MAX_HALFWIDTH}
+        self.check(curves, 8192)
+
+    @pytest.mark.parametrize("x", [0.7, 1e9])
+    def test_boas_matches_the_scan_below_257(self, monkeypatch, x):
+        # with the sample-point term at every N; the search tries no N
+        # above 256 at any order or tol
+        f = make_reference("sin", 1.0)
+        calls = [lambda r=r: boas_derivative(f, r, x) for r in range(1, 21)]
+        self.check(captured_curves(monkeypatch, calls, 512), 256)
+
+    @pytest.mark.parametrize("r", [1, 4, 16])
+    def test_boas_search_charges_the_computed_sum_past_128(self, monkeypatch, r):
+        # the moved-sample term of the search certificate is the slope times
+        # the reach times the computed sum |w| of the row at N = 129..256,
+        # not the bound (2N + 1) W_r, which is 7 to 2 000 times it
+        h, alpha, x = PI / 2, PI / 4, 1e9
+        f = make_reference("sin", 1.0)
+        moved, exact = captured_curves(
+            monkeypatch, [lambda: boas_derivative(f, r, x),
+                          lambda: _local_series(r, [0.0], alpha, 1.0, h, 1e-6)], 32)
+        ns = np.arange(129, 257)
+        term = moved.cert(ns) - exact.cert(ns)
+        sums = np.array([np.sum(np.abs(regularized_sinc_grid(r, -np.arange(-N, N + 1), N, alpha)))
+                         for N in ns])
+        slope = 2.0 * 2.0 ** -53 * (PI - 2.0 * alpha) / h ** r
+        assert np.allclose(term, slope * (x / h + 1.0 + ns) * sums, rtol=1e-9, atol=0.0)
+
+    def test_infinite_certificates_do_not_end_the_search(self):
+        # at alpha = 0.02 every certificate below a few hundred is infinite:
+        # the least of them is no turning point
+        curve = Curve(lambda ns: np.where(ns < 300, np.inf, 1e-9 * (ns - 700.0) ** 2 + 1e-6),
+                      MAX_HALFWIDTH, 8192)
+        assert self.search(curve, 2e-6) == curve.expected(2e-6) == 669
+        message, best = self.search(curve, 1e-7)
+        assert best == 1e-6 and message.endswith("(N = 700)") and curve.asked == 2048
+
+
+class TestBoxPathShape:
+    """_box_path decides by its operation count alone."""
+
+    @pytest.mark.parametrize("points", [0, 1, 7, 101, 10_000, 1_000_000])
+    def test_windows_of_at_most_five_boxes_are_summed_directly(self, points):
+        top = (2 * sinckernel._BOX_NEAR + 1) * sinckernel._BOX_SIZE
+        assert not any(sinckernel._box_path(m, points, length)
+                       for m in range(sinckernel.MAX_ORDER + 1) for length in range(top + 1))
