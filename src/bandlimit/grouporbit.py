@@ -35,11 +35,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from typing import Any, Callable, Iterable, List, Optional
 
 import numpy as np
 
-from .sinckernel import _block_rows, _local_series
+from .sinckernel import _local_series
 
 _PI = math.pi
 
@@ -144,8 +145,8 @@ def _orbit_sum(samples: Callable[[np.ndarray, np.ndarray], Any], zero, bound: fl
     the nonzero weights in index order and their time offsets dts = d h,
     d = u - n (sample n is the trajectory at t - dt), and returns the
     samples x_n in that order: an iterator whose items are each used or
-    copied before the next is drawn, or an array of one per row, summed
-    as the stack it is (:func:`_weighted_sum`).  ``bound``
+    copied before the next is drawn, or an array of one per row, copied
+    into the stack of :func:`_weighted_sum` in one step.  ``bound``
     bounds every sample's norm; ``zero`` starts the sum of
     :func:`_weighted_sum`.  N is ``k_terms`` when given (tol is then
     ignored), else the smallest half-width the certificate allows.  The
@@ -180,45 +181,38 @@ def _weighted_sum(zero, w: np.ndarray, samples: Iterable[Any]):
     used or copied before the next is drawn.
 
     When zero is a float64 or complex128 array of at most _STACKED_MAX_SIZE
-    entries, the samples are stacked behind it, scaled by one multiply and
-    summed in place by one np.add.accumulate along the stack, which adds
-    row by row, the additions of the loop in its order, so the sum is
-    bit-identical to it.  An array of zero's type and row shape is that
-    stack as it is; other samples of zero's shape and type are copied on
-    arrival into a block (:func:`~bandlimit.sinckernel._block_rows`).  Other
-    vectors (larger arrays, SeqWindow), and every sample from the first that
-    does not fit the block, are added one by one.
+    entries, the samples are stacked behind it, len(w) + 1 rows, scaled by
+    one multiply and summed in place by one np.add.accumulate along the
+    stack, which adds row by row, the additions of the loop in its order, so
+    the sum is bit-identical to it.  An array of zero's type and row shape
+    fills the stack in one copy; other samples of zero's shape and type are
+    copied into it as they arrive.  Other vectors (larger arrays,
+    SeqWindow), and every sample from the first that does not fit the
+    stack, are added one by one.
     """
     ws = w.tolist()
     acc, i = zero, 0
     if (isinstance(zero, np.ndarray) and zero.dtype in _STACKED
             and zero.size <= _STACKED_MAX_SIZE and ws):
         shape, dtype = zero.shape, zero.dtype
+        stack = np.empty((len(ws) + 1,) + shape, dtype)
+        stack[0] = zero
         if (isinstance(samples, np.ndarray) and samples.dtype is dtype
                 and samples.shape == (len(ws),) + shape):
-            stack = np.concatenate((zero[None], samples * w.reshape((-1,) + (1,) * len(shape))))
-            return np.add.accumulate(stack, axis=0, out=stack)[-1].copy()
-        samples = iter(samples)
-        buf = np.empty((min(_block_rows(zero.size), len(ws)) + 1,) + shape, dtype)
-        buf[0] = zero
-        odd = None
-        while odd is None and i < len(ws):
-            k = 0  # samples stacked behind the running sum buf[0]
-            for row, x in zip(buf[1:len(ws) - i + 1], samples):
+            stack[1:] = samples
+            i = len(ws)
+            samples = ()  # nothing is left for the loop, which would iterate an array
+        else:
+            samples = iter(samples)
+            for x in islice(samples, len(ws)):
                 if not (isinstance(x, np.ndarray) and x.dtype is dtype and x.shape == shape):
-                    odd = x
+                    samples = chain((x,), samples)  # the loop below adds it first
                     break
-                row[...] = x
-                k += 1
-            blk = buf[:k + 1]
-            blk[1:] *= w[i:i + k].reshape((k,) + (1,) * len(shape))
-            np.add.accumulate(blk, axis=0, out=blk)
-            buf[0] = blk[k]
-            i += k
-        if odd is None:
-            return buf[0].copy()
-        acc = buf[0] + ws[i] * odd
-        i += 1
+                i += 1
+                stack[i] = x
+        stack = stack[:i + 1]
+        stack[1:] *= w[:i].reshape((i,) + (1,) * len(shape))
+        acc = np.add.accumulate(stack, axis=0, out=stack)[i].copy()
     for wn, x in zip(ws[i:], samples):
         acc = acc + wn * x
     return acc

@@ -48,7 +48,6 @@ from .sinckernel import (
     _snap_grid,
     sinc_derivative_grid,
     sinc_grid,
-    snap_integer,
 )
 
 _PI = math.pi
@@ -417,7 +416,7 @@ def valiron_tschakaloff_eval(s: UniformSamples, f0: float, df0: float,
     """
     z = complex(z)
     u = _vt_point(s, z)
-    u = np.array([snap_integer(u.real) if u.imag == 0.0 else u])
+    u = _snap_grid(np.array([u.real])) if u.imag == 0.0 else np.array([u])
     head = (z * df0 + f0) * complex(sinc_grid(u)[0])
     alt = np.arange(s.k_min, s.k_max + 1, dtype=float)
     alt[-s.k_min] = math.inf  # _vt_point keeps k = 0 in the window

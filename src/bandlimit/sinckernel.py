@@ -605,7 +605,7 @@ def regularized_sinc_certificate(m: int, N, alpha: float, sample_bound: float,
     # H_N <= ln N + gamma + 1/(2N)
     lebesgue = 2.0 + 2.0 / _PI * (np.log(n) + 0.5772156649015329 + 0.5 / n)
     # where eps0 >= 1 the certificate is infinite (the last line)
-    sup = lebesgue * sample_bound / (1.0 - np.minimum(eps0, 0.5))
+    sup = lebesgue * sample_bound / np.where(eps0 < 1.0, 1.0 - eps0, 1.0)
     if m == 0:
         trunc = np.asarray(sin_factor) * eps0
     else:
@@ -697,9 +697,10 @@ def _local_series(r: int, u, alpha: float, bound: float, h: float, tol: float,
     sum |w| >= 1/2.  Every row with D < N has that sum: at r = 0, D < N
     needs alpha N >= 65 ln 2 (the tail at D = N - 1 is at least
     2 exp(-alpha N)), so the weight at n0 alone is at least
-    sinc(1/2) exp(-alpha/(4N)) > 0.62 (alpha < pi/2), and for r >= 1 the
-    computed sums are at least pi^r/4 (held by a test over offsets, alpha
-    and r <= 8).  So the band costs O(D) per row, the fetch rule sees the same
+    sinc(1/2) exp(-alpha/(4N)) > 0.62 (alpha < pi/2), and for r = 1..20
+    a test over offsets and alpha finds the computed sums at least 1/2
+    (pi^r/4 for r <= 8; for r >= 9, at alpha pi/4 and 1.3, 11 874, below
+    pi^r/4).  So the band costs O(D) per row, the fetch rule sees the same
     weights up to that margin, and the tail is charged to the certificate.
     At alpha = pi/4 and N = 4096, D is 495 for r = 0 and 673-690 for
     r = 1..3, where the Gaussian factor leaves about 3 940 offsets live;
@@ -818,11 +819,3 @@ def coefficient_tail_bound(parity: Parity, m: int, halfwidth: int) -> float:
         return min(coarse, 4.0 * m * _PI ** (2 * m - 2) / K)
     return coarse
 
-
-def snap_integer(u: float) -> float:
-    """Collapse u onto the nearest integer when it differs only by rounding.
-
-    Lattice coordinates are often produced as (k*h)/h; snapping restores the
-    exact Kronecker behavior of the kernel at sample nodes.
-    """
-    return float(_snap_grid(np.float64(u)))

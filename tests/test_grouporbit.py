@@ -23,15 +23,20 @@ from bandlimit.grouporbit import (
     rotation_instance,
 )
 from bandlimit.sinckernel import (
+    _snap_grid,
     coefficient_tail_bound,
     regularized_sinc_grid,
     sinc,
     sinc_grid,
-    snap_integer,
 )
 from paper_boas import boas_coefficient, boas_coefficient_grid
 
 PI = math.pi
+
+
+def snap_integer(u):
+    """u on the nearest integer when it differs from it only by rounding."""
+    return float(_snap_grid(np.float64(u)))
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +516,14 @@ class TestGatheredSum:
             want = loop_sum(np.zeros(3), w, mixed)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert grouporbit._weighted_sum(np.zeros(3), w[:0], iter([])).tobytes() == bytes(24)
+
+    def test_fewer_samples_than_weights_end_the_sum(self):
+        # the loop's zip stops at the last sample; the stack does too
+        rng = np.random.default_rng(6)
+        w = rng.standard_normal(9)
+        xs = [rng.standard_normal(3) for _ in range(4)]
+        got = grouporbit._weighted_sum(np.zeros(3), w, iter(xs))
+        assert got.tobytes() == loop_sum(np.zeros(3), w, xs).tobytes()
 
     @pytest.mark.parametrize("size", [129, 1024, 65536])
     def test_large_vectors_bit_identical_to_the_loop(self, size):

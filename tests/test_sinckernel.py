@@ -321,6 +321,21 @@ class TestRegularizedKernel:
             want = regularized_sinc_grid(m, x, int(n), PI / 4)
             assert np.array_equal(row.view(np.uint64), want.view(np.uint64)), n
 
+    @pytest.mark.parametrize("alpha, N", [(0.02, 47), (0.02, 60), (0.3, 4)])
+    def test_sup_bound_divides_by_one_minus_eps(self, alpha, N):
+        # README "M from the samples": M <= Lambda_N S / (1 - eps_N), so the
+        # m = 0 truncation term alone is at least Lambda_N S eps_N/(1 - eps_N)
+        # for every eps_N < 1, 0.5 <= eps_N included
+        eps0 = math.exp(sinckernel._strip_log_bound(N, alpha, 0.0))
+        lebesgue = 2.0 + 2.0 / PI * math.fsum(1.0 / k for k in range(1, N + 1))
+        assert 0.5 <= eps0 < 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert regularized_sinc_certificate(0, N, alpha, 1.0, 0.37) >= (
+                lebesgue * eps0 / (1.0 - eps0))
+            # eps_N >= 1 below N = 47 at alpha = 0.02: no bound, no warning
+            assert regularized_sinc_certificate(0, 46, 0.02, 1.0, 0.37) == math.inf
+
 
 def full_rows(r, u, alpha, bound, h, N):
     """The rows of the local engine with every offset |n - n0| <= N, as
@@ -418,6 +433,15 @@ class TestRowBand:
             n, least = (first_banded(r, alpha), PI ** r / 4) if N is None else (N, PI ** r / 2)
             w = regularized_sinc_grid(r, offsets - np.arange(-n, n + 1), n, alpha)
             assert np.min(np.sum(np.abs(w), axis=1)) >= least, (r, n)
+        # r = 9..20 at the smallest N with D < N hold the 1/2 the rule needs,
+        # not pi^r/4 (0.079 pi^r at alpha = 1.3, r = 17); alpha = 0.02, whose
+        # rows weigh about pi^r at N above 5 000, would add about 8 s
+        # (2-core x86-64 host)
+        if N is None and alpha > 0.02:
+            for r in range(9, 21):
+                n = first_banded(r, alpha)
+                w = regularized_sinc_grid(r, offsets - np.arange(-n, n + 1), n, alpha)
+                assert np.min(np.sum(np.abs(w), axis=1)) >= 0.5, (r, n)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_every_row_stays_inside_the_underflow_radius(self, alpha):
@@ -443,13 +467,15 @@ class TestRowBand:
         # an N sized by a tol sits near ln(1/tol)/alpha, where the band tail
         # at D = N - 1 is still far above 2^-64: D = N
         sized = 0
-        for tol in 10.0 ** -np.arange(3, 13):
-            for origin in (None, 3.0):
+        for origin in (None, 3.0):
+            for tol in 10.0 ** -np.arange(3, 13):
                 try:
                     N, rows = _local_series(r, [0.37, -0.5, 3.0], alpha, 1.0, 0.5, tol,
                                             origin=origin)
                 except ToleranceError:
-                    continue  # no N reaches this tol
+                    # no N reaches this tol; the search reads tol only to
+                    # test for a hit, so every smaller tol is refused too
+                    break
                 sized += 1
                 assert N < first_banded(r, alpha) and _band_halfwidth(r, N, alpha) == N
                 assert rows(slice(None))[2].shape[1] == 2 * N + 1
