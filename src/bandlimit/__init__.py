@@ -58,4 +58,7 @@ from .dht import (
     pairing_check,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+
+__all__ = [name for name, value in globals().items()  # the names above, not the submodules
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

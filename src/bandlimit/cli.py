@@ -267,7 +267,6 @@ def _suite_group(cfg: RunConfig) -> SuiteReport:
     inst = rotation_instance([cfg.sigma])
     v = np.array([0.8, -0.6])
     b = BernsteinVector(inst, v, cfg.sigma)
-    rep.add("bernstein_bounds", 0.0 if b.validate(depth=8) else 1.0, 0.0, tol=0.5)
     w = v.copy()
     for r in (1, 2, 3):
         w = inst.generator(w)  # D^r v, of norm sigma^r: tol and bound scale with it

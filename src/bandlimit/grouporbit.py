@@ -40,7 +40,7 @@ from typing import Any, Callable, Iterable, List, Optional
 
 import numpy as np
 
-from .sinckernel import _local_series
+from .sinckernel import _check_order, _local_series
 
 _PI = math.pi
 
@@ -302,7 +302,7 @@ def group_boas(b: BernsteinVector, r: int, tol: float = 1e-6,
     with the achievable tol, below the rounding floor."""
     if r < 1:
         raise ValueError("power r must be >= 1")
-    return _trajectory(b, int(r), 0.0, tol, k_terms)[0]
+    return _trajectory(b, _check_order(r), 0.0, tol, k_terms)[0]
 
 
 @dataclass(frozen=True)

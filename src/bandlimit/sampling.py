@@ -466,8 +466,8 @@ def riesz_trig_derivative(P: Callable[[float], float], N: int, x: float) -> floa
     before the next and a constant P is annihilated exactly in floating
     point.
     """
-    if N < 1:
-        raise ValueError("polynomial order N must be >= 1")
+    if not (N >= 1 and float(N).is_integer()):
+        raise ValueError(f"polynomial order N must be an integer >= 1, got {N}")
     x = float(x)
     k = np.arange(1, N + 1)
     xk = (2 * k - 1) * _PI / (2 * N)

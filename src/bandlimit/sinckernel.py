@@ -229,8 +229,8 @@ MAX_ORDER = 20
 
 
 def _check_order(m: int) -> int:
-    """m as an int, or ValueError naming the range 0..MAX_ORDER."""
-    if not 0 <= m <= MAX_ORDER:
+    """m as an int, or ValueError naming the range 0..MAX_ORDER, also for a fraction."""
+    if not (0 <= m <= MAX_ORDER and m == int(m)):
         raise ValueError(f"derivative order must be in 0..{MAX_ORDER}, got {m}")
     return int(m)
 
@@ -284,14 +284,19 @@ def _box_path(m: int, points: int, length: int) -> bool:
     return box < points * length * (3 + 2 * m)
 
 
-def _add_far_moments(moments, d, a, at, t, m: int) -> None:
-    """moments[p] += each row's sum of a/d^(p+1), p = 0..m, for the offsets
-    d = u - k of a block of rows and the weights a = (-1)^k c_k, leaving
-    out the entries ``at`` (the near band): one division per entry and one
-    multiply per further power.  d is overwritten; t is scratch of d's
-    shape, and may be a itself."""
+def _add_far_moments(moments, u, ks, a, band, d, t, m: int) -> None:
+    """moments[p] += each row's sum of a/(u - k)^(p+1), p = 0..m, for points
+    u, their rows' lattice indices ks (one row for all, or one per point)
+    and the weights a = (-1)^k c_k, leaving out each point's near band
+    ``band`` (lattice indices): one division per entry and one multiply per
+    further power.  d and t are scratch of at least u.size rows; d may be
+    ks, whose near-band columns are read first, and t may be a."""
+    j = band - ks[..., :1]  # the near band, in row columns
+    at = np.nonzero((j >= 0) & (j < ks.shape[-1]))
+    at = (at[0], j[at].astype(np.intp))
+    d = np.subtract(u[:, None], ks, out=d[:u.size])
     d[at] = 1.0  # zeroed below
-    np.divide(a, d, out=t)
+    t = np.divide(a, d, out=t[:u.size])
     t[at] = 0.0
     moments[0] += np.sum(t, axis=1)
     if m:
@@ -302,9 +307,8 @@ def _add_far_moments(moments, d, a, at, t, m: int) -> None:
 
 
 def _direct_moments(m: int, u, c, k_min: int, band) -> np.ndarray:
-    """The far-band moments over the whole window, piece by piece
-    (_LATTICE_PIECE), each piece for a block of points, leaving out each
-    point's near band (``band``, as lattice indices)."""
+    """The far-band moments over the whole window by :func:`_add_far_moments`,
+    each piece (_LATTICE_PIECE) one row of lattice indices for every point."""
     moments = np.zeros((m + 1, u.size), dtype=np.result_type(u, 1.0))  # the type of u - n0
     for lo in range(0, c.size, _LATTICE_PIECE):
         a = c[lo:lo + _LATTICE_PIECE].copy()
@@ -314,13 +318,8 @@ def _direct_moments(m: int, u, c, k_min: int, band) -> np.ndarray:
         d_rows = np.empty((min(rows, u.size), a.size), dtype=moments.dtype)
         t_rows = np.empty_like(d_rows)
         for i in range(0, u.size, rows):
-            n = min(rows, u.size - i)
-            d = d_rows[:n]
-            np.subtract(u[i:i + n, None], ks, out=d)
-            j = band[i:i + n] - ks[0]  # the block's near band, in piece columns
-            at = np.nonzero((j >= 0) & (j < a.size))
-            _add_far_moments(moments[:, i:i + n], d, a, (at[0], j[at].astype(np.intp)),
-                             t_rows[:n], m)
+            b = slice(i, i + rows)
+            _add_far_moments(moments[:, b], u[b], ks, a, band[b], d_rows, t_rows, m)
     return moments
 
 
@@ -330,10 +329,10 @@ def _box_moments(m: int, u, c, k_min: int, band) -> np.ndarray:
 
     Box b holds k = k_min + b B + i, i < B, about its center
     k_min + b B + (B - 1)/2, with R = B/2.  A point whose n0 lies in box j
-    sums boxes j - _BOX_NEAR .. j + _BOX_NEAR entry by entry, as the direct
-    path does (u - k with k an exact integer-valued float, leaving out the
-    near band ``band``, n0 - m - 1 .. n0 + m + 1).  Every other box is at
-    x = u - center with |R/x| <= _BOX_RATIO, and with
+    sums boxes j - _BOX_NEAR .. j + _BOX_NEAR entry by entry: it hands its
+    row of their lattice indices to :func:`_add_far_moments`, as the direct
+    path does, which leaves out ``band`` (n0 - m - 1 .. n0 + m + 1).
+    Every other box is at x = u - center with |R/x| <= _BOX_RATIO, and with
     nu_q = sum_i (-1)^k c_k ((k - center)/R)^q, q < P,
 
         sum_i (-1)^k c_k (u - k)^-p = x^-p sum_q C(p - 1 + q, q) nu_q (R/x)^q
@@ -367,19 +366,14 @@ def _box_moments(m: int, u, c, k_min: int, band) -> np.ndarray:
     rows_of_a = np.lib.stride_tricks.as_strided(
         a, shape=(boxes + near_boxes + 1, width), strides=(B * a.itemsize, a.itemsize),
         writeable=False)
-    span = np.arange(width, dtype=float)
+    span = k_min - near_boxes * B + np.arange(width, dtype=float)  # the row of padded box 0
     rows = _block_rows(width)
     d_rows = np.empty((min(rows, u.size), width))
     for i in range(0, u.size, rows):
         b = slice(i, i + rows)
-        n = first[b].size
-        k0 = k_min + (first[b] - near_boxes) * float(B)  # each row's first k
-        d = np.add(k0[:, None], span, out=d_rows[:n])
-        np.subtract(u[b, None], d, out=d)
-        pos = band[b] - k0[:, None]  # the near band, in row columns
-        at = np.nonzero((pos >= 0) & (pos < width))
+        ks = np.add(first[b, None] * float(B), span, out=d_rows[:first[b].size])
         a_b = rows_of_a[first[b]]
-        _add_far_moments(moments[:, b], d, a_b, (at[0], pos[at].astype(np.intp)), a_b, m)
+        _add_far_moments(moments[:, b], u[b], ks, a_b, band[b], ks, a_b, m)
     centers = k_min + B * np.arange(boxes) + (B - 1) / 2.0
     rows = _block_rows(boxes)
     for i in range(0, u.size, rows):
@@ -427,9 +421,10 @@ def _lattice_series(m: int, u, c, k_min: int) -> np.ndarray:
     real points where its operation count is lower, the box far field of
     :func:`_box_moments`, which sums (2 _BOX_NEAR + 1) _BOX_SIZE entries per
     point and takes the rest from each box's P moments.  Complex points
-    take the direct path.  On either path each row is summed on its own,
-    so a point's value depends neither on the block size nor, once the path
-    is chosen, on the other points of the call.
+    take the direct path.  Either path hands its rows' lattice indices to
+    the one row routine :func:`_add_far_moments`, which sums each row on its
+    own, so a point's value depends neither on the block size nor, once the
+    path is chosen, on the other points of the call.
     """
     m = _check_order(m)
     u = np.asarray(u)

@@ -629,7 +629,7 @@ class TestVerify:
             warnings.simplefilter("error")
             assert main(["verify", "--suite", "group", "--sigma", sigma]) == 0
         out = capsys.readouterr().out
-        assert "FAIL" not in out and out.count("[PASS]") == 7
+        assert "FAIL" not in out and out.count("[PASS]") == 6
 
     @pytest.mark.parametrize("sigma, h", [("1e-3", "1.0"), ("1.0", "0.005"), ("1e-15", "1.0")])
     def test_pp_skips_below_the_window_resolution(self, sigma, h, capsys):
@@ -820,3 +820,17 @@ class TestNoInternalError:
         assert "internal" not in err.getvalue(), (argv, err.getvalue())
         if command == "dht" and "power" in argv and code != 0:
             assert not (root / "out.csv").exists(), argv
+
+
+class TestPackage:
+    def test_star_import_binds_only_public_names(self):
+        # __all__ was built from dir(), so it listed the submodules too
+        import types
+
+        import bandlimit
+        assert bandlimit.__all__
+        for name in bandlimit.__all__:
+            assert not isinstance(getattr(bandlimit, name), types.ModuleType), name
+        public = {name for name in dir(bandlimit) if not name.startswith("_")
+                  and not isinstance(getattr(bandlimit, name), types.ModuleType)}
+        assert set(bandlimit.__all__) == public

@@ -556,6 +556,15 @@ class TestRiesz:
         with pytest.raises(ValueError):
             riesz_trig_derivative(math.sin, 0, 0.0)
 
+    def test_rejects_fractional_order(self):
+        # N = 2.5 summed six nodes of no formula (1.79224 for sin 2x at 0.3)
+        for N in (2.5, 1.5, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                riesz_trig_derivative(lambda x: math.sin(2 * x), N, 0.3)
+        want = riesz_trig_derivative(lambda x: math.sin(2 * x), 2, 0.3)
+        for N in (2.0, np.int64(2)):
+            assert riesz_trig_derivative(lambda x: math.sin(2 * x), N, 0.3) == want
+
 
 def poisson_residual(f, fhat, lam, t, K):
     """| (lam/sqrt(2 pi)) sum_{|k|<=K} f(t + lam k)

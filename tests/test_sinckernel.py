@@ -639,6 +639,43 @@ class TestNearBandAcrossPieces:
         assert np.all(np.abs(got - want) <= 2 * termwise_slack(0, self.COMPLEX.real, c, k_min))
 
 
+class TestFarRowRoutine:
+    """_add_far_moments turns rows' lattice indices into offsets and near-band
+    columns itself: one row shared by a block of points (the direct path)
+    and the same row given once per point (the box path) give the same
+    moments bit for bit."""
+
+    K_LO, WIDTH = 100, 64  # a piece of the lattice indices 100 .. 163
+    # near bands across both piece edges, inside the piece and outside it
+    U = np.array([99.6, 100.2, 101.0, 131.3, 131.5, 162.7, 163.4, 165.2, 90.0, 180.5])
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    @pytest.mark.parametrize("imag", [0.0, 0.3])
+    def test_shared_row_and_a_row_per_point_agree(self, m, imag):
+        u = self.U + 1j * imag if imag else self.U
+        ks = np.arange(self.K_LO, self.K_LO + self.WIDTH, dtype=float)
+        a = np.random.default_rng(m).standard_normal(self.WIDTH)
+        band = np.rint(u.real)[:, None] + np.arange(-m - 1, m + 2)
+        dtype = np.result_type(u, 1.0)
+        shared = np.zeros((m + 1, u.size), dtype=dtype)
+        # scratch of more rows than the block, as a block at the end of a call has
+        scratch = np.empty((u.size + 3, self.WIDTH), dtype=dtype)
+        sinckernel._add_far_moments(shared, u, ks, a, band, scratch, np.empty_like(scratch), m)
+        rows, a_rows = np.tile(ks, (u.size, 1)), np.tile(a, (u.size, 1))
+        per_point = np.zeros_like(shared)
+        if imag:
+            sinckernel._add_far_moments(per_point, u, rows, a_rows, band, scratch,
+                                        np.empty_like(scratch), m)
+        else:  # the box path's buffers: the offsets over ks, the terms over a
+            sinckernel._add_far_moments(per_point, u, rows, a_rows, band, rows, a_rows, m)
+        assert per_point.tobytes() == shared.tobytes()
+        for i in range(u.size):
+            far = (ks < band[i, 0]) | (ks > band[i, -1])
+            for p in range(m + 1):
+                terms = a[far] / (u[i] - ks[far]) ** (p + 1)
+                assert abs(shared[p, i] - np.sum(terms)) <= 1e-14 * np.sum(np.abs(terms))
+
+
 class TestBoxFarField:
     """The box path of _lattice_series: a point sums the boxes within
     _BOX_NEAR of its own entry by entry, and every other box from its P
@@ -803,6 +840,29 @@ class TestDerivativeOrderRange:
     def test_kernels_refuse_orders_outside_0_to_20(self, call):
         with pytest.raises(ValueError, match=r"0\.\.20"):
             call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: sinc_derivative(0.5, 0.3),
+        lambda: sinc_derivative_grid(1.5, np.array([0.3])),
+        lambda: regularized_sinc_grid(np.float64(2.5), [0.3], 8, 0.7),
+        lambda: _lattice_series(1.5, np.array([0.3]), np.ones(5), -2),
+        lambda: boas_derivative(np.sin, 2.5, 0.3),
+        lambda: group_boas(BernsteinVector(rotation_instance([1.0]), np.array([0.8, -0.6]),
+                                           1.0), 1.7)],
+        ids=["sinc_derivative", "sinc_derivative_grid", "regularized_sinc_grid",
+             "_lattice_series", "boas_derivative", "group_boas"])
+    def test_engines_refuse_fractional_orders(self, call):
+        # a fractional order was truncated: sinc_derivative_grid(1.5, x) gave sinc'(x)
+        with pytest.raises(ValueError, match=r"0\.\.20"):
+            call()
+
+    def test_integral_floats_and_numpy_integers_are_orders(self):
+        x = np.array([0.3, 2.7])
+        want = sinc_derivative_grid(2, x)
+        for m in (2.0, np.int64(2), np.float64(2.0)):
+            assert sinc_derivative_grid(m, x).tobytes() == want.tobytes()
+        b = BernsteinVector(rotation_instance([1.0]), np.array([0.8, -0.6]), 1.0)
+        assert group_boas(b, 2.0).tobytes() == group_boas(b, 2).tobytes()
 
     def test_order_20_is_summed(self):
         s = UniformSamples.from_function(make_reference("fejer", 1.0), PI, -2000, 2000)
