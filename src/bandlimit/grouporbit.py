@@ -80,7 +80,9 @@ class BernsteinVector:
             raise ValueError("certified sigma must be positive and finite")
 
     def validate(self, depth: int = 8, rtol: float = 1e-9) -> bool:
-        """Check ||D^k v|| <= sigma^k ||v|| for k <= depth."""
+        """An estimate, not a certificate: check ||D^k v|| <= sigma^k ||v||
+        only for k <= depth.  A vector that passes may still break the bound
+        at a higher order, so True does not certify the rate sigma."""
         inst = self.instance
         base = inst.norm(self.v)
         w = self.v

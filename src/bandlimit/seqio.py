@@ -8,8 +8,15 @@ Function samples:   CSV header  k,value      sidecar {sigma, h, k_min, k_max,
                     tail_bound[, tail_decay]}
 Sequence windows:   CSV header  n,value      sidecar {n0, len, tail_l2}
 
+Only lines that start with '#' may come before the header; after it, '#'
+starts a comment anywhere on a line, and lines may end in LF, CRLF or CR.
+The input is a regular file of plain text: a path that is not a regular file
+(a directory, a device, a named pipe) or whose name ends in .gz, .bz2, .xz or
+.lzma, which numpy would open as compressed, is refused.
+
 The contract a file must meet to be read: the header and every row are
-exactly two cells, a row an integer index and a float value; the sidecar is
+exactly two cells, a row an integer index and a float value as numpy's
+parser reads them (ASCII digits, no '_' or '0x'); the sidecar is
 a JSON object; the index fields (k_min, k_max, n0, len) are JSON integers or
 integral floats; every other field is a JSON number (not a bool or a
 string), and sigma and h are finite; no field is an integer too large for a
@@ -91,6 +98,15 @@ def _load_sidecar(csv_path, fields: Dict[str, str]) -> Dict:
 _ROW = np.dtype([("index", np.int64), ("value", np.float64)])
 
 
+def _load_rows(source, skiprows: int = 0) -> np.ndarray:
+    """The rows of ``source`` (a path, or a list of lines) as ``_ROW`` records;
+    ValueError on a row that is not 'integer,float'."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "no data", checked by the caller
+        return np.loadtxt(source, delimiter=",", comments="#", dtype=_ROW, ndmin=1,
+                          skiprows=skiprows)
+
+
 def _read_window(csv_path, name: str, fields: Dict[str, str], span) -> Tuple[np.ndarray, Dict]:
     """Values and sidecar fields of a file whose header is exactly '<name>,value',
     whose rows are exactly 'integer,float', and whose index column runs from
@@ -98,20 +114,27 @@ def _read_window(csv_path, name: str, fields: Dict[str, str], span) -> Tuple[np.
     path = Path(csv_path)
     if not path.exists():
         raise InputFormatError(f"input file {path} does not exist")
+    # numpy parses a path in chunks but an open file line by line, so the rows
+    # are read from the path: the file is opened twice (a pipe would block),
+    # and numpy picks a decompressor by these suffixes
+    if not path.is_file():
+        raise InputFormatError(f"input file {path} is not a regular file")
+    if path.suffix in (".gz", ".bz2", ".xz", ".lzma"):
+        raise InputFormatError(
+            f"input file {path}: a '{path.suffix}' name is read as compressed; "
+            "the reader takes plain text only")
     with open(path, newline="") as fh:
-        header = fh.readline()
+        header, skip = fh.readline(), 1
         while header.startswith("#"):
-            header = fh.readline()
-        if [c.strip() for c in header.split(",")] != [name, "value"]:
-            raise InputFormatError(
-                f"{path}: expected header '{name},value', got {header.strip()!r}")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # "no data", checked below
-                table = np.loadtxt(fh, delimiter=",", comments="#", dtype=_ROW, ndmin=1)
-        except ValueError as exc:
-            raise InputFormatError(
-                f"{_bad_row_at(path)}: bad row, expected 'integer,float'") from exc
+            header, skip = fh.readline(), skip + 1
+    if [c.strip() for c in header.split(",")] != [name, "value"]:
+        raise InputFormatError(
+            f"{path}: expected header '{name},value', got {header.strip()!r}")
+    try:
+        table = _load_rows(path, skip)
+    except ValueError as exc:
+        raise InputFormatError(
+            f"{_bad_row_at(path, skip)}: bad row, expected 'integer,float'") from exc
     if table.size == 0:
         raise InputFormatError(f"{path}: no data rows")
     meta = _load_sidecar(path, fields)
@@ -123,18 +146,22 @@ def _read_window(csv_path, name: str, fields: Dict[str, str], span) -> Tuple[np.
     return table["value"], meta
 
 
-def _bad_row_at(path: Path) -> str:
-    """'file:line' of the first data row that is not 'integer,float'."""
-    with open(path) as fh:
-        rows = [(n, text) for n, line in enumerate(fh, start=1)
-                if (text := line.split("#")[0].rstrip("\n"))]
-    for lineno, text in rows[1:]:
+def _bad_row_at(path: Path, skip: int) -> str:
+    """'file:line' of the first row after the ``skip`` header lines that
+    ``_load_rows`` refuses, for a file it refused.  The parser itself judges
+    the rows, each on its own (the dtype fixes two cells), halving the span
+    that holds the first refused row."""
+    with open(path) as fh:  # the newline handling numpy opens a path with
+        lines = fh.readlines()[skip:]
+    good, bad = 0, len(lines)  # lines[:good] load; lines[:bad] are refused
+    while bad - good > 1:
+        mid = (good + bad) // 2
         try:
-            index, value = text.split(",")
-            int(index), float(value)
+            _load_rows(lines[good:mid])
+            good = mid
         except ValueError:
-            return f"{path}:{lineno}"
-    return str(path)
+            bad = mid
+    return f"{path}:{skip + bad}"
 
 
 def read_samples(csv_path) -> UniformSamples:

@@ -247,3 +247,65 @@ class TestTwoCells:
         assert _run(path, tmp_path)[0] == 2
         err = capsys.readouterr().err
         assert f"{path}:11: bad row" in err and "usecols" not in err
+
+    @pytest.mark.parametrize("cell", ["1_0", "1e5_0", "١"])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_cell_python_reads_but_numpy_refuses_names_its_line(self, cell, column, tmp_path,
+                                                                capsys):
+        # int() and float() read 1_0 as 10 and the Arabic-Indic digit one as 1
+        path = _samples_file(tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        cells = lines[2].rstrip("\n").split(",")
+        cells[column] = cell
+        lines[2] = ",".join(cells) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        assert _run(path, tmp_path)[0] == 2
+        assert f"{path}:3: bad row" in capsys.readouterr().err
+
+
+class TestLineLayout:
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    @pytest.mark.parametrize("kind", ["samples", "sequence"])
+    def test_comments_and_line_ends_read_the_plain_values(self, kind, eol, tmp_path, capsys):
+        plain = _samples_file(tmp_path) if kind == "samples" else _sequence_file(
+            tmp_path, n0=-3, values=(0.1, -2.5, 1e-300, 7.0))
+        read = read_samples if kind == "samples" else read_sequence
+        expected = read(plain).values.tobytes()
+        header, *rows = plain.read_text().splitlines()
+        lead, footer = ["# made by hand", "#", "# key=value"], ["# version=x", "# tol=0.001"]
+        layouts = {
+            "lead": lead + [header] + rows,
+            "note": [header] + [row + "  # note" for row in rows],
+            "footer": [header] + rows + footer,
+            "all": lead + [header, rows[0] + " # first"] + rows[1:] + footer,
+        }
+        for name, lines in layouts.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(eol.join(lines + [""]).encode())
+            sidecar_path(path).write_bytes(sidecar_path(plain).read_bytes())
+            assert read(path).values.tobytes() == expected, name
+        # a header, after comment lines, and no rows: exit 2 as before
+        path = tmp_path / ("q.csv" if kind == "sequence" else "s.csv")
+        path.write_bytes(eol.join(lead + [header] + footer + [""]).encode())
+        code, out = _run(path, tmp_path)
+        assert code == 2 and not out.exists()
+        assert f"{path}: no data rows" in capsys.readouterr().err
+
+
+class TestPaths:
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_text_with_a_compressed_suffix_exit_2(self, suffix, tmp_path, capsys):
+        # numpy picks a decompressor by the suffix of a path it is handed
+        path = _samples_file(tmp_path)
+        named = path.rename(path.with_suffix(suffix))
+        out = tmp_path / "o.csv"
+        code = main(["reconstruct", "--input", str(named), "--output", str(out), "--num", "5"])
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert str(named) in err and "internal" not in err
+
+    def test_device_is_not_a_regular_file_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        code = main(["reconstruct", "--input", "/dev/null", "--output", str(out), "--num", "5"])
+        assert code == 2 and not out.exists()
+        assert "input file /dev/null is not a regular file" in capsys.readouterr().err
