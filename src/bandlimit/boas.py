@@ -40,7 +40,7 @@ import numpy as np
 from .errors import ToleranceError
 from .grouporbit import _orbit_sum
 from .sampling import BandlimitedFn
-from .sinckernel import MAX_HALFWIDTH, _check_order, _sharp_floor, coefficient_tail_bound
+from .sinckernel import MAX_HALFWIDTH, _check_order, _least, _sharp_floor, coefficient_tail_bound
 
 _PI = math.pi
 _E = math.e
@@ -65,14 +65,8 @@ def truncation_halfwidth(variant: str, r: int, sigma: float, sup_bound: float,
     if not best <= tol:
         raise ToleranceError(
             f"tol {tol:.3e} needs half-width > {MAX_HALFWIDTH}", achievable=best)
-    lo, hi = 0, MAX_HALFWIDTH  # the tail meets tol at hi, not at lo (0: none)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if series_tail_bound(variant, r, sigma, sup_bound, mid) <= tol:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _least(lambda K: series_tail_bound(variant, r, sigma, sup_bound, K) <= tol,
+                  1, MAX_HALFWIDTH)
 
 
 def series_tail_bound(variant: str, r: int, sigma: float, sup_bound: float,

@@ -10,9 +10,9 @@ Sequence windows:   CSV header  n,value      sidecar {n0, len, tail_l2}
 
 Only lines that start with '#' may come before the header; after it, '#'
 starts a comment anywhere on a line, and lines may end in LF, CRLF or CR.
-The input is a regular file of plain text: a path that is not a regular file
-(a directory, a device, a named pipe) or whose name ends in .gz, .bz2, .xz or
-.lzma, which numpy would open as compressed, is refused.
+The input is a regular file of UTF-8 text: a path that is not a regular file
+(a directory, a device, a named pipe), a name ending in .gz, .bz2, .xz or
+.lzma (which numpy would open as compressed) or a byte that is not UTF-8 is refused.
 
 The contract a file must meet to be read: the header and every row are
 exactly two cells, a row an integer index and a float value as numpy's
@@ -68,8 +68,8 @@ def _load_sidecar(csv_path, fields: Dict[str, str]) -> Dict:
         required = ", ".join(key for key in fields if key not in _DEFAULTS)
         raise InputFormatError(f"missing sidecar {path} (fields {required})")
     try:
-        meta = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # also a byte that is not UTF-8
         raise InputFormatError(f"sidecar {path} is not valid JSON: {exc}") from exc
     if not isinstance(meta, dict):
         got = {list: "an array", str: "a string", bool: "a boolean",
@@ -104,7 +104,7 @@ def _load_rows(source, skiprows: int = 0) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "no data", checked by the caller
         return np.loadtxt(source, delimiter=",", comments="#", dtype=_ROW, ndmin=1,
-                          skiprows=skiprows)
+                          skiprows=skiprows, encoding="utf-8")
 
 
 def _read_window(csv_path, name: str, fields: Dict[str, str], span) -> Tuple[np.ndarray, Dict]:
@@ -123,18 +123,21 @@ def _read_window(csv_path, name: str, fields: Dict[str, str], span) -> Tuple[np.
         raise InputFormatError(
             f"input file {path}: a '{path.suffix}' name is read as compressed; "
             "the reader takes plain text only")
-    with open(path, newline="") as fh:
-        header, skip = fh.readline(), 1
-        while header.startswith("#"):
-            header, skip = fh.readline(), skip + 1
-    if [c.strip() for c in header.split(",")] != [name, "value"]:
-        raise InputFormatError(
-            f"{path}: expected header '{name},value', got {header.strip()!r}")
     try:
-        table = _load_rows(path, skip)
-    except ValueError as exc:
-        raise InputFormatError(
-            f"{_bad_row_at(path, skip)}: bad row, expected 'integer,float'") from exc
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, skip = fh.readline(), 1
+            while header.startswith("#"):
+                header, skip = fh.readline(), skip + 1
+        if [c.strip() for c in header.split(",")] != [name, "value"]:
+            raise InputFormatError(
+                f"{path}: expected header '{name},value', got {header.strip()!r}")
+        try:
+            table = _load_rows(path, skip)
+        except ValueError as exc:
+            raise InputFormatError(
+                f"{_bad_row_at(path, skip)}: bad row, expected 'integer,float'") from exc
+    except UnicodeDecodeError as exc:  # from the header read, numpy or _bad_row_at
+        raise InputFormatError(f"{_undecodable_at(path)}: not UTF-8 text") from exc
     if table.size == 0:
         raise InputFormatError(f"{path}: no data rows")
     meta = _load_sidecar(path, fields)
@@ -151,7 +154,7 @@ def _bad_row_at(path: Path, skip: int) -> str:
     ``_load_rows`` refuses, for a file it refused.  The parser itself judges
     the rows, each on its own (the dtype fixes two cells), halving the span
     that holds the first refused row."""
-    with open(path) as fh:  # the newline handling numpy opens a path with
+    with open(path, encoding="utf-8") as fh:  # the newline handling numpy opens a path with
         lines = fh.readlines()[skip:]
     good, bad = 0, len(lines)  # lines[:good] load; lines[:bad] are refused
     while bad - good > 1:
@@ -162,6 +165,16 @@ def _bad_row_at(path: Path, skip: int) -> str:
         except ValueError:
             bad = mid
     return f"{path}:{skip + bad}"
+
+
+def _undecodable_at(path: Path) -> str:
+    """'file:line' of the first byte of ``path`` that is not UTF-8 (lines end at LF, CRLF or CR)."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+        return str(path)
+    except UnicodeDecodeError as exc:
+        return f"{path}:{len((data[:exc.start] + b'.').splitlines())}"
 
 
 def read_samples(csv_path) -> UniformSamples:
@@ -202,8 +215,7 @@ def _write_window(csv_path, name: str, first: int, values, footer, meta: Dict) -
 
 
 def write_samples(csv_path, s: UniformSamples, footer: Optional[Dict] = None) -> None:
-    meta = {"sigma": s.sigma, "h": s.h, "k_min": s.k_min, "k_max": s.k_max,
-            "tail_bound": s.tail_bound, "tail_decay": s.tail_decay}
+    meta = {key: getattr(s, key) for key in _SAMPLE_FIELDS}
     _write_window(csv_path, "k", s.k_min, s.values, footer, meta)
 
 

@@ -250,18 +250,28 @@ _BOX_SIZE = 256
 _BOX_CALL = 1000
 
 
+def _least(fits, lo: int, hi: int) -> int:
+    """Least n in lo..hi with fits(n), by bisection, for a fits that turns
+    from false to true; hi when no n < hi fits (fits(hi) is never called)."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 @functools.cache
 def _box_terms(m: int) -> int:
-    """Least P with sum_{q >= P} C(m + q, q) rho^q <= 2^-53, rho = _BOX_RATIO.
-    The terms fall by the ratio (m + q + 1) rho/(q + 1) from term q on once
-    it is below 1, and that ratio falls with q, so the tail is at most its
-    first term over 1 minus its ratio."""
-    P = 1
-    while True:
+    """Least P < _BOX_SIZE with sum_{q >= P} C(m + q, q) rho^q <= 2^-53,
+    rho = _BOX_RATIO.  The terms fall by the ratio (m + q + 1) rho/(q + 1)
+    from term q on once it is below 1, and that ratio falls with q, so the
+    tail is at most its first term over 1 minus its ratio (falling in P)."""
+    def fits(P):
         ratio = (m + P + 1) * _BOX_RATIO / (P + 1)
-        if ratio < 1.0 and math.comb(m + P, P) * _BOX_RATIO ** P / (1.0 - ratio) <= _UNIT:
-            return P
-        P += 1
+        return ratio < 1.0 and math.comb(m + P, P) * _BOX_RATIO ** P / (1.0 - ratio) <= _UNIT
+    return _least(fits, 1, _BOX_SIZE)
 
 
 def _box_path(m: int, points: int, length: int) -> bool:
@@ -539,14 +549,7 @@ def _band_halfwidth(r: int, N: int, alpha: float) -> int:
     _BAND_SHARE 2^-53 / 2, by bisection (the tail falls with D; D = N
     leaves nothing out)."""
     target = _BAND_SHARE * _UNIT * 0.5
-    lo, hi = 0, N
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _band_tail(r, N, alpha, mid) <= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return _least(lambda D: _band_tail(r, N, alpha, D) <= target, 0, N)
 
 
 def _strip_log_bound(N, alpha: float, rho):
@@ -623,7 +626,8 @@ def regularized_halfwidth(cert, tol: float, room: int = MAX_HALFWIDTH) -> int:
     N = 1..32 are tried, then blocks as long as all N before them (at most
     4 096), until an N meets tol or the least certificate tried is finite
     and lies before the block just appended: the certificate turns up
-    there (README "Choosing N").  When no N <= room meets tol,
+    there (README "Choosing N").  The certificate is not monotone in N, so
+    this is no bisection (:func:`_least`).  When no N <= room meets tol,
     ToleranceError carries the least certificate at N <= room as
     ``achievable``.
     """
@@ -768,14 +772,12 @@ def _local_series(r: int, u, alpha: float, bound: float, h: float, tol: float,
 # ---------------------------------------------------------------------------
 
 def _sharp_floor(parity: Parity, m: int) -> int:
-    # the inner alternating sums have increasing term magnitudes once the
-    # argument passes sqrt of the top factorial ratio; beyond that index the
-    # whole sum is bounded by its largest term
-    if parity == "odd":
-        if m == 1:
-            return 1
-        return max(1, int(math.ceil(math.sqrt((2 * m - 2) * (2 * m - 3)) / _PI + 0.5)))
-    return max(1, int(math.ceil(math.sqrt((2 * m - 1) * (2 * m - 2)) / _PI)))
+    # the inner alternating sums of sinc^(n), n = 2m - 1 (odd) or 2m (even),
+    # have increasing term magnitudes once the argument k - 1/2 resp. k
+    # passes sqrt((n - 1)(n - 2))/pi; beyond that the whole sum is bounded
+    # by its largest term
+    n, shift = (2 * m - 1, 0.5) if parity == "odd" else (2 * m, 0.0)
+    return max(1, int(math.ceil(math.sqrt((n - 1) * (n - 2)) / _PI + shift)))
 
 
 def coefficient_tail_bound(parity: Parity, m: int, halfwidth: int) -> float:
@@ -804,13 +806,9 @@ def coefficient_tail_bound(parity: Parity, m: int, halfwidth: int) -> float:
     K = int(halfwidth)
     if K < 1:
         raise ValueError("halfwidth must be >= 1")
-    if parity == "odd":
-        coarse = 2.0 * math.factorial(2 * m - 1) * _E * _PI ** (2 * m - 3) / (K - 0.5)
-        if K >= _sharp_floor("odd", m):
-            return min(coarse, 2.0 * (2 * m - 1) * _PI ** (2 * m - 3) / (K - 0.5))
-        return coarse
-    coarse = 2.0 * math.factorial(2 * m) * _E * _PI ** (2 * m - 2) / K
-    if K >= _sharp_floor("even", m):
-        return min(coarse, 4.0 * m * _PI ** (2 * m - 2) / K)
+    n, d = (2 * m - 1, K - 0.5) if parity == "odd" else (2 * m, K)  # a: sinc^(2m-1), b: sinc^(2m)
+    coarse = 2.0 * math.factorial(n) * _E * _PI ** (n - 2) / d
+    if K >= _sharp_floor(parity, m):
+        return min(coarse, 2.0 * n * _PI ** (n - 2) / d)
     return coarse
 

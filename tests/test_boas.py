@@ -493,7 +493,36 @@ class TestFastVariants:
                     assert paper_boas_derivative_fast(f, r, t, k_terms=K) == want
 
 
+def truncation_halfwidth_loop(variant, r, sigma, sup, tol):
+    """The series half-width by a bisection loop of its own, the reference
+    for truncation_halfwidth's _least (past the same refusal check)."""
+    lo, hi = 0, MAX_HALFWIDTH  # the tail meets tol at hi, not at lo (0: none)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if series_tail_bound(variant, r, sigma, sup, mid) <= tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 class TestTruncationHalfwidth:
+    def test_matches_its_bisection(self):
+        sized = 0
+        for variant, r, sigma in itertools.product(("standard", "fast"), range(1, 9),
+                                                   (0.5, 1.0, 2.5)):
+            if variant == "fast" and r == 1:
+                continue
+            for tol in 10.0 ** -np.arange(2, 11):
+                if not series_tail_bound(variant, r, sigma, 1.0, MAX_HALFWIDTH) <= tol:
+                    with pytest.raises(ToleranceError):
+                        truncation_halfwidth(variant, r, sigma, 1.0, tol)
+                    continue
+                sized += 1
+                assert (truncation_halfwidth(variant, r, sigma, 1.0, tol)
+                        == truncation_halfwidth_loop(variant, r, sigma, 1.0, tol))
+        assert sized == 302
+
     def test_matches_scan_for_smallest_halfwidth(self):
         for variant, r, sigma, sup, tol in itertools.product(
                 ("standard", "fast"), (1, 2, 3, 4, 5), (0.5, 1.0), (0.0, 0.3, 1.0),

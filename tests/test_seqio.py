@@ -309,3 +309,42 @@ class TestPaths:
         code = main(["reconstruct", "--input", "/dev/null", "--output", str(out), "--num", "5"])
         assert code == 2 and not out.exists()
         assert "input file /dev/null is not a regular file" in capsys.readouterr().err
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 exits 2 naming the line that holds it: met by
+    the header read (in the file's first block), by numpy (past it), in a
+    trailing comment or in a '#' line before the header."""
+
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"])
+    @pytest.mark.parametrize("kind", ["samples", "sequence"])
+    @pytest.mark.parametrize("case", ["row", "late row", "note", "lead"])
+    def test_byte_that_is_not_utf8_names_its_line(self, case, kind, eol, tmp_path, capsys):
+        path = _samples_file(tmp_path) if kind == "samples" else _sequence_file(
+            tmp_path, values=np.arange(3000.0))
+        lines = path.read_bytes().splitlines()
+        at = {"row": 2, "late row": 2500, "note": 3, "lead": 0}[case]
+        if case == "lead":
+            lines.insert(0, b"# made by \xff")
+        else:
+            lines[at] += b"  # note \xff" if case == "note" else b"\xff"
+        path.write_bytes(eol.join(lines) + eol)
+        code, out = _run(path, tmp_path)
+        assert code == 2 and not out.exists()
+        assert f"input error: {path}:{at + 1}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_sidecar_byte_that_is_not_utf8_names_the_sidecar(self, tmp_path, capsys):
+        path = _samples_file(tmp_path)
+        sidecar_path(path).write_bytes(b'{"sigma": 1.0, \xff}')
+        code, out = _run(path, tmp_path)
+        assert code == 2 and not out.exists()
+        assert f"input error: sidecar {sidecar_path(path)} is not valid JSON" in (
+            capsys.readouterr().err)
+
+    def test_utf8_in_comments_reads(self, tmp_path):
+        path = _samples_file(tmp_path)
+        expected = read_samples(path).values.tobytes()
+        lines = path.read_bytes().splitlines()
+        lines = ["# σ = 1, h = π".encode()] + lines[:5] + [lines[5] + " # ü".encode()] + lines[6:]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert read_samples(path).values.tobytes() == expected

@@ -1215,3 +1215,60 @@ class TestBoxPathShape:
         top = (2 * sinckernel._BOX_NEAR + 1) * sinckernel._BOX_SIZE
         assert not any(sinckernel._box_path(m, points, length)
                        for m in range(sinckernel.MAX_ORDER + 1) for length in range(top + 1))
+
+
+def band_halfwidth_loop(r, N, alpha):
+    """The band half-width by a bisection loop of its own, the reference
+    for _band_halfwidth's _least."""
+    target = sinckernel._BAND_SHARE * 2.0 ** -53 * 0.5
+    lo, hi = 0, N
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _band_tail(r, N, alpha, mid) <= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def box_terms_scan(m):
+    """The box term count by a linear scan from P = 1, with no upper end."""
+    rho, P = sinckernel._BOX_RATIO, 1
+    while True:
+        ratio = (m + P + 1) * rho / (P + 1)
+        if ratio < 1.0 and math.comb(m + P, P) * rho ** P / (1.0 - ratio) <= 2.0 ** -53:
+            return P
+        P += 1
+
+
+class TestLeast:
+    """_least is the one least-integer search: the band half-width, the box
+    terms and the paper's series half-width (tests/test_boas.py) give the
+    integers their own loops gave."""
+
+    @pytest.mark.parametrize("lo, hi, first", [(0, 10, 0), (0, 10, 7), (0, 10, 9), (0, 10, 10),
+                                               (0, 10, 99), (1, 1, 1), (3, 4, 3), (3, 4, 99)])
+    def test_least_fitting_or_hi_without_calling_fits_at_hi(self, lo, hi, first):
+        asked = []
+
+        def fits(n):
+            asked.append(n)
+            return n >= first
+
+        assert sinckernel._least(fits, lo, hi) == min(max(first, lo), hi)
+        assert all(lo <= n < hi for n in asked)
+
+    @pytest.mark.parametrize("r", range(0, 21))
+    def test_band_halfwidth_matches_its_bisection(self, r):
+        for alpha in (0.02, 0.3, PI / 4, 1.3, 1.5):
+            for N in (1, 2, 3, 63, 64, 255, 256, 1_000, 4_096, 8_192):
+                assert _band_halfwidth(r, N, alpha) == band_halfwidth_loop(r, N, alpha)
+
+    def test_box_terms_match_a_linear_scan(self):
+        got = [sinckernel._box_terms(m) for m in range(sinckernel.MAX_ORDER + 1)]
+        assert got == [box_terms_scan(m) for m in range(sinckernel.MAX_ORDER + 1)]
+        assert got[0] == 23 and got[-1] == 48
+
+    def test_box_terms_stay_below_the_box_size(self):
+        # _least returns _BOX_SIZE when no P below it fits
+        assert sinckernel._box_terms(sinckernel.MAX_ORDER) < sinckernel._BOX_SIZE
