@@ -24,8 +24,12 @@ float; the index column runs k_min..k_max, or n0..n0 + len - 1, one by one.
 A file that breaks it raises InputFormatError naming the line or the field
 (the CLI exits 2).
 
-Output files append '# key=value' footer comments echoing the library version
-and the full parameter set, so runs are reproducible byte for byte.
+Output files are UTF-8 whatever the locale.  A row's cells are its index
+(``%d``) and float reprs: orjson's shortest round-trip (Ryu) digits, in
+repr's notation (rewritten below 1e-4 and from 1e16 on, see _repr_notation),
+and ``repr`` itself for nan and +-inf.  Rows end in CRLF.  The '# key=value'
+footer lines, ending in LF, echo the library version and the full parameter
+set, so runs are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -33,11 +37,11 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from itertools import chain
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+import orjson
 
 from .dht import SeqWindow
 from .sampling import UniformSamples
@@ -192,26 +196,95 @@ def read_sequence(csv_path) -> SeqWindow:
 _WRITE_BLOCK = 4096
 
 
-def _write_rows(csv_path, header: List[str], row_template: str, columns,
-                footer: Optional[Dict]) -> None:
-    """Header, one ``row_template % cells`` row per entry of the equal-length
-    arrays ``columns``, footer.  A float cell is its repr (``%r`` of a Python
-    float) and needs no quoting; rows end in CRLF, as csv.writer ends them,
-    and go out one block of _WRITE_BLOCK per write, so no whole-file string
-    is held."""
-    with open(Path(csv_path), "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+_COMMA, _MINUS, _E, _DOT, _GAP = b",-e.~"
+#: mark bytes, none of which orjson writes, and what bytes.replace grows each into
+_MARKS = {b"$": b"e+", b"#": b"-0", b"!": b"e-05,"}
+_E_PLUS, _MINUS_ZERO, _E_05 = b"$#!"
+
+
+def _repr_notation(col: np.ndarray, body: bytes) -> bytes:
+    """orjson's comma-separated tokens of the float64 array ``col``, in
+    repr's notation.
+
+    Both print a float's shortest round-trip digits; the notation differs
+    below 1e-4 and from 1e16 on, where orjson writes ``0.00001234``, ``1e-6``
+    and ``1e16`` for repr's ``1.234e-05``, ``1e-06`` and ``1e+16``.  Array
+    operations overwrite one byte with a mark where bytes go in, and with
+    _GAP where they drop out; one ``bytes.replace`` per mark then grows the
+    marks.  No token is handled on its own: on a two-core x86-64 host a
+    block of 4096 values below 1e-4 became cells in 0.5-0.8 ms against
+    0.3 ms for values in range, and in about 4 ms with a ``repr`` per cell.
+    ``null`` (nan and +-inf) stays as it is.
+    """
+    b = np.frombuffer(bytearray(body + b","), np.uint8)  # every token ends in a comma
+    # exponents: 1e16 -> 1e+16, 1e-6 -> 1e-06
+    e = np.flatnonzero(b == _E)
+    neg = b[e + 1] == _MINUS
+    b[e[~neg]] = _E_PLUS
+    b[e[neg & (b[e + 3] == _COMMA)] + 1] = _MINUS_ZERO
+    # 1e-5 <= |x| < 1e-4, and no other value, orjson writes [-]0.0000dD:
+    # d moves left over a zero, the point follows it unless D is empty,
+    # 0.000 drops out and the comma grows into e-05,
+    i = np.flatnonzero((np.abs(col) >= 1e-5) & (np.abs(col) < 1e-4))
+    if i.size:
+        end = np.flatnonzero(b == _COMMA)
+        p = np.r_[0, end[:-1] + 1][i] + np.signbit(col[i])
+        b[p + 5] = b[p + 6]
+        b[p + 6] = np.where(b[p + 7] == _COMMA, _GAP, _DOT)
+        b[p[:, None] + np.arange(5)] = _GAP
+        b[end[i]] = _E_05
+        b = b[b != _GAP]
+    out = b.tobytes()
+    for mark, grown in _MARKS.items():
+        out = out.replace(mark, grown)
+    return out[:-1]
+
+
+def _cells(col: np.ndarray) -> List[bytes]:
+    """One CSV cell per entry of a 1-D array: an integer as ``%d``, a float as
+    the repr of its float64 value, from orjson's digits in repr's notation
+    (:func:`_repr_notation`).  orjson writes nan and +-inf as ``null``, so
+    those cells are repr."""
+    if col.dtype == object:  # an index column past int64, which orjson refuses
+        return [b"%d" % n for n in col.tolist()]
+    floats = col.dtype.kind == "f"
+    if floats:
+        col = col.astype(np.float64, copy=False)
+    body = orjson.dumps(np.ascontiguousarray(col), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    if not floats:
+        return body.split(b",")
+    cells = _repr_notation(col, body).split(b",")
+    off = np.flatnonzero(~np.isfinite(col))
+    for i, x in zip(off.tolist(), col[off].tolist()):
+        cells[i] = repr(x).encode()
+    return cells
+
+
+def _encode(text: str) -> bytes:
+    """UTF-8 whatever the locale; an argv byte the locale could not decode
+    goes back out as that byte."""
+    return text.encode("utf-8", "surrogateescape")
+
+
+def _write_rows(csv_path, header: List[str], columns, footer: Optional[Dict]) -> None:
+    """Header, one row of ``_cells`` per entry of the equal-length arrays
+    ``columns``, footer.  Rows end in CRLF, as csv.writer ends them, and go
+    out one block of _WRITE_BLOCK per write, so no whole-file string is held.
+    The footer is encoded before the file is opened, so a footer that cannot
+    be encoded leaves no half-written file."""
+    tail = _encode(_footer_text(footer))
+    with open(Path(csv_path), "wb") as fh:
+        fh.write(_encode(",".join(header)) + b"\r\n")
         for lo in range(0, len(columns[0]), _WRITE_BLOCK):
-            cells = [c[lo:lo + _WRITE_BLOCK].tolist() for c in columns]
-            # one format call per block: the template once per row, the cells row by row
-            fh.write((row_template * len(cells[0])) % tuple(chain.from_iterable(zip(*cells))))
-        _write_footer(fh, footer)
+            rows = zip(*(_cells(c[lo:lo + _WRITE_BLOCK]) for c in columns))
+            fh.write(b"\r\n".join(map(b",".join, rows)) + b"\r\n")
+        fh.write(tail)
 
 
 def _write_window(csv_path, name: str, first: int, values, footer, meta: Dict) -> None:
     indices = np.arange(first, first + values.size)
-    _write_rows(csv_path, [name, "value"], "%d,%r\r\n", (indices, values), footer)
-    sidecar_path(csv_path).write_text(json.dumps(meta, indent=2) + "\n")
+    _write_rows(csv_path, [name, "value"], (indices, values), footer)
+    sidecar_path(csv_path).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
 
 def write_samples(csv_path, s: UniformSamples, footer: Optional[Dict] = None) -> None:
@@ -225,24 +298,24 @@ def write_sequence(csv_path, a: SeqWindow, footer: Optional[Dict] = None) -> Non
 
 
 def write_table(csv_path, header: List[str], columns, footer: Optional[Dict] = None) -> None:
-    """Header, a CRLF row of float reprs per entry of the three equal-length
+    """Header, a CRLF row of float cells per entry of the three equal-length
     ``columns`` (x, value, tail), footer."""
-    _write_rows(csv_path, header, "%r,%r,%r\r\n", columns, footer)
+    _write_rows(csv_path, header, columns, footer)
 
 
-def _write_footer(fh, footer: Optional[Dict]) -> None:
-    if not footer:
-        return
-    for key in footer:
-        value = footer[key]
+def _footer_text(footer: Optional[Dict]) -> str:
+    """A '# key=value' line, ending in LF, per footer entry."""
+    lines = []
+    for key, value in (footer or {}).items():
         if isinstance(value, float) and not math.isfinite(value):
             value = repr(value)
-        fh.write(f"# {key}={value}\n")
+        lines.append(f"# {key}={value}\n")
+    return "".join(lines)
 
 
 def read_footer(csv_path) -> Dict[str, str]:
     out: Dict[str, str] = {}
-    with open(Path(csv_path)) as fh:
+    with open(Path(csv_path), encoding="utf-8", errors="surrogateescape") as fh:
         for line in fh:
             if line.startswith("# ") and "=" in line:
                 key, _, value = line[2:].strip().partition("=")

@@ -3,12 +3,17 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import bandlimit
 from bandlimit.cli import main
 from bandlimit.dht import SeqWindow
 from bandlimit.sampling import UniformSamples, make_reference
@@ -820,6 +825,27 @@ class TestNoInternalError:
         assert "internal" not in err.getvalue(), (argv, err.getvalue())
         if command == "dht" and "power" in argv and code != 0:
             assert not (root / "out.csv").exists(), argv
+
+
+class TestLocale:
+    def test_ascii_locale_writes_a_utf8_footer(self, tmp_path):
+        # under the C locale the footer's '# input=' path went out in ASCII:
+        # exit 2, rows and half a footer on disk, no sidecar
+        where = tmp_path / "\u00e9"
+        where.mkdir()
+        src, out = where / "q.csv", where / "h.csv"
+        write_sequence(src, SeqWindow(n0=-2, values=np.array([0.5, -1.0, 2.0, 0.25])))
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "PYTHON"))}
+        env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=str(Path(bandlimit.__file__).resolve().parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "bandlimit.cli", "dht", "--action", "apply",
+             "--input", str(src), "--output", str(out), "--expand", "4"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert f"# input={src}\n".encode() in out.read_bytes()
+        assert read_footer(out)["input"] == str(src)
+        assert len(read_sequence(out)) == 12
 
 
 class TestPackage:

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bandlimit.cli import main
 from bandlimit.dht import SeqWindow
@@ -61,9 +63,30 @@ SIZES = [0, 1, 4095, 4096, 4097, 20_033]
 FOOTER = {"version": "x", "tol": 0.001, "max_tail": math.inf}
 
 
+# orjson's notation is repr's for 0 and 1e-4 <= |x| < 1e16 and is rewritten outside:
+# both sides of both bounds
+RYU_EDGES = [np.nextafter(1e-4, 0), 1e-4, -np.nextafter(1e-4, 1), np.nextafter(1e16, 0),
+             -1e16, np.nextafter(1e16, np.inf), 0.0, -0.0, 100.0, 1e15, -1.0]
+
+
 def _values(n, specials, seed=0):
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    return _with_specials(vals, specials)
+
+
+def _ryu_values(n, seed):
+    """Mostly values in [1e-4, 1e16): standard normals, a 1/m decay (below
+    1e-4 past m = 10 000) and integral floats, the RYU_EDGES at both ends."""
+    rng = np.random.default_rng(seed)
+    m = np.arange(1, n + 1)
+    integral = np.round(rng.standard_normal(n) * 10.0 ** rng.integers(0, 16, n))
+    vals = np.choose(rng.integers(0, 3, n), [rng.standard_normal(n), (-1.0) ** m / m, integral])
+    return _with_specials(vals, RYU_EDGES)
+
+
+def _with_specials(vals, specials):
+    n = vals.size
     k = min(n, len(specials))
     vals[:k] = specials[:k]
     vals[n - k:] = specials[len(specials) - k:]  # the tail block sees them too
@@ -76,8 +99,7 @@ class TestWriterBytes:
         vals = _values(max(n, 1), FINITE_SPECIALS)[:n]
         if n == 0:
             # an empty window is no UniformSamples; the row writer takes it
-            _write_rows(tmp_path / "new.csv", ["k", "value"], "%d,%r\r\n",
-                        (np.arange(-3, -3), vals), FOOTER)
+            _write_rows(tmp_path / "new.csv", ["k", "value"], (np.arange(-3, -3), vals), FOOTER)
         else:
             write_samples(tmp_path / "new.csv",
                           UniformSamples(sigma=1.0, h=PI, k_min=-3, k_max=n - 4, values=vals,
@@ -99,10 +121,9 @@ class TestWriterBytes:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_non_finite_index_rows(self, n, tmp_path):
-        # the window types refuse inf and nan; the row template does not
+        # the window types refuse inf and nan; the row writer does not
         vals = _values(n, SPECIALS, seed=2)
-        _write_rows(tmp_path / "new.csv", ["n", "value"], "%d,%r\r\n",
-                    (np.arange(5, 5 + n), vals), FOOTER)
+        _write_rows(tmp_path / "new.csv", ["n", "value"], (np.arange(5, 5 + n), vals), FOOTER)
         indexed_reference(tmp_path / "old.csv", "n", 5, vals, FOOTER)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -113,6 +134,64 @@ class TestWriterBytes:
         rows = list(zip(*(c.tolist() for c in cols)))
         table_reference(tmp_path / "old.csv", ["x", "value", "tail"], rows, FOOTER)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_ryu_range_rows(self, n, tmp_path):
+        vals = _ryu_values(n, seed=4)
+        _write_rows(tmp_path / "new.csv", ["n", "value"], (np.arange(-9, n - 9), vals), FOOTER)
+        indexed_reference(tmp_path / "old.csv", "n", -9, vals, FOOTER)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_ryu_range_table(self, n, tmp_path):
+        # a float32 column writes the repr of its widened double, a strided view its own entries
+        cols = [_ryu_values(n, seed=5).astype(np.float32), _ryu_values(2 * n, seed=6)[::2],
+                _ryu_values(n, seed=7)]
+        write_table(tmp_path / "new.csv", ["x", "value", "tail"], cols, FOOTER)
+        rows = list(zip(*(c.tolist() for c in cols)))
+        table_reference(tmp_path / "old.csv", ["x", "value", "tail"], rows, FOOTER)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_every_decade(self, tmp_path):
+        # each decade from the subnormals up, both signs, with a lone digit,
+        # a few digits, 16-17 digits and the neighbours of the power of ten,
+        # shuffled so that a block mixes the notations
+        tens = 10.0 ** np.arange(-323, 309)
+        vals = np.concatenate([tens, 0.3 * tens, 0.25 * tens, tens / 3, np.nextafter(tens, 0),
+                               np.nextafter(tens, np.inf), [5e-324, 1.7976931348623157e308]])
+        vals = np.concatenate([vals, -vals])
+        np.random.default_rng(9).shuffle(vals)
+        _write_rows(tmp_path / "new.csv", ["n", "value"], (np.arange(vals.size), vals), FOOTER)
+        indexed_reference(tmp_path / "old.csv", "n", 0, vals, FOOTER)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("n", SIZES[1:])
+    def test_positional_below_1e_4(self, n, tmp_path):
+        # [1e-5, 1e-4) is where orjson writes 0.0000dD and repr d.De-05
+        rng = np.random.default_rng(10)
+        vals = rng.uniform(1e-5, 1e-4, n) * rng.choice([-1.0, 1.0], n)
+        vals[::7] = np.round(vals[::7], 5)  # a lone digit: 3e-05
+        _write_rows(tmp_path / "new.csv", ["n", "value"], (np.arange(n), vals), FOOTER)
+        indexed_reference(tmp_path / "old.csv", "n", 0, vals, FOOTER)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_index_past_int64(self, tmp_path):
+        # a window far out (dht orbit at t = 1e300) indexes its rows by Python ints
+        first = -10 ** 300
+        vals = _ryu_values(5000, seed=8)
+        _write_rows(tmp_path / "new.csv", ["n", "value"],
+                    (np.arange(first, first + vals.size), vals), FOOTER)
+        indexed_reference(tmp_path / "old.csv", "n", first, vals, FOOTER)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(vals=arrays(np.float64, st.integers(1, 40), elements=st.floats(width=64)))
+def test_any_float64_column_writes_its_reprs(vals, tmp_path_factory):
+    path = tmp_path_factory.mktemp("any") / "new.csv"
+    _write_rows(path, ["n", "value"], (np.arange(vals.size), vals), None)
+    want = "n,value\r\n" + "".join(f"{n},{v!r}\r\n" for n, v in enumerate(vals.tolist()))
+    assert path.read_bytes() == want.encode()
 
 
 # ---------------------------------------------------------------------------
