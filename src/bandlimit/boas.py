@@ -18,8 +18,7 @@ with |x|), bounds the error; N is the smallest half-width it allows for
 tol at the largest |x| (``k_terms`` pins N instead).  f is called once, on
 the x + n h = x - dt with a nonzero weight (dt: the engine's time offsets):
 about 50 per x at tol 1e-6.  At a pinned N this is ``group_boas`` on the
-vector [x], bit for bit.  A function of type 0 is constant: its
-derivatives are 0.
+vector [x], bit for bit, also at the engine's extreme rates.
 
 This is the one Boas path: ``boas_derivative_fast`` is ``boas_derivative``
 under the name of the paper's fast (k^-3) variants.  The paper's
@@ -97,21 +96,9 @@ def _derivatives(f: BandlimitedFn, r: int, xs, tol: float,
     """f^(r) at every x in xs by the local orbit engine, and each point's
     certificate (module docstring): one call of f on a table of about 50
     translates per x at tol 1e-6, 2^17 entries at 2 400 points."""
-    r = _check_order(r)
     xs = np.asarray(xs, dtype=float).reshape(-1)
     if not np.all(np.isfinite(xs)):
         raise ValueError("evaluation point must be finite")
-    if k_terms is not None and k_terms < 1:
-        raise ValueError("k_terms must be >= 1")
-    if k_terms is None and not tol > 0.0:
-        raise ValueError("tolerance must be positive")
-    if f.sigma == 0.0 or r * math.log(_PI / (2.0 * f.sigma)) > 700.0:
-        # |f^(r)| <= sigma^r sup|f| (Bernstein): 0 for type 0, where f is
-        # constant, and below e^-700 (pi/2)^r sup|f| where h^r would overflow
-        bern = f.sigma ** r * f.sup_bound
-        if k_terms is None and bern > tol:
-            raise ToleranceError(f"tol {tol:.3e} is below sigma^r sup|f|", achievable=bern)
-        return np.zeros(xs.size), np.full(xs.size, bern)
 
     def table(ns, dts):  # row n: f(x - dt) = f(x + n h) for every x, from one call of f
         return np.asarray(f((xs - dts[:, None]).ravel()), dtype=float).reshape(ns.size, xs.size)
@@ -130,7 +117,8 @@ def boas_derivative(f: BandlimitedFn, r: int, x: float, tol: float = 1e-6,
     """
     if r < 1:
         raise ValueError("derivative order must be >= 1")
-    return float(_derivatives(f, r, [x], tol, k_terms)[0][0])
+    # the engine checks r too, but only after f's rate and bound are read
+    return float(_derivatives(f, _check_order(r), [x], tol, k_terms)[0][0])
 
 
 boas_derivative_fast = boas_derivative

@@ -119,6 +119,8 @@ def _grid(cfg: RunConfig, s) -> np.ndarray:
     width = span_hi - span_lo
     xmin = cfg.xmin if cfg.xmin is not None else span_lo + 0.3 * width
     xmax = cfg.xmax if cfg.xmax is not None else span_hi - 0.3 * width
+    if span_lo < xmax <= xmin < span_hi:
+        raise InputFormatError(f"grid start xmin = {xmin} is not below its end xmax = {xmax}")
     if not (span_lo < xmin < xmax < span_hi):
         raise InputFormatError("requested grid leaves the sampled interval")
     return np.linspace(xmin, xmax, cfg.num)

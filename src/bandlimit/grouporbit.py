@@ -24,7 +24,10 @@ weights to 0.0; both are charged to the certificate.  Only the samples
 with a nonzero weight are fetched, in index order by one call, and array
 samples are summed by one index-order accumulation, bit-identical to
 adding them one by one (:func:`_weighted_sum`).  The Boas derivatives of
-:mod:`bandlimit.boas` are this engine on translation.
+:mod:`bandlimit.boas` are this engine on translation.  At extreme rates,
+for r >= 1 at sigma = 0 (f is constant) or h^r > e^700, Bernstein's
+||D^r f|| <= sigma^r ||f|| answers: D^r f is 0 with that certificate.
+Where h^r is otherwise not a normal float, ToleranceError names h and r.
 
 The weights and sample points never depend on the group: any object
 implementing the :class:`GroupInstance` triple (orbit, generator, norm) plugs
@@ -40,7 +43,8 @@ from typing import Any, Callable, Iterable, List, Optional
 
 import numpy as np
 
-from .sinckernel import _check_order, _local_series
+from .errors import ToleranceError
+from .sinckernel import _check_order, _local_series, _scale
 
 _PI = math.pi
 
@@ -78,19 +82,6 @@ class BernsteinVector:
     def __post_init__(self):
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise ValueError("certified sigma must be positive and finite")
-
-    def validate(self, depth: int = 8, rtol: float = 1e-9) -> bool:
-        """An estimate, not a certificate: check ||D^k v|| <= sigma^k ||v||
-        only for k <= depth.  A vector that passes may still break the bound
-        at a higher order, so True does not certify the rate sigma."""
-        inst = self.instance
-        base = inst.norm(self.v)
-        w = self.v
-        for k in range(1, depth + 1):
-            w = inst.generator(w)
-            if inst.norm(w) > self.sigma ** k * base * (1.0 + rtol):
-                return False
-        return True
 
 
 def rotation_instance(sigmas) -> GroupInstance:
@@ -154,14 +145,22 @@ def _orbit_sum(samples: Callable[[np.ndarray, np.ndarray], Any], zero, bound: fl
     ignored), else the smallest half-width the certificate allows.  The
     certificate takes each sample as exact (``origin``: see
     :func:`_local_series`); the group's own rounding, and that of each
-    sample time, are outside it.
+    sample time, are outside it.  At extreme rates: module docstring.
     """
     if not math.isfinite(t):
         raise ValueError(f"time t must be finite, got {t}")
+    r = _check_order(r)
+    if not (tol > 0.0 if k_terms is None else k_terms >= 1):  # what sizes N
+        raise ValueError("tolerance must be positive" if k_terms is None else "k_terms must be >= 1")
+    if r >= 1 and (sigma == 0.0 or r * math.log(_PI / (2.0 * sigma)) > 700.0):
+        bern = sigma ** r * bound
+        if k_terms is None and bern > tol:
+            raise ToleranceError(f"tol {tol:.3e} is below sigma^r ||f||", achievable=bern)
+        return 0.0 * zero, bern
     h = _PI / (2.0 * sigma)
     N, rows = _local_series(r, t / h, _PI / 4.0, bound, h, tol, k_terms, origin=origin)
     n_lo, d, w, cert = rows(slice(None))
-    w = w[0] / h ** r
+    w = w[0] / _scale(h, r)
     keep = np.flatnonzero(w)
     xs = samples(int(n_lo[0]) + keep, d[0, keep] * h)
     return _weighted_sum(zero, w[keep], xs), float(cert[0])
@@ -301,10 +300,11 @@ def group_boas(b: BernsteinVector, r: int, tol: float = 1e-6,
     engine (module docstring): an error of at most tol in norm, or
     half-width ``k_terms`` when it is pinned.
     ||result|| <= sigma^r ||f|| up to that error.  Raises ToleranceError,
-    with the achievable tol, below the rounding floor."""
+    with the achievable tol, below the rounding floor, and at the extreme
+    rates of the module docstring."""
     if r < 1:
         raise ValueError("power r must be >= 1")
-    return _trajectory(b, _check_order(r), 0.0, tol, k_terms)[0]
+    return _trajectory(b, r, 0.0, tol, k_terms)[0]
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ from .sinckernel import (
     _lattice_series,
     _local_series,
     _row_sums,
+    _scale,
     _snap_grid,
     sinc_derivative_grid,
     sinc_grid,
@@ -269,7 +270,7 @@ def wks_tail_bound(s: UniformSamples, m: int, x):
         raise ReconstructionUnsoundError(
             "bounded-only samples: the whole-window series tail cannot be closed "
             "without a decay certificate, and the sum may reconstruct the wrong function")
-    scale = _kernel_decay_const(m) / s.h ** m * s.tail_bound
+    scale = _kernel_decay_const(m) / _scale(s.h, m) * s.tail_bound
     # majorant sum_{j >= a} (k_edge/j)^p / (j - v) on each side, with a the
     # first omitted |k| and v = +-u: its first term plus the integral from
     # a on.  Expanding 1/(t - v) in rho = v/a gives the integral as
@@ -332,7 +333,7 @@ def wks_eval_grid(s: UniformSamples, m: int, xs, tol: float, *,
     if xs.size == 0:
         return (xs.copy(), xs.copy()) if with_tail else xs.copy()
     out, tails = series(s, m, xs, _snap_grid(xs.reshape(-1) / s.h), tol)
-    out = out.reshape(xs.shape) / s.h ** m
+    out = out.reshape(xs.shape) / _scale(s.h, m)
     return (out, tails.reshape(xs.shape)) if with_tail else out
 
 

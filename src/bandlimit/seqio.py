@@ -41,7 +41,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-import orjson
 
 from .dht import SeqWindow
 from .sampling import UniformSamples
@@ -245,6 +244,7 @@ def _cells(col: np.ndarray) -> List[bytes]:
     the repr of its float64 value, from orjson's digits in repr's notation
     (:func:`_repr_notation`).  orjson writes nan and +-inf as ``null``, so
     those cells are repr."""
+    import orjson  # here, not at import: its uuid and zoneinfo cost milliseconds
     if col.dtype == object:  # an index column past int64, which orjson refuses
         return [b"%d" % n for n in col.tolist()]
     floats = col.dtype.kind == "f"

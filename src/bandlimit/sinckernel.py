@@ -235,6 +235,17 @@ def _check_order(m: int) -> int:
     return int(m)
 
 
+def _scale(h: float, r: int) -> float:
+    """h^r, or ToleranceError naming h and r where it is not a normal float."""
+    try:
+        scale = float(h) ** r
+    except OverflowError:
+        scale = math.inf
+    if not 2.0 ** -1022 <= scale < math.inf:  # 2^-1022: the least normal float
+        raise ToleranceError(f"derivative order {r} at step h = {h!r}: h^{r} is not a normal float")
+    return scale
+
+
 #: box far field of _lattice_series: a point sums its own box of B lattice
 #: indices and _BOX_NEAR boxes on each side directly; every other box has
 #: its center at |u - center| >= (2 _BOX_NEAR + 1) R, R = B/2, so its
@@ -675,12 +686,12 @@ def _local_series(r: int, u, alpha: float, bound: float, h: float, tol: float,
         f^(r)(u h) ~= h^-r sum_{|n - n0| <= N} w_n f(n h),
         w_n = d^r/du^r [sinc(u - n) exp(-alpha (u - n)^2 / N)],  n0 = round(u),
 
-    for samples f(n h) bounded by ``bound``, f of type (pi - 2 alpha)/h.
-    N is ``k_terms`` when given, else the smallest half-width <= ``room``
-    whose certificate at the worst point, with room for the dropped
-    weights, is <= tol (h^-r units).  In each row the fetch rule of
-    :func:`_drop_small` sets the smallest weights to 0.0; callers fetch a
-    sample only where its weight is nonzero.
+    for samples f(n h) bounded by ``bound``, f of type (pi - 2 alpha)/h;
+    callers check r (0..20) and ``k_terms`` (>= 1).  N is ``k_terms`` when
+    given, else the smallest half-width <= ``room`` whose certificate at the
+    worst point, with room for the dropped weights, is <= tol (h^-r units).
+    In each row the fetch rule of :func:`_drop_small` sets the smallest
+    weights to 0.0; callers fetch a sample only where its weight is nonzero.
 
     Returns N, sized once on all the points, and ``rows(b)``, which builds
     for the points u[b] (b a slice) the lattice index n0 - D of each row's
@@ -712,12 +723,11 @@ def _local_series(r: int, u, alpha: float, bound: float, h: float, tol: float,
     bounds |f| on the line); the certificate counts that times each row's
     sum |w|, the N search times the worst row's computed sum |w| at each N.
     """
-    r = _check_order(r)
     u = _snap_grid(np.asarray(u, dtype=float).reshape(-1))
     n0 = np.rint(u)
     offset = u - n0
     sin_abs = np.abs(np.sin(_PI * offset)) if r == 0 else np.ones(u.size)
-    scale = h ** r
+    scale = _scale(h, r)
     # sample error per unit sum |w| and per step of reach (0.0: exact samples)
     slope = 0.0 if origin is None else 2.0 * _UNIT * (_PI - 2.0 * alpha) * bound / scale
     reach = (0.0 if origin is None else abs(origin) / h) + np.abs(n0) + 1.0
@@ -727,8 +737,6 @@ def _local_series(r: int, u, alpha: float, bound: float, h: float, tol: float,
                                             sin_factor=sin_factor) / scale
 
     if k_terms is not None:
-        if k_terms < 1:
-            raise ValueError("k_terms must be >= 1")
         N = int(k_terms)
     else:
         if not tol > 0.0:

@@ -423,6 +423,38 @@ class TestLocalEngine:
         assert info.value.achievable == 1e-160 ** 2 * 1e10
 
 
+class TestExtremeRates:
+    """boas_derivative, group_boas and bernstein_ratio share the orbit
+    engine's rule (grouporbit module docstring)."""
+
+    @pytest.mark.parametrize("sigma, r", [(PI / 2 * math.exp(-705.0), 1), (1e-120, 3)])
+    def test_bernstein_past_e700(self, sigma, r):
+        # at h = e^705, r = 1 group_boas summed the series where
+        # boas_derivative took Bernstein's 0.0; at sigma = 1e-120 it overflowed
+        f = make_reference("sin", sigma)
+        inst = GroupInstance(orbit=lambda s, v: f(v + s), generator=lambda v: v,
+                             norm=lambda v: f.sup_bound, sigma_bound=sigma, dim=1)
+        b = BernsteinVector(inst, np.array([0.3]), sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert boas_derivative(f, r, 0.3) == 0.0
+            assert bits(group_boas(b, r)[0]) == bits(0.0)
+            assert _derivatives(f, r, [0.3], 1e-6, None)[1][0] == sigma ** r
+
+    def test_refused_where_h_r_is_not_normal(self):
+        # h = pi/2e200: h^2 = 2.5e-400 is 0.0, and boas_derivative divided by it
+        f = make_reference("sin", 1e200)
+        inst = GroupInstance(orbit=lambda s, v: f(v + s), generator=lambda v: v,
+                             norm=lambda v: f.sup_bound, sigma_bound=1e200, dim=1)
+        b = BernsteinVector(inst, np.array([0.3]), 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: boas_derivative(f, 2, 0.3), lambda: group_boas(b, 2),
+                         lambda: bernstein_ratio(f, 2, math.inf, np.linspace(0.0, 1.0, 9))):
+                with pytest.raises(ToleranceError, match="h\\^2 is not a normal float"):
+                    call()
+
+
 class TestFastVariants:
     """boas_derivative_fast is the local engine; the paper's fast series is
     the oracle of :mod:`paper_boas`."""

@@ -175,6 +175,20 @@ class TestDifferentiate:
         assert "--tol" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("xmin, xmax, cause", [
+        ("5", "-5", "xmin = 5.0 is not below its end xmax = -5.0"),
+        ("2", "2", "xmin = 2.0 is not below its end xmax = 2.0"),
+        ("-5", "1e9", "requested grid leaves the sampled interval"),
+        ("5", "-20000", "requested grid leaves the sampled interval")])
+    def test_bad_grid_exit_2_names_its_cause(self, sin_samples_file, tmp_path, capsys,
+                                             xmin, xmax, cause):
+        out = tmp_path / "g.csv"
+        assert main(["reconstruct", "--input", str(sin_samples_file), "--output", str(out),
+                     "--xmin", xmin, "--xmax", xmax, "--num", "5"]) == 2
+        err = capsys.readouterr().err
+        assert cause in err and "internal" not in err
+        assert not out.exists()
+
     def test_unachievable_tolerance_exit_3(self, sin_samples_file, tmp_path):
         out = tmp_path / "x.csv"
         code = main(["differentiate", "--input", str(sin_samples_file),
@@ -247,6 +261,22 @@ class TestFailures:
         assert main(["verify", "--suite", "favard"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: internal:") and "boom" in err
+
+    def test_derivative_scale_out_of_range_exit_3(self, tmp_path, capsys):
+        # h^2 = 1e400 overflowed: 'error: internal: OverflowError', exit 2
+        ks = np.arange(-400, 401)
+        path = tmp_path / "wide.csv"
+        write_samples(path, UniformSamples(sigma=PI / 1e200, h=1e200, k_min=-400, k_max=400,
+                                           values=1.0 / (1.0 + ks ** 2.0), tail_bound=1e-5,
+                                           tail_decay=2.0))
+        out = tmp_path / "d.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["differentiate", "--input", str(path), "--output", str(out),
+                         "--order", "2"]) == 3
+        err = capsys.readouterr().err
+        assert "internal" not in err and "h = 1e+200" in err and "order 2" in err
+        assert not out.exists()
 
     def test_bad_row_mid_file_exit_2(self, sin_samples_file, tmp_path, capsys):
         lines = sin_samples_file.read_text().splitlines(keepends=True)
@@ -849,6 +879,18 @@ class TestLocale:
 
 
 class TestPackage:
+    def test_cli_import_leaves_orjson_to_the_writer(self):
+        # a subprocess: other tests import orjson in this one.  orjson brings
+        # uuid and zoneinfo, milliseconds a process that writes nothing paid
+        env = dict(os.environ, PYTHONPATH=str(Path(bandlimit.__file__).resolve().parents[1]))
+        code = ("import sys, bandlimit.cli, bandlimit.seqio; "
+                "assert 'orjson' not in sys.modules, 'imported'; "
+                "from bandlimit.seqio import _cells; import numpy as np; _cells(np.ones(2)); "
+                "assert 'orjson' in sys.modules, 'not the writer'")
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+
     def test_star_import_binds_only_public_names(self):
         # __all__ was built from dir(), so it listed the submodules too
         import types

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -444,6 +445,31 @@ def vt_reference(s, f0, df0, z):
     for k in list(range(half + 1, s.k_max + 1)) + list(range(s.k_min, -half)):
         total += s.values[k - s.k_min] * (u / k) * sinc_c(u - k)
     return total
+
+
+class TestDerivativeScale:
+    """f^(m) in x units is h^-m times the series in u = x/h: where h^m
+    overflows or is not a normal float, a ToleranceError names h and m."""
+
+    @staticmethod
+    def samples(h, rate):
+        ks = np.arange(-400, 401)
+        return UniformSamples(sigma=PI / (rate * h), h=h, k_min=-400, k_max=400,
+                              values=1.0 / (1.0 + ks ** 2.0), tail_bound=1e-5, tail_decay=2.0)
+
+    @pytest.mark.parametrize("h, rate", [(1e200, 1.0), (1e200, 2.0), (1e-160, 2.0)])
+    def test_refused(self, h, rate):
+        # h^2 = 1e400 overflowed; 1e-320 is subnormal, and divided by it the
+        # oversampled certificate overflowed in numpy
+        s = self.samples(h, rate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ToleranceError, match=re.escape(f"order 2 at step h = {h!r}")):
+                wks_eval_grid(s, 2, [0.0], 1e-3)
+            if rate == 1.0:
+                with pytest.raises(ToleranceError, match=re.escape(f"order 2 at step h = {h!r}")):
+                    wks_tail_bound(s, 2, 0.0)
+            assert wks_eval_grid(s, 0, [0.0], 1e-3)[0] == 1.0  # h^0 = 1
 
 
 class TestValironTschakaloff:
