@@ -104,8 +104,7 @@ def _echo(cfg: RunConfig, extra: Optional[Dict] = None) -> Dict:
         value = getattr(cfg, key, None)
         if value is not None:
             base[key] = value
-    if extra:
-        base.update(extra)
+    base.update(extra or {})
     return base
 
 
@@ -114,8 +113,7 @@ def _echo(cfg: RunConfig, extra: Optional[Dict] = None) -> Dict:
 # ---------------------------------------------------------------------------
 
 def _grid(cfg: RunConfig, s) -> np.ndarray:
-    span_lo = s.k_min * s.h
-    span_hi = s.k_max * s.h
+    span_lo, span_hi = s.k_min * s.h, s.k_max * s.h
     width = span_hi - span_lo
     xmin = cfg.xmin if cfg.xmin is not None else span_lo + 0.3 * width
     xmax = cfg.xmax if cfg.xmax is not None else span_hi - 0.3 * width
@@ -183,9 +181,8 @@ class SuiteReport:
     note: str = ""
 
     def add(self, name: str, lhs: float, rhs: float, tol: float = 0.0) -> None:
-        slack = rhs - lhs
-        self.checks.append(Check(name, float(lhs), float(rhs),
-                                 float(slack), bool(lhs <= rhs + tol)))
+        self.checks.append(Check(name, float(lhs), float(rhs), float(rhs - lhs),
+                                 bool(lhs <= rhs + tol)))
 
     @property
     def passed(self) -> bool:
@@ -296,12 +293,10 @@ def _suite_dht_law(cfg: RunConfig) -> SuiteReport:
     worst = 0.0
     for t in np.linspace(-2.4, 2.4, 9):
         out = hilbert_group(float(t), a, expand=3000)
-        lo, hi = out.norm_bracket()
-        worst = max(worst, abs(hi - a.norm()), max(a.norm() - hi, 0.0))
+        worst = max(worst, abs(out.norm_bracket()[1] - a.norm()))
     rep.add("isometry_bracket", worst, 5e-4)
     # group law, integer-mixed pairs are exact; generic pair via wide first hop
-    for s_t in ((1.0, 0.5), (2.0, 0.3), (-1.0, 0.7)):
-        s_, t_ = s_t
+    for s_, t_ in ((1.0, 0.5), (2.0, 0.3), (-1.0, 0.7)):
         inner = hilbert_group(t_, a, expand=2000)
         two = hilbert_group(s_, inner, expand=0)
         one = hilbert_group(s_ + t_, a, expand=2000)

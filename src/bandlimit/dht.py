@@ -51,8 +51,8 @@ Every operator takes its window by one rule before anything else: the input
 grown by ``expand`` slots per side, refused outside [0, HARD_MAX_EXPAND] =
 [0, 10^7], or by min(4 len(a), 4096) when left out (a size, not a
 certificate; each output's ``tail_l2`` says what the window misses).
-Kernels are summed on it by one direct convolution (no FFT); integer times
-are signed shifts and grow no window.
+Kernels are summed on it by numpy's direct "valid" convolution (no FFT);
+integer times are signed shifts and grow no window.
 """
 
 from __future__ import annotations
@@ -178,12 +178,11 @@ def _grown(a: SeqWindow, expand: Optional[int]) -> int:
     return expand
 
 
-def _window_convolve(a: SeqWindow, expand: int, c: np.ndarray) -> np.ndarray:
-    """c_m = sum_n c_(m-n) a_n on the window grown by ``expand`` per side, from
-    the kernel c_d on d = -span .. span, span = len(a) + expand: every |m - n|
-    of the sum, so no entry is truncated.  One direct np.convolve (no FFT)."""
-    L = len(a)
-    return np.convolve(a.values, c)[L:2 * L + 2 * expand]
+def _window_convolve(a: SeqWindow, c: np.ndarray) -> np.ndarray:
+    """c_m = sum_n c_(m-n) a_n on the window grown by expand per side, from
+    c_d on |d| < span = len(a) + expand, every |m - n| of the sum: numpy's
+    direct "valid" convolution, which computes exactly those entries."""
+    return np.convolve(c, a.values, "valid")
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +227,7 @@ def hilbert_group(t: float, a: SeqWindow, expand: Optional[int] = None) -> SeqWi
         return SeqWindow(out.n0, out.values, out.tail_l2 + _PI * abs(t - N) * norm)
     s = math.sin(_PI * t) / _PI
     span = len(a) + grow
-    vals = _window_convolve(a, grow, s / (np.arange(-span, span + 1) + t))
+    vals = _window_convolve(a, s / (np.arange(1 - span, span) + t))
     # sqrt(norm^2 - kept^2) at the scale of the norm, as in _norm
     k = math.frexp(norm)[1] - 1
     x, y = math.ldexp(norm, -k), math.ldexp(_norm(vals), -k)
@@ -293,13 +292,13 @@ def _power_kernel(r: int, span: int) -> np.ndarray:
 def dht_power(a: SeqWindow, r: int, expand: Optional[int] = None) -> SeqWindow:
     """H^r a on the window grown by ``expand``.
 
-    One convolution with the exact kernel c_d of H^r (see
-    :func:`_power_kernel`); every |m - n| in play is within the kernel's
-    span, so the output entries carry no truncation.  The tail is pi^r times
-    the input tail plus the Cauchy-Schwarz spill past the output window,
-    ||a|| sqrt(sum_n sum_(m outside) c_(m-n)^2): summed from the kernel up
-    to the span, and beyond it bounded through |c_d| <= sum_p |alpha_p|
-    d^(-p) and sum_(d>N) d^(-s) <= N^(1-s)/(s-1) (1/N for r = 1, which is
+    numpy's "valid" convolution with the exact kernel c_d of H^r on
+    |d| < span (:func:`_window_convolve`, :func:`_power_kernel`), so the
+    output entries carry no truncation.  The tail is pi^r times the input
+    tail plus the Cauchy-Schwarz spill past the output window, ||a||
+    sqrt(sum_n sum_(m outside) c_(m-n)^2): summed from the kernel up to the
+    span, and beyond it bounded through |c_d| <= sum_p |alpha_p| d^(-p) and
+    sum_(d>N) d^(-s) <= N^(1-s)/(s-1) (1/N for r = 1, which is
     :func:`hilbert_apply`); ValueError if an entry or the tail overflows.
     """
     if r < 1:
@@ -312,7 +311,7 @@ def dht_power(a: SeqWindow, r: int, expand: Optional[int] = None) -> SeqWindow:
         c = _power_kernel(r, span)
     except OverflowError:  # pi^r as a Python float, from r = 621 on
         raise overflow from None
-    vals = _window_convolve(a, expand, c)
+    vals = _window_convolve(a, c[1:-1])
     # entry n has its nearest excluded m at |d| = g on each side, with g
     # running over expand+1 .. span once per side; c_d^2 for d <= span then
     # counts d - expand times, and the sum beyond span L times

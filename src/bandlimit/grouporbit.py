@@ -132,7 +132,8 @@ def _orbit_sum(samples: Callable[[np.ndarray, np.ndarray], Any], zero, bound: fl
     """D^r at time t of a trajectory of rate sigma, h^-r sum_n w_n x_n, by
     the local engine (:func:`~bandlimit.sinckernel._local_series`), and its
     certificate.  Only here is the lattice set: h = pi/(2 sigma), twice the
-    critical rate, so alpha = (pi - h sigma)/2 = pi/4, and u = t/h.
+    critical rate, so alpha = (pi - h sigma)/2 = pi/4, and u = t/h; h is
+    taken as (pi/2)/sigma, the same bits wherever 2 sigma is finite.
 
     ``samples(ns, dts)`` is called once, with the int lattice indices n of
     the nonzero weights in index order and their time offsets dts = d h,
@@ -152,14 +153,17 @@ def _orbit_sum(samples: Callable[[np.ndarray, np.ndarray], Any], zero, bound: fl
     r = _check_order(r)
     if not (tol > 0.0 if k_terms is None else k_terms >= 1):  # what sizes N
         raise ValueError("tolerance must be positive" if k_terms is None else "k_terms must be >= 1")
-    if r >= 1 and (sigma == 0.0 or r * math.log(_PI / (2.0 * sigma)) > 700.0):
+    if r >= 1 and (sigma == 0.0 or r * math.log(_PI / 2.0 / sigma) > 700.0):
         bern = sigma ** r * bound
         if k_terms is None and bern > tol:
             raise ToleranceError(f"tol {tol:.3e} is below sigma^r ||f||", achievable=bern)
         return 0.0 * zero, bern
-    h = _PI / (2.0 * sigma)
+    h = _PI / 2.0 / sigma
     N, rows = _local_series(r, t / h, _PI / 4.0, bound, h, tol, k_terms, origin=origin)
     n_lo, d, w, cert = rows(slice(None))
+    if not abs(n_lo[0]) + 2 * N < 2.0 ** 63:  # the lattice indices are int64
+        raise ToleranceError(f"time t = {t!r} is 2^63 or more steps h = {h!r} from 0",
+                             achievable=float(cert[0]))
     w = w[0] / _scale(h, r)
     keep = np.flatnonzero(w)
     xs = samples(int(n_lo[0]) + keep, d[0, keep] * h)
@@ -261,6 +265,7 @@ class OrbitSamples:
     t: float
     f_t: Any
     at: Callable[[float], Any]
+    __post_init__ = BernsteinVector.__post_init__  # the same rate check
 
     @classmethod
     def from_bernstein(cls, b: BernsteinVector, t: float) -> "OrbitSamples":
@@ -339,9 +344,8 @@ def exponential_type(instance: GroupInstance, v, k_max: int = 60) -> TypeEstimat
     for k in range(1, k_max + 1):
         w = instance.generator(w)
         step_norm = norm(w)
-        if step_norm == 0.0:
-            seq.extend([0.0] * (k_max - len(seq)))
-            return TypeEstimate(estimate=0.0, sequence=seq)
+        if step_norm == 0.0:  # D^k v = 0: so is every later power
+            return TypeEstimate(estimate=0.0, sequence=seq + [0.0] * (k_max - len(seq)))
         log_acc += math.log(step_norm)
         w = w / step_norm
         seq.append(math.exp(log_acc / k))

@@ -600,6 +600,13 @@ class TestBernsteinRatio:
         for m in (1, 2):
             assert bernstein_ratio(f, m, math.inf, grid, tol=1e-4) == pytest.approx(0.0, abs=1e-4)
 
+    @pytest.mark.parametrize("p", [math.inf, 2.0])
+    def test_f_vanishing_on_the_grid_refused(self, p):
+        # the ratio's denominator is 0: no estimate, not 0/0
+        f = BandlimitedFn(sigma=1.0, sup_bound=1.0, eval=lambda x: np.zeros_like(x))
+        with pytest.raises(ValueError, match="f vanishes on the grid"):
+            bernstein_ratio(f, 1, p, np.linspace(-5, 5, 101), tol=1e-4)
+
     def test_degenerate_grid(self):
         f = make_reference("sin", 1.0)
         with pytest.raises(ValueError):

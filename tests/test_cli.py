@@ -197,6 +197,18 @@ class TestDifferentiate:
         # below the local kernel's rounding floor (about 1e-10 for order 1)
         assert code == 3
 
+    def test_critical_rate_tail_over_tol_exit_3(self, tmp_path, capsys):
+        # samples at the critical rate: the window's tail, 5.8e-6 here, is
+        # the floor, whatever the series sums
+        path = tmp_path / "s.csv"
+        write_samples(path, UniformSamples.from_function(make_reference("fejer", 1.0),
+                                                         PI, -200, 200))
+        out = tmp_path / "x.csv"
+        assert main(["reconstruct", "--input", str(path), "--output", str(out),
+                     "--num", "5", "--tol", "1e-9"]) == 3
+        assert "reconstruction tail 5.762e-06 exceeds tol 1.000e-09" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_outputs(self, sin_samples_file, tmp_path):
         outs = []
         for name in ("a.csv", "b.csv"):

@@ -61,6 +61,14 @@ class TestSeqWindow:
         for n in range(-12, 13):
             assert s.entry(n) == pytest.approx(a.entry(n) + c * b.entry(n), abs=1e-12)
 
+    def test_sub_aligns_by_index(self):
+        a = SeqWindow(n0=-1, values=np.array([1.0, -2.0, 0.5]), tail_l2=0.25)
+        b = SeqWindow(n0=1, values=np.array([0.5, 4.0]), tail_l2=0.5)
+        d = a - b
+        assert (d.n0, d.n_last) == (-1, 2)
+        assert np.array_equal(d.values, [1.0, -2.0, 0.0, -4.0])
+        assert d.tail_l2 == 0.75  # tails add: the sign of b does not cancel its mass
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SeqWindow(n0=0, values=np.array([math.nan]))
@@ -119,6 +127,12 @@ class TestHilbertGroup:
         again = integer_orbit(-3, a)
         assert again.n0 == a.n0 + 3
         assert np.array_equal(again.values, -a.values)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_time_refused(self, t):
+        a = SeqWindow(n0=0, values=np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match="t must be finite"):
+            hilbert_group(t, a)
 
     def test_zero_time_identity(self):
         rng = np.random.default_rng(1)
@@ -591,3 +605,50 @@ class TestPairing:
             value, cert = self.engine(a, b, 0.3, k_terms=n)
             assert sampled == value
             assert abs(sampled - direct) <= cert
+
+
+def full_convolve_reference(a, c):
+    """The grown window as the full convolution's slice: c_d on
+    d = -span .. span, span = len(a) + expand, 3 len(a) + 2 expand entries
+    computed, the middle len(a) + 2 expand kept."""
+    L = len(a)
+    expand = (len(c) - 1) // 2 - L
+    return np.convolve(a.values, c)[L:2 * L + 2 * expand]
+
+
+class TestWindowConvolve:
+    """The valid convolution on |d| < span computes the grown window with
+    the same products and sums as the slice of the full one: every entry,
+    byte for byte."""
+
+    @staticmethod
+    def cases(seed, count):
+        rng = np.random.default_rng(seed)
+        yield random_window(rng, length=1, center=False), 0
+        yield random_window(rng, length=1, center=False), int(rng.integers(1, 50))
+        yield random_window(rng, length=int(rng.integers(2, 60)), center=False), 0
+        for _ in range(count):
+            yield (random_window(rng, length=int(rng.integers(1, 601)), center=False),
+                   int(rng.integers(0, 701)))
+
+    def test_group_kernels_bit_identical(self):
+        rng = np.random.default_rng(40)
+        for a, expand in self.cases(41, 200):
+            t = float(rng.uniform(-4.0, 4.0))
+            span = len(a) + expand
+            c = math.sin(PI * t) / PI / (np.arange(-span, span + 1) + t)
+            want = full_convolve_reference(a, c)
+            got = dht._window_convolve(a, c[1:-1])
+            assert got.size == len(a) + 2 * expand
+            assert got.tobytes() == want.tobytes()
+            assert hilbert_group(t, a, expand).values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+    def test_power_kernels_bit_identical(self, r):
+        for a, expand in self.cases(50 + r, 40):
+            c = dht._power_kernel(r, len(a) + expand)
+            want = full_convolve_reference(a, c)
+            got = dht._window_convolve(a, c[1:-1])
+            assert got.size == len(a) + 2 * expand
+            assert got.tobytes() == want.tobytes()
+            assert dht_power(a, r, expand).values.tobytes() == want.tobytes()

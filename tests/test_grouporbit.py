@@ -12,6 +12,7 @@ from bandlimit.dht import SeqWindow, dht_instance, hilbert_group, pairing_check
 from bandlimit.errors import ToleranceError
 from bandlimit.grouporbit import (
     BernsteinVector,
+    GroupInstance,
     OrbitSamples,
     _initial,
     _trajectory,
@@ -333,6 +334,13 @@ class TestExponentialType:
         v = np.array([1.0, 0.0, 0.0, 0.0])
         est = exponential_type(inst, v, k_max=30)
         assert est.estimate == pytest.approx(1.0, abs=1e-12)
+
+    def test_generator_annihilates(self):
+        # D v = 0: the rate is 0, and every later estimate in the trace too
+        inst = GroupInstance(orbit=lambda t, v: v, generator=lambda v: 0.0 * v,
+                             norm=lambda v: float(np.linalg.norm(v)), sigma_bound=0.0)
+        est = exponential_type(inst, unit_vector(), k_max=5)
+        assert est.estimate == 0.0 and est.sequence == [0.0] * 5
 
     def test_zero_vector_rejected(self):
         inst = rotation_instance([1.0])
@@ -764,6 +772,34 @@ class TestNonFiniteTime:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="time t must be finite"):
                 self.call(entry, t)
+
+
+class TestRatesAndTimesTheEngineCannotSum:
+    """The engine's door refuses a rate or a time whose lattice it cannot
+    form, by ValueError (a bad rate) or ToleranceError naming t and h, never
+    by an arithmetic fault."""
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_orbit_samples_refuse_rate(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            OrbitSamples(sigma=sigma, t=0.3, f_t=unit_vector(), at=lambda k: unit_vector())
+
+    def test_rate_whose_double_overflows(self):
+        # 2 sigma overflows, and pi/(2 sigma) would be 0.0: (pi/2)/sigma is not
+        b = BernsteinVector(rotation_instance([1e308]), unit_vector(), 1e308)
+        with pytest.raises(ToleranceError, match="h = 1.5707963267948964e-308"):
+            group_boas(b, 1, tol=1e-6)
+        with pytest.raises(ToleranceError, match=r"t = 0\.3 .*h = 1\.5707963267948964e-308"):
+            orbit_reconstruct(b, 0.3, k_terms=8)
+
+    def test_pinned_index_beyond_int64(self):
+        b = BernsteinVector(rotation_instance([1.0]), unit_vector(), 1.0)
+        a = SeqWindow(n0=-1, values=np.array([1.0, 0.5, -0.25]))
+        for call, h in ((lambda: orbit_reconstruct(b, 1e300, k_terms=8), PI / 2),
+                        (lambda: pairing_check(a, a, 1e300, k_terms=4), 0.5)):
+            with pytest.raises(ToleranceError, match=rf"t = 1e\+300 .*h = {h!r} from 0") as err:
+                call()
+            assert err.value.achievable > 1e280  # the certificate at the pinned N
 
 
 class NoIter(np.ndarray):

@@ -155,6 +155,26 @@ class TestWks:
         with pytest.raises(ReconstructionUnsoundError):
             wks_eval(s, 0, 0.1, tol=1e-3)
 
+    def test_critical_tail_over_tol_refused(self):
+        # the window's tail at the critical rate is 1.2e-8: tol 1e-12 is out
+        # of reach, and the error says by how much
+        f, s = fejer_samples(sigma=2.0, K=4000)
+        xs = np.array([0.1, 0.3, -7.0])
+        with pytest.raises(ToleranceError, match="reconstruction tail .* exceeds tol") as err:
+            wks_eval_grid(s, 0, xs, tol=1e-12)
+        assert err.value.achievable == float(np.max(wks_tail_bound(s, 0, xs)))
+        assert 1e-12 < err.value.achievable < 1e-7
+
+    @pytest.mark.parametrize("k_min, k_max", [(10, 400), (-400, -10)])
+    def test_one_sided_window_tail_is_infinite(self, k_min, k_max):
+        # the decay majorant is anchored at k = 0, which the window misses
+        f = make_reference("fejer", 2.0)
+        s = UniformSamples.from_function(f, PI / 2, k_min, k_max)
+        assert s.tail_decay == 2.0
+        x = (k_min + k_max) / 2 * s.h
+        assert wks_tail_bound(s, 0, x) == math.inf
+        assert np.all(wks_tail_bound(s, 1, np.array([x, x + s.h])) == math.inf)
+
     def test_tail_bound_monotone_in_window(self):
         f = make_reference("fejer", 2.0)
         small = UniformSamples.from_function(f, PI / 2, -500, 500)

@@ -13,6 +13,7 @@ from bandlimit.cli import main
 from bandlimit.dht import SeqWindow
 from bandlimit.sampling import UniformSamples, make_reference
 from bandlimit.seqio import (
+    InputFormatError,
     _write_rows,
     read_samples,
     read_sequence,
@@ -244,6 +245,24 @@ class TestSidecarIndices:
         code, out = _run(path, tmp_path)
         assert code == 2 and not out.exists()
         assert "'n0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["samples", "sequence"])
+    def test_index_column_must_run_contiguously(self, kind, tmp_path, capsys):
+        # first index and row count match the sidecar, but one index repeats
+        if kind == "samples":
+            path, read, name = _samples_file(tmp_path, k_min=3, k_max=4003, h=1.0), read_samples, "k"
+        else:
+            path, read, name = _sequence_file(tmp_path, values=(1.0, -2.0, 3.0)), read_sequence, "n"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = lines[2].split(",")[0] + "," + lines[3].split(",")[1]
+        path.write_text("".join(lines))
+        first, last = (3, 4003) if kind == "samples" else (0, 2)
+        message = f"'{name}' column must run {first}..{last} contiguously"
+        with pytest.raises(InputFormatError, match=message):
+            read(path)
+        code, out = _run(path, tmp_path)
+        assert code == 2 and not out.exists()
+        assert message in capsys.readouterr().err
 
     def test_integral_floats_stay_accepted(self, tmp_path):
         path = _samples_file(tmp_path, k_min=3, k_max=4003, h=1.0)
