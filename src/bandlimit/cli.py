@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -96,6 +97,8 @@ class RunConfig:
                 raise ValueError(f"--{name} must be positive and finite, in [1e-15, 1e15]")
         if self.num < 2:
             raise ValueError("--num must be at least 2")
+        if self.seed < 0:
+            raise ValueError("--seed must be >= 0")
 
 
 def _echo(cfg: RunConfig, extra: Optional[Dict] = None) -> Dict:
@@ -389,6 +392,8 @@ def _build_parser() -> argparse.ArgumentParser:
     }
     for name, (help_, names) in commands.items():
         p = sub.add_parser(name, help=help_, allow_abbrev=False)
+        # -1e-05 and -inf are values, not flags: argparse's own pattern takes neither
+        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$|^-inf$")
         for flag in names:
             p.add_argument(f"--{flag}", **flags[flag])
     return parser

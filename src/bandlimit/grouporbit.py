@@ -195,21 +195,20 @@ def _weighted_sum(zero, w: np.ndarray, samples: Iterable[Any]):
     SeqWindow), and every sample from the first that does not fit the
     stack, are added one by one.
     """
-    ws = w.tolist()
     acc, i = zero, 0
     if (isinstance(zero, np.ndarray) and zero.dtype in _STACKED
-            and zero.size <= _STACKED_MAX_SIZE and ws):
+            and zero.size <= _STACKED_MAX_SIZE and len(w)):
         shape, dtype = zero.shape, zero.dtype
-        stack = np.empty((len(ws) + 1,) + shape, dtype)
+        stack = np.empty((len(w) + 1,) + shape, dtype)
         stack[0] = zero
         if (isinstance(samples, np.ndarray) and samples.dtype is dtype
-                and samples.shape == (len(ws),) + shape):
+                and samples.shape == (len(w),) + shape):
             stack[1:] = samples
-            i = len(ws)
+            i = len(w)
             samples = ()  # nothing is left for the loop, which would iterate an array
         else:
             samples = iter(samples)
-            for x in islice(samples, len(ws)):
+            for x in islice(samples, len(w)):
                 if not (isinstance(x, np.ndarray) and x.dtype is dtype and x.shape == shape):
                     samples = chain((x,), samples)  # the loop below adds it first
                     break
@@ -218,7 +217,7 @@ def _weighted_sum(zero, w: np.ndarray, samples: Iterable[Any]):
         stack = stack[:i + 1]
         stack[1:] *= w[:i].reshape((i,) + (1,) * len(shape))
         acc = np.add.accumulate(stack, axis=0, out=stack)[i].copy()
-    for wn, x in zip(ws[i:], samples):
+    for wn, x in zip(w[i:].tolist(), samples):
         acc = acc + wn * x
     return acc
 

@@ -266,8 +266,8 @@ def _encode(text: str) -> bytes:
     return text.encode("utf-8", "surrogateescape")
 
 
-def _write_rows(csv_path, header: List[str], columns, footer: Optional[Dict]) -> None:
-    """Header, one row of ``_cells`` per entry of the equal-length arrays
+def write_table(csv_path, header: List[str], columns, footer: Optional[Dict] = None) -> None:
+    """Header, one row of cells (``_cells``) per entry of the equal-length
     ``columns``, footer.  Rows end in CRLF, as csv.writer ends them, and go
     out one block of _WRITE_BLOCK per write, so no whole-file string is held.
     The footer is encoded before the file is opened, so a footer that cannot
@@ -283,7 +283,7 @@ def _write_rows(csv_path, header: List[str], columns, footer: Optional[Dict]) ->
 
 def _write_window(csv_path, name: str, first: int, values, footer, meta: Dict) -> None:
     indices = np.arange(first, first + values.size)
-    _write_rows(csv_path, [name, "value"], (indices, values), footer)
+    write_table(csv_path, [name, "value"], (indices, values), footer)
     sidecar_path(csv_path).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
 
@@ -295,12 +295,6 @@ def write_samples(csv_path, s: UniformSamples, footer: Optional[Dict] = None) ->
 def write_sequence(csv_path, a: SeqWindow, footer: Optional[Dict] = None) -> None:
     meta = {"n0": a.n0, "len": len(a), "tail_l2": a.tail_l2}
     _write_window(csv_path, "n", a.n0, a.values, footer, meta)
-
-
-def write_table(csv_path, header: List[str], columns, footer: Optional[Dict] = None) -> None:
-    """Header, a CRLF row of float cells per entry of the three equal-length
-    ``columns`` (x, value, tail), footer."""
-    _write_rows(csv_path, header, columns, footer)
 
 
 def _footer_text(footer: Optional[Dict]) -> str:

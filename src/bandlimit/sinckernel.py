@@ -117,8 +117,9 @@ def sinc_grid(x) -> np.ndarray:
         x = x.astype(float, copy=False)
         r, near = _snap_mask(x)
     with np.errstate(invalid="ignore", over="ignore"):  # 0/0 at 0, sin(inf): set below
-        out = np.sin(_PI * x, out=np.empty_like(x))
-        out /= _PI * x
+        px = _PI * x
+        out = np.sin(px, out=np.empty_like(x))
+        out /= px
     out[near] = r[near] == 0.0  # 1 at 0, 0 at the other integers and at +-inf
     return out
 
@@ -451,7 +452,6 @@ def _lattice_series(m: int, u, c, k_min: int) -> np.ndarray:
     u = np.asarray(u)
     c = np.asarray(c, dtype=float)
     n0 = np.rint(u.real)
-    r = u - n0
     band = n0[:, None] + np.arange(-m - 1, m + 2)  # the near band, as lattice indices
     inside = (band >= k_min) & (band < k_min + c.size)
     col = np.where(inside, band - k_min, 0).astype(np.intp)
@@ -462,7 +462,8 @@ def _lattice_series(m: int, u, c, k_min: int) -> np.ndarray:
         moments = _box_moments(m, u, c, k_min, band)
     else:
         moments = _direct_moments(m, u, c, k_min, band)
-    sin_r, cos_r = np.sin(_PI * r), np.cos(_PI * r)
+    pr = _PI * (u - n0)  # pi r
+    sin_r, cos_r = np.sin(pr), np.cos(pr)
     far = np.zeros_like(moments[0])
     for j in range(m + 1):
         trig = sin_r if j % 2 == 0 else -cos_r

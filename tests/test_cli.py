@@ -689,6 +689,13 @@ class TestVerify:
     def test_unknown_suite_exit_2(self):
         assert main(["verify", "--suite", "nope"]) == 2
 
+    @pytest.mark.parametrize("suite", ["favard", "dht-law"])
+    def test_negative_seed_is_refused(self, suite, capsys):
+        # dht-law once handed it to numpy, whose message named no flag
+        assert main(["verify", "--suite", suite, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "--seed must be >= 0" in captured.err and captured.out == ""
+
 
 class TestParserReuse:
     """One parser serves every main() call of a process."""
@@ -777,6 +784,27 @@ class TestFlags:
                 main([command] + base + extra)
             assert exc.value.code == 2, extra
             assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-2.5e-05", "-1.5E+3"])
+    def test_negative_numbers_in_exponent_notation_are_values(
+            self, value, sin_samples_file, basis_sequence_file, tmp_path):
+        # repr prints a negative float below 1e-4 in magnitude this way;
+        # argparse's own negative-number pattern has no exponent
+        out = tmp_path / "out.csv"
+        assert main(["reconstruct", "--input", str(sin_samples_file), "--output", str(out),
+                     "--xmin", value, "--xmax", "1.0", "--num", "5"]) == 0
+        assert read_footer(out)["command"] == "reconstruct"
+        assert read_rows(out)[0, 0] == float(value)
+        assert main(["dht", "--action", "orbit", "--t", value, "--expand", "16",
+                     "--input", str(basis_sequence_file), "--output", str(out)]) == 0
+        assert read_footer(out)["t"] == repr(float(value))
+
+    def test_a_missing_value_still_exits_2(self, sin_samples_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reconstruct", "--input", str(sin_samples_file),
+                  "--output", str(tmp_path / "out.csv"), "--xmin", "--xmax", "1"])
+        assert exc.value.code == 2
+        assert "argument --xmin: expected one argument" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

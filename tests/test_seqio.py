@@ -14,7 +14,6 @@ from bandlimit.dht import SeqWindow
 from bandlimit.sampling import UniformSamples, make_reference
 from bandlimit.seqio import (
     InputFormatError,
-    _write_rows,
     read_samples,
     read_sequence,
     sidecar_path,
@@ -100,7 +99,7 @@ class TestWriterBytes:
         vals = _values(max(n, 1), FINITE_SPECIALS)[:n]
         if n == 0:
             # an empty window is no UniformSamples; the row writer takes it
-            _write_rows(tmp_path / "new.csv", ["k", "value"], (np.arange(-3, -3), vals), FOOTER)
+            write_table(tmp_path / "new.csv", ["k", "value"], (np.arange(-3, -3), vals), FOOTER)
         else:
             write_samples(tmp_path / "new.csv",
                           UniformSamples(sigma=1.0, h=PI, k_min=-3, k_max=n - 4, values=vals,
@@ -124,7 +123,7 @@ class TestWriterBytes:
     def test_non_finite_index_rows(self, n, tmp_path):
         # the window types refuse inf and nan; the row writer does not
         vals = _values(n, SPECIALS, seed=2)
-        _write_rows(tmp_path / "new.csv", ["n", "value"], (np.arange(5, 5 + n), vals), FOOTER)
+        write_table(tmp_path / "new.csv", ["n", "value"], (np.arange(5, 5 + n), vals), FOOTER)
         indexed_reference(tmp_path / "old.csv", "n", 5, vals, FOOTER)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -139,7 +138,7 @@ class TestWriterBytes:
     @pytest.mark.parametrize("n", SIZES)
     def test_ryu_range_rows(self, n, tmp_path):
         vals = _ryu_values(n, seed=4)
-        _write_rows(tmp_path / "new.csv", ["n", "value"], (np.arange(-9, n - 9), vals), FOOTER)
+        write_table(tmp_path / "new.csv", ["n", "value"], (np.arange(-9, n - 9), vals), FOOTER)
         indexed_reference(tmp_path / "old.csv", "n", -9, vals, FOOTER)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -162,7 +161,7 @@ class TestWriterBytes:
                                np.nextafter(tens, np.inf), [5e-324, 1.7976931348623157e308]])
         vals = np.concatenate([vals, -vals])
         np.random.default_rng(9).shuffle(vals)
-        _write_rows(tmp_path / "new.csv", ["n", "value"], (np.arange(vals.size), vals), FOOTER)
+        write_table(tmp_path / "new.csv", ["n", "value"], (np.arange(vals.size), vals), FOOTER)
         indexed_reference(tmp_path / "old.csv", "n", 0, vals, FOOTER)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -172,7 +171,7 @@ class TestWriterBytes:
         rng = np.random.default_rng(10)
         vals = rng.uniform(1e-5, 1e-4, n) * rng.choice([-1.0, 1.0], n)
         vals[::7] = np.round(vals[::7], 5)  # a lone digit: 3e-05
-        _write_rows(tmp_path / "new.csv", ["n", "value"], (np.arange(n), vals), FOOTER)
+        write_table(tmp_path / "new.csv", ["n", "value"], (np.arange(n), vals), FOOTER)
         indexed_reference(tmp_path / "old.csv", "n", 0, vals, FOOTER)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -180,7 +179,7 @@ class TestWriterBytes:
         # a window far out (dht orbit at t = 1e300) indexes its rows by Python ints
         first = -10 ** 300
         vals = _ryu_values(5000, seed=8)
-        _write_rows(tmp_path / "new.csv", ["n", "value"],
+        write_table(tmp_path / "new.csv", ["n", "value"],
                     (np.arange(first, first + vals.size), vals), FOOTER)
         indexed_reference(tmp_path / "old.csv", "n", first, vals, FOOTER)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -190,7 +189,7 @@ class TestWriterBytes:
 @given(vals=arrays(np.float64, st.integers(1, 40), elements=st.floats(width=64)))
 def test_any_float64_column_writes_its_reprs(vals, tmp_path_factory):
     path = tmp_path_factory.mktemp("any") / "new.csv"
-    _write_rows(path, ["n", "value"], (np.arange(vals.size), vals), None)
+    write_table(path, ["n", "value"], (np.arange(vals.size), vals), None)
     want = "n,value\r\n" + "".join(f"{n},{v!r}\r\n" for n, v in enumerate(vals.tolist()))
     assert path.read_bytes() == want.encode()
 
