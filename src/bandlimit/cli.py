@@ -6,7 +6,7 @@
     bandlimit verify --suite favard [--format json]
 
 Each command takes only the flags it reads, spelled out in full.  Exit
-codes: 0 success, 1 verification failure, 2 malformed input,
+codes: 0 success, 1 verification failure, 2 bad input or unwritable output,
 3 tolerance unachievable.  Identical configuration and inputs produce
 byte-identical outputs: summation orders are fixed, and randomized suites
 draw from an explicit --seed.
@@ -111,6 +111,16 @@ def _echo(cfg: RunConfig, extra: Optional[Dict] = None) -> Dict:
     return base
 
 
+def _write(writer, path, *args) -> int:
+    """``writer(path, *args)``; a CSV or sidecar it cannot write is an output error."""
+    try:
+        writer(path, *args)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # differentiate / reconstruct
 # ---------------------------------------------------------------------------
@@ -134,8 +144,8 @@ def cmd_differentiate(cfg: RunConfig) -> int:
     values, tails = wks_eval_grid(s, cfg.order, grid, cfg.tol, with_tail=True)
     footer = _echo(cfg, {"sigma": s.sigma, "h": s.h, "max_tail": float(tails.max()),
                          "tail_kind": "certified"})
-    write_table(cfg.output, ["x", "value", "tail"], (grid, values, tails), footer)
-    return EXIT_OK
+    return _write(write_table, cfg.output, ["x", "value", "tail"], (grid, values, tails),
+                  footer)
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +169,7 @@ def cmd_dht(cfg: RunConfig) -> int:
         out = dht_power(a, cfg.order, cfg.expand)
     else:
         raise InputFormatError(f"unknown dht action {cfg.action!r}")
-    write_sequence(cfg.output, out, _echo(cfg, extra))
-    return EXIT_OK
+    return _write(write_sequence, cfg.output, out, _echo(cfg, extra))
 
 
 # ---------------------------------------------------------------------------
@@ -168,28 +177,17 @@ def cmd_dht(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Check:
-    name: str
-    lhs: float
-    rhs: float
-    slack: float
-    passed: bool
-
-
-@dataclass
 class SuiteReport:
+    """A suite's checks, each the record verify prints: {name, lhs, rhs, slack, pass}."""
+
     suite: str
-    checks: List[Check] = field(default_factory=list)
+    checks: List[Dict] = field(default_factory=list)
     skipped: bool = False
     note: str = ""
 
     def add(self, name: str, lhs: float, rhs: float, tol: float = 0.0) -> None:
-        self.checks.append(Check(name, float(lhs), float(rhs), float(rhs - lhs),
-                                 bool(lhs <= rhs + tol)))
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        self.checks.append({"name": name, "lhs": float(lhs), "rhs": float(rhs),
+                            "slack": float(rhs - lhs), "pass": bool(lhs <= rhs + tol)})
 
 
 def _suite_favard(cfg: RunConfig) -> SuiteReport:
@@ -340,24 +338,16 @@ def cmd_verify(cfg: RunConfig) -> int:
         raise InputFormatError(
             f"unknown suite {cfg.suite!r}; choose from {', '.join(sorted(_SUITES))}")
     rep = _SUITES[cfg.suite](cfg)
-    payload = {
-        "suite": rep.suite,
-        "version": __version__,
-        "skipped": rep.skipped,
-        "note": rep.note,
-        "checks": [{"name": c.name, "lhs": c.lhs, "rhs": c.rhs,
-                    "slack": c.slack, "pass": c.passed} for c in rep.checks],
-    }
     if cfg.fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"suite": rep.suite, "version": __version__, "skipped": rep.skipped,
+                          "note": rep.note, "checks": rep.checks}, indent=2))
     else:
         if rep.skipped:
             print(f"suite {rep.suite}: SKIPPED ({rep.note})")
         for c in rep.checks:
-            state = "PASS" if c.passed else "FAIL"
-            print(f"[{state}] {rep.suite}.{c.name}: lhs={c.lhs:.6e} "
-                  f"rhs={c.rhs:.6e} slack={c.slack:.3e}")
-    return EXIT_OK if rep.skipped or rep.passed else EXIT_VERIFY_FAILED
+            print(f"[{'PASS' if c['pass'] else 'FAIL'}] {rep.suite}.{c['name']}: "
+                  f"lhs={c['lhs']:.6e} rhs={c['rhs']:.6e} slack={c['slack']:.3e}")
+    return EXIT_OK if rep.skipped or all(c["pass"] for c in rep.checks) else EXIT_VERIFY_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +405,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             return cmd_dht(cfg)
         return cmd_verify(cfg)  # the parser admits no other command
     except (InputFormatError, OSError) as exc:
-        # OSError: a path that is missing, a directory or unreadable; its
-        # message names the path
+        # OSError: an input path that is missing, a directory or unreadable;
+        # its message names the path
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ToleranceError, ReconstructionUnsoundError) as exc:

@@ -16,13 +16,14 @@ The input is a regular file of UTF-8 text: a path that is not a regular file
 
 The contract a file must meet to be read: the header and every row are
 exactly two cells, a row an integer index and a float value as numpy's
-parser reads them (ASCII digits, no '_' or '0x'); the sidecar is
-a JSON object; the index fields (k_min, k_max, n0, len) are JSON integers or
-integral floats; every other field is a JSON number (not a bool or a
-string), and sigma and h are finite; no field is an integer too large for a
-float; the index column runs k_min..k_max, or n0..n0 + len - 1, one by one.
-A file that breaks it raises InputFormatError naming the line or the field
-(the CLI exits 2).
+parser reads them (ASCII digits, no '_' or '0x'); every value is finite;
+the sidecar is a JSON object; the index fields (k_min, k_max, n0, len) are
+JSON integers or integral floats; every other field is a JSON number (not a
+bool or a string), sigma and h positive and finite, tail_bound, tail_decay
+and tail_l2 >= 0; no field is an integer too large for a float; the index
+column runs k_min..k_max, or n0..n0 + len - 1, one by one.  A file that
+breaks it raises InputFormatError naming the file and the line, the index
+of the value or the field (the CLI exits 2).
 
 Output files are UTF-8 whatever the locale.  A row's cells are its index
 (``%d``) and float reprs: orjson's shortest round-trip (Ryu) digits, in
@@ -54,18 +55,19 @@ def sidecar_path(csv_path) -> Path:
     return Path(csv_path).with_suffix(".json")
 
 
-_INTEGER, _NUMBER, _FINITE = "an integer", "a number", "a finite number"
+_INTEGER, _BOUND, _POSITIVE = "an integer", "a number >= 0", "a positive finite number"
 # the sidecar rule: each field's kind, and the fields a sidecar may leave out
-_SAMPLE_FIELDS = {"sigma": _FINITE, "h": _FINITE, "k_min": _INTEGER, "k_max": _INTEGER,
-                  "tail_bound": _NUMBER, "tail_decay": _NUMBER}
-_SEQUENCE_FIELDS = {"n0": _INTEGER, "len": _INTEGER, "tail_l2": _NUMBER}
+_SAMPLE_FIELDS = {"sigma": _POSITIVE, "h": _POSITIVE, "k_min": _INTEGER, "k_max": _INTEGER,
+                  "tail_bound": _BOUND, "tail_decay": _BOUND}
+_SEQUENCE_FIELDS = {"n0": _INTEGER, "len": _INTEGER, "tail_l2": _BOUND}
 _DEFAULTS = {"tail_decay": 0.0}
 _FLOAT_MAX = int(np.finfo(float).max)
 
 
 def _load_sidecar(csv_path, fields: Dict[str, str]) -> Dict:
     """``fields`` as ints (_INTEGER: a JSON integer or an integral float) or
-    floats (a JSON number, finite for _FINITE); a bool or a string is neither."""
+    floats (a JSON number: >= 0, inf included, for _BOUND; > 0 and finite for
+    _POSITIVE); a bool or a string is neither, and NaN is no bound."""
     path = sidecar_path(csv_path)
     if not path.exists():
         required = ", ".join(key for key in fields if key not in _DEFAULTS)
@@ -89,8 +91,10 @@ def _load_sidecar(csv_path, fields: Dict[str, str]) -> Dict:
                 f"sidecar {path}: field '{key}' is too large for a float")
         if kind == _INTEGER:
             ok = number and (isinstance(value, int) or value.is_integer())
+        elif kind == _BOUND:
+            ok = number and value >= 0.0
         else:
-            ok = number and (kind == _NUMBER or math.isfinite(value))
+            ok = number and 0.0 < value < math.inf
         if not ok:
             raise InputFormatError(
                 f"sidecar {path}: field '{key}' must be {kind}, got {json.dumps(value)}")
@@ -149,6 +153,11 @@ def _read_window(csv_path, name: str, fields: Dict[str, str], span) -> Tuple[np.
             index, np.arange(first, first + count)):
         raise InputFormatError(
             f"{path}: '{name}' column must run {first}..{first + count - 1} contiguously")
+    finite = np.isfinite(table["value"])
+    if not finite.all():
+        row = table[np.argmin(finite)]  # the first row that is not finite
+        raise InputFormatError(
+            f"{path}: value at {name}={row['index']} is {float(row['value'])!r}, not finite")
     return table["value"], meta
 
 

@@ -73,6 +73,9 @@ def commands() -> Dict[str, List[str]]:
     out["dht orbit t=2"] = ["dht", "--action", "orbit", "--t", "2", *bare]
     for suite in SUITES:
         out[f"verify {suite}"] = ["verify", "--suite", suite]
+    # the JSON form, of a suite that runs and of one that is skipped ("checks": [])
+    out["verify favard json"] = ["verify", "--suite", "favard", "--format", "json"]
+    out["verify pp h=4 json"] = ["verify", "--suite", "pp", "--h", "4", "--format", "json"]
     return out
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import bandlimit
-from bandlimit.cli import main
+from bandlimit.cli import _SUITES, SuiteReport, main
 from bandlimit.dht import SeqWindow
 from bandlimit.sampling import UniformSamples, make_reference
 from bandlimit.seqio import (
@@ -320,6 +320,53 @@ class TestFailures:
         assert main([command, "--input", str(path), "--output", str(out)] + grid) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command, index", [("reconstruct", "k=7"), ("dht", "n=1")])
+    def test_non_finite_value_names_file_and_index(self, command, index, value, tmp_path,
+                                                   capsys):
+        # once the bare 'error: entries must be finite' of the dataclass check
+        path = tmp_path / "in.csv"
+        if command == "dht":
+            write_sequence(path, SeqWindow(n0=-2, values=np.ones(5)))
+        else:
+            write_samples(path, UniformSamples.from_function(make_reference("fejer", 1.0),
+                                                             PI, -200, 200))
+        at = index.split("=")[1]
+        lines = path.read_text().splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines) if line.startswith(f"{at},"))
+        lines[row] = f"{at},{value}\n"
+        path.write_text("".join(lines))
+        out = tmp_path / "o.csv"
+        grid = ["--num", "5"] if command == "reconstruct" else []
+        assert main([command, "--input", str(path), "--output", str(out)] + grid) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and str(path) in err and index in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("reconstruct", "tail_bound", -1), ("reconstruct", "tail_decay", -2.0),
+        ("reconstruct", "h", -1.5), ("reconstruct", "h", 0), ("reconstruct", "sigma", -1.0),
+        ("reconstruct", "sigma", 0.0), ("dht", "tail_l2", -0.5)])
+    def test_sidecar_field_out_of_range_names_it(self, command, field, value, tmp_path,
+                                                 capsys):
+        # once the bare message of the dataclass check: 'step h must be positive'
+        path = tmp_path / "in.csv"
+        if command == "dht":
+            write_sequence(path, SeqWindow.basis(0))
+        else:
+            write_samples(path, UniformSamples.from_function(make_reference("fejer", 1.0),
+                                                             PI, -200, 200))
+        sidecar = sidecar_path(path)
+        meta = json.loads(sidecar.read_text())
+        meta[field] = value
+        sidecar.write_text(json.dumps(meta))
+        out = tmp_path / "o.csv"
+        grid = ["--num", "5"] if command == "reconstruct" else []
+        assert main([command, "--input", str(path), "--output", str(out)] + grid) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and str(sidecar) in err, err
+        assert f"'{field}'" in err and json.dumps(value) in err and not out.exists()
+
     def test_non_integer_index_exit_2(self, sin_samples_file, tmp_path):
         text = sin_samples_file.read_text().replace("\n-7990,", "\n-7990.0,", 1)
         sin_samples_file.write_text(text)
@@ -327,9 +374,10 @@ class TestFailures:
                      "--output", str(tmp_path / "o.csv")])
         assert code == 2
 
-    def test_directory_paths_exit_2(self, tmp_path, capsys):
-        # an input, output or sidecar path that is a directory: the message
-        # names it
+    def test_directory_paths_exit_2(self, tmp_path, capsys, monkeypatch):
+        # an input, output or sidecar path that is a directory or cannot be
+        # opened: the message names it, as an input or an output error
+        monkeypatch.chdir(tmp_path)
         src = tmp_path / "in.csv"
         write_samples(src, UniformSamples.from_function(make_reference("fejer", 1.0),
                                                         PI, -200, 200))
@@ -340,16 +388,25 @@ class TestFailures:
         lone = tmp_path / "lone.csv"  # a sequence whose sidecar is a directory
         lone.write_text("n,value\r\n0,1.0\r\n")
         sidecar_path(lone).mkdir()
+        side = tmp_path / "side.csv"  # an output whose sidecar is a directory
+        sidecar_path(side).mkdir()
         out = str(tmp_path / "o.csv")
-        for argv, named in (
-                (["reconstruct", "--input", str(folder), "--output", out], folder),
+        nodir = str(tmp_path / "nodir" / "r.csv")
+        for argv, named, kind in (
+                (["reconstruct", "--input", str(folder), "--output", out], folder, "input"),
+                (["dht", "--input", str(lone), "--output", out], sidecar_path(lone), "input"),
                 (["differentiate", "--input", str(src), "--output", str(folder), "--num", "5"],
-                 folder),
-                (["dht", "--input", str(seq), "--output", str(folder)], folder),
-                (["dht", "--input", str(lone), "--output", out], sidecar_path(lone))):
+                 folder, "output"),
+                (["dht", "--input", str(seq), "--output", str(folder)], folder, "output"),
+                (["reconstruct", "--input", str(src), "--output", nodir, "--num", "5"], nodir,
+                 "output"),
+                (["reconstruct", "--input", str(src), "--output", ".", "--num", "5"], "'.'",
+                 "output"),
+                (["dht", "--input", str(seq), "--output", str(side)], sidecar_path(side),
+                 "output")):
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
-            assert "internal" not in err and str(named) in err, err
+            assert err.startswith(f"{kind} error:") and str(named) in err, err
 
     @pytest.mark.parametrize("text", ["5", "[1, 2]", "\"n0\"", "null", "true"])
     def test_sidecar_that_is_not_an_object_exit_2(self, basis_sequence_file, tmp_path, text,
@@ -615,6 +672,25 @@ class TestVerify:
         payload = json.loads(capsys.readouterr().out)
         assert payload["suite"] == "lks"
         assert all({"name", "lhs", "rhs", "slack", "pass"} <= set(c) for c in payload["checks"])
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_failed_check_exits_1(self, fmt, monkeypatch, capsys):
+        def suite(cfg):
+            rep = SuiteReport("favard")
+            rep.add("holds", 0.0, 1.0)
+            rep.add("breaks", 2.0, 1.0, tol=0.5)
+            return rep
+
+        monkeypatch.setitem(_SUITES, "favard", suite)
+        assert main(["verify", "--suite", "favard", "--format", fmt]) == 1
+        out = capsys.readouterr().out
+        if fmt == "json":
+            assert [c["pass"] for c in json.loads(out)["checks"]] == [True, False]
+        else:
+            assert out == ("[PASS] favard.holds: lhs=0.000000e+00 rhs=1.000000e+00 "
+                           "slack=1.000e+00\n"
+                           "[FAIL] favard.breaks: lhs=2.000000e+00 rhs=1.000000e+00 "
+                           "slack=-1.000e+00\n")
 
     def test_pp_out_of_contract_skips(self, capsys):
         code = main(["verify", "--suite", "pp", "--sigma", "1.0", "--h", "4.0"])
