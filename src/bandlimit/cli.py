@@ -112,10 +112,10 @@ def _echo(cfg: RunConfig, extra: Optional[Dict] = None) -> Dict:
 
 
 def _write(writer, path, *args) -> int:
-    """``writer(path, *args)``; a CSV or sidecar it cannot write is an output error."""
+    """``writer(path, *args)``; an output it cannot write or refuses is an output error."""
     try:
         writer(path, *args)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return EXIT_OK

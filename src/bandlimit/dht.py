@@ -178,13 +178,6 @@ def _grown(a: SeqWindow, expand: Optional[int]) -> int:
     return expand
 
 
-def _window_convolve(a: SeqWindow, c: np.ndarray) -> np.ndarray:
-    """c_m = sum_n c_(m-n) a_n on the window grown by expand per side, from
-    c_d on |d| < span = len(a) + expand, every |m - n| of the sum: numpy's
-    direct "valid" convolution, which computes exactly those entries."""
-    return np.convolve(c, a.values, "valid")
-
-
 # ---------------------------------------------------------------------------
 # the operator and its group
 # ---------------------------------------------------------------------------
@@ -227,7 +220,7 @@ def hilbert_group(t: float, a: SeqWindow, expand: Optional[int] = None) -> SeqWi
         return SeqWindow(out.n0, out.values, out.tail_l2 + _PI * abs(t - N) * norm)
     s = math.sin(_PI * t) / _PI
     span = len(a) + grow
-    vals = _window_convolve(a, s / (np.arange(1 - span, span) + t))
+    vals = np.convolve(s / (np.arange(1 - span, span) + t), a.values, "valid")
     # sqrt(norm^2 - kept^2) at the scale of the norm, as in _norm
     k = math.frexp(norm)[1] - 1
     x, y = math.ldexp(norm, -k), math.ldexp(_norm(vals), -k)
@@ -293,8 +286,8 @@ def dht_power(a: SeqWindow, r: int, expand: Optional[int] = None) -> SeqWindow:
     """H^r a on the window grown by ``expand``.
 
     numpy's "valid" convolution with the exact kernel c_d of H^r on
-    |d| < span (:func:`_window_convolve`, :func:`_power_kernel`), so the
-    output entries carry no truncation.  The tail is pi^r times the input
+    |d| < span = len(a) + expand (:func:`_power_kernel`), so the output
+    entries carry no truncation.  The tail is pi^r times the input
     tail plus the Cauchy-Schwarz spill past the output window, ||a||
     sqrt(sum_n sum_(m outside) c_(m-n)^2): summed from the kernel up to the
     span, and beyond it bounded through |c_d| <= sum_p |alpha_p| d^(-p) and
@@ -311,7 +304,7 @@ def dht_power(a: SeqWindow, r: int, expand: Optional[int] = None) -> SeqWindow:
         c = _power_kernel(r, span)
     except OverflowError:  # pi^r as a Python float, from r = 621 on
         raise overflow from None
-    vals = _window_convolve(a, c[1:-1])
+    vals = np.convolve(c[1:-1], a.values, "valid")
     # entry n has its nearest excluded m at |d| = g on each side, with g
     # running over expand+1 .. span once per side; c_d^2 for d <= span then
     # counts d - expand times, and the sum beyond span L times

@@ -293,8 +293,10 @@ def recover_initial(samples: OrbitSamples, tol: float = 1e-6,
     """Rebuild the initial vector f from trajectory samples around time t
     with the local orbit engine: an error of at most tol in norm, or
     half-width ``k_terms`` when it is pinned.  ``norm`` measures f_t, which
-    bounds every sample.  Raises ToleranceError, with the achievable tol,
-    below the rounding floor."""
+    bounds every sample (default: f_t.norm(), else Euclidean); OrbitSamples
+    carries no norm, so it is the only way to bound the samples of an array
+    space under another norm, such as translations under the sup norm.
+    Raises ToleranceError, with the achievable tol, below the rounding floor."""
     return _initial(samples, tol, k_terms, norm)[0]
 
 

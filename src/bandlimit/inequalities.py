@@ -91,32 +91,22 @@ def _lattice_norm_bracket(vals: np.ndarray, f: BandlimitedFn, h: float, p: float
 
 def plancherel_polya_checks(f: BandlimitedFn, h: float, ps: Sequence[float],
                             shifts: Optional[Sequence[float]] = None,
-                            window: int = 100_000,
-                            norm_values: Optional[Sequence[float]] = None
-                            ) -> List[SandwichReport]:
-    """:func:`plancherel_polya_check` for each p of ``ps`` (``norm_values``,
-    when given, the ||f||_p in the same order), one report per p.  f is
-    evaluated once per shift on the 2 window + 1 lattice points and every p
-    reads those values, so each report is the one-p check's, bit for bit.
-    A p with neither a given norm nor an ``f.lp_norms`` entry raises
-    ValueError before f is evaluated.
+                            window: int = 100_000) -> List[SandwichReport]:
+    """:func:`plancherel_polya_check` for each p of ``ps``, one report per p.
+    f is evaluated once per shift on the 2 window + 1 lattice points and
+    every p reads those values, so each report is the one-p check's, bit for
+    bit.  A p without an ``f.lp_norms`` entry raises ValueError before f is
+    evaluated.
     """
     if h <= 0.0:
         raise ValueError("step h must be positive")
     if shifts is None:
         shifts = [j * h / 64.0 for j in range(64)]
-    if norm_values is None:
-        norm_values = [None] * len(ps)
-    elif len(norm_values) != len(ps):
-        raise ValueError(f"{len(norm_values)} norm values for {len(ps)} exponents")
     norms = []
-    for p, given in zip(ps, norm_values):
-        if given is not None:
-            norms.append(float(given))
-        elif f.lp_norms is not None and p in f.lp_norms:
-            norms.append(float(f.lp_norms[p]))
-        else:
-            raise ValueError(f"no ||f||_p for p = {p}: pass it in norm_values")
+    for p in ps:
+        if f.lp_norms is None or p not in f.lp_norms:
+            raise ValueError(f"no ||f||_p for p = {p}: give it in f.lp_norms")
+        norms.append(float(f.lp_norms[p]))
     kh = np.arange(-window, window + 1) * h
     mids = [[] for _ in ps]
     for x in shifts:
@@ -143,17 +133,14 @@ def plancherel_polya_checks(f: BandlimitedFn, h: float, ps: Sequence[float],
 
 def plancherel_polya_check(f: BandlimitedFn, h: float, p: float,
                            shifts: Optional[Sequence[float]] = None,
-                           window: int = 100_000,
-                           norm_value: Optional[float] = None) -> SandwichReport:
+                           window: int = 100_000) -> SandwichReport:
     """Verify ||f||_p <= sup_x (h sum_k |f(x - kh)|^p)^(1/p) <= (1+h sigma)||f||_p.
 
     The sup over x is taken on a shift grid covering one period [0, h) (the
     middle expression is h-periodic in x); 64 equispaced shifts by default.
-    ||f||_p is ``norm_value`` when given, else the entry of ``f.lp_norms``;
-    with neither, ValueError.
+    ||f||_p is the entry of ``f.lp_norms``; without one, ValueError.
     """
-    return plancherel_polya_checks(f, h, [p], shifts, window,
-                                   None if norm_value is None else [norm_value])[0]
+    return plancherel_polya_checks(f, h, [p], shifts, window)[0]
 
 
 def embedding_constant(p: float, q: float, h: float, sigma: float) -> float:

@@ -197,22 +197,18 @@ class UniformSamples:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_function(cls, f: BandlimitedFn, h: float, k_min: int, k_max: int,
-                      tail_bound: Optional[float] = None,
-                      tail_decay: Optional[float] = None) -> "UniformSamples":
-        """Sample a reference on [k_min, k_max]; certificate defaults come from
-        the function's envelope (or its sup bound when no envelope exists)."""
+    def from_function(cls, f: BandlimitedFn, h: float, k_min: int, k_max: int) -> "UniformSamples":
+        """Sample a reference on [k_min, k_max] with the certificate of its
+        envelope, or of its sup bound when it has none or an end of the window
+        is k = 0.  For another certificate, build UniformSamples directly or
+        ``dataclasses.replace`` the result."""
         ks = np.arange(k_min, k_max + 1)
         vals = np.asarray(f(ks * h), dtype=float)
         k_edge = min(abs(k_min), abs(k_max))
-        if tail_bound is None or tail_decay is None:
-            if f.envelope is not None and k_edge >= 1:
-                c, d = f.envelope
-                tail_bound = min(f.sup_bound, c / (k_edge * h) ** d)
-                tail_decay = d
-            else:
-                tail_bound = f.sup_bound
-                tail_decay = 0.0
+        tail_bound, tail_decay = f.sup_bound, 0.0
+        if f.envelope is not None and k_edge >= 1:
+            c, tail_decay = f.envelope
+            tail_bound = min(f.sup_bound, c / (k_edge * h) ** tail_decay)
         return cls(sigma=f.sigma, h=h, k_min=int(k_min), k_max=int(k_max),
                    values=vals, tail_bound=float(tail_bound),
                    tail_decay=float(tail_decay))

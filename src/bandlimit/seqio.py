@@ -291,9 +291,16 @@ def write_table(csv_path, header: List[str], columns, footer: Optional[Dict] = N
 
 
 def _write_window(csv_path, name: str, first: int, values, footer, meta: Dict) -> None:
+    """The CSV and its sidecar as a pair: the sidecar is opened, and so
+    emptied, first and written last, so a sidecar that parses describes a
+    complete CSV.  A path that is its own sidecar (.json) is a ValueError."""
+    side = sidecar_path(csv_path)
+    if side == Path(csv_path):
+        raise ValueError(f"{side} would be its own sidecar: give the output another suffix")
     indices = np.arange(first, first + values.size)
-    write_table(csv_path, [name, "value"], (indices, values), footer)
-    sidecar_path(csv_path).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+    with open(side, "w", encoding="utf-8") as fh:
+        write_table(csv_path, [name, "value"], (indices, values), footer)
+        fh.write(json.dumps(meta, indent=2) + "\n")
 
 
 def write_samples(csv_path, s: UniformSamples, footer: Optional[Dict] = None) -> None:

@@ -73,13 +73,6 @@ _E = math.e
 _PI = math.pi
 
 
-def _require_finite(x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"argument must be finite, got {x!r}")
-    return x
-
-
 def sinc(x: float) -> float:
     """Normalized sinc, sin(pi x)/(pi x), with the removable singularity filled.
 
@@ -88,7 +81,7 @@ def sinc(x: float) -> float:
     first (lattice coordinates are typically produced as (k h)/h, which can be
     off by one rounding), so sample nodes behave exactly like Kronecker nodes.
     """
-    return float(sinc_grid(_require_finite(x)))
+    return sinc_derivative(0, x)
 
 
 def _snap_mask(x: np.ndarray):
@@ -153,8 +146,11 @@ def _closed_grid(m: int, x: np.ndarray) -> np.ndarray:
 
 def sinc_derivative(m: int, x: float) -> float:
     """m-th derivative of the normalized sinc at a real point: the scalar form
-    of :func:`sinc_derivative_grid`.  sinc_derivative(0, x) == sinc(x)."""
-    return float(sinc_derivative_grid(m, np.array([_require_finite(x)]))[0])
+    of :func:`sinc_derivative_grid`; ValueError at nan and +-inf."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"argument must be finite, got {x!r}")
+    return float(sinc_derivative_grid(m, np.array([x]))[0])
 
 
 def sinc_derivative_grid(m: int, x) -> np.ndarray:

@@ -14,10 +14,12 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import bandlimit
+from bandlimit import seqio
 from bandlimit.cli import _SUITES, SuiteReport, main
 from bandlimit.dht import SeqWindow
 from bandlimit.sampling import UniformSamples, make_reference
 from bandlimit.seqio import (
+    InputFormatError,
     read_footer,
     read_samples,
     read_sequence,
@@ -88,6 +90,51 @@ class TestWriterBytes:
         csv_writer_reference(tmp_path / "old.csv", "k", 3, self.VALUES, self.FOOTER)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
         assert read_samples(tmp_path / "new.csv").values.tobytes() == self.VALUES.tobytes()
+
+
+class TestOutputPair:
+    """A window's CSV and its sidecar are written as a pair: the sidecar is
+    opened, and so emptied, first and written last, so no failed write
+    leaves a readable pair that mixes two writes."""
+
+    def test_sidecar_that_cannot_be_opened_leaves_the_old_csv(self, basis_sequence_file,
+                                                               tmp_path, capsys):
+        out = tmp_path / "side.csv"
+        out.write_bytes(b"n,value\r\n0,1.0\r\n")
+        sidecar_path(out).mkdir()
+        assert main(["dht", "--input", str(basis_sequence_file), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error:") and str(sidecar_path(out)) in err, err
+        assert out.read_bytes() == b"n,value\r\n0,1.0\r\n"
+
+    def test_output_that_is_its_own_sidecar_is_refused(self, basis_sequence_file, tmp_path,
+                                                       capsys):
+        out = tmp_path / "out.json"
+        assert main(["dht", "--input", str(basis_sequence_file), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error:") and str(out) in err, err
+        assert not out.exists()
+
+    def test_failed_write_leaves_no_readable_pair(self, tmp_path, monkeypatch):
+        # a window of one block, rewritten as two whose second block fails:
+        # the new first block must not be read under the old sidecar
+        path = tmp_path / "q.csv"
+        block = seqio._WRITE_BLOCK
+        write_sequence(path, SeqWindow(0, np.ones(block), tail_l2=0.5))
+        cells, calls = seqio._cells, []
+
+        def failing(col):
+            calls.append(col.size)
+            if len(calls) > 2:  # the second block's index column
+                raise OSError(28, "No space left on device")
+            return cells(col)
+
+        monkeypatch.setattr(seqio, "_cells", failing)
+        with pytest.raises(OSError, match="No space"):
+            write_sequence(path, SeqWindow(0, np.full(2 * block, 2.0), tail_l2=0.0))
+        monkeypatch.undo()
+        with pytest.raises(InputFormatError, match=str(sidecar_path(path))):
+            read_sequence(path)
 
 
 class TestRoundTrip:

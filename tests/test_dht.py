@@ -638,17 +638,15 @@ class TestWindowConvolve:
             span = len(a) + expand
             c = math.sin(PI * t) / PI / (np.arange(-span, span + 1) + t)
             want = full_convolve_reference(a, c)
-            got = dht._window_convolve(a, c[1:-1])
+            got = hilbert_group(t, a, expand).values
             assert got.size == len(a) + 2 * expand
             assert got.tobytes() == want.tobytes()
-            assert hilbert_group(t, a, expand).values.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
     def test_power_kernels_bit_identical(self, r):
         for a, expand in self.cases(50 + r, 40):
             c = dht._power_kernel(r, len(a) + expand)
             want = full_convolve_reference(a, c)
-            got = dht._window_convolve(a, c[1:-1])
+            got = dht_power(a, r, expand).values
             assert got.size == len(a) + 2 * expand
             assert got.tobytes() == want.tobytes()
-            assert dht_power(a, r, expand).values.tobytes() == want.tobytes()

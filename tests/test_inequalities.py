@@ -79,7 +79,7 @@ class TestPlancherelPolya:
 
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
     def test_missing_norm_is_refused_before_any_evaluation(self, p):
-        # with neither norm_value nor an lp_norms entry there is no ||f||_p
+        # with no lp_norms entry there is no ||f||_p
         # to compare with: no estimate stands in for it, and f is not called
         calls = []
 
@@ -113,14 +113,9 @@ class TestSandwichForEveryP:
 
     def test_given_norms(self):
         f = make_reference("fejer", 2.0)
-        got = plancherel_polya_checks(f, 0.5, (1.0, 2.0), window=2_000, norm_values=(3.0, None))
+        g = dataclasses.replace(f, lp_norms={**f.lp_norms, 1.0: 3.0})
+        got = plancherel_polya_checks(g, 0.5, (1.0, 2.0), window=2_000)
         assert got[0].lower == 3.0 and got[1].lower == f.lp_norms[2.0]
-
-    @pytest.mark.parametrize("norms", [(3.0,), (3.0, None, 1.0)])
-    def test_norms_must_pair_with_exponents(self, norms):
-        f = make_reference("fejer", 2.0)
-        with pytest.raises(ValueError, match="norm values"):
-            plancherel_polya_checks(f, 0.5, (1.0, 2.0), window=2_000, norm_values=norms)
 
 
 class TestEmbedding:

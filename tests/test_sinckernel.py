@@ -78,6 +78,26 @@ class TestSinc:
             want = list(sinc_derivative_grid(m, xs))
             assert [sinc_derivative(m, float(x)) for x in xs] == want, m
 
+    def test_is_the_zeroth_derivative(self):
+        # sinc is sinc_derivative(0, .), bit for bit the scalar sinc_grid on
+        # lattice, near-lattice and large arguments; nan and +-inf get one refusal
+        ks = np.arange(-60.0, 61.0)
+        ulp = np.spacing(np.maximum(1.0, np.abs(ks)))
+        xs = np.concatenate([ks, ks + ulp, ks - 8 * ulp, ks + 16 * ulp, ks + 17 * ulp,
+                             ks + 0.5, [-0.0, 5e-324, -5e-324, 1e-300, 2.0 ** 52 + 0.5,
+                                        1e15 + 0.25, 1e300, -1e300, 1.7e308]])
+        for x in xs.tolist():
+            want = np.float64(sinc_grid(x)).tobytes()
+            assert np.float64(sinc(x)).tobytes() == want, x
+            assert np.float64(sinc_derivative(0, x)).tobytes() == want, x
+        for bad in (math.nan, math.inf, -math.inf):
+            messages = set()
+            for call in (sinc, lambda x: sinc_derivative(0, x), lambda x: sinc_derivative(3, x)):
+                with pytest.raises(ValueError, match="argument must be finite") as info:
+                    call(bad)
+                messages.add(str(info.value))
+            assert len(messages) == 1, messages
+
     def test_grid_complex_matches_cmath(self):
         zs = np.array([0.3 + 0.4j, -1.7 + 0.01j, 2.5 - 1.2j, 1e-3 + 1e-3j,
                        40.25 + 0.5j, 1.0 + 2.0j, 0.02j, -3.5 + 0.0j])
