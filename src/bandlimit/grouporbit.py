@@ -23,8 +23,10 @@ weights on a band around n0 only, and its fetch rule sets the smallest
 weights to 0.0; both are charged to the certificate.  Only the samples
 with a nonzero weight are fetched, in index order by one call, and array
 samples are summed by one index-order accumulation, bit-identical to
-adding them one by one (:func:`_weighted_sum`).  The Boas derivatives of
-:mod:`bandlimit.boas` are this engine on translation.  At extreme rates,
+adding them one by one (:func:`_weighted_sum`).  The trajectory entry
+points fetch sample n at the one time n h for every t, and each
+:class:`BernsteinVector` remembers the samples it fetched.  The Boas
+derivatives of :mod:`bandlimit.boas` are this engine on translation.  At extreme rates,
 for r >= 1 at sigma = 0 (f is constant) or h^r > e^700, Bernstein's
 ||D^r f|| <= sigma^r ||f|| answers: D^r f is 0 with that certificate.
 Where h^r is otherwise not a normal float, ToleranceError names h and r.
@@ -36,6 +38,7 @@ in, finite-dimensional rotations and the discrete Hilbert transform alike.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -60,8 +63,10 @@ class GroupInstance:
     admissible vector, and dim, the vector length (None when it varies),
     describe the group to its callers: the engine never reads either, and
     takes the rate from each :class:`BernsteinVector`.  Implementations
-    must be safe for concurrent orbit evaluations; everything here treats
-    them as pure.
+    must be safe for concurrent orbit evaluations, and orbit must be pure:
+    the same (t, v) gives the same vector every time, for a
+    :class:`BernsteinVector` may answer a later call with a sample it
+    fetched earlier.
     """
 
     orbit: Callable[[float, Any], Any]
@@ -73,11 +78,31 @@ class GroupInstance:
 
 @dataclass(frozen=True)
 class BernsteinVector:
-    """A vector with a certified growth rate under the group generator."""
+    """A vector with a certified growth rate under the group generator.
+
+    The trajectory entry points (``orbit_reconstruct``, ``orbit_vt``,
+    ``group_boas``) read one lattice for every t: sample n is
+    e^(n h D) f, fetched at the time n h, h = pi/(2 sigma), save a node
+    (offset dt exactly 0.0), which is fetched at t itself and not
+    remembered.  The certificate takes each sample as exact: the rounding
+    of n h is outside it, as is the group's own.  The vector remembers its
+    own copy of each sample that the engine stacks (a float64 or
+    complex128 array of at most _STACKED_MAX_SIZE entries), so a later
+    call fetches only the indices it has not seen.  It keeps at most as
+    many as the widest band it has summed, the symmetric window around n0
+    holding a call's kept samples, and drops the indices farthest from the
+    current n0 first; a sample it dropped is fetched again.  Larger
+    vectors and SeqWindow samples are fetched on every call.  This rests
+    on orbit being pure (:class:`GroupInstance`) and on v not changing
+    after the vector is built; ``dataclasses.replace`` starts a new, empty
+    memo.
+    """
 
     instance: GroupInstance
     v: Any
     sigma: float
+    #: lattice index n -> the remembered sample e^(n h D) f
+    _samples: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
@@ -180,6 +205,12 @@ _STACKED_MAX_SIZE = 128
 _STACKED = (np.dtype(np.float64), np.dtype(np.complex128))
 
 
+def _stacks(x) -> bool:
+    """Whether x is a vector :func:`_weighted_sum` stacks: a float64 or
+    complex128 array of at most _STACKED_MAX_SIZE entries."""
+    return isinstance(x, np.ndarray) and x.dtype in _STACKED and x.size <= _STACKED_MAX_SIZE
+
+
 def _weighted_sum(zero, w: np.ndarray, samples: Iterable[Any]):
     """zero + w[0] x_0 + w[1] x_1 + ..., added left to right; ``samples``
     is an array of the x_i, a row each, or an iterable whose items are each
@@ -196,8 +227,7 @@ def _weighted_sum(zero, w: np.ndarray, samples: Iterable[Any]):
     stack, are added one by one.
     """
     acc, i = zero, 0
-    if (isinstance(zero, np.ndarray) and zero.dtype in _STACKED
-            and zero.size <= _STACKED_MAX_SIZE and len(w)):
+    if _stacks(zero) and len(w):
         shape, dtype = zero.shape, zero.dtype
         stack = np.empty((len(w) + 1,) + shape, dtype)
         stack[0] = zero
@@ -224,12 +254,42 @@ def _weighted_sum(zero, w: np.ndarray, samples: Iterable[Any]):
 
 def _trajectory(b: BernsteinVector, r: int, t: float, tol: float,
                 k_terms: Optional[int]):
-    """D^r e^(tD) f by the local orbit engine: sample n is fetched at
-    t - dt, so the node of a lattice time t is fetched at t itself."""
-    inst, v = b.instance, b.v
+    """D^r e^(tD) f by the local orbit engine, sample n fetched at n h or
+    taken from b's memo, a node at t itself (:class:`BernsteinVector`)."""
+    inst, v, memo = b.instance, b.v, b._samples
+    h = _PI / 2.0 / b.sigma
+
+    def fetch(n, dt):
+        if dt == 0.0:
+            return inst.orbit(t, v)
+        x = memo.get(n)
+        if x is None:  # never fetched, or dropped: fetch it (again)
+            x = inst.orbit(n * h, v)
+            if _stacks(x):  # a copy: the group may refill one buffer
+                memo[n] = x = copy.copy(x)
+        return x
+
+    def samples(ns, dts):
+        _make_room(memo, ns, dts, round(t / h))
+        return map(fetch, ns.tolist(), dts.tolist())
+
     # every sample's norm is ||f||: the group is isometric
-    return _orbit_sum(lambda ns, dts: (inst.orbit(t - dt, v) for dt in dts.tolist()),
-                      0.0 * v, inst.norm(v), r, t, b.sigma, tol, k_terms)
+    return _orbit_sum(samples, 0.0 * v, inst.norm(v), r, t, b.sigma, tol, k_terms)
+
+
+def _make_room(memo: dict, ns: np.ndarray, dts: np.ndarray, n0: int):
+    """Drop from the memo the indices farthest from n0 until the samples
+    of ns it lacks fit in as many as the widest band it has summed: the
+    larger of its size and this call's band, the symmetric window around
+    n0 that holds ns.  A dropped index lies outside that band, so this
+    call still finds every sample it found before."""
+    reach = int(np.max(np.abs(ns - n0), initial=0))
+    new = sum(n not in memo for n in ns[dts != 0.0].tolist())
+    excess = len(memo) + new - max(len(memo), 2 * reach + 1)
+    if excess > 0:
+        keys = np.array(list(memo))
+        for n in keys[np.argsort(np.abs(keys - n0), kind="stable")[-excess:]].tolist():
+            memo.pop(n, None)  # None: another thread dropped it first
 
 
 def orbit_reconstruct(b: BernsteinVector, t: float, tol: float = 1e-6,

@@ -165,11 +165,15 @@ def make_reference(kind: str, sigma: float, phase: float = 0.0) -> BandlimitedFn
 class UniformSamples:
     """Samples f(k h) for k_min <= k <= k_max with a tail certificate.
 
-    ``tail_bound`` bounds sup_{k outside window} |f(k h)|.  ``tail_decay``
-    strengthens it to |f(k h)| <= tail_bound * (k_edge/|k|)^tail_decay beyond
-    the window (k_edge = min(|k_min|, k_max)); 0 means bounded only.  The
-    decay certificate is what allows the cardinal-series tail to be closed at
-    the critical sampling rate.
+    ``tail_bound`` and ``tail_decay`` bound |f| on the whole real line
+    beyond the window, not only at the samples: |f(x)| <= tail_bound *
+    (k_edge h/|x|)^tail_decay for every x outside [k_min h, k_max h]
+    (k_edge = min(|k_min|, k_max)); decay 0 means bounded only.  The decay
+    certificate is what allows the cardinal-series tail to be closed at the
+    critical sampling rate, and it rests on the whole-line bound: C sin(sigma
+    x) is of type sigma, bounded, and 0 at every k pi/sigma, so samples and a
+    bound at the samples alone cannot tell it from 0; a decay on the line
+    excludes it unless C = 0.
     """
 
     sigma: float
@@ -199,16 +203,21 @@ class UniformSamples:
     @classmethod
     def from_function(cls, f: BandlimitedFn, h: float, k_min: int, k_max: int) -> "UniformSamples":
         """Sample a reference on [k_min, k_max] with the certificate of its
-        envelope, or of its sup bound when it has none or an end of the window
-        is k = 0.  For another certificate, build UniformSamples directly or
-        ``dataclasses.replace`` the result."""
+        envelope (C, d): tail_bound C/(k_edge h)^d with decay d, which is
+        what |f(x)| <= C/|x|^d gives beyond the window.  The sup bound, with
+        decay 0, is taken instead when it is the smaller, when f has no
+        envelope, or when an end of the window is k = 0.  For another
+        certificate, build UniformSamples directly or ``dataclasses.replace``
+        the result."""
         ks = np.arange(k_min, k_max + 1)
         vals = np.asarray(f(ks * h), dtype=float)
         k_edge = min(abs(k_min), abs(k_max))
         tail_bound, tail_decay = f.sup_bound, 0.0
         if f.envelope is not None and k_edge >= 1:
-            c, tail_decay = f.envelope
-            tail_bound = min(f.sup_bound, c / (k_edge * h) ** tail_decay)
+            c, d = f.envelope
+            edge = c / (k_edge * h) ** d
+            if edge <= f.sup_bound:
+                tail_bound, tail_decay = edge, d
         return cls(sigma=f.sigma, h=h, k_min=int(k_min), k_max=int(k_max),
                    values=vals, tail_bound=float(tail_bound),
                    tail_decay=float(tail_decay))
@@ -248,7 +257,10 @@ def wks_tail_bound(s: UniformSamples, m: int, x):
 
     It needs a decay certificate (tail_decay > 0) and is then a closed-form
     bound on the majorant sum.  Bounded-only samples leave the whole-window
-    tail open and raise ReconstructionUnsoundError.
+    tail open and raise ReconstructionUnsoundError.  The bound holds for an
+    f that meets the certificate on the whole line beyond the window
+    (:class:`UniformSamples`), which the samples alone cannot show: C
+    sin(sigma x) vanishes at every critical-rate sample.
 
     The tail belongs to the whole-window sum, which :func:`wks_eval_grid`
     computes only at the critical rate h = pi/sigma.  Oversampled samples,

@@ -8,6 +8,12 @@ Function samples:   CSV header  k,value      sidecar {sigma, h, k_min, k_max,
                     tail_bound[, tail_decay]}
 Sequence windows:   CSV header  n,value      sidecar {n0, len, tail_l2}
 
+A samples sidecar's tail_bound and tail_decay bound |f(x)| by tail_bound
+(k_edge h/|x|)^tail_decay at every real x beyond the window, k_edge =
+min(|k_min|, k_max), not only at the samples (UniformSamples): C sin(sigma
+x) fits a file of zero samples at the critical rate, and only a decay on
+the whole line excludes it.
+
 Only lines that start with '#' may come before the header; after it, '#'
 starts a comment anywhere on a line, and lines may end in LF, CRLF or CR.
 The input is a regular file of UTF-8 text: a path that is not a regular file
@@ -293,7 +299,10 @@ def write_table(csv_path, header: List[str], columns, footer: Optional[Dict] = N
 def _write_window(csv_path, name: str, first: int, values, footer, meta: Dict) -> None:
     """The CSV and its sidecar as a pair: the sidecar is opened, and so
     emptied, first and written last, so a sidecar that parses describes a
-    complete CSV.  A path that is its own sidecar (.json) is a ValueError."""
+    complete CSV.  A path with no file name ('.', '/') or that is its own
+    sidecar (.json) is a ValueError naming it."""
+    if not Path(csv_path).name:
+        raise ValueError(f"output {str(csv_path)!r} names no file: give the output a file name")
     side = sidecar_path(csv_path)
     if side == Path(csv_path):
         raise ValueError(f"{side} would be its own sidecar: give the output another suffix")

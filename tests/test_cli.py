@@ -115,6 +115,16 @@ class TestOutputPair:
         assert err.startswith("output error:") and str(out) in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", [".", "/", "./"])
+    def test_output_with_no_file_name_is_refused(self, basis_sequence_file, tmp_path,
+                                                 monkeypatch, capsys, out):
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        assert main(["dht", "--input", str(basis_sequence_file), "--output", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"output error: output {out!r} names no file"), err
+        assert sorted(tmp_path.iterdir()) == before  # nothing written
+
     def test_failed_write_leaves_no_readable_pair(self, tmp_path, monkeypatch):
         # a window of one block, rewritten as two whose second block fails:
         # the new first block must not be read under the old sidecar

@@ -431,23 +431,176 @@ class TestOrbitFetches:
                 lambda: recover_initial(samples, k_terms=k_terms),
         }, times, k_terms)
 
+    def check_memo(self, b, times, call, t):
+        """call on a fresh vector fetches each kept sample once; on b, whose
+        memo is as earlier calls left it, it fetches exactly the samples the
+        memo lacks, plus the node at t, which is fetched outside the memo.
+        Returns the fresh vector's fetch count."""
+        h = PI / 2.0 / b.sigma
+        times.clear()
+        call(dataclasses.replace(b))  # a new, empty memo
+        fresh = set(times)
+        assert len(times) == len(fresh)
+        node = fresh & {t} if (t / h).is_integer() else set()
+        held = {n * h for n in b._samples}  # sample n is fetched at n h
+        times.clear()
+        call(b)
+        assert sorted(times) == sorted((fresh - held) | node)
+        return len(fresh)
+
     @pytest.mark.parametrize("N", [63, 64, 4096])
     def test_local_engine_fetches_each_nonzero_weight_once(self, N):
         inst, times = counting_instance(self.SIGMA)
         b = BernsteinVector(inst, unit_vector(), self.SIGMA)
-        self.check_fetches({
-            ("orbit_reconstruct", 0, self.T): lambda: orbit_reconstruct(b, self.T, k_terms=N),
-            **{("group_boas", r, 0.0): lambda r=r: group_boas(b, r, k_terms=N)
-               for r in (1, 2, 3)},
-        }, times, N)
+        h = PI / (2.0 * self.SIGMA)
+        calls = [(0, self.T, lambda b: orbit_reconstruct(b, self.T, k_terms=N)),
+                 *((r, 0.0, lambda b, r=r: group_boas(b, r, k_terms=N)) for r in (1, 2, 3)),
+                 (0, self.T, lambda b: orbit_reconstruct(b, self.T, k_terms=N))]
+        for r, t, call in calls:
+            want = kept_support(r, t / h, N, h)
+            assert self.check_memo(b, times, call, t) == want, (r, N)
+            # at most the 2N+1 window; odd orders weigh the center 0
+            assert want <= 2 * N + 1 - r % 2
+            if N == 4096:
+                assert want < 1000, r
+        # the last call repeats the first: its samples were all remembered
+        assert times == []
 
     def test_tolerance_driven_fetches(self):
         inst, times = counting_instance(2.5)
         b = BernsteinVector(inst, unit_vector(), 2.5)
         for r in (1, 2, 3):
+            call = lambda b, r=r: group_boas(b, r, tol=1e-6)
+            assert 20 < self.check_memo(b, times, call, 0.0) < 120, r
+
+    @pytest.mark.parametrize("tol, most", [(1e-6, 46), (1e-10, 68)])
+    def test_trajectory_on_a_time_grid(self, tol, most):
+        # 101 times on [0, 10], sigma 1: every lattice time is fetched once,
+        # and the node t = 0 once more, outside the memo; when each call
+        # fetched its own samples, this made 3 693 and 5 965 fetches
+        base = rotation_instance([0.3, 0.7, 1.0, 0.5])
+        times = []
+
+        def orbit(t, v):
+            times.append(t)
+            return base.orbit(t, v)
+
+        v = np.full(8, 0.5) / math.sqrt(2.0)  # a unit vector
+        b = BernsteinVector(dataclasses.replace(base, orbit=orbit), v, 1.0)
+        ts = np.linspace(0.0, 10.0, 101).tolist()
+        lattice = set()
+        for t in ts:
+            orbit_reconstruct(dataclasses.replace(b), t, tol=tol)
+            lattice.update(times)
+        times.clear()
+        for t in ts:
+            orbit_reconstruct(b, t, tol=tol)
+        assert set(times) == lattice
+        assert len(times) == len(lattice) + 1 <= most
+
+
+class TestSampleMemo:
+    """A BernsteinVector remembers the samples the engine stacks, one per
+    lattice index: the same bits whatever it holds, at most as many as the
+    widest band it has summed."""
+
+    @staticmethod
+    def calls(b):
+        return [lambda: orbit_reconstruct(b, 0.7, k_terms=4096),
+                lambda: orbit_vt(b, -1.9, tol=1e-9),
+                lambda: orbit_reconstruct(b, 3 * PI / 2.5, tol=1e-6),  # a node
+                lambda: orbit_reconstruct(b, 0.7 + 1e-9, tol=1e-6),
+                *(lambda r=r: group_boas(b, r, k_terms=4096) for r in (1, 2, 3)),
+                *(lambda r=r: group_boas(b, r, tol=1e-6) for r in (1, 2, 3))]
+
+    def test_bit_identical_whatever_the_memo_holds(self):
+        b = BernsteinVector(rotation_instance(np.linspace(0.5, 2.5, 8)), np.full(16, 0.25), 2.5)
+        n = len(self.calls(b))
+        want = [self.calls(dataclasses.replace(b))[i]().tobytes() for i in range(n)]
+        for order in (range(n), range(n - 1, -1, -1), [3, 7, 0, 9, 1, 5, 2, 8, 4, 6]):
+            calls = self.calls(dataclasses.replace(b))
+            for _ in range(2):  # the memo filling, then full
+                for i in order:
+                    assert calls[i]().tobytes() == want[i], i
+
+    def test_group_refilling_one_buffer(self):
+        # the memo keeps a copy of each sample: an orbit that returns one
+        # buffer, refilled per call, leaves every remembered sample intact
+        base = rotation_instance(np.linspace(0.5, 2.5, 8))
+        out = np.empty(16)
+
+        def orbit(t, v):
+            out[:] = base.orbit(t, v)
+            return out
+
+        shared = BernsteinVector(dataclasses.replace(base, orbit=orbit), np.full(16, 0.25), 2.5)
+        want = [call().tobytes() for call in self.calls(dataclasses.replace(shared, instance=base))]
+        for _ in range(2):
+            assert [call().tobytes() for call in self.calls(shared)] == want
+
+    def test_memo_never_holds_more_than_the_widest_band(self):
+        # times marching away from 0 and back, at tol-sized and pinned N:
+        # after each call the memo holds that call's samples and at most as
+        # many as the widest band summed so far, and the indices it dropped
+        # lie farther from n0 than every index it kept
+        inst, times = counting_instance(1.0)
+        b = BernsteinVector(inst, unit_vector(), 1.0)
+        h = PI / 2.0
+        widest, dropped = 0, 0
+        for t, kw in [(0.3, {"tol": 1e-6}), (20.0, {"tol": 1e-6}), (40.0, {"tol": 1e-3}),
+                      (0.3, {"tol": 1e-6}), (5.0, {"k_terms": 64}), (5.0, {"tol": 1e-6}),
+                      (90.0, {"tol": 1e-9}), (0.3, {"k_terms": 4096})]:
             times.clear()
-            group_boas(b, r, tol=1e-6)
-            assert 20 < len(times) == len(set(times)) < 120, r
+            orbit_reconstruct(dataclasses.replace(b), t, **kw)
+            kept = {round(s / h) for s in times}
+            n0 = round(t / h)
+            widest = max(widest, 2 * max(abs(n - n0) for n in kept) + 1)
+            before = set(b._samples)
+            orbit_reconstruct(b, t, **kw)
+            after = set(b._samples)
+            assert kept <= after and len(after) <= widest, t
+            if before - after:
+                dropped += 1
+                assert (min(abs(n - n0) for n in before - after)
+                        >= max(abs(n - n0) for n in after)), t
+        assert dropped
+
+    def test_large_vectors_and_windows_are_not_remembered(self):
+        big = BernsteinVector(rotation_instance(np.linspace(0.5, 2.5, 65)), np.full(130, 0.1), 2.5)
+        orbit_reconstruct(big, 0.7, tol=1e-6)
+        a = SeqWindow(n0=-2, values=np.array([0.5, -1.0, 2.0, 0.25, -0.75]))
+        window = BernsteinVector(dht_instance(expand=64), a, PI)
+        orbit_reconstruct(window, 0.7, k_terms=48)
+        assert big._samples == {} and window._samples == {}
+
+    def test_threads_sharing_one_vector(self):
+        # orbit is pure, so threads that share a vector, and its memo,
+        # return the bits of a fresh vector
+        import sys
+        import threading
+
+        b = BernsteinVector(rotation_instance(np.linspace(0.5, 2.5, 8)), np.full(16, 0.25), 2.5)
+        ts = np.linspace(-30.0, 30.0, 41).tolist()
+        want = {t: orbit_reconstruct(dataclasses.replace(b), t, tol=1e-9).tobytes() for t in ts}
+        bad = []
+
+        def work(k):
+            for t in ts[k::2] + ts[::-1]:
+                if orbit_reconstruct(b, t, tol=1e-9).tobytes() != want[t]:
+                    bad.append(t)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(k % 2,)) for k in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert bad == []
 
 
 def loop_sum(zero, w, samples):

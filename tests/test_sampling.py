@@ -228,6 +228,26 @@ class TestTailHonesty:
         err = abs(wks_eval(s, 0, 300.0, tol=1e-5) - float(f(300.0)))
         assert err <= wks_tail_bound(s, 0, 300.0)
 
+    def test_from_function_claims_only_the_decay_of_its_envelope(self):
+        # f = sinc^2(eps x/pi) cos((1 - 2 eps) x) has type 1, |f| <= 1 and
+        # envelope (1/eps^2, 2); on k = -10..10 at h = pi the envelope is
+        # above |f| <= 1 at the edge, and the pair (1.0, 2) claimed 0.0044 at
+        # k = 150, where |f(150 pi)| is 0.045
+        eps = 0.01
+
+        def fn(x):
+            return np.sinc(eps * np.asarray(x) / PI) ** 2 * np.cos((1.0 - 2.0 * eps) * x)
+
+        f = BandlimitedFn(sigma=1.0, sup_bound=1.0, eval=fn, envelope=(1.0 / eps ** 2, 2.0))
+        s = UniformSamples.from_function(f, PI, -10, 10)
+        ks = np.arange(11, 20001)
+        claimed = s.tail_bound * (10.0 / ks) ** s.tail_decay
+        assert np.all(np.abs(fn(ks * PI)) <= claimed)
+        assert np.all(np.abs(fn(-ks * PI)) <= claimed)
+        # a window whose edge the envelope reaches keeps the envelope's pair
+        wide = UniformSamples.from_function(f, PI, -400, 400)
+        assert (wide.tail_bound, wide.tail_decay) == (f.envelope[0] / (400 * PI) ** 2, 2.0)
+
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
     def test_fejer_critical_rate(self, m):
         K = 20_000
