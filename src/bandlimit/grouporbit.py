@@ -38,7 +38,6 @@ in, finite-dimensional rotations and the discrete Hilbert transform alike.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -85,24 +84,27 @@ class BernsteinVector:
     e^(n h D) f, fetched at the time n h, h = pi/(2 sigma), save a node
     (offset dt exactly 0.0), which is fetched at t itself and not
     remembered.  The certificate takes each sample as exact: the rounding
-    of n h is outside it, as is the group's own.  The vector remembers its
-    own copy of each sample that the engine stacks (a float64 or
-    complex128 array of at most _STACKED_MAX_SIZE entries), so a later
-    call fetches only the indices it has not seen.  It keeps at most as
-    many as the widest band it has summed, the symmetric window around n0
-    holding a call's kept samples, and drops the indices farthest from the
-    current n0 first; a sample it dropped is fetched again.  Larger
-    vectors and SeqWindow samples are fetched on every call.  This rests
-    on orbit being pure (:class:`GroupInstance`) and on v not changing
-    after the vector is built; ``dataclasses.replace`` starts a new, empty
-    memo.
+    of n h is outside it, as is the group's own.  When v is a vector the
+    engine stacks (a float64 or complex128 array of at most
+    _STACKED_MAX_SIZE entries), the vector holds its samples in one block,
+    a row per lattice index, so a later call fetches only the indices it
+    has not seen and gathers the rest by one index.  Only a sample of
+    exactly v's type and shape is held.  The block has as many rows as the
+    widest band the vector has summed, the symmetric window around n0
+    holding a call's kept samples; a call whose band leaves it re-centres
+    it on n0, dropping the indices farthest from n0, and a dropped sample
+    is fetched again.  Larger vectors and SeqWindow samples are fetched on
+    every call.  This rests on orbit being pure (:class:`GroupInstance`)
+    and on v not changing after the vector is built;
+    ``dataclasses.replace`` starts a new, empty block.
     """
 
     instance: GroupInstance
     v: Any
     sigma: float
-    #: lattice index n -> the remembered sample e^(n h D) f
-    _samples: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: (lo, rows, have): row k holds e^((lo + k) h D) f where have[k] is
+    #: set; None until a call holds a sample (_from_block)
+    _block: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
@@ -211,6 +213,13 @@ def _stacks(x) -> bool:
     return isinstance(x, np.ndarray) and x.dtype in _STACKED and x.size <= _STACKED_MAX_SIZE
 
 
+def _fits(x, zero) -> bool:
+    """Whether x is an array of exactly zero's type and shape, which a
+    block of zero's takes as a row, neither cast nor broadcast (the test
+    _weighted_sum makes of each sample)."""
+    return isinstance(x, np.ndarray) and x.dtype is zero.dtype and x.shape == zero.shape
+
+
 def _weighted_sum(zero, w: np.ndarray, samples: Iterable[Any]):
     """zero + w[0] x_0 + w[1] x_1 + ..., added left to right; ``samples``
     is an array of the x_i, a row each, or an iterable whose items are each
@@ -255,41 +264,74 @@ def _weighted_sum(zero, w: np.ndarray, samples: Iterable[Any]):
 def _trajectory(b: BernsteinVector, r: int, t: float, tol: float,
                 k_terms: Optional[int]):
     """D^r e^(tD) f by the local orbit engine, sample n fetched at n h or
-    taken from b's memo, a node at t itself (:class:`BernsteinVector`)."""
-    inst, v, memo = b.instance, b.v, b._samples
+    taken from b's block, a node at t itself (:class:`BernsteinVector`)."""
+    inst, v, zero = b.instance, b.v, 0.0 * b.v
     h = _PI / 2.0 / b.sigma
 
-    def fetch(n, dt):
-        if dt == 0.0:
-            return inst.orbit(t, v)
-        x = memo.get(n)
-        if x is None:  # never fetched, or dropped: fetch it (again)
-            x = inst.orbit(n * h, v)
-            if _stacks(x):  # a copy: the group may refill one buffer
-                memo[n] = x = copy.copy(x)
-        return x
-
     def samples(ns, dts):
-        _make_room(memo, ns, dts, round(t / h))
-        return map(fetch, ns.tolist(), dts.tolist())
+        if _stacks(zero):
+            return _from_block(b, ns, dts == 0.0, t, h, zero)
+        return (inst.orbit(t if dt == 0.0 else n * h, v)
+                for n, dt in zip(ns.tolist(), dts.tolist()))
 
     # every sample's norm is ||f||: the group is isometric
-    return _orbit_sum(samples, 0.0 * v, inst.norm(v), r, t, b.sigma, tol, k_terms)
+    return _orbit_sum(samples, zero, inst.norm(v), r, t, b.sigma, tol, k_terms)
 
 
-def _make_room(memo: dict, ns: np.ndarray, dts: np.ndarray, n0: int):
-    """Drop from the memo the indices farthest from n0 until the samples
-    of ns it lacks fit in as many as the widest band it has summed: the
-    larger of its size and this call's band, the symmetric window around
-    n0 that holds ns.  A dropped index lies outside that band, so this
-    call still finds every sample it found before."""
-    reach = int(np.max(np.abs(ns - n0), initial=0))
-    new = sum(n not in memo for n in ns[dts != 0.0].tolist())
-    excess = len(memo) + new - max(len(memo), 2 * reach + 1)
-    if excess > 0:
-        keys = np.array(list(memo))
-        for n in keys[np.argsort(np.abs(keys - n0), kind="stable")[-excess:]].tolist():
-            memo.pop(n, None)  # None: another thread dropped it first
+def _from_block(b: BernsteinVector, ns: np.ndarray, node: np.ndarray, t: float, h: float,
+                zero):
+    """The samples of the lattice indices ns, a row each, from b's block
+    (:class:`BernsteinVector`); ``node`` marks the node, fetched at t and
+    never held.  A call whose band leaves the block re-centres it on
+    n0 = round(t/h) first (_recentre).  The rows the block lacks are
+    fetched in index order and written in, then all are gathered by one
+    index.  From the first sample that does not fit (_fits) on, the
+    samples go out one by one, each fetched as it is drawn."""
+    inst, v = b.instance, b.v
+    n0 = round(t / h)
+    off = ns - n0
+    reach = int(np.max(np.abs(off), initial=0))
+    block = b._block
+    if block is None or not block[0] <= n0 - reach <= n0 + reach < block[0] + len(block[2]):
+        block = _recentre(block, n0, 2 * reach + 1, zero)
+        object.__setattr__(b, "_block", block)  # one assignment: threads see one block
+    lo, rows, have = block
+    at = off + (n0 - lo)
+    held = have[at] & ~node  # read before the rows: a flag is set after its row
+    xs = np.take(rows, at, axis=0)
+
+    def fetched():
+        miss = np.flatnonzero(~held)
+        for i, n, j in zip(miss.tolist(), ns[miss].tolist(), at[miss].tolist()):
+            x = inst.orbit(t if node[i] else n * h, v)
+            if not node[i] and _fits(x, zero):
+                rows[j] = x
+                have[j] = True  # after its row
+            yield i, x
+
+    missing = fetched()
+    for i, x in missing:
+        if not _fits(x, zero):
+            rest = (xs[k] if held[k] else next(missing)[1] for k in range(i + 1, len(ns)))
+            return chain(xs[:i], (x,), rest)
+        xs[i] = x
+    return xs
+
+
+def _recentre(block, n0: int, rows: int, zero):
+    """A block centred on n0 of ``rows`` rows, or of as many as ``block``
+    (None: none yet) when it has more, holding what ``block`` holds of its
+    window.  The flags are copied before the rows, so a flag that another
+    thread sets meanwhile comes with its row."""
+    old_lo, old_rows, old_have = block or (n0, None, np.zeros(0, bool))
+    rows = max(rows, len(old_have))
+    lo = n0 - rows // 2
+    new_rows, new_have = np.empty((rows,) + zero.shape, zero.dtype), np.zeros(rows, bool)
+    a, z = max(lo, old_lo), min(lo + rows, old_lo + len(old_have))
+    if a < z:
+        new_have[a - lo:z - lo] = old_have[a - old_lo:z - old_lo]
+        new_rows[a - lo:z - lo] = old_rows[a - old_lo:z - old_lo]
+    return lo, new_rows, new_have
 
 
 def orbit_reconstruct(b: BernsteinVector, t: float, tol: float = 1e-6,

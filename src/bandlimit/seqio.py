@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -281,6 +282,16 @@ def _encode(text: str) -> bytes:
     return text.encode("utf-8", "surrogateescape")
 
 
+def _output(csv_path) -> Path:
+    """The path of an output file, checked before any writer opens it.  A
+    path whose last part is empty, '.' or '..' ('/', 'foo/', 'foo/.', '..')
+    names no file: a ValueError naming it as given, where Path would read
+    'foo/' and 'foo/.' as the file 'foo'."""
+    if os.path.basename(os.fspath(csv_path)) in ("", ".", ".."):
+        raise ValueError(f"output {str(csv_path)!r} names no file: give the output a file name")
+    return Path(csv_path)
+
+
 def write_table(csv_path, header: List[str], columns, footer: Optional[Dict] = None) -> None:
     """Header, one row of cells (``_cells``) per entry of the equal-length
     ``columns``, footer.  Rows end in CRLF, as csv.writer ends them, and go
@@ -288,7 +299,7 @@ def write_table(csv_path, header: List[str], columns, footer: Optional[Dict] = N
     The footer is encoded before the file is opened, so a footer that cannot
     be encoded leaves no half-written file."""
     tail = _encode(_footer_text(footer))
-    with open(Path(csv_path), "wb") as fh:
+    with open(_output(csv_path), "wb") as fh:
         fh.write(_encode(",".join(header)) + b"\r\n")
         for lo in range(0, len(columns[0]), _WRITE_BLOCK):
             rows = zip(*(_cells(c[lo:lo + _WRITE_BLOCK]) for c in columns))
@@ -299,11 +310,9 @@ def write_table(csv_path, header: List[str], columns, footer: Optional[Dict] = N
 def _write_window(csv_path, name: str, first: int, values, footer, meta: Dict) -> None:
     """The CSV and its sidecar as a pair: the sidecar is opened, and so
     emptied, first and written last, so a sidecar that parses describes a
-    complete CSV.  A path with no file name ('.', '/') or that is its own
+    complete CSV.  A path with no file name (_output) or that is its own
     sidecar (.json) is a ValueError naming it."""
-    if not Path(csv_path).name:
-        raise ValueError(f"output {str(csv_path)!r} names no file: give the output a file name")
-    side = sidecar_path(csv_path)
+    side = sidecar_path(_output(csv_path))
     if side == Path(csv_path):
         raise ValueError(f"{side} would be its own sidecar: give the output another suffix")
     indices = np.arange(first, first + values.size)

@@ -125,6 +125,25 @@ class TestOutputPair:
         assert err.startswith(f"output error: output {out!r} names no file"), err
         assert sorted(tmp_path.iterdir()) == before  # nothing written
 
+    @pytest.mark.parametrize("command, out", [
+        ("dht", "foo/"), ("dht", "foo/."), ("dht", ".."), ("dht", "foo/.."),
+        ("reconstruct", "r/"), ("differentiate", "d/")])
+    def test_output_naming_a_directory_is_refused(self, sin_samples_file, basis_sequence_file,
+                                                  tmp_path, monkeypatch, capsys, command, out):
+        # Path reads 'foo/' and 'foo/.' as the file 'foo', and '..' has the
+        # sidecar '...json': each is refused before anything is opened
+        inputs = {"dht": basis_sequence_file, "reconstruct": sin_samples_file,
+                  "differentiate": sin_samples_file}
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        before = sorted(tmp_path.rglob("*"))
+        grid = [] if command == "dht" else ["--num", "5"]
+        assert main([command, "--input", str(inputs[command]), "--output", out, *grid]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"output error: output {out!r} names no file"), err
+        assert sorted(tmp_path.rglob("*")) == before  # nothing written
+
     def test_failed_write_leaves_no_readable_pair(self, tmp_path, monkeypatch):
         # a window of one block, rewritten as two whose second block fails:
         # the new first block must not be read under the old sidecar

@@ -391,6 +391,14 @@ def counting_instance(sigma):
     return dataclasses.replace(inst, orbit=orbit), times
 
 
+def held(b):
+    """The lattice indices whose samples b's block holds."""
+    if b._block is None:
+        return set()
+    lo, _, have = b._block
+    return set((lo + np.flatnonzero(have)).tolist())
+
+
 def kept_support(r, u, N, h):
     """Samples the local orbit engine keeps at half-width N: the smallest
     |w| go while their running sum stays at or below 2^-53 sum |w|."""
@@ -442,10 +450,10 @@ class TestOrbitFetches:
         fresh = set(times)
         assert len(times) == len(fresh)
         node = fresh & {t} if (t / h).is_integer() else set()
-        held = {n * h for n in b._samples}  # sample n is fetched at n h
+        done = {n * h for n in held(b)}  # sample n is fetched at n h
         times.clear()
         call(b)
-        assert sorted(times) == sorted((fresh - held) | node)
+        assert sorted(times) == sorted((fresh - done) | node)
         return len(fresh)
 
     @pytest.mark.parametrize("N", [63, 64, 4096])
@@ -546,7 +554,7 @@ class TestSampleMemo:
         inst, times = counting_instance(1.0)
         b = BernsteinVector(inst, unit_vector(), 1.0)
         h = PI / 2.0
-        widest, dropped = 0, 0
+        widest, dropped, moved = 0, 0, 0
         for t, kw in [(0.3, {"tol": 1e-6}), (20.0, {"tol": 1e-6}), (40.0, {"tol": 1e-3}),
                       (0.3, {"tol": 1e-6}), (5.0, {"k_terms": 64}), (5.0, {"tol": 1e-6}),
                       (90.0, {"tol": 1e-9}), (0.3, {"k_terms": 4096})]:
@@ -555,15 +563,18 @@ class TestSampleMemo:
             kept = {round(s / h) for s in times}
             n0 = round(t / h)
             widest = max(widest, 2 * max(abs(n - n0) for n in kept) + 1)
-            before = set(b._samples)
+            before, block = held(b), b._block
             orbit_reconstruct(b, t, **kw)
-            after = set(b._samples)
-            assert kept <= after and len(after) <= widest, t
+            after = held(b)
+            assert kept <= after and len(after) <= len(b._block[2]) <= widest, t
+            if b._block is not block:  # re-centred on n0
+                moved += 1
+                assert b._block[0] + len(b._block[2]) // 2 == n0, t
             if before - after:
                 dropped += 1
                 assert (min(abs(n - n0) for n in before - after)
                         >= max(abs(n - n0) for n in after)), t
-        assert dropped
+        assert dropped and moved
 
     def test_large_vectors_and_windows_are_not_remembered(self):
         big = BernsteinVector(rotation_instance(np.linspace(0.5, 2.5, 65)), np.full(130, 0.1), 2.5)
@@ -571,7 +582,73 @@ class TestSampleMemo:
         a = SeqWindow(n0=-2, values=np.array([0.5, -1.0, 2.0, 0.25, -0.75]))
         window = BernsteinVector(dht_instance(expand=64), a, PI)
         orbit_reconstruct(window, 0.7, k_terms=48)
-        assert big._samples == {} and window._samples == {}
+        assert big._block is None and window._block is None
+
+    def test_a_full_block_is_gathered_as_one_array(self, monkeypatch):
+        # once the block holds a call's samples, the call hands the sum one
+        # array of them, node included, which it copies into its stack whole
+        b = BernsteinVector(rotation_instance(np.linspace(0.5, 2.5, 8)), np.full(16, 0.25), 2.5)
+        calls = [lambda: orbit_reconstruct(b, 0.7, k_terms=4096),
+                 lambda: orbit_vt(b, -1.9, k_terms=4096),
+                 lambda: group_boas(b, 2, k_terms=4096),  # a node at t = 0
+                 lambda: group_boas(b, 3, k_terms=4096)]
+        want = [call().tobytes() for call in calls]
+        seen = []
+
+        def spy(zero, w, samples):
+            seen.append(type(samples) is np.ndarray and samples.dtype is zero.dtype
+                        and samples.shape == (len(w),) + zero.shape and len(w) > 700)
+            return weighted_sum(zero, w, samples)
+
+        weighted_sum = grouporbit._weighted_sum
+        monkeypatch.setattr(grouporbit, "_weighted_sum", spy)
+        assert [call().tobytes() for call in calls] == want
+        assert seen == [True] * len(calls)
+
+    @pytest.mark.parametrize("kind", ["float32", "shape", "list"])
+    def test_samples_that_do_not_fit_are_not_held(self, kind):
+        # an orbit that returns, at every fifth lattice time, a float32
+        # array, an array of another shape or a list: those samples are
+        # added one by one, as the engine adds them unheld, and never held
+        base = rotation_instance(np.linspace(0.5, 2.5, 8))
+        h = PI / 2.0 / 2.5
+
+        def orbit(t, v):
+            x = base.orbit(t, v)
+            if round(t / h) % 5:
+                return x
+            return {"float32": x.astype(np.float32), "shape": x.reshape(1, -1),
+                    "list": x.tolist()}[kind]
+
+        b = BernsteinVector(dataclasses.replace(base, orbit=orbit), np.full(16, 0.25), 2.5)
+
+        def one_by_one(r, t, kw):
+            # the sum of each sample fetched as it is drawn, at n h or, a node, at t
+            samples = lambda ns, dts: (orbit(t if dt == 0.0 else n * h, b.v)
+                                       for n, dt in zip(ns.tolist(), dts.tolist()))
+            return grouporbit._orbit_sum(samples, 0.0 * b.v, 1.0, r, t, 2.5, kw.get("tol"),
+                                         kw.get("k_terms"))[0]
+
+        def outcome(call):
+            try:
+                x = call()
+            except TypeError as exc:  # a list times a weight, as unheld
+                return str(exc)
+            return x.shape, x.dtype, x.tobytes()
+
+        cases = [(0, 0.7, {"k_terms": 4096}), (0, 3 * PI / 5, {"tol": 1e-6}),  # a node
+                 (2, 0.0, {"k_terms": 4096}), (1, 0.0, {"tol": 1e-6})]
+        raised = set()
+        for _ in range(2):  # the block filling, then holding what fits
+            for r, t, kw in cases:
+                want = outcome(lambda: one_by_one(r, t, kw))
+                got = outcome(lambda: grouporbit._trajectory(b, r, t, kw.get("tol"),
+                                                             kw.get("k_terms"))[0])
+                assert got == want, (r, t)
+                if isinstance(got, str):
+                    raised.add((r, t))
+        assert len(raised) == (3 if kind == "list" else 0)
+        assert held(b) and not any(n % 5 == 0 for n in held(b))
 
     def test_threads_sharing_one_vector(self):
         # orbit is pure, so threads that share a vector, and its memo,
