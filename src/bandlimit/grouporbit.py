@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, islice
 from typing import Any, Callable, Iterable, List, Optional
 
 import numpy as np
@@ -65,7 +64,9 @@ class GroupInstance:
     must be safe for concurrent orbit evaluations, and orbit must be pure:
     the same (t, v) gives the same vector every time, for a
     :class:`BernsteinVector` may answer a later call with a sample it
-    fetched earlier.
+    fetched earlier, or fetch a sample twice.  A sample supports float * x
+    and x + y; an array of v's type and shape is stacked (_weighted_sum)
+    and held by the vector, any other is added one by one.
     """
 
     orbit: Callable[[float, Any], Any]
@@ -89,14 +90,15 @@ class BernsteinVector:
     _STACKED_MAX_SIZE entries), the vector holds its samples in one block,
     a row per lattice index, so a later call fetches only the indices it
     has not seen and gathers the rest by one index.  Only a sample of
-    exactly v's type and shape is held.  The block has as many rows as the
-    widest band the vector has summed, the symmetric window around n0
-    holding a call's kept samples; a call whose band leaves it re-centres
-    it on n0, dropping the indices farthest from n0, and a dropped sample
-    is fetched again.  Larger vectors and SeqWindow samples are fetched on
-    every call.  This rests on orbit being pure (:class:`GroupInstance`)
-    and on v not changing after the vector is built;
-    ``dataclasses.replace`` starts a new, empty block.
+    exactly v's type and shape is held: a call that fetches any other
+    starts over, fetching its samples one by one.  The block has as many
+    rows as the widest band the vector has summed, the symmetric window
+    around n0 holding a call's kept samples; a call whose band leaves it
+    re-centres it on n0, dropping the indices farthest from n0, and a
+    dropped sample is fetched again.  Larger vectors and SeqWindow samples
+    are fetched on every call.  This rests on orbit being pure
+    (:class:`GroupInstance`) and on v not changing after the vector is
+    built; ``dataclasses.replace`` starts a new, empty block.
     """
 
     instance: GroupInstance
@@ -165,9 +167,9 @@ def _orbit_sum(samples: Callable[[np.ndarray, np.ndarray], Any], zero, bound: fl
     ``samples(ns, dts)`` is called once, with the int lattice indices n of
     the nonzero weights in index order and their time offsets dts = d h,
     d = u - n (sample n is the trajectory at t - dt), and returns the
-    samples x_n in that order: an iterator whose items are each used or
-    copied before the next is drawn, or an array of one per row, copied
-    into the stack of :func:`_weighted_sum` in one step.  ``bound``
+    samples x_n in that order: one array of them, a row each, when
+    ``zero`` is a vector the engine stacks (_stacks), else an iterable
+    whose items are each used before the next is drawn.  ``bound``
     bounds every sample's norm; ``zero`` starts the sum of
     :func:`_weighted_sum`.  N is ``k_terms`` when given (tol is then
     ignored), else the smallest half-width the certificate allows.  The
@@ -216,48 +218,37 @@ def _stacks(x) -> bool:
 def _fits(x, zero) -> bool:
     """Whether x is an array of exactly zero's type and shape, which a
     block of zero's takes as a row, neither cast nor broadcast (the test
-    _weighted_sum makes of each sample)."""
+    _initial makes inline of each sample)."""
     return isinstance(x, np.ndarray) and x.dtype is zero.dtype and x.shape == zero.shape
 
 
 def _weighted_sum(zero, w: np.ndarray, samples: Iterable[Any]):
     """zero + w[0] x_0 + w[1] x_1 + ..., added left to right; ``samples``
     is an array of the x_i, a row each, or an iterable whose items are each
-    used or copied before the next is drawn.
+    used before the next is drawn.
 
-    When zero is a float64 or complex128 array of at most _STACKED_MAX_SIZE
-    entries, the samples are stacked behind it, len(w) + 1 rows, scaled by
-    one multiply and summed in place by one np.add.accumulate along the
-    stack, which adds row by row, the additions of the loop in its order, so
-    the sum is bit-identical to it.  An array of zero's type and row shape
-    fills the stack in one copy; other samples of zero's shape and type are
-    copied into it as they arrive.  Other vectors (larger arrays,
-    SeqWindow), and every sample from the first that does not fit the
-    stack, are added one by one.
+    When zero is a vector the engine stacks (_stacks) and the samples an
+    array of its type, a row of its shape each, one multiply scales them
+    into a stack behind zero, and one np.add.accumulate sums it in place
+    along the stack, row by row: the loop's additions in its order, so the
+    sum is bit-identical to it.  Any other samples are added one by one; a
+    sample that a float weight cannot scale raises a TypeError naming its
+    type.
     """
-    acc, i = zero, 0
-    if _stacks(zero) and len(w):
-        shape, dtype = zero.shape, zero.dtype
-        stack = np.empty((len(w) + 1,) + shape, dtype)
+    if (_stacks(zero) and isinstance(samples, np.ndarray) and samples.dtype is zero.dtype
+            and samples.shape == (len(w),) + zero.shape):
+        stack = np.empty((len(w) + 1,) + zero.shape, zero.dtype)
         stack[0] = zero
-        if (isinstance(samples, np.ndarray) and samples.dtype is dtype
-                and samples.shape == (len(w),) + shape):
-            stack[1:] = samples
-            i = len(w)
-            samples = ()  # nothing is left for the loop, which would iterate an array
-        else:
-            samples = iter(samples)
-            for x in islice(samples, len(w)):
-                if not (isinstance(x, np.ndarray) and x.dtype is dtype and x.shape == shape):
-                    samples = chain((x,), samples)  # the loop below adds it first
-                    break
-                i += 1
-                stack[i] = x
-        stack = stack[:i + 1]
-        stack[1:] *= w[:i].reshape((i,) + (1,) * len(shape))
-        acc = np.add.accumulate(stack, axis=0, out=stack)[i].copy()
-    for wn, x in zip(w[i:].tolist(), samples):
-        acc = acc + wn * x
+        np.multiply(samples, w.reshape((len(w),) + (1,) * zero.ndim), out=stack[1:])
+        return np.add.accumulate(stack, axis=0, out=stack)[-1].copy()
+    acc = zero
+    for wn, x in zip(w.tolist(), samples):
+        try:
+            wx = wn * x
+        except TypeError as exc:
+            raise TypeError(f"a sample of type {type(x).__name__} cannot be scaled by a "
+                            "float weight") from exc
+        acc = acc + wx
     return acc
 
 
@@ -268,27 +259,26 @@ def _trajectory(b: BernsteinVector, r: int, t: float, tol: float,
     inst, v, zero = b.instance, b.v, 0.0 * b.v
     h = _PI / 2.0 / b.sigma
 
+    def fetch(ns, node):  # one by one, each fetched as it is drawn
+        return (inst.orbit(t if at_t else n * h, v) for n, at_t in zip(ns.tolist(), node.tolist()))
+
     def samples(ns, dts):
-        if _stacks(zero):
-            return _from_block(b, ns, dts == 0.0, t, h, zero)
-        return (inst.orbit(t if dt == 0.0 else n * h, v)
-                for n, dt in zip(ns.tolist(), dts.tolist()))
+        node = dts == 0.0
+        xs = _from_block(b, ns, node, round(t / h), fetch, zero) if _stacks(zero) else None
+        return fetch(ns, node) if xs is None else xs
 
     # every sample's norm is ||f||: the group is isometric
     return _orbit_sum(samples, zero, inst.norm(v), r, t, b.sigma, tol, k_terms)
 
 
-def _from_block(b: BernsteinVector, ns: np.ndarray, node: np.ndarray, t: float, h: float,
-                zero):
+def _from_block(b: BernsteinVector, ns: np.ndarray, node: np.ndarray, n0: int,
+                fetch: Callable[[np.ndarray, np.ndarray], Iterable[Any]], zero):
     """The samples of the lattice indices ns, a row each, from b's block
-    (:class:`BernsteinVector`); ``node`` marks the node, fetched at t and
-    never held.  A call whose band leaves the block re-centres it on
-    n0 = round(t/h) first (_recentre).  The rows the block lacks are
-    fetched in index order and written in, then all are gathered by one
-    index.  From the first sample that does not fit (_fits) on, the
-    samples go out one by one, each fetched as it is drawn."""
-    inst, v = b.instance, b.v
-    n0 = round(t / h)
+    (:class:`BernsteinVector`), or None at the first one fetched that does
+    not fit (_fits).  A call whose band leaves the block re-centres it on
+    the call's n0 = round(t/h) first (_recentre).  All rows are gathered
+    by one index; those the block lacks are fetched in index order by
+    ``fetch`` and written in, save the ``node``, which is never held."""
     off = ns - n0
     reach = int(np.max(np.abs(off), initial=0))
     block = b._block
@@ -299,22 +289,15 @@ def _from_block(b: BernsteinVector, ns: np.ndarray, node: np.ndarray, t: float, 
     at = off + (n0 - lo)
     held = have[at] & ~node  # read before the rows: a flag is set after its row
     xs = np.take(rows, at, axis=0)
-
-    def fetched():
-        miss = np.flatnonzero(~held)
-        for i, n, j in zip(miss.tolist(), ns[miss].tolist(), at[miss].tolist()):
-            x = inst.orbit(t if node[i] else n * h, v)
-            if not node[i] and _fits(x, zero):
-                rows[j] = x
-                have[j] = True  # after its row
-            yield i, x
-
-    missing = fetched()
-    for i, x in missing:
+    miss = np.flatnonzero(~held)
+    for i, j, at_t, x in zip(miss.tolist(), at[miss].tolist(), node[miss].tolist(),
+                             fetch(ns[miss], node[miss])):
         if not _fits(x, zero):
-            rest = (xs[k] if held[k] else next(missing)[1] for k in range(i + 1, len(ns)))
-            return chain(xs[:i], (x,), rest)
+            return None
         xs[i] = x
+        if not at_t:
+            rows[j] = x
+            have[j] = True  # after its row
     return xs
 
 
@@ -359,7 +342,8 @@ class OrbitSamples:
     orbit engine reads the twice-oversampled lattice, so k is a multiple of
     1/2: at(k) must accept half-integers.  Nothing here references f
     itself: for t off the lattice, initial-value recovery genuinely rebuilds
-    f from shifted trajectory data only.
+    f from shifted trajectory data only.  at is pure, and a sample supports
+    float * x and x + y; an array of f_t's type and shape is stacked.
     """
 
     sigma: float
@@ -380,13 +364,27 @@ def _initial(samples: OrbitSamples, tol: float, k_terms: Optional[int],
              norm: Optional[Callable[[Any], float]]):
     """f by the local orbit engine, time 0 read from base time t, so at
     time -t of the trajectory: sample n is at(n/2), bounded by ||f_t||."""
-    f_t = samples.f_t
+    f_t, at, zero = samples.f_t, samples.at, 0.0 * samples.f_t
     if norm is not None:
         nf = norm(f_t)
     else:  # a vector's own norm() (SeqWindow), else Euclidean
         nf = f_t.norm() if hasattr(f_t, "norm") else float(np.linalg.norm(f_t))
-    return _orbit_sum(lambda ns, dts: (samples.at(n / 2) for n in ns.tolist()), 0.0 * f_t, nf,
-                      0, -samples.t, samples.sigma, tol, k_terms)
+
+    def fetch(ns):  # one by one, each fetched as it is drawn
+        return (at(n / 2) for n in ns.tolist())
+
+    def source(ns, dts):  # a stacked f_t's samples fill one array
+        if not _stacks(zero):
+            return fetch(ns)
+        dtype, shape = zero.dtype, zero.shape
+        xs = np.empty((len(ns),) + shape, dtype)
+        for i, x in enumerate(fetch(ns)):
+            if not (isinstance(x, np.ndarray) and x.dtype is dtype and x.shape == shape):
+                return fetch(ns)  # start over, one by one (_fits inline: a call costs 1 %)
+            xs[i] = x
+        return xs
+
+    return _orbit_sum(source, zero, nf, 0, -samples.t, samples.sigma, tol, k_terms)
 
 
 def recover_initial(samples: OrbitSamples, tol: float = 1e-6,

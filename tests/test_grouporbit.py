@@ -605,6 +605,26 @@ class TestSampleMemo:
         assert [call().tobytes() for call in calls] == want
         assert seen == [True] * len(calls)
 
+    def test_initial_samples_are_gathered_as_one_array(self, monkeypatch):
+        # recover_initial fills one array with the samples of a stacked
+        # f_t, which the sum scales into its stack whole
+        b = BernsteinVector(rotation_instance(np.linspace(0.5, 2.5, 8)), np.full(16, 0.25), 2.5)
+        samples = OrbitSamples.from_bernstein(b, 0.7)
+        calls = [lambda: recover_initial(samples, k_terms=4096),
+                 lambda: recover_initial(samples, tol=1e-6)]
+        want = [call().tobytes() for call in calls]
+        seen = []
+
+        def spy(zero, w, xs):  # the number of samples in one array, else 0
+            seen.append(len(w) if type(xs) is np.ndarray and xs.dtype is zero.dtype
+                        and xs.shape == (len(w),) + zero.shape else 0)
+            return weighted_sum(zero, w, xs)
+
+        weighted_sum = grouporbit._weighted_sum
+        monkeypatch.setattr(grouporbit, "_weighted_sum", spy)
+        assert [call().tobytes() for call in calls] == want
+        assert len(seen) == 2 and seen[0] > 700 and seen[1] > 20, seen
+
     @pytest.mark.parametrize("kind", ["float32", "shape", "list"])
     def test_samples_that_do_not_fit_are_not_held(self, kind):
         # an orbit that returns, at every fifth lattice time, a float32
@@ -613,12 +633,13 @@ class TestSampleMemo:
         base = rotation_instance(np.linspace(0.5, 2.5, 8))
         h = PI / 2.0 / 2.5
 
-        def orbit(t, v):
-            x = base.orbit(t, v)
-            if round(t / h) % 5:
-                return x
+        def misfit(x):
             return {"float32": x.astype(np.float32), "shape": x.reshape(1, -1),
                     "list": x.tolist()}[kind]
+
+        def orbit(t, v):
+            x = base.orbit(t, v)
+            return x if round(t / h) % 5 else misfit(x)
 
         b = BernsteinVector(dataclasses.replace(base, orbit=orbit), np.full(16, 0.25), 2.5)
 
@@ -650,6 +671,26 @@ class TestSampleMemo:
         assert len(raised) == (3 if kind == "list" else 0)
         assert held(b) and not any(n % 5 == 0 for n in held(b))
 
+        # recover_initial, whose at(k) misfits at every fifth lattice index
+        # n = 2k: the sum of each sample fetched as it is drawn, from base
+        # time t (at t = 0 the one sample, n = 0, is a misfit)
+        raised.clear()
+        for t, kw in [(0.7, {"k_terms": 4096}), (0.7, {"tol": 1e-6}), (0.0, {"tol": 1e-6})]:
+            def at(k, t=t):
+                x = base.orbit(k * 2.0 * h + t, b.v)
+                return x if round(2 * k) % 5 else misfit(x)
+
+            f_t = base.orbit(t, b.v)
+            loop = lambda ns, dts: (at(n / 2) for n in ns.tolist())
+            want = outcome(lambda: grouporbit._orbit_sum(
+                loop, 0.0 * f_t, float(np.linalg.norm(f_t)), 0, -t, 2.5, kw.get("tol"),
+                kw.get("k_terms"))[0])
+            got = outcome(lambda: recover_initial(OrbitSamples(2.5, t, f_t, at), **kw))
+            assert got == want, (t, kw)
+            if isinstance(got, str):
+                raised.add((t, str(kw)))
+        assert len(raised) == (3 if kind == "list" else 0)
+
     def test_threads_sharing_one_vector(self):
         # orbit is pure, so threads that share a vector, and its memo,
         # return the bits of a fresh vector
@@ -678,6 +719,24 @@ class TestSampleMemo:
             sys.setswitchinterval(interval)
         assert not any(w.is_alive() for w in workers)
         assert bad == []
+
+
+class TestSampleContract:
+    """A sample supports float * x and x + y; one that does not is named."""
+
+    def test_a_list_sample_is_named(self):
+        base = rotation_instance([0.5, 2.5])
+        v = np.array([0.8, -0.6, 0.0, 1.0])
+        listed = dataclasses.replace(base, orbit=lambda t, v: base.orbit(t, v).tolist())
+        b = BernsteinVector(listed, v, 2.5)
+        samples = OrbitSamples(2.5, 0.7, base.orbit(0.7, v),
+                               lambda k: base.orbit(k * PI / 2.5 + 0.7, v).tolist())
+        for call in (lambda: orbit_reconstruct(b, 0.7, tol=1e-6),
+                     lambda: group_boas(b, 2, k_terms=64),
+                     lambda: recover_initial(samples, tol=1e-6),
+                     lambda: recover_initial(samples, k_terms=4096)):
+            with pytest.raises(TypeError, match="a sample of type list cannot be scaled"):
+                call()
 
 
 def loop_sum(zero, w, samples):
