@@ -25,7 +25,12 @@ with a nonzero weight are fetched, in index order by one call, and array
 samples are summed by one index-order accumulation, bit-identical to
 adding them one by one (:func:`_weighted_sum`).  The trajectory entry
 points fetch sample n at the one time n h for every t, and each
-:class:`BernsteinVector` remembers the samples it fetched.  The Boas
+:class:`BernsteinVector` remembers the samples it fetched; each
+:class:`OrbitSamples` remembers those of its base time, and
+``OrbitSamples.from_bernstein`` hands back the one a vector already made
+for that base time.  The two are held apart: a base time's sample n,
+at (n/2)(pi/sigma) + t, need not have the bits of the lattice's n h, not
+even at t = 0 once h is subnormal.  The Boas
 derivatives of :mod:`bandlimit.boas` are this engine on translation.  At extreme rates,
 for r >= 1 at sigma = 0 (f is constant) or h^r > e^700, Bernstein's
 ||D^r f|| <= sigma^r ||f|| answers: D^r f is 0 with that certificate.
@@ -39,7 +44,9 @@ in, finite-dimensional rotations and the discrete Hilbert transform alike.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Iterable, List, Optional
 
 import numpy as np
@@ -107,6 +114,9 @@ class BernsteinVector:
     #: (lo, rows, have): row k holds e^((lo + k) h D) f where have[k] is
     #: set; None until a call holds a sample (_from_block)
     _block: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    #: the OrbitSamples that from_bernstein made from this vector, each
+    #: with its own block, for its last _BASES_HELD base times, oldest first
+    _bases: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
@@ -157,7 +167,7 @@ def rotation_instance(sigmas) -> GroupInstance:
 
 def _orbit_sum(samples: Callable[[np.ndarray, np.ndarray], Any], zero, bound: float,
                r: int, t: float, sigma: float, tol: float, k_terms: Optional[int],
-               origin: Optional[float] = None):
+               origin: Optional[float] = None, named: Optional[float] = None):
     """D^r at time t of a trajectory of rate sigma, h^-r sum_n w_n x_n, by
     the local engine (:func:`~bandlimit.sinckernel._local_series`), and its
     certificate.  Only here is the lattice set: h = pi/(2 sigma), twice the
@@ -176,9 +186,12 @@ def _orbit_sum(samples: Callable[[np.ndarray, np.ndarray], Any], zero, bound: fl
     certificate takes each sample as exact (``origin``: see
     :func:`_local_series`); the group's own rounding, and that of each
     sample time, are outside it.  At extreme rates: module docstring.
+    The errors name the time ``named`` (default t), the one the caller
+    gave.
     """
+    named = t if named is None else named
     if not math.isfinite(t):
-        raise ValueError(f"time t must be finite, got {t}")
+        raise ValueError(f"time t must be finite, got {named}")
     r = _check_order(r)
     if not (tol > 0.0 if k_terms is None else k_terms >= 1):  # what sizes N
         raise ValueError("tolerance must be positive" if k_terms is None else "k_terms must be >= 1")
@@ -191,7 +204,7 @@ def _orbit_sum(samples: Callable[[np.ndarray, np.ndarray], Any], zero, bound: fl
     N, rows = _local_series(r, t / h, _PI / 4.0, bound, h, tol, k_terms, origin=origin)
     n_lo, d, w, cert = rows(slice(None))
     if not abs(n_lo[0]) + 2 * N < 2.0 ** 63:  # the lattice indices are int64
-        raise ToleranceError(f"time t = {t!r} is 2^63 or more steps h = {h!r} from 0",
+        raise ToleranceError(f"time t = {named!r} is 2^63 or more steps h = {h!r} from 0",
                              achievable=float(cert[0]))
     w = w[0] / _scale(h, r)
     keep = np.flatnonzero(w)
@@ -217,8 +230,7 @@ def _stacks(x) -> bool:
 
 def _fits(x, zero) -> bool:
     """Whether x is an array of exactly zero's type and shape, which a
-    block of zero's takes as a row, neither cast nor broadcast (the test
-    _initial makes inline of each sample)."""
+    block of zero's takes as a row, neither cast nor broadcast."""
     return isinstance(x, np.ndarray) and x.dtype is zero.dtype and x.shape == zero.shape
 
 
@@ -271,20 +283,21 @@ def _trajectory(b: BernsteinVector, r: int, t: float, tol: float,
     return _orbit_sum(samples, zero, inst.norm(v), r, t, b.sigma, tol, k_terms)
 
 
-def _from_block(b: BernsteinVector, ns: np.ndarray, node: np.ndarray, n0: int,
+def _from_block(owner, ns: np.ndarray, node: np.ndarray, n0: int,
                 fetch: Callable[[np.ndarray, np.ndarray], Iterable[Any]], zero):
-    """The samples of the lattice indices ns, a row each, from b's block
-    (:class:`BernsteinVector`), or None at the first one fetched that does
-    not fit (_fits).  A call whose band leaves the block re-centres it on
-    the call's n0 = round(t/h) first (_recentre).  All rows are gathered
-    by one index; those the block lacks are fetched in index order by
-    ``fetch`` and written in, save the ``node``, which is never held."""
+    """The samples of the lattice indices ns, a row each, from the block of
+    ``owner``, a :class:`BernsteinVector` or :class:`OrbitSamples`, or None
+    at the first one fetched that does not fit (_fits).  A call whose band
+    leaves the block re-centres it on the call's n0 = round(u) first
+    (_recentre).  All rows are gathered by one index; those the block
+    lacks are fetched in index order by ``fetch`` and written in, save the
+    ``node``, which is never held."""
     off = ns - n0
     reach = int(np.max(np.abs(off), initial=0))
-    block = b._block
+    block = owner._block
     if block is None or not block[0] <= n0 - reach <= n0 + reach < block[0] + len(block[2]):
         block = _recentre(block, n0, 2 * reach + 1, zero)
-        object.__setattr__(b, "_block", block)  # one assignment: threads see one block
+        object.__setattr__(owner, "_block", block)  # one assignment: threads see one block
     lo, rows, have = block
     at = off + (n0 - lo)
     held = have[at] & ~node  # read before the rows: a flag is set after its row
@@ -334,6 +347,16 @@ def orbit_reconstruct(b: BernsteinVector, t: float, tol: float = 1e-6,
 orbit_vt = orbit_reconstruct
 
 
+#: base times whose OrbitSamples a BernsteinVector keeps (from_bernstein):
+#: the three a vector of the oracle-series benchmark is read at, and one
+#: more; a caller cycling through more base times than this keeps none
+_BASES_HELD = 4
+
+#: held while a vector's table of base times is checked again and replaced,
+#: so two first reads of one base time keep one OrbitSamples (from_bernstein)
+_BASES_LOCK = threading.Lock()
+
+
 @dataclass(frozen=True)
 class OrbitSamples:
     """Trajectory data around time t, as supplied by a caller.
@@ -344,47 +367,91 @@ class OrbitSamples:
     itself: for t off the lattice, initial-value recovery genuinely rebuilds
     f from shifted trajectory data only.  at is pure, and a sample supports
     float * x and x + y; an array of f_t's type and shape is stacked.
+
+    When f_t is a vector the engine stacks, the samples hold what at
+    returned in one block, as :class:`BernsteinVector` does, a row per
+    lattice index n for at(n/2), and a later ``recover_initial`` fetches
+    only the indices the block lacks.  At K = 4096 the block has about
+    801 rows: up to 1.6 MB for a 128-entry complex vector.
+    ``dataclasses.replace`` starts a new, empty block.  This rests on at
+    being pure and on f_t not changing after the samples are built, as
+    :class:`BernsteinVector` rests on v: ``from_bernstein`` hands one
+    OrbitSamples to every read of its base time.
     """
 
     sigma: float
     t: float
     f_t: Any
     at: Callable[[float], Any]
+    #: (lo, rows, have): row k holds at((lo + k)/2) where have[k] is set;
+    #: None until a call holds a sample (_from_block)
+    _block: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     __post_init__ = BernsteinVector.__post_init__  # the same rate check
 
     @classmethod
     def from_bernstein(cls, b: BernsteinVector, t: float) -> "OrbitSamples":
-        inst, v, sigma = b.instance, b.v, b.sigma
-        step = _PI / sigma
-        return cls(sigma=sigma, t=float(t), f_t=inst.orbit(t, v),
-                   at=lambda k: inst.orbit(k * step + float(t), v))
+        """The samples of b's trajectory around the base time t.  When f_t
+        is a vector the engine stacks, b keeps them for its last
+        _BASES_HELD base times, the oldest dropped first, and a later read
+        of the same float(t) returns them, their block with them; 0.0 and
+        -0.0 are two base times.  That pays only when one vector is read at
+        one base time again (``recover_initial`` run twice on it); a vector
+        read once at each base time fetches each sample once either way.
+        At K = 4096 a vector holds up to 4 x 1.6 MB of samples (128-entry
+        complex).  Raises ValueError, before any orbit is fetched, when t
+        is not finite."""
+        t = float(t)
+        if not math.isfinite(t):
+            raise ValueError(f"time t must be finite, got {t}")
+        key = t.hex()
+        held = _base(b, key)
+        if held is not None:
+            return held
+        inst, v = b.instance, b.v
+        samples = cls(sigma=b.sigma, t=t, f_t=inst.orbit(t, v),
+                      at=partial(_shifted, inst.orbit, v, _PI / b.sigma, t))
+        if not _stacks(0.0 * samples.f_t):  # no block to keep (_initial)
+            return samples
+        with _BASES_LOCK:  # another read of t may have kept its samples meanwhile
+            held = _base(b, key)
+            if held is None:  # a new tuple: a thread reading the old one goes on
+                object.__setattr__(b, "_bases", (b._bases + (samples,))[-_BASES_HELD:])
+        return samples if held is None else held
+
+
+def _base(b: BernsteinVector, key: str) -> Optional[OrbitSamples]:
+    """The OrbitSamples b keeps for the base time whose float.hex() is key."""
+    return next((s for s in b._bases if s.t.hex() == key), None)
+
+
+def _shifted(orbit: Callable[[float, Any], Any], v, step: float, t: float, k: float):
+    """e^((k step + t) D) v, the at(k) of from_bernstein: a function, not a
+    closure, so that a vector holding its OrbitSamples still pickles."""
+    return orbit(k * step + t, v)
 
 
 def _initial(samples: OrbitSamples, tol: float, k_terms: Optional[int],
              norm: Optional[Callable[[Any], float]]):
     """f by the local orbit engine, time 0 read from base time t, so at
-    time -t of the trajectory: sample n is at(n/2), bounded by ||f_t||."""
-    f_t, at, zero = samples.f_t, samples.at, 0.0 * samples.f_t
+    time -t of the trajectory: sample n is at(n/2), bounded by ||f_t||, and
+    held in the block of ``samples`` (_from_block), the node too.  The
+    errors name the base time t."""
+    t, f_t, at, zero = samples.t, samples.f_t, samples.at, 0.0 * samples.f_t
     if norm is not None:
         nf = norm(f_t)
     else:  # a vector's own norm() (SeqWindow), else Euclidean
         nf = f_t.norm() if hasattr(f_t, "norm") else float(np.linalg.norm(f_t))
+    h = _PI / 2.0 / samples.sigma
 
-    def fetch(ns):  # one by one, each fetched as it is drawn
+    def fetch(ns, node):  # one by one, each fetched as it is drawn
         return (at(n / 2) for n in ns.tolist())
 
-    def source(ns, dts):  # a stacked f_t's samples fill one array
-        if not _stacks(zero):
-            return fetch(ns)
-        dtype, shape = zero.dtype, zero.shape
-        xs = np.empty((len(ns),) + shape, dtype)
-        for i, x in enumerate(fetch(ns)):
-            if not (isinstance(x, np.ndarray) and x.dtype is dtype and x.shape == shape):
-                return fetch(ns)  # start over, one by one (_fits inline: a call costs 1 %)
-            xs[i] = x
-        return xs
+    def source(ns, dts):
+        node = np.zeros(len(ns), bool)  # none: the node's sample is at(n/2) too
+        xs = _from_block(samples, ns, node, round(-t / h), fetch, zero) if _stacks(zero) else None
+        return fetch(ns, node) if xs is None else xs
 
-    return _orbit_sum(source, zero, nf, 0, -samples.t, samples.sigma, tol, k_terms)
+    return _orbit_sum(source, zero, nf, 0, -t, samples.sigma, tol, k_terms, named=t)
 
 
 def recover_initial(samples: OrbitSamples, tol: float = 1e-6,

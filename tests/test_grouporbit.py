@@ -392,7 +392,8 @@ def counting_instance(sigma):
 
 
 def held(b):
-    """The lattice indices whose samples b's block holds."""
+    """The lattice indices whose samples the block of b holds, a
+    BernsteinVector or OrbitSamples (index n for at(n/2))."""
     if b._block is None:
         return set()
     lo, _, have = b._block
@@ -691,21 +692,58 @@ class TestSampleMemo:
                 raised.add((t, str(kw)))
         assert len(raised) == (3 if kind == "list" else 0)
 
-    def test_threads_sharing_one_vector(self):
+        # from_bernstein, whose orbit misfits at every fifth index n of
+        # the samples at(n/2) around base time t, f_t (n = 0) fitting: the
+        # block holds at most the samples fetched before the first misfit,
+        # and never a misfit
+        raised.clear()
+        for t, kw in [(0.7, {"k_terms": 4096}), (0.7, {"tol": 1e-6}), (-1.9, {"tol": 1e-10})]:
+            def around(s, v, t=t):
+                x = base.orbit(s, v)
+                return x if round((s - t) / h) % 5 != 1 else misfit(x)
+
+            b = BernsteinVector(dataclasses.replace(base, orbit=around), np.full(16, 0.25), 2.5)
+            loop = lambda ns, dts: (around(n / 2 * (PI / 2.5) + t, b.v) for n in ns.tolist())
+            want = outcome(lambda: grouporbit._orbit_sum(
+                loop, 0.0 * b.v, float(np.linalg.norm(b.v)), 0, -t, 2.5, kw.get("tol"),
+                kw.get("k_terms"))[0])
+            for _ in range(2):  # the block filling, then holding what fits
+                samples = OrbitSamples.from_bernstein(b, t)
+                got = outcome(lambda: recover_initial(samples, **kw))
+                assert got == want, (t, kw)
+            if isinstance(got, str):
+                raised.add((t, str(kw)))
+            assert samples._block is not None and not any(n % 5 == 1 for n in held(samples))
+        assert len(raised) == (3 if kind == "list" else 0)
+
+    def test_threads_sharing_one_vector(self, monkeypatch):
         # orbit is pure, so threads that share a vector, and its memo,
-        # return the bits of a fresh vector
+        # return the bits of a fresh vector; recover_initial at three base
+        # times, with a table of two, drops a base time while other threads
+        # read the table
         import sys
         import threading
 
         b = BernsteinVector(rotation_instance(np.linspace(0.5, 2.5, 8)), np.full(16, 0.25), 2.5)
         ts = np.linspace(-30.0, 30.0, 41).tolist()
+        bases = [0.3, 0.7, 1.9]
         want = {t: orbit_reconstruct(dataclasses.replace(b), t, tol=1e-9).tobytes() for t in ts}
+        want.update({("base", t): recover_initial(by_hand(b, t), k_terms=4096).tobytes()
+                     for t in bases})
+        monkeypatch.setattr(grouporbit, "_BASES_HELD", 2)
         bad = []
 
         def work(k):
-            for t in ts[k::2] + ts[::-1]:
-                if orbit_reconstruct(b, t, tol=1e-9).tobytes() != want[t]:
-                    bad.append(t)
+            for i, t in enumerate(ts[k::2] + ts[::-1]):
+                try:
+                    if orbit_reconstruct(b, t, tol=1e-9).tobytes() != want[t]:
+                        bad.append(t)
+                    base = bases[(i + k) % 3]
+                    got = recover_initial(OrbitSamples.from_bernstein(b, base), k_terms=4096)
+                    if got.tobytes() != want["base", base]:
+                        bad.append(("base", base))
+                except Exception as exc:  # noqa: BLE001 - a thread's error is the finding
+                    bad.append(repr(exc))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -719,6 +757,193 @@ class TestSampleMemo:
             sys.setswitchinterval(interval)
         assert not any(w.is_alive() for w in workers)
         assert bad == []
+        assert len({s.t for s in b._bases}) == len(b._bases) <= 2  # each base time once
+
+
+def phase_instance(rates):
+    """A diagonal unitary group on complex vectors: entry j turns by the
+    angle rates[j] t, so every vector has rate max |rates|."""
+    lam = np.asarray(rates, dtype=float)
+    return GroupInstance(orbit=lambda t, v: np.exp(1j * lam * float(t)) * v,
+                         generator=lambda v: 1j * lam * v,
+                         norm=lambda v: float(np.linalg.norm(v)),
+                         sigma_bound=float(np.max(np.abs(lam))), dim=lam.size)
+
+
+def turn(t, v):
+    """The rate-1 rotation of the plane, a module-level function that pickles."""
+    c, s = math.cos(t), math.sin(t)
+    return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
+
+
+def quarter_turn(v):
+    return np.array([-v[1], v[0]])
+
+
+def euclidean(v):
+    return float(np.linalg.norm(v))
+
+
+def by_hand(b, t):
+    """OrbitSamples of b around t with from_bernstein's at, built anew: a
+    block of their own, shared with nothing."""
+    inst, v, step = b.instance, b.v, PI / b.sigma
+    return OrbitSamples(b.sigma, t, inst.orbit(t, v), lambda k: inst.orbit(k * step + t, v))
+
+
+class TestBaseTimeSamples:
+    """OrbitSamples hold their samples in a block, and from_bernstein hands
+    back the ones a vector made for the same base time: the bits of samples
+    built anew, with no orbit call once held, and at most _BASES_HELD base
+    times per vector."""
+
+    SIZES = [{"k_terms": 16}, {"k_terms": 64}, {"k_terms": 4096},
+             {"tol": 1e-6}, {"tol": 1e-10}]
+
+    @staticmethod
+    def outcome(call):
+        try:
+            x = call()
+        except ToleranceError as exc:
+            return str(exc)
+        return x.dtype, x.tobytes()
+
+    @pytest.mark.parametrize("group", ["1 block", "8 blocks", "complex"])
+    def test_bit_identical_to_samples_built_anew(self, group):
+        # cold, warm, re-centred as N grows and, on the second round, after
+        # the table dropped the base time: every output has the bits of
+        # samples built by hand, with no shared block
+        inst, v, sigma = {
+            "1 block": (rotation_instance([1.0]), unit_vector(), 1.0),
+            "8 blocks": (rotation_instance(np.linspace(0.5, 2.5, 8)), np.full(16, 0.25), 2.5),
+            "complex": (phase_instance(np.linspace(-2.5, 2.5, 8)),
+                        np.linspace(0.1, 0.8, 8) * np.exp(1j * np.arange(8)), 2.5),
+        }[group]
+        b = BernsteinVector(inst, v, sigma)
+        h = PI / 2.0 / sigma
+        ts = [0.3, 0.7, 1.9, -2.2, 0.0, -0.0, 3 * h, 1e15]
+        want = {(t.hex(), i): self.outcome(lambda: recover_initial(by_hand(b, t), **kw))
+                for t in ts for i, kw in enumerate(self.SIZES)}  # hex: -0.0 is not 0.0
+        made = {}
+        for _ in range(2):
+            for t in ts:
+                for i, kw in enumerate(self.SIZES):
+                    samples = OrbitSamples.from_bernstein(b, t)
+                    assert samples.t.hex() == t.hex()
+                    made.setdefault(t.hex(), []).append(samples)  # kept: no id reused
+                    for _ in range(2):  # filling, then held
+                        got = self.outcome(lambda: recover_initial(samples, **kw))
+                        assert got == want[t.hex(), i], (t, kw)
+                assert held(samples), t
+        # one OrbitSamples a round per base time: the second round's were
+        # dropped by the first, and made anew
+        assert all(len({id(s) for s in kept}) == 2 for kept in made.values())
+        assert len(b._bases) == grouporbit._BASES_HELD and b._block is None
+
+    def test_held_samples_make_no_orbit_call(self):
+        inst, times = counting_instance(2.5)
+        b = BernsteinVector(inst, unit_vector(), 2.5)
+        for t, kw in [(0.7, {"k_terms": 4096}), (0.7, {"tol": 1e-10}),
+                      (3 * PI / 5, {"tol": 1e-6})]:  # a lattice time: its node alone
+            recover_initial(OrbitSamples.from_bernstein(b, t), **kw)
+            times.clear()
+            recover_initial(OrbitSamples.from_bernstein(b, t), **kw)
+            assert times == []
+        assert OrbitSamples.from_bernstein(b, 0.0) is not OrbitSamples.from_bernstein(b, -0.0)
+
+    def test_replace_starts_anew(self):
+        inst, times = counting_instance(2.5)
+        b = BernsteinVector(inst, unit_vector(), 2.5)
+        samples = OrbitSamples.from_bernstein(b, 0.7)
+        recover_initial(samples, k_terms=4096)
+        # samples with another at read that at, and none of the held samples
+        rot, ks = rotation_instance([2.5]), []
+
+        def other(k):
+            ks.append(k)
+            return -rot.orbit(k * PI / 2.5 + 0.7, samples.f_t)
+
+        times.clear()
+        got = recover_initial(dataclasses.replace(samples, at=other), k_terms=4096)
+        assert times == [] and len(ks) > 700
+        want = recover_initial(OrbitSamples(2.5, 0.7, samples.f_t, other), k_terms=4096)
+        assert got.tobytes() == want.tobytes()
+        # a replaced vector keeps no base time of its own
+        fresh = dataclasses.replace(b)
+        assert fresh._bases == () and fresh._block is None
+        times.clear()
+        assert OrbitSamples.from_bernstein(fresh, 0.7) is not samples
+        assert times == [0.7]  # its f_t
+
+    def test_table_keeps_the_last_base_times(self):
+        inst, times = counting_instance(1.0)
+        b = BernsteinVector(inst, unit_vector(), 1.0)
+        ts = np.linspace(-3.0, 3.0, 3 * grouporbit._BASES_HELD).tolist()
+        for t in ts:
+            recover_initial(OrbitSamples.from_bernstein(b, t), tol=1e-6)
+            assert len(b._bases) <= grouporbit._BASES_HELD
+        assert [s.t for s in b._bases] == ts[-grouporbit._BASES_HELD:]
+        times.clear()
+        recover_initial(OrbitSamples.from_bernstein(b, ts[-1]), tol=1e-6)
+        assert times == []
+        recover_initial(OrbitSamples.from_bernstein(b, ts[0]), tol=1e-6)  # dropped
+        assert times and [s.t for s in b._bases][-1] == ts[0]
+
+    def test_a_vector_holding_base_times_pickles(self):
+        import pickle
+
+        b = BernsteinVector(GroupInstance(turn, quarter_turn, euclidean, 1.0, 2), unit_vector(), 1.0)
+        want = recover_initial(OrbitSamples.from_bernstein(b, 0.3), k_terms=64).tobytes()
+        copy = pickle.loads(pickle.dumps(b))
+        assert [s.t for s in copy._bases] == [0.3]
+        assert recover_initial(OrbitSamples.from_bernstein(copy, 0.3), k_terms=64).tobytes() == want
+
+    def test_base_times_never_touch_the_vector_block(self):
+        inst, times = counting_instance(1.0)
+        b = BernsteinVector(inst, unit_vector(), 1.0)
+        for t in (0.3, 0.0, 2 * PI / 2.0):  # 0.0 and a lattice time read lattice rows
+            recover_initial(OrbitSamples.from_bernstein(b, t), k_terms=4096)
+        assert b._block is None
+        orbit_reconstruct(b, 0.3, k_terms=4096)
+        block = b._block
+        rows = block[1].copy()
+        for t in (0.3, 0.0, 5.0):
+            recover_initial(OrbitSamples.from_bernstein(b, t), k_terms=4096)
+        assert b._block is block and np.array_equal(block[1], rows)
+
+    def test_two_first_reads_of_one_base_time_keep_one(self):
+        # a second read of t that starts and ends while the first fetches
+        # f_t, as a thread may: the first returns the samples the second
+        # kept, and the table holds t once
+        inst = rotation_instance([1.0])
+        inner = []
+
+        def orbit(t, v):
+            if not inner:
+                inner.append(None)  # the second read's own f_t goes straight through
+                inner[0] = OrbitSamples.from_bernstein(b, 0.3)
+            return inst.orbit(t, v)
+
+        b = BernsteinVector(dataclasses.replace(inst, orbit=orbit), unit_vector(), 1.0)
+        assert OrbitSamples.from_bernstein(b, 0.3) is inner[0]
+        assert b._bases == (inner[0],)
+
+    @pytest.mark.parametrize("kind", ["130 entries", "float32"])
+    def test_samples_the_engine_does_not_stack_are_not_kept(self, kind):
+        # no block to share: each read builds its own samples, as before,
+        # and the vector keeps none
+        if kind == "130 entries":
+            inst, v = rotation_instance(np.linspace(0.5, 2.5, 65)), np.full(130, 0.1)
+        else:
+            base = rotation_instance(np.linspace(0.5, 2.5, 8))
+            inst = dataclasses.replace(base, orbit=lambda t, v: base.orbit(t, v).astype(np.float32))
+            v = np.full(16, 0.1)
+        b = BernsteinVector(inst, v, 2.5)
+        first, second = (OrbitSamples.from_bernstein(b, 0.7) for _ in range(2))
+        assert first is not second and b._bases == ()
+        got = recover_initial(first, tol=1e-6)
+        assert got.tobytes() == recover_initial(by_hand(b, 0.7), tol=1e-6).tobytes()
+        assert first._block is None
 
 
 class TestSampleContract:
@@ -1048,6 +1273,8 @@ class TestNonFiniteTime:
         if entry == "recover_initial":
             return recover_initial(OrbitSamples(sigma=1.0, t=t, f_t=unit_vector(),
                                                 at=lambda k: unit_vector()))
+        if entry == "from_bernstein":
+            return recover_initial(OrbitSamples.from_bernstein(b, t))
         if entry == "pairing_check":
             a = SeqWindow(n0=-1, values=np.array([1.0, 0.5, -0.25]))
             return pairing_check(a, a, t)
@@ -1055,12 +1282,24 @@ class TestNonFiniteTime:
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("entry", ["orbit_reconstruct", "orbit_vt", "recover_initial",
-                                       "pairing_check"])
+                                       "from_bernstein", "pairing_check"])
     def test_raises_value_error_naming_t(self, entry, t):
+        # recover_initial reads time 0 from base time t, at the engine's
+        # time -t: the error names the t the caller gave
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="time t must be finite"):
+            with pytest.raises(ValueError, match=f"time t must be finite, got {t}$"):
                 self.call(entry, t)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_from_bernstein_refuses_before_any_orbit(self, t):
+        inst, times = counting_instance(1.0)
+        b = BernsteinVector(inst, unit_vector(), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"time t must be finite, got {t}$"):
+                OrbitSamples.from_bernstein(b, t)
+        assert times == [] and b._bases == ()
 
 
 class TestRatesAndTimesTheEngineCannotSum:
@@ -1089,6 +1328,15 @@ class TestRatesAndTimesTheEngineCannotSum:
             with pytest.raises(ToleranceError, match=rf"t = 1e\+300 .*h = {h!r} from 0") as err:
                 call()
             assert err.value.achievable > 1e280  # the certificate at the pinned N
+
+    @pytest.mark.parametrize("t, shown", [(1e300, r"1e\+300"), (-1e300, r"-1e\+300")])
+    def test_pinned_base_time_beyond_int64(self, t, shown):
+        # recover_initial names the base time, not the engine's time -t
+        b = BernsteinVector(rotation_instance([1.0]), unit_vector(), 1.0)
+        for samples in (OrbitSamples.from_bernstein(b, t),
+                        OrbitSamples(sigma=1.0, t=t, f_t=unit_vector(), at=lambda k: unit_vector())):
+            with pytest.raises(ToleranceError, match=rf"^time t = {shown} is 2\^63 or more"):
+                recover_initial(samples, k_terms=8)
 
 
 class NoIter(np.ndarray):
