@@ -67,7 +67,9 @@ class GroupInstance:
     ||f||.  sigma_bound, the smallest certified growth rate valid for every
     admissible vector, and dim, the vector length (None when it varies),
     describe the group to its callers: the engine never reads either, and
-    takes the rate from each :class:`BernsteinVector`.  Implementations
+    takes the rate from each :class:`BernsteinVector`.  dim stays a field
+    because callers pass it: the benchmark's group requests build their
+    instances with ``dim=``.  Implementations
     must be safe for concurrent orbit evaluations, and orbit must be pure:
     the same (t, v) gives the same vector every time, for a
     :class:`BernsteinVector` may answer a later call with a sample it
@@ -83,7 +85,7 @@ class GroupInstance:
     dim: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BernsteinVector:
     """A vector with a certified growth rate under the group generator.
 
@@ -105,7 +107,8 @@ class BernsteinVector:
     dropped sample is fetched again.  Larger vectors and SeqWindow samples
     are fetched on every call.  This rests on orbit being pure
     (:class:`GroupInstance`) and on v not changing after the vector is
-    built; ``dataclasses.replace`` starts a new, empty block.
+    built; ``dataclasses.replace`` starts a new, empty block.  A vector
+    equals only itself and hashes by identity, as its block is its own.
     """
 
     instance: GroupInstance
@@ -113,10 +116,10 @@ class BernsteinVector:
     sigma: float
     #: (lo, rows, have): row k holds e^((lo + k) h D) f where have[k] is
     #: set; None until a call holds a sample (_from_block)
-    _block: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _block: Optional[tuple] = field(default=None, init=False, repr=False)
     #: the OrbitSamples that from_bernstein made from this vector, each
     #: with its own block, for its last _BASES_HELD base times, oldest first
-    _bases: tuple = field(default=(), init=False, repr=False, compare=False)
+    _bases: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
@@ -357,7 +360,7 @@ _BASES_HELD = 4
 _BASES_LOCK = threading.Lock()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrbitSamples:
     """Trajectory data around time t, as supplied by a caller.
 
@@ -373,7 +376,8 @@ class OrbitSamples:
     lattice index n for at(n/2), and a later ``recover_initial`` fetches
     only the indices the block lacks.  At K = 4096 the block has about
     801 rows: up to 1.6 MB for a 128-entry complex vector.
-    ``dataclasses.replace`` starts a new, empty block.  This rests on at
+    ``dataclasses.replace`` starts a new, empty block, and samples equal
+    only themselves and hash by identity.  This rests on at
     being pure and on f_t not changing after the samples are built, as
     :class:`BernsteinVector` rests on v: ``from_bernstein`` hands one
     OrbitSamples to every read of its base time.
@@ -385,7 +389,7 @@ class OrbitSamples:
     at: Callable[[float], Any]
     #: (lo, rows, have): row k holds at((lo + k)/2) where have[k] is set;
     #: None until a call holds a sample (_from_block)
-    _block: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _block: Optional[tuple] = field(default=None, init=False, repr=False)
     __post_init__ = BernsteinVector.__post_init__  # the same rate check
 
     @classmethod

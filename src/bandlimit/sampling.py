@@ -41,6 +41,9 @@ import numpy as np
 from .errors import ReconstructionUnsoundError, ToleranceError
 from .grouporbit import _weighted_sum
 from .sinckernel import (
+    _UNIT,
+    _WEIGHT_ERR,
+    _box_path,
     _check_order,
     _lattice_series,
     _local_series,
@@ -321,10 +324,11 @@ def wks_eval_grid(s: UniformSamples, m: int, xs, tol: float, *,
     window can reach.  Samples at the critical rate need a decay
     certificate; they are summed over the whole stored window by
     :func:`~bandlimit.sinckernel._lattice_series`, and :func:`wks_tail_bound`
-    bounds the rest of the lattice.  A call whose operation count favours
-    it (many points on a long window) takes the far band of that sum from
-    box expansions, each box's remainder below 2^-53 of its sum |f_k|, so
-    the tail is the same on both paths.  Either way, at grid points x = k h
+    bounds the rest of the lattice; the tail adds the sum's rounding
+    (:func:`_window_rounding`).  A call whose operation count favours it
+    (many points on a long window) takes the far band of that sum from box
+    expansions, each box's remainder below 2^-53 of its sum |f_k|, which
+    the rounding charges.  Either way, at grid points x = k h
     the stored sample is reproduced bit for bit (for m = 0).  m runs
     0..20; a larger order raises ValueError naming the range.
 
@@ -348,14 +352,47 @@ def wks_eval_grid(s: UniformSamples, m: int, xs, tol: float, *,
 def _window_series(s: UniformSamples, m: int, xs, u, tol: float):
     """Critical rate: sum_k f_k sinc^(m)(u - k) over the whole stored window
     by :func:`~bandlimit.sinckernel._lattice_series`, each point's row on
-    its own, with wks_tail_bound's tail."""
-    tails = np.asarray(wks_tail_bound(s, m, xs))
+    its own, with wks_tail_bound's tail plus the sum's rounding
+    (:func:`_window_rounding`)."""
+    tails = np.asarray(wks_tail_bound(s, m, xs)) + _window_rounding(s, m, u).reshape(np.shape(xs))
     tail = float(np.max(tails))
     if tail > tol:
         raise ToleranceError(
             f"reconstruction tail {tail:.3e} exceeds tol {tol:.3e}",
             achievable=tail)
     return _lattice_series(m, u, s.values, s.k_min), tails
+
+
+def _window_rounding(s: UniformSamples, m: int, u) -> np.ndarray:
+    """Bound on the rounding of :func:`_window_series` at the points u (x/h,
+    rounded and snapped), in units of f^(m), from the window's sum and
+    largest |f_k|, its length L and u alone (README "The critical-rate
+    cardinal sum" derives it):
+
+        near + gamma_(L + 5m + 24) far + 5 u_r mass_m + delta mass_(m+1),
+
+    the near band's weights and sum, the far band's moments and closed form
+    (1.5^(m+1) times larger on the box path), the division by h^m, and the
+    argument's rounding delta = 18 u_r max(1, |u|), u_r = 2^-53."""
+    c = np.abs(s.values)
+    width, s1, top = 2 * m + 3, float(np.sum(c)), float(np.max(c))
+    harmonic = 1.0 + math.log(c.size)  # sum of 1/|u - k| over one side of the far band
+
+    def gamma(n):
+        return n * _UNIT / (1.0 - n * _UNIT)
+
+    def mass(j):  # sum_k |f_k| |sinc^(j)(y - k)| for |y - round(u)| <= 1
+        peak = _PI ** j / (j + 1)
+        return min(s1 * peak, top * (width * peak + 2.0 * _kernel_decay_const(j) * harmonic))
+    near = min(s1, width * top) * _PI ** m * (
+        (_WEIGHT_ERR[min(m, 3)] + gamma(width + 1)) / (m + 1) + _PI * _UNIT)
+    far = _PI ** m / (_PI - 1.0) * min(s1 / (m + 1.5), 2.0 * top * harmonic)
+    if _box_path(m, u.size, c.size):
+        far *= 1.5 ** (m + 1)
+    # delta < 1/2 wherever the tail is finite: the window holds 0 and u, so |u| < L
+    delta = 18.0 * _UNIT * np.maximum(1.0, np.abs(u))
+    rounding = near + gamma(c.size + 5 * m + 24) * far + 5.0 * _UNIT * mass(m) + delta * mass(m + 1)
+    return rounding / _scale(s.h, m)
 
 
 def _regularized_series(s: UniformSamples, m: int, xs, u, tol: float):

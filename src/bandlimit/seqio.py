@@ -315,7 +315,10 @@ def _write_window(csv_path, name: str, first: int, values, footer, meta: Dict) -
     side = sidecar_path(_output(csv_path))
     if side == Path(csv_path):
         raise ValueError(f"{side} would be its own sidecar: give the output another suffix")
-    indices = np.arange(first, first + values.size)
+    last = first + values.size - 1
+    # np.arange gives float64 on [2^63, 2^64): past int64 the cells are Python ints
+    indices = (np.arange(first, last + 1, dtype=np.int64) if -2 ** 63 <= first and last < 2 ** 63
+               else np.array(range(first, last + 1), dtype=object))
     with open(side, "w", encoding="utf-8") as fh:
         write_table(csv_path, [name, "value"], (indices, values), footer)
         fh.write(json.dumps(meta, indent=2) + "\n")

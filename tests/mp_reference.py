@@ -101,3 +101,37 @@ class ToneSum:
             vals = self.samples(ns, h)
             return complex(mp.fsum(f * mp.sinc(mp.pi * (v - n)) * mp.exp(-alpha * (v - n) ** 2 / N)
                                    for f, n in zip(vals, ns)))
+
+
+def cardinal_sum_mp(values, k_min, h, m, x):
+    """h^-m sum_k f_k sinc^(m)(x/h - k) over a stored window, x/h taken
+    exactly, at 80 digits.  With d = u - k, sin(pi d) = (-1)^k sin(pi u), so
+
+        sinc^(m)(d) = (-1)^k sum_j C(m, j) (-1)^(m-j) (m-j)! pi^(j-1)
+                      sin(pi u + j pi/2) / d^(m-j+1),
+
+    each entry a few divisions; where |d| < 1e-12 the Taylor series at 0 to
+    d^2 replaces it (the closed form would cancel)."""
+    with mp.workdps(80):
+        u = mp.mpf(float(x)) / mp.mpf(float(h))
+        su, cu = mp.sinpi(u), mp.cospi(u)
+        trig = [su, cu, -su, -cu]  # sin(pi u + j pi/2)
+        coef = [mp.binomial(m, j) * (-1) ** (m - j) * mp.factorial(m - j) * mp.pi ** (j - 1)
+                * trig[j % 4] for j in range(m + 1)]
+
+        def at_zero(j):  # sinc^(j)(0)
+            return 0 if j % 2 else (-1) ** (j // 2) * mp.pi ** j / (j + 1)
+        total = mp.mpf(0)
+        for i, f in enumerate(np.asarray(values, dtype=float).tolist()):
+            if f == 0.0:
+                continue
+            k = k_min + i
+            d = u - k
+            if abs(d) < mp.mpf(10) ** -12:
+                term = at_zero(m) + d * at_zero(m + 1) + d * d / 2 * at_zero(m + 2)
+            else:
+                inv = 1 / d
+                term = mp.fsum(c * inv ** (m - j + 1) for j, c in enumerate(coef))
+                term = -term if k % 2 else term
+            total += f * term
+        return float(total / mp.mpf(float(h)) ** m)

@@ -209,6 +209,24 @@ class TestDifferentiate:
         assert footer["version"]
         assert footer["order"] == "1"
 
+    def test_critical_rate_tail_counts_the_rounding(self, tmp_path):
+        # a window whose own tail is 0: the sum's rounding is all the error,
+        # up to 2.6e-14, and the tail once read 0.0 over it
+        from mp_reference import cardinal_sum_mp
+        values = np.random.default_rng(0).standard_normal(4001)
+        path = tmp_path / "zero_tail.csv"
+        write_samples(path, UniformSamples(sigma=1.0, h=PI, k_min=-2000, k_max=2000,
+                                           values=values, tail_bound=0.0, tail_decay=1.0))
+        out = tmp_path / "rec.csv"
+        assert main(["reconstruct", "--input", str(path), "--output", str(out),
+                     "--xmin", repr(-300 * PI), "--xmax", repr(300 * PI), "--num", "8"]) == 0
+        table = np.loadtxt(out, delimiter=",", skiprows=1, comments="#")
+        footer = read_footer(out)
+        assert footer["tail_kind"] == "certified"
+        assert float(footer["max_tail"]) == table[:, 2].max() > 0.0
+        for x, value, tail in table:
+            assert abs(value - cardinal_sum_mp(values, -2000, PI, 0, x)) <= tail
+
     def test_reconstruct_echoes_signal(self, sin_samples_file, tmp_path):
         out = tmp_path / "rec.csv"
         code = main(["reconstruct", "--input", str(sin_samples_file),
@@ -647,6 +665,19 @@ class TestDht:
             assert math.isfinite(float(footer[key])), (key, footer[key])
         assert float(footer["isometry_residual"]) == 0.0
 
+    def test_orbit_far_out_writes_exact_indices(self, tmp_path):
+        # t = -1e19 moves the window to n0 = 10^19, past int64: each row's
+        # index once read 1e+19
+        path = tmp_path / "a.csv"
+        write_sequence(path, SeqWindow(n0=0, values=np.array([0.5, -1.0, 2.0])))
+        out = tmp_path / "o.csv"
+        assert main(["dht", "--action", "orbit", "--t", "-1e19",
+                     "--input", str(path), "--output", str(out)]) == 0
+        first = json.loads(out.with_suffix(".json").read_text())["n0"]
+        rows = out.read_text().splitlines()[1:4]
+        assert [row.split(",")[0] for row in rows] == [str(first + i) for i in range(3)]
+        assert first == 10 ** 19
+
     @pytest.mark.parametrize("order", ["98", "116", "117", "170"])
     def test_power_writes_orders_with_finite_entries(self, tmp_path, order):
         # on a 5-entry window the entries, and the tail, stay finite up to
@@ -754,7 +785,7 @@ class TestVerify:
         def suite(cfg):
             rep = SuiteReport("favard")
             rep.add("holds", 0.0, 1.0)
-            rep.add("breaks", 2.0, 1.0, tol=0.5)
+            rep.add("breaks", 2.0, 1.0)
             return rep
 
         monkeypatch.setitem(_SUITES, "favard", suite)
@@ -803,10 +834,39 @@ class TestVerify:
         ("--sigma", "1e-15"), ("--sigma", "1e15"), ("--h", "1e-15"), ("--h", "1e15")])
     @pytest.mark.parametrize("suite", ["favard", "pp", "lks", "bernstein", "group", "dht-law"])
     def test_every_suite_runs_at_the_bounds(self, suite, flag, value, capsys):
+        # and passes there, each record by the one rule: pass is lhs <= rhs
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["verify", "--suite", suite, flag, value]) in (0, 1, 3)
-        assert "error: internal" not in capsys.readouterr().err
+            assert main(["verify", "--suite", suite, flag, value, "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert "error: internal" not in captured.err
+        for c in json.loads(captured.out)["checks"]:
+            assert c["pass"] and c["slack"] == c["rhs"] - c["lhs"], c
+
+    @pytest.mark.parametrize("seed", ["0", "913"])
+    @pytest.mark.parametrize("suite", sorted(_SUITES))
+    def test_one_verdict_rule(self, suite, seed, capsys):
+        assert main(["verify", "--suite", suite, "--seed", seed, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["checks"] and not payload["skipped"]
+        for c in payload["checks"]:
+            assert c["pass"] == (c["lhs"] <= c["rhs"]) and c["slack"] == c["rhs"] - c["lhs"]
+        assert "SKIPPED" not in payload["note"] and "[FAIL]" not in payload["note"]
+
+    @pytest.mark.parametrize("suite, named", [
+        ("favard", []), ("lks", []), ("pp", ["1e-9", "*_pinf_lower"]),
+        ("bernstein", ["1e-3", "item 10"]), ("group", ["1e-9", "exponential_type", "item 4"]),
+        ("dht-law", ["5e-4", "1e-9", "item 5"])])
+    def test_every_allowance_is_named_in_its_note(self, suite, named, capsys):
+        # the hand-set allowances left, in the JSON note and on one text line
+        assert main(["verify", "--suite", suite, "--format", "json"]) == 0
+        note = json.loads(capsys.readouterr().out)["note"]
+        assert all(word in note for word in named) and (note == "") == (not named)
+        assert main(["verify", "--suite", suite]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if not line.startswith("[PASS] ")] == (
+            [f"suite {suite}: {note}"] if note else [])
+
 
     def test_favard_brackets_hold_exactly(self, capsys):
         assert main(["verify", "--suite", "favard", "--format", "json"]) == 0
@@ -847,6 +907,75 @@ class TestVerify:
         assert main(["verify", "--suite", suite, "--seed", "-1"]) == 2
         captured = capsys.readouterr()
         assert "--seed must be >= 0" in captured.err and captured.out == ""
+
+
+def _failed_checks(argv, capsys):
+    """The names of the checks ``bandlimit verify`` fails, after asserting exit 1."""
+    assert main(argv + ["--format", "json"]) == 1
+    return [c["name"] for c in json.loads(capsys.readouterr().out)["checks"] if not c["pass"]]
+
+
+class TestVerifyWrongInput:
+    """Each suite fails when fed one wrong input, by exit 1, at the check it breaks."""
+
+    def test_favard_constant_4_ulps_off(self, monkeypatch, capsys):
+        from bandlimit import inequalities
+        true = inequalities.favard_constant
+
+        def favard_constant(j):
+            k = true(j)
+            return k + 4 * math.ulp(k) if j == 2 else k
+
+        monkeypatch.setattr("bandlimit.cli.favard_constant", favard_constant)
+        assert "K2" in _failed_checks(["verify", "--suite", "favard"], capsys)
+
+    @pytest.mark.parametrize("engine, check", [
+        ("group_boas", "boas_power_r1"), ("orbit_reconstruct", "orbit_reconstruct"),
+        ("recover_initial", "recover_initial")])
+    def test_group_result_off_by_5e_7(self, engine, check, monkeypatch, capsys):
+        import bandlimit.cli as cli
+        true = getattr(cli, engine)
+        monkeypatch.setattr(cli, engine, lambda *a, **k: true(*a, **k) + 5e-7)
+        assert check in _failed_checks(["verify", "--suite", "group"], capsys)
+
+    @pytest.mark.parametrize("kind, p", [("fejer", 1.0), ("fejer", 2.0), ("sinc", 2.0),
+                                         ("sin", math.inf)])
+    def test_pp_norm_1_percent_off(self, kind, p, monkeypatch, capsys):
+        import dataclasses
+
+        def reference(name, sigma):
+            f = make_reference(name, sigma)
+            if name != kind:
+                return f
+            return dataclasses.replace(f, lp_norms={**f.lp_norms, p: 1.01 * f.lp_norms[p]})
+
+        monkeypatch.setattr("bandlimit.cli.make_reference", reference)
+        assert _failed_checks(["verify", "--suite", "pp"], capsys) == [f"{kind}_p{p}_lower"]
+
+    def test_lks_wrong_constant(self, monkeypatch, capsys):
+        from bandlimit import inequalities
+        true = inequalities.lks_constant
+        monkeypatch.setattr(inequalities, "lks_constant", lambda k, n: true(k, n) / 2.0)
+        assert _failed_checks(["verify", "--suite", "lks"], capsys) == ["k1_n3"]
+
+    def test_dht_law_h_scaled_by_1_5(self, monkeypatch, capsys):
+        import bandlimit.cli as cli
+        true = cli.hilbert_apply
+
+        def hilbert_apply(a, expand):
+            out = true(a, expand)
+            return SeqWindow(n0=out.n0, values=1.5 * out.values, tail_l2=1.5 * out.tail_l2)
+
+        monkeypatch.setattr(cli, "hilbert_apply", hilbert_apply)
+        assert _failed_checks(["verify", "--suite", "dht-law"], capsys) == [
+            "schur_strict", "power_growth"]
+
+    def test_bernstein_ratio_1_percent_over(self, monkeypatch, capsys):
+        from bandlimit import boas
+        true = boas.bernstein_ratio
+        monkeypatch.setattr(boas, "bernstein_ratio", lambda *a, **k: 1.01 * true(*a, **k))
+        failed = _failed_checks(["verify", "--suite", "bernstein"], capsys)
+        assert failed == ["sin_m1_pinf", "sin_m2_pinf", "cos_m1_pinf", "cos_m2_pinf"]
 
 
 class TestParserReuse:

@@ -1394,3 +1394,22 @@ class TestStackedSamples:
         got = [boas_derivative(f, r, x) for r in (1, 2, 5) for x in (0.7, 1e3)]
         monkeypatch.setattr(grouporbit, "_weighted_sum", loop_sum)
         assert got == [boas_derivative(f, r, x) for r in (1, 2, 5) for x in (0.7, 1e3)]
+
+
+class TestIdentity:
+    """A vector and its samples equal only themselves and hash by identity:
+    two of them on equal but distinct arrays once raised ValueError on ==
+    (the array truth value) and TypeError on hash."""
+
+    def test_bernstein_vectors(self):
+        inst = rotation_instance([1.0])
+        a = BernsteinVector(inst, np.array([0.8, -0.6]), 1.0)
+        b = BernsteinVector(inst, np.array([0.8, -0.6]), 1.0)
+        assert a == a and a != b and not (a == b)
+        assert len({a, b, a}) == 2 and {a: 1}[a] == 1
+
+    def test_orbit_samples(self):
+        b = BernsteinVector(rotation_instance([1.0]), np.array([0.8, -0.6]), 1.0)
+        s, twin = OrbitSamples.from_bernstein(b, 0.3), OrbitSamples.from_bernstein(b, 0.5)
+        twin = dataclasses.replace(twin, t=s.t, f_t=s.f_t.copy())
+        assert s == s and s != twin and len({s, twin}) == 2

@@ -26,7 +26,7 @@ from bandlimit.sinckernel import (
     sinc_derivative_grid,
     sinc_grid,
 )
-from mp_reference import ToneSum
+from mp_reference import ToneSum, cardinal_sum_mp
 
 PI = math.pi
 EPS = 2.220446049250313e-16
@@ -157,12 +157,15 @@ class TestWks:
 
     def test_critical_tail_over_tol_refused(self):
         # the window's tail at the critical rate is 1.2e-8: tol 1e-12 is out
-        # of reach, and the error says by how much
+        # of reach, and the error says by how much: the largest tail, the
+        # lattice beyond the window and the sum's rounding
         f, s = fejer_samples(sigma=2.0, K=4000)
         xs = np.array([0.1, 0.3, -7.0])
         with pytest.raises(ToleranceError, match="reconstruction tail .* exceeds tol") as err:
             wks_eval_grid(s, 0, xs, tol=1e-12)
-        assert err.value.achievable == float(np.max(wks_tail_bound(s, 0, xs)))
+        _, tails = wks_eval_grid(s, 0, xs, tol=1e-7, with_tail=True)
+        assert err.value.achievable == float(np.max(tails))
+        assert np.all(tails > wks_tail_bound(s, 0, xs))
         assert 1e-12 < err.value.achievable < 1e-7
 
     @pytest.mark.parametrize("k_min, k_max", [(10, 400), (-400, -10)])
@@ -759,3 +762,56 @@ class TestEmptyPoints:
         values, tails = wks_eval_grid(s, 1, xs, 1e-3, with_tail=True)
         assert values.shape == tails.shape == shape
         assert wks_eval_grid(s, 0, xs, 1e-3).shape == shape
+
+
+class TestCriticalRounding:
+    """The critical-rate tail charges the window sum's rounding, on the
+    direct and the box path: where the window's own tail is 0 or tiny, the
+    rounding is all the error there is.  Each value is held to an 80-digit
+    sum at x/h taken exactly."""
+
+    @staticmethod
+    def window(values, k_min, sigma, tail_bound, tail_decay=1.0):
+        return UniformSamples(sigma=sigma, h=PI / sigma, k_min=k_min,
+                              k_max=k_min + len(values) - 1, values=np.asarray(values),
+                              tail_bound=tail_bound, tail_decay=tail_decay)
+
+    @staticmethod
+    def within_tail(s, m, xs):
+        got, tails = wks_eval_grid(s, m, np.asarray(xs), math.inf, with_tail=True)
+        for x, v, tail in zip(xs, got, tails):
+            ref = cardinal_sum_mp(s.values, s.k_min, s.h, m, x)
+            assert abs(v - ref) <= tail, (m, x, v - ref, tail)
+        return tails
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_direct_path(self, data):
+        m = data.draw(st.integers(0, 3), label="m")
+        size = data.draw(st.integers(2 * max(2, m) + 1, 120), label="size")
+        values = data.draw(st.lists(st.one_of(
+            st.floats(-1e3, 1e3), st.sampled_from([0.0, 1.0, -1.0, 1e-300])),
+            min_size=size, max_size=size), label="values")
+        k_min = data.draw(st.integers(-size + 1, 0), label="k_min")
+        sigma = data.draw(st.sampled_from([1.0, 0.37, 2e3, 1e-3]), label="sigma")
+        tail = data.draw(st.sampled_from([0.0, 1e-300, 1e-30]), label="tail_bound")
+        s = self.window(values, k_min, sigma, tail, data.draw(st.sampled_from([1.0, 2.0])))
+        gap = max(2, m)
+        # a window with no room for a point at least gap from both edges has no tail
+        lo, hi = s.k_min + gap, s.k_max - gap
+        us = data.draw(st.lists(st.one_of(st.floats(lo, hi), st.integers(lo, hi)),
+                                min_size=1, max_size=3), label="u")
+        xs = [float(u) * s.h for u in us]
+        assert not sinckernel._box_path(m, len(xs), size)
+        self.within_tail(s, m, xs)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_box_path(self, m):
+        rng = np.random.default_rng(m)
+        s = self.window(rng.standard_normal(4001), -2000, 1.0, 0.0)
+        xs = np.sort(rng.uniform(-1900, 1900, 400)) * s.h
+        assert sinckernel._box_path(m, xs.size, 4001)
+        got, tails = wks_eval_grid(s, m, xs, math.inf, with_tail=True)
+        for i in (0, 137, 399):
+            ref = cardinal_sum_mp(s.values, s.k_min, s.h, m, xs[i])
+            assert abs(got[i] - ref) <= tails[i], (m, xs[i], got[i] - ref, tails[i])

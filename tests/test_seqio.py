@@ -184,6 +184,14 @@ class TestWriterBytes:
         indexed_reference(tmp_path / "old.csv", "n", first, vals, FOOTER)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
+    @pytest.mark.parametrize("first", [2 ** 63 - 3, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 2,
+                                       2 ** 64, -2 ** 63, -2 ** 63 - 1])
+    def test_window_index_cells_are_exact_integers(self, first, tmp_path):
+        # np.arange gives float64 on [2^63, 2^64): 9.223372036854776e+18 twice
+        write_sequence(tmp_path / "w.csv", SeqWindow(n0=first, values=np.array([1.0, 2.0, 3.0])))
+        rows = (tmp_path / "w.csv").read_bytes().split(b"\r\n")[1:4]
+        assert rows == [b"%d,%d.0" % (first + i, i + 1) for i in range(3)]
+
 
 @settings(max_examples=300, deadline=None)
 @given(vals=arrays(np.float64, st.integers(1, 40), elements=st.floats(width=64)))
