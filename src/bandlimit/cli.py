@@ -200,6 +200,15 @@ def _suite_favard(cfg: RunConfig) -> SuiteReport:
     return rep
 
 
+def _fejer_value_error(sigma: float, h: float, window: int) -> float:
+    """Bound on h sum_k |v_k - f(x - kh)| over |k| <= window for the Fejer
+    reference's lattice values v_k, 0 <= x < h <= pi/sigma: each is within
+    32 u (1 + |sigma x| + |sigma kh|) env(x - kh), summed by integral
+    comparison (README "What `verify` checks").  Needs (window + 1) h sigma >= 2."""
+    return 32 * 2.0 ** -53 * ((66.4 + 8 * math.log((window + 1) * h * sigma / 2)) / sigma
+                              + 27.9 * h)
+
+
 def _suite_pp(cfg: RunConfig) -> SuiteReport:
     rep = SuiteReport("pp")
     window = 20_000
@@ -219,6 +228,9 @@ def _suite_pp(cfg: RunConfig) -> SuiteReport:
     # the p = 1, 2 middle: 2W + 1 powers summed, then scaled, tailed and rooted, so
     # Higham's gamma_n = nu/(1 - nu), nu = n 2^-53, n = 2W + 1 + 4, bounds its rounding
     nu = (2 * window + 5) * 2.0 ** -53
+    # p = 1 (Fejer) also adds the values' own error; the root of p = 2 leaves W
+    # ulps of the count for it (README "What `verify` checks")
+    own = _fejer_value_error(cfg.sigma, cfg.h, window)
     # one evaluation of each reference per shift serves all its p
     combos = [("fejer", (1.0, 2.0, math.inf)), ("sinc", (2.0, math.inf)),
               ("sin", (math.inf,)), ("cos", (math.inf,)), ("const", (math.inf,))]
@@ -227,7 +239,10 @@ def _suite_pp(cfg: RunConfig) -> SuiteReport:
         reports = plancherel_polya_checks(f, cfg.h, ps, window=window,
                                           shifts=[j * cfg.h / 16 for j in range(16)])
         for p, r in zip(ps, reports):
-            bound = r.middle_hi + 1e-9 if p == math.inf else r.middle_hi * (1.0 + nu / (1.0 - nu))
+            if p == math.inf:
+                bound = r.middle_hi + 1e-9
+            else:
+                bound = (r.middle_hi + (own if p == 1.0 else 0.0)) * (1.0 + nu / (1.0 - nu))
             rep.add(f"{kind}_p{p}_lower", r.lower, bound)
             rep.add(f"{kind}_p{p}_upper", r.middle_hi, r.upper)
     return rep

@@ -74,6 +74,13 @@ class BandlimitedFn:
         lp_norms: optional exact L^p norms, keyed by p (1, 2, or math.inf).
         envelope: optional decay certificate (C, d) meaning
             |f(x)| <= min(sup_bound, C / |x|^d) for all x != 0.
+        lattice: optional lattice evaluator, kh -> (x -> f(x - kh)) for an
+            array kh and a float x: whatever can be taken once per lattice is
+            taken when it is built, and each call gives f at one shift of
+            it.  The sampled-norm checks use it in place of f(x - kh);
+            :func:`make_reference` sets it, from sin(w kh) and cos(w kh) by
+            angle addition, and README "What `verify` checks" bounds its
+            values against f(x - kh).  None: f(x - kh) itself.
     """
 
     sigma: float
@@ -82,6 +89,7 @@ class BandlimitedFn:
     deriv_eval: Optional[Callable[[np.ndarray], np.ndarray]] = None
     lp_norms: Optional[Dict[float, float]] = None
     envelope: Optional[Tuple[float, float]] = None
+    lattice: Optional[Callable[[np.ndarray], Callable[[float], np.ndarray]]] = None
 
     def __post_init__(self):
         if not (self.sigma >= 0.0 and math.isfinite(self.sigma)):
@@ -91,6 +99,36 @@ class BandlimitedFn:
 
     def __call__(self, x):
         return self.eval(x)
+
+
+def _lattice_sines(w: float, kh):
+    """w kh with its sine and cosine, taken once per lattice: every shift x
+    then follows by angle addition, sin(t - w kh) = sin(t) cos(w kh) -
+    cos(t) sin(w kh) with t = w x, two multiplies and an add per point in
+    place of a sine."""
+    wkh = w * np.asarray(kh, dtype=float)
+    return wkh, np.sin(wkh), np.cos(wkh)
+
+
+def _sinc_lattice(w: float):
+    """kh -> (x -> sin(a)/a), a = w (x - kh), the sine by angle addition.
+    Where |a| <= 1 the quotient would lose digits to the sine's
+    cancellation, and sin(a)/a is taken directly; it is 1 exactly where a
+    is 0."""
+    def lattice(kh):
+        wkh, s, c = _lattice_sines(w, kh)
+
+        def at(x):
+            wx = w * x
+            a = wx - wkh
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = (math.sin(wx) * c - math.cos(wx) * s) / a
+                near = np.flatnonzero(np.abs(a) <= 1.0)
+                an = a[near]
+                out[near] = np.where(an == 0.0, 1.0, np.sin(an) / an)
+            return out
+        return at
+    return lattice
 
 
 def make_reference(kind: str, sigma: float, phase: float = 0.0) -> BandlimitedFn:
@@ -104,26 +142,36 @@ def make_reference(kind: str, sigma: float, phase: float = 0.0) -> BandlimitedFn
                    absolutely integrable (x^-2 decay)
         "const" -> 1 identically; true type 0, certified at the given sigma
 
-    The returned objects carry exact derivative handles, decay envelopes, and
-    the L^p norms that exist: the norms a sampled-norm check compares with.
+    The returned objects carry exact derivative handles, decay envelopes,
+    the L^p norms that exist (the norms a sampled-norm check compares with)
+    and a lattice evaluator: sin(sigma kh) and cos(sigma kh) once per
+    lattice (at sigma/2 for "fejer"), each shift by angle addition.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     s = float(sigma)
     ph = float(phase)
     if kind == "sin":
+        def lattice(kh, s=s):  # sin(t - s kh), the phase folded into t = s x + phase
+            _, sk, ck = _lattice_sines(s, kh)
+            return lambda x: math.sin(s * x + ph) * ck - math.cos(s * x + ph) * sk
+
         return BandlimitedFn(
             sigma=s, sup_bound=1.0,
             eval=lambda x, s=s: np.sin(s * np.asarray(x, dtype=float) + ph),
             deriv_eval=lambda x, s=s: s * np.cos(s * np.asarray(x, dtype=float) + ph),
-            lp_norms={math.inf: 1.0},
+            lp_norms={math.inf: 1.0}, lattice=lattice,
         )
     if kind == "cos":
+        def lattice(kh, s=s):  # cos(t - s kh), t = s x + phase
+            _, sk, ck = _lattice_sines(s, kh)
+            return lambda x: math.cos(s * x + ph) * ck + math.sin(s * x + ph) * sk
+
         return BandlimitedFn(
             sigma=s, sup_bound=1.0,
             eval=lambda x, s=s: np.cos(s * np.asarray(x, dtype=float) + ph),
             deriv_eval=lambda x, s=s: -s * np.sin(s * np.asarray(x, dtype=float) + ph),
-            lp_norms={math.inf: 1.0},
+            lp_norms={math.inf: 1.0}, lattice=lattice,
         )
     if kind == "sinc":
         def f(x, s=s):
@@ -136,7 +184,7 @@ def make_reference(kind: str, sigma: float, phase: float = 0.0) -> BandlimitedFn
         return BandlimitedFn(
             sigma=s, sup_bound=1.0, eval=f, deriv_eval=df,
             lp_norms={2.0: math.sqrt(_PI / s), math.inf: 1.0},
-            envelope=(1.0 / s, 1.0),
+            envelope=(1.0 / s, 1.0), lattice=_sinc_lattice(s),
         )
     if kind == "fejer":
         def f(x, s=s):
@@ -146,13 +194,23 @@ def make_reference(kind: str, sigma: float, phase: float = 0.0) -> BandlimitedFn
             u = s * np.asarray(x, dtype=float) / (2 * _PI)
             return (s / _PI) * sinc_grid(u) * sinc_derivative_grid(1, u)
 
+        half = _sinc_lattice(s / 2.0)
+
+        def lattice(kh):
+            at = half(kh)
+
+            def square(x):
+                out = at(x)
+                return np.square(out, out=out)
+            return square
+
         # ||f||_1 = 2 pi / sigma, ||f||_2^2 = (2 pi / sigma) * (2/3)
         return BandlimitedFn(
             sigma=s, sup_bound=1.0, eval=f, deriv_eval=df,
             lp_norms={1.0: 2 * _PI / s,
                       2.0: math.sqrt(4 * _PI / (3 * s)),
                       math.inf: 1.0},
-            envelope=(4.0 / s ** 2, 2.0),
+            envelope=(4.0 / s ** 2, 2.0), lattice=lattice,
         )
     if kind == "const":
         return BandlimitedFn(
@@ -160,6 +218,7 @@ def make_reference(kind: str, sigma: float, phase: float = 0.0) -> BandlimitedFn
             eval=lambda x: np.ones_like(np.asarray(x, dtype=float)),
             deriv_eval=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             lp_norms={math.inf: 1.0},
+            lattice=lambda kh: lambda x: np.ones(np.shape(kh)),
         )
     raise ValueError(f"unknown reference kind {kind!r}")
 
@@ -363,7 +422,7 @@ def _window_series(s: UniformSamples, m: int, xs, u, tol: float):
     return _lattice_series(m, u, s.values, s.k_min), tails
 
 
-def _window_rounding(s: UniformSamples, m: int, u) -> np.ndarray:
+def _window_rounding(s: UniformSamples, m: int, u, delta=None, sine: float = 1.0) -> np.ndarray:
     """Bound on the rounding of :func:`_window_series` at the points u (x/h,
     rounded and snapped), in units of f^(m), from the window's sum and
     largest |f_k|, its length L and u alone (README "The critical-rate
@@ -373,7 +432,9 @@ def _window_rounding(s: UniformSamples, m: int, u) -> np.ndarray:
 
     the near band's weights and sum, the far band's moments and closed form
     (1.5^(m+1) times larger on the box path), the division by h^m, and the
-    argument's rounding delta = 18 u_r max(1, |u|), u_r = 2^-53."""
+    argument's rounding delta, by default 18 u_r max(1, |u|), u_r = 2^-53.
+    At m = 0 every far entry carries sin(pi r), r = u - round(u), and
+    ``sine`` may give a bound on it."""
     c = np.abs(s.values)
     width, s1, top = 2 * m + 3, float(np.sum(c)), float(np.max(c))
     harmonic = 1.0 + math.log(c.size)  # sum of 1/|u - k| over one side of the far band
@@ -387,10 +448,13 @@ def _window_rounding(s: UniformSamples, m: int, u) -> np.ndarray:
     near = min(s1, width * top) * _PI ** m * (
         (_WEIGHT_ERR[min(m, 3)] + gamma(width + 1)) / (m + 1) + _PI * _UNIT)
     far = _PI ** m / (_PI - 1.0) * min(s1 / (m + 1.5), 2.0 * top * harmonic)
+    if m == 0:
+        far *= sine
     if _box_path(m, u.size, c.size):
         far *= 1.5 ** (m + 1)
-    # delta < 1/2 wherever the tail is finite: the window holds 0 and u, so |u| < L
-    delta = 18.0 * _UNIT * np.maximum(1.0, np.abs(u))
+    if delta is None:
+        # delta < 1/2 wherever the tail is finite: the window holds 0 and u, so |u| < L
+        delta = 18.0 * _UNIT * np.maximum(1.0, np.abs(u))
     rounding = near + gamma(c.size + 5 * m + 24) * far + 5.0 * _UNIT * mass(m) + delta * mass(m + 1)
     return rounding / _scale(s.h, m)
 
@@ -477,13 +541,20 @@ def valiron_tschakaloff_eval(s: UniformSamples, f0: float, df0: float,
 
 
 def vt_tail_bound(s: UniformSamples, z: complex) -> float:
-    """Rigorous truncation bound for :func:`valiron_tschakaloff_eval`.
+    """Rigorous bound on the error of :func:`valiron_tschakaloff_eval`: the
+    truncation of the series plus the rounding of the sum
+    (:func:`_vt_rounding`).
 
     |term_k| <= M (sigma|z|/(|k| pi)) e^{pi |Im u|} / (pi |u - k|), and
     |u - k| >= |k|/2 once |k| >= 2|u|, so the terms beyond an edge K sum to
     at most 2 M sigma |z| e^{pi |Im u|} / (pi^2 K).  The two sides add up to
     4 M sigma |z| e^{pi |Im u|} / (pi^2 K_h), with K_h the harmonic mean of
     k_max and -k_min; both must be at least 2|u|.
+
+    The rounding term takes the head's data as |f0| = |f_0|, the stored
+    sample at k = 0, and |df0| <= sigma M, Bernstein's inequality.  That
+    premise is |f| <= M on the whole line, between the samples too, which
+    UniformSamples does not certify: it bounds |f| beyond the window only.
     """
     z = complex(z)
     u = _vt_point(s, z)
@@ -493,7 +564,39 @@ def vt_tail_bound(s: UniformSamples, z: complex) -> float:
     grow = math.exp(_PI * abs(u.imag))
     # exactly k_max for a symmetric window
     side = 2 * s.k_max * -s.k_min / (s.k_max - s.k_min)
-    return 4.0 * m_bound * s.sigma * abs(z) * grow / (_PI ** 2 * side)
+    head = abs(s.values[-s.k_min]) + abs(z) * s.sigma * m_bound
+    return (4.0 * m_bound * s.sigma * abs(z) * grow / (_PI ** 2 * side)
+            + _vt_rounding(s, u, head))
+
+
+def _vt_rounding(s: UniformSamples, u: complex, head: float) -> float:
+    """Bound on the rounding of :func:`valiron_tschakaloff_eval` at u = z/h
+    as it computes it, with head >= |z df0 + f0| (README "The critical-rate
+    cardinal sum" derives it).  With v the point the sum is taken at (u,
+    snapped onto an integer on the real line), delta = |v - z/h|, r = v -
+    round(v), A = 2 max|f_k| (1 + ln L) >= sum_(k != 0) |f_k/k| and
+    gamma_n = n u_r/(1 - n u_r), u_r = 2^-53:
+
+        head (20 u_r + pi delta/2)              the head, (z df0 + f0) sinc(v)
+        + _window_rounding(s, 0, v, delta, min(1, pi |r|))    the cardinal sum
+        + (min(1, pi |r|)/pi gamma_(L+18) + delta) A + 2.01 u_r head   alt, adds
+
+    and off the real line 8 e^(pi |Im u|) times that."""
+    if u.imag == 0.0:
+        v = complex(_snap_grid(np.array([u.real]))[0])
+        scale = 1.0
+    else:
+        v = u
+        scale = 8.0 * math.exp(_PI * abs(u.imag))
+    delta = abs(v - u) + 2.0 * _UNIT * abs(u)  # u itself is z/h rounded once
+    sine = min(1.0, _PI * abs(v - round(v.real)))
+    size = s.values.size
+    alt = 2.0 * float(np.max(np.abs(s.values))) * (1.0 + math.log(size))
+    card = float(_window_rounding(s, 0, np.array([v.real]), delta, sine))
+    gamma = (size + 18) * _UNIT / (1.0 - (size + 18) * _UNIT)
+    total = (head * (20.0 * _UNIT + _PI / 2.0 * delta) + card
+             + (sine / _PI * gamma + delta) * alt + 2.01 * _UNIT * head)
+    return scale * total
 
 
 # ---------------------------------------------------------------------------

@@ -135,3 +135,46 @@ def cardinal_sum_mp(values, k_min, h, m, x):
                 term = -term if k % 2 else term
             total += f * term
         return float(total / mp.mpf(float(h)) ** m)
+
+
+def vt_sum_mp(values, k_min, h, f0, df0, z):
+    """The Valiron/Tschakaloff sum of the stored samples at 40 digits, z/h
+    taken exactly, as an mpmath number:
+
+        (z df0 + f0) sinc(u) + sum_(k != 0) f_k (u/k) sinc(u - k),
+
+    with sin(pi (u - k)) = (-1)^k sin(pi u), so that each term is
+    (-1)^k f_k sin(pi u) u/(pi k (u - k)): one division per term.  At a
+    lattice point u = n the sum is its one nonzero term."""
+    with mp.workdps(40):
+        z = mp.mpc(complex(z)) if complex(z).imag else mp.mpf(complex(z).real)
+        u = z / mp.mpf(float(h))
+        head = (z * mp.mpf(float(df0)) + mp.mpf(float(f0)))
+        if u == mp.nint(u.real):
+            n = int(mp.nint(u.real))
+            return head if n == 0 else mp.mpf(float(values[n - k_min]))
+        total = mp.mpf(0)
+        for k, f in enumerate(np.asarray(values, dtype=float).tolist(), start=k_min):
+            if k == 0 or f == 0.0:
+                continue
+            term = mp.mpf(f) / (k * (u - k))
+            total = total - term if k % 2 else total + term
+        sin_u = mp.sin(mp.pi * u)
+        return head * sin_u / (mp.pi * u) + sin_u * u / mp.pi * total
+
+
+def reference_mp(kind, sigma, x, k, h):
+    """make_reference(kind, sigma)(x - k h) at 40 digits, x - k h taken
+    exactly from the floats x and h and the integer k, as a float."""
+    with mp.workdps(40):
+        a = mp.mpf(float(sigma)) * (mp.mpf(float(x)) - int(k) * mp.mpf(float(h)))
+        if kind == "sin":
+            return float(mp.sin(a))
+        if kind == "cos":
+            return float(mp.cos(a))
+        if kind == "const":
+            return 1.0
+        if kind == "fejer":
+            a /= 2
+        value = mp.sin(a) / a if a != 0 else mp.mpf(1)
+        return float(value ** 2 if kind == "fejer" else value)

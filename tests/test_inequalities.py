@@ -5,8 +5,9 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from bandlimit.cli import _fejer_value_error
 from bandlimit.inequalities import (
     discrete_norm,
     embedding_constant,
@@ -17,6 +18,7 @@ from bandlimit.inequalities import (
     plancherel_polya_checks,
 )
 from bandlimit.sampling import UniformSamples, make_reference
+from mp_reference import reference_mp
 
 PI = math.pi
 
@@ -97,7 +99,8 @@ class TestSandwichForEveryP:
     @pytest.mark.parametrize("kind, ps", [("fejer", (1.0, 2.0, math.inf)),
                                           ("sinc", (2.0, math.inf))])
     def test_one_evaluation_per_shift_same_reports(self, kind, ps):
-        f = make_reference(kind, 2.0)
+        # without the lattice evaluator f(x - kh) is called once per shift
+        f = dataclasses.replace(make_reference(kind, 2.0), lattice=None)
         calls = []
 
         def counted(x):
@@ -111,11 +114,176 @@ class TestSandwichForEveryP:
         for p, rep in zip(ps, got):
             assert rep == plancherel_polya_check(f, 0.4, p, shifts=shifts, window=2_000)
 
+    @pytest.mark.parametrize("kind, ps", [("fejer", (1.0, 2.0, math.inf)),
+                                          ("sinc", (2.0, math.inf))])
+    def test_one_lattice_build_one_call_per_shift(self, kind, ps):
+        f = make_reference(kind, 2.0)
+        builds, calls = [], []
+
+        def lattice(kh):
+            builds.append(np.size(kh))
+            at = f.lattice(kh)
+
+            def counted(x):
+                calls.append(x)
+                return at(x)
+            return counted
+
+        def refused(x):
+            raise AssertionError("f(x - kh) called beside the lattice evaluator")
+
+        g = dataclasses.replace(f, eval=refused, lattice=lattice)
+        shifts = [j * 0.4 / 16 for j in range(16)]
+        got = plancherel_polya_checks(g, 0.4, ps, shifts=shifts, window=2_000)
+        assert builds == [4_001] and calls == shifts
+        for p, rep in zip(ps, got):
+            assert rep == plancherel_polya_check(f, 0.4, p, shifts=shifts, window=2_000)
+
     def test_given_norms(self):
         f = make_reference("fejer", 2.0)
         g = dataclasses.replace(f, lp_norms={**f.lp_norms, 1.0: 3.0})
         got = plancherel_polya_checks(g, 0.5, (1.0, 2.0), window=2_000)
         assert got[0].lower == 3.0 and got[1].lower == f.lp_norms[2.0]
+
+
+U = 2.0 ** -53
+
+
+def lattice_bound(f, x, kh, units=64.0):
+    """README "What `verify` checks": |lattice(kh)(x) - f(x - kh)| <=
+    64 u (1 + |sigma x| + |sigma kh|) env(x - kh), env the envelope
+    min(sup, C/|y|^d), or sup where f has none; 32 units against the exact
+    f(x - kh)."""
+    y = x - kh
+    env = np.full_like(y, f.sup_bound)
+    if f.envelope is not None:
+        c, d = f.envelope
+        with np.errstate(divide="ignore"):
+            env = np.minimum(env, c / np.abs(y) ** d)
+    return units * U * (1.0 + abs(f.sigma * x) + np.abs(f.sigma * kh)) * env
+
+
+KINDS = ("sin", "cos", "sinc", "fejer", "const")
+log_sigma = st.floats(min_value=-3.0, max_value=3.0)
+rate = st.floats(min_value=0.01, max_value=PI)  # h sigma
+where = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+
+
+class TestLatticeEvaluator:
+    """make_reference's lattice evaluator against f(x - kh), within the
+    bound the README states, over sigma in [1e-3, 1e3], h sigma in
+    [0.01, pi], shifts in [0, h) and windows up to 20 000."""
+
+    @given(st.sampled_from(KINDS), log_sigma, rate, where,
+           st.integers(min_value=1, max_value=20_000))
+    @settings(max_examples=150, deadline=None)
+    def test_within_the_bound(self, kind, log_s, hs, t, window):
+        f = make_reference(kind, 10.0 ** log_s)
+        h = hs / f.sigma
+        x = t * h
+        kh = np.arange(-window, window + 1) * h
+        got = f.lattice(kh)(x)
+        assert got.shape == kh.shape
+        assert np.all(np.abs(got - f.eval(x - kh)) <= lattice_bound(f, x, kh))
+        if x == 0.0 and kind in ("sinc", "fejer"):
+            assert got[window] == 1.0
+
+    @pytest.mark.parametrize("kind", ["sinc", "fejer"])
+    @pytest.mark.parametrize("hs", [0.01, 1.0, PI])
+    def test_one_at_the_origin_and_near_it(self, kind, hs):
+        # at x = 0, k = 0 the quotient is 1 exactly; one lattice step away it
+        # is taken directly, where angle addition would cancel
+        f = make_reference(kind, 2.5)
+        h = hs / f.sigma
+        kh = np.arange(-3, 4) * h
+        for x in (0.0, h * (1.0 - 1e-12), h * 1e-12):
+            got = f.lattice(kh)(x)
+            assert np.all(np.abs(got - f.eval(x - kh)) <= lattice_bound(f, x, kh))
+        assert f.lattice(kh)(0.0)[3] == 1.0
+
+    @given(st.sampled_from([("fejer", (1.0, 2.0, math.inf)), ("sinc", (2.0, math.inf)),
+                            ("sin", (math.inf,)), ("cos", (math.inf,)),
+                            ("const", (math.inf,))]),
+           log_sigma, rate, st.integers(min_value=1, max_value=2_000))
+    @settings(max_examples=40, deadline=None)
+    def test_checks_with_and_without_the_evaluator(self, combo, log_s, hs, window):
+        kind, ps = combo
+        f = make_reference(kind, 10.0 ** log_s)
+        h = hs / f.sigma
+        shifts = [j * h / 16 for j in range(16)]
+        got = plancherel_polya_checks(f, h, ps, shifts=shifts, window=window)
+        plain = plancherel_polya_checks(dataclasses.replace(f, lattice=None), h, ps,
+                                        shifts=shifts, window=window)
+        kh = np.arange(-window, window + 1) * h
+        bounds = [lattice_bound(f, x, kh) for x in shifts]
+        gamma = (2 * window + 5) * U / (1.0 - (2 * window + 5) * U)
+        for p, a, b in zip(ps, got, plain):
+            assert a.passed == b.passed
+            # Minkowski: the p-norms of two value sets differ by at most the
+            # p-norm of their difference, plus each middle's own rounding
+            if p == math.inf:
+                moved = max(float(np.max(e)) for e in bounds)
+            else:
+                moved = max(float((h * np.sum(e ** p)) ** (1.0 / p)) for e in bounds)
+            for lo in ("middle_lo", "middle_hi"):
+                ma, mb = getattr(a, lo), getattr(b, lo)
+                assert abs(ma - mb) <= moved + gamma * (ma + mb), (lo, p)
+
+
+# the corners sigma in {1e-3, 1e3} x h sigma in {0.01, 3.14}, and sigma = h = 1
+CORNERS = [(1e-3, 0.01), (1e-3, 3.14), (1e3, 0.01), (1e3, 3.14), (1.0, 1.0)]
+
+
+class TestLatticeEvaluatorExact:
+    """The lattice values against a 40-digit f(x - kh), kh = k h exactly:
+    each within 32 u (1 + |sigma x| + |sigma kh|) env(x - kh), and Fejer's
+    summed over the window within cli._fejer_value_error, the value error
+    verify pp adds to its p = 1 middle."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("sigma, hs", CORNERS)
+    def test_within_32_units_of_the_exact_value(self, kind, sigma, hs):
+        h = hs / sigma
+        near = np.arange(-40, 41)
+        far = np.unique(np.geomspace(41, 20_000, 60).astype(np.int64))
+        ks = np.concatenate([-far[::-1], near, far])
+        f = make_reference(kind, sigma)
+        for x in (0.0, 5 * h / 16, 15 * h / 16):
+            kh = ks * h
+            got = f.lattice(kh)(x)
+            exact = np.array([reference_mp(kind, sigma, x, k, h) for k in ks.tolist()])
+            assert np.all(np.abs(got - exact) <= lattice_bound(f, x, kh, units=32.0)), x
+
+    def test_fejer_summed_error_on_a_full_window(self):
+        # the shift 5h/16 of verify pp at sigma = h = 1, every one of its 40 001 values
+        f, h, window = make_reference("fejer", 1.0), 1.0, 20_000
+        x = 5 * h / 16
+        ks = np.arange(-window, window + 1)
+        got = f.lattice(ks * h)(x)
+        exact = np.array([reference_mp("fejer", 1.0, x, k, h) for k in ks.tolist()])
+        err = np.abs(got - exact)
+        assert np.all(err <= lattice_bound(f, x, ks * h, units=32.0))
+        assert h * float(np.sum(err)) <= _fejer_value_error(1.0, h, window)
+
+    @given(log_sigma, rate, st.integers(min_value=0, max_value=15),
+           st.integers(min_value=1, max_value=20_000))
+    @settings(max_examples=60, deadline=None)
+    def test_fejer_value_error_sums_the_per_value_bound(self, log_s, hs, j, window):
+        # the integral comparison behind 66.4, 8 ln((W + 1) h sigma/2) and 27.9
+        assume((window + 1) * hs >= 2.0)
+        f = make_reference("fejer", 10.0 ** log_s)
+        h = hs / f.sigma
+        x = j * h / 16
+        per_value = lattice_bound(f, x, np.arange(-window, window + 1) * h, units=32.0)
+        assert h * float(np.sum(per_value)) <= _fejer_value_error(f.sigma, h, window)
+
+    @pytest.mark.parametrize("sigma, hs", CORNERS)
+    def test_fejer_value_error_at_verify_settings(self, sigma, hs):
+        f, h = make_reference("fejer", sigma), hs / sigma
+        kh = np.arange(-20_000, 20_001) * h
+        for j in range(16):
+            per_value = lattice_bound(f, j * h / 16, kh, units=32.0)
+            assert h * float(np.sum(per_value)) <= _fejer_value_error(sigma, h, 20_000)
 
 
 class TestEmbedding:

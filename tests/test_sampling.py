@@ -3,6 +3,7 @@ import math
 import re
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +27,7 @@ from bandlimit.sinckernel import (
     sinc_derivative_grid,
     sinc_grid,
 )
-from mp_reference import ToneSum, cardinal_sum_mp
+from mp_reference import ToneSum, cardinal_sum_mp, vt_sum_mp
 
 PI = math.pi
 EPS = 2.220446049250313e-16
@@ -573,6 +574,38 @@ class TestValironTschakaloff:
             grow = math.exp(abs(complex(z).imag))
             assert bound == pytest.approx(2 * abs(z) * grow / PI ** 2 * (1 / 4000 + 1 / 40))
             assert abs(got - cmath.sin(z + phase)) <= bound
+
+    @staticmethod
+    def error(s, f0, df0, z):
+        """|valiron_tschakaloff_eval - the 40-digit sum of the stored samples|"""
+        got = valiron_tschakaloff_eval(s, f0, df0, z)
+        with mp.workdps(40):
+            return float(abs(mp.mpc(got) - vt_sum_mp(s.values, s.k_min, s.h, f0, df0, z)))
+
+    def test_bound_counts_the_rounding(self):
+        # the truncation bound alone is 4.05e-17 here, and the sum's rounding
+        # 8.9e-17
+        K = 100_000
+        ks = np.arange(-K, K + 1)
+        s = UniformSamples(sigma=1.0, h=PI, k_min=-K, k_max=K,
+                           values=np.sin(ks * PI + 0.4), tail_bound=1.0)
+        f0, df0 = math.sin(0.4), math.cos(0.4)
+        err = self.error(s, f0, df0, 1e-11)
+        assert err > 4.05e-17
+        assert err <= vt_tail_bound(s, 1e-11)
+
+    @pytest.mark.parametrize("z", [1e-11, -2.5e-12, 1e-17, 1e-10 + 1e-11j, 1e-12j, 7e-13 - 3e-13j])
+    def test_bound_counts_the_rounding_where_truncation_is_small(self, z):
+        # standard-normal samples, f0 the one at k = 0 and |df0| <= sigma max|f_k|,
+        # as the bound takes them; at 1e-17 the point snaps onto k = 0
+        rng = np.random.default_rng(31)
+        K = 4000
+        s = UniformSamples(sigma=1.0, h=PI, k_min=-K, k_max=K,
+                           values=rng.standard_normal(2 * K + 1), tail_bound=1.0)
+        f0, df0 = float(s.values[K]), 0.7
+        err = self.error(s, f0, df0, z)
+        assert df0 <= s.sigma * float(np.max(np.abs(s.values)))
+        assert err <= vt_tail_bound(s, z)
 
     def test_complex_argument(self):
         s = self.make_sin_samples(K=20000)
